@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import HBAR, EnergyBudget
 
@@ -129,6 +130,19 @@ def wavefunction(mode: BoxMode, sys: BoxSystem, x: float) -> float:
 def integrand_exact(b_sq: float, kx: float) -> float:
     """Path integrand sqrt(1 + b^2 cos^2(kx)) at phase kx."""
     return math.sqrt(1.0 + b_sq * math.cos(kx)**2)
+
+
+def path_integrand(mode: BoxMode) -> Callable[[float], float]:
+    """Path integrand x -> sqrt(1 + b^2 cos^2(k_n x)) of the mode.
+
+    Equal bit for bit to integrand_exact(mode.b_sq, mode.k_n * x).
+    """
+    b_sq, k = mode.b_sq, mode.k_n
+    cos, sqrt = math.cos, math.sqrt
+
+    def integrand(x: float) -> float:
+        return sqrt(1.0 + b_sq * cos(k * x) ** 2)
+    return integrand
 
 
 def integrand_series(b_sq: float, kx: float) -> float:

@@ -3,8 +3,10 @@
 Subcommands generate the figure data sets and run the verification
 suite.  All outputs are deterministic: a rerun with the same inputs
 produces byte-identical files.  Exit codes: 0 success, 1 verification
-failure, 2 usage or configuration error, 3 domain or numeric error
-raised by the physics layer.
+failure, 2 usage or configuration error (a non-finite number option or
+an output location that cannot be written included), 3 domain or
+numeric error raised by the physics layer.  A bad box-figure ratio is
+caught before any of its files is written.
 
 Output location: --out flag, else the OUTPUT_DIR environment variable,
 else the working directory.  CSV files carry `# key=value` caption
@@ -100,6 +102,14 @@ def _run_config(merged: Mapping[str, object],
     raise AssertionError("unreachable")
 
 
+def finite_float(text: str) -> float:
+    """float option converter that rejects nan and inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
+
+
 def _fmt(value: object) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -114,8 +124,9 @@ def _write_table(cfg: RunConfig, stem: str, meta: Mapping[str, object],
     if cfg.fmt == "csv":
         lines = [f"# {key}={_fmt(value)}" for key, value in meta.items()]
         lines.append(",".join(columns))
+        # Rows hold only floats and ints, whose repr is what _fmt gives.
         for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
+            lines.append(",".join(map(repr, row)))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
         payload = {"meta": dict(meta), "columns": list(columns),
@@ -136,14 +147,17 @@ def _cmd_box_figure(merged: Mapping[str, object], cfg: RunConfig) -> int:
     a = float(merged["a"])
     mass = float(merged["mass"])
     ratios = [float(tok) for tok in str(merged["ratios"]).split(",") if tok]
-    paths = []
+    # Every ratio is checked and every mode built before the first file.
+    levels = []
     for n, ratio in enumerate(ratios, start=1):
         if not 1.0 <= ratio < 2.0:
             raise ValueError(
                 f"ratio for n={n} must lie in [1, 2), got {ratio}")
         p_n = HBAR * n * math.pi / a
         sys = boxmode.BoxSystem(m=mass, a=a, p_particle=p_n / math.sqrt(ratio))
-        mode = boxmode.make_mode(sys, n)
+        levels.append((n, ratio, sys, boxmode.make_mode(sys, n)))
+    paths = []
+    for n, ratio, sys, mode in levels:
         slope0 = 1.0 + mode.b_sq / (mode.b_sq + 4.0)
         rows = []
         for x in _grid(0.0, a, cfg.grid_points):
@@ -184,10 +198,7 @@ def _cmd_osc_trajectory(merged: Mapping[str, object], cfg: RunConfig) -> int:
     r_max = min(cap_l, 5.0 / math.sqrt(alpha))
     xs = _grid(-r_max, r_max, cfg.grid_points)
 
-    def integrand(s: float) -> float:
-        return math.sqrt(1.0 + oscillator.trajectory_slope_sq(mode, sys, s)
-                         / (4.0 * math.pi))
-
+    integrand = oscillator.path_integrand(mode, sys)
     rows = []
     acc = oracle.integrate(integrand, 0.0, xs[0])
     prev = xs[0]
@@ -342,32 +353,32 @@ _COMMON_TABLE: dict[str, tuple[Callable[[str], object], object]] = {
 _COMMANDS: dict[str, tuple[Callable[[Mapping[str, object], RunConfig], int],
                            dict[str, tuple[Callable[[str], object], object]]]] = {
     "box-figure": (_cmd_box_figure, {
-        "a": (float, 2e-9),
-        "mass": (float, ELECTRON_MASS),
+        "a": (finite_float, 2e-9),
+        "mass": (finite_float, ELECTRON_MASS),
         "ratios": (str, "1.5,1.45,1.40"),
     }),
     "osc-trajectory": (_cmd_osc_trajectory, {
-        "alpha": (float, 1e20),
+        "alpha": (finite_float, 1e20),
         "n": (int, 1),
-        "mu": (float, ELECTRON_MASS),
-        "amplitude": (float, None),
+        "mu": (finite_float, ELECTRON_MASS),
+        "amplitude": (finite_float, None),
     }),
     "hydrogen-figure": (_cmd_hydrogen_figure, {
-        "z": (float, 1.0),
-        "mu": (float, ELECTRON_MASS),
-        "a_ha": (float, 0.1),
-        "r": (float, None),
+        "z": (finite_float, 1.0),
+        "mu": (finite_float, ELECTRON_MASS),
+        "a_ha": (finite_float, 0.1),
+        "r": (finite_float, None),
     }),
     "spectrum": (_cmd_spectrum, {
-        "a": (float, 2e-9),
-        "mass": (float, ELECTRON_MASS),
-        "eps": (float, 0.0),
-        "ratio": (float, 1.5),
+        "a": (finite_float, 2e-9),
+        "mass": (finite_float, ELECTRON_MASS),
+        "eps": (finite_float, 0.0),
+        "ratio": (finite_float, 1.5),
         "levels": (int, 5),
     }),
     "flux-check": (_cmd_flux_check, {
-        "a": (float, 2e-9),
-        "mass": (float, ELECTRON_MASS),
+        "a": (finite_float, 2e-9),
+        "mass": (finite_float, ELECTRON_MASS),
     }),
     "verify": (_cmd_verify, {
         "inject_error": (lambda s: s.lower() in ("1", "true", "yes"), False),
@@ -409,6 +420,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     cfg = _run_config(merged, parser)
     try:
         return runner(merged, cfg)
+    except OSError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return 2
     except (ValueError, oracle.QuadratureError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 3

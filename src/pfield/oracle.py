@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, TYPE_CHECKING
+from typing import Callable
 
-if TYPE_CHECKING:
-    from .boxmode import BoxMode
-    from .oscillator import OscMode, OscSystem
+from . import boxmode, oscillator
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (positive half).
 _XK = (
@@ -79,18 +77,27 @@ class QuadratureError(RuntimeError):
 
 
 def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod panel: returns (K15 value, |K15 - G7| estimate)."""
+    """One Gauss-Kronrod panel: returns (K15 value, |K15 - G7| estimate).
+
+    Straight-line form: node pairs are summed in the order of _XK and both
+    rules accumulate left to right, centre term first.
+    """
+    x0, x1, x2, x3, x4, x5, x6, _ = _XK
+    wk0, wk1, wk2, wk3, wk4, wk5, wk6, wk7 = _WK
+    wg0, wg1, wg2, wg3 = _WG
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fc = f(c)
-    kron = _WK[7] * fc
-    gauss = _WG[3] * fc
-    for i in range(7):
-        fl = f(c - h * _XK[i])
-        fr = f(c + h * _XK[i])
-        kron += _WK[i] * (fl + fr)
-        if i % 2 == 1:
-            gauss += _WG[i // 2] * (fl + fr)
+    s0 = f(c - h * x0) + f(c + h * x0)
+    s1 = f(c - h * x1) + f(c + h * x1)
+    s2 = f(c - h * x2) + f(c + h * x2)
+    s3 = f(c - h * x3) + f(c + h * x3)
+    s4 = f(c - h * x4) + f(c + h * x4)
+    s5 = f(c - h * x5) + f(c + h * x5)
+    s6 = f(c - h * x6) + f(c + h * x6)
+    kron = (wk7 * fc + wk0 * s0 + wk1 * s1 + wk2 * s2 + wk3 * s3 + wk4 * s4
+            + wk5 * s5 + wk6 * s6)
+    gauss = wg3 * fc + wg0 * s1 + wg1 * s3 + wg2 * s5
     return kron * h, abs(kron - gauss) * abs(h)
 
 
@@ -200,7 +207,7 @@ def compare(label: str, series_value: float, oracle_value: float,
                             tolerance=tolerance)
 
 
-def exact_box_trajectory(mode: "BoxMode", x: float,
+def exact_box_trajectory(mode: boxmode.BoxMode, x: float,
                          spec: QuadratureSpec = DEFAULT_QUADRATURE,
                          g: float | None = None) -> float:
     """Path length q(x) for a box mode by quadrature of the exact integrand.
@@ -211,24 +218,15 @@ def exact_box_trajectory(mode: "BoxMode", x: float,
     """
     if g is None:
         g = mode.g_npf
-    b_sq, k = mode.b_sq, mode.k_n
-
-    def integrand(s: float) -> float:
-        return math.sqrt(1.0 + b_sq * math.cos(k * s)**2)
-
-    return g * integrate(integrand, 0.0, x, spec)
+    return g * integrate(boxmode.path_integrand(mode), 0.0, x, spec)
 
 
-def exact_osc_trajectory(mode: "OscMode", sys: "OscSystem", r_bar: float,
+def exact_osc_trajectory(mode: oscillator.OscMode, sys: oscillator.OscSystem,
+                         r_bar: float,
                          spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Oscillator path by quadrature of the unexpanded radial integrand.
 
     q(r) = integral_0^r sqrt(1 + w(s)/(4 pi)) ds where w is the squared
     trajectory slope of the mode.  Odd in r by construction.
     """
-    from .oscillator import trajectory_slope_sq
-
-    def integrand(s: float) -> float:
-        return math.sqrt(1.0 + trajectory_slope_sq(mode, sys, s) / (4.0 * math.pi))
-
-    return integrate(integrand, 0.0, r_bar, spec)
+    return integrate(oscillator.path_integrand(mode, sys), 0.0, r_bar, spec)

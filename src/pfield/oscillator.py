@@ -20,8 +20,10 @@ expansion resums into the closed forms served by trajectory().
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from . import _angular
 from .core import HBAR
@@ -44,7 +46,7 @@ class OscSystem:
         if self.r_eq < 0.0:
             raise ValueError("r_eq must be non-negative")
 
-    @property
+    @functools.cached_property
     def alpha(self) -> float:
         """Gaussian envelope parameter mu omega0 / hbar."""
         return self.mu * self.omega0 / HBAR
@@ -195,6 +197,32 @@ def trajectory_slope_sq(mode: OscMode, sys: OscSystem, r_bar: float) -> float:
     if mode.n == 1:
         return 0.5 * mode.a_osc**2 * alpha \
             * (1.0 - alpha * r_bar * r_bar) ** 2 * env
+    raise ValueError(f"path slope not tabulated for n={mode.n}")
+
+
+def path_integrand(mode: OscMode, sys: OscSystem) -> Callable[[float], float]:
+    """Composite path integrand r_bar -> sqrt(1 + w(r_bar)/4pi), for n <= 1.
+
+    w is trajectory_slope_sq with alpha, the level prefactor and 4pi bound
+    once; each product keeps the operand order of trajectory_slope_sq, so
+    the values agree bit for bit.
+    """
+    alpha = sys.alpha
+    four_pi = 4.0 * math.pi
+    exp, sqrt = math.exp, math.sqrt
+    if mode.n == 0:
+        pre = mode.a_osc * alpha
+
+        def integrand(r: float) -> float:
+            return sqrt(1.0 + 0.5 * (pre * r) ** 2 * exp(-alpha * r * r) / four_pi)
+        return integrand
+    if mode.n == 1:
+        pre = 0.5 * mode.a_osc**2 * alpha
+
+        def integrand(r: float) -> float:
+            return sqrt(1.0 + pre * (1.0 - alpha * r * r) ** 2 * exp(-alpha * r * r)
+                        / four_pi)
+        return integrand
     raise ValueError(f"path slope not tabulated for n={mode.n}")
 
 

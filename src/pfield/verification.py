@@ -104,11 +104,7 @@ def criterion_04(perturb: float = 0.0) -> list[ComparisonReport]:
     c1, _, _ = boxmode.path_series_coefficients(mode.b_sq)
     g = 1.0 / c1
     n_pts = 10_000
-    k = mode.k_n
-
-    def integrand(x: float) -> float:
-        return boxmode.integrand_exact(mode.b_sq, k * x)
-
+    integrand = boxmode.path_integrand(mode)
     sup_dev = 0.0
     acc = 0.0
     prev = 0.0

@@ -227,3 +227,12 @@ def test_series_curvature_misses_arclength_factor():
     fd = v_p**2 * oracle.finite_diff(q, x, A_BOX / 2000.0, order=2)
     factor = boxmode.integrand_exact(mode.b_sq, mode.k_n * x)
     assert fd / acc == pytest.approx(factor, rel=1e-3)
+
+
+@pytest.mark.parametrize("n,ratio", [(1, 1.5), (2, 1.05), (3, 1.95)])
+def test_path_integrand_matches_integrand_exact_bit_for_bit(n, ratio):
+    sys, mode = _fixture(n, ratio)
+    integrand = boxmode.path_integrand(mode)
+    for i in range(257):
+        x = sys.a * i / 256.0
+        assert integrand(x) == boxmode.integrand_exact(mode.b_sq, mode.k_n * x)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from pfield import cli
 from pfield.core import HBAR
 
 
@@ -76,9 +78,42 @@ def test_box_figure_table_content(tmp_path):
 
 
 def test_box_figure_rejects_bad_ratio(tmp_path):
-    r = _run("box-figure", "--ratios", "2.5", "--out", str(tmp_path))
+    # the bad third ratio must stop the run before the first two files
+    r = _run("box-figure", "--ratios", "1.5,1.4,2.5", "--out", str(tmp_path))
     assert r.returncode == 3
-    assert "ratio" in r.stderr
+    assert "ratio for n=3" in r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,flag", [("spectrum", "--a"),
+                                          ("hydrogen-figure", "--a-ha"),
+                                          ("osc-trajectory", "--alpha")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_flag_exits_2(tmp_path, command, flag, value):
+    r = _run(command, f"{flag}={value}", "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert "finite" in r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_config_key_exits_2(tmp_path):
+    cfg = tmp_path / "nan.conf"
+    cfg.write_text("a_ha=nan\n", encoding="utf-8")
+    out = tmp_path / "out"
+    r = _run("hydrogen-figure", "--config", str(cfg), "--out", str(out))
+    assert r.returncode == 2
+    assert "config key a_ha" in r.stderr and "finite" in r.stderr
+    assert not out.exists()
+
+
+def test_unwritable_out_exits_2(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    for command in ("spectrum", "verify"):
+        r = _run(command, "--out", str(blocker / "x"))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error: ")
+        assert "Traceback" not in r.stderr
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -174,3 +209,33 @@ def test_verify_inject_error_fails(tmp_path):
     report = json.loads((tmp_path / "verify_report.json").read_text(encoding="utf-8"))
     assert report["passed"] is False
     assert any(not c["passed"] for c in report["criteria"])
+
+
+# SHA-256 of every file written at grid 257, recorded before the quadrature
+# hot path was rewritten; the files must stay byte-identical.
+_GOLDEN = {
+    ("osc-trajectory", "--n", "0"): {
+        "osc_trajectory.csv":
+            "5a59217de34c1391814c93bc8f61620c8eb45fd0f96fa53f40f8eb86750b2419"},
+    ("osc-trajectory", "--n", "1"): {
+        "osc_trajectory.csv":
+            "a23594304264b96f9e074c632303fe4228e81f2455b9102401dde471970772a9"},
+    ("box-figure",): {
+        "box_figure_n1.csv":
+            "69ea4c1952bc9abe3bd842c96fcca36f52b550e179e3819f38fe497809bc8bef",
+        "box_figure_n2.csv":
+            "d0ec901c8cbce3ee15c5ae4a5dba191eac2742fa6be4d9c8147d52c4ffa42094",
+        "box_figure_n3.csv":
+            "20d7f1ca24b693f03e3cf21c6f2b99b1e55d1f38493e806e91aa083ae0832034"},
+    ("verify",): {
+        "verify_report.json":
+            "bc27135c8d69061ef0086e9b7af63f85852ae84becccb6f70bbfc12dfc3d649e"},
+}
+
+
+@pytest.mark.parametrize("args", list(_GOLDEN), ids=" ".join)
+def test_outputs_match_golden_digests(tmp_path, capsys, args):
+    assert cli.main([*args, "--grid", "257", "--out", str(tmp_path)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert digests == _GOLDEN[args]

@@ -135,3 +135,48 @@ def test_exact_osc_trajectory_odd_and_anchored():
     q = oracle.exact_osc_trajectory(mode, sys, r)
     assert oracle.exact_osc_trajectory(mode, sys, -r) == -q
     assert q * math.sqrt(alpha) == pytest.approx(1.0009417043, rel=1e-9)
+
+
+def _gk15_loop(f, a, b):
+    """The panel routine as a loop over node pairs: reference for oracle._gk15."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fc = f(c)
+    kron = oracle._WK[7] * fc
+    gauss = oracle._WG[3] * fc
+    for i in range(7):
+        fl = f(c - h * oracle._XK[i])
+        fr = f(c + h * oracle._XK[i])
+        kron += oracle._WK[i] * (fl + fr)
+        if i % 2 == 1:
+            gauss += oracle._WG[i // 2] * (fl + fr)
+    return kron * h, abs(kron - gauss) * abs(h)
+
+
+def _panel_integrands():
+    sys, mode = _box_mode()
+    alpha = 1e20
+    osc = oscillator.OscSystem(mu=ELECTRON_MASS, omega0=alpha * HBAR / ELECTRON_MASS,
+                               cap_l=math.sqrt(101.0 / alpha))
+    return [
+        (math.exp, -1.0, 2.0),
+        (lambda x: math.sin(x) * math.exp(-0.3 * x), 0.0, 2.0),
+        (lambda x: 1.0, 0.0, 1.0),
+        (lambda x: x**7 - 3.0 * x**2, 0.3, -1.7),
+        (boxmode.path_integrand(mode), 0.0, sys.a),
+        (boxmode.path_integrand(mode), 0.37 * sys.a, 0.41 * sys.a),
+        (oscillator.path_integrand(oscillator.make_mode(osc, 0), osc), -osc.cap_l, 0.0),
+        (oscillator.path_integrand(oscillator.make_mode(osc, 1), osc), -2e-10, 3e-10),
+    ]
+
+
+@pytest.mark.parametrize("f,a,b", _panel_integrands())
+def test_gk15_matches_loop_reference_bit_for_bit(f, a, b):
+    assert oracle._gk15(f, a, b) == _gk15_loop(f, a, b)
+
+
+def test_gk15_evaluates_nodes_in_loop_order():
+    seen, seen_loop = [], []
+    oracle._gk15(lambda x: seen.append(x) or x, -0.4, 1.3)
+    _gk15_loop(lambda x: seen_loop.append(x) or x, -0.4, 1.3)
+    assert seen == seen_loop and len(seen) == 15

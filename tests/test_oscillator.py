@@ -145,6 +145,25 @@ def test_trajectory_slope_sq_forms():
         oscillator.trajectory_slope_sq(m2, sys, r)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("alpha", [ALPHA, 3.7e19])
+def test_path_integrand_matches_slope_bit_for_bit(n, alpha):
+    sys = _system(cap_l=math.sqrt(101.0 / alpha), alpha=alpha)
+    mode = oscillator.make_mode(sys, n)
+    integrand = oscillator.path_integrand(mode, sys)
+    grid = [sys.cap_l * (i / 64.0 - 1.0) for i in range(129)]
+    assert 0.0 in grid and grid[0] == -sys.cap_l and grid[-1] == sys.cap_l
+    for r in grid:
+        assert integrand(r) == math.sqrt(
+            1.0 + oscillator.trajectory_slope_sq(mode, sys, r) / (4.0 * math.pi))
+
+
+def test_path_integrand_rejects_untabulated_level():
+    sys = _system()
+    with pytest.raises(ValueError):
+        oscillator.path_integrand(oscillator.make_mode(sys, 2, amplitude=1e-10), sys)
+
+
 def test_trajectory_odd_and_consistent():
     sys = _system()
     mode = oscillator.make_mode(sys, 1, amplitude=1e-10)
