@@ -3,7 +3,6 @@ verification suite that holds every closed form to an oracle."""
 
 from .core import (
     BOHR_RADIUS,
-    CODATA,
     ELECTRON_MASS,
     GAUSSIAN_CHARGE_SQ,
     HBAR,
@@ -17,7 +16,6 @@ from .core import (
 
 __all__ = [
     "BOHR_RADIUS",
-    "CODATA",
     "ELECTRON_MASS",
     "GAUSSIAN_CHARGE_SQ",
     "HBAR",

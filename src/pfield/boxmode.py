@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import HBAR, EnergyBudget
+from .core import HBAR, EnergyBudget, require_finite_positive
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,7 @@ class BoxSystem:
     p_particle: float
 
     def __post_init__(self) -> None:
-        if self.m <= 0.0 or self.a <= 0.0 or self.p_particle <= 0.0:
-            raise ValueError("m, a and p_particle must be positive")
+        require_finite_positive(m=self.m, a=self.a, p_particle=self.p_particle)
 
 
 @dataclass(frozen=True)

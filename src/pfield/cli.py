@@ -3,11 +3,14 @@
 Subcommands generate the figure data sets and run the verification
 suite.  All outputs are deterministic: a rerun with the same inputs
 produces byte-identical files.  Exit codes: 0 success, 1 verification
-failure, 2 usage or configuration error (a non-finite number option or
-an output location that cannot be written included), 3 domain or
-numeric error raised by the physics layer.  A bad box-figure ratio is
-caught before any of its files is written.
+failure, 2 usage or configuration error (a malformed or non-finite
+option value, an option the subcommand does not take, or an output
+location that cannot be written), 3 domain or numeric error raised by
+the physics layer.  A box-figure ratio outside [1, 2) is caught before
+any of its files is written.
 
+Every subcommand takes --out and --config; the table subcommands take
+--format, and the four sampled tables (all but spectrum) take --grid.
 Output location: --out flag, else the OUTPUT_DIR environment variable,
 else the working directory.  CSV files carry `# key=value` caption
 lines followed by a single `name:unit` header row; JSON files carry the
@@ -21,7 +24,6 @@ import json
 import math
 import os
 import sys as _sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -29,21 +31,7 @@ from . import boxmode, hydrogen, nonlinear, oracle, oscillator, timedep, verific
 from .core import ELECTRON_MASS, HBAR
 
 _FORMATS = ("csv", "json")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Common run options after merging flags, config file and defaults."""
-
-    grid_points: int = 1000
-    fmt: str = "csv"
-    out_dir: str = "."
-
-    def __post_init__(self) -> None:
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be at least 2")
-        if self.fmt not in _FORMATS:
-            raise ValueError(f"format must be one of {_FORMATS}")
+_Table = Mapping[str, tuple[Callable[[str], object], object]]
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -61,8 +49,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _merge_options(args: argparse.Namespace,
-                   table: Mapping[str, tuple[Callable[[str], object], object]],
+def _merge_options(args: argparse.Namespace, table: _Table,
                    parser: argparse.ArgumentParser) -> dict[str, object]:
     """Resolve each option: flag beats config file beats default."""
     config: dict[str, str] = {}
@@ -89,19 +76,6 @@ def _merge_options(args: argparse.Namespace,
     return merged
 
 
-def _run_config(merged: Mapping[str, object],
-                parser: argparse.ArgumentParser) -> RunConfig:
-    out = merged["out"]
-    if out is None:
-        out = os.environ.get("OUTPUT_DIR", ".")
-    try:
-        return RunConfig(grid_points=int(merged["grid"]),
-                         fmt=str(merged["format"]), out_dir=str(out))
-    except ValueError as exc:
-        parser.error(str(exc))
-    raise AssertionError("unreachable")
-
-
 def finite_float(text: str) -> float:
     """float option converter that rejects nan and inf."""
     value = float(text)
@@ -110,18 +84,39 @@ def finite_float(text: str) -> float:
     return value
 
 
+def ratio_list(text: str) -> list[float]:
+    """Comma-separated finite floats; every token must parse."""
+    return [finite_float(tok) for tok in text.split(",")]
+
+
+def grid_points(text: str) -> int:
+    """Number of sample points, at least 2."""
+    value = int(text)
+    if value < 2:
+        raise ValueError(f"must be at least 2, got {value}")
+    return value
+
+
+def output_format(text: str) -> str:
+    """One of _FORMATS."""
+    if text not in _FORMATS:
+        raise ValueError(f"must be one of {', '.join(_FORMATS)}, got {text!r}")
+    return text
+
+
 def _fmt(value: object) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def _write_table(cfg: RunConfig, stem: str, meta: Mapping[str, object],
-                 columns: Sequence[str], rows: Sequence[Sequence[object]]) -> Path:
-    out_dir = Path(cfg.out_dir)
+def _write_table(merged: Mapping[str, object], stem: str,
+                 meta: Mapping[str, object], columns: Sequence[str],
+                 rows: Sequence[Sequence[object]]) -> Path:
+    out_dir = Path(str(merged["out"]))
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{stem}.{cfg.fmt}"
-    if cfg.fmt == "csv":
+    path = out_dir / f"{stem}.{merged['format']}"
+    if merged["format"] == "csv":
         lines = [f"# {key}={_fmt(value)}" for key, value in meta.items()]
         lines.append(",".join(columns))
         # Rows hold only floats and ints, whose repr is what _fmt gives.
@@ -143,13 +138,12 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
 
 # ---------------------------------------------------------------- box-figure
 
-def _cmd_box_figure(merged: Mapping[str, object], cfg: RunConfig) -> int:
+def _cmd_box_figure(merged: Mapping[str, object]) -> int:
     a = float(merged["a"])
     mass = float(merged["mass"])
-    ratios = [float(tok) for tok in str(merged["ratios"]).split(",") if tok]
     # Every ratio is checked and every mode built before the first file.
     levels = []
-    for n, ratio in enumerate(ratios, start=1):
+    for n, ratio in enumerate(merged["ratios"], start=1):
         if not 1.0 <= ratio < 2.0:
             raise ValueError(
                 f"ratio for n={n} must lie in [1, 2), got {ratio}")
@@ -160,7 +154,7 @@ def _cmd_box_figure(merged: Mapping[str, object], cfg: RunConfig) -> int:
     for n, ratio, sys, mode in levels:
         slope0 = 1.0 + mode.b_sq / (mode.b_sq + 4.0)
         rows = []
-        for x in _grid(0.0, a, cfg.grid_points):
+        for x in _grid(0.0, a, int(merged["grid"])):
             q = boxmode.trajectory_series(mode, x,
                                           boxmode.TrajectoryVariant.QUADRATIC)
             q_over_x = q / x if x > 0.0 else slope0
@@ -174,7 +168,7 @@ def _cmd_box_figure(merged: Mapping[str, object], cfg: RunConfig) -> int:
         }
         columns = ("x:m", "q:m", "q_over_x:1", "chi:m", "psi_density:1/m",
                    "x_ref:m")
-        paths.append(_write_table(cfg, f"box_figure_n{n}", meta, columns, rows))
+        paths.append(_write_table(merged, f"box_figure_n{n}", meta, columns, rows))
     for path in paths:
         print(path)
     return 0
@@ -182,7 +176,7 @@ def _cmd_box_figure(merged: Mapping[str, object], cfg: RunConfig) -> int:
 
 # ------------------------------------------------------------ osc-trajectory
 
-def _cmd_osc_trajectory(merged: Mapping[str, object], cfg: RunConfig) -> int:
+def _cmd_osc_trajectory(merged: Mapping[str, object]) -> int:
     alpha = float(merged["alpha"])
     n = int(merged["n"])
     mu = float(merged["mu"])
@@ -196,15 +190,11 @@ def _cmd_osc_trajectory(merged: Mapping[str, object], cfg: RunConfig) -> int:
         else oscillator.amplitude_estimate(sys, n)
     mode = oscillator.make_mode(sys, n, amplitude=amp)
     r_max = min(cap_l, 5.0 / math.sqrt(alpha))
-    xs = _grid(-r_max, r_max, cfg.grid_points)
+    xs = _grid(-r_max, r_max, int(merged["grid"]))
 
-    integrand = oscillator.path_integrand(mode, sys)
+    running = oracle.cumulative_integrate(oscillator.path_integrand(mode, sys), xs)
     rows = []
-    acc = oracle.integrate(integrand, 0.0, xs[0])
-    prev = xs[0]
-    for r_bar in xs:
-        acc += oracle.integrate(integrand, prev, r_bar)
-        prev = r_bar
+    for r_bar, acc in zip(xs, running):
         rows.append((r_bar,
                      oscillator.trajectory(mode, sys, r_bar,
                                            oscillator.TrajectoryOrder.TWO_TERM),
@@ -215,21 +205,21 @@ def _cmd_osc_trajectory(merged: Mapping[str, object], cfg: RunConfig) -> int:
     meta = {"alpha": alpha, "mu": mu, "omega0": omega0, "n": n,
             "amplitude": amp, "cap_l": cap_l}
     columns = ("r_bar:m", "q_two:m", "q_three:m", "q_oracle:m", "chi:m")
-    path = _write_table(cfg, "osc_trajectory", meta, columns, rows)
+    path = _write_table(merged, "osc_trajectory", meta, columns, rows)
     print(path)
     return 0
 
 
 # ----------------------------------------------------------- hydrogen-figure
 
-def _cmd_hydrogen_figure(merged: Mapping[str, object], cfg: RunConfig) -> int:
+def _cmd_hydrogen_figure(merged: Mapping[str, object]) -> int:
     z = float(merged["z"])
     mu = float(merged["mu"])
     a_ha = float(merged["a_ha"])
     sys = hydrogen.HydrogenSystem(z=z, mu=mu)
     r = float(merged["r"]) if merged["r"] is not None else sys.a0
     rows = []
-    for theta in _grid(0.0, 2.0 * math.pi, cfg.grid_points):
+    for theta in _grid(0.0, 2.0 * math.pi, int(merged["grid"])):
         rows.append((theta,
                      hydrogen.orbit_2p(sys, a_ha, r, theta, "p0") / r,
                      hydrogen.orbit_2p(sys, a_ha, r, theta, "pPlusMinus1") / r))
@@ -244,14 +234,14 @@ def _cmd_hydrogen_figure(merged: Mapping[str, object], cfg: RunConfig) -> int:
             hydrogen.orbit_2p(sys, a_ha, r, 0.5 * math.pi, "pPlusMinus1") / r,
     }
     columns = ("theta:rad", "q_over_r_p0:1", "q_over_r_pm1:1")
-    path = _write_table(cfg, "hydrogen_figure", meta, columns, rows)
+    path = _write_table(merged, "hydrogen_figure", meta, columns, rows)
     print(path)
     return 0
 
 
 # ------------------------------------------------------------------ spectrum
 
-def _cmd_spectrum(merged: Mapping[str, object], cfg: RunConfig) -> int:
+def _cmd_spectrum(merged: Mapping[str, object]) -> int:
     a = float(merged["a"])
     mass = float(merged["mass"])
     eps = float(merged["eps"])
@@ -270,14 +260,14 @@ def _cmd_spectrum(merged: Mapping[str, object], cfg: RunConfig) -> int:
     meta = {"a": a, "mass": mass, "eps": eps, "ratio": ratio,
             "levels": levels}
     columns = ("n:1", "e_linear:J", "e_nonlinear:J", "shift:J")
-    path = _write_table(cfg, "spectrum", meta, columns, rows)
+    path = _write_table(merged, "spectrum", meta, columns, rows)
     print(path)
     return 0
 
 
 # ---------------------------------------------------------------- flux-check
 
-def _cmd_flux_check(merged: Mapping[str, object], cfg: RunConfig) -> int:
+def _cmd_flux_check(merged: Mapping[str, object]) -> int:
     a = float(merged["a"])
     mass = float(merged["mass"])
     sys = boxmode.BoxSystem(m=mass, a=a, p_particle=HBAR * math.pi / a)
@@ -290,7 +280,7 @@ def _cmd_flux_check(merged: Mapping[str, object], cfg: RunConfig) -> int:
     h_t = h_x * mass / (HBAR * mode2.k_n)
     rows = []
     max_residual = 0.0
-    for x in _grid(h_x, a - h_x, cfg.grid_points):
+    for x in _grid(h_x, a - h_x, int(merged["grid"])):
         j = timedep.flux(beat, x, t0)
         res = timedep.continuity_residual(beat, x, t0, h_x, h_t)
         max_residual = max(max_residual, abs(res))
@@ -303,14 +293,14 @@ def _cmd_flux_check(merged: Mapping[str, object], cfg: RunConfig) -> int:
         "norm": timedep.norm(beat, t0),
     }
     columns = ("x:m", "flux:1/s", "continuity_residual:1/(m*s)")
-    path = _write_table(cfg, "flux_check", meta, columns, rows)
+    path = _write_table(merged, "flux_check", meta, columns, rows)
     print(path)
     return 0
 
 
 # -------------------------------------------------------------------- verify
 
-def _cmd_verify(merged: Mapping[str, object], cfg: RunConfig) -> int:
+def _cmd_verify(merged: Mapping[str, object]) -> int:
     perturb = 0.01 if merged["inject_error"] else 0.0
     results = verification.run_acceptance_suite(perturb=perturb)
     payload = []
@@ -330,7 +320,7 @@ def _cmd_verify(merged: Mapping[str, object], cfg: RunConfig) -> int:
             } for rep in result.reports],
         })
     all_passed = all(result.passed for result in results)
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(str(merged["out"]))
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "verify_report.json"
     report_path.write_text(
@@ -344,32 +334,32 @@ def _cmd_verify(merged: Mapping[str, object], cfg: RunConfig) -> int:
     return 0 if all_passed else 1
 
 
-_COMMON_TABLE: dict[str, tuple[Callable[[str], object], object]] = {
-    "grid": (int, 1000),
-    "format": (str, "csv"),
-    "out": (str, None),
-}
+_FORMAT: _Table = {"format": (output_format, "csv")}
+_SAMPLED: _Table = {"grid": (grid_points, 1000), **_FORMAT}
 
-_COMMANDS: dict[str, tuple[Callable[[Mapping[str, object], RunConfig], int],
-                           dict[str, tuple[Callable[[str], object], object]]]] = {
+_COMMANDS: dict[str, tuple[Callable[[Mapping[str, object]], int], _Table]] = {
     "box-figure": (_cmd_box_figure, {
+        **_SAMPLED,
         "a": (finite_float, 2e-9),
         "mass": (finite_float, ELECTRON_MASS),
-        "ratios": (str, "1.5,1.45,1.40"),
+        "ratios": (ratio_list, (1.5, 1.45, 1.40)),
     }),
     "osc-trajectory": (_cmd_osc_trajectory, {
+        **_SAMPLED,
         "alpha": (finite_float, 1e20),
         "n": (int, 1),
         "mu": (finite_float, ELECTRON_MASS),
         "amplitude": (finite_float, None),
     }),
     "hydrogen-figure": (_cmd_hydrogen_figure, {
+        **_SAMPLED,
         "z": (finite_float, 1.0),
         "mu": (finite_float, ELECTRON_MASS),
         "a_ha": (finite_float, 0.1),
         "r": (finite_float, None),
     }),
     "spectrum": (_cmd_spectrum, {
+        **_FORMAT,
         "a": (finite_float, 2e-9),
         "mass": (finite_float, ELECTRON_MASS),
         "eps": (finite_float, 0.0),
@@ -377,6 +367,7 @@ _COMMANDS: dict[str, tuple[Callable[[Mapping[str, object], RunConfig], int],
         "levels": (int, 5),
     }),
     "flux-check": (_cmd_flux_check, {
+        **_SAMPLED,
         "a": (finite_float, 2e-9),
         "mass": (finite_float, ELECTRON_MASS),
     }),
@@ -396,8 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", help="flat key=value option file")
         sub.add_argument("--out", help="output directory (default: "
                                        "$OUTPUT_DIR or the working directory)")
-        sub.add_argument("--format", choices=_FORMATS, help="output format")
-        sub.add_argument("--grid", type=int, help="number of sample points")
         for key, (conv, _default) in table.items():
             flag = "--" + key.replace("_", "-")
             if key == "inject_error":
@@ -414,12 +403,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     runner, table = _COMMANDS[args.command]
-    full_table = dict(_COMMON_TABLE)
-    full_table.update(table)
-    merged = _merge_options(args, full_table, parser)
-    cfg = _run_config(merged, parser)
+    merged = _merge_options(args, {"out": (str, None), **table}, parser)
+    if merged["out"] is None:
+        merged["out"] = os.environ.get("OUTPUT_DIR", ".")
     try:
-        return runner(merged, cfg)
+        return runner(merged)
     except OSError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2

@@ -35,23 +35,11 @@ GAUSSIAN_CHARGE_SQ = _E_CHARGE**2 / (4.0 * math.pi * _EPSILON0)  # e'^2, J m
 BOHR_RADIUS = HBAR**2 / (ELECTRON_MASS * GAUSSIAN_CHARGE_SQ)     # m
 
 
-@dataclass(frozen=True)
-class PhysConstants:
-    """Physical constants used across the package (SI, CODATA 2018).
-
-    gaussian_charge_sq is the Gaussian-convention squared charge
-    e'^2 = e^2/(4 pi eps0), carried as a single constant of dimension
-    energy*length so hydrogen-like formulas stay free of 4*pi*eps0 factors.
-    """
-
-    hbar: float = HBAR
-    planck_h: float = PLANCK_H
-    electron_mass: float = ELECTRON_MASS
-    gaussian_charge_sq: float = GAUSSIAN_CHARGE_SQ
-    bohr_radius: float = BOHR_RADIUS
-
-
-CODATA = PhysConstants()
+def require_finite_positive(**values: float) -> None:
+    """Raise ValueError naming the first value that is not finite and > 0."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,7 @@ import math
 from dataclasses import dataclass
 
 from . import _angular, oracle
-from .core import GAUSSIAN_CHARGE_SQ, HBAR
-
-theta_factor = _angular.theta_factor
-theta_factor_slope = _angular.theta_factor_slope
-phi_factor = _angular.phi_factor
+from .core import GAUSSIAN_CHARGE_SQ, HBAR, require_finite_positive
 
 
 @dataclass(frozen=True)
@@ -39,8 +35,9 @@ class HydrogenSystem:
     mu: float
 
     def __post_init__(self) -> None:
-        if self.z < 1.0 or self.mu <= 0.0:
-            raise ValueError("need z >= 1 and mu > 0")
+        if not 1.0 <= self.z < math.inf:
+            raise ValueError(f"z must be finite and at least 1, got {self.z!r}")
+        require_finite_positive(mu=self.mu)
 
     @property
     def a0(self) -> float:
@@ -206,7 +203,7 @@ def _sweep_slope_sq(sys: HydrogenSystem, state: HState, r: float,
     """Squared field slope along the orbital arc, (d chi / r d theta)^2
     with |T|^2 folded: a_ha^2 bare^2 S'^2 / (2 pi r^2)."""
     bare = _bare_radial(sys, state.n, state.l, r)
-    sp = theta_factor_slope(state.l, state.m_l, theta)
+    sp = _angular.theta_factor_slope(state.l, state.m_l, theta)
     return state.a_ha**2 * bare**2 * sp**2 / (2.0 * math.pi * r**2)
 
 

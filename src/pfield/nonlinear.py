@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .boxmode import BoxSystem
-from .core import HBAR
+from .core import HBAR, require_finite_positive
 
 VALIDITY_LIMIT = 0.1
 _DEFAULT_PHASE = -0.5 * math.pi
@@ -30,17 +30,15 @@ _DEFAULT_PHASE = -0.5 * math.pi
 
 @dataclass(frozen=True)
 class NonlinearParams:
-    """Field-equation coefficient eps, amplitude a_tilde, and the raw
-    quartic energy strength eps_prime the coefficient came from (kept
-    for bookkeeping; zero when eps was given directly)."""
+    """Field-equation coefficient eps and field amplitude a_tilde."""
 
     eps: float
     a_tilde: float
-    eps_prime: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.a_tilde <= 0.0:
-            raise ValueError("a_tilde must be positive")
+        if not math.isfinite(self.eps):
+            raise ValueError(f"eps must be finite, got {self.eps!r}")
+        require_finite_positive(a_tilde=self.a_tilde)
 
 
 def from_quartic_strength(eps_prime: float, m: float, v_p: float,
@@ -49,8 +47,7 @@ def from_quartic_strength(eps_prime: float, m: float, v_p: float,
     equation coefficient eps = eps_prime / (m v_p^2)."""
     if m <= 0.0 or v_p <= 0.0:
         raise ValueError("m and v_p must be positive")
-    return NonlinearParams(eps=eps_prime / (m * v_p * v_p),
-                           a_tilde=a_tilde, eps_prime=eps_prime)
+    return NonlinearParams(eps=eps_prime / (m * v_p * v_p), a_tilde=a_tilde)
 
 
 def _check_validity(params: NonlinearParams, k: float) -> None:
@@ -159,18 +156,16 @@ def cubic_term_negligibility(params: NonlinearParams, k_n: float) -> float:
 
 @dataclass(frozen=True)
 class NonlinearSpectrum:
-    """One shifted level: wavenumber, energy, and the solution phase."""
+    """One shifted level: wavenumber and energy."""
 
     n: int
     k_n: float
     e_n: float
-    phase_b: float
 
 
-def spectrum_level(params: NonlinearParams, sys: BoxSystem, n: int,
-                   phase_b: float = _DEFAULT_PHASE) -> NonlinearSpectrum:
+def spectrum_level(params: NonlinearParams, sys: BoxSystem,
+                   n: int) -> NonlinearSpectrum:
     """Bundle quantized_k and energy_levels for level n."""
     k = quantized_k(params, sys, n)
     p = HBAR * k
-    return NonlinearSpectrum(n=n, k_n=k, e_n=p**2 / (2.0 * sys.m),
-                             phase_b=phase_b)
+    return NonlinearSpectrum(n=n, k_n=k, e_n=p**2 / (2.0 * sys.m))

@@ -2,9 +2,8 @@
 
 Everything here is deliberately independent of the series expansions it is
 used to verify: trajectories are obtained by adaptive quadrature of the
-unexpanded path integrands, derivatives by central differences, calibration
-constants by bracketed root solving.  No special-function identities are
-used anywhere in this module.
+unexpanded path integrands and derivatives by central differences.  No
+special-function identities are used anywhere in this module.
 
 The quadrature is an adaptive Gauss-Kronrod (G7, K15) bisection scheme with
 an embedded error estimate; identical inputs always traverse the same
@@ -15,9 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import boxmode, oscillator
+from .core import require_finite_positive
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (positive half).
 _XK = (
@@ -58,8 +58,7 @@ class QuadratureSpec:
     max_depth: int = 50
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        require_finite_positive(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
         if self.max_depth < 10:
             raise ValueError("max_depth must be at least 10")
 
@@ -108,9 +107,12 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     Panels are accepted when the embedded estimate satisfies
     err <= max(abs_tol_share, rel_tol * |panel value|), the absolute
     budget being split evenly on bisection; the scheme is therefore
-    additive over subintervals of the same tree.  Raises QuadratureError
-    (best estimate attached) if max_depth is reached anywhere.
+    additive over subintervals of the same tree.  Raises ValueError for a
+    non-finite bound or width, and QuadratureError (best estimate
+    attached) if max_depth is reached anywhere.
     """
+    if not math.isfinite(b - a):
+        raise ValueError(f"integration interval must be finite, got [{a}, {b}]")
     if a == b:
         return 0.0
     sign = 1.0
@@ -136,6 +138,21 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     return sign * value
 
 
+def cumulative_integrate(f: Callable[[float], float], xs: Iterable[float],
+                         start: float = 0.0) -> Iterator[float]:
+    """Running integral of f from start to each x of xs, in order.
+
+    One integrate call per step, from the previous point (start for the
+    first) to x; the steps are summed left to right.
+    """
+    acc = 0.0
+    prev = start
+    for x in xs:
+        acc += integrate(f, prev, x)
+        prev = x
+        yield acc
+
+
 def finite_diff(f: Callable[[float], float], x: float, h: float, order: int) -> float:
     """Central finite difference, O(h^2): order 1 or 2 only."""
     if h <= 0.0:
@@ -145,40 +162,6 @@ def finite_diff(f: Callable[[float], float], x: float, h: float, order: int) -> 
     if order == 2:
         return (f(x + h) - 2.0 * f(x) + f(x - h)) / h**2
     raise ValueError("order must be 1 or 2")
-
-
-def solve_root(f: Callable[[float], float], lo: float, hi: float,
-               tol: float = 1e-14, max_iter: int = 200) -> float:
-    """Bracketing secant/bisection hybrid root finder.
-
-    Requires f(lo) and f(hi) of opposite sign (or zero).  The secant step
-    is taken when it lands strictly inside the bracket, otherwise the
-    bracket is bisected, so convergence is guaranteed and deterministic.
-    """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ValueError("root not bracketed: f(lo) and f(hi) share a sign")
-    for _ in range(max_iter):
-        if fhi != flo:
-            x = hi - fhi * (hi - lo) / (fhi - flo)
-        else:
-            x = 0.5 * (lo + hi)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        fx = f(x)
-        if fx == 0.0 or (hi - lo) < tol * max(1.0, abs(x)):
-            return x
-        if flo * fx < 0.0:
-            hi, fhi = x, fx
-        else:
-            lo, flo = x, fx
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

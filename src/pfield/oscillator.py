@@ -26,25 +26,21 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import _angular
-from .core import HBAR
+from .core import HBAR, require_finite_positive
 
 
 @dataclass(frozen=True)
 class OscSystem:
-    """Oscillator parameters: reduced mass, angular frequency, classical
-    amplitude cap_l, and the equilibrium radius the motion is measured
-    from (r_bar is the displacement along the radial line)."""
+    """Oscillator parameters: reduced mass, angular frequency and classical
+    amplitude cap_l (r_bar is the displacement from equilibrium along the
+    radial line)."""
 
     mu: float
     omega0: float
     cap_l: float
-    r_eq: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.mu <= 0.0 or self.omega0 <= 0.0 or self.cap_l <= 0.0:
-            raise ValueError("mu, omega0 and cap_l must be positive")
-        if self.r_eq < 0.0:
-            raise ValueError("r_eq must be non-negative")
+        require_finite_positive(mu=self.mu, omega0=self.omega0, cap_l=self.cap_l)
 
     @functools.cached_property
     def alpha(self) -> float:

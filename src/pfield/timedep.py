@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import oracle
 from .boxmode import BoxMode, BoxSystem, make_mode
-from .core import HBAR
+from .core import HBAR, require_finite_positive
 
 
 def bare_eigenmode(m: float, a: float, n: int) -> BoxMode:
@@ -39,8 +39,7 @@ class Superposition:
     energies: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.m <= 0.0 or self.a <= 0.0:
-            raise ValueError("m and a must be positive")
+        require_finite_positive(m=self.m, a=self.a)
         if not self.components:
             raise ValueError("need at least one component")
         if len(self.energies) != len(self.components):
@@ -169,13 +168,6 @@ def norm(s: Superposition, t: float) -> float:
     return oracle.integrate(lambda x: density(s, x, t), 0.0, s.a)
 
 
-def _complex_integral(f, lo: float, hi: float,
-                      spec: oracle.QuadratureSpec) -> complex:
-    re = oracle.integrate(lambda x: f(x).real, lo, hi, spec)
-    im = oracle.integrate(lambda x: f(x).imag, lo, hi, spec)
-    return complex(re, im)
-
-
 def _moment_spec(s: Superposition, k_power: int) -> oracle.QuadratureSpec:
     """Quadrature tolerances scaled to the moment integrand.
 
@@ -190,33 +182,38 @@ def _moment_spec(s: Superposition, k_power: int) -> oracle.QuadratureSpec:
                                  max_depth=50)
 
 
-def expectation_p(s: Superposition, t: float) -> float:
-    """<p> = -i hbar integral Psi* dPsi/dx.
+def _moment(s: Superposition, t: float, order: int, prefactor: complex,
+            label: str) -> float:
+    """Real part of prefactor * integral Psi* d^order Psi/dx^order.
 
     The imaginary part is a boundary term that must vanish; it is
     checked against 1e-12 relative before being dropped.
     """
-    val = -1j * HBAR * _complex_integral(
-        lambda x: s.value(x, t).conjugate() * s.d_dx(x, t), 0.0, s.a,
-        _moment_spec(s, 1))
+    deriv = s.d_dx if order == 1 else s.d2_dx2
+    spec = _moment_spec(s, order)
+
+    def integrand(x: float) -> complex:
+        return s.value(x, t).conjugate() * deriv(x, t)
+
+    re = oracle.integrate(lambda x: integrand(x).real, 0.0, s.a, spec)
+    im = oracle.integrate(lambda x: integrand(x).imag, 0.0, s.a, spec)
+    val = prefactor * complex(re, im)
     if abs(val.imag) > 1e-12 * abs(val.real) + 1e-20:
         raise ValueError(
-            f"<p> picked up imaginary part {val.imag:.3e}; "
+            f"{label} picked up imaginary part {val.imag:.3e}; "
             "superposition is inconsistent")
     return val.real
+
+
+def expectation_p(s: Superposition, t: float) -> float:
+    """<p> = -i hbar integral Psi* dPsi/dx."""
+    return _moment(s, t, 1, -1j * HBAR, "<p>")
 
 
 def expectation_p2(s: Superposition, t: float) -> float:
     """<p^2> = -hbar^2 integral Psi* d2Psi/dx2; equals the coefficient-
     weighted sum of (hbar k_j)^2 at all times."""
-    val = -HBAR**2 * _complex_integral(
-        lambda x: s.value(x, t).conjugate() * s.d2_dx2(x, t), 0.0, s.a,
-        _moment_spec(s, 2))
-    if abs(val.imag) > 1e-12 * abs(val.real) + 1e-20:
-        raise ValueError(
-            f"<p^2> picked up imaginary part {val.imag:.3e}; "
-            "superposition is inconsistent")
-    return val.real
+    return _moment(s, t, 2, -HBAR**2, "<p^2>")
 
 
 def tdse_residual(field, x: float, t: float) -> complex:

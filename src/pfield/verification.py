@@ -104,14 +104,10 @@ def criterion_04(perturb: float = 0.0) -> list[ComparisonReport]:
     c1, _, _ = boxmode.path_series_coefficients(mode.b_sq)
     g = 1.0 / c1
     n_pts = 10_000
-    integrand = boxmode.path_integrand(mode)
+    xs = [sys.a * i / n_pts for i in range(1, n_pts + 1)]
+    running = oracle.cumulative_integrate(boxmode.path_integrand(mode), xs)
     sup_dev = 0.0
-    acc = 0.0
-    prev = 0.0
-    for i in range(1, n_pts + 1):
-        x = sys.a * i / n_pts
-        acc += oracle.integrate(integrand, prev, x)
-        prev = x
+    for x, acc in zip(xs, running):
         q_series = boxmode.trajectory_series(
             mode, x, boxmode.TrajectoryVariant.EIGHTH_ORDER)
         sup_dev = max(sup_dev, abs(s * q_series - g * acc))

@@ -96,6 +96,41 @@ def test_non_finite_flag_exits_2(tmp_path, command, flag, value):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("ratios", ["1.5,abc", "1.5,nan", "", ","])
+def test_malformed_ratios_exit_2(tmp_path, ratios):
+    out = tmp_path / "out"
+    r = _run("box-figure", "--ratios", ratios, "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert "--ratios" in r.stderr
+    cfg = tmp_path / "ratios.conf"
+    cfg.write_text(f"ratios={ratios}\n", encoding="utf-8")
+    r = _run("box-figure", "--config", str(cfg), "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert "config key ratios" in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,config", [
+    (("verify", "--grid", "3"), None),
+    (("verify", "--format", "json"), None),
+    (("spectrum", "--grid", "8"), None),
+    (("verify",), "grid=3\n"),
+    (("verify",), "format=json\n"),
+    (("spectrum",), "grid=8\n"),
+])
+def test_unread_options_exit_2(tmp_path, args, config):
+    out = tmp_path / "out"
+    extra = ()
+    if config is not None:
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(config, encoding="utf-8")
+        extra = ("--config", str(cfg))
+    r = _run(*args, *extra, "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert "unrecognized arguments" in r.stderr or "unknown config keys" in r.stderr
+    assert not out.exists()
+
+
 def test_non_finite_config_key_exits_2(tmp_path):
     cfg = tmp_path / "nan.conf"
     cfg.write_text("a_ha=nan\n", encoding="utf-8")
@@ -147,7 +182,7 @@ def test_config_file_merging(tmp_path):
 
 
 def test_output_dir_from_environment(tmp_path):
-    r = _run("spectrum", "--grid", "8", env={"OUTPUT_DIR": str(tmp_path)})
+    r = _run("spectrum", env={"OUTPUT_DIR": str(tmp_path)})
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "spectrum.csv").exists()
 
@@ -211,8 +246,9 @@ def test_verify_inject_error_fails(tmp_path):
     assert any(not c["passed"] for c in report["criteria"])
 
 
-# SHA-256 of every file written at grid 257, recorded before the quadrature
-# hot path was rewritten; the files must stay byte-identical.
+# SHA-256 of every file written at grid 257 (spectrum and verify take no
+# grid), each recorded before the code that writes it was last rewritten;
+# the files must stay byte-identical.
 _GOLDEN = {
     ("osc-trajectory", "--n", "0"): {
         "osc_trajectory.csv":
@@ -227,6 +263,15 @@ _GOLDEN = {
             "d0ec901c8cbce3ee15c5ae4a5dba191eac2742fa6be4d9c8147d52c4ffa42094",
         "box_figure_n3.csv":
             "20d7f1ca24b693f03e3cf21c6f2b99b1e55d1f38493e806e91aa083ae0832034"},
+    ("flux-check",): {
+        "flux_check.csv":
+            "c8a1a6421e42c4855987453b1ab0d3c03f7bf3d39da9a5dabe9ef4626a281ff9"},
+    ("hydrogen-figure",): {
+        "hydrogen_figure.csv":
+            "a72fb31ad251b33c119135ce2ca002c65467c90f3f380647cc46614e752dbe2b"},
+    ("spectrum",): {
+        "spectrum.csv":
+            "3741278e1a8cca21649bc30a41236f141a003bffa95933adaad092fc1db02664"},
     ("verify",): {
         "verify_report.json":
             "bc27135c8d69061ef0086e9b7af63f85852ae84becccb6f70bbfc12dfc3d649e"},
@@ -235,7 +280,8 @@ _GOLDEN = {
 
 @pytest.mark.parametrize("args", list(_GOLDEN), ids=" ".join)
 def test_outputs_match_golden_digests(tmp_path, capsys, args):
-    assert cli.main([*args, "--grid", "257", "--out", str(tmp_path)]) == 0
+    grid = () if args[0] in ("spectrum", "verify") else ("--grid", "257")
+    assert cli.main([*args, *grid, "--out", str(tmp_path)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
     assert digests == _GOLDEN[args]

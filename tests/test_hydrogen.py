@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from pfield import hydrogen, oracle
+from pfield import _angular, hydrogen, oracle
 from pfield.core import BOHR_RADIUS, ELECTRON_MASS, HBAR
 
 EV = 1.602176634e-19
@@ -98,7 +98,7 @@ def test_mean_inv_r_and_energies(n, l):
 @pytest.mark.parametrize("l,m", [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
 def test_theta_factor_normalized(l, m):
     val = oracle.integrate(
-        lambda th: hydrogen.theta_factor(l, m, th)**2 * math.sin(th),
+        lambda th: _angular.theta_factor(l, m, th)**2 * math.sin(th),
         0.0, math.pi)
     assert val == pytest.approx(1.0, rel=1e-9)
 
@@ -107,16 +107,16 @@ def test_theta_factor_slope_and_phi_factor():
     h = 1e-7
     for l, m in ((1, 0), (2, 1), (2, 2)):
         fd = oracle.finite_diff(
-            lambda th: hydrogen.theta_factor(l, m, th), 0.8, h, order=1)
-        assert hydrogen.theta_factor_slope(l, m, 0.8) == pytest.approx(fd, rel=1e-6)
-    t = hydrogen.phi_factor(1, 0.7)
+            lambda th: _angular.theta_factor(l, m, th), 0.8, h, order=1)
+        assert _angular.theta_factor_slope(l, m, 0.8) == pytest.approx(fd, rel=1e-6)
+    t = _angular.phi_factor(1, 0.7)
     assert abs(t)**2 == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-13)
-    assert hydrogen.phi_factor(-2, 0.7) == pytest.approx(
-        hydrogen.phi_factor(2, -0.7), rel=1e-13)
+    assert _angular.phi_factor(-2, 0.7) == pytest.approx(
+        _angular.phi_factor(2, -0.7), rel=1e-13)
     with pytest.raises(ValueError):
-        hydrogen.theta_factor(3, 0, 0.5)
+        _angular.theta_factor(3, 0, 0.5)
     with pytest.raises(ValueError):
-        hydrogen.theta_factor(1, 2, 0.5)
+        _angular.theta_factor(1, 2, 0.5)
 
 
 def test_pf_velocity_s_state_is_bare():

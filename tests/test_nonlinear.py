@@ -27,7 +27,6 @@ def test_params_validation():
 def test_from_quartic_strength():
     p = nonlinear.from_quartic_strength(2.0e-12, ELECTRON_MASS, 1.0e5, 1e-10)
     assert p.eps == 2.0e-12 / (ELECTRON_MASS * 1.0e10)
-    assert p.eps_prime == 2.0e-12
     assert p.a_tilde == 1e-10
     with pytest.raises(ValueError):
         nonlinear.from_quartic_strength(1.0, 0.0, 1.0, 1e-10)
@@ -153,4 +152,3 @@ def test_spectrum_level_bundle():
     assert lev.n == 2
     assert lev.k_n == nonlinear.quantized_k(p, sys, 2)
     assert lev.e_n == nonlinear.energy_levels(p, sys, 2)
-    assert lev.phase_b == -0.5 * math.pi

@@ -1,4 +1,4 @@
-"""Quadrature, finite differences, and root solving used as the reference side."""
+"""Quadrature and finite differences used as the reference side."""
 
 from __future__ import annotations
 
@@ -45,6 +45,21 @@ def test_integrate_raises_with_best_estimate():
     assert "depth" in str(exc.value)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_integrate_rejects_non_finite_bounds(bad, side):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 1.0
+
+    a, b = (bad, 1.0) if side == "a" else (0.0, bad)
+    with pytest.raises(ValueError, match="finite"):
+        oracle.integrate(f, a, b)
+    assert calls == []
+
+
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         oracle.QuadratureSpec(rel_tol=0.0)
@@ -74,20 +89,6 @@ def test_finite_diff_validation():
         oracle.finite_diff(math.sin, 0.0, -1e-5, order=1)
     with pytest.raises(ValueError):
         oracle.finite_diff(math.sin, 0.0, 1e-5, order=3)
-
-
-def test_solve_root_cosine():
-    root = oracle.solve_root(math.cos, 1.0, 2.0)
-    assert root == pytest.approx(0.5 * math.pi, rel=1e-12)
-
-
-def test_solve_root_endpoint_zeros_and_errors():
-    assert oracle.solve_root(lambda x: x, 0.0, 1.0) == 0.0
-    assert oracle.solve_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
-    with pytest.raises(ValueError):
-        oracle.solve_root(lambda x: x + 2.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        oracle.solve_root(math.cos, 2.0, 1.0)
 
 
 def test_compare_relative_and_absolute_modes():
@@ -180,3 +181,55 @@ def test_gk15_evaluates_nodes_in_loop_order():
     oracle._gk15(lambda x: seen.append(x) or x, -0.4, 1.3)
     _gk15_loop(lambda x: seen_loop.append(x) or x, -0.4, 1.3)
     assert seen == seen_loop and len(seen) == 15
+
+
+def _running_osc_loop(f, xs):
+    """osc-trajectory's hand-written running quadrature, starting from 0."""
+    out = []
+    acc = oracle.integrate(f, 0.0, xs[0])
+    prev = xs[0]
+    for x in xs:
+        acc += oracle.integrate(f, prev, x)
+        prev = x
+        out.append(acc)
+    return out
+
+
+def _running_box_loop(f, a, n):
+    """criterion_04's hand-written running quadrature over a/n, ..., a."""
+    out = []
+    acc = 0.0
+    prev = 0.0
+    for i in range(1, n + 1):
+        x = a * i / n
+        acc += oracle.integrate(f, prev, x)
+        prev = x
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_cumulative_integrate_matches_osc_loop(n):
+    alpha = 1e20
+    sys = oscillator.OscSystem(mu=ELECTRON_MASS, omega0=alpha * HBAR / ELECTRON_MASS,
+                               cap_l=math.sqrt(101.0 / alpha))
+    f = oscillator.path_integrand(oscillator.make_mode(sys, n), sys)
+    r_max = 5.0 / math.sqrt(alpha)
+    xs = [-r_max + 2.0 * r_max * i / 96 for i in range(97)]
+    assert list(oracle.cumulative_integrate(f, xs)) == _running_osc_loop(f, xs)
+
+
+def test_cumulative_integrate_matches_box_loop():
+    sys, mode = _box_mode()
+    f = boxmode.path_integrand(mode)
+    xs = [sys.a * i / 200 for i in range(1, 201)]
+    assert list(oracle.cumulative_integrate(f, xs)) == \
+        _running_box_loop(f, sys.a, 200)
+
+
+def test_cumulative_integrate_is_lazy_and_honours_start():
+    running = oracle.cumulative_integrate(math.cos, iter([1.0, 2.0]), start=0.5)
+    assert next(running) == oracle.integrate(math.cos, 0.5, 1.0)
+    assert next(running) == oracle.integrate(math.cos, 0.5, 1.0) \
+        + oracle.integrate(math.cos, 1.0, 2.0)
+    assert list(running) == []
