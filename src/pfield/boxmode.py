@@ -44,16 +44,13 @@ class BoxMode:
     """One bound level of the box."""
 
     n: int
+    a: float        # box width the level was built for; its wall
     k_n: float      # mode wavenumber n pi / a
     p_n: float      # matter-wave momentum hbar k_n
     e_n: float      # level energy p_n^2 / 2m
     a_n: float      # field amplitude, positive root
     b_sq: float     # squared slope amplitude p_n^2/p_particle^2 - 1
     g_npf: float    # path normalization 4 p_P^2 / (p_n^2 + 3 p_P^2)
-
-    @property
-    def width(self) -> float:
-        return self.n * math.pi / self.k_n
 
 
 def make_mode(sys: BoxSystem, n: int) -> BoxMode:
@@ -78,12 +75,26 @@ def make_mode(sys: BoxSystem, n: int) -> BoxMode:
             "must be below 2")
     a_n = (HBAR / sys.p_particle) * math.sqrt(1.0 - 1.0 / ratio)
     g_npf = 4.0 * sys.p_particle**2 / (p_n**2 + 3.0 * sys.p_particle**2)
-    return BoxMode(n=n, k_n=k_n, p_n=p_n, e_n=p_n**2 / (2.0 * sys.m),
+    return BoxMode(n=n, a=sys.a, k_n=k_n, p_n=p_n, e_n=p_n**2 / (2.0 * sys.m),
                    a_n=a_n, b_sq=ratio - 1.0, g_npf=g_npf)
 
 
-def _check_inside(mode: BoxMode, x: float) -> None:
-    a = mode.width
+def level_at_ratio(m: float, a: float, n: int,
+                   ratio: float) -> tuple[BoxSystem, BoxMode]:
+    """System and level n with p_n^2 / p_particle^2 = ratio in [1, 2).
+
+    Each figure and check of the paper's box sets the particle momentum
+    this way, p_particle = p_n / sqrt(ratio), so b^2 = ratio - 1.
+    """
+    if not 1.0 <= ratio < 2.0:
+        raise ValueError(f"ratio for n={n} must lie in [1, 2), got {ratio}")
+    p_n = HBAR * n * math.pi / a
+    sys = BoxSystem(m=m, a=a, p_particle=p_n / math.sqrt(ratio))
+    return sys, make_mode(sys, n)
+
+
+def _check_inside(a: float, x: float) -> None:
+    """The box wall: every x a box field is evaluated at lies in [0, a]."""
     if not 0.0 <= x <= a:
         raise ValueError(f"x={x} outside the box [0, {a}]")
 
@@ -96,7 +107,7 @@ def field_energy(mode: BoxMode, sys: BoxSystem, x: float) -> EnergyBudget:
     proportional to cos^2(k_n x) and a potential part proportional to
     sin^2(k_n x).  The particle share is purely kinetic inside the box.
     """
-    _check_inside(mode, x)
+    _check_inside(mode.a, x)
     e_particle = sys.p_particle**2 / (2.0 * sys.m)
     wbar = mode.k_n * sys.p_particle / sys.m
     e_field = 0.5 * sys.m * wbar**2 * mode.a_n**2
@@ -110,19 +121,19 @@ def field_energy(mode: BoxMode, sys: BoxSystem, x: float) -> EnergyBudget:
 
 def field_value(mode: BoxMode, x: float) -> float:
     """chi_n(x) = A_n sin(k_n x), zero at the walls."""
-    _check_inside(mode, x)
+    _check_inside(mode.a, x)
     return mode.a_n * math.sin(mode.k_n * x)
 
 
 def field_slope(mode: BoxMode, x: float) -> float:
     """chi_n'(x) = A_n k_n cos(k_n x); note A_n^2 k_n^2 = b^2."""
-    _check_inside(mode, x)
+    _check_inside(mode.a, x)
     return mode.a_n * mode.k_n * math.cos(mode.k_n * x)
 
 
 def wavefunction(mode: BoxMode, sys: BoxSystem, x: float) -> float:
     """Energy eigenfunction sqrt(2/a) sin(n pi x / a) of the bare problem."""
-    _check_inside(mode, x)
+    _check_inside(mode.a, x)
     return math.sqrt(2.0 / sys.a) * math.sin(mode.n * math.pi * x / sys.a)
 
 
@@ -196,7 +207,7 @@ def trajectory_series(mode: BoxMode, x: float,
     EIGHTH_ORDER: q = x + (c2/c1 k) sin(2kx) - (c3/c1 k) sin(4kx) with
     the coefficients of path_series_coefficients.
     """
-    _check_inside(mode, x)
+    _check_inside(mode.a, x)
     k = mode.k_n
     if variant is TrajectoryVariant.QUADRATIC:
         coeff = mode.b_sq / (mode.b_sq + 4.0) / (2.0 * k)
@@ -222,7 +233,7 @@ def velocity(mode: BoxMode, x: float, v_p: float) -> float:
     Maximal at the field nodes x = j a / n where the full slope b^2 is
     felt, minimal (g v_P) at the antinodes.
     """
-    _check_inside(mode, x)
+    _check_inside(mode.a, x)
     return mode.g_npf * v_p * integrand_exact(mode.b_sq, mode.k_n * x)
 
 
@@ -233,7 +244,7 @@ def pf_acceleration(mode: BoxMode, x: float, v_p: float) -> float:
         = -g v_P^2 (b^2 k / 2) sin(2kx) / sqrt(1 + b^2 cos^2 kx),
     vanishing exactly at nodes (chi = 0) and antinodes (chi' = 0).
     """
-    _check_inside(mode, x)
+    _check_inside(mode.a, x)
     k = mode.k_n
     return (-mode.g_npf * v_p**2 * 0.5 * mode.b_sq * k * math.sin(2.0 * k * x)
             / integrand_exact(mode.b_sq, k * x))

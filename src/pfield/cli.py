@@ -6,8 +6,10 @@ produces byte-identical files.  Exit codes: 0 success, 1 verification
 failure, 2 usage or configuration error (a malformed or non-finite
 option value, an option the subcommand does not take, or an output
 location that cannot be written), 3 domain or numeric error raised by
-the physics layer.  A box-figure ratio outside [1, 2) is caught before
-any of its files is written.
+the physics layer, whose parameter checks reject nan and inf too.
+A box-figure ratio outside [1, 2) is caught before any of its files is
+written.  The box-figure grid ends exactly on the wall a and the
+flux-check grid exactly at a - h_x, so no sample falls outside the box.
 
 Every subcommand takes --out and --config; the table subcommands take
 --format, and the four sampled tables (all but spectrum) take --grid.
@@ -28,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from . import boxmode, hydrogen, nonlinear, oracle, oscillator, timedep, verification
-from .core import ELECTRON_MASS, HBAR
+from .core import ELECTRON_MASS
 
 _FORMATS = ("csv", "json")
 _Table = Mapping[str, tuple[Callable[[str], object], object]]
@@ -97,6 +99,14 @@ def grid_points(text: str) -> int:
     return value
 
 
+def level_count(text: str) -> int:
+    """Number of spectrum levels, at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be at least 1, got {value}")
+    return value
+
+
 def output_format(text: str) -> str:
     """One of _FORMATS."""
     if text not in _FORMATS:
@@ -136,25 +146,27 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
     return [lo + step * i for i in range(n)]
 
 
+def _box_grid(lo: float, hi: float, n: int) -> list[float]:
+    """_grid with its last point clamped to hi, which rounding can overshoot."""
+    xs = _grid(lo, hi, n)
+    xs[-1] = min(xs[-1], hi)
+    return xs
+
+
 # ---------------------------------------------------------------- box-figure
 
 def _cmd_box_figure(merged: Mapping[str, object]) -> int:
     a = float(merged["a"])
     mass = float(merged["mass"])
     # Every ratio is checked and every mode built before the first file.
-    levels = []
-    for n, ratio in enumerate(merged["ratios"], start=1):
-        if not 1.0 <= ratio < 2.0:
-            raise ValueError(
-                f"ratio for n={n} must lie in [1, 2), got {ratio}")
-        p_n = HBAR * n * math.pi / a
-        sys = boxmode.BoxSystem(m=mass, a=a, p_particle=p_n / math.sqrt(ratio))
-        levels.append((n, ratio, sys, boxmode.make_mode(sys, n)))
+    levels = [(n, ratio, *boxmode.level_at_ratio(mass, a, n, ratio))
+              for n, ratio in enumerate(merged["ratios"], start=1)]
+    xs = _box_grid(0.0, a, int(merged["grid"]))
     paths = []
     for n, ratio, sys, mode in levels:
         slope0 = 1.0 + mode.b_sq / (mode.b_sq + 4.0)
         rows = []
-        for x in _grid(0.0, a, int(merged["grid"])):
+        for x in xs:
             q = boxmode.trajectory_series(mode, x,
                                           boxmode.TrajectoryVariant.QUADRATIC)
             q_over_x = q / x if x > 0.0 else slope0
@@ -180,16 +192,9 @@ def _cmd_osc_trajectory(merged: Mapping[str, object]) -> int:
     alpha = float(merged["alpha"])
     n = int(merged["n"])
     mu = float(merged["mu"])
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    omega0 = alpha * HBAR / mu
-    cap_l = math.sqrt(101.0 / alpha)
-    sys = oscillator.OscSystem(mu=mu, omega0=omega0, cap_l=cap_l)
-    amplitude = merged["amplitude"]
-    amp = float(amplitude) if amplitude is not None \
-        else oscillator.amplitude_estimate(sys, n)
-    mode = oscillator.make_mode(sys, n, amplitude=amp)
-    r_max = min(cap_l, 5.0 / math.sqrt(alpha))
+    sys = oscillator.system_at_alpha(alpha, mu)
+    mode = oscillator.make_mode(sys, n, amplitude=merged["amplitude"])
+    r_max = min(sys.cap_l, 5.0 / math.sqrt(alpha))
     xs = _grid(-r_max, r_max, int(merged["grid"]))
 
     running = oracle.cumulative_integrate(oscillator.path_integrand(mode, sys), xs)
@@ -202,8 +207,8 @@ def _cmd_osc_trajectory(merged: Mapping[str, object]) -> int:
                                            oscillator.TrajectoryOrder.THREE_TERM),
                      acc,
                      oscillator.radial_field(mode, sys, r_bar)))
-    meta = {"alpha": alpha, "mu": mu, "omega0": omega0, "n": n,
-            "amplitude": amp, "cap_l": cap_l}
+    meta = {"alpha": alpha, "mu": mu, "omega0": sys.omega0, "n": n,
+            "amplitude": mode.a_osc, "cap_l": sys.cap_l}
     columns = ("r_bar:m", "q_two:m", "q_three:m", "q_oracle:m", "chi:m")
     path = _write_table(merged, "osc_trajectory", meta, columns, rows)
     print(path)
@@ -223,16 +228,9 @@ def _cmd_hydrogen_figure(merged: Mapping[str, object]) -> int:
         rows.append((theta,
                      hydrogen.orbit_2p(sys, a_ha, r, theta, "p0") / r,
                      hydrogen.orbit_2p(sys, a_ha, r, theta, "pPlusMinus1") / r))
-    meta = {
-        "z": z, "mu": mu, "r": r, "a_ha": a_ha,
-        "p0_polar_diameter": hydrogen.orbit_2p(sys, a_ha, r, 0.0, "p0") / r,
-        "p0_equatorial_diameter":
-            hydrogen.orbit_2p(sys, a_ha, r, 0.5 * math.pi, "p0") / r,
-        "pPlusMinus1_polar_diameter":
-            hydrogen.orbit_2p(sys, a_ha, r, 0.0, "pPlusMinus1") / r,
-        "pPlusMinus1_equatorial_diameter":
-            hydrogen.orbit_2p(sys, a_ha, r, 0.5 * math.pi, "pPlusMinus1") / r,
-    }
+    meta = {"z": z, "mu": mu, "r": r, "a_ha": a_ha}
+    for (which, plane), q_over_r in hydrogen.cross_sections_2p(sys, a_ha, r).items():
+        meta[f"{which}_{plane}_diameter"] = q_over_r
     columns = ("theta:rad", "q_over_r_p0:1", "q_over_r_pm1:1")
     path = _write_table(merged, "hydrogen_figure", meta, columns, rows)
     print(path)
@@ -247,13 +245,9 @@ def _cmd_spectrum(merged: Mapping[str, object]) -> int:
     eps = float(merged["eps"])
     ratio = float(merged["ratio"])
     levels = int(merged["levels"])
-    if levels < 1:
-        raise ValueError("levels must be at least 1")
     rows = []
     for n in range(1, levels + 1):
-        p_n = HBAR * n * math.pi / a
-        sys = boxmode.BoxSystem(m=mass, a=a, p_particle=p_n / math.sqrt(ratio))
-        mode = boxmode.make_mode(sys, n)
+        sys, mode = boxmode.level_at_ratio(mass, a, n, ratio)
         params = nonlinear.NonlinearParams(eps=eps, a_tilde=mode.a_n)
         e_nl = nonlinear.energy_levels(params, sys, n)
         rows.append((n, mode.e_n, e_nl, e_nl - mode.e_n))
@@ -270,17 +264,10 @@ def _cmd_spectrum(merged: Mapping[str, object]) -> int:
 def _cmd_flux_check(merged: Mapping[str, object]) -> int:
     a = float(merged["a"])
     mass = float(merged["mass"])
-    sys = boxmode.BoxSystem(m=mass, a=a, p_particle=HBAR * math.pi / a)
-    mode1 = timedep.bare_eigenmode(mass, a, 1)
-    mode2 = timedep.bare_eigenmode(mass, a, 2)
-    beat = timedep.Superposition.from_modes(
-        sys, [(mode1, 1.0 + 0j), (mode2, 1.0 + 0j)])
-    t0 = 0.1 * 2.0 * math.pi * HBAR / (mode2.e_n - mode1.e_n)
-    h_x = a / 1e4
-    h_t = h_x * mass / (HBAR * mode2.k_n)
+    beat, t0, h_x, h_t = timedep.equal_weight_beat(mass, a)
     rows = []
     max_residual = 0.0
-    for x in _grid(h_x, a - h_x, int(merged["grid"])):
+    for x in _box_grid(h_x, a - h_x, int(merged["grid"])):
         j = timedep.flux(beat, x, t0)
         res = timedep.continuity_residual(beat, x, t0, h_x, h_t)
         max_residual = max(max_residual, abs(res))
@@ -364,7 +351,7 @@ _COMMANDS: dict[str, tuple[Callable[[Mapping[str, object]], int], _Table]] = {
         "mass": (finite_float, ELECTRON_MASS),
         "eps": (finite_float, 0.0),
         "ratio": (finite_float, 1.5),
-        "levels": (int, 5),
+        "levels": (level_count, 5),
     }),
     "flux-check": (_cmd_flux_check, {
         **_SAMPLED,

@@ -51,24 +51,21 @@ class DeBroglie:
     wavelength: float
 
     @classmethod
-    def from_momentum(cls, p: float, hbar: float = HBAR) -> "DeBroglie":
-        if p <= 0.0:
-            raise ValueError("momentum must be positive")
-        k = p / hbar
+    def from_momentum(cls, p: float) -> "DeBroglie":
+        require_finite_positive(momentum=p)
+        k = p / HBAR
         return cls(momentum=p, wavenumber=k, wavelength=2.0 * math.pi / k)
 
     @classmethod
-    def from_wavenumber(cls, k: float, hbar: float = HBAR) -> "DeBroglie":
-        if k <= 0.0:
-            raise ValueError("wavenumber must be positive")
-        return cls(momentum=hbar * k, wavenumber=k, wavelength=2.0 * math.pi / k)
+    def from_wavenumber(cls, k: float) -> "DeBroglie":
+        require_finite_positive(wavenumber=k)
+        return cls(momentum=HBAR * k, wavenumber=k, wavelength=2.0 * math.pi / k)
 
     @classmethod
-    def from_wavelength(cls, lam: float, hbar: float = HBAR) -> "DeBroglie":
-        if lam <= 0.0:
-            raise ValueError("wavelength must be positive")
+    def from_wavelength(cls, lam: float) -> "DeBroglie":
+        require_finite_positive(wavelength=lam)
         k = 2.0 * math.pi / lam
-        return cls(momentum=hbar * k, wavenumber=k, wavelength=lam)
+        return cls(momentum=HBAR * k, wavenumber=k, wavelength=lam)
 
     def kinetic_energy(self, mass: float) -> float:
         return self.momentum**2 / (2.0 * mass)
@@ -94,15 +91,13 @@ def energy_budget_check(b: EnergyBudget, rel_tol: float = 1e-12) -> bool:
     e_field = k_field + v_field.  Kinetic terms must be non-negative.
     """
     scale = max(abs(b.e_total), abs(b.e_particle), abs(b.e_field), 1e-300)
-    ok = (
-        math.isclose(b.e_total, b.e_particle + b.e_field,
-                     rel_tol=rel_tol, abs_tol=rel_tol * scale)
-        and math.isclose(b.e_particle, b.k_particle + b.v_particle,
-                         rel_tol=rel_tol, abs_tol=rel_tol * scale)
-        and math.isclose(b.e_field, b.k_field + b.v_field,
-                         rel_tol=rel_tol, abs_tol=rel_tol * scale)
-    )
-    return ok and b.k_particle >= 0.0 and b.k_field >= 0.0
+
+    def close(x: float, y: float) -> bool:
+        return math.isclose(x, y, rel_tol=rel_tol, abs_tol=rel_tol * scale)
+    return (close(b.e_total, b.e_particle + b.e_field)
+            and close(b.e_particle, b.k_particle + b.v_particle)
+            and close(b.e_field, b.k_field + b.v_field)
+            and b.k_particle >= 0.0 and b.k_field >= 0.0)
 
 
 class RegionClass(enum.Enum):
@@ -123,8 +118,7 @@ def classify_region(e_field: float, k_particle: float, eps: float) -> RegionClas
     E_F + K_P < 0 has imaginary matter-wave momentum there regardless of
     how small E_F itself is.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    require_finite_positive(eps=eps)
     if not (math.isfinite(e_field) and math.isfinite(k_particle)):
         raise ValueError("energies must be finite")
     if e_field + k_particle < 0.0:
@@ -148,10 +142,10 @@ def field_force_1d(m: float, v_p: float, chi_prime: float,
 
 def kinetic_pf(k_particle: float, chi_prime_sq: float, g: float = 1.0) -> float:
     """Composite kinetic energy K_PF = g^2 K_P (1 + chi'^2)."""
-    if k_particle < 0.0:
-        raise ValueError("k_particle must be non-negative")
-    if chi_prime_sq < 0.0:
-        raise ValueError("chi_prime_sq must be non-negative")
+    if not 0.0 <= k_particle < math.inf:
+        raise ValueError("k_particle must be finite and non-negative")
+    if not 0.0 <= chi_prime_sq < math.inf:
+        raise ValueError("chi_prime_sq must be finite and non-negative")
     return g**2 * k_particle * (1.0 + chi_prime_sq)
 
 

@@ -75,8 +75,7 @@ class HState:
 
 def circular_orbit(sys: HydrogenSystem, r: float) -> HydrogenOrbit:
     """Circular orbit at radius r; force balance fixes everything else."""
-    if r <= 0.0:
-        raise ValueError("r must be positive")
+    require_finite_positive(r=r)
     v = math.sqrt(sys.z * GAUSSIAN_CHARGE_SQ / (sys.mu * r))
     theta_dot = v / r
     return HydrogenOrbit(r=r, theta_dot=theta_dot, v=v, l_c=sys.mu * v * r,
@@ -89,8 +88,7 @@ def orbit_from_theta_dot(sys: HydrogenSystem, theta_dot: float) -> HydrogenOrbit
     Inverts theta_dot^2 = Z e'^2 / (mu r^3); theta_dot is the natural
     hidden parameter when the orbit is driven rather than placed.
     """
-    if theta_dot <= 0.0:
-        raise ValueError("theta_dot must be positive")
+    require_finite_positive(theta_dot=theta_dot)
     r = (sys.z * GAUSSIAN_CHARGE_SQ / (sys.mu * theta_dot**2)) ** (1.0 / 3.0)
     return circular_orbit(sys, r)
 
@@ -111,8 +109,7 @@ def make_state(sys: HydrogenSystem, n: int, l: int, m_l: int = 0,
         raise ValueError("need 0 <= l < n")
     if abs(m_l) > l:
         raise ValueError("need |m_l| <= l")
-    if a_ha <= 0.0:
-        raise ValueError("a_ha must be positive")
+    require_finite_positive(a_ha=a_ha)
     return HState(n=n, l=l, m_l=m_l, a_ha=a_ha, e_n=level_energy(sys, n))
 
 
@@ -122,8 +119,7 @@ def field_energy(sys: HydrogenSystem, state: HState, r: float) -> float:
     Zero exactly at r = n^2 a0 / Z, positive inside, negative outside
     (orbit faster than the level supports).
     """
-    if r <= 0.0:
-        raise ValueError("r must be positive")
+    require_finite_positive(r=r)
     return 0.5 * sys.z * GAUSSIAN_CHARGE_SQ \
         * (1.0 / r - sys.z / (sys.a0 * state.n**2))
 
@@ -149,15 +145,15 @@ def _bare_radial(sys: HydrogenSystem, n: int, l: int, r: float) -> float:
 def radial_field(sys: HydrogenSystem, state: HState, r: float) -> float:
     """chi radial part a_ha * bare_{n,l}(r); the 2p case is exactly
     a_ha * r * exp(-Z r / 2 a0)."""
-    if r < 0.0:
-        raise ValueError("r must be non-negative")
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"r must be finite and non-negative, got {r!r}")
     return state.a_ha * _bare_radial(sys, state.n, state.l, r)
 
 
 def normalized_radial(sys: HydrogenSystem, n: int, l: int, r: float) -> float:
     """Unit-normalized radial function R_{n,l} (integral R^2 r^2 dr = 1)."""
-    if r < 0.0:
-        raise ValueError("r must be non-negative")
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"r must be finite and non-negative, got {r!r}")
     za = sys.z / sys.a0
     bare = _bare_radial(sys, n, l, r)
     if (n, l) == (1, 0):
@@ -219,8 +215,7 @@ def pf_velocity(sys: HydrogenSystem, state: HState, r: float, theta: float,
     minimal on the poles; for 2p+-1 it is (3/16pi) a_ha^2 e^(-Zr/a0)
     cos^2(theta), minimal on the equator.
     """
-    if r <= 0.0:
-        raise ValueError("r must be positive")
+    require_finite_positive(r=r)
     u = _sweep_slope_sq(sys, state, r, theta)
     base = r * theta_dot
     if exact:
@@ -235,8 +230,7 @@ def approximation_gap(a_ha: float) -> float:
     of the envelope), giving (1 + 3 a^2/8pi) - sqrt(1 + 3 a^2/4pi);
     quartic in a_ha for small amplitude.
     """
-    if a_ha <= 0.0:
-        raise ValueError("a_ha must be positive")
+    require_finite_positive(a_ha=a_ha)
     u = 3.0 * a_ha**2 / (4.0 * math.pi)
     return (1.0 + 0.5 * u) - math.sqrt(1.0 + u)
 
@@ -257,14 +251,24 @@ def orbit_2p(sys: HydrogenSystem, a_ha: float, r: float, theta: float,
     """
     if which not in _ORBIT_2P_WHICH:
         raise ValueError(f"which must be one of {_ORBIT_2P_WHICH}")
-    if r <= 0.0:
-        raise ValueError("r must be positive")
+    # Inline, not require_finite_positive: per table row a call costs ~10x.
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"r must be finite and positive, got {r!r}")
     env = a_ha**2 * math.exp(-sys.z * r / sys.a0) / (8.0 * math.pi)
     c = math.cos(theta)
     if which == "p0":
         return r * (1.0 + env * (1.0 + c * c))
     s = math.sin(theta)
     return r * (1.0 + 0.5 * env * (1.0 + s * s))
+
+
+def cross_sections_2p(sys: HydrogenSystem, a_ha: float,
+                      r: float) -> dict[tuple[str, str], float]:
+    """q/r of both 2p orbits at the pole (theta = 0) and on the equator
+    (theta = pi/2), keyed (which, "polar" or "equatorial")."""
+    return {(which, plane): orbit_2p(sys, a_ha, r, theta, which) / r
+            for which in _ORBIT_2P_WHICH
+            for plane, theta in (("polar", 0.0), ("equatorial", 0.5 * math.pi))}
 
 
 def cartesian_components_2p0(sys: HydrogenSystem, a_ha: float, r: float,
@@ -276,8 +280,7 @@ def cartesian_components_2p0(sys: HydrogenSystem, a_ha: float, r: float,
         qz = z (1 + beta (2 + sin^2 theta));
     their norm reproduces orbit_2p(..., "p0") to fourth order in a_ha.
     """
-    if r <= 0.0:
-        raise ValueError("r must be positive")
+    require_finite_positive(r=r)
     beta = a_ha**2 * math.exp(-sys.z * r / sys.a0) / (8.0 * math.pi)
     s = math.sin(theta)
     x = r * s * math.cos(phi)

@@ -45,14 +45,12 @@ def from_quartic_strength(eps_prime: float, m: float, v_p: float,
                           a_tilde: float) -> NonlinearParams:
     """Reduce a quartic energy density (eps_prime/4) chi^4 to the field
     equation coefficient eps = eps_prime / (m v_p^2)."""
-    if m <= 0.0 or v_p <= 0.0:
-        raise ValueError("m and v_p must be positive")
+    require_finite_positive(m=m, v_p=v_p)
     return NonlinearParams(eps=eps_prime / (m * v_p * v_p), a_tilde=a_tilde)
 
 
 def _check_validity(params: NonlinearParams, k: float) -> None:
-    if k <= 0.0:
-        raise ValueError("k must be positive")
+    require_finite_positive(k=k)
     strength = abs(params.eps) * params.a_tilde**2 / k**2
     if strength > VALIDITY_LIMIT:
         raise ValueError(
@@ -112,8 +110,8 @@ def radial_residual(params: NonlinearParams, k: float, r: float,
                     phase_b: float = _DEFAULT_PHASE) -> float:
     """Residual of the same form applied along a radial line; the
     stationary balance is one-dimensional in the line coordinate."""
-    if r < 0.0:
-        raise ValueError("r must be non-negative")
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"r must be finite and non-negative, got {r!r}")
     return duffing_residual(params, k, r, phase_b)
 
 
@@ -149,8 +147,7 @@ def cubic_term_negligibility(params: NonlinearParams, k_n: float) -> float:
     At the validity limit this is 0.1/32 = 3.125e-3 of the main
     amplitude.
     """
-    if k_n <= 0.0:
-        raise ValueError("k_n must be positive")
+    require_finite_positive(k_n=k_n)
     return abs(params.eps) * params.a_tilde**2 / (32.0 * k_n**2)
 
 

@@ -155,8 +155,7 @@ def cumulative_integrate(f: Callable[[float], float], xs: Iterable[float],
 
 def finite_diff(f: Callable[[float], float], x: float, h: float, order: int) -> float:
     """Central finite difference, O(h^2): order 1 or 2 only."""
-    if h <= 0.0:
-        raise ValueError("step h must be positive")
+    require_finite_positive(h=h)
     if order == 1:
         return (f(x + h) - f(x - h)) / (2.0 * h)
     if order == 2:

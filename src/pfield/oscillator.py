@@ -48,6 +48,14 @@ class OscSystem:
         return self.mu * self.omega0 / HBAR
 
 
+def system_at_alpha(alpha: float, mu: float) -> OscSystem:
+    """System with envelope parameter alpha whose classical amplitude is
+    the n = 50 threshold, cap_l = L_50 = sqrt(101 / alpha)."""
+    require_finite_positive(alpha=alpha)
+    return OscSystem(mu=mu, omega0=alpha * HBAR / mu,
+                     cap_l=math.sqrt(101.0 / alpha))
+
+
 @dataclass(frozen=True)
 class OscMode:
     """One oscillator level dressed with a field of amplitude a_osc."""
@@ -75,8 +83,7 @@ def make_mode(sys: OscSystem, n: int, l: int = 0, m_l: int = 0,
         raise ValueError("need l >= 0 and |m_l| <= l")
     if amplitude is None:
         amplitude = amplitude_estimate(sys, n)
-    if amplitude <= 0.0:
-        raise ValueError("amplitude must be positive")
+    require_finite_positive(amplitude=amplitude)
     e_n = HBAR * sys.omega0 * (n + 0.5)
     e_mu = 0.5 * sys.mu * sys.omega0**2 * sys.cap_l**2
     return OscMode(n=n, l=l, m_l=m_l, a_osc=amplitude, e_n=e_n, e_mu=e_mu,
@@ -107,8 +114,7 @@ def classical_motion(sys: OscSystem, cap_l: float, phase: float,
     r_bar = cap_l cos(w0 t + phase), p_mu = -mu w0 cap_l sin(w0 t + phase);
     the energy p_mu^2/2mu + mu w0^2 r_bar^2/2 = mu w0^2 cap_l^2/2 is exact.
     """
-    if cap_l <= 0.0:
-        raise ValueError("cap_l must be positive")
+    require_finite_positive(cap_l=cap_l)
     arg = sys.omega0 * t + phase
     r_bar = cap_l * math.cos(arg)
     p_mu = -sys.mu * sys.omega0 * cap_l * math.sin(arg)
@@ -166,7 +172,7 @@ def kinetic_field(mode: OscMode, sys: OscSystem, r_bar: float,
     the value vanishes at the turning points r_bar = +-cap_l and the
     angular weight uses the orientation density |Y|^2 = S^2/(2 pi).
     """
-    if abs(r_bar) > sys.cap_l:
+    if not abs(r_bar) <= sys.cap_l:
         raise ValueError(
             f"|r_bar|={abs(r_bar):.6e} beyond the turning point "
             f"cap_l={sys.cap_l:.6e}")
@@ -236,7 +242,7 @@ def path_correction(mode: OscMode, sys: OscSystem, r_bar: float,
     Returned separately because near the turning points it is smaller
     than one ulp of r_bar and would vanish inside the sum.
     """
-    if abs(r_bar) > sys.cap_l:
+    if not abs(r_bar) <= sys.cap_l:
         raise ValueError(
             f"|r_bar|={abs(r_bar):.6e} beyond the turning point "
             f"cap_l={sys.cap_l:.6e}")

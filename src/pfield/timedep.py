@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import oracle
-from .boxmode import BoxMode, BoxSystem, make_mode
+from .boxmode import BoxMode, BoxSystem, _check_inside, make_mode
 from .core import HBAR, require_finite_positive
 
 
@@ -47,34 +47,22 @@ class Superposition:
 
     @classmethod
     def from_modes(cls, sys: BoxSystem,
-                   components: Sequence[tuple[BoxMode, complex]],
-                   energies: Sequence[float] | None = None,
-                   normalize: bool = True) -> "Superposition":
-        """Assemble a superposition over modes of one box.
-
-        energies default to each mode's e_n; normalize rescales the
-        coefficients to unit total weight.
-        """
+                   components: Sequence[tuple[BoxMode, complex]]) -> "Superposition":
+        """Assemble a superposition over modes of one box, each at its own
+        e_n, with the coefficients rescaled to unit total weight."""
         comps = [(mode, complex(c)) for mode, c in components]
-        if energies is None:
-            energies = [mode.e_n for mode, _ in comps]
-        if normalize:
-            w = math.sqrt(sum(abs(c) ** 2 for _, c in comps))
-            if w == 0.0:
-                raise ValueError("coefficients must not all vanish")
-            comps = [(mode, c / w) for mode, c in comps]
-        return cls(m=sys.m, a=sys.a, components=tuple(comps),
-                   energies=tuple(float(e) for e in energies))
+        w = math.sqrt(sum(abs(c) ** 2 for _, c in comps))
+        if w == 0.0:
+            raise ValueError("coefficients must not all vanish")
+        return cls(m=sys.m, a=sys.a,
+                   components=tuple((mode, c / w) for mode, c in comps),
+                   energies=tuple(float(mode.e_n) for mode, _ in comps))
 
     def coefficient_norm_sq(self) -> float:
         return sum(abs(c) ** 2 for _, c in self.components)
 
-    def _check_inside(self, x: float) -> None:
-        if not 0.0 <= x <= self.a:
-            raise ValueError(f"x={x} outside the box [0, {self.a}]")
-
     def value(self, x: float, t: float) -> complex:
-        self._check_inside(x)
+        _check_inside(self.a, x)
         amp = math.sqrt(2.0 / self.a)
         psi = 0j
         for (mode, c), e in zip(self.components, self.energies):
@@ -83,7 +71,7 @@ class Superposition:
         return psi
 
     def d_dx(self, x: float, t: float) -> complex:
-        self._check_inside(x)
+        _check_inside(self.a, x)
         amp = math.sqrt(2.0 / self.a)
         out = 0j
         for (mode, c), e in zip(self.components, self.energies):
@@ -92,7 +80,7 @@ class Superposition:
         return out
 
     def d2_dx2(self, x: float, t: float) -> complex:
-        self._check_inside(x)
+        _check_inside(self.a, x)
         amp = math.sqrt(2.0 / self.a)
         out = 0j
         for (mode, c), e in zip(self.components, self.energies):
@@ -101,7 +89,7 @@ class Superposition:
         return out
 
     def d_dt(self, x: float, t: float) -> complex:
-        self._check_inside(x)
+        _check_inside(self.a, x)
         amp = math.sqrt(2.0 / self.a)
         out = 0j
         for (mode, c), e in zip(self.components, self.energies):
@@ -109,6 +97,21 @@ class Superposition:
             out += c * amp * math.sin(mode.k_n * x) * phase \
                 * complex(0.0, -e / HBAR)
         return out
+
+
+def equal_weight_beat(m: float, a: float) -> tuple[Superposition, float, float, float]:
+    """Equal-weight beat of levels 1 and 2 of the bare box, as (psi, t0,
+    h_x, h_t): the snapshot t0 is a tenth of the beat period, and the
+    continuity steps are h_x = a/1e4 and the time level 2 takes to cross it.
+    """
+    sys = BoxSystem(m=m, a=a, p_particle=HBAR * math.pi / a)
+    mode1 = bare_eigenmode(m, a, 1)
+    mode2 = bare_eigenmode(m, a, 2)
+    psi = Superposition.from_modes(sys, [(mode1, 1.0 + 0j), (mode2, 1.0 + 0j)])
+    t0 = 0.1 * 2.0 * math.pi * HBAR / (mode2.e_n - mode1.e_n)
+    h_x = a / 1e4
+    h_t = h_x * m / (HBAR * mode2.k_n)
+    return psi, t0, h_x, h_t
 
 
 @dataclass(frozen=True)
@@ -151,8 +154,8 @@ def continuity_residual(field, x: float, t: float,
 
     x must sit at least h_x inside the domain when the field has one.
     """
-    if h_x <= 0.0 or h_t <= 0.0:
-        raise ValueError("h_x and h_t must be positive")
+    if not (0.0 < h_x < math.inf and 0.0 < h_t < math.inf):
+        raise ValueError("h_x and h_t must be finite and positive")
     a = getattr(field, "a", None)
     if a is not None and not h_x <= x <= a - h_x:
         raise ValueError(

@@ -20,9 +20,11 @@ from . import boxmode, hydrogen, nonlinear, oracle, oscillator, timedep
 from .core import ELECTRON_MASS, HBAR
 from .oracle import ComparisonReport, compare
 
-# Shared fixture scales: an electron in a 2 nm box.
+# Shared fixtures: an electron in a 2 nm box, in an alpha = 1e20 trap, in hydrogen.
 _BOX_M = ELECTRON_MASS
 _BOX_A = 2e-9
+_OSC = oscillator.system_at_alpha(1e20, ELECTRON_MASS)
+_HYDROGEN = hydrogen.HydrogenSystem(z=1.0, mu=ELECTRON_MASS)
 
 
 def _range_report(label: str, value: float, lo: float, hi: float) -> ComparisonReport:
@@ -43,13 +45,6 @@ def _bool_report(label: str, value: float, reference: float,
                             oracle_value=reference, abs_dev=dev,
                             rel_dev=dev / abs(reference) if reference else math.inf,
                             passed=passed, tolerance=0.0)
-
-
-def _box_fixture(n: int, ratio: float) -> tuple[boxmode.BoxSystem, boxmode.BoxMode]:
-    """Mode n with p_n^2 / p_particle^2 = ratio."""
-    p_n = HBAR * n * math.pi / _BOX_A
-    sys = boxmode.BoxSystem(m=_BOX_M, a=_BOX_A, p_particle=p_n / math.sqrt(ratio))
-    return sys, boxmode.make_mode(sys, n)
 
 
 def criterion_01(perturb: float = 0.0) -> list[ComparisonReport]:
@@ -100,7 +95,7 @@ def criterion_04(perturb: float = 0.0) -> list[ComparisonReport]:
     1e-12 relative.
     """
     s = 1.0 + perturb
-    sys, mode = _box_fixture(1, 1.5)
+    sys, mode = boxmode.level_at_ratio(_BOX_M, _BOX_A, 1, 1.5)
     c1, _, _ = boxmode.path_series_coefficients(mode.b_sq)
     g = 1.0 / c1
     n_pts = 10_000
@@ -134,7 +129,7 @@ def criterion_05(perturb: float = 0.0) -> list[ComparisonReport]:
     worst = 0.0
     for n in range(1, 11):
         for ratio in (1.1, 1.4, 1.5, 1.9):
-            sys, mode = _box_fixture(n, ratio)
+            sys, mode = boxmode.level_at_ratio(_BOX_M, _BOX_A, n, ratio)
             e_particle = sys.p_particle**2 / (2.0 * sys.m)
             lhs = s * mode.e_n * (1.0 - (sys.p_particle * mode.a_n / HBAR) ** 2)
             worst = max(worst, abs(lhs - e_particle) / e_particle)
@@ -145,10 +140,7 @@ def criterion_05(perturb: float = 0.0) -> list[ComparisonReport]:
 def criterion_06(perturb: float = 0.0) -> list[ComparisonReport]:
     """Classical threshold scale: alpha = 1e20, n = 50."""
     s = 1.0 + perturb
-    mu = ELECTRON_MASS
-    omega0 = 1e20 * HBAR / mu
-    sys = oscillator.OscSystem(mu=mu, omega0=omega0, cap_l=1e-9)
-    cap_l = oscillator.classical_threshold(sys, 50)
+    cap_l = oscillator.classical_threshold(_OSC, 50)
     supp = oscillator.threshold_suppression(50)
     return [
         compare("threshold amplitude L_50", s * cap_l, 1.005e-9, 5e-3),
@@ -165,21 +157,17 @@ def criterion_07(perturb: float = 0.0) -> list[ComparisonReport]:
     correction has died to below 1e-20 relative.
     """
     s = 1.0 + perturb
-    mu = ELECTRON_MASS
-    omega0 = 1e20 * HBAR / mu
-    sys = oscillator.OscSystem(mu=mu, omega0=omega0,
-                               cap_l=math.sqrt(101.0 / 1e20))
-    mode = oscillator.make_mode(sys, 1, amplitude=1e-10)
-    r_env = 1.0 / math.sqrt(sys.alpha)
-    q_env = oscillator.trajectory(mode, sys, r_env,
+    mode = oscillator.make_mode(_OSC, 1, amplitude=1e-10)
+    r_env = 1.0 / math.sqrt(_OSC.alpha)
+    q_env = oscillator.trajectory(mode, _OSC, r_env,
                                   oscillator.TrajectoryOrder.THREE_TERM)
-    dq_cap = oscillator.path_correction(mode, sys, sys.cap_l,
+    dq_cap = oscillator.path_correction(mode, _OSC, _OSC.cap_l,
                                         oscillator.TrajectoryOrder.THREE_TERM)
     return [
         compare("sqrt(alpha) q_1(1/sqrt(alpha))",
-                s * q_env * math.sqrt(sys.alpha), 1.0088, 2e-3, use_rel=False),
+                s * q_env * math.sqrt(_OSC.alpha), 1.0088, 2e-3, use_rel=False),
         compare("relative path correction at L_50",
-                s * dq_cap / sys.cap_l, 0.0, 1e-20, use_rel=False),
+                s * dq_cap / _OSC.cap_l, 0.0, 1e-20, use_rel=False),
     ]
 
 
@@ -194,28 +182,20 @@ def criterion_08(perturb: float = 0.0) -> list[ComparisonReport]:
 def criterion_09(perturb: float = 0.0) -> list[ComparisonReport]:
     """2p orbit cross-sections at r = a0, Z = 1, amplitude 0.1."""
     s = 1.0 + perturb
-    sys = hydrogen.HydrogenSystem(z=1.0, mu=ELECTRON_MASS)
-    r = sys.a0
-    refs = [
-        ("p0 polar q/r", "p0", 0.0, 1.00029276),
-        ("p0 equatorial q/r", "p0", 0.5 * math.pi, 1.00014638),
-        ("pPlusMinus1 polar q/r", "pPlusMinus1", 0.0, 1.00007319),
-        ("pPlusMinus1 equatorial q/r", "pPlusMinus1", 0.5 * math.pi, 1.00014638),
-    ]
-    return [compare(label, s * hydrogen.orbit_2p(sys, 0.1, r, theta, which) / r,
-                    ref, 1e-5, use_rel=False)
-            for label, which, theta, ref in refs]
+    sections = hydrogen.cross_sections_2p(_HYDROGEN, 0.1, _HYDROGEN.a0)
+    refs = (1.00029276, 1.00014638, 1.00007319, 1.00014638)
+    return [compare(f"{which} {plane} q/r", s * q_over_r, ref, 1e-5, use_rel=False)
+            for ((which, plane), q_over_r), ref in zip(sections.items(), refs)]
 
 
 def criterion_10(perturb: float = 0.0) -> list[ComparisonReport]:
     """<e_mu> over the radial density must return e_n, state by state."""
     s = 1.0 + perturb
-    sys = hydrogen.HydrogenSystem(z=1.0, mu=ELECTRON_MASS)
     reports = []
     for n, l in ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)):
-        mean = hydrogen.mean_orbit_energy(sys, n, l)
-        reports.append(compare(f"<e_mu> vs e_n for (n,l)=({n},{l})",
-                               s * mean, hydrogen.level_energy(sys, n), 1e-8))
+        mean = hydrogen.mean_orbit_energy(_HYDROGEN, n, l)
+        reports.append(compare(f"<e_mu> vs e_n for (n,l)=({n},{l})", s * mean,
+                               hydrogen.level_energy(_HYDROGEN, n), 1e-8))
     return reports
 
 
@@ -269,14 +249,7 @@ def criterion_12(perturb: float = 0.0) -> list[ComparisonReport]:
     """Probability bookkeeping of a two-level beat and of pure modes."""
     s = 1.0 + perturb
     m, a = _BOX_M, _BOX_A
-    sys = boxmode.BoxSystem(m=m, a=a, p_particle=HBAR * math.pi / a)
-    mode1 = timedep.bare_eigenmode(m, a, 1)
-    mode2 = timedep.bare_eigenmode(m, a, 2)
-    beat = timedep.Superposition.from_modes(
-        sys, [(mode1, 1.0 + 0j), (mode2, 1.0 + 0j)])
-    t0 = 0.1 * 2.0 * math.pi * HBAR / (mode2.e_n - mode1.e_n)
-    h_x = a / 1e4
-    h_t = h_x * m / (HBAR * mode2.k_n)
+    beat, t0, h_x, h_t = timedep.equal_weight_beat(m, a)
 
     n_grid = 400
     worst_res = 0.0
@@ -296,7 +269,9 @@ def criterion_12(perturb: float = 0.0) -> list[ComparisonReport]:
     reports.append(_range_report("residual refinement ratio", s * r_h / r_h2,
                                  3.5, 4.5))
 
-    single = timedep.Superposition.from_modes(sys, [(mode1, 1.0 + 0j)])
+    mode1 = beat.components[0][0]
+    single = timedep.Superposition(m=m, a=a, components=((mode1, 1.0 + 0j),),
+                                   energies=(mode1.e_n,))
     peak_flux = max(abs(timedep.flux(single, a * i / 64.0, t0))
                     for i in range(1, 64))
     flux_scale = HBAR * mode1.k_n / (m * a)
@@ -322,7 +297,7 @@ def criterion_13(perturb: float = 0.0) -> list[ComparisonReport]:
     gs = []
     sups = []
     for ratio in ratios:
-        _, mode = _box_fixture(1, ratio)
+        _, mode = boxmode.level_at_ratio(_BOX_M, _BOX_A, 1, ratio)
         amps.append(mode.a_n)
         gs.append(mode.g_npf)
         sup = max(abs(boxmode.trajectory_series(mode, _BOX_A * i / 256.0)

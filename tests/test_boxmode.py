@@ -39,7 +39,7 @@ def test_make_mode_fields():
     assert mode.g_npf == pytest.approx(8.0 / 9.0, rel=1e-14)
     assert mode.a_n == pytest.approx(
         (HBAR / sys.p_particle) * math.sqrt(1.0 - 1.0 / 1.5), rel=1e-14)
-    assert mode.width == pytest.approx(A_BOX, rel=1e-14)
+    assert mode.a == A_BOX
     # slope amplitude identity A_n^2 k_n^2 = b^2
     assert mode.a_n**2 * mode.k_n**2 == pytest.approx(mode.b_sq, rel=1e-13)
 
@@ -236,3 +236,28 @@ def test_path_integrand_matches_integrand_exact_bit_for_bit(n, ratio):
     for i in range(257):
         x = sys.a * i / 256.0
         assert integrand(x) == boxmode.integrand_exact(mode.b_sq, mode.k_n * x)
+
+
+@pytest.mark.parametrize("a", [2e-9, 2.917e-09, 3.6400000000000003e-09])
+@pytest.mark.parametrize("n,ratio", [(1, 1.0), (1, 1.5), (2, 1.45), (3, 1.4),
+                                     (7, 1.9999999999999998)])
+def test_level_at_ratio_matches_hand_construction(a, n, ratio):
+    p_n = HBAR * n * math.pi / a
+    sys = boxmode.BoxSystem(m=M, a=a, p_particle=p_n / math.sqrt(ratio))
+    assert boxmode.level_at_ratio(M, a, n, ratio) == (sys, boxmode.make_mode(sys, n))
+
+
+@pytest.mark.parametrize("ratio", [0.99, 2.0])
+def test_level_at_ratio_rejects_ratio_outside_range(ratio):
+    with pytest.raises(ValueError, match=r"ratio for n=1 must lie in \[1, 2\)"):
+        boxmode.level_at_ratio(M, A_BOX, 1, ratio)
+
+
+def test_mode_wall_is_the_system_width():
+    # n pi / k_n misses a by an ulp here; the wall is a itself
+    a = 2.917e-09
+    sys, mode = boxmode.level_at_ratio(M, a, 1, 1.5)
+    assert mode.n * math.pi / mode.k_n < a
+    assert boxmode.trajectory_series(mode, a) == pytest.approx(a, rel=1e-12)
+    with pytest.raises(ValueError, match="outside the box"):
+        boxmode.field_value(mode, math.nextafter(a, 1.0))

@@ -131,6 +131,46 @@ def test_unread_options_exit_2(tmp_path, args, config):
     assert not out.exists()
 
 
+def test_zero_levels_exit_2(tmp_path):
+    out = tmp_path / "out"
+    r = _run("spectrum", "--levels", "0", "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert "argument --levels" in r.stderr
+    cfg = tmp_path / "levels.conf"
+    cfg.write_text("levels=0\n", encoding="utf-8")
+    r = _run("spectrum", "--config", str(cfg), "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert "config key levels" in r.stderr and "at least 1" in r.stderr
+    assert not out.exists()
+
+
+# Widths whose last grid point used to land past the box wall (exit 3): the
+# mode's own n pi / k_n falls short of a, or the grid rounding overshoots a.
+@pytest.mark.parametrize("a", ["2.917e-09", "3.6400000000000003e-09"])
+def test_box_figure_last_row_sits_on_the_wall(tmp_path, capsys, a):
+    assert cli.main(["box-figure", "--a", a, "--grid", "1000",
+                     "--out", str(tmp_path)]) == 0
+    for n in (1, 2, 3):
+        meta, _, rows = _read_table(tmp_path / f"box_figure_n{n}.csv")
+        assert len(rows) == 1000
+        assert rows[0][:2] == [0.0, 0.0]
+        assert rows[-1][0] == float(a) == float(meta["a"])
+        assert rows[-1][1] == pytest.approx(float(a), rel=1e-12)
+        assert all(x[0] < y[0] for x, y in zip(rows, rows[1:]))
+
+
+def test_flux_check_grid_stays_h_x_inside(tmp_path, capsys):
+    a = "1.8550000000000001e-09"
+    assert cli.main(["flux-check", "--a", a, "--grid", "1000",
+                     "--out", str(tmp_path)]) == 0
+    meta, _, rows = _read_table(tmp_path / "flux_check.csv")
+    h_x = float(meta["h_x"])
+    assert len(rows) == 1000
+    assert rows[0][0] == h_x
+    assert rows[-1][0] == float(a) - h_x
+    assert all(x[0] < y[0] for x, y in zip(rows, rows[1:]))
+
+
 def test_non_finite_config_key_exits_2(tmp_path):
     cfg = tmp_path / "nan.conf"
     cfg.write_text("a_ha=nan\n", encoding="utf-8")

@@ -84,6 +84,77 @@ def test_validators_reject_non_finite_fields(ctor, field, bad):
         ctor(**{field: bad})
 
 
+_BOX_SYS, _BOX_MODE = boxmode.level_at_ratio(ELECTRON_MASS, 2e-9, 1, 1.5)
+_OSC = oscillator.system_at_alpha(1e20, ELECTRON_MASS)
+_OSC_MODE = oscillator.make_mode(_OSC, 1)
+_H = hydrogen.HydrogenSystem(z=1.0, mu=ELECTRON_MASS)
+_H_STATE = hydrogen.make_state(_H, 2, 1)
+_NL = nonlinear.NonlinearParams(eps=0.0, a_tilde=1e-10)
+_BEAT, _T0, _H_X, _H_T = timedep.equal_weight_beat(ELECTRON_MASS, 2e-9)
+
+# Every scalar guard outside the dataclass validators: name -> (call, a valid
+# argument).  The call must raise the guard's own ValueError for nan and +-inf.
+_GUARDS = {
+    "DeBroglie.from_momentum": (DeBroglie.from_momentum, 1e-24),
+    "DeBroglie.from_wavenumber": (DeBroglie.from_wavenumber, 1e9),
+    "DeBroglie.from_wavelength": (DeBroglie.from_wavelength, 1e-9),
+    "classify_region eps": (lambda v: classify_region(1.0, 1.0, eps=v), 1e-6),
+    "kinetic_pf k_particle": (lambda v: kinetic_pf(v, 0.1), 1.0),
+    "kinetic_pf chi_prime_sq": (lambda v: kinetic_pf(1.0, v), 0.1),
+    "boxmode.level_at_ratio": (
+        lambda v: boxmode.level_at_ratio(ELECTRON_MASS, 2e-9, 1, v), 1.5),
+    "hydrogen.circular_orbit": (lambda v: hydrogen.circular_orbit(_H, v), 1e-10),
+    "hydrogen.orbit_from_theta_dot": (
+        lambda v: hydrogen.orbit_from_theta_dot(_H, v), 1e16),
+    "hydrogen.make_state": (lambda v: hydrogen.make_state(_H, 2, 1, a_ha=v), 0.1),
+    "hydrogen.field_energy": (
+        lambda v: hydrogen.field_energy(_H, _H_STATE, v), 1e-10),
+    "hydrogen.pf_velocity": (
+        lambda v: hydrogen.pf_velocity(_H, _H_STATE, v, 0.3, 1e16), 1e-10),
+    "hydrogen.approximation_gap": (hydrogen.approximation_gap, 0.1),
+    "hydrogen.cartesian_components_2p0": (
+        lambda v: hydrogen.cartesian_components_2p0(_H, 0.1, v, 0.3, 0.2), 1e-10),
+    "hydrogen.orbit_2p": (lambda v: hydrogen.orbit_2p(_H, 0.1, v, 0.3), 1e-10),
+    "hydrogen.radial_field": (
+        lambda v: hydrogen.radial_field(_H, _H_STATE, v), 1e-10),
+    "hydrogen.normalized_radial": (
+        lambda v: hydrogen.normalized_radial(_H, 2, 1, v), 1e-10),
+    "nonlinear.from_quartic_strength m": (
+        lambda v: nonlinear.from_quartic_strength(1e-3, v, 1e5, 1e-10), 1e-30),
+    "nonlinear.from_quartic_strength v_p": (
+        lambda v: nonlinear.from_quartic_strength(1e-3, 1e-30, v, 1e-10), 1e5),
+    "nonlinear.omega_ratio k": (lambda v: nonlinear.omega_ratio(_NL, v), 1e9),
+    "nonlinear.cubic_term_negligibility": (
+        lambda v: nonlinear.cubic_term_negligibility(_NL, v), 1e9),
+    "nonlinear.radial_residual": (
+        lambda v: nonlinear.radial_residual(_NL, 1e9, v), 1e-10),
+    "oscillator.system_at_alpha": (
+        lambda v: oscillator.system_at_alpha(v, ELECTRON_MASS), 1e20),
+    "oscillator.make_mode amplitude": (
+        lambda v: oscillator.make_mode(_OSC, 1, amplitude=v), 1e-10),
+    "oscillator.classical_motion": (
+        lambda v: oscillator.classical_motion(_OSC, v, 0.0, 0.0), 1e-10),
+    "oscillator.path_correction": (
+        lambda v: oscillator.path_correction(_OSC_MODE, _OSC, v), 1e-10),
+    "oscillator.kinetic_field": (
+        lambda v: oscillator.kinetic_field(_OSC_MODE, _OSC, v, 0.3, 0.0), 1e-10),
+    "oracle.finite_diff": (lambda v: oracle.finite_diff(math.sin, 0.0, v, 1), 1e-3),
+    "timedep.continuity_residual h_x": (
+        lambda v: timedep.continuity_residual(_BEAT, 1e-9, _T0, v, _H_T), _H_X),
+    "timedep.continuity_residual h_t": (
+        lambda v: timedep.continuity_residual(_BEAT, 1e-9, _T0, _H_X, v), _H_T),
+}
+
+
+@pytest.mark.parametrize("name", list(_GUARDS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_guards_reject_non_finite(name, bad):
+    call, valid = _GUARDS[name]
+    call(valid)
+    with pytest.raises(ValueError, match=r"finite|turning point|\[1, 2\)"):
+        call(bad)
+
+
 def test_energy_budget_check_accepts_consistent_split():
     b = EnergyBudget(e_total=5.0, e_particle=3.0, e_field=2.0,
                      k_particle=3.0, v_particle=0.0,

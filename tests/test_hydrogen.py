@@ -195,3 +195,17 @@ def test_cartesian_components_match_orbit():
     assert qx0 == 0.0 and qy0 == 0.0
     assert qz0 == pytest.approx(hydrogen.orbit_2p(SYS, a_ha, r, 0.0, "p0"),
                                 rel=1e-12)
+
+
+@pytest.mark.parametrize("a_ha,r", [(0.1, SYS.a0), (0.2, 1.5e-10), (0.05, 3e-11)])
+def test_cross_sections_2p_match_hand_construction(a_ha, r):
+    expected = [
+        (("p0", "polar"), hydrogen.orbit_2p(SYS, a_ha, r, 0.0, "p0") / r),
+        (("p0", "equatorial"),
+         hydrogen.orbit_2p(SYS, a_ha, r, 0.5 * math.pi, "p0") / r),
+        (("pPlusMinus1", "polar"),
+         hydrogen.orbit_2p(SYS, a_ha, r, 0.0, "pPlusMinus1") / r),
+        (("pPlusMinus1", "equatorial"),
+         hydrogen.orbit_2p(SYS, a_ha, r, 0.5 * math.pi, "pPlusMinus1") / r),
+    ]
+    assert list(hydrogen.cross_sections_2p(SYS, a_ha, r).items()) == expected

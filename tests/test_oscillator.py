@@ -242,3 +242,15 @@ def test_amplitude_estimate_window_and_closed_form():
     assert 0.5 < a1_rule / 1e-10 < 2.0
     with pytest.raises(ValueError):
         oscillator.amplitude_estimate(_system(), 2)
+
+
+@pytest.mark.parametrize("alpha", [1e20, 3e19, 10.0 ** 20.37, 7.5e20])
+@pytest.mark.parametrize("mu", [ELECTRON_MASS, 1.6726e-27])
+def test_system_at_alpha_matches_hand_construction(alpha, mu):
+    omega0 = alpha * HBAR / mu
+    cap_l = math.sqrt(101.0 / alpha)
+    expected = oscillator.OscSystem(mu=mu, omega0=omega0, cap_l=cap_l)
+    assert oscillator.system_at_alpha(alpha, mu) == expected
+    # cap_l is the n = 50 threshold amplitude
+    assert cap_l == pytest.approx(oscillator.classical_threshold(expected, 50),
+                                  rel=1e-14)

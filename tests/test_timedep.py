@@ -178,3 +178,16 @@ def test_tdse_residual_eigen_vs_detuned():
     res = abs(timedep.tdse_residual(bad, x, 0.0))
     assert res == pytest.approx(0.01 * mode.e_n * abs(bad.value(x, 0.0)),
                                 rel=1e-10)
+
+
+@pytest.mark.parametrize("a", [A_BOX, 1.8550000000000001e-09, 3.3e-9])
+def test_equal_weight_beat_matches_hand_construction(a):
+    sys = boxmode.BoxSystem(m=M, a=a, p_particle=HBAR * math.pi / a)
+    mode1 = timedep.bare_eigenmode(M, a, 1)
+    mode2 = timedep.bare_eigenmode(M, a, 2)
+    beat = timedep.Superposition.from_modes(
+        sys, [(mode1, 1.0 + 0j), (mode2, 1.0 + 0j)])
+    t0 = 0.1 * 2.0 * math.pi * HBAR / (mode2.e_n - mode1.e_n)
+    h_x = a / 1e4
+    h_t = h_x * M / (HBAR * mode2.k_n)
+    assert timedep.equal_weight_beat(M, a) == (beat, t0, h_x, h_t)
