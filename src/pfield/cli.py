@@ -8,8 +8,9 @@ option value, an option the subcommand does not take, or an output
 location that cannot be written), 3 domain or numeric error raised by
 the physics layer, whose parameter checks reject nan and inf too.
 A box-figure ratio outside [1, 2) is caught before any of its files is
-written.  The box-figure grid ends exactly on the wall a and the
-flux-check grid exactly at a - h_x, so no sample falls outside the box.
+written, and each file is written whole or not at all.  The box-figure
+grid ends exactly on the wall a and the flux-check grid exactly at
+a - h_x, so no sample falls outside the box.
 
 Every subcommand takes --out and --config; the table subcommands take
 --format, and the four sampled tables (all but spectrum) take --grid.
@@ -120,25 +121,39 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
+def _write(out: str, name: str, text: str) -> Path:
+    """Write text to out/name through a temporary file and a rename, so a
+    failed write leaves no partial file."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / name
+    tmp = out_dir / f".{name}.tmp"
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return path
+
+
+def _json(payload: object) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _write_table(merged: Mapping[str, object], stem: str,
                  meta: Mapping[str, object], columns: Sequence[str],
                  rows: Sequence[Sequence[object]]) -> Path:
-    out_dir = Path(str(merged["out"]))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{stem}.{merged['format']}"
     if merged["format"] == "csv":
         lines = [f"# {key}={_fmt(value)}" for key, value in meta.items()]
         lines.append(",".join(columns))
         # Rows hold only floats and ints, whose repr is what _fmt gives.
         for row in rows:
             lines.append(",".join(map(repr, row)))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        text = "\n".join(lines) + "\n"
     else:
-        payload = {"meta": dict(meta), "columns": list(columns),
-                   "rows": [list(row) for row in rows]}
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-    return path
+        text = _json({"meta": dict(meta), "columns": list(columns),
+                      "rows": [list(row) for row in rows]})
+    return _write(merged["out"], f"{stem}.{merged['format']}", text)
 
 
 def _grid(lo: float, hi: float, n: int) -> list[float]:
@@ -156,12 +171,12 @@ def _box_grid(lo: float, hi: float, n: int) -> list[float]:
 # ---------------------------------------------------------------- box-figure
 
 def _cmd_box_figure(merged: Mapping[str, object]) -> int:
-    a = float(merged["a"])
-    mass = float(merged["mass"])
+    a = merged["a"]
+    mass = merged["mass"]
     # Every ratio is checked and every mode built before the first file.
     levels = [(n, ratio, *boxmode.level_at_ratio(mass, a, n, ratio))
               for n, ratio in enumerate(merged["ratios"], start=1)]
-    xs = _box_grid(0.0, a, int(merged["grid"]))
+    xs = _box_grid(0.0, a, merged["grid"])
     paths = []
     for n, ratio, sys, mode in levels:
         slope0 = 1.0 + mode.b_sq / (mode.b_sq + 4.0)
@@ -189,13 +204,13 @@ def _cmd_box_figure(merged: Mapping[str, object]) -> int:
 # ------------------------------------------------------------ osc-trajectory
 
 def _cmd_osc_trajectory(merged: Mapping[str, object]) -> int:
-    alpha = float(merged["alpha"])
-    n = int(merged["n"])
-    mu = float(merged["mu"])
+    alpha = merged["alpha"]
+    n = merged["n"]
+    mu = merged["mu"]
     sys = oscillator.system_at_alpha(alpha, mu)
     mode = oscillator.make_mode(sys, n, amplitude=merged["amplitude"])
     r_max = min(sys.cap_l, 5.0 / math.sqrt(alpha))
-    xs = _grid(-r_max, r_max, int(merged["grid"]))
+    xs = _grid(-r_max, r_max, merged["grid"])
 
     running = oracle.cumulative_integrate(oscillator.path_integrand(mode, sys), xs)
     rows = []
@@ -218,13 +233,13 @@ def _cmd_osc_trajectory(merged: Mapping[str, object]) -> int:
 # ----------------------------------------------------------- hydrogen-figure
 
 def _cmd_hydrogen_figure(merged: Mapping[str, object]) -> int:
-    z = float(merged["z"])
-    mu = float(merged["mu"])
-    a_ha = float(merged["a_ha"])
+    z = merged["z"]
+    mu = merged["mu"]
+    a_ha = merged["a_ha"]
     sys = hydrogen.HydrogenSystem(z=z, mu=mu)
-    r = float(merged["r"]) if merged["r"] is not None else sys.a0
+    r = merged["r"] if merged["r"] is not None else sys.a0
     rows = []
-    for theta in _grid(0.0, 2.0 * math.pi, int(merged["grid"])):
+    for theta in _grid(0.0, 2.0 * math.pi, merged["grid"]):
         rows.append((theta,
                      hydrogen.orbit_2p(sys, a_ha, r, theta, "p0") / r,
                      hydrogen.orbit_2p(sys, a_ha, r, theta, "pPlusMinus1") / r))
@@ -240,11 +255,11 @@ def _cmd_hydrogen_figure(merged: Mapping[str, object]) -> int:
 # ------------------------------------------------------------------ spectrum
 
 def _cmd_spectrum(merged: Mapping[str, object]) -> int:
-    a = float(merged["a"])
-    mass = float(merged["mass"])
-    eps = float(merged["eps"])
-    ratio = float(merged["ratio"])
-    levels = int(merged["levels"])
+    a = merged["a"]
+    mass = merged["mass"]
+    eps = merged["eps"]
+    ratio = merged["ratio"]
+    levels = merged["levels"]
     rows = []
     for n in range(1, levels + 1):
         sys, mode = boxmode.level_at_ratio(mass, a, n, ratio)
@@ -262,12 +277,12 @@ def _cmd_spectrum(merged: Mapping[str, object]) -> int:
 # ---------------------------------------------------------------- flux-check
 
 def _cmd_flux_check(merged: Mapping[str, object]) -> int:
-    a = float(merged["a"])
-    mass = float(merged["mass"])
+    a = merged["a"]
+    mass = merged["mass"]
     beat, t0, h_x, h_t = timedep.equal_weight_beat(mass, a)
     rows = []
     max_residual = 0.0
-    for x in _box_grid(h_x, a - h_x, int(merged["grid"])):
+    for x in _box_grid(h_x, a - h_x, merged["grid"]):
         j = timedep.flux(beat, x, t0)
         res = timedep.continuity_residual(beat, x, t0, h_x, h_t)
         max_residual = max(max_residual, abs(res))
@@ -290,30 +305,14 @@ def _cmd_flux_check(merged: Mapping[str, object]) -> int:
 def _cmd_verify(merged: Mapping[str, object]) -> int:
     perturb = 0.01 if merged["inject_error"] else 0.0
     results = verification.run_acceptance_suite(perturb=perturb)
-    payload = []
-    for result in results:
-        payload.append({
-            "ident": result.ident,
-            "description": result.description,
-            "passed": result.passed,
-            "checks": [{
-                "label": rep.label,
-                "value": rep.series_value,
-                "reference": rep.oracle_value,
-                "abs_dev": rep.abs_dev,
-                "rel_dev": rep.rel_dev,
-                "tolerance": rep.tolerance,
-                "passed": rep.passed,
-            } for rep in result.reports],
-        })
     all_passed = all(result.passed for result in results)
-    out_dir = Path(str(merged["out"]))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "verify_report.json"
-    report_path.write_text(
-        json.dumps({"passed": all_passed, "perturb": perturb,
-                    "criteria": payload}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    criteria = [{"ident": result.ident, "description": result.description,
+                 "passed": result.passed,
+                 "checks": [vars(rep) for rep in result.reports]}
+                for result in results]
+    report_path = _write(merged["out"], "verify_report.json",
+                         _json({"passed": all_passed, "perturb": perturb,
+                                "criteria": criteria}))
     for result in results:
         tag = "PASS" if result.passed else "FAIL"
         print(f"{tag} {result.ident}: {result.description}")

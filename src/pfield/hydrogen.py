@@ -252,6 +252,8 @@ def orbit_2p(sys: HydrogenSystem, a_ha: float, r: float, theta: float,
     if which not in _ORBIT_2P_WHICH:
         raise ValueError(f"which must be one of {_ORBIT_2P_WHICH}")
     # Inline, not require_finite_positive: per table row a call costs ~10x.
+    if not 0.0 < a_ha < math.inf:
+        raise ValueError(f"a_ha must be finite and positive, got {a_ha!r}")
     if not 0.0 < r < math.inf:
         raise ValueError(f"r must be finite and positive, got {r!r}")
     env = a_ha**2 * math.exp(-sys.z * r / sys.a0) / (8.0 * math.pi)
@@ -280,7 +282,7 @@ def cartesian_components_2p0(sys: HydrogenSystem, a_ha: float, r: float,
         qz = z (1 + beta (2 + sin^2 theta));
     their norm reproduces orbit_2p(..., "p0") to fourth order in a_ha.
     """
-    require_finite_positive(r=r)
+    require_finite_positive(a_ha=a_ha, r=r)
     beta = a_ha**2 * math.exp(-sys.z * r / sys.a0) / (8.0 * math.pi)
     s = math.sin(theta)
     x = r * s * math.cos(phi)

@@ -7,8 +7,10 @@ solution is
     chi = A cos(w k x + B) - (eps A^3 / 32 k^2) cos(3 w k x + 3B),
     w = 1 - 3 eps A^2 / (8 k^2),
 
-whose residual is second order in eps.  Pinning the field to both walls
-shifts the box levels: w(k) k a = n pi solves exactly to
+whose residual is second order in eps.  The phase is fixed at
+B = -pi/2, the sine form with a node on the wall at x = 0.  Pinning the
+field to the other wall as well shifts the box levels: w(k) k a = n pi
+solves exactly to
 
     k_n = (n pi / 2a) [1 + sqrt(1 + 3 eps A^2 a^2 / (2 n^2 pi^2))],
 
@@ -25,7 +27,6 @@ from .boxmode import BoxSystem
 from .core import HBAR, require_finite_positive
 
 VALIDITY_LIMIT = 0.1
-_DEFAULT_PHASE = -0.5 * math.pi
 
 
 @dataclass(frozen=True)
@@ -64,55 +65,45 @@ def omega_ratio(params: NonlinearParams, k: float) -> float:
     return 1.0 - 3.0 * params.eps * params.a_tilde**2 / (8.0 * k**2)
 
 
-def duffing_solution(params: NonlinearParams, k: float, x: float,
-                     phase_b: float = _DEFAULT_PHASE) -> float:
-    """First-order bounded solution at position x.
+def duffing_solution(params: NonlinearParams, k: float, x: float) -> float:
+    """First-order bounded solution at position x, with B = -pi/2:
+    a sin(w k x) + (eps a^3/32 k^2) sin(3 w k x).
 
-    The default phase -pi/2 selects the sine form
-    a sin(w k x) + (eps a^3/32 k^2) sin(3 w k x), evaluated directly so
-    the eps -> 0 limit reproduces the linear mode bit for bit.
+    That phase puts a node on the wall at x = 0, and the sine form makes
+    the eps -> 0 limit reproduce the linear mode bit for bit.
     """
     w = omega_ratio(params, k)
     a = params.a_tilde
     third = params.eps * a**3 / (32.0 * k**2)
-    if phase_b == _DEFAULT_PHASE:
-        return a * math.sin(w * k * x) + third * math.sin(3.0 * w * k * x)
-    arg = w * k * x + phase_b
-    return a * math.cos(arg) - third * math.cos(3.0 * arg)
+    return a * math.sin(w * k * x) + third * math.sin(3.0 * w * k * x)
 
 
-def duffing_second_derivative(params: NonlinearParams, k: float, x: float,
-                              phase_b: float = _DEFAULT_PHASE) -> float:
+def duffing_second_derivative(params: NonlinearParams, k: float, x: float) -> float:
     """Analytic chi'' of duffing_solution."""
     w = omega_ratio(params, k)
     a = params.a_tilde
     third = params.eps * a**3 / (32.0 * k**2)
     wk = w * k
-    if phase_b == _DEFAULT_PHASE:
-        return -a * wk**2 * math.sin(wk * x) \
-            - third * (3.0 * wk)**2 * math.sin(3.0 * wk * x)
-    arg = wk * x + phase_b
-    return -a * wk**2 * math.cos(arg) + third * (3.0 * wk)**2 * math.cos(3.0 * arg)
+    return -a * wk**2 * math.sin(wk * x) \
+        - third * (3.0 * wk)**2 * math.sin(3.0 * wk * x)
 
 
-def duffing_residual(params: NonlinearParams, k: float, x: float,
-                     phase_b: float = _DEFAULT_PHASE) -> float:
+def duffing_residual(params: NonlinearParams, k: float, x: float) -> float:
     """chi'' + k^2 chi - eps chi^3 for the first-order solution.
 
     Scales as eps^2 a^5 / k^2: quadratic in eps at fixed amplitude.
     """
-    chi = duffing_solution(params, k, x, phase_b)
-    d2 = duffing_second_derivative(params, k, x, phase_b)
+    chi = duffing_solution(params, k, x)
+    d2 = duffing_second_derivative(params, k, x)
     return d2 + k**2 * chi - params.eps * chi**3
 
 
-def radial_residual(params: NonlinearParams, k: float, r: float,
-                    phase_b: float = _DEFAULT_PHASE) -> float:
+def radial_residual(params: NonlinearParams, k: float, r: float) -> float:
     """Residual of the same form applied along a radial line; the
     stationary balance is one-dimensional in the line coordinate."""
     if not 0.0 <= r < math.inf:
         raise ValueError(f"r must be finite and non-negative, got {r!r}")
-    return duffing_residual(params, k, r, phase_b)
+    return duffing_residual(params, k, r)
 
 
 def quantized_k(params: NonlinearParams, sys: BoxSystem, n: int) -> float:
@@ -149,20 +140,3 @@ def cubic_term_negligibility(params: NonlinearParams, k_n: float) -> float:
     """
     require_finite_positive(k_n=k_n)
     return abs(params.eps) * params.a_tilde**2 / (32.0 * k_n**2)
-
-
-@dataclass(frozen=True)
-class NonlinearSpectrum:
-    """One shifted level: wavenumber and energy."""
-
-    n: int
-    k_n: float
-    e_n: float
-
-
-def spectrum_level(params: NonlinearParams, sys: BoxSystem,
-                   n: int) -> NonlinearSpectrum:
-    """Bundle quantized_k and energy_levels for level n."""
-    k = quantized_k(params, sys, n)
-    p = HBAR * k
-    return NonlinearSpectrum(n=n, k_n=k, e_n=p**2 / (2.0 * sys.m))

@@ -165,28 +165,36 @@ def finite_diff(f: Callable[[float], float], x: float, h: float, order: int) -> 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Record of one closed-form-vs-oracle comparison."""
+    """One check of a criterion; its fields are the keys of a check in
+    the verify report."""
 
     label: str
-    series_value: float
-    oracle_value: float
+    value: float
+    reference: float
     abs_dev: float
     rel_dev: float
-    passed: bool
     tolerance: float
+    passed: bool
+
+    @classmethod
+    def judge(cls, label: str, value: float, reference: float, tolerance: float,
+              verdict: Callable[[float, float], bool]) -> ComparisonReport:
+        """Record value against reference; verdict(abs_dev, rel_dev) decides
+        the pass.  rel_dev is inf at a zero reference."""
+        abs_dev = abs(value - reference)
+        scale = abs(reference)
+        rel_dev = abs_dev / scale if scale > 0.0 else math.inf
+        return cls(label=label, value=value, reference=reference,
+                   abs_dev=abs_dev, rel_dev=rel_dev, tolerance=tolerance,
+                   passed=verdict(abs_dev, rel_dev))
 
 
-def compare(label: str, series_value: float, oracle_value: float,
+def compare(label: str, value: float, reference: float,
             tolerance: float, use_rel: bool = True) -> ComparisonReport:
-    """Build a ComparisonReport; pass/fail judged on the chosen deviation."""
-    abs_dev = abs(series_value - oracle_value)
-    scale = abs(oracle_value)
-    rel_dev = abs_dev / scale if scale > 0.0 else math.inf
-    dev = rel_dev if use_rel else abs_dev
-    return ComparisonReport(label=label, series_value=series_value,
-                            oracle_value=oracle_value, abs_dev=abs_dev,
-                            rel_dev=rel_dev, passed=dev <= tolerance,
-                            tolerance=tolerance)
+    """Check passed when the chosen deviation is within tolerance."""
+    return ComparisonReport.judge(
+        label, value, reference, tolerance,
+        lambda abs_dev, rel_dev: (rel_dev if use_rel else abs_dev) <= tolerance)
 
 
 def exact_box_trajectory(mode: boxmode.BoxMode, x: float,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from . import boxmode, hydrogen, nonlinear, oracle, oscillator, timedep
 from .core import ELECTRON_MASS, HBAR
@@ -28,23 +29,15 @@ _HYDROGEN = hydrogen.HydrogenSystem(z=1.0, mu=ELECTRON_MASS)
 
 
 def _range_report(label: str, value: float, lo: float, hi: float) -> ComparisonReport:
-    """Report for a value that must land inside [lo, hi]."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return ComparisonReport(label=label, series_value=value, oracle_value=mid,
-                            abs_dev=abs(value - mid),
-                            rel_dev=abs(value - mid) / abs(mid) if mid else math.inf,
-                            passed=lo <= value <= hi, tolerance=half)
+    """Check passed when value lands inside [lo, hi]."""
+    return ComparisonReport.judge(label, value, 0.5 * (lo + hi), 0.5 * (hi - lo),
+                                  lambda *_: lo <= value <= hi)
 
 
 def _bool_report(label: str, value: float, reference: float,
                  passed: bool) -> ComparisonReport:
-    """Report for a structural property (monotonicity, limits)."""
-    dev = abs(value - reference)
-    return ComparisonReport(label=label, series_value=value,
-                            oracle_value=reference, abs_dev=dev,
-                            rel_dev=dev / abs(reference) if reference else math.inf,
-                            passed=passed, tolerance=0.0)
+    """Check of a structural property (monotonicity, limits)."""
+    return ComparisonReport.judge(label, value, reference, 0.0, lambda *_: passed)
 
 
 def criterion_01(perturb: float = 0.0) -> list[ComparisonReport]:
@@ -328,6 +321,14 @@ class CriterionResult:
     description: str
     reports: tuple[ComparisonReport, ...]
 
+    @classmethod
+    def run(cls, ident: str, func: Callable[[float], list[ComparisonReport]],
+            perturb: float = 0.0) -> CriterionResult:
+        """Run one criterion; its description is its docstring's first line."""
+        description = (func.__doc__ or ident).strip().splitlines()[0]
+        return cls(ident=ident, description=description,
+                   reports=tuple(func(perturb)))
+
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.reports)
@@ -352,10 +353,4 @@ _CRITERIA = (
 
 def run_acceptance_suite(perturb: float = 0.0) -> list[CriterionResult]:
     """Run all criteria; perturb != 0 is the negative-control mode."""
-    results = []
-    for ident, func in _CRITERIA:
-        description = (func.__doc__ or ident).strip().splitlines()[0]
-        reports = func(perturb)
-        results.append(CriterionResult(ident=ident, description=description,
-                                       reports=tuple(reports)))
-    return results
+    return [CriterionResult.run(ident, func, perturb) for ident, func in _CRITERIA]

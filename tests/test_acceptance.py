@@ -16,17 +16,15 @@ from pfield import verification
 
 def _check(index: int) -> None:
     ident, func = verification._CRITERIA[index - 1]
-    description = (func.__doc__ or ident).strip().splitlines()[0]
-    reports = func(perturb=0.0)
-    passed = all(r.passed for r in reports)
-    print(f"ACCEPTANCE {index:02d} {'PASS' if passed else 'FAIL'} "
-          f"[{ident}] {description}")
+    result = verification.CriterionResult.run(ident, func)
+    print(f"ACCEPTANCE {index:02d} {'PASS' if result.passed else 'FAIL'} "
+          f"[{ident}] {result.description}")
     failing = [
-        f"{r.label}: value={r.series_value!r} reference={r.oracle_value!r} "
+        f"{r.label}: value={r.value!r} reference={r.reference!r} "
         f"abs_dev={r.abs_dev:.3e} rel_dev={r.rel_dev:.3e} tol={r.tolerance:.3e}"
-        for r in reports if not r.passed
+        for r in result.reports if not r.passed
     ]
-    assert passed, f"criterion {ident} failed:\n" + "\n".join(failing)
+    assert result.passed, f"criterion {ident} failed:\n" + "\n".join(failing)
 
 
 def test_acceptance_01_path_coefficients():

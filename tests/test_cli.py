@@ -3,23 +3,25 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import errno
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from pfield import cli
+from pfield import cli, oracle
 from pfield.core import HBAR
 
 
 def _run(*args: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
     merged_env = None
     if env is not None:
-        import os
         merged_env = dict(os.environ)
         merged_env.update(env)
     return subprocess.run([sys.executable, "-m", "pfield.cli", *args],
@@ -181,6 +183,26 @@ def test_non_finite_config_key_exits_2(tmp_path):
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("a_ha", ["-0.1", "0"])
+def test_hydrogen_figure_rejects_non_positive_amplitude(tmp_path, capsys, a_ha):
+    assert cli.main(["hydrogen-figure", "--a-ha", a_ha,
+                     "--out", str(tmp_path)]) == 3
+    assert "a_ha must be finite and positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
+    def write_ten_bytes_then_fail(path, data, *args, **kwargs):
+        with path.open("w", encoding="utf-8") as fh:
+            fh.write(data[:10])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    monkeypatch.setattr(Path, "write_text", write_ten_bytes_then_fail)
+    assert cli.main(["spectrum", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
 def test_unwritable_out_exits_2(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("", encoding="utf-8")
@@ -286,6 +308,17 @@ def test_verify_inject_error_fails(tmp_path):
     assert any(not c["passed"] for c in report["criteria"])
 
 
+
+def test_check_record_fields_are_the_report_keys(tmp_path, capsys):
+    assert cli.main(["verify", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verify_report.json").read_text(encoding="utf-8"))
+    keys = {frozenset(check) for criterion in report["criteria"]
+            for check in criterion["checks"]}
+    fields = [f.name for f in dataclasses.fields(oracle.ComparisonReport)]
+    assert fields == ["label", "value", "reference", "abs_dev", "rel_dev",
+                      "tolerance", "passed"]
+    assert keys == {frozenset(fields)}
+
 # SHA-256 of every file written at grid 257 (spectrum and verify take no
 # grid), each recorded before the code that writes it was last rewritten;
 # the files must stay byte-identical.
@@ -316,6 +349,19 @@ _GOLDEN = {
         "verify_report.json":
             "bc27135c8d69061ef0086e9b7af63f85852ae84becccb6f70bbfc12dfc3d649e"},
 }
+
+
+# SHA-256 of verify_report.json under --inject-error, recorded before the
+# check record was shared by the criteria and the report: it pins the
+# deviations and verdicts of failing checks, which the golden run never has.
+_GOLDEN_INJECTED = "626cb9d0132478896ba823f8310ee34c9182652c1edcd5802cca624059d525ad"
+
+
+def test_injected_verify_report_matches_golden_digest(tmp_path, capsys):
+    assert cli.main(["verify", "--inject-error", "--out", str(tmp_path)]) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["verify_report.json"]
+    digest = hashlib.sha256((tmp_path / "verify_report.json").read_bytes())
+    assert digest.hexdigest() == _GOLDEN_INJECTED
 
 
 @pytest.mark.parametrize("args", list(_GOLDEN), ids=" ".join)

@@ -115,6 +115,9 @@ _GUARDS = {
     "hydrogen.cartesian_components_2p0": (
         lambda v: hydrogen.cartesian_components_2p0(_H, 0.1, v, 0.3, 0.2), 1e-10),
     "hydrogen.orbit_2p": (lambda v: hydrogen.orbit_2p(_H, 0.1, v, 0.3), 1e-10),
+    "hydrogen.orbit_2p a_ha": (lambda v: hydrogen.orbit_2p(_H, v, 1e-10, 0.3), 0.1),
+    "hydrogen.cartesian_components_2p0 a_ha": (
+        lambda v: hydrogen.cartesian_components_2p0(_H, v, 1e-10, 0.3, 0.2), 0.1),
     "hydrogen.radial_field": (
         lambda v: hydrogen.radial_field(_H, _H_STATE, v), 1e-10),
     "hydrogen.normalized_radial": (

@@ -197,6 +197,19 @@ def test_cartesian_components_match_orbit():
                                 rel=1e-12)
 
 
+
+# nan and inf are covered with the other guards in test_core.
+@pytest.mark.parametrize("call", [
+    lambda v: hydrogen.orbit_2p(SYS, v, SYS.a0, 0.3, "pPlusMinus1"),
+    lambda v: hydrogen.cartesian_components_2p0(SYS, v, SYS.a0, 0.3, 0.2),
+], ids=["orbit_2p", "cartesian_components_2p0"])
+@pytest.mark.parametrize("bad", [0.0, -0.1])
+def test_2p_orbits_reject_non_positive_amplitude(call, bad):
+    call(0.1)
+    with pytest.raises(ValueError, match="a_ha must be finite and positive"):
+        call(bad)
+
+
 @pytest.mark.parametrize("a_ha,r", [(0.1, SYS.a0), (0.2, 1.5e-10), (0.05, 3e-11)])
 def test_cross_sections_2p_match_hand_construction(a_ha, r):
     expected = [

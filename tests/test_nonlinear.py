@@ -59,8 +59,6 @@ def test_duffing_solution_linear_limit_is_bitwise():
     p0 = nonlinear.NonlinearParams(eps=0.0, a_tilde=a)
     for x in (0.0, 0.3 * A_BOX, 0.77 * A_BOX):
         assert nonlinear.duffing_solution(p0, K1, x) == a * math.sin(K1 * x)
-    # generic phase takes the cosine branch
-    assert nonlinear.duffing_solution(p0, K1, 0.0, phase_b=0.0) == a
 
 
 def test_duffing_residual_vanishes_at_eps_zero():
@@ -143,12 +141,3 @@ def test_cubic_term_negligibility():
     with pytest.raises(ValueError):
         nonlinear.cubic_term_negligibility(p, 0.0)
 
-
-def test_spectrum_level_bundle():
-    a = 1e-10
-    sys = _box()
-    p = nonlinear.NonlinearParams(eps=1e-3 * K1**2 / a**2, a_tilde=a)
-    lev = nonlinear.spectrum_level(p, sys, 2)
-    assert lev.n == 2
-    assert lev.k_n == nonlinear.quantized_k(p, sys, 2)
-    assert lev.e_n == nonlinear.energy_levels(p, sys, 2)
