@@ -15,6 +15,10 @@ The composite path is q_n(x) = g integral sqrt(1 + chi_n'^2) dx.  Two
 closed forms are provided: a quadratic-order form with
 g = 4 p_P^2 / (p_n^2 + 3 p_P^2), and an eighth-order two-harmonic form
 normalized by its own secular coefficient.  Both pin q(0) = 0, q(a) = a.
+
+Each point function checks that its x lies inside the box.  figure_rows
+tabulates the quadratic path, the field and the bare density over a whole
+grid, checking the wall once per grid instead.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .core import HBAR, EnergyBudget, require_finite_positive
 
@@ -88,6 +92,7 @@ def level_at_ratio(m: float, a: float, n: int,
     """
     if not 1.0 <= ratio < 2.0:
         raise ValueError(f"ratio for n={n} must lie in [1, 2), got {ratio}")
+    require_finite_positive(a=a)
     p_n = HBAR * n * math.pi / a
     sys = BoxSystem(m=m, a=a, p_particle=p_n / math.sqrt(ratio))
     return sys, make_mode(sys, n)
@@ -215,6 +220,34 @@ def trajectory_series(mode: BoxMode, x: float,
     c1, c2, c3 = path_series_coefficients(mode.b_sq)
     return x + (c2 / (c1 * k)) * math.sin(2.0 * k * x) \
              - (c3 / (c1 * k)) * math.sin(4.0 * k * x)
+
+
+def figure_rows(mode: BoxMode, sys: BoxSystem,
+                xs: Sequence[float]) -> list[tuple[float, ...]]:
+    """Rows (x, q, q/x, chi, psi^2, x) of the box figure on the grid xs.
+
+    Each row equals trajectory_series (QUADRATIC), field_value and
+    wavefunction(...)**2 at its x, with q/x at x = 0 its limit
+    1 + b^2/(b^2 + 4).  The wall is checked in one pass over the grid
+    instead of once per point and function.
+    """
+    if not all(0.0 <= x <= mode.a for x in xs):
+        raise ValueError(f"grid leaves the box [0, {mode.a}]")
+    k = mode.k_n
+    b_ratio = mode.b_sq / (mode.b_sq + 4.0)
+    coeff = b_ratio / (2.0 * k)
+    slope0 = 1.0 + b_ratio
+    a_n = mode.a_n
+    amp = math.sqrt(2.0 / sys.a)
+    n_pi = mode.n * math.pi
+    a = sys.a
+    sin = math.sin
+    rows = []
+    for x in xs:
+        q = x + coeff * sin(2.0 * k * x)
+        rows.append((x, q, q / x if x > 0.0 else slope0, a_n * sin(k * x),
+                     (amp * sin(n_pi * x / a)) ** 2, x))
+    return rows
 
 
 def trajectory_at_time(mode: BoxMode, t: float, v_p: float, x0: float = 0.0,

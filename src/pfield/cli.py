@@ -8,9 +8,9 @@ option value, an option the subcommand does not take, or an output
 location that cannot be written), 3 domain or numeric error raised by
 the physics layer, whose parameter checks reject nan and inf too.
 A box-figure ratio outside [1, 2) is caught before any of its files is
-written, and each file is written whole or not at all.  The box-figure
-grid ends exactly on the wall a and the flux-check grid exactly at
-a - h_x, so no sample falls outside the box.
+written, and a subcommand's files are written as one set, whole or not
+at all.  The box-figure grid ends exactly on the wall a and the
+flux-check grid exactly at a - h_x, so no sample falls outside the box.
 
 Every subcommand takes --out and --config; the table subcommands take
 --format, and the four sampled tables (all but spectrum) take --grid.
@@ -28,7 +28,7 @@ import math
 import os
 import sys as _sys
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import boxmode, hydrogen, nonlinear, oracle, oscillator, timedep, verification
 from .core import ELECTRON_MASS
@@ -121,28 +121,39 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _write(out: str, name: str, text: str) -> Path:
-    """Write text to out/name through a temporary file and a rename, so a
-    failed write leaves no partial file."""
+def _write(out: str, files: Iterable[tuple[str, str]]) -> list[Path]:
+    """Write each (name, text) to out/name as one set.
+
+    Every file goes to a temporary name first and all are renamed once the
+    last is written, so a failed write leaves none of them.  files may be
+    a generator: each text is released once written, before the next is
+    made.
+    """
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    tmp = out_dir / f".{name}.tmp"
+    staged: list[tuple[Path, Path]] = []
     try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
+        for name, text in files:
+            tmp = out_dir / f".{name}.tmp"
+            staged.append((tmp, out_dir / name))
+            tmp.write_text(text, encoding="utf-8")
+            del text
+        for tmp, path in staged:
+            os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
-    return path
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+    return [path for _, path in staged]
 
 
 def _json(payload: object) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_table(merged: Mapping[str, object], stem: str,
-                 meta: Mapping[str, object], columns: Sequence[str],
-                 rows: Sequence[Sequence[object]]) -> Path:
+def _table(merged: Mapping[str, object], stem: str,
+           meta: Mapping[str, object], columns: Sequence[str],
+           rows: Sequence[Sequence[object]]) -> tuple[str, str]:
+    """File name and text of a table in the chosen format."""
     if merged["format"] == "csv":
         lines = [f"# {key}={_fmt(value)}" for key, value in meta.items()]
         lines.append(",".join(columns))
@@ -153,7 +164,7 @@ def _write_table(merged: Mapping[str, object], stem: str,
     else:
         text = _json({"meta": dict(meta), "columns": list(columns),
                       "rows": [list(row) for row in rows]})
-    return _write(merged["out"], f"{stem}.{merged['format']}", text)
+    return f"{stem}.{merged['format']}", text
 
 
 def _grid(lo: float, hi: float, n: int) -> list[float]:
@@ -177,26 +188,20 @@ def _cmd_box_figure(merged: Mapping[str, object]) -> int:
     levels = [(n, ratio, *boxmode.level_at_ratio(mass, a, n, ratio))
               for n, ratio in enumerate(merged["ratios"], start=1)]
     xs = _box_grid(0.0, a, merged["grid"])
-    paths = []
-    for n, ratio, sys, mode in levels:
-        slope0 = 1.0 + mode.b_sq / (mode.b_sq + 4.0)
-        rows = []
-        for x in xs:
-            q = boxmode.trajectory_series(mode, x,
-                                          boxmode.TrajectoryVariant.QUADRATIC)
-            q_over_x = q / x if x > 0.0 else slope0
-            rows.append((x, q, q_over_x, boxmode.field_value(mode, x),
-                         boxmode.wavefunction(mode, sys, x) ** 2, x))
-        inflections = [j * a / (2 * n) for j in range(1, 2 * n)]
-        meta = {
-            "a": a, "mass": mass, "n": n, "ratio": ratio,
-            "b_sq": mode.b_sq, "g": mode.g_npf, "a_n": mode.a_n,
-            "inflection_points_m": "[" + ", ".join(repr(v) for v in inflections) + "]",
-        }
-        columns = ("x:m", "q:m", "q_over_x:1", "chi:m", "psi_density:1/m",
-                   "x_ref:m")
-        paths.append(_write_table(merged, f"box_figure_n{n}", meta, columns, rows))
-    for path in paths:
+    columns = ("x:m", "q:m", "q_over_x:1", "chi:m", "psi_density:1/m", "x_ref:m")
+
+    def tables() -> Iterator[tuple[str, str]]:
+        for n, ratio, sys, mode in levels:
+            inflections = [j * a / (2 * n) for j in range(1, 2 * n)]
+            meta = {
+                "a": a, "mass": mass, "n": n, "ratio": ratio,
+                "b_sq": mode.b_sq, "g": mode.g_npf, "a_n": mode.a_n,
+                "inflection_points_m": "[" + ", ".join(repr(v) for v in inflections) + "]",
+            }
+            yield _table(merged, f"box_figure_n{n}", meta, columns,
+                         boxmode.figure_rows(mode, sys, xs))
+
+    for path in _write(merged["out"], tables()):
         print(path)
     return 0
 
@@ -225,7 +230,7 @@ def _cmd_osc_trajectory(merged: Mapping[str, object]) -> int:
     meta = {"alpha": alpha, "mu": mu, "omega0": sys.omega0, "n": n,
             "amplitude": mode.a_osc, "cap_l": sys.cap_l}
     columns = ("r_bar:m", "q_two:m", "q_three:m", "q_oracle:m", "chi:m")
-    path = _write_table(merged, "osc_trajectory", meta, columns, rows)
+    [path] = _write(merged["out"], [_table(merged, "osc_trajectory", meta, columns, rows)])
     print(path)
     return 0
 
@@ -247,7 +252,7 @@ def _cmd_hydrogen_figure(merged: Mapping[str, object]) -> int:
     for (which, plane), q_over_r in hydrogen.cross_sections_2p(sys, a_ha, r).items():
         meta[f"{which}_{plane}_diameter"] = q_over_r
     columns = ("theta:rad", "q_over_r_p0:1", "q_over_r_pm1:1")
-    path = _write_table(merged, "hydrogen_figure", meta, columns, rows)
+    [path] = _write(merged["out"], [_table(merged, "hydrogen_figure", meta, columns, rows)])
     print(path)
     return 0
 
@@ -269,7 +274,7 @@ def _cmd_spectrum(merged: Mapping[str, object]) -> int:
     meta = {"a": a, "mass": mass, "eps": eps, "ratio": ratio,
             "levels": levels}
     columns = ("n:1", "e_linear:J", "e_nonlinear:J", "shift:J")
-    path = _write_table(merged, "spectrum", meta, columns, rows)
+    [path] = _write(merged["out"], [_table(merged, "spectrum", meta, columns, rows)])
     print(path)
     return 0
 
@@ -295,7 +300,7 @@ def _cmd_flux_check(merged: Mapping[str, object]) -> int:
         "norm": timedep.norm(beat, t0),
     }
     columns = ("x:m", "flux:1/s", "continuity_residual:1/(m*s)")
-    path = _write_table(merged, "flux_check", meta, columns, rows)
+    [path] = _write(merged["out"], [_table(merged, "flux_check", meta, columns, rows)])
     print(path)
     return 0
 
@@ -310,9 +315,9 @@ def _cmd_verify(merged: Mapping[str, object]) -> int:
                  "passed": result.passed,
                  "checks": [vars(rep) for rep in result.reports]}
                 for result in results]
-    report_path = _write(merged["out"], "verify_report.json",
-                         _json({"passed": all_passed, "perturb": perturb,
-                                "criteria": criteria}))
+    [report_path] = _write(merged["out"], [
+        ("verify_report.json", _json({"passed": all_passed, "perturb": perturb,
+                                      "criteria": criteria}))])
     for result in results:
         tag = "PASS" if result.passed else "FAIL"
         print(f"{tag} {result.ident}: {result.description}")

@@ -51,7 +51,7 @@ class OscSystem:
 def system_at_alpha(alpha: float, mu: float) -> OscSystem:
     """System with envelope parameter alpha whose classical amplitude is
     the n = 50 threshold, cap_l = L_50 = sqrt(101 / alpha)."""
-    require_finite_positive(alpha=alpha)
+    require_finite_positive(alpha=alpha, mu=mu)
     return OscSystem(mu=mu, omega0=alpha * HBAR / mu,
                      cap_l=math.sqrt(101.0 / alpha))
 

@@ -8,11 +8,15 @@ carry zero flux and zero mean momentum; beats between levels slosh
 probability with <p> oscillating about zero.
 
 Multi-level superpositions use bare eigenmodes (field amplitude zero,
-p_particle saturating each level), built by bare_eigenmode.
+p_particle saturating each level), built by bare_eigenmode.  A
+superposition computes its phase table (c_j sqrt(2/a), k_j,
+e^(-i E_j t/hbar)) once per time t and keeps the last few, so the many
+points of a table at one t share the cos and sin of each phase.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,10 +25,18 @@ from . import oracle
 from .boxmode import BoxMode, BoxSystem, _check_inside, make_mode
 from .core import HBAR, require_finite_positive
 
+# Superposition keeps the term tables of this many times, enough for the
+# three (t and t +/- h_t) continuity_residual evaluates at.
+_TERMS_MEMO_SIZE = 4
+
+# (c_j sqrt(2/a), k_j, e^(-i E_j t/hbar)) for each component j at one time t.
+_Terms = tuple[tuple[complex, float, complex], ...]
+
 
 def bare_eigenmode(m: float, a: float, n: int) -> BoxMode:
     """Level n with p_particle = p_n: zero field amplitude, the bare
     quantum mode of the box."""
+    require_finite_positive(a=a)
     p_n = HBAR * (n * math.pi / a)
     return make_mode(BoxSystem(m=m, a=a, p_particle=p_n), n)
 
@@ -37,6 +49,8 @@ class Superposition:
     a: float
     components: tuple[tuple[BoxMode, complex], ...]
     energies: tuple[float, ...]
+    _terms_at: dict[float, _Terms] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         require_finite_positive(m=self.m, a=self.a)
@@ -61,41 +75,50 @@ class Superposition:
     def coefficient_norm_sq(self) -> float:
         return sum(abs(c) ** 2 for _, c in self.components)
 
+    def _terms(self, t: float) -> _Terms:
+        """The term table at time t, kept for up to _TERMS_MEMO_SIZE times.
+
+        A full memo is emptied rather than trimmed: every step is then one
+        dict operation, so threads sharing the superposition cannot break it.
+        """
+        terms = self._terms_at.get(t)
+        if terms is None:
+            amp = math.sqrt(2.0 / self.a)
+            terms = tuple(
+                (c * amp, mode.k_n,
+                 complex(math.cos(e * t / HBAR), -math.sin(e * t / HBAR)))
+                for (mode, c), e in zip(self.components, self.energies))
+            if len(self._terms_at) >= _TERMS_MEMO_SIZE:
+                self._terms_at.clear()
+            self._terms_at[t] = terms
+        return terms
+
     def value(self, x: float, t: float) -> complex:
         _check_inside(self.a, x)
-        amp = math.sqrt(2.0 / self.a)
         psi = 0j
-        for (mode, c), e in zip(self.components, self.energies):
-            phase = complex(math.cos(e * t / HBAR), -math.sin(e * t / HBAR))
-            psi += c * amp * math.sin(mode.k_n * x) * phase
+        for c_amp, k, phase in self._terms(t):
+            psi += c_amp * math.sin(k * x) * phase
         return psi
 
     def d_dx(self, x: float, t: float) -> complex:
         _check_inside(self.a, x)
-        amp = math.sqrt(2.0 / self.a)
         out = 0j
-        for (mode, c), e in zip(self.components, self.energies):
-            phase = complex(math.cos(e * t / HBAR), -math.sin(e * t / HBAR))
-            out += c * amp * mode.k_n * math.cos(mode.k_n * x) * phase
+        for c_amp, k, phase in self._terms(t):
+            out += c_amp * k * math.cos(k * x) * phase
         return out
 
     def d2_dx2(self, x: float, t: float) -> complex:
         _check_inside(self.a, x)
-        amp = math.sqrt(2.0 / self.a)
         out = 0j
-        for (mode, c), e in zip(self.components, self.energies):
-            phase = complex(math.cos(e * t / HBAR), -math.sin(e * t / HBAR))
-            out -= c * amp * mode.k_n**2 * math.sin(mode.k_n * x) * phase
+        for c_amp, k, phase in self._terms(t):
+            out -= c_amp * k**2 * math.sin(k * x) * phase
         return out
 
     def d_dt(self, x: float, t: float) -> complex:
         _check_inside(self.a, x)
-        amp = math.sqrt(2.0 / self.a)
         out = 0j
-        for (mode, c), e in zip(self.components, self.energies):
-            phase = complex(math.cos(e * t / HBAR), -math.sin(e * t / HBAR))
-            out += c * amp * math.sin(mode.k_n * x) * phase \
-                * complex(0.0, -e / HBAR)
+        for (c_amp, k, phase), e in zip(self._terms(t), self.energies):
+            out += c_amp * math.sin(k * x) * phase * complex(0.0, -e / HBAR)
         return out
 
 
@@ -104,6 +127,7 @@ def equal_weight_beat(m: float, a: float) -> tuple[Superposition, float, float, 
     h_x, h_t): the snapshot t0 is a tenth of the beat period, and the
     continuity steps are h_x = a/1e4 and the time level 2 takes to cross it.
     """
+    require_finite_positive(a=a)
     sys = BoxSystem(m=m, a=a, p_particle=HBAR * math.pi / a)
     mode1 = bare_eigenmode(m, a, 1)
     mode2 = bare_eigenmode(m, a, 2)

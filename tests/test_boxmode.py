@@ -5,8 +5,10 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pfield import boxmode, oracle
+from pfield import boxmode, cli, oracle
 from pfield.boxmode import TrajectoryVariant
 from pfield.core import ELECTRON_MASS, HBAR, energy_budget_check
 
@@ -261,3 +263,43 @@ def test_mode_wall_is_the_system_width():
     assert boxmode.trajectory_series(mode, a) == pytest.approx(a, rel=1e-12)
     with pytest.raises(ValueError, match="outside the box"):
         boxmode.field_value(mode, math.nextafter(a, 1.0))
+
+
+@pytest.mark.parametrize("a", [2.917e-09, 3.64e-09])
+@pytest.mark.parametrize("grid", [2, 257])
+@pytest.mark.parametrize("n,ratio", [(1, 1.5), (2, 1.05), (3, 1.95)])
+def test_figure_rows_match_point_functions_bit_for_bit(a, grid, n, ratio):
+    sys, mode = boxmode.level_at_ratio(M, a, n, ratio)
+    xs = cli._box_grid(0.0, a, grid)
+    slope0 = 1.0 + mode.b_sq / (mode.b_sq + 4.0)
+    rows = boxmode.figure_rows(mode, sys, xs)
+    assert len(rows) == grid
+    for x, row in zip(xs, rows):
+        q = boxmode.trajectory_series(mode, x, TrajectoryVariant.QUADRATIC)
+        assert row == (x, q, q / x if x > 0.0 else slope0,
+                       boxmode.field_value(mode, x),
+                       boxmode.wavefunction(mode, sys, x) ** 2, x)
+
+
+@pytest.mark.parametrize("bad", [-1e-30, "above", math.nan])
+def test_figure_rows_reject_a_grid_outside_the_box(bad):
+    sys, mode = _fixture()
+    if bad == "above":
+        bad = math.nextafter(A_BOX, 1.0)
+    xs = [0.0, 0.5 * A_BOX, bad, A_BOX]
+    with pytest.raises(ValueError, match="grid leaves the box"):
+        boxmode.figure_rows(mode, sys, xs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(b_sq=st.floats(0.0, 0.999999),
+       a=st.floats(1e-9, 4e-9),
+       n=st.integers(1, 3))
+def test_figure_rows_pin_the_walls(b_sq, a, n):
+    # p_particle from make_mode's own p_n, so b^2 = 0 builds the bare level
+    p_n = HBAR * (n * math.pi / a)
+    sys = boxmode.BoxSystem(m=M, a=a, p_particle=p_n / math.sqrt(1.0 + b_sq))
+    mode = boxmode.make_mode(sys, n)
+    first, last = boxmode.figure_rows(mode, sys, [0.0, a])
+    assert first[:2] == (0.0, 0.0)
+    assert abs(last[1] - a) <= 1e-12 * a

@@ -203,6 +203,45 @@ def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []
 
+def test_box_figure_failed_write_leaves_no_file_of_the_set(tmp_path, capsys,
+                                                           monkeypatch):
+    write_text = Path.write_text
+    written = []
+
+    def fail_on_second_file(path, data, *args, **kwargs):
+        written.append(path.name)
+        if len(written) == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        return write_text(path, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail_on_second_file)
+    assert cli.main(["box-figure", "--grid", "16", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert written == [".box_figure_n1.csv.tmp", ".box_figure_n2.csv.tmp"]
+    assert list(tmp_path.iterdir()) == []
+
+
+# Every float option of every subcommand, except the coupling eps, whose
+# zero is the linear limit and whose sign is free.
+_POSITIVE_FLOATS = [
+    (command, key) for command, (_, table) in cli._COMMANDS.items()
+    for key, (conv, _) in table.items()
+    if conv in (cli.finite_float, cli.ratio_list) and key != "eps"]
+
+
+@pytest.mark.parametrize("command,key", _POSITIVE_FLOATS,
+                         ids=[f"{c} {k}" for c, k in _POSITIVE_FLOATS])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_non_positive_float_option_exits_cleanly(tmp_path, capsys, command, key,
+                                                 value):
+    grid = ("--grid", "16") if "grid" in cli._COMMANDS[command][1] else ()
+    flag = "--" + key.replace("_", "-")
+    rc = cli.main([command, f"{flag}={value}", *grid, "--out", str(tmp_path)])
+    assert rc in (2, 3)
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_out_exits_2(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("", encoding="utf-8")

@@ -146,7 +146,19 @@ _GUARDS = {
         lambda v: timedep.continuity_residual(_BEAT, 1e-9, _T0, v, _H_T), _H_X),
     "timedep.continuity_residual h_t": (
         lambda v: timedep.continuity_residual(_BEAT, 1e-9, _T0, _H_X, v), _H_T),
+    "boxmode.level_at_ratio a": (
+        lambda v: boxmode.level_at_ratio(ELECTRON_MASS, v, 1, 1.5), 2e-9),
+    "timedep.bare_eigenmode a": (
+        lambda v: timedep.bare_eigenmode(ELECTRON_MASS, v, 1), 2e-9),
+    "timedep.equal_weight_beat a": (
+        lambda v: timedep.equal_weight_beat(ELECTRON_MASS, v), 2e-9),
+    "oscillator.system_at_alpha mu": (
+        lambda v: oscillator.system_at_alpha(1e20, v), ELECTRON_MASS),
 }
+
+# The paper-setup constructors that divide by a width or a mass.
+_SETUPS = ("boxmode.level_at_ratio a", "timedep.bare_eigenmode a",
+           "timedep.equal_weight_beat a", "oscillator.system_at_alpha mu")
 
 
 @pytest.mark.parametrize("name", list(_GUARDS))
@@ -155,6 +167,14 @@ def test_guards_reject_non_finite(name, bad):
     call, valid = _GUARDS[name]
     call(valid)
     with pytest.raises(ValueError, match=r"finite|turning point|\[1, 2\)"):
+        call(bad)
+
+
+@pytest.mark.parametrize("name", _SETUPS)
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0])
+def test_setups_reject_non_positive_before_dividing(name, bad):
+    call, _ = _GUARDS[name]
+    with pytest.raises(ValueError, match="must be finite and positive"):
         call(bad)
 
 
