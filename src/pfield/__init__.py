@@ -7,7 +7,6 @@ from .core import (
     GAUSSIAN_CHARGE_SQ,
     HBAR,
     PLANCK_H,
-    DeBroglie,
     EnergyBudget,
     RegionClass,
     classify_region,
@@ -20,7 +19,6 @@ __all__ = [
     "GAUSSIAN_CHARGE_SQ",
     "HBAR",
     "PLANCK_H",
-    "DeBroglie",
     "EnergyBudget",
     "RegionClass",
     "classify_region",

@@ -8,7 +8,6 @@ l <= 2, which covers every state used elsewhere in the package.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 _SQRT2 = math.sqrt(2.0)
@@ -56,11 +55,6 @@ def theta_factor_slope(l: int, m_l: int, theta: float) -> float:
             return math.sqrt(15.0) / 2.0 * (c * c - s * s)
         return math.sqrt(15.0) / 2.0 * s * c
     raise ValueError(f"theta factor not tabulated for l={l}")
-
-
-def phi_factor(m_l: int, phi: float) -> complex:
-    """T_m(phi) = exp(i m phi) / sqrt(2 pi)."""
-    return cmath.exp(1j * m_l * phi) / math.sqrt(2.0 * math.pi)
 
 
 def angular_density(l: int, m_l: int, theta: float) -> float:

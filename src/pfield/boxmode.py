@@ -94,7 +94,9 @@ def level_at_ratio(m: float, a: float, n: int,
         raise ValueError(f"ratio for n={n} must lie in [1, 2), got {ratio}")
     require_finite_positive(a=a)
     p_n = HBAR * n * math.pi / a
-    sys = BoxSystem(m=m, a=a, p_particle=p_n / math.sqrt(ratio))
+    # Capped at make_mode's p_n, which can round an ulp below this one.
+    p_particle = min(p_n / math.sqrt(ratio), HBAR * (n * math.pi / a))
+    sys = BoxSystem(m=m, a=a, p_particle=p_particle)
     return sys, make_mode(sys, n)
 
 
@@ -248,16 +250,6 @@ def figure_rows(mode: BoxMode, sys: BoxSystem,
         rows.append((x, q, q / x if x > 0.0 else slope0, a_n * sin(k * x),
                      (amp * sin(n_pi * x / a)) ** 2, x))
     return rows
-
-
-def trajectory_at_time(mode: BoxMode, t: float, v_p: float, x0: float = 0.0,
-                       variant: TrajectoryVariant = TrajectoryVariant.QUADRATIC) -> float:
-    """Path sampled along uniform particle motion x(t) = v_p t + x0.
-
-    Wall reflections are not modeled; the time window must keep x inside
-    the box.
-    """
-    return trajectory_series(mode, v_p * t + x0, variant)
 
 
 def velocity(mode: BoxMode, x: float, v_p: float) -> float:

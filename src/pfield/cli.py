@@ -8,9 +8,11 @@ option value, an option the subcommand does not take, or an output
 location that cannot be written), 3 domain or numeric error raised by
 the physics layer, whose parameter checks reject nan and inf too.
 A box-figure ratio outside [1, 2) is caught before any of its files is
-written, and a subcommand's files are written as one set, whole or not
-at all.  The box-figure grid ends exactly on the wall a and the
-flux-check grid exactly at a - h_x, so no sample falls outside the box.
+written.  Spectrum needs a ratio in (1, 2): the bare level at ratio 1
+has no field for the quartic term to act on.  A subcommand's files are
+written as one set, whole or not at all.  The box-figure grid ends
+exactly on the wall a and the flux-check grid exactly at a - h_x, so no
+sample falls outside the box.
 
 Every subcommand takes --out and --config; the table subcommands take
 --format, and the four sampled tables (all but spectrum) take --grid.
@@ -265,6 +267,10 @@ def _cmd_spectrum(merged: Mapping[str, object]) -> int:
     eps = merged["eps"]
     ratio = merged["ratio"]
     levels = merged["levels"]
+    if not 1.0 < ratio < 2.0:
+        raise ValueError(
+            f"spectrum needs --ratio in (1, 2), got {ratio!r}: at ratio 1 the "
+            "level is bare and has no field for the quartic term to act on")
     rows = []
     for n in range(1, levels + 1):
         sys, mode = boxmode.level_at_ratio(mass, a, n, ratio)

@@ -43,35 +43,6 @@ def require_finite_positive(**values: float) -> None:
 
 
 @dataclass(frozen=True)
-class DeBroglie:
-    """Matter-wave triple (p, k, lambda) kept mutually consistent."""
-
-    momentum: float
-    wavenumber: float
-    wavelength: float
-
-    @classmethod
-    def from_momentum(cls, p: float) -> "DeBroglie":
-        require_finite_positive(momentum=p)
-        k = p / HBAR
-        return cls(momentum=p, wavenumber=k, wavelength=2.0 * math.pi / k)
-
-    @classmethod
-    def from_wavenumber(cls, k: float) -> "DeBroglie":
-        require_finite_positive(wavenumber=k)
-        return cls(momentum=HBAR * k, wavenumber=k, wavelength=2.0 * math.pi / k)
-
-    @classmethod
-    def from_wavelength(cls, lam: float) -> "DeBroglie":
-        require_finite_positive(wavelength=lam)
-        k = 2.0 * math.pi / lam
-        return cls(momentum=HBAR * k, wavenumber=k, wavelength=lam)
-
-    def kinetic_energy(self, mass: float) -> float:
-        return self.momentum**2 / (2.0 * mass)
-
-
-@dataclass(frozen=True)
 class EnergyBudget:
     """Additive split of the total energy between particle and field."""
 
@@ -104,11 +75,6 @@ class RegionClass(enum.Enum):
     ALLOWED = "allowed"
     FORBIDDEN = "forbidden"
     CLASSICAL_LIMIT = "classical_limit"
-
-
-def classical_limit_epsilon(e_particle: float) -> float:
-    """Default threshold below which |E_F| counts as the classical limit."""
-    return 1e-6 * abs(e_particle)
 
 
 def classify_region(e_field: float, k_particle: float, eps: float) -> RegionClass:

@@ -189,11 +189,6 @@ def mean_orbit_energy(sys: HydrogenSystem, n: int, l: int) -> float:
     return -0.5 * sys.z * GAUSSIAN_CHARGE_SQ * mean_inv_r(sys, n, l)
 
 
-def mean_field_energy(sys: HydrogenSystem, n: int, l: int) -> float:
-    """<e_n - e_mu>; vanishes up to quadrature error."""
-    return level_energy(sys, n) - mean_orbit_energy(sys, n, l)
-
-
 def _sweep_slope_sq(sys: HydrogenSystem, state: HState, r: float,
                     theta: float) -> float:
     """Squared field slope along the orbital arc, (d chi / r d theta)^2

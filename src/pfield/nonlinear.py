@@ -1,8 +1,8 @@
 """Quartic self-interaction of the box field (Duffing form).
 
-A quartic term in the field energy turns the stationary field equation
-into chi'' + k^2 chi = eps chi^3.  To first order in eps the bounded
-solution is
+A quartic term (eps'/4) chi^4 in the field energy density turns the
+stationary field equation into chi'' + k^2 chi = eps chi^3, with
+eps = eps' / (m v_P^2).  To first order in eps the bounded solution is
 
     chi = A cos(w k x + B) - (eps A^3 / 32 k^2) cos(3 w k x + 3B),
     w = 1 - 3 eps A^2 / (8 k^2),
@@ -31,7 +31,10 @@ VALIDITY_LIMIT = 0.1
 
 @dataclass(frozen=True)
 class NonlinearParams:
-    """Field-equation coefficient eps and field amplitude a_tilde."""
+    """Field-equation coefficient eps and field amplitude a_tilde.
+
+    A quartic energy density (eps'/4) chi^4 gives eps = eps' / (m v_P^2).
+    """
 
     eps: float
     a_tilde: float
@@ -40,14 +43,6 @@ class NonlinearParams:
         if not math.isfinite(self.eps):
             raise ValueError(f"eps must be finite, got {self.eps!r}")
         require_finite_positive(a_tilde=self.a_tilde)
-
-
-def from_quartic_strength(eps_prime: float, m: float, v_p: float,
-                          a_tilde: float) -> NonlinearParams:
-    """Reduce a quartic energy density (eps_prime/4) chi^4 to the field
-    equation coefficient eps = eps_prime / (m v_p^2)."""
-    require_finite_positive(m=m, v_p=v_p)
-    return NonlinearParams(eps=eps_prime / (m * v_p * v_p), a_tilde=a_tilde)
 
 
 def _check_validity(params: NonlinearParams, k: float) -> None:
@@ -98,14 +93,6 @@ def duffing_residual(params: NonlinearParams, k: float, x: float) -> float:
     return d2 + k**2 * chi - params.eps * chi**3
 
 
-def radial_residual(params: NonlinearParams, k: float, r: float) -> float:
-    """Residual of the same form applied along a radial line; the
-    stationary balance is one-dimensional in the line coordinate."""
-    if not 0.0 <= r < math.inf:
-        raise ValueError(f"r must be finite and non-negative, got {r!r}")
-    return duffing_residual(params, k, r)
-
-
 def quantized_k(params: NonlinearParams, sys: BoxSystem, n: int) -> float:
     """Wall-pinned wavenumber of level n under the quartic term.
 
@@ -131,12 +118,3 @@ def energy_levels(params: NonlinearParams, sys: BoxSystem, n: int) -> float:
     p_n = HBAR * quantized_k(params, sys, n)
     return p_n**2 / (2.0 * sys.m)
 
-
-def cubic_term_negligibility(params: NonlinearParams, k_n: float) -> float:
-    """Third-harmonic fraction |eps| a_tilde^2 / (32 k_n^2).
-
-    At the validity limit this is 0.1/32 = 3.125e-3 of the main
-    amplitude.
-    """
-    require_finite_positive(k_n=k_n)
-    return abs(params.eps) * params.a_tilde**2 / (32.0 * k_n**2)

@@ -72,9 +72,6 @@ class Superposition:
                    components=tuple((mode, c / w) for mode, c in comps),
                    energies=tuple(float(mode.e_n) for mode, _ in comps))
 
-    def coefficient_norm_sq(self) -> float:
-        return sum(abs(c) ** 2 for _, c in self.components)
-
     def _terms(self, t: float) -> _Terms:
         """The term table at time t, kept for up to _TERMS_MEMO_SIZE times.
 
@@ -136,29 +133,6 @@ def equal_weight_beat(m: float, a: float) -> tuple[Superposition, float, float, 
     h_x = a / 1e4
     h_t = h_x * m / (HBAR * mode2.k_n)
     return psi, t0, h_x, h_t
-
-
-@dataclass(frozen=True)
-class PlaneWave:
-    """Free-particle harness e^(i(kx - w t)), w = hbar k^2 / 2m; carries
-    the textbook flux hbar k / m."""
-
-    k: float
-    m: float
-
-    def value(self, x: float, t: float) -> complex:
-        arg = self.k * x - HBAR * self.k**2 / (2.0 * self.m) * t
-        return complex(math.cos(arg), math.sin(arg))
-
-    def d_dx(self, x: float, t: float) -> complex:
-        return 1j * self.k * self.value(x, t)
-
-    def d2_dx2(self, x: float, t: float) -> complex:
-        return -self.k**2 * self.value(x, t)
-
-    def d_dt(self, x: float, t: float) -> complex:
-        w = HBAR * self.k**2 / (2.0 * self.m)
-        return -1j * w * self.value(x, t)
 
 
 def density(field, x: float, t: float) -> float:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pfield import boxmode, cli, oracle
@@ -163,18 +163,6 @@ def test_trajectory_matches_oracle():
     assert worst <= 2e-4                   # measured 1.41e-4 over the fine grid
 
 
-def test_trajectory_at_time_wraps_the_series():
-    sys, mode = _fixture()
-    v_p = sys.p_particle / M
-    t = 0.3 * A_BOX / v_p
-    assert boxmode.trajectory_at_time(mode, t, v_p) == \
-        boxmode.trajectory_series(mode, v_p * t)
-    assert boxmode.trajectory_at_time(mode, t, v_p, x0=0.2 * A_BOX,
-                                      variant=TrajectoryVariant.EIGHTH_ORDER) == \
-        boxmode.trajectory_series(mode, v_p * t + 0.2 * A_BOX,
-                                  TrajectoryVariant.EIGHTH_ORDER)
-
-
 def test_velocity_extrema():
     sys, mode = _fixture()
     v_p = sys.p_particle / M
@@ -253,6 +241,42 @@ def test_level_at_ratio_matches_hand_construction(a, n, ratio):
 def test_level_at_ratio_rejects_ratio_outside_range(ratio):
     with pytest.raises(ValueError, match=r"ratio for n=1 must lie in \[1, 2\)"):
         boxmode.level_at_ratio(M, A_BOX, 1, ratio)
+
+
+def _level_at_ratio_uncapped(m, a, n, ratio):
+    """level_at_ratio as it was before p_particle was capped at make_mode's p_n."""
+    p_n = HBAR * n * math.pi / a
+    sys = boxmode.BoxSystem(m=m, a=a, p_particle=p_n / math.sqrt(ratio))
+    return sys, boxmode.make_mode(sys, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(1e-9, 4e-9), n=st.integers(1, 3),
+       ratio=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True))
+def test_level_at_ratio_cap_leaves_ratios_above_one_unchanged(a, n, ratio):
+    def outcome(build):
+        try:
+            return build(M, a, n, ratio)
+        except ValueError as exc:
+            return str(exc)
+
+    got = outcome(boxmode.level_at_ratio)
+    expected = outcome(_level_at_ratio_uncapped)
+    if isinstance(expected, str) and expected.startswith("superclassical"):
+        # sqrt(ratio) rounded to 1: the uncapped form met the bare limit's ulp
+        assert got[1].b_sq < 1e-15
+    else:
+        assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(1e-9, 4e-9), n=st.integers(1, 3))
+@example(a=2.8041268172117018e-09, n=3)
+def test_level_at_ratio_reaches_the_bare_limit(a, n):
+    # HBAR*n*pi/a can round an ulp above make_mode's HBAR*(n*pi/a)
+    sys, mode = boxmode.level_at_ratio(M, a, n, 1.0)
+    assert sys.p_particle <= mode.p_n
+    assert mode.b_sq < 1e-15
 
 
 def test_mode_wall_is_the_system_width():

@@ -87,6 +87,21 @@ def test_box_figure_rejects_bad_ratio(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_box_figure_accepts_the_bare_limit_at_every_width(tmp_path):
+    # make_mode's p_n rounds an ulp below HBAR*3*pi/a at this width
+    r = _run("box-figure", "--ratios", "1.0,1.0,1.0",
+             "--a", "2.8041268172117018e-09", "--out", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    assert len(list(tmp_path.iterdir())) == 3
+
+
+def test_spectrum_rejects_the_bare_ratio(tmp_path):
+    r = _run("spectrum", "--ratio", "1.0", "--out", str(tmp_path))
+    assert r.returncode == 3
+    assert "--ratio" in r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command,flag", [("spectrum", "--a"),
                                           ("hydrogen-figure", "--a-ha"),
                                           ("osc-trajectory", "--alpha")])

@@ -12,10 +12,8 @@ from pfield.core import (
     ELECTRON_MASS,
     HBAR,
     PLANCK_H,
-    DeBroglie,
     EnergyBudget,
     RegionClass,
-    classical_limit_epsilon,
     classify_region,
     energy_budget_check,
     field_force_1d,
@@ -27,29 +25,6 @@ from pfield.core import (
 def test_constants_consistent():
     assert HBAR == PLANCK_H / (2.0 * math.pi)
     assert BOHR_RADIUS == pytest.approx(5.29177210903e-11, rel=1e-9)
-
-
-def test_debroglie_roundtrips():
-    p = 3.7e-25
-    d = DeBroglie.from_momentum(p)
-    assert d.wavenumber == p / HBAR
-    assert d.wavelength == pytest.approx(2.0 * math.pi * HBAR / p, rel=1e-14)
-    d2 = DeBroglie.from_wavenumber(d.wavenumber)
-    assert d2.momentum == pytest.approx(p, rel=1e-14)
-    d3 = DeBroglie.from_wavelength(d.wavelength)
-    assert d3.wavenumber == pytest.approx(d.wavenumber, rel=1e-14)
-    assert d.kinetic_energy(ELECTRON_MASS) == pytest.approx(
-        p**2 / (2.0 * ELECTRON_MASS), rel=1e-14)
-
-
-@pytest.mark.parametrize("ctor,arg", [
-    (DeBroglie.from_momentum, 0.0),
-    (DeBroglie.from_wavenumber, -1.0),
-    (DeBroglie.from_wavelength, 0.0),
-])
-def test_debroglie_rejects_nonpositive(ctor, arg):
-    with pytest.raises(ValueError):
-        ctor(arg)
 
 
 def _superposition(**fields):
@@ -95,9 +70,6 @@ _BEAT, _T0, _H_X, _H_T = timedep.equal_weight_beat(ELECTRON_MASS, 2e-9)
 # Every scalar guard outside the dataclass validators: name -> (call, a valid
 # argument).  The call must raise the guard's own ValueError for nan and +-inf.
 _GUARDS = {
-    "DeBroglie.from_momentum": (DeBroglie.from_momentum, 1e-24),
-    "DeBroglie.from_wavenumber": (DeBroglie.from_wavenumber, 1e9),
-    "DeBroglie.from_wavelength": (DeBroglie.from_wavelength, 1e-9),
     "classify_region eps": (lambda v: classify_region(1.0, 1.0, eps=v), 1e-6),
     "kinetic_pf k_particle": (lambda v: kinetic_pf(v, 0.1), 1.0),
     "kinetic_pf chi_prime_sq": (lambda v: kinetic_pf(1.0, v), 0.1),
@@ -122,15 +94,7 @@ _GUARDS = {
         lambda v: hydrogen.radial_field(_H, _H_STATE, v), 1e-10),
     "hydrogen.normalized_radial": (
         lambda v: hydrogen.normalized_radial(_H, 2, 1, v), 1e-10),
-    "nonlinear.from_quartic_strength m": (
-        lambda v: nonlinear.from_quartic_strength(1e-3, v, 1e5, 1e-10), 1e-30),
-    "nonlinear.from_quartic_strength v_p": (
-        lambda v: nonlinear.from_quartic_strength(1e-3, 1e-30, v, 1e-10), 1e5),
     "nonlinear.omega_ratio k": (lambda v: nonlinear.omega_ratio(_NL, v), 1e9),
-    "nonlinear.cubic_term_negligibility": (
-        lambda v: nonlinear.cubic_term_negligibility(_NL, v), 1e9),
-    "nonlinear.radial_residual": (
-        lambda v: nonlinear.radial_residual(_NL, 1e9, v), 1e-10),
     "oscillator.system_at_alpha": (
         lambda v: oscillator.system_at_alpha(v, ELECTRON_MASS), 1e20),
     "oscillator.make_mode amplitude": (
@@ -214,11 +178,6 @@ def test_classify_region_validates_inputs():
         classify_region(math.nan, 1.0, eps=1e-6)
     with pytest.raises(ValueError):
         classify_region(1.0, math.inf, eps=1e-6)
-
-
-def test_classical_limit_epsilon_scales_with_particle_energy():
-    assert classical_limit_epsilon(2.0) == 2e-6
-    assert classical_limit_epsilon(-2.0) == 2e-6
 
 
 def _sine_mode():

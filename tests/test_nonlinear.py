@@ -24,16 +24,6 @@ def test_params_validation():
         nonlinear.NonlinearParams(eps=1.0, a_tilde=0.0)
 
 
-def test_from_quartic_strength():
-    p = nonlinear.from_quartic_strength(2.0e-12, ELECTRON_MASS, 1.0e5, 1e-10)
-    assert p.eps == 2.0e-12 / (ELECTRON_MASS * 1.0e10)
-    assert p.a_tilde == 1e-10
-    with pytest.raises(ValueError):
-        nonlinear.from_quartic_strength(1.0, 0.0, 1.0, 1e-10)
-    with pytest.raises(ValueError):
-        nonlinear.from_quartic_strength(1.0, 1.0, -1.0, 1e-10)
-
-
 def test_validity_boundary():
     a = 1e-10
     k = K1
@@ -80,16 +70,6 @@ def test_duffing_residual_is_second_order():
     assert 3.9 <= r2 / r1 <= 4.1
 
 
-def test_radial_residual_domain():
-    a = 1e-10
-    p = nonlinear.NonlinearParams(eps=1e-3 * K1**2 / a**2, a_tilde=a)
-    r = 0.4 * A_BOX
-    assert nonlinear.radial_residual(p, K1, r) == \
-        nonlinear.duffing_residual(p, K1, r)
-    with pytest.raises(ValueError):
-        nonlinear.radial_residual(p, K1, -1e-12)
-
-
 def test_quantized_k_linear_limit_bitwise():
     sys = _box()
     p0 = nonlinear.NonlinearParams(eps=0.0, a_tilde=1e-10)
@@ -131,13 +111,4 @@ def test_quantized_k_strong_softening_unbound():
     p = nonlinear.NonlinearParams(eps=eps, a_tilde=a)
     with pytest.raises(ValueError, match="no bounded level"):
         nonlinear.quantized_k(p, _box(), 1)
-
-
-def test_cubic_term_negligibility():
-    a = 1e-10
-    p = nonlinear.NonlinearParams(eps=0.1 * K1**2 / a**2, a_tilde=a)
-    assert nonlinear.cubic_term_negligibility(p, K1) == \
-        pytest.approx(0.1 / 32.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        nonlinear.cubic_term_negligibility(p, 0.0)
 

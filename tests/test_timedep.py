@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -42,7 +43,7 @@ def test_bare_eigenmode_has_no_field_share():
 
 def test_from_modes_normalizes_and_defaults():
     s = _beat()
-    assert s.coefficient_norm_sq() == pytest.approx(1.0, rel=1e-14)
+    assert sum(abs(c) ** 2 for _, c in s.components) == pytest.approx(1.0, rel=1e-14)
     assert s.energies == (s.components[0][0].e_n, s.components[1][0].e_n)
     with pytest.raises(ValueError):
         timedep.Superposition.from_modes(_bare_sys(), ())
@@ -86,8 +87,31 @@ def test_derivatives_match_finite_differences():
         <= 1e-7 * abs(dt)
 
 
+@dataclass(frozen=True)
+class PlaneWave:
+    """Free-particle harness e^(i(kx - w t)), w = hbar k^2 / 2m; carries
+    the textbook flux hbar k / m."""
+
+    k: float
+    m: float
+
+    def value(self, x: float, t: float) -> complex:
+        arg = self.k * x - HBAR * self.k**2 / (2.0 * self.m) * t
+        return complex(math.cos(arg), math.sin(arg))
+
+    def d_dx(self, x: float, t: float) -> complex:
+        return 1j * self.k * self.value(x, t)
+
+    def d2_dx2(self, x: float, t: float) -> complex:
+        return -self.k**2 * self.value(x, t)
+
+    def d_dt(self, x: float, t: float) -> complex:
+        w = HBAR * self.k**2 / (2.0 * self.m)
+        return -1j * w * self.value(x, t)
+
+
 def test_plane_wave_flux_and_tdse():
-    pw = timedep.PlaneWave(k=1e9, m=M)
+    pw = PlaneWave(k=1e9, m=M)
     x, t = 1.3e-10, 2e-16
     assert timedep.density(pw, x, t) == pytest.approx(1.0, rel=1e-14)
     assert timedep.flux(pw, x, t) == pytest.approx(HBAR * 1e9 / M, rel=1e-12)
