@@ -83,6 +83,11 @@ def make_mode(sys: BoxSystem, n: int) -> BoxMode:
                    a_n=a_n, b_sq=ratio - 1.0, g_npf=g_npf)
 
 
+# level_at_ratio raises p_particle by at most this many ulps to keep
+# make_mode's recomputed ratio below 2.
+_RATIO_NUDGE_ULPS = 4
+
+
 def level_at_ratio(m: float, a: float, n: int,
                    ratio: float) -> tuple[BoxSystem, BoxMode]:
     """System and level n with p_n^2 / p_particle^2 = ratio in [1, 2).
@@ -94,8 +99,14 @@ def level_at_ratio(m: float, a: float, n: int,
         raise ValueError(f"ratio for n={n} must lie in [1, 2), got {ratio}")
     require_finite_positive(a=a)
     p_n = HBAR * n * math.pi / a
+    p_mode = HBAR * (n * math.pi / a)
     # Capped at make_mode's p_n, which can round an ulp below this one.
-    p_particle = min(p_n / math.sqrt(ratio), HBAR * (n * math.pi / a))
+    p_particle = min(p_n / math.sqrt(ratio), p_mode)
+    # Just below 2, make_mode's (p_n / p_particle)**2 can round back up to 2.
+    for _ in range(_RATIO_NUDGE_ULPS):
+        if (p_mode / p_particle) ** 2 < 2.0:
+            break
+        p_particle = math.nextafter(p_particle, math.inf)
     sys = BoxSystem(m=m, a=a, p_particle=p_particle)
     return sys, make_mode(sys, n)
 

@@ -110,6 +110,16 @@ def level_count(text: str) -> int:
     return value
 
 
+def boolean(text: str) -> bool:
+    """1, true or yes for True and 0, false or no for False, in any case."""
+    value = text.lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(f"must be one of 1, true, yes, 0, false, no, got {text!r}")
+
+
 def output_format(text: str) -> str:
     """One of _FORMATS."""
     if text not in _FORMATS:
@@ -220,15 +230,8 @@ def _cmd_osc_trajectory(merged: Mapping[str, object]) -> int:
     xs = _grid(-r_max, r_max, merged["grid"])
 
     running = oracle.cumulative_integrate(oscillator.path_integrand(mode, sys), xs)
-    rows = []
-    for r_bar, acc in zip(xs, running):
-        rows.append((r_bar,
-                     oscillator.trajectory(mode, sys, r_bar,
-                                           oscillator.TrajectoryOrder.TWO_TERM),
-                     oscillator.trajectory(mode, sys, r_bar,
-                                           oscillator.TrajectoryOrder.THREE_TERM),
-                     acc,
-                     oscillator.radial_field(mode, sys, r_bar)))
+    rows = [(r_bar, q_two, q_three, acc, chi) for (r_bar, q_two, q_three, chi), acc
+            in zip(oscillator.figure_rows(mode, sys, xs), running)]
     meta = {"alpha": alpha, "mu": mu, "omega0": sys.omega0, "n": n,
             "amplitude": mode.a_osc, "cap_l": sys.cap_l}
     columns = ("r_bar:m", "q_two:m", "q_three:m", "q_oracle:m", "chi:m")
@@ -245,11 +248,7 @@ def _cmd_hydrogen_figure(merged: Mapping[str, object]) -> int:
     a_ha = merged["a_ha"]
     sys = hydrogen.HydrogenSystem(z=z, mu=mu)
     r = merged["r"] if merged["r"] is not None else sys.a0
-    rows = []
-    for theta in _grid(0.0, 2.0 * math.pi, merged["grid"]):
-        rows.append((theta,
-                     hydrogen.orbit_2p(sys, a_ha, r, theta, "p0") / r,
-                     hydrogen.orbit_2p(sys, a_ha, r, theta, "pPlusMinus1") / r))
+    rows = hydrogen.figure_rows(sys, a_ha, r, _grid(0.0, 2.0 * math.pi, merged["grid"]))
     meta = {"z": z, "mu": mu, "r": r, "a_ha": a_ha}
     for (which, plane), q_over_r in hydrogen.cross_sections_2p(sys, a_ha, r).items():
         meta[f"{which}_{plane}_diameter"] = q_over_r
@@ -291,13 +290,10 @@ def _cmd_flux_check(merged: Mapping[str, object]) -> int:
     a = merged["a"]
     mass = merged["mass"]
     beat, t0, h_x, h_t = timedep.equal_weight_beat(mass, a)
-    rows = []
+    rows = timedep.flux_rows(beat, _box_grid(h_x, a - h_x, merged["grid"]), t0, h_x, h_t)
     max_residual = 0.0
-    for x in _box_grid(h_x, a - h_x, merged["grid"]):
-        j = timedep.flux(beat, x, t0)
-        res = timedep.continuity_residual(beat, x, t0, h_x, h_t)
+    for _, _, res in rows:
         max_residual = max(max_residual, abs(res))
-        rows.append((x, j, res))
     meta = {
         "a": a, "mass": mass, "t": t0, "h_x": h_x, "h_t": h_t,
         "max_abs_residual": max_residual,
@@ -369,7 +365,7 @@ _COMMANDS: dict[str, tuple[Callable[[Mapping[str, object]], int], _Table]] = {
         "mass": (finite_float, ELECTRON_MASS),
     }),
     "verify": (_cmd_verify, {
-        "inject_error": (lambda s: s.lower() in ("1", "true", "yes"), False),
+        "inject_error": (boolean, False),
     }),
 }
 

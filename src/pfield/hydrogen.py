@@ -16,12 +16,15 @@ Orbital sweep drags the field through its angular profile, so composite
 speeds pick up the slope dS/dtheta: s states (dS/dtheta = 0) move at
 exactly r theta_dot, while 2p states gain the orientation-dependent
 corrections served by pf_velocity and the orbit shapes of orbit_2p.
+figure_rows tabulates both 2p orbit shapes over a whole grid of angles in
+one kernel, computing the envelope and checking the parameters once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import _angular, oracle
 from .core import GAUSSIAN_CHARGE_SQ, HBAR, require_finite_positive
@@ -233,6 +236,13 @@ def approximation_gap(a_ha: float) -> float:
 _ORBIT_2P_WHICH = ("p0", "pPlusMinus1")
 
 
+def _envelope_2p(sys: HydrogenSystem, a_ha: float, r: float) -> float:
+    """Scale (a_ha^2 / 8 pi) e^(-Z r / a0) of the 2p orbit corrections,
+    after checking a_ha and r."""
+    require_finite_positive(a_ha=a_ha, r=r)
+    return a_ha**2 * math.exp(-sys.z * r / sys.a0) / (8.0 * math.pi)
+
+
 def orbit_2p(sys: HydrogenSystem, a_ha: float, r: float, theta: float,
              which: str = "p0") -> float:
     """Composite orbit radius q(theta)/1 for the 2p states, in meters.
@@ -246,17 +256,34 @@ def orbit_2p(sys: HydrogenSystem, a_ha: float, r: float, theta: float,
     """
     if which not in _ORBIT_2P_WHICH:
         raise ValueError(f"which must be one of {_ORBIT_2P_WHICH}")
-    # Inline, not require_finite_positive: per table row a call costs ~10x.
-    if not 0.0 < a_ha < math.inf:
-        raise ValueError(f"a_ha must be finite and positive, got {a_ha!r}")
-    if not 0.0 < r < math.inf:
-        raise ValueError(f"r must be finite and positive, got {r!r}")
-    env = a_ha**2 * math.exp(-sys.z * r / sys.a0) / (8.0 * math.pi)
+    env = _envelope_2p(sys, a_ha, r)
     c = math.cos(theta)
     if which == "p0":
         return r * (1.0 + env * (1.0 + c * c))
     s = math.sin(theta)
     return r * (1.0 + 0.5 * env * (1.0 + s * s))
+
+
+def figure_rows(sys: HydrogenSystem, a_ha: float, r: float,
+                thetas: Sequence[float]) -> list[tuple[float, float, float]]:
+    """Rows (theta, q_p0/r, q_pm1/r) of the hydrogen figure on the grid thetas.
+
+    Each row equals orbit_2p(..., "p0") / r and orbit_2p(...,
+    "pPlusMinus1") / r at its theta, bit for bit.  a_ha and r are checked
+    once and the grid is checked to be finite once, instead of per row.
+    """
+    env = _envelope_2p(sys, a_ha, r)
+    if not all(math.isfinite(theta) for theta in thetas):
+        raise ValueError("grid of angles must be finite")
+    half_env = 0.5 * env
+    cos, sin = math.cos, math.sin
+    rows = []
+    for theta in thetas:
+        c = cos(theta)
+        s = sin(theta)
+        rows.append((theta, r * (1.0 + env * (1.0 + c * c)) / r,
+                     r * (1.0 + half_env * (1.0 + s * s)) / r))
+    return rows
 
 
 def cross_sections_2p(sys: HydrogenSystem, a_ha: float,
@@ -277,8 +304,7 @@ def cartesian_components_2p0(sys: HydrogenSystem, a_ha: float, r: float,
         qz = z (1 + beta (2 + sin^2 theta));
     their norm reproduces orbit_2p(..., "p0") to fourth order in a_ha.
     """
-    require_finite_positive(a_ha=a_ha, r=r)
-    beta = a_ha**2 * math.exp(-sys.z * r / sys.a0) / (8.0 * math.pi)
+    beta = _envelope_2p(sys, a_ha, r)
     s = math.sin(theta)
     x = r * s * math.cos(phi)
     y = r * s * math.sin(phi)

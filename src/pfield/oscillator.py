@@ -15,6 +15,8 @@ composite bookkeeping of core.classify_region applies).
 The composite path q(r_bar) integrates (1 + w/4pi)^(1/2) where w is the
 effective squared field slope of trajectory_slope_sq; its two-term
 expansion resums into the closed forms served by trajectory().
+figure_rows tabulates both truncations and the field over a whole grid in
+one kernel, sharing the envelope between them and checking the grid once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import _angular
 from .core import HBAR, require_finite_positive
@@ -235,6 +237,19 @@ class TrajectoryOrder(enum.Enum):
     THREE_TERM = "three_term"
 
 
+def _path_series(mode: OscMode, sys: OscSystem) -> tuple[float, int, float]:
+    """(c_two, power, c_three) of the field part of the path, n <= 1:
+    q - r_bar = c_two r_bar^power e^(-alpha r_bar^2)
+                [+ c_three r_bar^5 e^(-alpha r_bar^2)]."""
+    alpha = sys.alpha
+    a_sq = mode.a_osc**2
+    if mode.n == 0:
+        return alpha**2 * a_sq / (48.0 * math.pi), 3, alpha**3 * a_sq / (120.0 * math.pi)
+    if mode.n == 1:
+        return alpha * a_sq / (16.0 * math.pi), 1, alpha**3 * a_sq / (80.0 * math.pi)
+    raise ValueError(f"path series not tabulated for n={mode.n}")
+
+
 def path_correction(mode: OscMode, sys: OscSystem, r_bar: float,
                     order: TrajectoryOrder = TrajectoryOrder.THREE_TERM) -> float:
     """Field part q - r_bar of the composite path, for n <= 1.
@@ -246,20 +261,12 @@ def path_correction(mode: OscMode, sys: OscSystem, r_bar: float,
         raise ValueError(
             f"|r_bar|={abs(r_bar):.6e} beyond the turning point "
             f"cap_l={sys.cap_l:.6e}")
-    alpha = sys.alpha
-    a_sq = mode.a_osc**2
-    env = math.exp(-alpha * r_bar * r_bar)
-    if mode.n == 0:
-        dq = alpha**2 * a_sq / (48.0 * math.pi) * r_bar**3 * env
-        if order is TrajectoryOrder.THREE_TERM:
-            dq += alpha**3 * a_sq / (120.0 * math.pi) * r_bar**5 * env
-        return dq
-    if mode.n == 1:
-        dq = alpha * a_sq / (16.0 * math.pi) * r_bar * env
-        if order is TrajectoryOrder.THREE_TERM:
-            dq += alpha**3 * a_sq / (80.0 * math.pi) * r_bar**5 * env
-        return dq
-    raise ValueError(f"path series not tabulated for n={mode.n}")
+    c_two, power, c_three = _path_series(mode, sys)
+    env = math.exp(-sys.alpha * r_bar * r_bar)
+    dq = c_two * r_bar**power * env
+    if order is TrajectoryOrder.THREE_TERM:
+        dq += c_three * r_bar**5 * env
+    return dq
 
 
 def trajectory(mode: OscMode, sys: OscSystem, r_bar: float,
@@ -275,6 +282,33 @@ def trajectory(mode: OscMode, sys: OscSystem, r_bar: float,
     is the classically allowed interval |r_bar| <= cap_l.
     """
     return r_bar + path_correction(mode, sys, r_bar, order)
+
+
+def figure_rows(mode: OscMode, sys: OscSystem,
+                xs: Sequence[float]) -> list[tuple[float, float, float, float]]:
+    """Rows (r_bar, q_two, q_three, chi) of the oscillator figure on xs, n <= 1.
+
+    Each row equals trajectory (TWO_TERM and THREE_TERM) and radial_field
+    at its r_bar, bit for bit: exp(-alpha r_bar^2) and the two-term
+    correction are computed once for both truncations, and the turning
+    points are checked once per grid.  chi is a_osc r_bar^n
+    e^(-alpha r_bar^2/2), since r_bar**0 is 1.0 and r_bar**1 is r_bar.
+    """
+    c_two, power, c_three = _path_series(mode, sys)
+    cap_l = sys.cap_l
+    if not all(abs(r) <= cap_l for r in xs):
+        raise ValueError(f"grid leaves the classical interval |r_bar| <= cap_l={cap_l:.6e}")
+    neg_alpha = -sys.alpha
+    neg_half_alpha = -0.5 * sys.alpha
+    a_osc, n = mode.a_osc, mode.n
+    exp = math.exp
+    rows = []
+    for r in xs:
+        env = exp(neg_alpha * r * r)
+        dq = c_two * r**power * env
+        rows.append((r, r + dq, r + (dq + c_three * r**5 * env),
+                     a_osc * r**n * exp(neg_half_alpha * r * r)))
+    return rows
 
 
 def velocity(mode: OscMode, sys: OscSystem, r_bar: float, v_mu: float) -> float:

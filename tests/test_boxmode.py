@@ -265,8 +265,25 @@ def test_level_at_ratio_cap_leaves_ratios_above_one_unchanged(a, n, ratio):
     if isinstance(expected, str) and expected.startswith("superclassical"):
         # sqrt(ratio) rounded to 1: the uncapped form met the bare limit's ulp
         assert got[1].b_sq < 1e-15
+    elif isinstance(expected, str) and expected.startswith("series divergence"):
+        # (p_n/p_particle)**2 rounded up to 2 just below it: nudged back under
+        assert got[1].b_sq < 1.0
     else:
         assert got == expected
+
+
+@pytest.mark.parametrize("ratio", [1.9999999999999996, 1.9999999999999998])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_level_at_ratio_just_below_two(n, ratio):
+    # make_mode's (p_n/p_particle)**2 rounds up to 2.0 at this width unless
+    # p_particle is nudged up; the nudge is a few ulps at most
+    a = 2.2633223641900492e-09
+    sys, mode = boxmode.level_at_ratio(M, a, n, ratio)
+    assert mode.b_sq < 1.0
+    p_particle = HBAR * n * math.pi / a / math.sqrt(ratio)
+    for _ in range(boxmode._RATIO_NUDGE_ULPS):
+        p_particle = math.nextafter(p_particle, math.inf)
+    assert p_particle >= sys.p_particle >= HBAR * n * math.pi / a / math.sqrt(ratio)
 
 
 @settings(max_examples=300, deadline=None)

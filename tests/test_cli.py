@@ -95,6 +95,14 @@ def test_box_figure_accepts_the_bare_limit_at_every_width(tmp_path):
     assert len(list(tmp_path.iterdir())) == 3
 
 
+def test_box_figure_accepts_a_ratio_just_below_two(tmp_path):
+    # (p_n/p_particle)**2 rounds back up to 2.0 here unless p_particle is nudged
+    r = _run("box-figure", "--ratios", "1.9999999999999996,1.5,1.5",
+             "--a", "2.2633223641900492e-09", "--out", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    assert len(list(tmp_path.iterdir())) == 3
+
+
 def test_spectrum_rejects_the_bare_ratio(tmp_path):
     r = _run("spectrum", "--ratio", "1.0", "--out", str(tmp_path))
     assert r.returncode == 3
@@ -363,6 +371,30 @@ def test_verify_inject_error_fails(tmp_path):
 
 
 
+@pytest.mark.parametrize("value,passed", [("no", True), ("No", True), ("0", True),
+                                          ("yes", False), ("TRUE", False)])
+def test_inject_error_config_value(tmp_path, capsys, value, passed):
+    cfg = tmp_path / "verify.conf"
+    cfg.write_text(f"inject_error={value}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = cli.main(["verify", "--config", str(cfg), "--out", str(out)])
+    assert rc == (0 if passed else 1)
+    report = json.loads((out / "verify_report.json").read_text(encoding="utf-8"))
+    assert report["perturb"] == (0.0 if passed else 0.01)
+
+
+@pytest.mark.parametrize("value", ["ture", "", "y"])
+def test_malformed_inject_error_config_value_exits_2(tmp_path, capsys, value):
+    cfg = tmp_path / "verify.conf"
+    cfg.write_text(f"inject_error={value}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "config key inject_error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_record_fields_are_the_report_keys(tmp_path, capsys):
     assert cli.main(["verify", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "verify_report.json").read_text(encoding="utf-8"))
@@ -425,3 +457,31 @@ def test_outputs_match_golden_digests(tmp_path, capsys, args):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
     assert digests == _GOLDEN[args]
+
+
+# SHA-256 of the JSON tables at grid 257, recorded before their rows were
+# built by one kernel per table: a kernel that reorders or reformats rows
+# must not pass because only the CSV files are pinned.
+_GOLDEN_JSON = {
+    ("flux-check",): {
+        "flux_check.json":
+            "0b42f3845ae78212c66bac2ef1f5cba788f6a4a132a0b19cc02caea371adf0cf"},
+    ("hydrogen-figure",): {
+        "hydrogen_figure.json":
+            "f497ff05283f6af31a078add295a0ababedb4bfae3509dfc97bd626099175c61"},
+    ("osc-trajectory", "--n", "0"): {
+        "osc_trajectory.json":
+            "8049109bedc746d6c070a1fbbb1585da8c1e5e78f12990e2992ee145e7d60ad0"},
+    ("osc-trajectory", "--n", "1"): {
+        "osc_trajectory.json":
+            "caac9c58507280ac89a7e60f92f5cee82c598f2c553b34548b5c844aeda0b717"},
+}
+
+
+@pytest.mark.parametrize("args", list(_GOLDEN_JSON), ids=" ".join)
+def test_json_outputs_match_golden_digests(tmp_path, capsys, args):
+    assert cli.main([*args, "--grid", "257", "--format", "json",
+                     "--out", str(tmp_path)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert digests == _GOLDEN_JSON[args]

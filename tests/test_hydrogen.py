@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from pfield import _angular, hydrogen, oracle
+from pfield import _angular, cli, hydrogen, oracle
 from pfield.core import BOHR_RADIUS, ELECTRON_MASS, HBAR
 
 EV = 1.602176634e-19
@@ -218,3 +218,29 @@ def test_cross_sections_2p_match_hand_construction(a_ha, r):
          hydrogen.orbit_2p(SYS, a_ha, r, 0.5 * math.pi, "pPlusMinus1") / r),
     ]
     assert list(hydrogen.cross_sections_2p(SYS, a_ha, r).items()) == expected
+
+
+@pytest.mark.parametrize("z", [1.0, 3.0])
+@pytest.mark.parametrize("a_ha,r", [(0.1, SYS.a0), (0.2, 1.5e-10), (0.05, 3e-11)])
+@pytest.mark.parametrize("grid", [2, 257])
+def test_figure_rows_match_point_functions_bit_for_bit(z, a_ha, r, grid):
+    sys = hydrogen.HydrogenSystem(z=z, mu=ELECTRON_MASS)
+    thetas = cli._grid(0.0, 2.0 * math.pi, grid)
+    rows = hydrogen.figure_rows(sys, a_ha, r, thetas)
+    assert len(rows) == grid
+    for theta, row in zip(thetas, rows):
+        assert row == (theta, hydrogen.orbit_2p(sys, a_ha, r, theta, "p0") / r,
+                       hydrogen.orbit_2p(sys, a_ha, r, theta, "pPlusMinus1") / r)
+
+
+@pytest.mark.parametrize("a_ha,r,theta,match", [
+    (0.0, SYS.a0, 0.3, "a_ha must be finite and positive"),
+    (math.nan, SYS.a0, 0.3, "a_ha must be finite and positive"),
+    (0.1, -1e-10, 0.3, "r must be finite and positive"),
+    (0.1, math.nan, 0.3, "r must be finite and positive"),
+    (0.1, SYS.a0, math.nan, "grid of angles must be finite"),
+    (0.1, SYS.a0, math.inf, "grid of angles must be finite"),
+])
+def test_figure_rows_reject_bad_parameters_and_angles(a_ha, r, theta, match):
+    with pytest.raises(ValueError, match=match):
+        hydrogen.figure_rows(SYS, a_ha, r, [0.0, theta])

@@ -233,3 +233,72 @@ def test_cumulative_integrate_is_lazy_and_honours_start():
     assert next(running) == oracle.integrate(math.cos, 0.5, 1.0) \
         + oracle.integrate(math.cos, 1.0, 2.0)
     assert list(running) == []
+
+
+def _integrate_closure(f, a, b, spec=oracle.DEFAULT_QUADRATURE):
+    """integrate as it was written with a recursive closure per call:
+    reference for the first panel inline and the module-level bisection."""
+    if not math.isfinite(b - a):
+        raise ValueError(f"integration interval must be finite, got [{a}, {b}]")
+    if a == b:
+        return 0.0
+    sign = 1.0
+    if a > b:
+        a, b = b, a
+        sign = -1.0
+
+    def recurse(lo, hi, abs_budget, depth):
+        value, err = oracle._gk15(f, lo, hi)
+        if err <= max(abs_budget, spec.rel_tol * abs(value)):
+            return value, err
+        if depth >= spec.max_depth:
+            raise oracle.QuadratureError(
+                f"quadrature failed to converge on [{lo}, {hi}] "
+                f"at depth {depth} (error estimate {err:.3e})",
+                best_estimate=sign * value, error_bound=err)
+        mid = 0.5 * (lo + hi)
+        vl, el = recurse(lo, mid, 0.5 * abs_budget, depth + 1)
+        vr, er = recurse(mid, hi, 0.5 * abs_budget, depth + 1)
+        return vl + vr, el + er
+
+    value, _ = recurse(a, b, spec.abs_tol, 0)
+    return sign * value
+
+
+def _bisecting_integrands():
+    sys, mode = _box_mode()
+    tight = oracle.QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300)
+    return [
+        (lambda x: math.exp(-50.0 * x * x), -1.0, 2.0, oracle.DEFAULT_QUADRATURE),
+        (lambda x: 1.0 / (1.0 + 100.0 * x * x), -3.0, 2.0, oracle.DEFAULT_QUADRATURE),
+        (lambda x: math.sin(30.0 * x), 0.0, 5.0, oracle.DEFAULT_QUADRATURE),
+        (math.exp, -1.0, 2.0, tight),
+        (boxmode.path_integrand(mode), 0.0, sys.a, tight),
+    ]
+
+
+@pytest.mark.parametrize("f,a,b,spec", _bisecting_integrands())
+@pytest.mark.parametrize("flip", [False, True], ids=["forward", "reversed"])
+def test_integrate_matches_closure_reference_bit_for_bit(f, a, b, spec, flip):
+    if flip:
+        a, b = b, a
+    seen, seen_ref = [], []
+    value = oracle.integrate(lambda x: seen.append(x) or f(x), a, b, spec)
+    reference = _integrate_closure(lambda x: seen_ref.append(x) or f(x), a, b, spec)
+    assert len(seen) > 15  # more than one panel
+    assert value == reference
+    assert seen == seen_ref
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["forward", "reversed"])
+def test_integrate_failure_matches_closure_reference(flip):
+    spec = oracle.QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_depth=10)
+    f = lambda x: x**-0.9
+    a, b = (1.0, 1e-12) if flip else (1e-12, 1.0)
+    with pytest.raises(oracle.QuadratureError) as exc:
+        oracle.integrate(f, a, b, spec)
+    with pytest.raises(oracle.QuadratureError) as ref:
+        _integrate_closure(f, a, b, spec)
+    assert exc.value.best_estimate == ref.value.best_estimate
+    assert exc.value.error_bound == ref.value.error_bound
+    assert str(exc.value) == str(ref.value)

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from pfield import oracle, oscillator
+from pfield import cli, oracle, oscillator
 from pfield.core import ELECTRON_MASS, HBAR
 from pfield.oscillator import TrajectoryOrder
 
@@ -254,3 +254,38 @@ def test_system_at_alpha_matches_hand_construction(alpha, mu):
     # cap_l is the n = 50 threshold amplitude
     assert cap_l == pytest.approx(oscillator.classical_threshold(expected, 50),
                                   rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("alpha", [ALPHA, 3.7e19])
+@pytest.mark.parametrize("amplitude", [None, 3e-10])
+@pytest.mark.parametrize("grid", [2, 257])
+def test_figure_rows_match_point_functions_bit_for_bit(n, alpha, amplitude, grid):
+    sys = oscillator.system_at_alpha(alpha, ELECTRON_MASS)
+    mode = oscillator.make_mode(sys, n, amplitude=amplitude)
+    r_max = 5.0 / math.sqrt(alpha)
+    xs = cli._grid(-r_max, r_max, grid)
+    rows = oscillator.figure_rows(mode, sys, xs)
+    assert len(rows) == grid
+    for r_bar, row in zip(xs, rows):
+        assert row == (r_bar,
+                       oscillator.trajectory(mode, sys, r_bar, TrajectoryOrder.TWO_TERM),
+                       oscillator.trajectory(mode, sys, r_bar, TrajectoryOrder.THREE_TERM),
+                       oscillator.radial_field(mode, sys, r_bar))
+
+
+@pytest.mark.parametrize("bad", ["beyond", -math.inf, math.nan])
+def test_figure_rows_reject_a_grid_beyond_the_turning_points(bad):
+    sys = _system()
+    mode = oscillator.make_mode(sys, 1, amplitude=1e-10)
+    if bad == "beyond":
+        bad = math.nextafter(-sys.cap_l, -math.inf)
+    with pytest.raises(ValueError, match="grid leaves the classical interval"):
+        oscillator.figure_rows(mode, sys, [0.0, bad])
+
+
+def test_figure_rows_reject_untabulated_level():
+    sys = _system()
+    mode = oscillator.make_mode(sys, 2, amplitude=1e-10)
+    with pytest.raises(ValueError, match="path series not tabulated for n=2"):
+        oscillator.figure_rows(mode, sys, [0.0])

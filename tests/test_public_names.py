@@ -30,6 +30,7 @@ _ALLOWED_UNREACHED = {
     "oracle.finite_diff": _TEST_REFERENCE,
     "oracle.exact_box_trajectory": _TEST_REFERENCE,
     "oracle.exact_osc_trajectory": _TEST_REFERENCE,
+    "oscillator.radial_field": _TEST_REFERENCE,
     "boxmode.field_energy": _ENERGY_BALANCE,
     "core.energy_budget_check": _ENERGY_BALANCE,
     "core.classify_region": _ENERGY_BALANCE,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfield import boxmode, oracle, timedep
+from pfield import boxmode, cli, oracle, timedep
 from pfield.core import ELECTRON_MASS, HBAR
 
 M = ELECTRON_MASS
@@ -348,3 +348,59 @@ def test_value_through_memo_matches_reference(t, u):
     x = u * A_BOX
     assert s.value(x, t) == _ref_value(s, x, t)
     assert s.value(x, t) == _ref_value(s, x, t)
+
+
+def _superposition_at(a: float, levels: tuple[int, ...],
+                      coefficients: tuple[complex, ...]) -> timedep.Superposition:
+    sys = boxmode.BoxSystem(m=M, a=a, p_particle=HBAR * math.pi / a)
+    modes = [timedep.bare_eigenmode(M, a, n) for n in levels]
+    return timedep.Superposition.from_modes(sys, list(zip(modes, coefficients)))
+
+
+@pytest.mark.parametrize("a", [2e-9, 2.917e-09, 3.64e-09])
+@pytest.mark.parametrize("grid", [2, 257])
+@pytest.mark.parametrize("levels,coefficients", [
+    ((1, 2), (1.0, 1.0)),
+    ((1, 2), (0.8, 0.6j)),
+    ((1, 2, 5), (0.3 - 0.2j, 1.0, -0.4 + 0.7j)),
+])
+def test_flux_rows_match_point_functions_bit_for_bit(a, grid, levels, coefficients):
+    s = _superposition_at(a, levels, coefficients)
+    _, t0, h_x, h_t = timedep.equal_weight_beat(M, a)
+    xs = cli._box_grid(h_x, a - h_x, grid)
+    rows = timedep.flux_rows(s, xs, t0, h_x, h_t)
+    assert len(rows) == grid
+    for x, row in zip(xs, rows):
+        assert row == (x, timedep.flux(s, x, t0),
+                       timedep.continuity_residual(s, x, t0, h_x, h_t))
+
+
+@pytest.mark.parametrize("bad", ["below", "above", math.nan])
+def test_flux_rows_reject_a_grid_closer_than_h_x_to_the_wall(bad):
+    s, t0, h_x, h_t = timedep.equal_weight_beat(M, A_BOX)
+    bad = {"below": math.nextafter(h_x, 0.0),
+           "above": math.nextafter(A_BOX - h_x, A_BOX)}.get(bad, bad)
+    with pytest.raises(ValueError, match="grid comes closer than h_x"):
+        timedep.flux_rows(s, [0.5 * A_BOX, bad], t0, h_x, h_t)
+
+
+@pytest.mark.parametrize("steps", [(0.0, 1e-18), (-1e-12, 1e-18), (math.nan, 1e-18),
+                                   (1e-13, 0.0), (1e-13, math.inf), (1e-13, math.nan)])
+def test_flux_rows_reject_bad_steps(steps):
+    s, t0, _, _ = timedep.equal_weight_beat(M, A_BOX)
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        timedep.flux_rows(s, [0.5 * A_BOX], t0, *steps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(1e-9, 4e-9), phase=st.floats(0.01, 0.49),
+       second_half=st.booleans())
+def test_flux_rows_residual_converges_at_second_order(a, phase, second_half):
+    # The worst residual over the grid: single points sit on zeros of the
+    # leading error term, and t = 0 and half a beat period carry no flux.
+    s, t0, h_x, h_t = timedep.equal_weight_beat(M, a)
+    t = (phase + 0.5 * second_half) * _beat_period(s)
+    xs = cli._box_grid(h_x, a - h_x, 33)
+    coarse = max(abs(res) for _, _, res in timedep.flux_rows(s, xs, t, h_x, h_t))
+    fine = max(abs(res) for _, _, res in timedep.flux_rows(s, xs, t, 0.5 * h_x, 0.5 * h_t))
+    assert 3.5 <= coarse / fine <= 4.5
