@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import HBAR, EnergyBudget, require_finite_positive
+from .core import HBAR, EnergyBudget, require_finite_positive, require_level
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ def make_mode(sys: BoxSystem, n: int) -> BoxMode:
     field energy would be negative) and for p_n^2/p_particle^2 >= 2
     (series divergence, b^2 >= 1).
     """
-    if n < 1 or int(n) != n:
-        raise ValueError("n must be a positive integer")
+    require_level(n, 1)
     k_n = n * math.pi / sys.a
     p_n = HBAR * k_n
     if sys.p_particle > p_n:

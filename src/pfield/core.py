@@ -42,6 +42,21 @@ def require_finite_positive(**values: float) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def require_finite(**values: float) -> None:
+    """Raise ValueError naming the first value that is nan or +-inf."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def require_level(n: float, lowest: int) -> None:
+    """Raise ValueError naming n unless it is a whole number >= lowest,
+    given as an int or an integral float."""
+    whole = isinstance(n, int) or (isinstance(n, float) and n.is_integer())
+    if not (whole and n >= lowest):
+        raise ValueError(f"n must be a finite integer >= {lowest}, got {n!r}")
+
+
 @dataclass(frozen=True)
 class EnergyBudget:
     """Additive split of the total energy between particle and field."""
@@ -85,8 +100,7 @@ def classify_region(e_field: float, k_particle: float, eps: float) -> RegionClas
     how small E_F itself is.
     """
     require_finite_positive(eps=eps)
-    if not (math.isfinite(e_field) and math.isfinite(k_particle)):
-        raise ValueError("energies must be finite")
+    require_finite(e_field=e_field, k_particle=k_particle)
     if e_field + k_particle < 0.0:
         return RegionClass.FORBIDDEN
     if abs(e_field) <= eps:

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _angular, oracle
-from .core import GAUSSIAN_CHARGE_SQ, HBAR, require_finite_positive
+from .core import (GAUSSIAN_CHARGE_SQ, HBAR, require_finite, require_finite_positive,
+                   require_level)
 
 
 @dataclass(frozen=True)
@@ -85,21 +86,9 @@ def circular_orbit(sys: HydrogenSystem, r: float) -> HydrogenOrbit:
                          e_mu=-0.5 * sys.z * GAUSSIAN_CHARGE_SQ / r)
 
 
-def orbit_from_theta_dot(sys: HydrogenSystem, theta_dot: float) -> HydrogenOrbit:
-    """Circular orbit with the given sweep rate.
-
-    Inverts theta_dot^2 = Z e'^2 / (mu r^3); theta_dot is the natural
-    hidden parameter when the orbit is driven rather than placed.
-    """
-    require_finite_positive(theta_dot=theta_dot)
-    r = (sys.z * GAUSSIAN_CHARGE_SQ / (sys.mu * theta_dot**2)) ** (1.0 / 3.0)
-    return circular_orbit(sys, r)
-
-
 def level_energy(sys: HydrogenSystem, n: int) -> float:
     """e_n = -(mu/2) (Z e'^2 / hbar)^2 / n^2."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    require_level(n, 1)
     return -0.5 * sys.mu * (sys.z * GAUSSIAN_CHARGE_SQ / HBAR) ** 2 / n**2
 
 
@@ -143,14 +132,6 @@ def _bare_radial(sys: HydrogenSystem, n: int, l: int, r: float) -> float:
     if (n, l) == (3, 2):
         return r * r * math.exp(-sigma / 3.0)
     raise ValueError(f"radial profile not tabulated for (n, l)=({n}, {l})")
-
-
-def radial_field(sys: HydrogenSystem, state: HState, r: float) -> float:
-    """chi radial part a_ha * bare_{n,l}(r); the 2p case is exactly
-    a_ha * r * exp(-Z r / 2 a0)."""
-    if not 0.0 <= r < math.inf:
-        raise ValueError(f"r must be finite and non-negative, got {r!r}")
-    return state.a_ha * _bare_radial(sys, state.n, state.l, r)
 
 
 def normalized_radial(sys: HydrogenSystem, n: int, l: int, r: float) -> float:
@@ -214,6 +195,7 @@ def pf_velocity(sys: HydrogenSystem, state: HState, r: float, theta: float,
     cos^2(theta), minimal on the equator.
     """
     require_finite_positive(r=r)
+    require_finite(theta=theta, theta_dot=theta_dot)
     u = _sweep_slope_sq(sys, state, r, theta)
     base = r * theta_dot
     if exact:
@@ -257,6 +239,7 @@ def orbit_2p(sys: HydrogenSystem, a_ha: float, r: float, theta: float,
     if which not in _ORBIT_2P_WHICH:
         raise ValueError(f"which must be one of {_ORBIT_2P_WHICH}")
     env = _envelope_2p(sys, a_ha, r)
+    require_finite(theta=theta)
     c = math.cos(theta)
     if which == "p0":
         return r * (1.0 + env * (1.0 + c * c))
@@ -289,10 +272,12 @@ def figure_rows(sys: HydrogenSystem, a_ha: float, r: float,
 def cross_sections_2p(sys: HydrogenSystem, a_ha: float,
                       r: float) -> dict[tuple[str, str], float]:
     """q/r of both 2p orbits at the pole (theta = 0) and on the equator
-    (theta = pi/2), keyed (which, "polar" or "equatorial")."""
-    return {(which, plane): orbit_2p(sys, a_ha, r, theta, which) / r
-            for which in _ORBIT_2P_WHICH
-            for plane, theta in (("polar", 0.0), ("equatorial", 0.5 * math.pi))}
+    (theta = pi/2), keyed (which, "polar" or "equatorial"); read from the
+    figure_rows kernel that writes the hydrogen figure."""
+    rows = figure_rows(sys, a_ha, r, (0.0, 0.5 * math.pi))
+    return {(which, plane): row[column]
+            for column, which in enumerate(_ORBIT_2P_WHICH, start=1)
+            for plane, row in zip(("polar", "equatorial"), rows)}
 
 
 def cartesian_components_2p0(sys: HydrogenSystem, a_ha: float, r: float,
@@ -305,6 +290,7 @@ def cartesian_components_2p0(sys: HydrogenSystem, a_ha: float, r: float,
     their norm reproduces orbit_2p(..., "p0") to fourth order in a_ha.
     """
     beta = _envelope_2p(sys, a_ha, r)
+    require_finite(theta=theta, phi=phi)
     s = math.sin(theta)
     x = r * s * math.cos(phi)
     y = r * s * math.sin(phi)

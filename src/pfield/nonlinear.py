@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .boxmode import BoxSystem
-from .core import HBAR, require_finite_positive
+from .core import HBAR, require_finite, require_finite_positive, require_level
 
 VALIDITY_LIMIT = 0.1
 
@@ -40,8 +40,7 @@ class NonlinearParams:
     a_tilde: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.eps):
-            raise ValueError(f"eps must be finite, got {self.eps!r}")
+        require_finite(eps=self.eps)
         require_finite_positive(a_tilde=self.a_tilde)
 
 
@@ -101,8 +100,7 @@ def quantized_k(params: NonlinearParams, sys: BoxSystem, n: int) -> float:
     A negative discriminant (strong softening) has no bounded level and
     raises ValueError.
     """
-    if n < 1 or int(n) != n:
-        raise ValueError("n must be a positive integer")
+    require_level(n, 1)
     disc = 1.0 + 3.0 * params.eps * params.a_tilde**2 * sys.a**2 \
         / (2.0 * n**2 * math.pi**2)
     if disc < 0.0:

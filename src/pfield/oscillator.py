@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import _angular
-from .core import HBAR, require_finite_positive
+from .core import HBAR, require_finite_positive, require_level
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,7 @@ def make_mode(sys: OscSystem, n: int, l: int = 0, m_l: int = 0,
     out negative when sys.cap_l exceeds the level threshold; the mode is
     still constructed so that regime can be probed.
     """
-    if n < 0 or int(n) != n:
-        raise ValueError("n must be a non-negative integer")
+    require_level(n, 0)
     if l < 0 or abs(m_l) > l:
         raise ValueError("need l >= 0 and |m_l| <= l")
     if amplitude is None:
@@ -94,8 +93,7 @@ def make_mode(sys: OscSystem, n: int, l: int = 0, m_l: int = 0,
 
 def classical_threshold(sys: OscSystem, n: int) -> float:
     """Amplitude L_n = sqrt((2n + 1)/alpha) where e_field crosses zero."""
-    if n < 0:
-        raise ValueError("n must be a non-negative integer")
+    require_level(n, 0)
     return math.sqrt((2.0 * n + 1.0) / sys.alpha)
 
 
@@ -104,8 +102,7 @@ def threshold_suppression(n: int) -> float:
 
     exp(-alpha L_n^2) = exp(-(2n + 1)), independent of the system scale.
     """
-    if n < 0:
-        raise ValueError("n must be a non-negative integer")
+    require_level(n, 0)
     return math.exp(-(2.0 * n + 1.0))
 
 
@@ -166,6 +163,15 @@ def radial_field_slope(mode: OscMode, sys: OscSystem, r_bar: float) -> float:
     return mode.a_osc * math.sqrt(alpha) * (2.0 * mode.n * h_prev - u * h_n) * env
 
 
+def _check_turning(sys: OscSystem, r_bar: float) -> None:
+    """The turning points: every r_bar a path or kinetic energy is
+    evaluated at lies in [-cap_l, cap_l]."""
+    if not abs(r_bar) <= sys.cap_l:
+        raise ValueError(
+            f"|r_bar|={abs(r_bar):.6e} beyond the turning point "
+            f"cap_l={sys.cap_l:.6e}")
+
+
 def kinetic_field(mode: OscMode, sys: OscSystem, r_bar: float,
                   theta: float, phi: float) -> float:
     """Field kinetic energy (mu/2) v_mu^2 chi_n'^2 |Y_{l,m}|^2.
@@ -174,10 +180,7 @@ def kinetic_field(mode: OscMode, sys: OscSystem, r_bar: float,
     the value vanishes at the turning points r_bar = +-cap_l and the
     angular weight uses the orientation density |Y|^2 = S^2/(2 pi).
     """
-    if not abs(r_bar) <= sys.cap_l:
-        raise ValueError(
-            f"|r_bar|={abs(r_bar):.6e} beyond the turning point "
-            f"cap_l={sys.cap_l:.6e}")
+    _check_turning(sys, r_bar)
     v_sq = sys.omega0**2 * (sys.cap_l**2 - r_bar**2)
     slope = radial_field_slope(mode, sys, r_bar)
     return 0.5 * sys.mu * v_sq * slope * slope \
@@ -257,10 +260,7 @@ def path_correction(mode: OscMode, sys: OscSystem, r_bar: float,
     Returned separately because near the turning points it is smaller
     than one ulp of r_bar and would vanish inside the sum.
     """
-    if not abs(r_bar) <= sys.cap_l:
-        raise ValueError(
-            f"|r_bar|={abs(r_bar):.6e} beyond the turning point "
-            f"cap_l={sys.cap_l:.6e}")
+    _check_turning(sys, r_bar)
     c_two, power, c_three = _path_series(mode, sys)
     env = math.exp(-sys.alpha * r_bar * r_bar)
     dq = c_two * r_bar**power * env
@@ -309,17 +309,6 @@ def figure_rows(mode: OscMode, sys: OscSystem,
         rows.append((r, r + dq, r + (dq + c_three * r**5 * env),
                      a_osc * r**n * exp(neg_half_alpha * r * r)))
     return rows
-
-
-def velocity(mode: OscMode, sys: OscSystem, r_bar: float, v_mu: float) -> float:
-    """Composite speed v_mu (1 + w/8pi) to first order in the field."""
-    return v_mu * (1.0 + trajectory_slope_sq(mode, sys, r_bar) / (8.0 * math.pi))
-
-
-def kinetic_pf_radial(mode: OscMode, sys: OscSystem, r_bar: float,
-                      k_mu: float) -> float:
-    """Composite kinetic energy k_mu (1 + w/4pi) along the radial line."""
-    return k_mu * (1.0 + trajectory_slope_sq(mode, sys, r_bar) / (4.0 * math.pi))
 
 
 def amplitude_estimate(sys: OscSystem, n: int) -> float:

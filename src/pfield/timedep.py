@@ -26,7 +26,7 @@ from typing import Sequence
 
 from . import oracle
 from .boxmode import BoxMode, BoxSystem, _check_inside, make_mode
-from .core import HBAR, require_finite_positive
+from .core import HBAR, require_finite, require_finite_positive
 
 # Superposition keeps the term tables of this many times, enough for the
 # three (t and t +/- h_t) continuity_residual evaluates at.
@@ -83,6 +83,7 @@ class Superposition:
         """
         terms = self._terms_at.get(t)
         if terms is None:
+            require_finite(t=t)
             amp = math.sqrt(2.0 / self.a)
             terms = tuple(
                 (c * amp, mode.k_n,
@@ -155,8 +156,7 @@ def continuity_residual(field, x: float, t: float,
 
     x must sit at least h_x inside the domain when the field has one.
     """
-    if not (0.0 < h_x < math.inf and 0.0 < h_t < math.inf):
-        raise ValueError("h_x and h_t must be finite and positive")
+    require_finite_positive(h_x=h_x, h_t=h_t)
     a = getattr(field, "a", None)
     if a is not None and not h_x <= x <= a - h_x:
         raise ValueError(

@@ -3,7 +3,9 @@
 Each criterion pits package output against an independent reference: a
 worked numeric value, a quadrature oracle, or an exact identity.  The
 CLI `verify` subcommand runs the whole table and reports one block per
-criterion; tests reuse the same functions.
+criterion; tests reuse the same functions.  Where a table subcommand
+writes a closed form, the criterion samples the same row kernel
+(figure_rows, flux_rows), so verify checks the code that writes the table.
 
 The `perturb` argument scales the package-side value of every
 comparison by (1 + perturb).  A one-percent perturbation is the
@@ -102,12 +104,13 @@ def criterion_04(perturb: float = 0.0) -> list[ComparisonReport]:
 
     reports = [compare("sup |series - oracle| / a", sup_dev / sys.a, 0.0,
                        1e-3, use_rel=False)]
-    for variant in boxmode.TrajectoryVariant:
-        q0 = boxmode.trajectory_series(mode, 0.0, variant)
-        qa = boxmode.trajectory_series(mode, sys.a, variant)
-        reports.append(compare(f"wall pin q(0) [{variant.value}]",
+    eighth = boxmode.TrajectoryVariant.EIGHTH_ORDER
+    pins = {"quadratic": [q for _, q, *_ in boxmode.figure_rows(mode, sys, [0.0, sys.a])],
+            eighth.value: [boxmode.trajectory_series(mode, x, eighth) for x in (0.0, sys.a)]}
+    for label, (q0, qa) in pins.items():
+        reports.append(compare(f"wall pin q(0) [{label}]",
                                q0 / sys.a, 0.0, 1e-12, use_rel=False))
-        reports.append(compare(f"wall pin q(a) [{variant.value}]",
+        reports.append(compare(f"wall pin q(a) [{label}]",
                                qa / sys.a, 1.0, 1e-12, use_rel=False))
     return reports
 
@@ -151,9 +154,7 @@ def criterion_07(perturb: float = 0.0) -> list[ComparisonReport]:
     """
     s = 1.0 + perturb
     mode = oscillator.make_mode(_OSC, 1, amplitude=1e-10)
-    r_env = 1.0 / math.sqrt(_OSC.alpha)
-    q_env = oscillator.trajectory(mode, _OSC, r_env,
-                                  oscillator.TrajectoryOrder.THREE_TERM)
+    [(_, _, q_env, _)] = oscillator.figure_rows(mode, _OSC, [1.0 / math.sqrt(_OSC.alpha)])
     dq_cap = oscillator.path_correction(mode, _OSC, _OSC.cap_l,
                                         oscillator.TrajectoryOrder.THREE_TERM)
     return [
@@ -244,29 +245,23 @@ def criterion_12(perturb: float = 0.0) -> list[ComparisonReport]:
     m, a = _BOX_M, _BOX_A
     beat, t0, h_x, h_t = timedep.equal_weight_beat(m, a)
 
-    n_grid = 400
-    worst_res = 0.0
-    worst_rate = 0.0
-    for i in range(1, n_grid):
-        x = a * i / n_grid
-        worst_res = max(worst_res, abs(timedep.continuity_residual(
-            beat, x, t0, h_x, h_t)))
-        rate = 2.0 * (beat.value(x, t0).conjugate() * beat.d_dt(x, t0)).real
-        worst_rate = max(worst_rate, abs(rate))
+    xs = [a * i / 400 for i in range(1, 400)]
+    worst_res = max(abs(res) for _, _, res in timedep.flux_rows(beat, xs, t0, h_x, h_t))
+    worst_rate = max(abs(2.0 * (beat.value(x, t0).conjugate() * beat.d_dt(x, t0)).real)
+                     for x in xs)
     reports = [compare("continuity residual / max|drho/dt|",
                        s * worst_res / worst_rate, 0.0, 1e-6, use_rel=False)]
 
-    x_probe = 0.3 * a
-    r_h = timedep.continuity_residual(beat, x_probe, t0, h_x, h_t)
-    r_h2 = timedep.continuity_residual(beat, x_probe, t0, 0.5 * h_x, 0.5 * h_t)
+    [(_, _, r_h)] = timedep.flux_rows(beat, [0.3 * a], t0, h_x, h_t)
+    [(_, _, r_h2)] = timedep.flux_rows(beat, [0.3 * a], t0, 0.5 * h_x, 0.5 * h_t)
     reports.append(_range_report("residual refinement ratio", s * r_h / r_h2,
                                  3.5, 4.5))
 
     mode1 = beat.components[0][0]
     single = timedep.Superposition(m=m, a=a, components=((mode1, 1.0 + 0j),),
                                    energies=(mode1.e_n,))
-    peak_flux = max(abs(timedep.flux(single, a * i / 64.0, t0))
-                    for i in range(1, 64))
+    peak_flux = max(abs(f) for _, f, _ in timedep.flux_rows(
+        single, [a * i / 64.0 for i in range(1, 64)], t0, h_x, h_t))
     flux_scale = HBAR * mode1.k_n / (m * a)
     reports.append(compare("stationary flux / (hbar k / m a)",
                            s * peak_flux / flux_scale, 0.0, 1e-15,
@@ -289,12 +284,12 @@ def criterion_13(perturb: float = 0.0) -> list[ComparisonReport]:
     amps = []
     gs = []
     sups = []
+    xs = [_BOX_A * i / 256.0 for i in range(257)]
     for ratio in ratios:
-        _, mode = boxmode.level_at_ratio(_BOX_M, _BOX_A, 1, ratio)
+        sys, mode = boxmode.level_at_ratio(_BOX_M, _BOX_A, 1, ratio)
         amps.append(mode.a_n)
         gs.append(mode.g_npf)
-        sup = max(abs(boxmode.trajectory_series(mode, _BOX_A * i / 256.0)
-                      - _BOX_A * i / 256.0) for i in range(257))
+        sup = max(abs(q - x) for x, q, *_ in boxmode.figure_rows(mode, sys, xs))
         sups.append(sup / _BOX_A)
     amp_mono = all(x > y for x, y in zip(amps, amps[1:]))
     g_mono = all(x < y for x, y in zip(gs, gs[1:]))

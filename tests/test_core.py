@@ -71,27 +71,34 @@ _BEAT, _T0, _H_X, _H_T = timedep.equal_weight_beat(ELECTRON_MASS, 2e-9)
 # argument).  The call must raise the guard's own ValueError for nan and +-inf.
 _GUARDS = {
     "classify_region eps": (lambda v: classify_region(1.0, 1.0, eps=v), 1e-6),
+    "classify_region e_field": (lambda v: classify_region(v, 1.0, eps=1e-6), 1.0),
+    "classify_region k_particle": (lambda v: classify_region(1.0, v, eps=1e-6), 1.0),
     "kinetic_pf k_particle": (lambda v: kinetic_pf(v, 0.1), 1.0),
     "kinetic_pf chi_prime_sq": (lambda v: kinetic_pf(1.0, v), 0.1),
     "boxmode.level_at_ratio": (
         lambda v: boxmode.level_at_ratio(ELECTRON_MASS, 2e-9, 1, v), 1.5),
     "hydrogen.circular_orbit": (lambda v: hydrogen.circular_orbit(_H, v), 1e-10),
-    "hydrogen.orbit_from_theta_dot": (
-        lambda v: hydrogen.orbit_from_theta_dot(_H, v), 1e16),
     "hydrogen.make_state": (lambda v: hydrogen.make_state(_H, 2, 1, a_ha=v), 0.1),
     "hydrogen.field_energy": (
         lambda v: hydrogen.field_energy(_H, _H_STATE, v), 1e-10),
     "hydrogen.pf_velocity": (
         lambda v: hydrogen.pf_velocity(_H, _H_STATE, v, 0.3, 1e16), 1e-10),
+    "hydrogen.pf_velocity theta": (
+        lambda v: hydrogen.pf_velocity(_H, _H_STATE, 1e-10, v, 1e16), 0.3),
+    "hydrogen.pf_velocity theta_dot": (
+        lambda v: hydrogen.pf_velocity(_H, _H_STATE, 1e-10, 0.3, v), 1e16),
     "hydrogen.approximation_gap": (hydrogen.approximation_gap, 0.1),
     "hydrogen.cartesian_components_2p0": (
         lambda v: hydrogen.cartesian_components_2p0(_H, 0.1, v, 0.3, 0.2), 1e-10),
     "hydrogen.orbit_2p": (lambda v: hydrogen.orbit_2p(_H, 0.1, v, 0.3), 1e-10),
     "hydrogen.orbit_2p a_ha": (lambda v: hydrogen.orbit_2p(_H, v, 1e-10, 0.3), 0.1),
+    "hydrogen.orbit_2p theta": (lambda v: hydrogen.orbit_2p(_H, 0.1, 1e-10, v), 0.3),
     "hydrogen.cartesian_components_2p0 a_ha": (
         lambda v: hydrogen.cartesian_components_2p0(_H, v, 1e-10, 0.3, 0.2), 0.1),
-    "hydrogen.radial_field": (
-        lambda v: hydrogen.radial_field(_H, _H_STATE, v), 1e-10),
+    "hydrogen.cartesian_components_2p0 theta": (
+        lambda v: hydrogen.cartesian_components_2p0(_H, 0.1, 1e-10, v, 0.2), 0.3),
+    "hydrogen.cartesian_components_2p0 phi": (
+        lambda v: hydrogen.cartesian_components_2p0(_H, 0.1, 1e-10, 0.3, v), 0.2),
     "hydrogen.normalized_radial": (
         lambda v: hydrogen.normalized_radial(_H, 2, 1, v), 1e-10),
     "nonlinear.omega_ratio k": (lambda v: nonlinear.omega_ratio(_NL, v), 1e9),
@@ -110,6 +117,10 @@ _GUARDS = {
         lambda v: timedep.continuity_residual(_BEAT, 1e-9, _T0, v, _H_T), _H_X),
     "timedep.continuity_residual h_t": (
         lambda v: timedep.continuity_residual(_BEAT, 1e-9, _T0, _H_X, v), _H_T),
+    "timedep.Superposition.value t": (lambda v: _BEAT.value(1e-9, v), _T0),
+    "timedep.flux t": (lambda v: timedep.flux(_BEAT, 1e-9, v), _T0),
+    "timedep.flux_rows t": (
+        lambda v: timedep.flux_rows(_BEAT, [1e-9], v, _H_X, _H_T), _T0),
     "boxmode.level_at_ratio a": (
         lambda v: boxmode.level_at_ratio(ELECTRON_MASS, v, 1, 1.5), 2e-9),
     "timedep.bare_eigenmode a": (
@@ -119,6 +130,18 @@ _GUARDS = {
     "oscillator.system_at_alpha mu": (
         lambda v: oscillator.system_at_alpha(1e20, v), ELECTRON_MASS),
 }
+
+# Every function that takes a level index n: name -> (call, lowest level).
+_LEVELS = {
+    "boxmode.make_mode": (lambda n: boxmode.make_mode(_BOX_SYS, n), 1),
+    "nonlinear.quantized_k": (lambda n: nonlinear.quantized_k(_NL, _BOX_SYS, n), 1),
+    "hydrogen.level_energy": (lambda n: hydrogen.level_energy(_H, n), 1),
+    "oscillator.make_mode": (lambda n: oscillator.make_mode(_OSC, n), 0),
+    "oscillator.classical_threshold": (
+        lambda n: oscillator.classical_threshold(_OSC, n), 0),
+    "oscillator.threshold_suppression": (oscillator.threshold_suppression, 0),
+}
+_GUARDS.update({f"{name} n": entry for name, entry in _LEVELS.items()})
 
 # The paper-setup constructors that divide by a width or a mass.
 _SETUPS = ("boxmode.level_at_ratio a", "timedep.bare_eigenmode a",
@@ -140,6 +163,15 @@ def test_setups_reject_non_positive_before_dividing(name, bad):
     call, _ = _GUARDS[name]
     with pytest.raises(ValueError, match="must be finite and positive"):
         call(bad)
+
+
+@pytest.mark.parametrize("name", list(_LEVELS))
+@pytest.mark.parametrize("below", [False, True], ids=["fractional", "below_lowest"])
+def test_levels_reject_fractional_and_below_lowest(name, below):
+    call, lowest = _LEVELS[name]
+    call(float(lowest))  # an integral float is a level
+    with pytest.raises(ValueError, match=f"n must be a finite integer >= {lowest}"):
+        call(lowest - 1 if below else 1.5)
 
 
 def test_energy_budget_check_accepts_consistent_split():

@@ -33,13 +33,6 @@ def test_circular_orbit_at_bohr_radius():
     assert orb.e_mu == pytest.approx(-0.5 * SYS.mu * orb.v**2, rel=1e-13)
 
 
-def test_orbit_from_theta_dot_roundtrip():
-    orb = hydrogen.circular_orbit(SYS, 3.0 * SYS.a0)
-    back = hydrogen.orbit_from_theta_dot(SYS, orb.theta_dot)
-    assert back.r == pytest.approx(3.0 * SYS.a0, rel=1e-12)
-    assert back.v == pytest.approx(orb.v, rel=1e-12)
-
-
 def test_level_energy_scaling():
     e1 = hydrogen.level_energy(SYS, 1)
     assert e1 / EV == pytest.approx(-13.605693122885832, rel=1e-9)
@@ -65,17 +58,15 @@ def test_field_energy_sign_structure():
 
 
 def test_radial_field_closed_forms():
-    a_ha = 0.1
-    st = hydrogen.make_state(SYS, 2, 1, a_ha=a_ha)
-    r = 1.3 * SYS.a0
-    assert hydrogen.radial_field(SYS, st, r) == pytest.approx(
-        a_ha * r * math.exp(-0.5 * r / SYS.a0), rel=1e-13)
-    st1 = hydrogen.make_state(SYS, 1, 0, a_ha=a_ha)
-    assert hydrogen.radial_field(SYS, st1, 0.0) == a_ha
+    za = SYS.z / SYS.a0
+    # 2p: r exp(-Z r / 2 a0) times its normalization
+    for r in (0.4 * SYS.a0, 1.3 * SYS.a0, 6.0 * SYS.a0):
+        assert hydrogen.normalized_radial(SYS, 2, 1, r) == pytest.approx(
+            za**2.5 / (2.0 * math.sqrt(6.0)) * r * math.exp(-0.5 * za * r), rel=1e-13)
+    assert hydrogen.normalized_radial(SYS, 1, 0, 0.0) == 2.0 * za**1.5
     # 3s node near sigma = 1.9
-    st3 = hydrogen.make_state(SYS, 3, 0, a_ha=a_ha)
-    assert hydrogen.radial_field(SYS, st3, 1.5 * SYS.a0) > 0.0
-    assert hydrogen.radial_field(SYS, st3, 2.5 * SYS.a0) < 0.0
+    assert hydrogen.normalized_radial(SYS, 3, 0, 1.5 * SYS.a0) > 0.0
+    assert hydrogen.normalized_radial(SYS, 3, 0, 2.5 * SYS.a0) < 0.0
 
 
 @pytest.mark.parametrize("n,l", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])

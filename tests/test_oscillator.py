@@ -210,22 +210,6 @@ def test_trajectory_against_oracle(aa_sq, n, dev2_max, dev3_max):
     assert dev3 < dev2
 
 
-def test_velocity_and_kinetic_linearization():
-    sys = _system()
-    mode = oscillator.make_mode(sys, 1, amplitude=1e-10)
-    r = 0.5e-10
-    w = oscillator.trajectory_slope_sq(mode, sys, r)
-    v_mu, k_mu = 3.3e4, 7.7e-22
-    assert oscillator.velocity(mode, sys, r, v_mu) == pytest.approx(
-        v_mu * (1.0 + w / (8.0 * math.pi)), rel=1e-14)
-    assert oscillator.kinetic_pf_radial(mode, sys, r, k_mu) == pytest.approx(
-        k_mu * (1.0 + w / (4.0 * math.pi)), rel=1e-14)
-    # kinetic correction is twice the speed correction at first order
-    dv = oscillator.velocity(mode, sys, r, 1.0) - 1.0
-    dk = oscillator.kinetic_pf_radial(mode, sys, r, 1.0) - 1.0
-    assert dk == pytest.approx(2.0 * dv, rel=1e-12)
-
-
 def test_amplitude_estimate_window_and_closed_form():
     # within half a decade of alpha = 1e20 the tabulated pair is served
     assert oscillator.amplitude_estimate(_system(alpha=1e20), 0) == 1e-9
