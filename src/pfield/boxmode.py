@@ -12,23 +12,24 @@ the squared slope amplitude b^2 = p_n^2/p_P^2 - 1 must stay below 1 for
 the path expansions to converge (p_n^2/p_P^2 < 2).
 
 The composite path is q_n(x) = g integral sqrt(1 + chi_n'^2) dx.  Two
-closed forms are provided: a quadratic-order form with
-g = 4 p_P^2 / (p_n^2 + 3 p_P^2), and an eighth-order two-harmonic form
-normalized by its own secular coefficient.  Both pin q(0) = 0, q(a) = a.
+closed forms are provided: the quadratic-order form with
+g = 4 p_P^2 / (p_n^2 + 3 p_P^2), tabulated by figure_rows, and
+eighth_order_path, the two-harmonic form normalized by its own secular
+coefficient.  Both pin q(0) = 0, q(a) = a.
 
-Each point function checks that its x lies inside the box.  figure_rows
-tabulates the quadratic path, the field and the bare density over a whole
-grid, checking the wall once per grid instead.
+figure_rows tabulates the quadratic path, the field and the bare density
+over a whole grid, checking the wall once; a point value is a one-element
+grid.  Each function of one x checks that it lies inside the box.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import HBAR, EnergyBudget, require_finite_positive, require_level
+from .core import (HBAR, EnergyBudget, require_finite, require_finite_positive,
+                   require_level)
 
 
 @dataclass(frozen=True)
@@ -136,22 +137,10 @@ def field_energy(mode: BoxMode, sys: BoxSystem, x: float) -> EnergyBudget:
                         k_field=e_field * c * c, v_field=e_field * s * s)
 
 
-def field_value(mode: BoxMode, x: float) -> float:
-    """chi_n(x) = A_n sin(k_n x), zero at the walls."""
-    _check_inside(mode.a, x)
-    return mode.a_n * math.sin(mode.k_n * x)
-
-
 def field_slope(mode: BoxMode, x: float) -> float:
     """chi_n'(x) = A_n k_n cos(k_n x); note A_n^2 k_n^2 = b^2."""
     _check_inside(mode.a, x)
     return mode.a_n * mode.k_n * math.cos(mode.k_n * x)
-
-
-def wavefunction(mode: BoxMode, sys: BoxSystem, x: float) -> float:
-    """Energy eigenfunction sqrt(2/a) sin(n pi x / a) of the bare problem."""
-    _check_inside(mode.a, x)
-    return math.sqrt(2.0 / sys.a) * math.sin(mode.n * math.pi * x / sys.a)
 
 
 def integrand_exact(b_sq: float, kx: float) -> float:
@@ -208,27 +197,14 @@ def path_series_coefficients(b_sq: float) -> tuple[float, float, float]:
     return c1, c2, c3
 
 
-class TrajectoryVariant(enum.Enum):
-    """Closed-form path approximations of increasing order in b^2."""
+def eighth_order_path(mode: BoxMode, x: float) -> float:
+    """Eighth-order composite path q_n(x), pinned to q(0) = 0 and q(a) = a.
 
-    QUADRATIC = "quadratic"          # integrand kept to chi'^2, g = g_npf
-    EIGHTH_ORDER = "eighth_order"    # two harmonics, g = 1/c1
-
-
-def trajectory_series(mode: BoxMode, x: float,
-                      variant: TrajectoryVariant = TrajectoryVariant.QUADRATIC) -> float:
-    """Closed-form composite path q_n(x), pinned to q(0) = 0 and q(a) = a.
-
-    QUADRATIC: q = x + (a / 2 n pi) [(p_n^2 - p_P^2)/(p_n^2 + 3 p_P^2)]
-    sin(2 n pi x / a), equivalently x + [b^2/(b^2+4)] sin(2kx)/(2k).
-    EIGHTH_ORDER: q = x + (c2/c1 k) sin(2kx) - (c3/c1 k) sin(4kx) with
-    the coefficients of path_series_coefficients.
+    q = x + (c2/c1 k) sin(2kx) - (c3/c1 k) sin(4kx) with the coefficients
+    of path_series_coefficients, so g = 1/c1.
     """
     _check_inside(mode.a, x)
     k = mode.k_n
-    if variant is TrajectoryVariant.QUADRATIC:
-        coeff = mode.b_sq / (mode.b_sq + 4.0) / (2.0 * k)
-        return x + coeff * math.sin(2.0 * k * x)
     c1, c2, c3 = path_series_coefficients(mode.b_sq)
     return x + (c2 / (c1 * k)) * math.sin(2.0 * k * x) \
              - (c3 / (c1 * k)) * math.sin(4.0 * k * x)
@@ -238,10 +214,10 @@ def figure_rows(mode: BoxMode, sys: BoxSystem,
                 xs: Sequence[float]) -> list[tuple[float, ...]]:
     """Rows (x, q, q/x, chi, psi^2, x) of the box figure on the grid xs.
 
-    Each row equals trajectory_series (QUADRATIC), field_value and
-    wavefunction(...)**2 at its x, with q/x at x = 0 its limit
-    1 + b^2/(b^2 + 4).  The wall is checked in one pass over the grid
-    instead of once per point and function.
+    q is the quadratic-order path x + [b^2/(b^2 + 4)] sin(2kx)/(2k), with
+    q/x at x = 0 its limit 1 + b^2/(b^2 + 4); chi = A_n sin(k_n x) is the
+    field and psi^2 = (2/a) sin^2(n pi x / a) the bare density.  The wall
+    is checked in one pass over the grid.
     """
     if not all(0.0 <= x <= mode.a for x in xs):
         raise ValueError(f"grid leaves the box [0, {mode.a}]")
@@ -269,6 +245,7 @@ def velocity(mode: BoxMode, x: float, v_p: float) -> float:
     felt, minimal (g v_P) at the antinodes.
     """
     _check_inside(mode.a, x)
+    require_finite(v_p=v_p)
     return mode.g_npf * v_p * integrand_exact(mode.b_sq, mode.k_n * x)
 
 
@@ -280,6 +257,7 @@ def pf_acceleration(mode: BoxMode, x: float, v_p: float) -> float:
     vanishing exactly at nodes (chi = 0) and antinodes (chi' = 0).
     """
     _check_inside(mode.a, x)
+    require_finite(v_p=v_p)
     k = mode.k_n
     return (-mode.g_npf * v_p**2 * 0.5 * mode.b_sq * k * math.sin(2.0 * k * x)
             / integrand_exact(mode.b_sq, k * x))

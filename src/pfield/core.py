@@ -117,6 +117,8 @@ def field_force_1d(m: float, v_p: float, chi_prime: float,
     stationary mode (chi'' = -k^2 chi) this reduces, on intervals where
     chi' > 0, to -m*wbar^2*chi + f_P*chi' with wbar^2 = v_P^2 k^2.
     """
+    require_finite(m=m, v_p=v_p, chi_prime=chi_prime,
+                   d_abs_chi_prime_dx=d_abs_chi_prime_dx, f_p=f_p)
     return m * v_p**2 * d_abs_chi_prime_dx + f_p * abs(chi_prime)
 
 
@@ -126,6 +128,7 @@ def kinetic_pf(k_particle: float, chi_prime_sq: float, g: float = 1.0) -> float:
         raise ValueError("k_particle must be finite and non-negative")
     if not 0.0 <= chi_prime_sq < math.inf:
         raise ValueError("chi_prime_sq must be finite and non-negative")
+    require_finite(g=g)
     return g**2 * k_particle * (1.0 + chi_prime_sq)
 
 
@@ -136,5 +139,6 @@ def pf_force_stationary(g: float, f_p: float, chi_prime: float,
     f_PF = g [ f_P sqrt(1 + chi'^2) + m v^2 chi' chi'' / sqrt(1 + chi'^2) ].
     Equals m d^2 q/dt^2 for uniform particle motion x = v t.
     """
+    require_finite(g=g, f_p=f_p, chi_prime=chi_prime, chi_second=chi_second, m=m, v=v)
     root = math.sqrt(1.0 + chi_prime**2)
     return g * (f_p * root + m * v**2 * chi_prime * chi_second / root)

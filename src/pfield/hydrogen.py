@@ -15,9 +15,9 @@ the quantum radial density returns e_n for every tabulated state.
 Orbital sweep drags the field through its angular profile, so composite
 speeds pick up the slope dS/dtheta: s states (dS/dtheta = 0) move at
 exactly r theta_dot, while 2p states gain the orientation-dependent
-corrections served by pf_velocity and the orbit shapes of orbit_2p.
-figure_rows tabulates both 2p orbit shapes over a whole grid of angles in
-one kernel, computing the envelope and checking the parameters once.
+corrections served by pf_velocity.  figure_rows tabulates both 2p orbit
+shapes over a whole grid of angles in one kernel, computing the envelope
+and checking the parameters once; a point value is a one-element grid.
 """
 
 from __future__ import annotations
@@ -225,35 +225,16 @@ def _envelope_2p(sys: HydrogenSystem, a_ha: float, r: float) -> float:
     return a_ha**2 * math.exp(-sys.z * r / sys.a0) / (8.0 * math.pi)
 
 
-def orbit_2p(sys: HydrogenSystem, a_ha: float, r: float, theta: float,
-             which: str = "p0") -> float:
-    """Composite orbit radius q(theta)/1 for the 2p states, in meters.
-
-    p0:           q = r [1 + (a^2/8pi)  e^(-Zr/a0) (1 + cos^2 theta)]
-    pPlusMinus1:  q = r [1 + (a^2/16pi) e^(-Zr/a0) (1 + sin^2 theta)]
-
-    The p0 orbit is widest through the poles, the p+-1 orbit widest in
-    the equatorial plane, each settling back toward r as the envelope
-    decays.
-    """
-    if which not in _ORBIT_2P_WHICH:
-        raise ValueError(f"which must be one of {_ORBIT_2P_WHICH}")
-    env = _envelope_2p(sys, a_ha, r)
-    require_finite(theta=theta)
-    c = math.cos(theta)
-    if which == "p0":
-        return r * (1.0 + env * (1.0 + c * c))
-    s = math.sin(theta)
-    return r * (1.0 + 0.5 * env * (1.0 + s * s))
-
-
 def figure_rows(sys: HydrogenSystem, a_ha: float, r: float,
                 thetas: Sequence[float]) -> list[tuple[float, float, float]]:
     """Rows (theta, q_p0/r, q_pm1/r) of the hydrogen figure on the grid thetas.
 
-    Each row equals orbit_2p(..., "p0") / r and orbit_2p(...,
-    "pPlusMinus1") / r at its theta, bit for bit.  a_ha and r are checked
-    once and the grid is checked to be finite once, instead of per row.
+    p0:           q = r [1 + (a^2/8pi)  e^(-Zr/a0) (1 + cos^2 theta)]
+    pPlusMinus1:  q = r [1 + (a^2/16pi) e^(-Zr/a0) (1 + sin^2 theta)]
+
+    The p0 orbit is widest through the poles, the p+-1 orbit in the
+    equatorial plane.  a_ha and r are checked once and the grid is checked
+    to be finite once, instead of per row.
     """
     env = _envelope_2p(sys, a_ha, r)
     if not all(math.isfinite(theta) for theta in thetas):
@@ -287,7 +268,8 @@ def cartesian_components_2p0(sys: HydrogenSystem, a_ha: float, r: float,
     With beta = (a^2/8pi) e^(-Zr/a0):
         qx = x (1 + beta sin^2 theta), qy likewise,
         qz = z (1 + beta (2 + sin^2 theta));
-    their norm reproduces orbit_2p(..., "p0") to fourth order in a_ha.
+    their norm reproduces the p0 orbit radius of figure_rows to fourth
+    order in a_ha.
     """
     beta = _envelope_2p(sys, a_ha, r)
     require_finite(theta=theta, phi=phi)

@@ -149,15 +149,15 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, value: float,
     return v_lo + v_hi
 
 
-def cumulative_integrate(f: Callable[[float], float], xs: Iterable[float],
-                         start: float = 0.0) -> Iterator[float]:
-    """Running integral of f from start to each x of xs, in order.
+def cumulative_integrate(f: Callable[[float], float],
+                         xs: Iterable[float]) -> Iterator[float]:
+    """Running integral of f from 0 to each x of xs, in order.
 
-    One integrate call per step, from the previous point (start for the
-    first) to x; the steps are summed left to right.
+    One integrate call per step, from the previous point (0 for the first)
+    to x; the steps are summed left to right.
     """
     acc = 0.0
-    prev = start
+    prev = 0.0
     for x in xs:
         acc += integrate(f, prev, x)
         prev = x

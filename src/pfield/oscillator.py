@@ -12,23 +12,23 @@ which vanishes at the threshold amplitude L_n = sqrt((2n + 1)/alpha) and
 turns negative beyond it (the level cannot support the amplitude; the
 composite bookkeeping of core.classify_region applies).
 
-The composite path q(r_bar) integrates (1 + w/4pi)^(1/2) where w is the
-effective squared field slope of trajectory_slope_sq; its two-term
-expansion resums into the closed forms served by trajectory().
-figure_rows tabulates both truncations and the field over a whole grid in
-one kernel, sharing the envelope between them and checking the grid once.
+The composite path q(r_bar) integrates (1 + w/4pi)^(1/2), the integrand
+of path_integrand, where w is the effective squared field slope; its
+two-term expansion resums into closed forms.  figure_rows tabulates both
+truncations and the field over a whole grid in one kernel, sharing the
+envelope between them and checking the grid once; a point value is a
+one-element grid.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import _angular
-from .core import HBAR, require_finite_positive, require_level
+from .core import HBAR, require_finite, require_finite_positive, require_level
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,7 @@ def classical_motion(sys: OscSystem, cap_l: float, phase: float,
     the energy p_mu^2/2mu + mu w0^2 r_bar^2/2 = mu w0^2 cap_l^2/2 is exact.
     """
     require_finite_positive(cap_l=cap_l)
+    require_finite(phase=phase, t=t)
     arg = sys.omega0 * t + phase
     r_bar = cap_l * math.cos(arg)
     p_mu = -sys.mu * sys.omega0 * cap_l * math.sin(arg)
@@ -130,27 +131,10 @@ def _hermite(n: int, u: float) -> float:
     return h
 
 
-def radial_field(mode: OscMode, sys: OscSystem, r_bar: float) -> float:
-    """Field profile chi_n along the radial line.
-
-    n = 0: a_osc exp(-alpha r_bar^2/2)
-    n = 1: a_osc r_bar exp(-alpha r_bar^2/2)   (slope a_osc at the center)
-    n >= 2: a_osc H_n(sqrt(alpha) r_bar) exp(-alpha r_bar^2/2)
-
-    Evaluation outside |r_bar| <= cap_l is permitted; the envelope decay
-    there is the point of probing it.
-    """
-    alpha = sys.alpha
-    env = math.exp(-0.5 * alpha * r_bar * r_bar)
-    if mode.n == 0:
-        return mode.a_osc * env
-    if mode.n == 1:
-        return mode.a_osc * r_bar * env
-    return mode.a_osc * _hermite(mode.n, math.sqrt(alpha) * r_bar) * env
-
-
 def radial_field_slope(mode: OscMode, sys: OscSystem, r_bar: float) -> float:
-    """d chi_n / d r_bar of the profile served by radial_field."""
+    """d chi_n / d r_bar of the radial field profile: chi = a_osc r_bar^n
+    e^(-alpha r_bar^2/2) for n <= 1, a_osc H_n(sqrt(alpha) r_bar)
+    e^(-alpha r_bar^2/2) for n >= 2.  Any r_bar is permitted."""
     alpha = sys.alpha
     env = math.exp(-0.5 * alpha * r_bar * r_bar)
     if mode.n == 0:
@@ -173,46 +157,28 @@ def _check_turning(sys: OscSystem, r_bar: float) -> None:
 
 
 def kinetic_field(mode: OscMode, sys: OscSystem, r_bar: float,
-                  theta: float, phi: float) -> float:
+                  theta: float) -> float:
     """Field kinetic energy (mu/2) v_mu^2 chi_n'^2 |Y_{l,m}|^2.
 
     v_mu^2 = w0^2 (cap_l^2 - r_bar^2) is the classical speed squared, so
     the value vanishes at the turning points r_bar = +-cap_l and the
-    angular weight uses the orientation density |Y|^2 = S^2/(2 pi).
+    angular weight uses the orientation density |Y|^2 = S^2/(2 pi), which
+    does not depend on phi.
     """
     _check_turning(sys, r_bar)
+    require_finite(theta=theta)
     v_sq = sys.omega0**2 * (sys.cap_l**2 - r_bar**2)
     slope = radial_field_slope(mode, sys, r_bar)
     return 0.5 * sys.mu * v_sq * slope * slope \
         * _angular.angular_density(mode.l, mode.m_l, theta)
 
 
-def trajectory_slope_sq(mode: OscMode, sys: OscSystem, r_bar: float) -> float:
-    """Effective squared slope w entering the composite path integrand.
-
-    w = (1/2) [d/dr_bar (a_osc h_n(sqrt(alpha) r_bar) e^(-alpha r_bar^2/2))]^2
-    with the dimensionless profiles h_0 = 1 and h_1(u) = u.  The half
-    weight and scaled argument are fixed by requiring the two-term
-    expansion of (1 + w/4pi)^(1/2) to integrate to the closed forms of
-    trajectory(); they differ from radial_field_slope^2 by 1/2 (n = 0)
-    and alpha/2 (n = 1).  Only n <= 1 is tabulated.
-    """
-    alpha = sys.alpha
-    env = math.exp(-alpha * r_bar * r_bar)
-    if mode.n == 0:
-        return 0.5 * (mode.a_osc * alpha * r_bar) ** 2 * env
-    if mode.n == 1:
-        return 0.5 * mode.a_osc**2 * alpha \
-            * (1.0 - alpha * r_bar * r_bar) ** 2 * env
-    raise ValueError(f"path slope not tabulated for n={mode.n}")
-
-
 def path_integrand(mode: OscMode, sys: OscSystem) -> Callable[[float], float]:
     """Composite path integrand r_bar -> sqrt(1 + w(r_bar)/4pi), for n <= 1.
 
-    w is trajectory_slope_sq with alpha, the level prefactor and 4pi bound
-    once; each product keeps the operand order of trajectory_slope_sq, so
-    the values agree bit for bit.
+    w = (1/2) [d/dr_bar (a_osc h_n(sqrt(alpha) r_bar) e^(-alpha r_bar^2/2))]^2
+    with h_0 = 1 and h_1(u) = u: the weight and argument that make the
+    two-term expansion integrate to the paths of figure_rows.
     """
     alpha = sys.alpha
     four_pi = 4.0 * math.pi
@@ -233,13 +199,6 @@ def path_integrand(mode: OscMode, sys: OscSystem) -> Callable[[float], float]:
     raise ValueError(f"path slope not tabulated for n={mode.n}")
 
 
-class TrajectoryOrder(enum.Enum):
-    """Resummed path series truncations."""
-
-    TWO_TERM = "two_term"
-    THREE_TERM = "three_term"
-
-
 def _path_series(mode: OscMode, sys: OscSystem) -> tuple[float, int, float]:
     """(c_two, power, c_three) of the field part of the path, n <= 1:
     q - r_bar = c_two r_bar^power e^(-alpha r_bar^2)
@@ -253,9 +212,8 @@ def _path_series(mode: OscMode, sys: OscSystem) -> tuple[float, int, float]:
     raise ValueError(f"path series not tabulated for n={mode.n}")
 
 
-def path_correction(mode: OscMode, sys: OscSystem, r_bar: float,
-                    order: TrajectoryOrder = TrajectoryOrder.THREE_TERM) -> float:
-    """Field part q - r_bar of the composite path, for n <= 1.
+def path_correction(mode: OscMode, sys: OscSystem, r_bar: float) -> float:
+    """Field part q - r_bar of the three-term composite path, for n <= 1.
 
     Returned separately because near the turning points it is smaller
     than one ulp of r_bar and would vanish inside the sum.
@@ -263,36 +221,24 @@ def path_correction(mode: OscMode, sys: OscSystem, r_bar: float,
     _check_turning(sys, r_bar)
     c_two, power, c_three = _path_series(mode, sys)
     env = math.exp(-sys.alpha * r_bar * r_bar)
-    dq = c_two * r_bar**power * env
-    if order is TrajectoryOrder.THREE_TERM:
-        dq += c_three * r_bar**5 * env
-    return dq
-
-
-def trajectory(mode: OscMode, sys: OscSystem, r_bar: float,
-               order: TrajectoryOrder = TrajectoryOrder.THREE_TERM) -> float:
-    """Closed-form composite path q_n(r_bar) for n <= 1.
-
-    n = 0: r_bar + (alpha^2 a^2/48pi) r_bar^3 e^(-alpha r_bar^2)
-                 [+ (alpha^3 a^2/120pi) r_bar^5 e^(-alpha r_bar^2)]
-    n = 1: r_bar + (alpha a^2/16pi) r_bar e^(-alpha r_bar^2)
-                 [+ (alpha^3 a^2/80pi) r_bar^5 e^(-alpha r_bar^2)]
-
-    The bracketed term is kept by THREE_TERM.  Odd in r_bar; the domain
-    is the classically allowed interval |r_bar| <= cap_l.
-    """
-    return r_bar + path_correction(mode, sys, r_bar, order)
+    return c_two * r_bar**power * env + c_three * r_bar**5 * env
 
 
 def figure_rows(mode: OscMode, sys: OscSystem,
                 xs: Sequence[float]) -> list[tuple[float, float, float, float]]:
     """Rows (r_bar, q_two, q_three, chi) of the oscillator figure on xs, n <= 1.
 
-    Each row equals trajectory (TWO_TERM and THREE_TERM) and radial_field
-    at its r_bar, bit for bit: exp(-alpha r_bar^2) and the two-term
-    correction are computed once for both truncations, and the turning
-    points are checked once per grid.  chi is a_osc r_bar^n
-    e^(-alpha r_bar^2/2), since r_bar**0 is 1.0 and r_bar**1 is r_bar.
+    q_two and q_three are the composite path q_n(r_bar) to two and three
+    terms:
+
+    n = 0: r_bar + (alpha^2 a^2/48pi) r_bar^3 e^(-alpha r_bar^2)
+                 [+ (alpha^3 a^2/120pi) r_bar^5 e^(-alpha r_bar^2)]
+    n = 1: r_bar + (alpha a^2/16pi) r_bar e^(-alpha r_bar^2)
+                 [+ (alpha^3 a^2/80pi) r_bar^5 e^(-alpha r_bar^2)]
+
+    with the bracketed term in q_three only; chi is the field.  The
+    envelope and the two-term correction are shared by both paths, and the
+    turning points are checked once per grid.
     """
     c_two, power, c_three = _path_series(mode, sys)
     cap_l = sys.cap_l

@@ -12,9 +12,10 @@ p_particle saturating each level), built by bare_eigenmode.  A
 superposition computes its phase table (c_j sqrt(2/a), k_j,
 e^(-i E_j t/hbar)) once per time t and keeps the last few, so the many
 points of a table at one t share the cos and sin of each phase.  Each
-point function checks that its x lies inside the box.  flux_rows
+Superposition method checks that its x lies inside the box.  flux_rows
 tabulates the flux and the continuity residual over a whole grid in one
-kernel, reading the three phase tables once and checking the grid once.
+kernel, reading the three phase tables once and checking the grid once;
+a point value is a one-element grid.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .boxmode import BoxMode, BoxSystem, _check_inside, make_mode
 from .core import HBAR, require_finite, require_finite_positive
 
 # Superposition keeps the term tables of this many times, enough for the
-# three (t and t +/- h_t) continuity_residual evaluates at.
+# three (t and t +/- h_t) flux_rows reads.
 _TERMS_MEMO_SIZE = 4
 
 # (c_j sqrt(2/a), k_j, e^(-i E_j t/hbar)) for each component j at one time t.
@@ -144,38 +145,16 @@ def density(field, x: float, t: float) -> float:
     return abs(field.value(x, t)) ** 2
 
 
-def flux(field, x: float, t: float) -> float:
-    """Probability flux (hbar/m) Im(Psi* dPsi/dx)."""
-    return HBAR / field.m * (field.value(x, t).conjugate()
-                             * field.d_dx(x, t)).imag
-
-
-def continuity_residual(field, x: float, t: float,
-                        h_x: float, h_t: float) -> float:
-    """Central-difference d rho/dt + d j/dx; second order in both steps.
-
-    x must sit at least h_x inside the domain when the field has one.
-    """
-    require_finite_positive(h_x=h_x, h_t=h_t)
-    a = getattr(field, "a", None)
-    if a is not None and not h_x <= x <= a - h_x:
-        raise ValueError(
-            f"x={x} closer than h_x={h_x} to the domain edge [0, {a}]")
-    drho_dt = (density(field, x, t + h_t)
-               - density(field, x, t - h_t)) / (2.0 * h_t)
-    dj_dx = (flux(field, x + h_x, t) - flux(field, x - h_x, t)) / (2.0 * h_x)
-    return drho_dt + dj_dx
-
-
 def flux_rows(s: Superposition, xs: Sequence[float], t: float,
               h_x: float, h_t: float) -> list[tuple[float, float, float]]:
-    """Rows (x, flux, continuity_residual) of the flux check on the grid xs.
+    """Rows (x, j, residual) of the flux check on the grid xs.
 
-    Each row equals flux(s, x, t) and continuity_residual(s, x, t, h_x,
-    h_t) at its x: the same products in the same order, so the values
-    agree bit for bit.  c_j sqrt(2/a) sin(k_j x) is computed once per x
-    and shared by the values at t and t +/- h_t.  The steps and the grid are checked
-    once, every x at least h_x inside the box.
+    j is the probability flux (hbar/m) Im(Psi* dPsi/dx) at (x, t), and
+    residual the central-difference continuity residual d rho/dt + dj/dx
+    with steps h_t and h_x, second order in both.  c_j sqrt(2/a) sin(k_j x) is
+    computed once per x and shared by the values at t and t +/- h_t.  The
+    steps and the grid are checked once, every x at least h_x inside the
+    box.
     """
     require_finite_positive(h_x=h_x, h_t=h_t)
     a = s.a

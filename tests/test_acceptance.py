@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from pfield import verification
+from pfield import hydrogen, verification
 
 
 def _check(index: int) -> None:
@@ -85,3 +85,12 @@ def test_negative_control_perturbation_trips_the_suite():
     failed = [r.ident for r in results if not r.passed]
     assert failed, "perturbed suite still passed everywhere; the gate is loose"
     assert len(failed) >= 5
+
+
+def test_criterion_09_catches_a_one_percent_error_in_the_2p_term(monkeypatch):
+    """q/r - 1 is about 3e-4, so a 1% error in it is 3e-6: inside an
+    absolute 1e-5 on q/r, outside the relative 1e-4 on q/r - 1."""
+    envelope = hydrogen._envelope_2p
+    monkeypatch.setattr(hydrogen, "_envelope_2p", lambda *args: 1.01 * envelope(*args))
+    reports = verification.criterion_09()
+    assert not any(r.passed for r in reports)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _reference as ref
 from pfield import boxmode, cli, oracle
-from pfield.boxmode import TrajectoryVariant
 from pfield.core import ELECTRON_MASS, HBAR, energy_budget_check
 
 A_BOX = 2e-9
@@ -84,20 +84,25 @@ def test_field_energy_budget():
         boxmode.field_energy(mode, sys, -0.1 * A_BOX)
 
 
+def _column(mode, sys, xs, index):
+    """One column of the box-figure kernel on the grid xs."""
+    return [row[index] for row in boxmode.figure_rows(mode, sys, xs)]
+
+
 def test_field_profile():
     sys, mode = _fixture()
-    assert boxmode.field_value(mode, 0.0) == 0.0
-    assert abs(boxmode.field_value(mode, A_BOX)) <= 1e-12 * mode.a_n
-    assert boxmode.field_value(mode, 0.5 * A_BOX) == pytest.approx(mode.a_n, rel=1e-14)
+    at_wall0, at_antinode, at_wall = _column(mode, sys, [0.0, 0.5 * A_BOX, A_BOX], 3)
+    assert at_wall0 == 0.0
+    assert abs(at_wall) <= 1e-12 * mode.a_n
+    assert at_antinode == pytest.approx(mode.a_n, rel=1e-14)
     assert boxmode.field_slope(mode, 0.0) == mode.a_n * mode.k_n
     with pytest.raises(ValueError):
-        boxmode.field_value(mode, 1.1 * A_BOX)
+        boxmode.field_slope(mode, 1.1 * A_BOX)
 
 
 def test_wavefunction_normalized():
     sys, mode = _fixture(n=2, ratio=1.4)
-    val = oracle.integrate(lambda x: boxmode.wavefunction(mode, sys, x)**2,
-                           0.0, A_BOX)
+    val = oracle.integrate(lambda x: _column(mode, sys, [x], 4)[0], 0.0, A_BOX)
     assert val == pytest.approx(1.0, rel=1e-9)
 
 
@@ -127,27 +132,29 @@ def test_path_series_coefficients_at_half():
         boxmode.path_series_coefficients(1.0)
 
 
+def _both_paths(mode, sys, xs):
+    """The quadratic path of the box-figure kernel and the eighth-order path on xs."""
+    return _column(mode, sys, xs, 1), [boxmode.eighth_order_path(mode, x) for x in xs]
+
+
 def test_trajectory_series_wall_pins():
     sys, mode = _fixture()
-    for variant in TrajectoryVariant:
-        assert boxmode.trajectory_series(mode, 0.0, variant) == 0.0
-        assert abs(boxmode.trajectory_series(mode, A_BOX, variant) - A_BOX) \
-            <= 1e-12 * A_BOX
+    for q0, qa in _both_paths(mode, sys, [0.0, A_BOX]):
+        assert q0 == 0.0
+        assert abs(qa - A_BOX) <= 1e-12 * A_BOX
 
 
 def test_trajectory_series_quadratic_peak():
     sys, mode = _fixture()
     x = 0.25 * A_BOX                       # sin(2kx) = 1
-    excess = boxmode.trajectory_series(mode, x, TrajectoryVariant.QUADRATIC) - x
+    excess = _column(mode, sys, [x], 1)[0] - x
     target = mode.b_sq / (mode.b_sq + 4.0) / (2.0 * mode.k_n)
     assert excess == pytest.approx(target, rel=1e-12)
 
 
 def test_trajectory_series_monotone():
     sys, mode = _fixture(n=2, ratio=1.9)
-    for variant in TrajectoryVariant:
-        qs = [boxmode.trajectory_series(mode, i * A_BOX / 200.0, variant)
-              for i in range(201)]
+    for qs in _both_paths(mode, sys, [i * A_BOX / 200.0 for i in range(201)]):
         assert all(b > a for a, b in zip(qs, qs[1:]))
 
 
@@ -157,7 +164,7 @@ def test_trajectory_matches_oracle():
     worst = 0.0
     for i in range(1, 32):
         x = i * A_BOX / 32.0
-        q_series = boxmode.trajectory_series(mode, x, TrajectoryVariant.EIGHTH_ORDER)
+        q_series = boxmode.eighth_order_path(mode, x)
         q_oracle = oracle.exact_box_trajectory(mode, x, g=1.0 / c1)
         worst = max(worst, abs(q_series - q_oracle) / A_BOX)
     assert worst <= 2e-4                   # measured 1.41e-4 over the fine grid
@@ -212,7 +219,7 @@ def test_series_curvature_misses_arclength_factor():
     acc = boxmode.pf_acceleration(mode, x, v_p)
 
     def q(s: float) -> float:
-        return boxmode.trajectory_series(mode, s, TrajectoryVariant.QUADRATIC)
+        return _column(mode, sys, [s], 1)[0]
 
     fd = v_p**2 * oracle.finite_diff(q, x, A_BOX / 2000.0, order=2)
     factor = boxmode.integrand_exact(mode.b_sq, mode.k_n * x)
@@ -301,9 +308,9 @@ def test_mode_wall_is_the_system_width():
     a = 2.917e-09
     sys, mode = boxmode.level_at_ratio(M, a, 1, 1.5)
     assert mode.n * math.pi / mode.k_n < a
-    assert boxmode.trajectory_series(mode, a) == pytest.approx(a, rel=1e-12)
+    assert _column(mode, sys, [a], 1)[0] == pytest.approx(a, rel=1e-12)
     with pytest.raises(ValueError, match="outside the box"):
-        boxmode.field_value(mode, math.nextafter(a, 1.0))
+        boxmode.field_slope(mode, math.nextafter(a, 1.0))
 
 
 @pytest.mark.parametrize("a", [2.917e-09, 3.64e-09])
@@ -316,10 +323,9 @@ def test_figure_rows_match_point_functions_bit_for_bit(a, grid, n, ratio):
     rows = boxmode.figure_rows(mode, sys, xs)
     assert len(rows) == grid
     for x, row in zip(xs, rows):
-        q = boxmode.trajectory_series(mode, x, TrajectoryVariant.QUADRATIC)
-        assert row == (x, q, q / x if x > 0.0 else slope0,
-                       boxmode.field_value(mode, x),
-                       boxmode.wavefunction(mode, sys, x) ** 2, x)
+        q = ref.box_path_quadratic(mode, x)
+        assert row == (x, q, q / x if x > 0.0 else slope0, ref.box_field(mode, x),
+                       ref.box_wavefunction(mode, sys, x) ** 2, x)
 
 
 @pytest.mark.parametrize("bad", [-1e-30, "above", math.nan])

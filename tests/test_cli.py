@@ -407,7 +407,8 @@ def test_check_record_fields_are_the_report_keys(tmp_path, capsys):
 
 # SHA-256 of every file written at grid 257 (spectrum and verify take no
 # grid), each recorded before the code that writes it was last rewritten;
-# the files must stay byte-identical.
+# the files must stay byte-identical.  verify_report.json was re-recorded
+# when criterion 09 began to compare q/r - 1 to a relative tolerance.
 _GOLDEN = {
     ("osc-trajectory", "--n", "0"): {
         "osc_trajectory.csv":
@@ -433,14 +434,15 @@ _GOLDEN = {
             "3741278e1a8cca21649bc30a41236f141a003bffa95933adaad092fc1db02664"},
     ("verify",): {
         "verify_report.json":
-            "bc27135c8d69061ef0086e9b7af63f85852ae84becccb6f70bbfc12dfc3d649e"},
+            "7df33d0d7e7747fb4592adf09ea56a01fd7b157a04d513ceca090df1941258d7"},
 }
 
 
 # SHA-256 of verify_report.json under --inject-error, recorded before the
-# check record was shared by the criteria and the report: it pins the
-# deviations and verdicts of failing checks, which the golden run never has.
-_GOLDEN_INJECTED = "626cb9d0132478896ba823f8310ee34c9182652c1edcd5802cca624059d525ad"
+# check record was shared by the criteria and the report and re-recorded
+# with criterion 09's relative q/r - 1 check: it pins the deviations and
+# verdicts of failing checks, which the golden run never has.
+_GOLDEN_INJECTED = "55ecef915f62de93b106c534fbd0f18d538782422930648098ab644f28f4061e"
 
 
 def test_injected_verify_report_matches_golden_digest(tmp_path, capsys):

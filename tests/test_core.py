@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import pytest
@@ -75,6 +76,10 @@ _GUARDS = {
     "classify_region k_particle": (lambda v: classify_region(1.0, v, eps=1e-6), 1.0),
     "kinetic_pf k_particle": (lambda v: kinetic_pf(v, 0.1), 1.0),
     "kinetic_pf chi_prime_sq": (lambda v: kinetic_pf(1.0, v), 0.1),
+    "kinetic_pf g": (lambda v: kinetic_pf(1.0, 0.1, g=v), 0.9),
+    "boxmode.velocity v_p": (lambda v: boxmode.velocity(_BOX_MODE, 1e-9, v), 1e5),
+    "boxmode.pf_acceleration v_p": (
+        lambda v: boxmode.pf_acceleration(_BOX_MODE, 1e-9, v), 1e5),
     "boxmode.level_at_ratio": (
         lambda v: boxmode.level_at_ratio(ELECTRON_MASS, 2e-9, 1, v), 1.5),
     "hydrogen.circular_orbit": (lambda v: hydrogen.circular_orbit(_H, v), 1e-10),
@@ -90,9 +95,10 @@ _GUARDS = {
     "hydrogen.approximation_gap": (hydrogen.approximation_gap, 0.1),
     "hydrogen.cartesian_components_2p0": (
         lambda v: hydrogen.cartesian_components_2p0(_H, 0.1, v, 0.3, 0.2), 1e-10),
-    "hydrogen.orbit_2p": (lambda v: hydrogen.orbit_2p(_H, 0.1, v, 0.3), 1e-10),
-    "hydrogen.orbit_2p a_ha": (lambda v: hydrogen.orbit_2p(_H, v, 1e-10, 0.3), 0.1),
-    "hydrogen.orbit_2p theta": (lambda v: hydrogen.orbit_2p(_H, 0.1, 1e-10, v), 0.3),
+    "hydrogen.figure_rows r": (lambda v: hydrogen.figure_rows(_H, 0.1, v, [0.3]), 1e-10),
+    "hydrogen.figure_rows a_ha": (lambda v: hydrogen.figure_rows(_H, v, 1e-10, [0.3]), 0.1),
+    "hydrogen.figure_rows theta": (
+        lambda v: hydrogen.figure_rows(_H, 0.1, 1e-10, [v]), 0.3),
     "hydrogen.cartesian_components_2p0 a_ha": (
         lambda v: hydrogen.cartesian_components_2p0(_H, v, 1e-10, 0.3, 0.2), 0.1),
     "hydrogen.cartesian_components_2p0 theta": (
@@ -108,17 +114,22 @@ _GUARDS = {
         lambda v: oscillator.make_mode(_OSC, 1, amplitude=v), 1e-10),
     "oscillator.classical_motion": (
         lambda v: oscillator.classical_motion(_OSC, v, 0.0, 0.0), 1e-10),
+    "oscillator.classical_motion phase": (
+        lambda v: oscillator.classical_motion(_OSC, 1e-10, v, 0.0), 0.3),
+    "oscillator.classical_motion t": (
+        lambda v: oscillator.classical_motion(_OSC, 1e-10, 0.0, v), 1e-16),
     "oscillator.path_correction": (
         lambda v: oscillator.path_correction(_OSC_MODE, _OSC, v), 1e-10),
     "oscillator.kinetic_field": (
-        lambda v: oscillator.kinetic_field(_OSC_MODE, _OSC, v, 0.3, 0.0), 1e-10),
+        lambda v: oscillator.kinetic_field(_OSC_MODE, _OSC, v, 0.3), 1e-10),
+    "oscillator.kinetic_field theta": (
+        lambda v: oscillator.kinetic_field(_OSC_MODE, _OSC, 1e-10, v), 0.3),
     "oracle.finite_diff": (lambda v: oracle.finite_diff(math.sin, 0.0, v, 1), 1e-3),
-    "timedep.continuity_residual h_x": (
-        lambda v: timedep.continuity_residual(_BEAT, 1e-9, _T0, v, _H_T), _H_X),
-    "timedep.continuity_residual h_t": (
-        lambda v: timedep.continuity_residual(_BEAT, 1e-9, _T0, _H_X, v), _H_T),
+    "timedep.flux_rows h_x": (
+        lambda v: timedep.flux_rows(_BEAT, [1e-9], _T0, v, _H_T), _H_X),
+    "timedep.flux_rows h_t": (
+        lambda v: timedep.flux_rows(_BEAT, [1e-9], _T0, _H_X, v), _H_T),
     "timedep.Superposition.value t": (lambda v: _BEAT.value(1e-9, v), _T0),
-    "timedep.flux t": (lambda v: timedep.flux(_BEAT, 1e-9, v), _T0),
     "timedep.flux_rows t": (
         lambda v: timedep.flux_rows(_BEAT, [1e-9], v, _H_X, _H_T), _T0),
     "boxmode.level_at_ratio a": (
@@ -142,6 +153,13 @@ _LEVELS = {
     "oscillator.threshold_suppression": (oscillator.threshold_suppression, 0),
 }
 _GUARDS.update({f"{name} n": entry for name, entry in _LEVELS.items()})
+
+# The force formulas take every argument as a plain float: one row each.
+for _force, _valid in ((pf_force_stationary, (0.9, 0.0, 1.0, -1.0, 1.0, 1.0)),
+                       (field_force_1d, (1.0, 1.0, 1.0, -1.0, 0.0))):
+    for _i, _arg in enumerate(inspect.signature(_force).parameters):
+        _GUARDS[f"{_force.__name__} {_arg}"] = (
+            lambda v, f=_force, args=_valid, i=_i: f(*args[:i], v, *args[i + 1:]), _valid[_i])
 
 # The paper-setup constructors that divide by a width or a mass.
 _SETUPS = ("boxmode.level_at_ratio a", "timedep.bare_eigenmode a",
@@ -221,6 +239,12 @@ def _sine_mode():
     return sys, boxmode.make_mode(sys, 1)
 
 
+def _chi(mode, sys, x):
+    """The field chi_n(x), read from the box-figure kernel."""
+    [(_, _, _, chi, _, _)] = boxmode.figure_rows(mode, sys, [x])
+    return chi
+
+
 def test_field_force_reduces_to_stationary_form():
     """On intervals of fixed slope sign, f_F = sign(chi') (-m wbar^2 chi + f_P chi')."""
     sys, mode = _sine_mode()
@@ -228,9 +252,8 @@ def test_field_force_reduces_to_stationary_form():
     wbar = v_p * mode.k_n
     f_p = 3.1e-12
     worst = 0.0
-    for i in range(1, 40):
-        x = 0.5 * sys.a * i / 40.0     # cos(kx) > 0 throughout
-        chi = boxmode.field_value(mode, x)
+    xs = [0.5 * sys.a * i / 40.0 for i in range(1, 40)]     # cos(kx) > 0 throughout
+    for x, _, _, chi, _, _ in boxmode.figure_rows(mode, sys, xs):
         chi_p = boxmode.field_slope(mode, x)
         d_abs = -mode.a_n * mode.k_n**2 * math.sin(mode.k_n * x)
         lhs = field_force_1d(sys.m, v_p, chi_p, d_abs, f_p)
@@ -255,7 +278,7 @@ def test_pf_force_matches_mode_acceleration():
     for frac in (0.1, 0.22, 0.35, 0.43):
         x = frac * sys.a
         chi_p = boxmode.field_slope(mode, x)
-        chi_pp = -mode.k_n**2 * boxmode.field_value(mode, x)
+        chi_pp = -mode.k_n**2 * _chi(mode, sys, x)
         f = pf_force_stationary(mode.g_npf, 0.0, chi_p, chi_pp, sys.m, v_p)
         assert f == pytest.approx(
             sys.m * boxmode.pf_acceleration(mode, x, v_p), rel=5e-15)
@@ -267,7 +290,7 @@ def test_pf_force_tracks_oracle_path_curvature():
     v_p = sys.p_particle / sys.m
     x = 0.25 * sys.a
     chi_p = boxmode.field_slope(mode, x)
-    chi_pp = -mode.k_n**2 * boxmode.field_value(mode, x)
+    chi_pp = -mode.k_n**2 * _chi(mode, sys, x)
     f = pf_force_stationary(mode.g_npf, 0.0, chi_p, chi_pp, sys.m, v_p)
 
     def q(s: float) -> float:

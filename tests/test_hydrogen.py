@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import _reference as ref
 from pfield import _angular, cli, hydrogen, oracle
 from pfield.core import BOHR_RADIUS, ELECTRON_MASS, HBAR
 
@@ -143,13 +144,17 @@ def test_approximation_gap_quartic():
         hydrogen.approximation_gap(0.0)
 
 
+def _p0_radius(a_ha, r, theta):
+    """The p0 orbit radius q = r (q_p0/r) from the hydrogen-figure kernel."""
+    [(_, p0, _)] = hydrogen.figure_rows(SYS, a_ha, r, [theta])
+    return r * p0
+
+
 def test_orbit_2p_cross_sections():
     a_ha = 0.1
     r = SYS.a0
-    p0_pole = hydrogen.orbit_2p(SYS, a_ha, r, 0.0, "p0") / r
-    p0_eq = hydrogen.orbit_2p(SYS, a_ha, r, 0.5 * math.pi, "p0") / r
-    p1_pole = hydrogen.orbit_2p(SYS, a_ha, r, 0.0, "pPlusMinus1") / r
-    p1_eq = hydrogen.orbit_2p(SYS, a_ha, r, 0.5 * math.pi, "pPlusMinus1") / r
+    (_, p0_pole, p1_pole), (_, p0_eq, p1_eq) = hydrogen.figure_rows(
+        SYS, a_ha, r, [0.0, 0.5 * math.pi])
     assert p0_pole == pytest.approx(1.0002927491576217, rel=1e-12)
     assert p0_eq == pytest.approx(1.0001463745788108, rel=1e-12)
     assert p1_pole == pytest.approx(1.0000731872894053, rel=1e-12)
@@ -158,10 +163,10 @@ def test_orbit_2p_cross_sections():
     assert p0_pole > p0_eq
     assert p1_pole < p1_eq
     # mirror symmetry across the equator
-    assert hydrogen.orbit_2p(SYS, a_ha, r, 0.4, "p0") == pytest.approx(
-        hydrogen.orbit_2p(SYS, a_ha, r, math.pi - 0.4, "p0"), rel=1e-13)
-    with pytest.raises(ValueError):
-        hydrogen.orbit_2p(SYS, a_ha, r, 0.0, "p2")
+    (_, p0_north, p1_north), (_, p0_south, p1_south) = hydrogen.figure_rows(
+        SYS, a_ha, r, [0.4, math.pi - 0.4])
+    assert p0_north == pytest.approx(p0_south, rel=1e-13)
+    assert p1_north == pytest.approx(p1_south, rel=1e-13)
 
 
 def test_cartesian_components_match_orbit():
@@ -170,26 +175,25 @@ def test_cartesian_components_match_orbit():
     for theta in (0.3, 1.0, 2.2):
         qx, qy, qz = hydrogen.cartesian_components_2p0(SYS, a_ha, r, theta, 0.8)
         norm = math.sqrt(qx * qx + qy * qy + qz * qz)
-        q = hydrogen.orbit_2p(SYS, a_ha, r, theta, "p0")
+        q = _p0_radius(a_ha, r, theta)
         assert abs(norm - q) / q <= 2e-8        # O(a_ha^4) mismatch
     # the gap closes quartically with the amplitude
     qx, qy, qz = hydrogen.cartesian_components_2p0(SYS, 0.01, r, 1.0, 0.8)
     small = abs(math.sqrt(qx**2 + qy**2 + qz**2)
-                - hydrogen.orbit_2p(SYS, 0.01, r, 1.0, "p0")) / r
+                - _p0_radius(0.01, r, 1.0)) / r
     assert small <= 2e-12
     # on the axis only the z component survives
     qx0, qy0, qz0 = hydrogen.cartesian_components_2p0(SYS, a_ha, r, 0.0, 0.0)
     assert qx0 == 0.0 and qy0 == 0.0
-    assert qz0 == pytest.approx(hydrogen.orbit_2p(SYS, a_ha, r, 0.0, "p0"),
-                                rel=1e-12)
+    assert qz0 == pytest.approx(_p0_radius(a_ha, r, 0.0), rel=1e-12)
 
 
 
 # nan and inf are covered with the other guards in test_core.
 @pytest.mark.parametrize("call", [
-    lambda v: hydrogen.orbit_2p(SYS, v, SYS.a0, 0.3, "pPlusMinus1"),
+    lambda v: hydrogen.figure_rows(SYS, v, SYS.a0, [0.3]),
     lambda v: hydrogen.cartesian_components_2p0(SYS, v, SYS.a0, 0.3, 0.2),
-], ids=["orbit_2p", "cartesian_components_2p0"])
+], ids=["figure_rows", "cartesian_components_2p0"])
 @pytest.mark.parametrize("bad", [0.0, -0.1])
 def test_2p_orbits_reject_non_positive_amplitude(call, bad):
     call(0.1)
@@ -200,13 +204,10 @@ def test_2p_orbits_reject_non_positive_amplitude(call, bad):
 @pytest.mark.parametrize("a_ha,r", [(0.1, SYS.a0), (0.2, 1.5e-10), (0.05, 3e-11)])
 def test_cross_sections_2p_match_hand_construction(a_ha, r):
     expected = [
-        (("p0", "polar"), hydrogen.orbit_2p(SYS, a_ha, r, 0.0, "p0") / r),
-        (("p0", "equatorial"),
-         hydrogen.orbit_2p(SYS, a_ha, r, 0.5 * math.pi, "p0") / r),
-        (("pPlusMinus1", "polar"),
-         hydrogen.orbit_2p(SYS, a_ha, r, 0.0, "pPlusMinus1") / r),
-        (("pPlusMinus1", "equatorial"),
-         hydrogen.orbit_2p(SYS, a_ha, r, 0.5 * math.pi, "pPlusMinus1") / r),
+        (("p0", "polar"), ref.orbit_2p0(SYS, a_ha, r, 0.0) / r),
+        (("p0", "equatorial"), ref.orbit_2p0(SYS, a_ha, r, 0.5 * math.pi) / r),
+        (("pPlusMinus1", "polar"), ref.orbit_2p1(SYS, a_ha, r, 0.0) / r),
+        (("pPlusMinus1", "equatorial"), ref.orbit_2p1(SYS, a_ha, r, 0.5 * math.pi) / r),
     ]
     assert list(hydrogen.cross_sections_2p(SYS, a_ha, r).items()) == expected
 
@@ -220,8 +221,8 @@ def test_figure_rows_match_point_functions_bit_for_bit(z, a_ha, r, grid):
     rows = hydrogen.figure_rows(sys, a_ha, r, thetas)
     assert len(rows) == grid
     for theta, row in zip(thetas, rows):
-        assert row == (theta, hydrogen.orbit_2p(sys, a_ha, r, theta, "p0") / r,
-                       hydrogen.orbit_2p(sys, a_ha, r, theta, "pPlusMinus1") / r)
+        assert row == (theta, ref.orbit_2p0(sys, a_ha, r, theta) / r,
+                       ref.orbit_2p1(sys, a_ha, r, theta) / r)
 
 
 @pytest.mark.parametrize("a_ha,r,theta,match", [

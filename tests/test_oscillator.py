@@ -6,9 +6,9 @@ import math
 
 import pytest
 
+import _reference as ref
 from pfield import cli, oracle, oscillator
 from pfield.core import ELECTRON_MASS, HBAR
-from pfield.oscillator import TrajectoryOrder
 
 ALPHA = 1e20  # m^-2, electron-scale trap
 
@@ -80,30 +80,41 @@ def test_classical_motion_conserves_energy():
         oscillator.classical_motion(sys, 0.0, 0.0, 0.0)
 
 
+def _field(mode, sys, r_bar):
+    """The field column chi of the osc-trajectory kernel at one r_bar."""
+    [(_, _, _, chi)] = oscillator.figure_rows(mode, sys, [r_bar])
+    return chi
+
+
+def _hermite_2_field(mode, sys, r_bar):
+    """a_osc H_2(u) e^(-u^2/2) with u = sqrt(alpha) r_bar and H_2(u) = 4u^2 - 2."""
+    u = math.sqrt(sys.alpha) * r_bar
+    return mode.a_osc * (4.0 * u * u - 2.0) * math.exp(-0.5 * u * u)
+
+
 def test_radial_field_profiles():
     sys = _system()
     a = 1e-10
     r = 0.6 / math.sqrt(ALPHA)
     env = math.exp(-0.5 * sys.alpha * r * r)
     m0 = oscillator.make_mode(sys, 0, amplitude=a)
-    assert oscillator.radial_field(m0, sys, r) == pytest.approx(a * env, rel=1e-14)
+    assert _field(m0, sys, r) == pytest.approx(a * env, rel=1e-14)
     m1 = oscillator.make_mode(sys, 1, amplitude=a)
-    assert oscillator.radial_field(m1, sys, r) == pytest.approx(a * r * env, rel=1e-14)
-    # n = 2 goes through the Hermite recurrence: H_2(u) = 4u^2 - 2
+    assert _field(m1, sys, r) == pytest.approx(a * r * env, rel=1e-14)
+    # n = 2 goes through the Hermite recurrence: H_2 = 4u^2 - 2, H_1 = 2u
     m2 = oscillator.make_mode(sys, 2, amplitude=a)
     u = math.sqrt(sys.alpha) * r
-    assert oscillator.radial_field(m2, sys, r) == pytest.approx(
-        a * (4.0 * u * u - 2.0) * env, rel=1e-13)
+    assert oscillator.radial_field_slope(m2, sys, r) == pytest.approx(
+        a * math.sqrt(sys.alpha) * (8.0 * u - u * (4.0 * u * u - 2.0)) * env, rel=1e-13)
 
 
 def test_radial_field_slope_matches_finite_difference():
     sys = _system()
     h = 1e-13
-    for n in (0, 1, 2):
+    for n, field in ((0, _field), (1, _field), (2, _hermite_2_field)):
         mode = oscillator.make_mode(sys, n, amplitude=1e-10)
         for r in (0.0, 0.4e-10, 0.9e-10):
-            fd = oracle.finite_diff(
-                lambda s: oscillator.radial_field(mode, sys, s), r, h, order=1)
+            fd = oracle.finite_diff(lambda s: field(mode, sys, s), r, h, order=1)
             slope = oscillator.radial_field_slope(mode, sys, r)
             assert slope == pytest.approx(fd, rel=1e-5, abs=1e-12 * abs(mode.a_osc))
 
@@ -111,10 +122,10 @@ def test_radial_field_slope_matches_finite_difference():
 def test_kinetic_field_turning_points_and_domain():
     sys = _system()
     mode = oscillator.make_mode(sys, 1, l=1, m_l=0, amplitude=1e-10)
-    assert oscillator.kinetic_field(mode, sys, sys.cap_l, 0.3, 0.0) == 0.0
-    assert oscillator.kinetic_field(mode, sys, -sys.cap_l, 0.3, 0.0) == 0.0
+    assert oscillator.kinetic_field(mode, sys, sys.cap_l, 0.3) == 0.0
+    assert oscillator.kinetic_field(mode, sys, -sys.cap_l, 0.3) == 0.0
     with pytest.raises(ValueError):
-        oscillator.kinetic_field(mode, sys, 1.01 * sys.cap_l, 0.3, 0.0)
+        oscillator.kinetic_field(mode, sys, 1.01 * sys.cap_l, 0.3)
 
 
 def test_kinetic_field_angular_weight():
@@ -123,26 +134,25 @@ def test_kinetic_field_angular_weight():
     mode = oscillator.make_mode(sys, 1, l=1, m_l=0, amplitude=a)
     # slope at the center is a_osc; S_10 = sqrt(6)/2 cos(theta)
     base = 0.5 * sys.mu * sys.omega0**2 * sys.cap_l**2 * a**2 / (2.0 * math.pi)
-    at_pole = oscillator.kinetic_field(mode, sys, 0.0, 0.0, 0.0)
+    at_pole = oscillator.kinetic_field(mode, sys, 0.0, 0.0)
     assert at_pole == pytest.approx(base * 6.0 / 4.0, rel=1e-13)
-    at_equator = oscillator.kinetic_field(mode, sys, 0.0, 0.5 * math.pi, 0.0)
+    at_equator = oscillator.kinetic_field(mode, sys, 0.0, 0.5 * math.pi)
     assert at_equator <= 1e-30 * at_pole
 
 
 def test_trajectory_slope_sq_forms():
+    # the path integrand is sqrt(1 + w/4pi); recover w from it
     sys = _system()
     a = 1e-10
-    m0 = oscillator.make_mode(sys, 0, amplitude=a)
     r = 0.5e-10
-    w0 = oscillator.trajectory_slope_sq(m0, sys, r)
-    assert w0 == pytest.approx(
-        0.5 * (a * sys.alpha * r)**2 * math.exp(-sys.alpha * r * r), rel=1e-13)
-    m1 = oscillator.make_mode(sys, 1, amplitude=a)
-    assert oscillator.trajectory_slope_sq(m1, sys, 0.0) == \
-        pytest.approx(0.5 * a * a * sys.alpha, rel=1e-13)
-    m2 = oscillator.make_mode(sys, 2, amplitude=a)
-    with pytest.raises(ValueError):
-        oscillator.trajectory_slope_sq(m2, sys, r)
+
+    def slope_sq(n, r_bar):
+        f = oscillator.path_integrand(oscillator.make_mode(sys, n, amplitude=a), sys)
+        return 4.0 * math.pi * (f(r_bar) ** 2 - 1.0)
+
+    assert slope_sq(0, r) == pytest.approx(
+        0.5 * (a * sys.alpha * r)**2 * math.exp(-sys.alpha * r * r), rel=1e-12)
+    assert slope_sq(1, 0.0) == pytest.approx(0.5 * a * a * sys.alpha, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -154,8 +164,8 @@ def test_path_integrand_matches_slope_bit_for_bit(n, alpha):
     grid = [sys.cap_l * (i / 64.0 - 1.0) for i in range(129)]
     assert 0.0 in grid and grid[0] == -sys.cap_l and grid[-1] == sys.cap_l
     for r in grid:
-        assert integrand(r) == math.sqrt(
-            1.0 + oscillator.trajectory_slope_sq(mode, sys, r) / (4.0 * math.pi))
+        w = ref.osc_slope_sq(mode, sys, r)
+        assert integrand(r) == math.sqrt(1.0 + w / (4.0 * math.pi))
 
 
 def test_path_integrand_rejects_untabulated_level():
@@ -168,13 +178,14 @@ def test_trajectory_odd_and_consistent():
     sys = _system()
     mode = oscillator.make_mode(sys, 1, amplitude=1e-10)
     r = 0.8e-10
-    q = oscillator.trajectory(mode, sys, r)
-    assert oscillator.trajectory(mode, sys, -r) == -q
+    (_, q_two, q, _), (_, q_two_neg, q_neg, _) = oscillator.figure_rows(mode, sys, [r, -r])
+    assert (q_two_neg, q_neg) == (-q_two, -q)
     assert q == r + oscillator.path_correction(mode, sys, r)
     # the turning point itself is inside the domain
-    oscillator.trajectory(mode, sys, sys.cap_l)
+    oscillator.figure_rows(mode, sys, [sys.cap_l])
+    oscillator.path_correction(mode, sys, sys.cap_l)
     with pytest.raises(ValueError):
-        oscillator.trajectory(mode, sys, 1.01 * sys.cap_l)
+        oscillator.path_correction(mode, sys, 1.01 * sys.cap_l)
 
 
 def test_path_correction_resolves_subulp_terms():
@@ -185,7 +196,8 @@ def test_path_correction_resolves_subulp_terms():
     dq = oscillator.path_correction(mode, sys, cap)
     assert 0.0 < dq < 1e-20 * cap
     # folded into the sum it vanishes entirely
-    assert oscillator.trajectory(mode, sys, cap) == cap
+    [(_, _, q, _)] = oscillator.figure_rows(mode, sys, [cap])
+    assert q == cap
 
 
 @pytest.mark.parametrize("aa_sq,n,dev2_max,dev3_max", [
@@ -201,10 +213,9 @@ def test_trajectory_against_oracle(aa_sq, n, dev2_max, dev3_max):
     r = 1.0 / math.sqrt(ALPHA)
     scale = math.sqrt(ALPHA)
     q_oracle = oracle.exact_osc_trajectory(mode, sys, r)
-    dev2 = abs(oscillator.trajectory(mode, sys, r, TrajectoryOrder.TWO_TERM)
-               - q_oracle) * scale
-    dev3 = abs(oscillator.trajectory(mode, sys, r, TrajectoryOrder.THREE_TERM)
-               - q_oracle) * scale
+    [(_, q_two, q_three, _)] = oscillator.figure_rows(mode, sys, [r])
+    dev2 = abs(q_two - q_oracle) * scale
+    dev3 = abs(q_three - q_oracle) * scale
     assert dev2 <= dev2_max
     assert dev3 <= dev3_max
     assert dev3 < dev2
@@ -252,10 +263,9 @@ def test_figure_rows_match_point_functions_bit_for_bit(n, alpha, amplitude, grid
     rows = oscillator.figure_rows(mode, sys, xs)
     assert len(rows) == grid
     for r_bar, row in zip(xs, rows):
-        assert row == (r_bar,
-                       oscillator.trajectory(mode, sys, r_bar, TrajectoryOrder.TWO_TERM),
-                       oscillator.trajectory(mode, sys, r_bar, TrajectoryOrder.THREE_TERM),
-                       oscillator.radial_field(mode, sys, r_bar))
+        assert row == (r_bar, ref.osc_path_two_term(mode, sys, r_bar),
+                       ref.osc_path_three_term(mode, sys, r_bar),
+                       ref.osc_field(mode, sys, r_bar))
 
 
 @pytest.mark.parametrize("bad", ["beyond", -math.inf, math.nan])

@@ -24,16 +24,9 @@ _PLANNED = "item 2: criterion planned"
 # Unreached public names -> why each stays.  A new public name needs a
 # caller in the package, an entry here, or deletion.
 _ALLOWED_UNREACHED = {
-    "boxmode.field_value": _TEST_REFERENCE,
-    "boxmode.wavefunction": _TEST_REFERENCE,
     "oracle.finite_diff": _TEST_REFERENCE,
     "oracle.exact_box_trajectory": _TEST_REFERENCE,
     "oracle.exact_osc_trajectory": _TEST_REFERENCE,
-    "oscillator.radial_field": _TEST_REFERENCE,
-    "oscillator.trajectory": _TEST_REFERENCE,
-    "oscillator.trajectory_slope_sq": _TEST_REFERENCE,
-    "hydrogen.orbit_2p": _TEST_REFERENCE,
-    "timedep.continuity_residual": _TEST_REFERENCE,
     "boxmode.field_energy": _ENERGY_BALANCE,
     "core.energy_budget_check": _ENERGY_BALANCE,
     "core.classify_region": _ENERGY_BALANCE,
@@ -52,8 +45,8 @@ _ALLOWED_UNREACHED = {
     # with criterion 08: (linear - exact) / (r theta_dot) at theta = pi/2,
     # r -> 0 tends to approximation_gap(a_ha)
     "hydrogen.pf_velocity": _PLANNED,
-    # with criterion 09: the norm of the components matches orbit_2p
-    # (..., "p0") to O(a_ha^4)
+    # with criterion 09: the norm of the components matches r times the
+    # q_p0/r column of hydrogen.figure_rows to O(a_ha^4)
     "hydrogen.cartesian_components_2p0": _PLANNED,
 }
 
