@@ -6,7 +6,8 @@ produces byte-identical files.  Exit codes: 0 success, 1 verification
 failure, 2 usage or configuration error (a malformed or non-finite
 option value, an option the subcommand does not take, or an output
 location that cannot be written), 3 domain or numeric error raised by
-the physics layer, whose parameter checks reject nan and inf too.
+the physics layer, whose parameter checks reject nan and inf too, and
+overflow or division by zero at an extreme finite option.
 A box-figure ratio outside [1, 2) is caught before any of its files is
 written.  Spectrum needs a ratio in (1, 2): the bare level at ratio 1
 has no field for the quartic term to act on.  A subcommand's files are
@@ -19,12 +20,18 @@ Every subcommand takes --out and --config; the table subcommands take
 Output location: --out flag, else the OUTPUT_DIR environment variable,
 else the working directory.  CSV files carry `# key=value` caption
 lines followed by a single `name:unit` header row; JSON files carry the
-same content as {"meta": ..., "columns": ..., "rows": ...}.
+same content as {"meta": ..., "columns": ..., "rows": ...}.  Both formats
+stream their rows to the file in blocks of _CHUNK_ROWS through one row
+formatter, which writes each cell's repr and differs between the formats
+only in its separators; a non-finite cell or meta value is a numeric
+error (3) and leaves no file.  The argument parser is built once per
+process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -133,23 +140,23 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _write(out: str, files: Iterable[tuple[str, str]]) -> list[Path]:
-    """Write each (name, text) to out/name as one set.
+def _write(out: str, files: Iterable[tuple[str, Iterable[str]]]) -> list[Path]:
+    """Write each (name, chunks) to out/name as one set.
 
-    Every file goes to a temporary name first and all are renamed once the
-    last is written, so a failed write leaves none of them.  files may be
-    a generator: each text is released once written, before the next is
-    made.
+    Every file goes to a temporary name first, its chunks through one open
+    handle, and all are renamed once the last is written, so a failed write
+    leaves none of them.  files and each chunks may be generators, so no
+    file's text need be held whole.
     """
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     staged: list[tuple[Path, Path]] = []
     try:
-        for name, text in files:
+        for name, chunks in files:
             tmp = out_dir / f".{name}.tmp"
             staged.append((tmp, out_dir / name))
-            tmp.write_text(text, encoding="utf-8")
-            del text
+            with tmp.open("w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
         for tmp, path in staged:
             os.replace(tmp, path)
     finally:
@@ -162,21 +169,59 @@ def _json(payload: object) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# Rows per chunk of a table: its text is built and written this many rows
+# at a time.
+_CHUNK_ROWS = 1024
+
+# (row open, cell separator, row close, row separator, tail) of each format.
+# A CSV row is its bare cells and a JSON row the indented list that
+# json.dumps(indent=2) writes; a cell is its repr in both, which is what
+# _fmt and json.dumps write for a finite float or an int.
+_ROW_SYNTAX = {
+    "csv": ("", ",", "", "\n", "\n"),
+    "json": ("    [\n      ", ",\n      ", "\n    ]", ",\n", "\n  ]\n}\n"),
+}
+
+
 def _table(merged: Mapping[str, object], stem: str,
            meta: Mapping[str, object], columns: Sequence[str],
-           rows: Sequence[Sequence[object]]) -> tuple[str, str]:
-    """File name and text of a table in the chosen format."""
-    if merged["format"] == "csv":
-        lines = [f"# {key}={_fmt(value)}" for key, value in meta.items()]
-        lines.append(",".join(columns))
-        # Rows hold only floats and ints, whose repr is what _fmt gives.
-        for row in rows:
-            lines.append(",".join(map(repr, row)))
-        text = "\n".join(lines) + "\n"
-    else:
-        text = _json({"meta": dict(meta), "columns": list(columns),
-                      "rows": [list(row) for row in rows]})
-    return f"{stem}.{merged['format']}", text
+           rows: Sequence[Sequence[object]]) -> tuple[str, Iterator[str]]:
+    """File name and text chunks of a table in the chosen format.
+
+    rows is not empty and holds only floats and ints.  A non-finite meta
+    value or cell raises ValueError as its chunk is made: repr would spell
+    it nan or inf, and json.dumps NaN or Infinity.
+    """
+    fmt = merged["format"]
+    name = f"{stem}.{fmt}"
+
+    def chunks() -> Iterator[str]:
+        bad = [key for key, value in meta.items()
+               if isinstance(value, float) and not math.isfinite(value)]
+        if bad:
+            raise ValueError(f"{name}: non-finite meta value {', '.join(bad)}")
+        if fmt == "csv":
+            yield "\n".join([*(f"# {key}={_fmt(value)}" for key, value in meta.items()),
+                             ",".join(columns)])
+        else:
+            # rows is the last key in sorted order: cut the "]\n}\n" that
+            # closes its empty list, and the rows follow the "[".
+            yield _json({"meta": dict(meta), "columns": list(columns), "rows": []})[:-4]
+        row_open, cell_sep, row_close, row_sep, tail = _ROW_SYNTAX[fmt]
+        between = row_close + row_sep + row_open
+        lead = "\n"
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            text = between.join([cell_sep.join(map(repr, row))
+                                 for row in rows[start:start + _CHUNK_ROWS]])
+            # A letter n marks a non-finite cell, which repr spells nan or
+            # inf: no digit, exponent or separator holds one.
+            if "n" in text:
+                raise ValueError(f"{name}: non-finite cell in the rows from {start + 1}")
+            yield lead + row_open + text + row_close
+            lead = row_sep
+        yield tail
+
+    return name, chunks()
 
 
 def _grid(lo: float, hi: float, n: int) -> list[float]:
@@ -202,7 +247,7 @@ def _cmd_box_figure(merged: Mapping[str, object]) -> int:
     xs = _box_grid(0.0, a, merged["grid"])
     columns = ("x:m", "q:m", "q_over_x:1", "chi:m", "psi_density:1/m", "x_ref:m")
 
-    def tables() -> Iterator[tuple[str, str]]:
+    def tables() -> Iterator[tuple[str, Iterator[str]]]:
         for n, ratio, sys, mode in levels:
             inflections = [j * a / (2 * n) for j in range(1, 2 * n)]
             meta = {
@@ -318,8 +363,8 @@ def _cmd_verify(merged: Mapping[str, object]) -> int:
                  "checks": [vars(rep) for rep in result.reports]}
                 for result in results]
     [report_path] = _write(merged["out"], [
-        ("verify_report.json", _json({"passed": all_passed, "perturb": perturb,
-                                      "criteria": criteria}))])
+        ("verify_report.json", [_json({"passed": all_passed, "perturb": perturb,
+                                       "criteria": criteria})])])
     for result in results:
         tag = "PASS" if result.passed else "FAIL"
         print(f"{tag} {result.ident}: {result.description}")
@@ -370,6 +415,7 @@ _COMMANDS: dict[str, tuple[Callable[[Mapping[str, object]], int], _Table]] = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pfield",
@@ -404,7 +450,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
-    except (ValueError, oracle.QuadratureError) as exc:
+    except (ValueError, ArithmeticError, oracle.QuadratureError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 3
 

@@ -1,15 +1,19 @@
 """Point forms of the tabulated closed forms, frozen as the row kernels'
-references.
+references, and the whole-text table builder, frozen as the streaming
+writer's.
 
-Each function is the formula as it stood in the package before the row
-kernels became its only copy, with the products in the same order, so a
+Each point function is the formula as it stood in the package before the
+row kernels became its only copy, with the products in the same order, so a
 kernel must equal it bit for bit.  A point value in the package is a
-one-element grid of its kernel; these copies live with the tests so they
-cannot drift along with it.
+one-element grid of its kernel.  table_text is the CLI's table text as it
+stood before tables were written in row blocks, so the joined chunks must
+equal it byte for byte.  These copies live with the tests so they cannot
+drift along with the package.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 from pfield.core import HBAR
@@ -96,3 +100,23 @@ def continuity_residual(field, x, t, h_x, h_t):
                - abs(field.value(x, t - h_t)) ** 2) / (2.0 * h_t)
     dj_dx = (flux(field, x + h_x, t) - flux(field, x - h_x, t)) / (2.0 * h_x)
     return drho_dt + dj_dx
+
+
+def _fmt(value):
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def table_text(fmt, meta, columns, rows):
+    """Whole text of a CSV or JSON table, as the CLI built it before it
+    streamed its tables in row blocks."""
+    if fmt == "csv":
+        lines = [f"# {key}={_fmt(value)}" for key, value in meta.items()]
+        lines.append(",".join(columns))
+        for row in rows:
+            lines.append(",".join(map(repr, row)))
+        return "\n".join(lines) + "\n"
+    return json.dumps({"meta": dict(meta), "columns": list(columns),
+                       "rows": [list(row) for row in rows]},
+                      indent=2, sort_keys=True) + "\n"

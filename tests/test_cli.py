@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from pfield import cli, oracle
+from pfield import cli, oracle, timedep
 from pfield.core import HBAR
 
 
@@ -215,32 +215,68 @@ def test_hydrogen_figure_rejects_non_positive_amplitude(tmp_path, capsys, a_ha):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
-    def write_ten_bytes_then_fail(path, data, *args, **kwargs):
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write(data[:10])
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+class _FullDisk:
+    """An open text file that takes ten characters, then fails with ENOSPC."""
 
-    monkeypatch.setattr(Path, "write_text", write_ten_bytes_then_fail)
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def writelines(self, chunks):
+        self._fh.write(next(iter(chunks))[:10])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), self._fh.name)
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
+    path_open = Path.open
+
+    def open_a_full_disk(path, *args, **kwargs):
+        return _FullDisk(path_open(path, *args, **kwargs))
+
+    monkeypatch.setattr(Path, "open", open_a_full_disk)
     assert cli.main(["spectrum", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []
 
 def test_box_figure_failed_write_leaves_no_file_of_the_set(tmp_path, capsys,
                                                            monkeypatch):
-    write_text = Path.write_text
+    path_open = Path.open
     written = []
 
-    def fail_on_second_file(path, data, *args, **kwargs):
+    def fail_on_second_file(path, *args, **kwargs):
         written.append(path.name)
         if len(written) == 2:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
-        return write_text(path, data, *args, **kwargs)
+        return path_open(path, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "write_text", fail_on_second_file)
+    monkeypatch.setattr(Path, "open", fail_on_second_file)
     assert cli.main(["box-figure", "--grid", "16", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert written == [".box_figure_n1.csv.tmp", ".box_figure_n2.csv.tmp"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", cli._FORMATS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_cell_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                    fmt, bad):
+    flux_rows = timedep.flux_rows
+
+    def one_bad_cell(*args):
+        rows = flux_rows(*args)
+        # The first block is written before the second, which holds the cell.
+        rows[cli._CHUNK_ROWS] = (rows[cli._CHUNK_ROWS][0], bad, 1.0)
+        return rows
+
+    monkeypatch.setattr(timedep, "flux_rows", one_bad_cell)
+    assert cli.main(["flux-check", "--grid", str(cli._CHUNK_ROWS + 2),
+                     "--format", fmt, "--out", str(tmp_path)]) == 3
+    assert "non-finite cell" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -263,6 +299,42 @@ def test_non_positive_float_option_exits_cleanly(tmp_path, capsys, command, key,
     assert rc in (2, 3)
     assert capsys.readouterr().err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,key", _POSITIVE_FLOATS,
+                         ids=[f"{c} {k}" for c, k in _POSITIVE_FLOATS])
+@pytest.mark.parametrize("value", ["1e-300", "1e300"])
+def test_extreme_float_option_exits_cleanly(tmp_path, capsys, command, key, value):
+    # Overflow and division by zero are numeric errors (3), not tracebacks.
+    grid = ("--grid", "16") if "grid" in cli._COMMANDS[command][1] else ()
+    flag = "--" + key.replace("_", "-")
+    rc = cli.main([command, f"{flag}={value}", *grid, "--out", str(tmp_path)])
+    assert rc in (0, 3)
+    if rc == 3:
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_cached_parser_keeps_no_option_between_calls(tmp_path, capsys):
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert cli.main(["hydrogen-figure", "--grid", "16", "--a-ha", "0.2",
+                     "--out", str(one)]) == 0
+    assert cli.main(["hydrogen-figure", "--grid", "17", "--out", str(two)]) == 0
+    meta, _, rows = _read_table(two / "hydrogen_figure.csv")
+    assert len(rows) == 17
+    assert meta["a_ha"] == "0.1"
+
+
+def test_valid_call_after_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--levels", "0", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert cli.main(["spectrum", "--out", str(tmp_path)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["spectrum.csv"]
 
 
 def test_unwritable_out_exits_2(tmp_path):
@@ -461,10 +533,22 @@ def test_outputs_match_golden_digests(tmp_path, capsys, args):
     assert digests == _GOLDEN[args]
 
 
-# SHA-256 of the JSON tables at grid 257, recorded before their rows were
-# built by one kernel per table: a kernel that reorders or reformats rows
-# must not pass because only the CSV files are pinned.
+# SHA-256 of the JSON tables at grid 257 (spectrum takes no grid), recorded
+# before their rows were built by one kernel per table (box-figure and
+# spectrum before tables were written in row blocks): a kernel or writer
+# that reorders or reformats rows must not pass because only the CSV files
+# are pinned, and spectrum pins an int column.
 _GOLDEN_JSON = {
+    ("box-figure",): {
+        "box_figure_n1.json":
+            "9a60a8dd019d8e4fa3ad2d1dc4e8dc4316ae7828210e5b545bfd7151a220d6f2",
+        "box_figure_n2.json":
+            "ab1c899888ce3859c7b76e04659af9a5ff9e1e12f5ed39d969cee9725505e5c2",
+        "box_figure_n3.json":
+            "9be5ffe03634cd675aea1d18356404a23cd215961457c1175554a0f14bdcf1da"},
+    ("spectrum",): {
+        "spectrum.json":
+            "beda12fdfdee3c40494e495651bbbcfffafd7cbe6d2e4328b4d39e3e91135716"},
     ("flux-check",): {
         "flux_check.json":
             "0b42f3845ae78212c66bac2ef1f5cba788f6a4a132a0b19cc02caea371adf0cf"},
@@ -482,7 +566,8 @@ _GOLDEN_JSON = {
 
 @pytest.mark.parametrize("args", list(_GOLDEN_JSON), ids=" ".join)
 def test_json_outputs_match_golden_digests(tmp_path, capsys, args):
-    assert cli.main([*args, "--grid", "257", "--format", "json",
+    grid = () if args[0] == "spectrum" else ("--grid", "257")
+    assert cli.main([*args, *grid, "--format", "json",
                      "--out", str(tmp_path)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
