@@ -13,7 +13,10 @@ written.  Spectrum needs a ratio in (1, 2): the bare level at ratio 1
 has no field for the quartic term to act on.  A subcommand's files are
 written as one set, whole or not at all.  The box-figure grid ends
 exactly on the wall a and the flux-check grid exactly at a - h_x, so no
-sample falls outside the box.
+sample falls outside the box.  Each subcommand returns its files; main
+writes them as one set and prints the path of each.  The message of an
+exit 3 names the subcommand and each option that differs from its
+default.
 
 Every subcommand takes --out and --config; the table subcommands take
 --format, and the four sampled tables (all but spectrum) take --grid.
@@ -44,6 +47,8 @@ from .core import ELECTRON_MASS
 
 _FORMATS = ("csv", "json")
 _Table = Mapping[str, tuple[Callable[[str], object], object]]
+# (name, text chunks) of each file of a set.
+_Files = Iterable[tuple[str, Iterable[str]]]
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -96,9 +101,9 @@ def finite_float(text: str) -> float:
     return value
 
 
-def ratio_list(text: str) -> list[float]:
+def ratio_list(text: str) -> tuple[float, ...]:
     """Comma-separated finite floats; every token must parse."""
-    return [finite_float(tok) for tok in text.split(",")]
+    return tuple(finite_float(tok) for tok in text.split(","))
 
 
 def grid_points(text: str) -> int:
@@ -140,7 +145,7 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _write(out: str, files: Iterable[tuple[str, Iterable[str]]]) -> list[Path]:
+def _write(out: str, files: _Files) -> list[Path]:
     """Write each (name, chunks) to out/name as one set.
 
     Every file goes to a temporary name first, its chunks through one open
@@ -183,8 +188,7 @@ _ROW_SYNTAX = {
 }
 
 
-def _table(merged: Mapping[str, object], stem: str,
-           meta: Mapping[str, object], columns: Sequence[str],
+def _table(fmt: str, stem: str, meta: Mapping[str, object], columns: Sequence[str],
            rows: Sequence[Sequence[object]]) -> tuple[str, Iterator[str]]:
     """File name and text chunks of a table in the chosen format.
 
@@ -192,7 +196,6 @@ def _table(merged: Mapping[str, object], stem: str,
     value or cell raises ValueError as its chunk is made: repr would spell
     it nan or inf, and json.dumps NaN or Infinity.
     """
-    fmt = merged["format"]
     name = f"{stem}.{fmt}"
 
     def chunks() -> Iterator[str]:
@@ -238,7 +241,7 @@ def _box_grid(lo: float, hi: float, n: int) -> list[float]:
 
 # ---------------------------------------------------------------- box-figure
 
-def _cmd_box_figure(merged: Mapping[str, object]) -> int:
+def _cmd_box_figure(merged: Mapping[str, object]) -> tuple[_Files, int]:
     a = merged["a"]
     mass = merged["mass"]
     # Every ratio is checked and every mode built before the first file.
@@ -255,17 +258,15 @@ def _cmd_box_figure(merged: Mapping[str, object]) -> int:
                 "b_sq": mode.b_sq, "g": mode.g_npf, "a_n": mode.a_n,
                 "inflection_points_m": "[" + ", ".join(repr(v) for v in inflections) + "]",
             }
-            yield _table(merged, f"box_figure_n{n}", meta, columns,
+            yield _table(merged["format"], f"box_figure_n{n}", meta, columns,
                          boxmode.figure_rows(mode, sys, xs))
 
-    for path in _write(merged["out"], tables()):
-        print(path)
-    return 0
+    return tables(), 0
 
 
 # ------------------------------------------------------------ osc-trajectory
 
-def _cmd_osc_trajectory(merged: Mapping[str, object]) -> int:
+def _cmd_osc_trajectory(merged: Mapping[str, object]) -> tuple[_Files, int]:
     alpha = merged["alpha"]
     n = merged["n"]
     mu = merged["mu"]
@@ -280,14 +281,12 @@ def _cmd_osc_trajectory(merged: Mapping[str, object]) -> int:
     meta = {"alpha": alpha, "mu": mu, "omega0": sys.omega0, "n": n,
             "amplitude": mode.a_osc, "cap_l": sys.cap_l}
     columns = ("r_bar:m", "q_two:m", "q_three:m", "q_oracle:m", "chi:m")
-    [path] = _write(merged["out"], [_table(merged, "osc_trajectory", meta, columns, rows)])
-    print(path)
-    return 0
+    return [_table(merged["format"], "osc_trajectory", meta, columns, rows)], 0
 
 
 # ----------------------------------------------------------- hydrogen-figure
 
-def _cmd_hydrogen_figure(merged: Mapping[str, object]) -> int:
+def _cmd_hydrogen_figure(merged: Mapping[str, object]) -> tuple[_Files, int]:
     z = merged["z"]
     mu = merged["mu"]
     a_ha = merged["a_ha"]
@@ -298,14 +297,12 @@ def _cmd_hydrogen_figure(merged: Mapping[str, object]) -> int:
     for (which, plane), q_over_r in hydrogen.cross_sections_2p(sys, a_ha, r).items():
         meta[f"{which}_{plane}_diameter"] = q_over_r
     columns = ("theta:rad", "q_over_r_p0:1", "q_over_r_pm1:1")
-    [path] = _write(merged["out"], [_table(merged, "hydrogen_figure", meta, columns, rows)])
-    print(path)
-    return 0
+    return [_table(merged["format"], "hydrogen_figure", meta, columns, rows)], 0
 
 
 # ------------------------------------------------------------------ spectrum
 
-def _cmd_spectrum(merged: Mapping[str, object]) -> int:
+def _cmd_spectrum(merged: Mapping[str, object]) -> tuple[_Files, int]:
     a = merged["a"]
     mass = merged["mass"]
     eps = merged["eps"]
@@ -324,14 +321,12 @@ def _cmd_spectrum(merged: Mapping[str, object]) -> int:
     meta = {"a": a, "mass": mass, "eps": eps, "ratio": ratio,
             "levels": levels}
     columns = ("n:1", "e_linear:J", "e_nonlinear:J", "shift:J")
-    [path] = _write(merged["out"], [_table(merged, "spectrum", meta, columns, rows)])
-    print(path)
-    return 0
+    return [_table(merged["format"], "spectrum", meta, columns, rows)], 0
 
 
 # ---------------------------------------------------------------- flux-check
 
-def _cmd_flux_check(merged: Mapping[str, object]) -> int:
+def _cmd_flux_check(merged: Mapping[str, object]) -> tuple[_Files, int]:
     a = merged["a"]
     mass = merged["mass"]
     beat, t0, h_x, h_t = timedep.equal_weight_beat(mass, a)
@@ -347,14 +342,12 @@ def _cmd_flux_check(merged: Mapping[str, object]) -> int:
         "norm": timedep.norm(beat, t0),
     }
     columns = ("x:m", "flux:1/s", "continuity_residual:1/(m*s)")
-    [path] = _write(merged["out"], [_table(merged, "flux_check", meta, columns, rows)])
-    print(path)
-    return 0
+    return [_table(merged["format"], "flux_check", meta, columns, rows)], 0
 
 
 # -------------------------------------------------------------------- verify
 
-def _cmd_verify(merged: Mapping[str, object]) -> int:
+def _cmd_verify(merged: Mapping[str, object]) -> tuple[_Files, int]:
     perturb = 0.01 if merged["inject_error"] else 0.0
     results = verification.run_acceptance_suite(perturb=perturb)
     all_passed = all(result.passed for result in results)
@@ -362,20 +355,18 @@ def _cmd_verify(merged: Mapping[str, object]) -> int:
                  "passed": result.passed,
                  "checks": [vars(rep) for rep in result.reports]}
                 for result in results]
-    [report_path] = _write(merged["out"], [
-        ("verify_report.json", [_json({"passed": all_passed, "perturb": perturb,
-                                       "criteria": criteria})])])
     for result in results:
         tag = "PASS" if result.passed else "FAIL"
         print(f"{tag} {result.ident}: {result.description}")
-    print(report_path)
-    return 0 if all_passed else 1
+    report = _json({"passed": all_passed, "perturb": perturb, "criteria": criteria})
+    return [("verify_report.json", [report])], 0 if all_passed else 1
 
 
 _FORMAT: _Table = {"format": (output_format, "csv")}
 _SAMPLED: _Table = {"grid": (grid_points, 1000), **_FORMAT}
 
-_COMMANDS: dict[str, tuple[Callable[[Mapping[str, object]], int], _Table]] = {
+_COMMANDS: dict[str, tuple[Callable[[Mapping[str, object]], tuple[_Files, int]],
+                           _Table]] = {
     "box-figure": (_cmd_box_figure, {
         **_SAMPLED,
         "a": (finite_float, 2e-9),
@@ -446,12 +437,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     if merged["out"] is None:
         merged["out"] = os.environ.get("OUTPUT_DIR", ".")
     try:
-        return runner(merged)
+        files, code = runner(merged)
+        for path in _write(merged["out"], files):
+            print(path)
+        return code
     except OSError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
     except (ValueError, ArithmeticError, oracle.QuadratureError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
+        options = "".join(f" {key}={_fmt(merged[key])}"
+                          for key, (_, default) in table.items() if merged[key] != default)
+        print(f"error: {args.command}{options}: {exc}", file=_sys.stderr)
         return 3
 
 

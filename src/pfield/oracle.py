@@ -119,19 +119,16 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     if a > b:
         a, b = b, a
         sign = -1.0
-    # The whole interval is one panel first; most calls stop there.
-    value, err = _gk15(f, a, b)
-    if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
-        return sign * value
-    return sign * _bisect(f, a, b, value, err, spec.abs_tol, 0, spec, sign)
+    return sign * _adapt(f, a, b, spec.abs_tol, 0, spec, sign)
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, value: float,
-            err: float, abs_budget: float, depth: int, spec: QuadratureSpec,
-            sign: float) -> float:
-    """Integral over [lo, hi], whose panel (value, err) at this depth was
-    rejected: each half keeps its own panel if that passes on half the
-    absolute budget, and is bisected again otherwise."""
+def _adapt(f: Callable[[float], float], lo: float, hi: float, abs_budget: float,
+           depth: int, spec: QuadratureSpec, sign: float) -> float:
+    """Integral over [lo, hi] at this depth: its panel if that passes on
+    abs_budget, else the sum of its halves, each on half the budget."""
+    value, err = _gk15(f, lo, hi)
+    if err <= max(abs_budget, spec.rel_tol * abs(value)):
+        return value
     if depth >= spec.max_depth:
         raise QuadratureError(
             f"quadrature failed to converge on [{lo}, {hi}] "
@@ -140,13 +137,8 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, value: float,
     mid = 0.5 * (lo + hi)
     abs_budget = 0.5 * abs_budget
     depth += 1
-    v_lo, e_lo = _gk15(f, lo, mid)
-    if not e_lo <= max(abs_budget, spec.rel_tol * abs(v_lo)):
-        v_lo = _bisect(f, lo, mid, v_lo, e_lo, abs_budget, depth, spec, sign)
-    v_hi, e_hi = _gk15(f, mid, hi)
-    if not e_hi <= max(abs_budget, spec.rel_tol * abs(v_hi)):
-        v_hi = _bisect(f, mid, hi, v_hi, e_hi, abs_budget, depth, spec, sign)
-    return v_lo + v_hi
+    return (_adapt(f, lo, mid, abs_budget, depth, spec, sign)
+            + _adapt(f, mid, hi, abs_budget, depth, spec, sign))
 
 
 def cumulative_integrate(f: Callable[[float], float],

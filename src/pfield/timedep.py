@@ -8,19 +8,18 @@ carry zero flux and zero mean momentum; beats between levels slosh
 probability with <p> oscillating about zero.
 
 Multi-level superpositions use bare eigenmodes (field amplitude zero,
-p_particle saturating each level), built by bare_eigenmode.  A
-superposition computes its phase table (c_j sqrt(2/a), k_j,
-e^(-i E_j t/hbar)) once per time t and keeps the last few, so the many
-points of a table at one t share the cos and sin of each phase.  Each
-Superposition method checks that its x lies inside the box.  flux_rows
-tabulates the flux and the continuity residual over a whole grid in one
-kernel, reading the three phase tables once and checking the grid once;
-a point value is a one-element grid.
+p_particle saturating each level), built by bare_eigenmode.  Each
+Superposition method checks that its x lies inside the box and builds
+the phase table (c_j sqrt(2/a), k_j, e^(-i E_j t/hbar)) of its time t.
+flux_rows tabulates the flux and the continuity residual over a whole
+grid in one kernel: it reads each of its three phase tables (t and
+t +/- h_t) once per call, so every point of the grid shares the cos and
+sin of each phase, and it checks the grid once; a point value is a
+one-element grid.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,10 +27,6 @@ from typing import Sequence
 from . import oracle
 from .boxmode import BoxMode, BoxSystem, _check_inside, make_mode
 from .core import HBAR, require_finite, require_finite_positive
-
-# Superposition keeps the term tables of this many times, enough for the
-# three (t and t +/- h_t) flux_rows reads.
-_TERMS_MEMO_SIZE = 4
 
 # (c_j sqrt(2/a), k_j, e^(-i E_j t/hbar)) for each component j at one time t.
 _Terms = tuple[tuple[complex, float, complex], ...]
@@ -53,8 +48,6 @@ class Superposition:
     a: float
     components: tuple[tuple[BoxMode, complex], ...]
     energies: tuple[float, ...]
-    _terms_at: dict[float, _Terms] = dataclasses.field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         require_finite_positive(m=self.m, a=self.a)
@@ -77,23 +70,13 @@ class Superposition:
                    energies=tuple(float(mode.e_n) for mode, _ in comps))
 
     def _terms(self, t: float) -> _Terms:
-        """The term table at time t, kept for up to _TERMS_MEMO_SIZE times.
-
-        A full memo is emptied rather than trimmed: every step is then one
-        dict operation, so threads sharing the superposition cannot break it.
-        """
-        terms = self._terms_at.get(t)
-        if terms is None:
-            require_finite(t=t)
-            amp = math.sqrt(2.0 / self.a)
-            terms = tuple(
-                (c * amp, mode.k_n,
-                 complex(math.cos(e * t / HBAR), -math.sin(e * t / HBAR)))
-                for (mode, c), e in zip(self.components, self.energies))
-            if len(self._terms_at) >= _TERMS_MEMO_SIZE:
-                self._terms_at.clear()
-            self._terms_at[t] = terms
-        return terms
+        """The term table at time t."""
+        require_finite(t=t)
+        amp = math.sqrt(2.0 / self.a)
+        return tuple(
+            (c * amp, mode.k_n,
+             complex(math.cos(e * t / HBAR), -math.sin(e * t / HBAR)))
+            for (mode, c), e in zip(self.components, self.energies))
 
     def value(self, x: float, t: float) -> complex:
         _check_inside(self.a, x)

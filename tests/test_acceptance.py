@@ -1,4 +1,4 @@
-"""Acceptance gate: the thirteen verification criteria, one test each.
+"""Acceptance gate: every verification criterion, one test case each.
 
 Every criterion compares package output against an independent
 reference (worked values, quadrature oracles, exact identities) at a
@@ -14,10 +14,11 @@ import pytest
 from pfield import hydrogen, verification
 
 
-def _check(index: int) -> None:
-    ident, func = verification._CRITERIA[index - 1]
+@pytest.mark.parametrize("ident,func", verification._CRITERIA,
+                         ids=[ident for ident, _ in verification._CRITERIA])
+def test_acceptance(ident, func):
     result = verification.CriterionResult.run(ident, func)
-    print(f"ACCEPTANCE {index:02d} {'PASS' if result.passed else 'FAIL'} "
+    print(f"ACCEPTANCE {'PASS' if result.passed else 'FAIL'} "
           f"[{ident}] {result.description}")
     failing = [
         f"{r.label}: value={r.value!r} reference={r.reference!r} "
@@ -25,58 +26,6 @@ def _check(index: int) -> None:
         for r in result.reports if not r.passed
     ]
     assert result.passed, f"criterion {ident} failed:\n" + "\n".join(failing)
-
-
-def test_acceptance_01_path_coefficients():
-    _check(1)
-
-
-def test_acceptance_02_integrand_truncation():
-    _check(2)
-
-
-def test_acceptance_03_harmonic_weight_gap():
-    _check(3)
-
-
-def test_acceptance_04_path_vs_oracle():
-    _check(4)
-
-
-def test_acceptance_05_energy_identity():
-    _check(5)
-
-
-def test_acceptance_06_oscillator_threshold():
-    _check(6)
-
-
-def test_acceptance_07_oscillator_path_bump():
-    _check(7)
-
-
-def test_acceptance_08_speed_linearization_gap():
-    _check(8)
-
-
-def test_acceptance_09_orbit_cross_sections():
-    _check(9)
-
-
-def test_acceptance_10_orbit_energy_average():
-    _check(10)
-
-
-def test_acceptance_11_quartic_spectrum():
-    _check(11)
-
-
-def test_acceptance_12_probability_bookkeeping():
-    _check(12)
-
-
-def test_acceptance_13_classical_limit():
-    _check(13)
 
 
 def test_negative_control_perturbation_trips_the_suite():

@@ -240,8 +240,44 @@ def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(Path, "open", open_a_full_disk)
     assert cli.main(["spectrum", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [c for c in cli._COMMANDS if c != "verify"])
+def test_table_command_prints_each_written_path_in_write_order(tmp_path, capsys,
+                                                               monkeypatch, command):
+    grid = ("--grid", "16") if "grid" in cli._COMMANDS[command][1] else ()
+    written = []
+    path_open = Path.open
+
+    def recording_open(path, *args, **kwargs):
+        written.append(path.parent / path.name[1:-len(".tmp")])
+        return path_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", recording_open)
+    assert cli.main([command, *grid, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [str(path) for path in written]
+    assert len(written) == (3 if command == "box-figure" else 1)
+    assert sorted(tmp_path.iterdir()) == sorted(written)
+
+
+def test_verify_failed_write_prints_its_verdicts_and_no_path(tmp_path, capsys,
+                                                             monkeypatch):
+    path_open = Path.open
+    monkeypatch.setattr(Path, "open",
+                        lambda path, *a, **k: _FullDisk(path_open(path, *a, **k)))
+    assert cli.main(["verify", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    # The verdicts are printed before the report is written.
+    lines = captured.out.splitlines()
+    assert len(lines) == 13
+    assert all(ln.startswith("PASS ") for ln in lines)
+    assert captured.err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
 
 def test_box_figure_failed_write_leaves_no_file_of_the_set(tmp_path, capsys,
                                                            monkeypatch):
@@ -311,7 +347,10 @@ def test_extreme_float_option_exits_cleanly(tmp_path, capsys, command, key, valu
     rc = cli.main([command, f"{flag}={value}", *grid, "--out", str(tmp_path)])
     assert rc in (0, 3)
     if rc == 3:
-        assert capsys.readouterr().err.startswith("error: ")
+        # The message names the subcommand and the option that caused it.
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {command} ")
+        assert f" {key}=" in err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -422,12 +461,11 @@ def test_osc_trajectory_runs(tmp_path):
 def test_verify_passes_and_writes_report(tmp_path):
     r = _run("verify", "--out", str(tmp_path))
     assert r.returncode == 0, r.stdout + r.stderr
-    lines = [ln for ln in r.stdout.splitlines()
-             if ln.startswith(("PASS ", "FAIL "))]
-    assert len(lines) == 13
-    assert all(ln.startswith("PASS ") for ln in lines)
-    # the final line echoes where the report landed
-    assert r.stdout.rstrip().endswith("verify_report.json")
+    # 13 verdicts, then the path of the report
+    lines = r.stdout.splitlines()
+    assert len(lines) == 14
+    assert all(ln.startswith("PASS ") for ln in lines[:13])
+    assert lines[13] == str(tmp_path / "verify_report.json")
     report = json.loads((tmp_path / "verify_report.json").read_text(encoding="utf-8"))
     assert report["passed"] is True
     assert len(report["criteria"]) == 13

@@ -18,7 +18,7 @@ _C = cli._CHUNK_ROWS
 
 
 def _text(fmt, meta, columns, rows):
-    name, chunks = cli._table({"format": fmt}, "table", meta, columns, rows)
+    name, chunks = cli._table(fmt, "table", meta, columns, rows)
     assert name == f"table.{fmt}"
     return "".join(chunks)
 
@@ -36,7 +36,7 @@ def test_chunks_join_to_the_whole_text_at_every_block_edge(fmt, count):
 
 @pytest.mark.parametrize("fmt", cli._FORMATS)
 def test_chunks_cover_at_most_one_block_of_rows_each(fmt):
-    _, chunks = cli._table({"format": fmt}, "table", _META, _COLUMNS, _rows(2 * _C + 1))
+    _, chunks = cli._table(fmt, "table", _META, _COLUMNS, _rows(2 * _C + 1))
     # head, three row blocks, tail
     assert len(list(chunks)) == 5
 
@@ -62,7 +62,7 @@ def test_meta_strings_with_quotes_and_non_ascii_text(fmt):
 
 @pytest.mark.parametrize("fmt", cli._FORMATS)
 def test_non_finite_meta_value_raises(fmt):
-    _, chunks = cli._table({"format": fmt}, "table", {**_META, "ratio": math.nan},
+    _, chunks = cli._table(fmt, "table", {**_META, "ratio": math.nan},
                            _COLUMNS, _rows(2))
     with pytest.raises(ValueError, match="non-finite meta value ratio"):
         next(chunks)

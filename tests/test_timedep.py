@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-import sys
-import threading
 from dataclasses import dataclass
 
 import pytest
@@ -287,70 +285,17 @@ def _matches_reference(s, xs, ts):
 def test_term_table_matches_reference_loops_bit_for_bit(make):
     s = make()
     _, t0, _, h_t = timedep.equal_weight_beat(M, A_BOX)
-    # -0.0 finds the table of 0.0 in the memo; the sums must not care
     ts = (0.0, -0.0, t0, t0 + h_t, t0 - h_t, 1e-9)
     xs = (0.0, A_BOX / 1e4, 0.3 * A_BOX, 0.5 * A_BOX, 0.77 * A_BOX, A_BOX)
-    # twice: the second pass also meets tables the first left in the memo
-    for _ in range(2):
-        _matches_reference(s, xs, ts)
-
-
-def test_term_memo_stays_bounded_and_exact():
-    s = _beat()
-    xs = (0.0, 0.41 * A_BOX, A_BOX)
-    for i in range(1000):
-        t = i * 1.7e-17
-        _matches_reference(s, xs, (t,))
-        assert 1 <= len(s._terms_at) <= timedep._TERMS_MEMO_SIZE
-
-
-def test_term_memo_shared_by_threads():
-    s = _beat()
-    ts = [i * 3.1e-17 for i in range(13)]
-    xs = (0.0, 0.41 * A_BOX, A_BOX)
-    expected = {(x, t): _ref_value(s, x, t) for x in xs for t in ts}
-    mismatches, errors = [], []
-
-    def worker(offset):
-        try:
-            for i in range(300):
-                t = ts[(i + offset) % len(ts)]
-                for x in xs:
-                    if s.value(x, t) != expected[x, t]:
-                        mismatches.append((x, t))
-        except Exception as exc:  # reported below
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert errors == [] and mismatches == []
-    assert len(s._terms_at) <= timedep._TERMS_MEMO_SIZE
-
-
-def test_term_memo_leaves_equality_and_hash_alone():
-    s, fresh = _beat(), _beat()
-    s.value(0.3 * A_BOX, 1e-15)
-    assert s._terms_at and not fresh._terms_at
-    assert s == fresh and hash(s) == hash(fresh)
-    assert "_terms_at" not in repr(s)
+    _matches_reference(s, xs, ts)
 
 
 @settings(max_examples=200, deadline=None)
 @given(t=st.floats(-1e-12, 1e-12, allow_nan=False),
        u=st.floats(0.0, 1.0))
-def test_value_through_memo_matches_reference(t, u):
+def test_value_matches_reference_at_any_time(t, u):
     s = _three_level()
     x = u * A_BOX
-    assert s.value(x, t) == _ref_value(s, x, t)
     assert s.value(x, t) == _ref_value(s, x, t)
 
 
