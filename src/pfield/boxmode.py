@@ -145,6 +145,7 @@ def field_slope(mode: BoxMode, x: float) -> float:
 
 def integrand_exact(b_sq: float, kx: float) -> float:
     """Path integrand sqrt(1 + b^2 cos^2(kx)) at phase kx."""
+    require_finite(b_sq=b_sq, kx=kx)
     return math.sqrt(1.0 + b_sq * math.cos(kx)**2)
 
 

@@ -66,6 +66,7 @@ def duffing_solution(params: NonlinearParams, k: float, x: float) -> float:
     That phase puts a node on the wall at x = 0, and the sine form makes
     the eps -> 0 limit reproduce the linear mode bit for bit.
     """
+    require_finite(x=x)
     w = omega_ratio(params, k)
     a = params.a_tilde
     third = params.eps * a**3 / (32.0 * k**2)
@@ -74,6 +75,7 @@ def duffing_solution(params: NonlinearParams, k: float, x: float) -> float:
 
 def duffing_second_derivative(params: NonlinearParams, k: float, x: float) -> float:
     """Analytic chi'' of duffing_solution."""
+    require_finite(x=x)
     w = omega_ratio(params, k)
     a = params.a_tilde
     third = params.eps * a**3 / (32.0 * k**2)

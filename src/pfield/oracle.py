@@ -1,9 +1,10 @@
-"""Brute-force numerical checks backing the closed-form results.
+"""Independent numerical routes backing the closed-form results.
 
-Everything here is deliberately independent of the series expansions it is
-used to verify: trajectories are obtained by adaptive quadrature of the
-unexpanded path integrands and derivatives by central differences.  No
-special-function identities are used anywhere in this module.
+The oracle only integrates: an adaptive quadrature, its running sum, a
+central finite difference and the two reference trajectories built on
+them.  Judging a value against its reference belongs to verification.
+Everything here is deliberately independent of the series expansions it
+verifies; no special-function identities are used anywhere in this module.
 
 The quadrature is an adaptive Gauss-Kronrod (G7, K15) bisection scheme with
 an embedded error estimate; identical inputs always traverse the same
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from . import boxmode, oscillator
-from .core import require_finite_positive
+from .core import require_finite, require_finite_positive
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (positive half).
 _XK = (
@@ -158,46 +159,13 @@ def cumulative_integrate(f: Callable[[float], float],
 
 def finite_diff(f: Callable[[float], float], x: float, h: float, order: int) -> float:
     """Central finite difference, O(h^2): order 1 or 2 only."""
+    require_finite(x=x)
     require_finite_positive(h=h)
     if order == 1:
         return (f(x + h) - f(x - h)) / (2.0 * h)
     if order == 2:
         return (f(x + h) - 2.0 * f(x) + f(x - h)) / h**2
     raise ValueError("order must be 1 or 2")
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """One check of a criterion; its fields are the keys of a check in
-    the verify report."""
-
-    label: str
-    value: float
-    reference: float
-    abs_dev: float
-    rel_dev: float
-    tolerance: float
-    passed: bool
-
-    @classmethod
-    def judge(cls, label: str, value: float, reference: float, tolerance: float,
-              verdict: Callable[[float, float], bool]) -> ComparisonReport:
-        """Record value against reference; verdict(abs_dev, rel_dev) decides
-        the pass.  rel_dev is inf at a zero reference."""
-        abs_dev = abs(value - reference)
-        scale = abs(reference)
-        rel_dev = abs_dev / scale if scale > 0.0 else math.inf
-        return cls(label=label, value=value, reference=reference,
-                   abs_dev=abs_dev, rel_dev=rel_dev, tolerance=tolerance,
-                   passed=verdict(abs_dev, rel_dev))
-
-
-def compare(label: str, value: float, reference: float,
-            tolerance: float, use_rel: bool = True) -> ComparisonReport:
-    """Check passed when the chosen deviation is within tolerance."""
-    return ComparisonReport.judge(
-        label, value, reference, tolerance,
-        lambda abs_dev, rel_dev: (rel_dev if use_rel else abs_dev) <= tolerance)
 
 
 def exact_box_trajectory(mode: boxmode.BoxMode, x: float,

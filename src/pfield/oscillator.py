@@ -134,7 +134,8 @@ def _hermite(n: int, u: float) -> float:
 def radial_field_slope(mode: OscMode, sys: OscSystem, r_bar: float) -> float:
     """d chi_n / d r_bar of the radial field profile: chi = a_osc r_bar^n
     e^(-alpha r_bar^2/2) for n <= 1, a_osc H_n(sqrt(alpha) r_bar)
-    e^(-alpha r_bar^2/2) for n >= 2.  Any r_bar is permitted."""
+    e^(-alpha r_bar^2/2) for n >= 2.  Any finite r_bar is permitted."""
+    require_finite(r_bar=r_bar)
     alpha = sys.alpha
     env = math.exp(-0.5 * alpha * r_bar * r_bar)
     if mode.n == 0:

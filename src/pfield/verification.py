@@ -1,11 +1,12 @@
 """End-to-end verification suite over every closed form in the package.
 
 Each criterion pits package output against an independent reference: a
-worked numeric value, a quadrature oracle, or an exact identity.  The
-CLI `verify` subcommand runs the whole table and reports one block per
-criterion; tests reuse the same functions.  Where a table subcommand
-writes a closed form, the criterion samples the same row kernel
-(figure_rows, flux_rows), so verify checks the code that writes the table.
+worked numeric value, a quadrature oracle, or an exact identity.  This
+module owns the criteria, their check record (built by `compare`) and
+the verify report that `run_acceptance_suite` returns and the CLI
+`verify` subcommand writes unchanged.  Where a table subcommand writes a
+closed form, the criterion samples the same row kernel (figure_rows,
+flux_rows), so verify checks the code that writes the table.
 
 The `perturb` argument scales the package-side value of every
 comparison by (1 + perturb).  A one-percent perturbation is the
@@ -17,11 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from . import boxmode, hydrogen, nonlinear, oracle, oscillator, timedep
 from .core import ELECTRON_MASS, HBAR
-from .oracle import ComparisonReport, compare
 
 # Shared fixtures: an electron in a 2 nm box, in an alpha = 1e20 trap, in hydrogen.
 _BOX_M = ELECTRON_MASS
@@ -30,16 +29,38 @@ _OSC = oscillator.system_at_alpha(1e20, ELECTRON_MASS)
 _HYDROGEN = hydrogen.HydrogenSystem(z=1.0, mu=ELECTRON_MASS)
 
 
+@dataclass(frozen=True)
+class ComparisonReport:
+    """One check of a criterion; its fields are the keys of a check in
+    the verify report."""
+
+    label: str
+    value: float
+    reference: float
+    abs_dev: float
+    rel_dev: float
+    tolerance: float
+    passed: bool
+
+
+def compare(label: str, value: float, reference: float, tolerance: float,
+            use_rel: bool = True, passed: bool | None = None) -> ComparisonReport:
+    """Check value against reference: passed when the chosen deviation is
+    within tolerance, or as given.  rel_dev is inf at a zero reference."""
+    abs_dev = abs(value - reference)
+    scale = abs(reference)
+    rel_dev = abs_dev / scale if scale > 0.0 else math.inf
+    if passed is None:
+        passed = (rel_dev if use_rel else abs_dev) <= tolerance
+    return ComparisonReport(label=label, value=value, reference=reference,
+                            abs_dev=abs_dev, rel_dev=rel_dev,
+                            tolerance=tolerance, passed=passed)
+
+
 def _range_report(label: str, value: float, lo: float, hi: float) -> ComparisonReport:
     """Check passed when value lands inside [lo, hi]."""
-    return ComparisonReport.judge(label, value, 0.5 * (lo + hi), 0.5 * (hi - lo),
-                                  lambda *_: lo <= value <= hi)
-
-
-def _bool_report(label: str, value: float, reference: float,
-                 passed: bool) -> ComparisonReport:
-    """Check of a structural property (monotonicity, limits)."""
-    return ComparisonReport.judge(label, value, reference, 0.0, lambda *_: passed)
+    return compare(label, value, 0.5 * (lo + hi), 0.5 * (hi - lo),
+                   passed=lo <= value <= hi)
 
 
 def criterion_01(perturb: float = 0.0) -> list[ComparisonReport]:
@@ -295,10 +316,10 @@ def criterion_13(perturb: float = 0.0) -> list[ComparisonReport]:
     g_mono = all(x < y for x, y in zip(gs, gs[1:]))
     sup_mono = all(x > y for x, y in zip(sups, sups[1:]))
     return [
-        _bool_report("a_n strictly decreasing", amps[-1], 0.0, amp_mono),
-        _bool_report("g strictly increasing", gs[-1], 1.0, g_mono),
-        _bool_report("sup|q - x|/a strictly decreasing", sups[-1], 0.0,
-                     sup_mono),
+        compare("a_n strictly decreasing", amps[-1], 0.0, 0.0, passed=amp_mono),
+        compare("g strictly increasing", gs[-1], 1.0, 0.0, passed=g_mono),
+        compare("sup|q - x|/a strictly decreasing", sups[-1], 0.0, 0.0,
+                passed=sup_mono),
         compare("a_n shrink factor across sweep", s * amps[-1] / amps[0],
                 0.0, 2e-2, use_rel=False),
         compare("1 - g at ratio 1.0001", s * (1.0 - gs[-1]), 0.0, 1e-4,
@@ -306,27 +327,6 @@ def criterion_13(perturb: float = 0.0) -> list[ComparisonReport]:
         compare("sup|q - x|/a at ratio 1.0001", s * sups[-1], 0.0, 5e-6,
                 use_rel=False),
     ]
-
-
-@dataclass(frozen=True)
-class CriterionResult:
-    """Outcome of one verification criterion."""
-
-    ident: str
-    description: str
-    reports: tuple[ComparisonReport, ...]
-
-    @classmethod
-    def run(cls, ident: str, func: Callable[[float], list[ComparisonReport]],
-            perturb: float = 0.0) -> CriterionResult:
-        """Run one criterion; its description is its docstring's first line."""
-        description = (func.__doc__ or ident).strip().splitlines()[0]
-        return cls(ident=ident, description=description,
-                   reports=tuple(func(perturb)))
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.reports)
 
 
 _CRITERIA = (
@@ -346,6 +346,15 @@ _CRITERIA = (
 )
 
 
-def run_acceptance_suite(perturb: float = 0.0) -> list[CriterionResult]:
-    """Run all criteria; perturb != 0 is the negative-control mode."""
-    return [CriterionResult.run(ident, func, perturb) for ident, func in _CRITERIA]
+def run_acceptance_suite(perturb: float = 0.0) -> dict[str, object]:
+    """Run all criteria and return the verify report; perturb != 0 is the
+    negative-control mode.  A criterion's description is its docstring's
+    first line, or its ident where docstrings are stripped (python -OO)."""
+    criteria = []
+    for ident, func in _CRITERIA:
+        checks = [vars(r) for r in func(perturb)]
+        criteria.append({"ident": ident,
+                         "description": (func.__doc__ or ident).strip().splitlines()[0],
+                         "passed": all(c["passed"] for c in checks), "checks": checks})
+    return {"passed": all(c["passed"] for c in criteria), "perturb": perturb,
+            "criteria": criteria}

@@ -9,29 +9,58 @@ prints the same lines unconditionally.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from pfield import hydrogen, verification
 
 
+@pytest.fixture(scope="module")
+def descriptions():
+    return {c["ident"]: c["description"]
+            for c in verification.run_acceptance_suite()["criteria"]}
+
+
 @pytest.mark.parametrize("ident,func", verification._CRITERIA,
                          ids=[ident for ident, _ in verification._CRITERIA])
-def test_acceptance(ident, func):
-    result = verification.CriterionResult.run(ident, func)
-    print(f"ACCEPTANCE {'PASS' if result.passed else 'FAIL'} "
-          f"[{ident}] {result.description}")
+def test_acceptance(descriptions, ident, func):
+    reports = func()
+    passed = all(r.passed for r in reports)
+    print(f"ACCEPTANCE {'PASS' if passed else 'FAIL'} [{ident}] {descriptions[ident]}")
     failing = [
         f"{r.label}: value={r.value!r} reference={r.reference!r} "
         f"abs_dev={r.abs_dev:.3e} rel_dev={r.rel_dev:.3e} tol={r.tolerance:.3e}"
-        for r in result.reports if not r.passed
+        for r in reports if not r.passed
     ]
-    assert result.passed, f"criterion {ident} failed:\n" + "\n".join(failing)
+    assert passed, f"criterion {ident} failed:\n" + "\n".join(failing)
+
+
+def test_compare_relative_and_absolute_modes():
+    r = verification.compare("x", 1.001, 1.0, tolerance=2e-3)
+    assert r.passed and r.rel_dev == pytest.approx(1e-3)
+    r = verification.compare("x", 1.001, 1.0, tolerance=5e-4)
+    assert not r.passed
+    r = verification.compare("x", 0.1, 0.0, tolerance=0.2, use_rel=False)
+    assert r.passed and math.isinf(r.rel_dev)
+    # A given verdict overrides the tolerance test; the deviations stay.
+    for value, inside in ((5e-3, True), (8e-3, False)):  # a range [4e-3, 7e-3]
+        r = verification._range_report("gap", value, 4e-3, 7e-3)
+        assert r.passed is inside
+        assert (r.reference, r.tolerance) == pytest.approx((5.5e-3, 1.5e-3))
+        assert r.abs_dev == abs(value - r.reference)
+    # Structural checks whose verdict contradicts the tolerance test.
+    r = verification.compare("monotone", 0.5, 0.0, 0.0, passed=True)
+    assert r.passed is True and r.abs_dev == 0.5 and math.isinf(r.rel_dev)
+    r = verification.compare("monotone", 1.0, 1.0, 0.0, passed=False)
+    assert r.passed is False and r.abs_dev == 0.0 and r.rel_dev == 0.0
 
 
 def test_negative_control_perturbation_trips_the_suite():
     """A one-percent perturbation must flip tight criteria to FAIL."""
-    results = verification.run_acceptance_suite(perturb=0.01)
-    failed = [r.ident for r in results if not r.passed]
+    report = verification.run_acceptance_suite(perturb=0.01)
+    assert report["passed"] is False and report["perturb"] == 0.01
+    failed = [c["ident"] for c in report["criteria"] if not c["passed"]]
     assert failed, "perturbed suite still passed everywhere; the gate is loose"
     assert len(failed) >= 5
 

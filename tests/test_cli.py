@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from pfield import cli, oracle, timedep
+from pfield import cli, timedep, verification
 from pfield.core import HBAR
 
 
@@ -273,7 +273,7 @@ def test_verify_failed_write_prints_its_verdicts_and_no_path(tmp_path, capsys,
     captured = capsys.readouterr()
     # The verdicts are printed before the report is written.
     lines = captured.out.splitlines()
-    assert len(lines) == 13
+    assert len(lines) == len(verification._CRITERIA)
     assert all(ln.startswith("PASS ") for ln in lines)
     assert captured.err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []
@@ -461,14 +461,32 @@ def test_osc_trajectory_runs(tmp_path):
 def test_verify_passes_and_writes_report(tmp_path):
     r = _run("verify", "--out", str(tmp_path))
     assert r.returncode == 0, r.stdout + r.stderr
-    # 13 verdicts, then the path of the report
+    # one verdict per criterion, then the path of the report
+    n = len(verification._CRITERIA)
     lines = r.stdout.splitlines()
-    assert len(lines) == 14
-    assert all(ln.startswith("PASS ") for ln in lines[:13])
-    assert lines[13] == str(tmp_path / "verify_report.json")
+    assert len(lines) == n + 1
+    assert all(ln.startswith("PASS ") for ln in lines[:n])
+    assert lines[n] == str(tmp_path / "verify_report.json")
     report = json.loads((tmp_path / "verify_report.json").read_text(encoding="utf-8"))
     assert report["passed"] is True
-    assert len(report["criteria"]) == 13
+    assert len(report["criteria"]) == n
+
+
+@pytest.mark.parametrize("inject", [False, True])
+def test_verify_report_is_the_suite_report(tmp_path, capsys, inject):
+    args = ["--inject-error"] if inject else []
+    assert cli.main(["verify", *args, "--out", str(tmp_path)]) == int(inject)
+    report = json.loads((tmp_path / "verify_report.json").read_text(encoding="utf-8"))
+    assert report == verification.run_acceptance_suite(0.01 if inject else 0.0)
+
+
+def test_verify_without_docstrings_describes_each_criterion_by_its_ident(tmp_path):
+    """python -OO strips the docstrings the descriptions come from."""
+    r = subprocess.run([sys.executable, "-OO", "-m", "pfield.cli", "verify",
+                        "--out", str(tmp_path)], capture_output=True, text=True)
+    assert r.returncode == 0, r.stdout + r.stderr
+    lines = r.stdout.splitlines()[:-1]
+    assert lines == [f"PASS {ident}: {ident}" for ident, _ in verification._CRITERIA]
 
 
 def test_verify_inject_error_fails(tmp_path):
@@ -510,7 +528,7 @@ def test_check_record_fields_are_the_report_keys(tmp_path, capsys):
     report = json.loads((tmp_path / "verify_report.json").read_text(encoding="utf-8"))
     keys = {frozenset(check) for criterion in report["criteria"]
             for check in criterion["checks"]}
-    fields = [f.name for f in dataclasses.fields(oracle.ComparisonReport)]
+    fields = [f.name for f in dataclasses.fields(verification.ComparisonReport)]
     assert fields == ["label", "value", "reference", "abs_dev", "rel_dev",
                       "tolerance", "passed"]
     assert keys == {frozenset(fields)}

@@ -125,6 +125,16 @@ _GUARDS = {
     "oscillator.kinetic_field theta": (
         lambda v: oscillator.kinetic_field(_OSC_MODE, _OSC, 1e-10, v), 0.3),
     "oracle.finite_diff": (lambda v: oracle.finite_diff(math.sin, 0.0, v, 1), 1e-3),
+    "oracle.finite_diff x": (lambda v: oracle.finite_diff(math.sin, v, 1e-3, 1), 0.0),
+    "boxmode.integrand_exact b_sq": (lambda v: boxmode.integrand_exact(v, 0.3), 0.5),
+    "boxmode.integrand_exact kx": (lambda v: boxmode.integrand_exact(0.5, v), 0.3),
+    "nonlinear.duffing_solution x": (lambda v: nonlinear.duffing_solution(_NL, 1e9, v), 1e-9),
+    "nonlinear.duffing_second_derivative x": (
+        lambda v: nonlinear.duffing_second_derivative(_NL, 1e9, v), 1e-9),
+    "nonlinear.duffing_residual x": (
+        lambda v: nonlinear.duffing_residual(_NL, 1e9, v), 1e-9),
+    "oscillator.radial_field_slope r_bar": (
+        lambda v: oscillator.radial_field_slope(_OSC_MODE, _OSC, v), 1e-10),
     "timedep.flux_rows h_x": (
         lambda v: timedep.flux_rows(_BEAT, [1e-9], _T0, v, _H_T), _H_X),
     "timedep.flux_rows h_t": (

@@ -91,15 +91,6 @@ def test_finite_diff_validation():
         oracle.finite_diff(math.sin, 0.0, 1e-5, order=3)
 
 
-def test_compare_relative_and_absolute_modes():
-    r = oracle.compare("x", 1.001, 1.0, tolerance=2e-3)
-    assert r.passed and r.rel_dev == pytest.approx(1e-3)
-    r = oracle.compare("x", 1.001, 1.0, tolerance=5e-4)
-    assert not r.passed
-    r = oracle.compare("x", 0.1, 0.0, tolerance=0.2, use_rel=False)
-    assert r.passed and math.isinf(r.rel_dev)
-
-
 def _box_mode():
     a = 2e-9
     p_n = HBAR * math.pi / a
