@@ -348,7 +348,7 @@ def _cmd_flux_check(merged: Mapping[str, object]) -> tuple[_Files, int]:
 # -------------------------------------------------------------------- verify
 
 def _cmd_verify(merged: Mapping[str, object]) -> tuple[_Files, int]:
-    report = verification.run_acceptance_suite(0.01 if merged["inject_error"] else 0.0)
+    report = verification.run_acceptance_suite(merged["inject_error"])
     for criterion in report["criteria"]:
         tag = "PASS" if criterion["passed"] else "FAIL"
         print(f"{tag} {criterion['ident']}: {criterion['description']}")

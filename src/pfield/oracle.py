@@ -1,10 +1,11 @@
 """Independent numerical routes backing the closed-form results.
 
-The oracle only integrates: an adaptive quadrature, its running sum, a
-central finite difference and the two reference trajectories built on
-them.  Judging a value against its reference belongs to verification.
-Everything here is deliberately independent of the series expansions it
-verifies; no special-function identities are used anywhere in this module.
+The oracle only integrates: an adaptive quadrature, its running sum and a
+central finite difference, applied by their callers to the exact
+integrands the physics modules supply.  Judging a value against its
+reference belongs to verification.  Everything here is deliberately
+independent of the series expansions it verifies: the module imports
+only core, and no special-function identities are used anywhere in it.
 
 The quadrature is an adaptive Gauss-Kronrod (G7, K15) bisection scheme with
 an embedded error estimate; identical inputs always traverse the same
@@ -17,7 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from . import boxmode, oscillator
 from .core import require_finite, require_finite_positive
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (positive half).
@@ -166,28 +166,3 @@ def finite_diff(f: Callable[[float], float], x: float, h: float, order: int) -> 
     if order == 2:
         return (f(x + h) - 2.0 * f(x) + f(x - h)) / h**2
     raise ValueError("order must be 1 or 2")
-
-
-def exact_box_trajectory(mode: boxmode.BoxMode, x: float,
-                         spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                         g: float | None = None) -> float:
-    """Path length q(x) for a box mode by quadrature of the exact integrand.
-
-    q(x) = g * integral_0^x sqrt(1 + b^2 cos^2(k_n s)) ds.  g defaults to
-    the mode's own path normalization; comparisons against a differently
-    normalized series may pass a matching g explicitly.
-    """
-    if g is None:
-        g = mode.g_npf
-    return g * integrate(boxmode.path_integrand(mode), 0.0, x, spec)
-
-
-def exact_osc_trajectory(mode: oscillator.OscMode, sys: oscillator.OscSystem,
-                         r_bar: float,
-                         spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Oscillator path by quadrature of the unexpanded radial integrand.
-
-    q(r) = integral_0^r sqrt(1 + w(s)/(4 pi)) ds where w is the squared
-    trajectory slope of the mode.  Odd in r by construction.
-    """
-    return integrate(oscillator.path_integrand(mode, sys), 0.0, r_bar, spec)

@@ -15,11 +15,14 @@ flux_rows tabulates the flux and the continuity residual over a whole
 grid in one kernel: it reads each of its three phase tables (t and
 t +/- h_t) once per call, so every point of the grid shares the cos and
 sin of each phase, and it checks the grid once; a point value is a
-one-element grid.
+one-element grid.  The real and imaginary quadratures of a momentum
+moment share their node values: Psi* d^j Psi/dx^j is evaluated once per
+distinct node and read by both.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -203,6 +206,7 @@ def _moment(s: Superposition, t: float, order: int, prefactor: complex,
     deriv = s.d_dx if order == 1 else s.d2_dx2
     spec = _moment_spec(s, order)
 
+    @functools.cache
     def integrand(x: float) -> complex:
         return s.value(x, t).conjugate() * deriv(x, t)
 

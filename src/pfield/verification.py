@@ -9,9 +9,10 @@ closed form, the criterion samples the same row kernel (figure_rows,
 flux_rows), so verify checks the code that writes the table.
 
 The `perturb` argument scales the package-side value of every
-comparison by (1 + perturb).  A one-percent perturbation is the
-negative control: it must flip the tight comparisons to FAIL, showing
-the suite actually constrains the numbers it prints.
+comparison by (1 + perturb).  `run_acceptance_suite(inject_error=True)`
+runs the negative control, a one-percent perturbation: it must flip the
+tight comparisons to FAIL, showing the suite actually constrains the
+numbers it prints.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def criterion_05(perturb: float = 0.0) -> list[ComparisonReport]:
     for n in range(1, 11):
         for ratio in (1.1, 1.4, 1.5, 1.9):
             sys, mode = boxmode.level_at_ratio(_BOX_M, _BOX_A, n, ratio)
-            e_particle = sys.p_particle**2 / (2.0 * sys.m)
+            e_particle = boxmode.field_energy(mode, sys, 0.0).e_particle
             lhs = s * mode.e_n * (1.0 - (sys.p_particle * mode.a_n / HBAR) ** 2)
             worst = max(worst, abs(lhs - e_particle) / e_particle)
     return [compare("worst energy identity deviation (40 modes)", worst,
@@ -346,10 +347,11 @@ _CRITERIA = (
 )
 
 
-def run_acceptance_suite(perturb: float = 0.0) -> dict[str, object]:
-    """Run all criteria and return the verify report; perturb != 0 is the
-    negative-control mode.  A criterion's description is its docstring's
+def run_acceptance_suite(inject_error: bool = False) -> dict[str, object]:
+    """Run all criteria and return the verify report; inject_error runs the
+    negative control.  A criterion's description is its docstring's
     first line, or its ident where docstrings are stripped (python -OO)."""
+    perturb = 0.01 if inject_error else 0.0
     criteria = []
     for ident, func in _CRITERIA:
         checks = [vars(r) for r in func(perturb)]

@@ -58,7 +58,7 @@ def test_compare_relative_and_absolute_modes():
 
 def test_negative_control_perturbation_trips_the_suite():
     """A one-percent perturbation must flip tight criteria to FAIL."""
-    report = verification.run_acceptance_suite(perturb=0.01)
+    report = verification.run_acceptance_suite(inject_error=True)
     assert report["passed"] is False and report["perturb"] == 0.01
     failed = [c["ident"] for c in report["criteria"] if not c["passed"]]
     assert failed, "perturbed suite still passed everywhere; the gate is loose"

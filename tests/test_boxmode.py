@@ -165,7 +165,7 @@ def test_trajectory_matches_oracle():
     for i in range(1, 32):
         x = i * A_BOX / 32.0
         q_series = boxmode.eighth_order_path(mode, x)
-        q_oracle = oracle.exact_box_trajectory(mode, x, g=1.0 / c1)
+        q_oracle = (1.0 / c1) * oracle.integrate(boxmode.path_integrand(mode), 0.0, x)
         worst = max(worst, abs(q_series - q_oracle) / A_BOX)
     assert worst <= 2e-4                   # measured 1.41e-4 over the fine grid
 
@@ -199,7 +199,7 @@ def test_acceleration_against_oracle_curvature():
     acc = boxmode.pf_acceleration(mode, x, v_p)
 
     def q(s: float) -> float:
-        return oracle.exact_box_trajectory(mode, s)
+        return mode.g_npf * oracle.integrate(boxmode.path_integrand(mode), 0.0, s)
 
     devs = [abs(v_p**2 * oracle.finite_diff(q, x, h, order=2) - acc) / abs(acc)
             for h in (A_BOX / 400.0, A_BOX / 800.0)]

@@ -477,7 +477,7 @@ def test_verify_report_is_the_suite_report(tmp_path, capsys, inject):
     args = ["--inject-error"] if inject else []
     assert cli.main(["verify", *args, "--out", str(tmp_path)]) == int(inject)
     report = json.loads((tmp_path / "verify_report.json").read_text(encoding="utf-8"))
-    assert report == verification.run_acceptance_suite(0.01 if inject else 0.0)
+    assert report == verification.run_acceptance_suite(inject_error=inject)
 
 
 def test_verify_without_docstrings_describes_each_criterion_by_its_ident(tmp_path):

@@ -304,7 +304,7 @@ def test_pf_force_tracks_oracle_path_curvature():
     f = pf_force_stationary(mode.g_npf, 0.0, chi_p, chi_pp, sys.m, v_p)
 
     def q(s: float) -> float:
-        return oracle.exact_box_trajectory(mode, s)
+        return mode.g_npf * oracle.integrate(boxmode.path_integrand(mode), 0.0, s)
 
     devs = []
     for h in (sys.a / 400.0, sys.a / 800.0):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
@@ -99,33 +101,36 @@ def _box_mode():
     return sys, boxmode.make_mode(sys, 1)
 
 
-def test_exact_box_trajectory_wall_values():
+def test_box_path_quadrature_wall_values():
     sys, mode = _box_mode()
     c1, _, _ = boxmode.path_series_coefficients(mode.b_sq)
     # series normalization: residual truncation of c1 at b^2 = 0.5
-    dev = oracle.exact_box_trajectory(mode, sys.a, g=1.0 / c1) / sys.a - 1.0
+    path = oracle.integrate(boxmode.path_integrand(mode), 0.0, sys.a)
+    dev = (1.0 / c1) * path / sys.a - 1.0
     assert 1.40e-4 <= dev <= 1.42e-4
     # native quadratic normalization undershoots the wall
-    assert oracle.exact_box_trajectory(mode, sys.a) / sys.a == pytest.approx(
+    assert mode.g_npf * path / sys.a == pytest.approx(
         0.9912997606169242, rel=1e-10)
 
 
-def test_exact_box_trajectory_monotone():
+def test_box_path_quadrature_monotone():
     sys, mode = _box_mode()
-    values = [oracle.exact_box_trajectory(mode, i * sys.a / 16.0)
+    values = [mode.g_npf * oracle.integrate(boxmode.path_integrand(mode),
+                                            0.0, i * sys.a / 16.0)
               for i in range(17)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def test_exact_osc_trajectory_odd_and_anchored():
+def test_osc_path_quadrature_odd_and_anchored():
     alpha = 1e20
     sys = oscillator.OscSystem(mu=ELECTRON_MASS,
                                omega0=alpha * HBAR / ELECTRON_MASS,
                                cap_l=1.5 / math.sqrt(alpha))
     mode = oscillator.make_mode(sys, 0, amplitude=math.sqrt(0.25 / alpha))
     r = 1.0 / math.sqrt(alpha)
-    q = oracle.exact_osc_trajectory(mode, sys, r)
-    assert oracle.exact_osc_trajectory(mode, sys, -r) == -q
+    integrand = oscillator.path_integrand(mode, sys)
+    q = oracle.integrate(integrand, 0.0, r)
+    assert oracle.integrate(integrand, 0.0, -r) == -q
     assert q * math.sqrt(alpha) == pytest.approx(1.0009417043, rel=1e-9)
 
 
@@ -293,3 +298,20 @@ def test_integrate_failure_matches_closure_reference(flip):
     assert exc.value.best_estimate == ref.value.best_estimate
     assert exc.value.error_bound == ref.value.error_bound
     assert str(exc.value) == str(ref.value)
+
+
+def test_oracle_imports_only_core_from_the_package():
+    """The oracle is the independent route: it may not import the physics
+    modules whose closed forms it is held against."""
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    relative = set()
+    absolute = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            relative.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            absolute.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            absolute.update(alias.name.split(".")[0] for alias in node.names)
+    assert relative == {"core"}
+    assert "pfield" not in absolute

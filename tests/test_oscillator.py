@@ -212,7 +212,7 @@ def test_trajectory_against_oracle(aa_sq, n, dev2_max, dev3_max):
     mode = oscillator.make_mode(sys, n, amplitude=math.sqrt(aa_sq / ALPHA))
     r = 1.0 / math.sqrt(ALPHA)
     scale = math.sqrt(ALPHA)
-    q_oracle = oracle.exact_osc_trajectory(mode, sys, r)
+    q_oracle = oracle.integrate(oscillator.path_integrand(mode, sys), 0.0, r)
     [(_, q_two, q_three, _)] = oscillator.figure_rows(mode, sys, [r])
     dev2 = abs(q_two - q_oracle) * scale
     dev3 = abs(q_three - q_oracle) * scale

@@ -25,9 +25,6 @@ _PLANNED = "item 2: criterion planned"
 # caller in the package, an entry here, or deletion.
 _ALLOWED_UNREACHED = {
     "oracle.finite_diff": _TEST_REFERENCE,
-    "oracle.exact_box_trajectory": _TEST_REFERENCE,
-    "oracle.exact_osc_trajectory": _TEST_REFERENCE,
-    "boxmode.field_energy": _ENERGY_BALANCE,
     "core.energy_budget_check": _ENERGY_BALANCE,
     "core.classify_region": _ENERGY_BALANCE,
     "hydrogen.circular_orbit": _ENERGY_BALANCE,

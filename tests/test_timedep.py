@@ -182,6 +182,22 @@ def test_expectation_p2_is_coefficient_weighted():
         assert timedep.expectation_p2(beat, t) == pytest.approx(target, rel=1e-9)
 
 
+@pytest.mark.parametrize("moment", [timedep.expectation_p, timedep.expectation_p2])
+def test_moment_evaluates_each_node_once(monkeypatch, moment):
+    """The real and imaginary quadratures share one value of Psi per node."""
+    beat, t0, _, _ = timedep.equal_weight_beat(M, A_BOX)
+    nodes = []
+    value = timedep.Superposition.value
+
+    def counting(self, x, t):
+        nodes.append(x)
+        return value(self, x, t)
+
+    monkeypatch.setattr(timedep.Superposition, "value", counting)
+    moment(beat, t0)
+    assert nodes and len(nodes) == len(set(nodes))
+
+
 def test_expectation_p_beat_oscillation():
     """<p>(t) = (8/3a) hbar sin(dE t / hbar) for the equal-weight 1+2 beat."""
     s = _beat()
