@@ -17,9 +17,10 @@ g = 4 p_P^2 / (p_n^2 + 3 p_P^2), tabulated by figure_rows, and
 eighth_order_path, the two-harmonic form normalized by its own secular
 coefficient.  Both pin q(0) = 0, q(a) = a.
 
-figure_rows tabulates the quadratic path, the field and the bare density
-over a whole grid, checking the wall once; a point value is a one-element
-grid.  Each function of one x checks that it lies inside the box.
+A BoxMode holds the BoxSystem it was built for, so a function of a level
+takes no system.  figure_rows tabulates the quadratic path, the field and
+the bare density over a whole grid, checking the wall once; a point value
+is a one-element grid.  Each function of one x checks it is in the box.
 """
 
 from __future__ import annotations
@@ -49,10 +50,9 @@ class BoxMode:
     """One bound level of the box."""
 
     n: int
-    a: float        # box width the level was built for; its wall
+    sys: BoxSystem  # the box and particle the level was built for
     k_n: float      # mode wavenumber n pi / a
-    p_n: float      # matter-wave momentum hbar k_n
-    e_n: float      # level energy p_n^2 / 2m
+    e_n: float      # level energy (hbar k_n)^2 / 2m
     a_n: float      # field amplitude, positive root
     b_sq: float     # squared slope amplitude p_n^2/p_particle^2 - 1
     g_npf: float    # path normalization 4 p_P^2 / (p_n^2 + 3 p_P^2)
@@ -79,7 +79,7 @@ def make_mode(sys: BoxSystem, n: int) -> BoxMode:
             "must be below 2")
     a_n = (HBAR / sys.p_particle) * math.sqrt(1.0 - 1.0 / ratio)
     g_npf = 4.0 * sys.p_particle**2 / (p_n**2 + 3.0 * sys.p_particle**2)
-    return BoxMode(n=n, a=sys.a, k_n=k_n, p_n=p_n, e_n=p_n**2 / (2.0 * sys.m),
+    return BoxMode(n=n, sys=sys, k_n=k_n, e_n=p_n**2 / (2.0 * sys.m),
                    a_n=a_n, b_sq=ratio - 1.0, g_npf=g_npf)
 
 
@@ -88,9 +88,8 @@ def make_mode(sys: BoxSystem, n: int) -> BoxMode:
 _RATIO_NUDGE_ULPS = 4
 
 
-def level_at_ratio(m: float, a: float, n: int,
-                   ratio: float) -> tuple[BoxSystem, BoxMode]:
-    """System and level n with p_n^2 / p_particle^2 = ratio in [1, 2).
+def level_at_ratio(m: float, a: float, n: int, ratio: float) -> BoxMode:
+    """Level n of the system with p_n^2 / p_particle^2 = ratio in [1, 2).
 
     Each figure and check of the paper's box sets the particle momentum
     this way, p_particle = p_n / sqrt(ratio), so b^2 = ratio - 1.
@@ -107,8 +106,7 @@ def level_at_ratio(m: float, a: float, n: int,
         if (p_mode / p_particle) ** 2 < 2.0:
             break
         p_particle = math.nextafter(p_particle, math.inf)
-    sys = BoxSystem(m=m, a=a, p_particle=p_particle)
-    return sys, make_mode(sys, n)
+    return make_mode(BoxSystem(m=m, a=a, p_particle=p_particle), n)
 
 
 def _check_inside(a: float, x: float) -> None:
@@ -117,7 +115,7 @@ def _check_inside(a: float, x: float) -> None:
         raise ValueError(f"x={x} outside the box [0, {a}]")
 
 
-def field_energy(mode: BoxMode, sys: BoxSystem, x: float) -> EnergyBudget:
+def field_energy(mode: BoxMode, x: float) -> EnergyBudget:
     """Energy budget of the level, field split evaluated at x.
 
     The field oscillates at wbar_n = k_n p_P / m and carries
@@ -125,7 +123,8 @@ def field_energy(mode: BoxMode, sys: BoxSystem, x: float) -> EnergyBudget:
     proportional to cos^2(k_n x) and a potential part proportional to
     sin^2(k_n x).  The particle share is purely kinetic inside the box.
     """
-    _check_inside(mode.a, x)
+    sys = mode.sys
+    _check_inside(sys.a, x)
     e_particle = sys.p_particle**2 / (2.0 * sys.m)
     wbar = mode.k_n * sys.p_particle / sys.m
     e_field = 0.5 * sys.m * wbar**2 * mode.a_n**2
@@ -139,7 +138,7 @@ def field_energy(mode: BoxMode, sys: BoxSystem, x: float) -> EnergyBudget:
 
 def field_slope(mode: BoxMode, x: float) -> float:
     """chi_n'(x) = A_n k_n cos(k_n x); note A_n^2 k_n^2 = b^2."""
-    _check_inside(mode.a, x)
+    _check_inside(mode.sys.a, x)
     return mode.a_n * mode.k_n * math.cos(mode.k_n * x)
 
 
@@ -170,6 +169,7 @@ def integrand_series(b_sq: float, kx: float) -> float:
     """
     if not 0.0 <= b_sq < 1.0:
         raise ValueError("b_sq must lie in [0, 1)")
+    require_finite(kx=kx)
     u = b_sq * math.cos(kx)**2
     return 1.0 + u / 2.0 - u**2 / 8.0 + u**3 / 16.0 - 5.0 * u**4 / 128.0
 
@@ -204,15 +204,14 @@ def eighth_order_path(mode: BoxMode, x: float) -> float:
     q = x + (c2/c1 k) sin(2kx) - (c3/c1 k) sin(4kx) with the coefficients
     of path_series_coefficients, so g = 1/c1.
     """
-    _check_inside(mode.a, x)
+    _check_inside(mode.sys.a, x)
     k = mode.k_n
     c1, c2, c3 = path_series_coefficients(mode.b_sq)
     return x + (c2 / (c1 * k)) * math.sin(2.0 * k * x) \
              - (c3 / (c1 * k)) * math.sin(4.0 * k * x)
 
 
-def figure_rows(mode: BoxMode, sys: BoxSystem,
-                xs: Sequence[float]) -> list[tuple[float, ...]]:
+def figure_rows(mode: BoxMode, xs: Sequence[float]) -> list[tuple[float, ...]]:
     """Rows (x, q, q/x, chi, psi^2, x) of the box figure on the grid xs.
 
     q is the quadratic-order path x + [b^2/(b^2 + 4)] sin(2kx)/(2k), with
@@ -220,16 +219,16 @@ def figure_rows(mode: BoxMode, sys: BoxSystem,
     field and psi^2 = (2/a) sin^2(n pi x / a) the bare density.  The wall
     is checked in one pass over the grid.
     """
-    if not all(0.0 <= x <= mode.a for x in xs):
-        raise ValueError(f"grid leaves the box [0, {mode.a}]")
+    a = mode.sys.a
+    if not all(0.0 <= x <= a for x in xs):
+        raise ValueError(f"grid leaves the box [0, {a}]")
     k = mode.k_n
     b_ratio = mode.b_sq / (mode.b_sq + 4.0)
     coeff = b_ratio / (2.0 * k)
     slope0 = 1.0 + b_ratio
     a_n = mode.a_n
-    amp = math.sqrt(2.0 / sys.a)
+    amp = math.sqrt(2.0 / a)
     n_pi = mode.n * math.pi
-    a = sys.a
     sin = math.sin
     rows = []
     for x in xs:
@@ -245,7 +244,7 @@ def velocity(mode: BoxMode, x: float, v_p: float) -> float:
     Maximal at the field nodes x = j a / n where the full slope b^2 is
     felt, minimal (g v_P) at the antinodes.
     """
-    _check_inside(mode.a, x)
+    _check_inside(mode.sys.a, x)
     require_finite(v_p=v_p)
     return mode.g_npf * v_p * integrand_exact(mode.b_sq, mode.k_n * x)
 
@@ -257,7 +256,7 @@ def pf_acceleration(mode: BoxMode, x: float, v_p: float) -> float:
         = -g v_P^2 (b^2 k / 2) sin(2kx) / sqrt(1 + b^2 cos^2 kx),
     vanishing exactly at nodes (chi = 0) and antinodes (chi' = 0).
     """
-    _check_inside(mode.a, x)
+    _check_inside(mode.sys.a, x)
     require_finite(v_p=v_p)
     k = mode.k_n
     return (-mode.g_npf * v_p**2 * 0.5 * mode.b_sq * k * math.sin(2.0 * k * x)

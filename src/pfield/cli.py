@@ -245,13 +245,13 @@ def _cmd_box_figure(merged: Mapping[str, object]) -> tuple[_Files, int]:
     a = merged["a"]
     mass = merged["mass"]
     # Every ratio is checked and every mode built before the first file.
-    levels = [(n, ratio, *boxmode.level_at_ratio(mass, a, n, ratio))
+    levels = [(n, ratio, boxmode.level_at_ratio(mass, a, n, ratio))
               for n, ratio in enumerate(merged["ratios"], start=1)]
     xs = _box_grid(0.0, a, merged["grid"])
     columns = ("x:m", "q:m", "q_over_x:1", "chi:m", "psi_density:1/m", "x_ref:m")
 
     def tables() -> Iterator[tuple[str, Iterator[str]]]:
-        for n, ratio, sys, mode in levels:
+        for n, ratio, mode in levels:
             inflections = [j * a / (2 * n) for j in range(1, 2 * n)]
             meta = {
                 "a": a, "mass": mass, "n": n, "ratio": ratio,
@@ -259,7 +259,7 @@ def _cmd_box_figure(merged: Mapping[str, object]) -> tuple[_Files, int]:
                 "inflection_points_m": "[" + ", ".join(repr(v) for v in inflections) + "]",
             }
             yield _table(merged["format"], f"box_figure_n{n}", meta, columns,
-                         boxmode.figure_rows(mode, sys, xs))
+                         boxmode.figure_rows(mode, xs))
 
     return tables(), 0
 
@@ -275,9 +275,9 @@ def _cmd_osc_trajectory(merged: Mapping[str, object]) -> tuple[_Files, int]:
     r_max = min(sys.cap_l, 5.0 / math.sqrt(alpha))
     xs = _grid(-r_max, r_max, merged["grid"])
 
-    running = oracle.cumulative_integrate(oscillator.path_integrand(mode, sys), xs)
+    running = oracle.cumulative_integrate(oscillator.path_integrand(mode), xs)
     rows = [(r_bar, q_two, q_three, acc, chi) for (r_bar, q_two, q_three, chi), acc
-            in zip(oscillator.figure_rows(mode, sys, xs), running)]
+            in zip(oscillator.figure_rows(mode, xs), running)]
     meta = {"alpha": alpha, "mu": mu, "omega0": sys.omega0, "n": n,
             "amplitude": mode.a_osc, "cap_l": sys.cap_l}
     columns = ("r_bar:m", "q_two:m", "q_three:m", "q_oracle:m", "chi:m")
@@ -314,9 +314,9 @@ def _cmd_spectrum(merged: Mapping[str, object]) -> tuple[_Files, int]:
             "level is bare and has no field for the quartic term to act on")
     rows = []
     for n in range(1, levels + 1):
-        sys, mode = boxmode.level_at_ratio(mass, a, n, ratio)
+        mode = boxmode.level_at_ratio(mass, a, n, ratio)
         params = nonlinear.NonlinearParams(eps=eps, a_tilde=mode.a_n)
-        e_nl = nonlinear.energy_levels(params, sys, n)
+        e_nl = nonlinear.energy_levels(params, mode)
         rows.append((n, mode.e_n, e_nl, e_nl - mode.e_n))
     meta = {"a": a, "mass": mass, "eps": eps, "ratio": ratio,
             "levels": levels}

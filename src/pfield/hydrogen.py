@@ -63,13 +63,14 @@ class HydrogenOrbit:
 
 @dataclass(frozen=True)
 class HState:
-    """Stationary state labels with the field amplitude a_ha.
+    """Stationary state labels of the system sys with the field amplitude a_ha.
 
     a_ha carries dimension m^(1-l) so that the l = 1 profile is
     a_ha * r * exp(-Z r / 2 a0) with dimensionless slope a_ha at the
     origin.
     """
 
+    sys: HydrogenSystem
     n: int
     l: int
     m_l: int
@@ -102,16 +103,17 @@ def make_state(sys: HydrogenSystem, n: int, l: int, m_l: int = 0,
     if abs(m_l) > l:
         raise ValueError("need |m_l| <= l")
     require_finite_positive(a_ha=a_ha)
-    return HState(n=n, l=l, m_l=m_l, a_ha=a_ha, e_n=level_energy(sys, n))
+    return HState(sys=sys, n=n, l=l, m_l=m_l, a_ha=a_ha, e_n=level_energy(sys, n))
 
 
-def field_energy(sys: HydrogenSystem, state: HState, r: float) -> float:
+def field_energy(state: HState, r: float) -> float:
     """Field share e_n - e_mu(r) = (Z e'^2 / 2)(1/r - Z/(a0 n^2)).
 
     Zero exactly at r = n^2 a0 / Z, positive inside, negative outside
     (orbit faster than the level supports).
     """
     require_finite_positive(r=r)
+    sys = state.sys
     return 0.5 * sys.z * GAUSSIAN_CHARGE_SQ \
         * (1.0 / r - sys.z / (sys.a0 * state.n**2))
 
@@ -153,19 +155,13 @@ def normalized_radial(sys: HydrogenSystem, n: int, l: int, r: float) -> float:
     return 4.0 * za**3.5 / (81.0 * math.sqrt(30.0)) * bare
 
 
-def _radial_moment(sys: HydrogenSystem, n: int, l: int, power: int) -> float:
-    rmax = 30.0 * n * sys.a0 / sys.z
-
-    def f(r: float) -> float:
-        rr = normalized_radial(sys, n, l, r)
-        return rr * rr * r**(2 + power)
-
-    return oracle.integrate(f, 0.0, rmax)
-
-
 def mean_inv_r(sys: HydrogenSystem, n: int, l: int) -> float:
     """<1/r> over the radial density; equals Z/(a0 n^2) for every state."""
-    return _radial_moment(sys, n, l, -1)
+    def f(r: float) -> float:
+        rr = normalized_radial(sys, n, l, r)
+        return rr * rr * r
+
+    return oracle.integrate(f, 0.0, 30.0 * n * sys.a0 / sys.z)
 
 
 def mean_orbit_energy(sys: HydrogenSystem, n: int, l: int) -> float:
@@ -173,17 +169,16 @@ def mean_orbit_energy(sys: HydrogenSystem, n: int, l: int) -> float:
     return -0.5 * sys.z * GAUSSIAN_CHARGE_SQ * mean_inv_r(sys, n, l)
 
 
-def _sweep_slope_sq(sys: HydrogenSystem, state: HState, r: float,
-                    theta: float) -> float:
+def _sweep_slope_sq(state: HState, r: float, theta: float) -> float:
     """Squared field slope along the orbital arc, (d chi / r d theta)^2
     with |T|^2 folded: a_ha^2 bare^2 S'^2 / (2 pi r^2)."""
-    bare = _bare_radial(sys, state.n, state.l, r)
+    bare = _bare_radial(state.sys, state.n, state.l, r)
     sp = _angular.theta_factor_slope(state.l, state.m_l, theta)
     return state.a_ha**2 * bare**2 * sp**2 / (2.0 * math.pi * r**2)
 
 
-def pf_velocity(sys: HydrogenSystem, state: HState, r: float, theta: float,
-                theta_dot: float, exact: bool = False) -> float:
+def pf_velocity(state: HState, r: float, theta: float, theta_dot: float,
+                exact: bool = False) -> float:
     """Composite speed of the orbit dressed with the state's field.
 
     The sweep drags the field through dS/dtheta, so
@@ -196,7 +191,7 @@ def pf_velocity(sys: HydrogenSystem, state: HState, r: float, theta: float,
     """
     require_finite_positive(r=r)
     require_finite(theta=theta, theta_dot=theta_dot)
-    u = _sweep_slope_sq(sys, state, r, theta)
+    u = _sweep_slope_sq(state, r, theta)
     base = r * theta_dot
     if exact:
         return base * math.sqrt(1.0 + u)

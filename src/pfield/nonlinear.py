@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .boxmode import BoxSystem
-from .core import HBAR, require_finite, require_finite_positive, require_level
+from .boxmode import BoxMode
+from .core import HBAR, require_finite, require_finite_positive
 
 VALIDITY_LIMIT = 0.1
 
@@ -94,27 +94,27 @@ def duffing_residual(params: NonlinearParams, k: float, x: float) -> float:
     return d2 + k**2 * chi - params.eps * chi**3
 
 
-def quantized_k(params: NonlinearParams, sys: BoxSystem, n: int) -> float:
-    """Wall-pinned wavenumber of level n under the quartic term.
+def quantized_k(params: NonlinearParams, mode: BoxMode) -> float:
+    """Wall-pinned wavenumber of the box level mode under the quartic term.
 
     Solves w(k) k a = n pi exactly:
     k_n = (n pi / 2a)[1 + sqrt(1 + 3 eps a_tilde^2 a^2/(2 n^2 pi^2))].
     A negative discriminant (strong softening) has no bounded level and
     raises ValueError.
     """
-    require_level(n, 1)
-    disc = 1.0 + 3.0 * params.eps * params.a_tilde**2 * sys.a**2 \
+    n, a = mode.n, mode.sys.a
+    disc = 1.0 + 3.0 * params.eps * params.a_tilde**2 * a**2 \
         / (2.0 * n**2 * math.pi**2)
     if disc < 0.0:
         raise ValueError(
             f"no bounded level: discriminant {disc:.4f} < 0 for n={n}")
-    k = n * math.pi / (2.0 * sys.a) * (1.0 + math.sqrt(disc))
+    k = n * math.pi / (2.0 * a) * (1.0 + math.sqrt(disc))
     _check_validity(params, k)
     return k
 
 
-def energy_levels(params: NonlinearParams, sys: BoxSystem, n: int) -> float:
-    """Level energy (hbar k_n)^2 / 2m at the shifted wavenumber."""
-    p_n = HBAR * quantized_k(params, sys, n)
-    return p_n**2 / (2.0 * sys.m)
+def energy_levels(params: NonlinearParams, mode: BoxMode) -> float:
+    """Level energy (hbar k_n)^2 / 2m of mode at the shifted wavenumber."""
+    p_n = HBAR * quantized_k(params, mode)
+    return p_n**2 / (2.0 * mode.sys.m)
 

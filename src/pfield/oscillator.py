@@ -17,7 +17,8 @@ of path_integrand, where w is the effective squared field slope; its
 two-term expansion resums into closed forms.  figure_rows tabulates both
 truncations and the field over a whole grid in one kernel, sharing the
 envelope between them and checking the grid once; a point value is a
-one-element grid.
+one-element grid.  An OscMode holds its OscSystem, so no function of a
+level takes the system again.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ def system_at_alpha(alpha: float, mu: float) -> OscSystem:
 
 @dataclass(frozen=True)
 class OscMode:
-    """One oscillator level dressed with a field of amplitude a_osc."""
+    """One level of the system sys dressed with a field of amplitude a_osc."""
 
+    sys: OscSystem
     n: int
     l: int
     m_l: int
@@ -87,7 +89,7 @@ def make_mode(sys: OscSystem, n: int, l: int = 0, m_l: int = 0,
     require_finite_positive(amplitude=amplitude)
     e_n = HBAR * sys.omega0 * (n + 0.5)
     e_mu = 0.5 * sys.mu * sys.omega0**2 * sys.cap_l**2
-    return OscMode(n=n, l=l, m_l=m_l, a_osc=amplitude, e_n=e_n, e_mu=e_mu,
+    return OscMode(sys=sys, n=n, l=l, m_l=m_l, a_osc=amplitude, e_n=e_n, e_mu=e_mu,
                    e_field=e_n - e_mu)
 
 
@@ -131,12 +133,12 @@ def _hermite(n: int, u: float) -> float:
     return h
 
 
-def radial_field_slope(mode: OscMode, sys: OscSystem, r_bar: float) -> float:
+def radial_field_slope(mode: OscMode, r_bar: float) -> float:
     """d chi_n / d r_bar of the radial field profile: chi = a_osc r_bar^n
     e^(-alpha r_bar^2/2) for n <= 1, a_osc H_n(sqrt(alpha) r_bar)
     e^(-alpha r_bar^2/2) for n >= 2.  Any finite r_bar is permitted."""
     require_finite(r_bar=r_bar)
-    alpha = sys.alpha
+    alpha = mode.sys.alpha
     env = math.exp(-0.5 * alpha * r_bar * r_bar)
     if mode.n == 0:
         return -mode.a_osc * alpha * r_bar * env
@@ -157,8 +159,7 @@ def _check_turning(sys: OscSystem, r_bar: float) -> None:
             f"cap_l={sys.cap_l:.6e}")
 
 
-def kinetic_field(mode: OscMode, sys: OscSystem, r_bar: float,
-                  theta: float) -> float:
+def kinetic_field(mode: OscMode, r_bar: float, theta: float) -> float:
     """Field kinetic energy (mu/2) v_mu^2 chi_n'^2 |Y_{l,m}|^2.
 
     v_mu^2 = w0^2 (cap_l^2 - r_bar^2) is the classical speed squared, so
@@ -166,22 +167,23 @@ def kinetic_field(mode: OscMode, sys: OscSystem, r_bar: float,
     angular weight uses the orientation density |Y|^2 = S^2/(2 pi), which
     does not depend on phi.
     """
+    sys = mode.sys
     _check_turning(sys, r_bar)
     require_finite(theta=theta)
     v_sq = sys.omega0**2 * (sys.cap_l**2 - r_bar**2)
-    slope = radial_field_slope(mode, sys, r_bar)
+    slope = radial_field_slope(mode, r_bar)
     return 0.5 * sys.mu * v_sq * slope * slope \
         * _angular.angular_density(mode.l, mode.m_l, theta)
 
 
-def path_integrand(mode: OscMode, sys: OscSystem) -> Callable[[float], float]:
+def path_integrand(mode: OscMode) -> Callable[[float], float]:
     """Composite path integrand r_bar -> sqrt(1 + w(r_bar)/4pi), for n <= 1.
 
     w = (1/2) [d/dr_bar (a_osc h_n(sqrt(alpha) r_bar) e^(-alpha r_bar^2/2))]^2
     with h_0 = 1 and h_1(u) = u: the weight and argument that make the
     two-term expansion integrate to the paths of figure_rows.
     """
-    alpha = sys.alpha
+    alpha = mode.sys.alpha
     four_pi = 4.0 * math.pi
     exp, sqrt = math.exp, math.sqrt
     if mode.n == 0:
@@ -200,11 +202,11 @@ def path_integrand(mode: OscMode, sys: OscSystem) -> Callable[[float], float]:
     raise ValueError(f"path slope not tabulated for n={mode.n}")
 
 
-def _path_series(mode: OscMode, sys: OscSystem) -> tuple[float, int, float]:
+def _path_series(mode: OscMode) -> tuple[float, int, float]:
     """(c_two, power, c_three) of the field part of the path, n <= 1:
     q - r_bar = c_two r_bar^power e^(-alpha r_bar^2)
                 [+ c_three r_bar^5 e^(-alpha r_bar^2)]."""
-    alpha = sys.alpha
+    alpha = mode.sys.alpha
     a_sq = mode.a_osc**2
     if mode.n == 0:
         return alpha**2 * a_sq / (48.0 * math.pi), 3, alpha**3 * a_sq / (120.0 * math.pi)
@@ -213,19 +215,19 @@ def _path_series(mode: OscMode, sys: OscSystem) -> tuple[float, int, float]:
     raise ValueError(f"path series not tabulated for n={mode.n}")
 
 
-def path_correction(mode: OscMode, sys: OscSystem, r_bar: float) -> float:
+def path_correction(mode: OscMode, r_bar: float) -> float:
     """Field part q - r_bar of the three-term composite path, for n <= 1.
 
     Returned separately because near the turning points it is smaller
     than one ulp of r_bar and would vanish inside the sum.
     """
-    _check_turning(sys, r_bar)
-    c_two, power, c_three = _path_series(mode, sys)
-    env = math.exp(-sys.alpha * r_bar * r_bar)
+    _check_turning(mode.sys, r_bar)
+    c_two, power, c_three = _path_series(mode)
+    env = math.exp(-mode.sys.alpha * r_bar * r_bar)
     return c_two * r_bar**power * env + c_three * r_bar**5 * env
 
 
-def figure_rows(mode: OscMode, sys: OscSystem,
+def figure_rows(mode: OscMode,
                 xs: Sequence[float]) -> list[tuple[float, float, float, float]]:
     """Rows (r_bar, q_two, q_three, chi) of the oscillator figure on xs, n <= 1.
 
@@ -241,7 +243,8 @@ def figure_rows(mode: OscMode, sys: OscSystem,
     envelope and the two-term correction are shared by both paths, and the
     turning points are checked once per grid.
     """
-    c_two, power, c_three = _path_series(mode, sys)
+    sys = mode.sys
+    c_two, power, c_three = _path_series(mode)
     cap_l = sys.cap_l
     if not all(abs(r) <= cap_l for r in xs):
         raise ValueError(f"grid leaves the classical interval |r_bar| <= cap_l={cap_l:.6e}")

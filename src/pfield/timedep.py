@@ -8,7 +8,8 @@ carry zero flux and zero mean momentum; beats between levels slosh
 probability with <p> oscillating about zero.
 
 Multi-level superpositions use bare eigenmodes (field amplitude zero,
-p_particle saturating each level), built by bare_eigenmode.  Each
+p_particle saturating each level), built by bare_eigenmode; every
+component must be a level of the superposition's own box.  Each
 Superposition method checks that its x lies inside the box and builds
 the phase table (c_j sqrt(2/a), k_j, e^(-i E_j t/hbar)) of its time t.
 flux_rows tabulates the flux and the continuity residual over a whole
@@ -58,16 +59,21 @@ class Superposition:
             raise ValueError("need at least one component")
         if len(self.energies) != len(self.components):
             raise ValueError("one energy per component required")
+        for mode, _ in self.components:
+            if (mode.sys.m, mode.sys.a) != (self.m, self.a):
+                raise ValueError(f"level n={mode.n} belongs to another box "
+                                 f"(m={mode.sys.m!r}, a={mode.sys.a!r})")
 
     @classmethod
-    def from_modes(cls, sys: BoxSystem,
-                   components: Sequence[tuple[BoxMode, complex]]) -> "Superposition":
+    def from_modes(cls, components: Sequence[tuple[BoxMode, complex]]) -> "Superposition":
         """Assemble a superposition over modes of one box, each at its own
-        e_n, with the coefficients rescaled to unit total weight."""
+        e_n, with the coefficients rescaled to unit total weight; m and a
+        are those of the first mode's system."""
         comps = [(mode, complex(c)) for mode, c in components]
         w = math.sqrt(sum(abs(c) ** 2 for _, c in comps))
         if w == 0.0:
             raise ValueError("coefficients must not all vanish")
+        sys = comps[0][0].sys
         return cls(m=sys.m, a=sys.a,
                    components=tuple((mode, c / w) for mode, c in comps),
                    energies=tuple(float(mode.e_n) for mode, _ in comps))
@@ -115,11 +121,9 @@ def equal_weight_beat(m: float, a: float) -> tuple[Superposition, float, float, 
     h_x, h_t): the snapshot t0 is a tenth of the beat period, and the
     continuity steps are h_x = a/1e4 and the time level 2 takes to cross it.
     """
-    require_finite_positive(a=a)
-    sys = BoxSystem(m=m, a=a, p_particle=HBAR * math.pi / a)
     mode1 = bare_eigenmode(m, a, 1)
     mode2 = bare_eigenmode(m, a, 2)
-    psi = Superposition.from_modes(sys, [(mode1, 1.0 + 0j), (mode2, 1.0 + 0j)])
+    psi = Superposition.from_modes([(mode1, 1.0 + 0j), (mode2, 1.0 + 0j)])
     t0 = 0.1 * 2.0 * math.pi * HBAR / (mode2.e_n - mode1.e_n)
     h_x = a / 1e4
     h_t = h_x * m / (HBAR * mode2.k_n)

@@ -112,25 +112,25 @@ def criterion_04(perturb: float = 0.0) -> list[ComparisonReport]:
     1e-12 relative.
     """
     s = 1.0 + perturb
-    sys, mode = boxmode.level_at_ratio(_BOX_M, _BOX_A, 1, 1.5)
+    mode = boxmode.level_at_ratio(_BOX_M, _BOX_A, 1, 1.5)
     c1, _, _ = boxmode.path_series_coefficients(mode.b_sq)
     g = 1.0 / c1
     n_pts = 10_000
-    xs = [sys.a * i / n_pts for i in range(1, n_pts + 1)]
+    xs = [_BOX_A * i / n_pts for i in range(1, n_pts + 1)]
     running = oracle.cumulative_integrate(boxmode.path_integrand(mode), xs)
     sup_dev = 0.0
     for x, acc in zip(xs, running):
         sup_dev = max(sup_dev, abs(s * boxmode.eighth_order_path(mode, x) - g * acc))
 
-    reports = [compare("sup |series - oracle| / a", sup_dev / sys.a, 0.0,
+    reports = [compare("sup |series - oracle| / a", sup_dev / _BOX_A, 0.0,
                        1e-3, use_rel=False)]
-    pins = {"quadratic": [q for _, q, *_ in boxmode.figure_rows(mode, sys, [0.0, sys.a])],
-            "eighth_order": [boxmode.eighth_order_path(mode, x) for x in (0.0, sys.a)]}
+    pins = {"quadratic": [q for _, q, *_ in boxmode.figure_rows(mode, [0.0, _BOX_A])],
+            "eighth_order": [boxmode.eighth_order_path(mode, x) for x in (0.0, _BOX_A)]}
     for label, (q0, qa) in pins.items():
         reports.append(compare(f"wall pin q(0) [{label}]",
-                               q0 / sys.a, 0.0, 1e-12, use_rel=False))
+                               q0 / _BOX_A, 0.0, 1e-12, use_rel=False))
         reports.append(compare(f"wall pin q(a) [{label}]",
-                               qa / sys.a, 1.0, 1e-12, use_rel=False))
+                               qa / _BOX_A, 1.0, 1e-12, use_rel=False))
     return reports
 
 
@@ -144,9 +144,9 @@ def criterion_05(perturb: float = 0.0) -> list[ComparisonReport]:
     worst = 0.0
     for n in range(1, 11):
         for ratio in (1.1, 1.4, 1.5, 1.9):
-            sys, mode = boxmode.level_at_ratio(_BOX_M, _BOX_A, n, ratio)
-            e_particle = boxmode.field_energy(mode, sys, 0.0).e_particle
-            lhs = s * mode.e_n * (1.0 - (sys.p_particle * mode.a_n / HBAR) ** 2)
+            mode = boxmode.level_at_ratio(_BOX_M, _BOX_A, n, ratio)
+            e_particle = boxmode.field_energy(mode, 0.0).e_particle
+            lhs = s * mode.e_n * (1.0 - (mode.sys.p_particle * mode.a_n / HBAR) ** 2)
             worst = max(worst, abs(lhs - e_particle) / e_particle)
     return [compare("worst energy identity deviation (40 modes)", worst,
                     0.0, 1e-12, use_rel=False)]
@@ -173,8 +173,8 @@ def criterion_07(perturb: float = 0.0) -> list[ComparisonReport]:
     """
     s = 1.0 + perturb
     mode = oscillator.make_mode(_OSC, 1, amplitude=1e-10)
-    [(_, _, q_env, _)] = oscillator.figure_rows(mode, _OSC, [1.0 / math.sqrt(_OSC.alpha)])
-    dq_cap = oscillator.path_correction(mode, _OSC, _OSC.cap_l)
+    [(_, _, q_env, _)] = oscillator.figure_rows(mode, [1.0 / math.sqrt(_OSC.alpha)])
+    dq_cap = oscillator.path_correction(mode, _OSC.cap_l)
     return [
         compare("sqrt(alpha) q_1(1/sqrt(alpha))",
                 s * q_env * math.sqrt(_OSC.alpha), 1.0088, 2e-3, use_rel=False),
@@ -218,18 +218,16 @@ def criterion_10(perturb: float = 0.0) -> list[ComparisonReport]:
 def criterion_11(perturb: float = 0.0) -> list[ComparisonReport]:
     """Quartic-term spectrum: linear limit, residual order, level pinning."""
     s = 1.0 + perturb
-    sys = boxmode.BoxSystem(m=_BOX_M, a=_BOX_A,
-                            p_particle=HBAR * math.pi / _BOX_A)
+    modes = [timedep.bare_eigenmode(_BOX_M, _BOX_A, n) for n in (1, 2, 3)]
     reports = []
 
     # eps -> 0 collapses onto the linear spectrum to machine precision.
     worst = 0.0
     a_tilde = 1e-10
     params0 = nonlinear.NonlinearParams(eps=0.0, a_tilde=a_tilde)
-    for n in (1, 2, 3):
-        e_lin = timedep.bare_eigenmode(sys.m, sys.a, n).e_n
-        e_non = nonlinear.energy_levels(params0, sys, n)
-        worst = max(worst, abs(s * e_non - e_lin) / e_lin)
+    for mode in modes:
+        e_non = nonlinear.energy_levels(params0, mode)
+        worst = max(worst, abs(s * e_non - mode.e_n) / mode.e_n)
     reports.append(compare("eps=0 spectrum collapse (worst of 3)", worst,
                            0.0, 1e-15, use_rel=False))
 
@@ -252,9 +250,9 @@ def criterion_11(perturb: float = 0.0) -> list[ComparisonReport]:
     params = nonlinear.NonlinearParams(eps=0.05 * k**2 / a_tilde**2,
                                        a_tilde=a_tilde)
     worst_pin = 0.0
-    for n in (1, 2, 3):
-        k_n = nonlinear.quantized_k(params, sys, n)
-        pin = nonlinear.omega_ratio(params, k_n) * k_n * sys.a / (n * math.pi)
+    for mode in modes:
+        k_n = nonlinear.quantized_k(params, mode)
+        pin = nonlinear.omega_ratio(params, k_n) * k_n * _BOX_A / (mode.n * math.pi)
         worst_pin = max(worst_pin, abs(s * pin - 1.0))
     reports.append(compare("wall condition w(k) k a = n pi (worst of 3)",
                            worst_pin, 0.0, 1e-12, use_rel=False))
@@ -308,10 +306,10 @@ def criterion_13(perturb: float = 0.0) -> list[ComparisonReport]:
     sups = []
     xs = [_BOX_A * i / 256.0 for i in range(257)]
     for ratio in ratios:
-        sys, mode = boxmode.level_at_ratio(_BOX_M, _BOX_A, 1, ratio)
+        mode = boxmode.level_at_ratio(_BOX_M, _BOX_A, 1, ratio)
         amps.append(mode.a_n)
         gs.append(mode.g_npf)
-        sup = max(abs(q - x) for x, q, *_ in boxmode.figure_rows(mode, sys, xs))
+        sup = max(abs(q - x) for x, q, *_ in boxmode.figure_rows(mode, xs))
         sups.append(sup / _BOX_A)
     amp_mono = all(x > y for x, y in zip(amps, amps[1:]))
     g_mono = all(x < y for x, y in zip(gs, gs[1:]))

@@ -19,7 +19,7 @@ M = ELECTRON_MASS
 def _fixture(n: int = 1, ratio: float = 1.5):
     p_n = HBAR * n * math.pi / A_BOX
     sys = boxmode.BoxSystem(m=M, a=A_BOX, p_particle=p_n / math.sqrt(ratio))
-    return sys, boxmode.make_mode(sys, n)
+    return boxmode.make_mode(sys, n)
 
 
 def test_system_validation():
@@ -32,16 +32,15 @@ def test_system_validation():
 
 
 def test_make_mode_fields():
-    sys, mode = _fixture()
+    mode = _fixture()
     assert mode.n == 1
     assert mode.k_n == math.pi / A_BOX
-    assert mode.p_n == HBAR * mode.k_n
-    assert mode.e_n == mode.p_n**2 / (2.0 * M)
+    assert mode.e_n == (HBAR * mode.k_n)**2 / (2.0 * M)
     assert mode.b_sq == pytest.approx(0.5, rel=1e-14)
     assert mode.g_npf == pytest.approx(8.0 / 9.0, rel=1e-14)
     assert mode.a_n == pytest.approx(
-        (HBAR / sys.p_particle) * math.sqrt(1.0 - 1.0 / 1.5), rel=1e-14)
-    assert mode.a == A_BOX
+        (HBAR / mode.sys.p_particle) * math.sqrt(1.0 - 1.0 / 1.5), rel=1e-14)
+    assert (mode.sys.m, mode.sys.a) == (M, A_BOX)
     # slope amplitude identity A_n^2 k_n^2 = b^2
     assert mode.a_n**2 * mode.k_n**2 == pytest.approx(mode.b_sq, rel=1e-13)
 
@@ -70,28 +69,28 @@ def test_make_mode_rejections():
 
 
 def test_field_energy_budget():
-    sys, mode = _fixture()
-    b = boxmode.field_energy(mode, sys, 0.25 * A_BOX)
+    mode = _fixture()
+    b = boxmode.field_energy(mode, 0.25 * A_BOX)
     assert energy_budget_check(b)
     assert b.e_field == pytest.approx(mode.e_n - b.e_particle, rel=1e-13)
-    at_node = boxmode.field_energy(mode, sys, 0.0)
+    at_node = boxmode.field_energy(mode, 0.0)
     assert at_node.k_field == pytest.approx(at_node.e_field, rel=1e-13)
     assert at_node.v_field == 0.0
-    at_antinode = boxmode.field_energy(mode, sys, 0.5 * A_BOX)
+    at_antinode = boxmode.field_energy(mode, 0.5 * A_BOX)
     assert at_antinode.v_field == pytest.approx(at_antinode.e_field, rel=1e-13)
     assert abs(at_antinode.k_field) <= 1e-30 * at_antinode.e_field + 1e-60
     with pytest.raises(ValueError):
-        boxmode.field_energy(mode, sys, -0.1 * A_BOX)
+        boxmode.field_energy(mode, -0.1 * A_BOX)
 
 
-def _column(mode, sys, xs, index):
+def _column(mode, xs, index):
     """One column of the box-figure kernel on the grid xs."""
-    return [row[index] for row in boxmode.figure_rows(mode, sys, xs)]
+    return [row[index] for row in boxmode.figure_rows(mode, xs)]
 
 
 def test_field_profile():
-    sys, mode = _fixture()
-    at_wall0, at_antinode, at_wall = _column(mode, sys, [0.0, 0.5 * A_BOX, A_BOX], 3)
+    mode = _fixture()
+    at_wall0, at_antinode, at_wall = _column(mode, [0.0, 0.5 * A_BOX, A_BOX], 3)
     assert at_wall0 == 0.0
     assert abs(at_wall) <= 1e-12 * mode.a_n
     assert at_antinode == pytest.approx(mode.a_n, rel=1e-14)
@@ -101,8 +100,8 @@ def test_field_profile():
 
 
 def test_wavefunction_normalized():
-    sys, mode = _fixture(n=2, ratio=1.4)
-    val = oracle.integrate(lambda x: _column(mode, sys, [x], 4)[0], 0.0, A_BOX)
+    mode = _fixture(n=2, ratio=1.4)
+    val = oracle.integrate(lambda x: _column(mode, [x], 4)[0], 0.0, A_BOX)
     assert val == pytest.approx(1.0, rel=1e-9)
 
 
@@ -132,34 +131,34 @@ def test_path_series_coefficients_at_half():
         boxmode.path_series_coefficients(1.0)
 
 
-def _both_paths(mode, sys, xs):
+def _both_paths(mode, xs):
     """The quadratic path of the box-figure kernel and the eighth-order path on xs."""
-    return _column(mode, sys, xs, 1), [boxmode.eighth_order_path(mode, x) for x in xs]
+    return _column(mode, xs, 1), [boxmode.eighth_order_path(mode, x) for x in xs]
 
 
 def test_trajectory_series_wall_pins():
-    sys, mode = _fixture()
-    for q0, qa in _both_paths(mode, sys, [0.0, A_BOX]):
+    mode = _fixture()
+    for q0, qa in _both_paths(mode, [0.0, A_BOX]):
         assert q0 == 0.0
         assert abs(qa - A_BOX) <= 1e-12 * A_BOX
 
 
 def test_trajectory_series_quadratic_peak():
-    sys, mode = _fixture()
+    mode = _fixture()
     x = 0.25 * A_BOX                       # sin(2kx) = 1
-    excess = _column(mode, sys, [x], 1)[0] - x
+    excess = _column(mode, [x], 1)[0] - x
     target = mode.b_sq / (mode.b_sq + 4.0) / (2.0 * mode.k_n)
     assert excess == pytest.approx(target, rel=1e-12)
 
 
 def test_trajectory_series_monotone():
-    sys, mode = _fixture(n=2, ratio=1.9)
-    for qs in _both_paths(mode, sys, [i * A_BOX / 200.0 for i in range(201)]):
+    mode = _fixture(n=2, ratio=1.9)
+    for qs in _both_paths(mode, [i * A_BOX / 200.0 for i in range(201)]):
         assert all(b > a for a, b in zip(qs, qs[1:]))
 
 
 def test_trajectory_matches_oracle():
-    sys, mode = _fixture()
+    mode = _fixture()
     c1, _, _ = boxmode.path_series_coefficients(mode.b_sq)
     worst = 0.0
     for i in range(1, 32):
@@ -171,8 +170,8 @@ def test_trajectory_matches_oracle():
 
 
 def test_velocity_extrema():
-    sys, mode = _fixture()
-    v_p = sys.p_particle / M
+    mode = _fixture()
+    v_p = mode.sys.p_particle / M
     at_node = boxmode.velocity(mode, 0.0, v_p)
     at_antinode = boxmode.velocity(mode, 0.5 * A_BOX, v_p)
     assert at_node == pytest.approx(
@@ -182,8 +181,8 @@ def test_velocity_extrema():
 
 
 def test_acceleration_zeros_and_sign():
-    sys, mode = _fixture()
-    v_p = sys.p_particle / M
+    mode = _fixture()
+    v_p = mode.sys.p_particle / M
     scale = mode.g_npf * v_p**2 * 0.5 * mode.b_sq * mode.k_n
     assert boxmode.pf_acceleration(mode, 0.0, v_p) == 0.0
     assert abs(boxmode.pf_acceleration(mode, 0.5 * A_BOX, v_p)) <= 1e-12 * scale
@@ -193,8 +192,8 @@ def test_acceleration_zeros_and_sign():
 
 
 def test_acceleration_against_oracle_curvature():
-    sys, mode = _fixture()
-    v_p = sys.p_particle / M
+    mode = _fixture()
+    v_p = mode.sys.p_particle / M
     x = 0.25 * A_BOX
     acc = boxmode.pf_acceleration(mode, x, v_p)
 
@@ -213,13 +212,13 @@ def test_series_curvature_misses_arclength_factor():
     The series differentiates q(x), not q(t); the two curvatures differ
     by exactly the local arclength factor.
     """
-    sys, mode = _fixture()
-    v_p = sys.p_particle / M
+    mode = _fixture()
+    v_p = mode.sys.p_particle / M
     x = 0.25 * A_BOX
     acc = boxmode.pf_acceleration(mode, x, v_p)
 
     def q(s: float) -> float:
-        return _column(mode, sys, [s], 1)[0]
+        return _column(mode, [s], 1)[0]
 
     fd = v_p**2 * oracle.finite_diff(q, x, A_BOX / 2000.0, order=2)
     factor = boxmode.integrand_exact(mode.b_sq, mode.k_n * x)
@@ -228,10 +227,10 @@ def test_series_curvature_misses_arclength_factor():
 
 @pytest.mark.parametrize("n,ratio", [(1, 1.5), (2, 1.05), (3, 1.95)])
 def test_path_integrand_matches_integrand_exact_bit_for_bit(n, ratio):
-    sys, mode = _fixture(n, ratio)
+    mode = _fixture(n, ratio)
     integrand = boxmode.path_integrand(mode)
     for i in range(257):
-        x = sys.a * i / 256.0
+        x = A_BOX * i / 256.0
         assert integrand(x) == boxmode.integrand_exact(mode.b_sq, mode.k_n * x)
 
 
@@ -241,7 +240,7 @@ def test_path_integrand_matches_integrand_exact_bit_for_bit(n, ratio):
 def test_level_at_ratio_matches_hand_construction(a, n, ratio):
     p_n = HBAR * n * math.pi / a
     sys = boxmode.BoxSystem(m=M, a=a, p_particle=p_n / math.sqrt(ratio))
-    assert boxmode.level_at_ratio(M, a, n, ratio) == (sys, boxmode.make_mode(sys, n))
+    assert boxmode.level_at_ratio(M, a, n, ratio) == boxmode.make_mode(sys, n)
 
 
 @pytest.mark.parametrize("ratio", [0.99, 2.0])
@@ -254,7 +253,7 @@ def _level_at_ratio_uncapped(m, a, n, ratio):
     """level_at_ratio as it was before p_particle was capped at make_mode's p_n."""
     p_n = HBAR * n * math.pi / a
     sys = boxmode.BoxSystem(m=m, a=a, p_particle=p_n / math.sqrt(ratio))
-    return sys, boxmode.make_mode(sys, n)
+    return boxmode.make_mode(sys, n)
 
 
 @settings(max_examples=300, deadline=None)
@@ -271,10 +270,10 @@ def test_level_at_ratio_cap_leaves_ratios_above_one_unchanged(a, n, ratio):
     expected = outcome(_level_at_ratio_uncapped)
     if isinstance(expected, str) and expected.startswith("superclassical"):
         # sqrt(ratio) rounded to 1: the uncapped form met the bare limit's ulp
-        assert got[1].b_sq < 1e-15
+        assert got.b_sq < 1e-15
     elif isinstance(expected, str) and expected.startswith("series divergence"):
         # (p_n/p_particle)**2 rounded up to 2 just below it: nudged back under
-        assert got[1].b_sq < 1.0
+        assert got.b_sq < 1.0
     else:
         assert got == expected
 
@@ -285,12 +284,12 @@ def test_level_at_ratio_just_below_two(n, ratio):
     # make_mode's (p_n/p_particle)**2 rounds up to 2.0 at this width unless
     # p_particle is nudged up; the nudge is a few ulps at most
     a = 2.2633223641900492e-09
-    sys, mode = boxmode.level_at_ratio(M, a, n, ratio)
+    mode = boxmode.level_at_ratio(M, a, n, ratio)
     assert mode.b_sq < 1.0
     p_particle = HBAR * n * math.pi / a / math.sqrt(ratio)
     for _ in range(boxmode._RATIO_NUDGE_ULPS):
         p_particle = math.nextafter(p_particle, math.inf)
-    assert p_particle >= sys.p_particle >= HBAR * n * math.pi / a / math.sqrt(ratio)
+    assert p_particle >= mode.sys.p_particle >= HBAR * n * math.pi / a / math.sqrt(ratio)
 
 
 @settings(max_examples=300, deadline=None)
@@ -298,17 +297,17 @@ def test_level_at_ratio_just_below_two(n, ratio):
 @example(a=2.8041268172117018e-09, n=3)
 def test_level_at_ratio_reaches_the_bare_limit(a, n):
     # HBAR*n*pi/a can round an ulp above make_mode's HBAR*(n*pi/a)
-    sys, mode = boxmode.level_at_ratio(M, a, n, 1.0)
-    assert sys.p_particle <= mode.p_n
+    mode = boxmode.level_at_ratio(M, a, n, 1.0)
+    assert mode.sys.p_particle <= HBAR * mode.k_n
     assert mode.b_sq < 1e-15
 
 
 def test_mode_wall_is_the_system_width():
     # n pi / k_n misses a by an ulp here; the wall is a itself
     a = 2.917e-09
-    sys, mode = boxmode.level_at_ratio(M, a, 1, 1.5)
+    mode = boxmode.level_at_ratio(M, a, 1, 1.5)
     assert mode.n * math.pi / mode.k_n < a
-    assert _column(mode, sys, [a], 1)[0] == pytest.approx(a, rel=1e-12)
+    assert _column(mode, [a], 1)[0] == pytest.approx(a, rel=1e-12)
     with pytest.raises(ValueError, match="outside the box"):
         boxmode.field_slope(mode, math.nextafter(a, 1.0))
 
@@ -317,25 +316,25 @@ def test_mode_wall_is_the_system_width():
 @pytest.mark.parametrize("grid", [2, 257])
 @pytest.mark.parametrize("n,ratio", [(1, 1.5), (2, 1.05), (3, 1.95)])
 def test_figure_rows_match_point_functions_bit_for_bit(a, grid, n, ratio):
-    sys, mode = boxmode.level_at_ratio(M, a, n, ratio)
+    mode = boxmode.level_at_ratio(M, a, n, ratio)
     xs = cli._box_grid(0.0, a, grid)
     slope0 = 1.0 + mode.b_sq / (mode.b_sq + 4.0)
-    rows = boxmode.figure_rows(mode, sys, xs)
+    rows = boxmode.figure_rows(mode, xs)
     assert len(rows) == grid
     for x, row in zip(xs, rows):
         q = ref.box_path_quadratic(mode, x)
         assert row == (x, q, q / x if x > 0.0 else slope0, ref.box_field(mode, x),
-                       ref.box_wavefunction(mode, sys, x) ** 2, x)
+                       ref.box_wavefunction(mode, mode.sys, x) ** 2, x)
 
 
 @pytest.mark.parametrize("bad", [-1e-30, "above", math.nan])
 def test_figure_rows_reject_a_grid_outside_the_box(bad):
-    sys, mode = _fixture()
+    mode = _fixture()
     if bad == "above":
         bad = math.nextafter(A_BOX, 1.0)
     xs = [0.0, 0.5 * A_BOX, bad, A_BOX]
     with pytest.raises(ValueError, match="grid leaves the box"):
-        boxmode.figure_rows(mode, sys, xs)
+        boxmode.figure_rows(mode, xs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -347,6 +346,6 @@ def test_figure_rows_pin_the_walls(b_sq, a, n):
     p_n = HBAR * (n * math.pi / a)
     sys = boxmode.BoxSystem(m=M, a=a, p_particle=p_n / math.sqrt(1.0 + b_sq))
     mode = boxmode.make_mode(sys, n)
-    first, last = boxmode.figure_rows(mode, sys, [0.0, a])
+    first, last = boxmode.figure_rows(mode, [0.0, a])
     assert first[:2] == (0.0, 0.0)
     assert abs(last[1] - a) <= 1e-12 * a

@@ -60,7 +60,7 @@ def test_validators_reject_non_finite_fields(ctor, field, bad):
         ctor(**{field: bad})
 
 
-_BOX_SYS, _BOX_MODE = boxmode.level_at_ratio(ELECTRON_MASS, 2e-9, 1, 1.5)
+_BOX_MODE = boxmode.level_at_ratio(ELECTRON_MASS, 2e-9, 1, 1.5)
 _OSC = oscillator.system_at_alpha(1e20, ELECTRON_MASS)
 _OSC_MODE = oscillator.make_mode(_OSC, 1)
 _H = hydrogen.HydrogenSystem(z=1.0, mu=ELECTRON_MASS)
@@ -85,13 +85,13 @@ _GUARDS = {
     "hydrogen.circular_orbit": (lambda v: hydrogen.circular_orbit(_H, v), 1e-10),
     "hydrogen.make_state": (lambda v: hydrogen.make_state(_H, 2, 1, a_ha=v), 0.1),
     "hydrogen.field_energy": (
-        lambda v: hydrogen.field_energy(_H, _H_STATE, v), 1e-10),
+        lambda v: hydrogen.field_energy(_H_STATE, v), 1e-10),
     "hydrogen.pf_velocity": (
-        lambda v: hydrogen.pf_velocity(_H, _H_STATE, v, 0.3, 1e16), 1e-10),
+        lambda v: hydrogen.pf_velocity(_H_STATE, v, 0.3, 1e16), 1e-10),
     "hydrogen.pf_velocity theta": (
-        lambda v: hydrogen.pf_velocity(_H, _H_STATE, 1e-10, v, 1e16), 0.3),
+        lambda v: hydrogen.pf_velocity(_H_STATE, 1e-10, v, 1e16), 0.3),
     "hydrogen.pf_velocity theta_dot": (
-        lambda v: hydrogen.pf_velocity(_H, _H_STATE, 1e-10, 0.3, v), 1e16),
+        lambda v: hydrogen.pf_velocity(_H_STATE, 1e-10, 0.3, v), 1e16),
     "hydrogen.approximation_gap": (hydrogen.approximation_gap, 0.1),
     "hydrogen.cartesian_components_2p0": (
         lambda v: hydrogen.cartesian_components_2p0(_H, 0.1, v, 0.3, 0.2), 1e-10),
@@ -119,22 +119,23 @@ _GUARDS = {
     "oscillator.classical_motion t": (
         lambda v: oscillator.classical_motion(_OSC, 1e-10, 0.0, v), 1e-16),
     "oscillator.path_correction": (
-        lambda v: oscillator.path_correction(_OSC_MODE, _OSC, v), 1e-10),
+        lambda v: oscillator.path_correction(_OSC_MODE, v), 1e-10),
     "oscillator.kinetic_field": (
-        lambda v: oscillator.kinetic_field(_OSC_MODE, _OSC, v, 0.3), 1e-10),
+        lambda v: oscillator.kinetic_field(_OSC_MODE, v, 0.3), 1e-10),
     "oscillator.kinetic_field theta": (
-        lambda v: oscillator.kinetic_field(_OSC_MODE, _OSC, 1e-10, v), 0.3),
+        lambda v: oscillator.kinetic_field(_OSC_MODE, 1e-10, v), 0.3),
     "oracle.finite_diff": (lambda v: oracle.finite_diff(math.sin, 0.0, v, 1), 1e-3),
     "oracle.finite_diff x": (lambda v: oracle.finite_diff(math.sin, v, 1e-3, 1), 0.0),
     "boxmode.integrand_exact b_sq": (lambda v: boxmode.integrand_exact(v, 0.3), 0.5),
     "boxmode.integrand_exact kx": (lambda v: boxmode.integrand_exact(0.5, v), 0.3),
+    "boxmode.integrand_series kx": (lambda v: boxmode.integrand_series(0.5, v), 0.3),
     "nonlinear.duffing_solution x": (lambda v: nonlinear.duffing_solution(_NL, 1e9, v), 1e-9),
     "nonlinear.duffing_second_derivative x": (
         lambda v: nonlinear.duffing_second_derivative(_NL, 1e9, v), 1e-9),
     "nonlinear.duffing_residual x": (
         lambda v: nonlinear.duffing_residual(_NL, 1e9, v), 1e-9),
     "oscillator.radial_field_slope r_bar": (
-        lambda v: oscillator.radial_field_slope(_OSC_MODE, _OSC, v), 1e-10),
+        lambda v: oscillator.radial_field_slope(_OSC_MODE, v), 1e-10),
     "timedep.flux_rows h_x": (
         lambda v: timedep.flux_rows(_BEAT, [1e-9], _T0, v, _H_T), _H_X),
     "timedep.flux_rows h_t": (
@@ -154,8 +155,7 @@ _GUARDS = {
 
 # Every function that takes a level index n: name -> (call, lowest level).
 _LEVELS = {
-    "boxmode.make_mode": (lambda n: boxmode.make_mode(_BOX_SYS, n), 1),
-    "nonlinear.quantized_k": (lambda n: nonlinear.quantized_k(_NL, _BOX_SYS, n), 1),
+    "boxmode.make_mode": (lambda n: boxmode.make_mode(_BOX_MODE.sys, n), 1),
     "hydrogen.level_energy": (lambda n: hydrogen.level_energy(_H, n), 1),
     "oscillator.make_mode": (lambda n: oscillator.make_mode(_OSC, n), 0),
     "oscillator.classical_threshold": (
@@ -249,9 +249,9 @@ def _sine_mode():
     return sys, boxmode.make_mode(sys, 1)
 
 
-def _chi(mode, sys, x):
+def _chi(mode, x):
     """The field chi_n(x), read from the box-figure kernel."""
-    [(_, _, _, chi, _, _)] = boxmode.figure_rows(mode, sys, [x])
+    [(_, _, _, chi, _, _)] = boxmode.figure_rows(mode, [x])
     return chi
 
 
@@ -263,7 +263,7 @@ def test_field_force_reduces_to_stationary_form():
     f_p = 3.1e-12
     worst = 0.0
     xs = [0.5 * sys.a * i / 40.0 for i in range(1, 40)]     # cos(kx) > 0 throughout
-    for x, _, _, chi, _, _ in boxmode.figure_rows(mode, sys, xs):
+    for x, _, _, chi, _, _ in boxmode.figure_rows(mode, xs):
         chi_p = boxmode.field_slope(mode, x)
         d_abs = -mode.a_n * mode.k_n**2 * math.sin(mode.k_n * x)
         lhs = field_force_1d(sys.m, v_p, chi_p, d_abs, f_p)
@@ -288,7 +288,7 @@ def test_pf_force_matches_mode_acceleration():
     for frac in (0.1, 0.22, 0.35, 0.43):
         x = frac * sys.a
         chi_p = boxmode.field_slope(mode, x)
-        chi_pp = -mode.k_n**2 * _chi(mode, sys, x)
+        chi_pp = -mode.k_n**2 * _chi(mode, x)
         f = pf_force_stationary(mode.g_npf, 0.0, chi_p, chi_pp, sys.m, v_p)
         assert f == pytest.approx(
             sys.m * boxmode.pf_acceleration(mode, x, v_p), rel=5e-15)
@@ -300,7 +300,7 @@ def test_pf_force_tracks_oracle_path_curvature():
     v_p = sys.p_particle / sys.m
     x = 0.25 * sys.a
     chi_p = boxmode.field_slope(mode, x)
-    chi_pp = -mode.k_n**2 * _chi(mode, sys, x)
+    chi_pp = -mode.k_n**2 * _chi(mode, x)
     f = pf_force_stationary(mode.g_npf, 0.0, chi_p, chi_pp, sys.m, v_p)
 
     def q(s: float) -> float:

@@ -53,9 +53,9 @@ def test_make_state_validation():
 def test_field_energy_sign_structure():
     st = hydrogen.make_state(SYS, 2, 0)
     r_zero = 4.0 * SYS.a0          # n^2 a0 / Z
-    assert hydrogen.field_energy(SYS, st, r_zero) == pytest.approx(0.0, abs=1e-40)
-    assert hydrogen.field_energy(SYS, st, 0.5 * r_zero) > 0.0
-    assert hydrogen.field_energy(SYS, st, 2.0 * r_zero) < 0.0
+    assert hydrogen.field_energy(st, r_zero) == pytest.approx(0.0, abs=1e-40)
+    assert hydrogen.field_energy(st, 0.5 * r_zero) > 0.0
+    assert hydrogen.field_energy(st, 2.0 * r_zero) < 0.0
 
 
 def test_radial_field_closed_forms():
@@ -110,7 +110,7 @@ def test_theta_factor_slope():
 def test_pf_velocity_s_state_is_bare():
     st = hydrogen.make_state(SYS, 2, 0)
     td = hydrogen.circular_orbit(SYS, SYS.a0).theta_dot
-    assert hydrogen.pf_velocity(SYS, st, SYS.a0, 0.7, td) == SYS.a0 * td
+    assert hydrogen.pf_velocity(st, SYS.a0, 0.7, td) == SYS.a0 * td
 
 
 def test_pf_velocity_2p_corrections():
@@ -119,20 +119,20 @@ def test_pf_velocity_2p_corrections():
     base = SYS.a0 * td
     p0 = hydrogen.make_state(SYS, 2, 1, m_l=0, a_ha=a_ha)
     # poles carry no sweep for m = 0; equator the full (3/8pi) a^2 e^-sigma
-    assert hydrogen.pf_velocity(SYS, p0, SYS.a0, 0.0, td) == base
-    v_eq = hydrogen.pf_velocity(SYS, p0, SYS.a0, 0.5 * math.pi, td)
+    assert hydrogen.pf_velocity(p0, SYS.a0, 0.0, td) == base
+    v_eq = hydrogen.pf_velocity(p0, SYS.a0, 0.5 * math.pi, td)
     assert v_eq / base - 1.0 == pytest.approx(
         3.0 / (8.0 * math.pi) * a_ha**2 * math.exp(-1.0), rel=1e-10)
     p1 = hydrogen.make_state(SYS, 2, 1, m_l=1, a_ha=a_ha)
-    assert hydrogen.pf_velocity(SYS, p1, SYS.a0, 0.5 * math.pi, td) == base
-    v_pole = hydrogen.pf_velocity(SYS, p1, SYS.a0, 0.0, td)
+    assert hydrogen.pf_velocity(p1, SYS.a0, 0.5 * math.pi, td) == base
+    v_pole = hydrogen.pf_velocity(p1, SYS.a0, 0.0, td)
     assert v_pole / base - 1.0 == pytest.approx(
         3.0 / (16.0 * math.pi) * a_ha**2 * math.exp(-1.0), rel=1e-10)
     # exact speed never exceeds the linearized one
-    v_exact = hydrogen.pf_velocity(SYS, p0, SYS.a0, 0.5 * math.pi, td, exact=True)
+    v_exact = hydrogen.pf_velocity(p0, SYS.a0, 0.5 * math.pi, td, exact=True)
     assert 0.0 < v_eq - v_exact < hydrogen.approximation_gap(a_ha) * base
     with pytest.raises(ValueError):
-        hydrogen.pf_velocity(SYS, p0, 0.0, 0.5, td)
+        hydrogen.pf_velocity(p0, 0.0, 0.5, td)
 
 
 def test_approximation_gap_quartic():

@@ -7,16 +7,14 @@ import math
 import pytest
 
 from pfield import boxmode, nonlinear
-from pfield.core import ELECTRON_MASS, HBAR
+from pfield.core import ELECTRON_MASS
 
 A_BOX = 2e-9
 K1 = math.pi / A_BOX
 
 
-def _box(ratio: float = 1.5) -> boxmode.BoxSystem:
-    p_n = HBAR * K1
-    return boxmode.BoxSystem(m=ELECTRON_MASS, a=A_BOX,
-                             p_particle=p_n / math.sqrt(ratio))
+def _level(n: int, ratio: float = 1.0) -> boxmode.BoxMode:
+    return boxmode.level_at_ratio(ELECTRON_MASS, A_BOX, n, ratio)
 
 
 def test_params_validation():
@@ -71,37 +69,27 @@ def test_duffing_residual_is_second_order():
 
 
 def test_quantized_k_linear_limit_bitwise():
-    sys = _box()
     p0 = nonlinear.NonlinearParams(eps=0.0, a_tilde=1e-10)
     for n in (1, 2, 5):
-        assert nonlinear.quantized_k(p0, sys, n) == n * math.pi / A_BOX
-        assert nonlinear.energy_levels(p0, sys, n) == \
-            boxmode.make_mode(_box_for(n), n).e_n
-
-
-def _box_for(n: int) -> boxmode.BoxSystem:
-    p_n = HBAR * n * math.pi / A_BOX
-    return boxmode.BoxSystem(m=ELECTRON_MASS, a=A_BOX, p_particle=p_n)
+        assert nonlinear.quantized_k(p0, _level(n)) == n * math.pi / A_BOX
+        assert nonlinear.energy_levels(p0, _level(n)) == _level(n).e_n
 
 
 def test_quantized_k_satisfies_wall_condition():
     a = 1e-10
     p = nonlinear.NonlinearParams(eps=5e-3 * K1**2 / a**2, a_tilde=a)
     for n in (1, 2, 3):
-        k = nonlinear.quantized_k(p, _box(), n)
+        k = nonlinear.quantized_k(p, _level(n))
         lhs = nonlinear.omega_ratio(p, k) * k * A_BOX
         assert lhs == pytest.approx(n * math.pi, rel=1e-12)
 
 
 def test_quantized_k_shifts_with_sign():
     a = 1e-10
-    sys = _box()
     hard = nonlinear.NonlinearParams(eps=1e-3 * K1**2 / a**2, a_tilde=a)
     soft = nonlinear.NonlinearParams(eps=-1e-3 * K1**2 / a**2, a_tilde=a)
-    assert nonlinear.quantized_k(hard, sys, 1) > K1
-    assert nonlinear.quantized_k(soft, sys, 1) < K1
-    with pytest.raises(ValueError):
-        nonlinear.quantized_k(hard, sys, 0)
+    assert nonlinear.quantized_k(hard, _level(1, 1.5)) > K1
+    assert nonlinear.quantized_k(soft, _level(1, 1.5)) < K1
 
 
 def test_quantized_k_strong_softening_unbound():
@@ -110,5 +98,5 @@ def test_quantized_k_strong_softening_unbound():
     eps = -2.0 * math.pi**2 / (3.0 * a**2 * A_BOX**2) * 1.5
     p = nonlinear.NonlinearParams(eps=eps, a_tilde=a)
     with pytest.raises(ValueError, match="no bounded level"):
-        nonlinear.quantized_k(p, _box(), 1)
+        nonlinear.quantized_k(p, _level(1, 1.5))
 

@@ -128,7 +128,7 @@ def test_osc_path_quadrature_odd_and_anchored():
                                cap_l=1.5 / math.sqrt(alpha))
     mode = oscillator.make_mode(sys, 0, amplitude=math.sqrt(0.25 / alpha))
     r = 1.0 / math.sqrt(alpha)
-    integrand = oscillator.path_integrand(mode, sys)
+    integrand = oscillator.path_integrand(mode)
     q = oracle.integrate(integrand, 0.0, r)
     assert oracle.integrate(integrand, 0.0, -r) == -q
     assert q * math.sqrt(alpha) == pytest.approx(1.0009417043, rel=1e-9)
@@ -162,8 +162,8 @@ def _panel_integrands():
         (lambda x: x**7 - 3.0 * x**2, 0.3, -1.7),
         (boxmode.path_integrand(mode), 0.0, sys.a),
         (boxmode.path_integrand(mode), 0.37 * sys.a, 0.41 * sys.a),
-        (oscillator.path_integrand(oscillator.make_mode(osc, 0), osc), -osc.cap_l, 0.0),
-        (oscillator.path_integrand(oscillator.make_mode(osc, 1), osc), -2e-10, 3e-10),
+        (oscillator.path_integrand(oscillator.make_mode(osc, 0)), -osc.cap_l, 0.0),
+        (oscillator.path_integrand(oscillator.make_mode(osc, 1)), -2e-10, 3e-10),
     ]
 
 
@@ -209,7 +209,7 @@ def test_cumulative_integrate_matches_osc_loop(n):
     alpha = 1e20
     sys = oscillator.OscSystem(mu=ELECTRON_MASS, omega0=alpha * HBAR / ELECTRON_MASS,
                                cap_l=math.sqrt(101.0 / alpha))
-    f = oscillator.path_integrand(oscillator.make_mode(sys, n), sys)
+    f = oscillator.path_integrand(oscillator.make_mode(sys, n))
     r_max = 5.0 / math.sqrt(alpha)
     xs = [-r_max + 2.0 * r_max * i / 96 for i in range(97)]
     assert list(oracle.cumulative_integrate(f, xs)) == _running_osc_loop(f, xs)

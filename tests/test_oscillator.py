@@ -80,15 +80,15 @@ def test_classical_motion_conserves_energy():
         oscillator.classical_motion(sys, 0.0, 0.0, 0.0)
 
 
-def _field(mode, sys, r_bar):
+def _field(mode, r_bar):
     """The field column chi of the osc-trajectory kernel at one r_bar."""
-    [(_, _, _, chi)] = oscillator.figure_rows(mode, sys, [r_bar])
+    [(_, _, _, chi)] = oscillator.figure_rows(mode, [r_bar])
     return chi
 
 
-def _hermite_2_field(mode, sys, r_bar):
+def _hermite_2_field(mode, r_bar):
     """a_osc H_2(u) e^(-u^2/2) with u = sqrt(alpha) r_bar and H_2(u) = 4u^2 - 2."""
-    u = math.sqrt(sys.alpha) * r_bar
+    u = math.sqrt(mode.sys.alpha) * r_bar
     return mode.a_osc * (4.0 * u * u - 2.0) * math.exp(-0.5 * u * u)
 
 
@@ -98,13 +98,13 @@ def test_radial_field_profiles():
     r = 0.6 / math.sqrt(ALPHA)
     env = math.exp(-0.5 * sys.alpha * r * r)
     m0 = oscillator.make_mode(sys, 0, amplitude=a)
-    assert _field(m0, sys, r) == pytest.approx(a * env, rel=1e-14)
+    assert _field(m0, r) == pytest.approx(a * env, rel=1e-14)
     m1 = oscillator.make_mode(sys, 1, amplitude=a)
-    assert _field(m1, sys, r) == pytest.approx(a * r * env, rel=1e-14)
+    assert _field(m1, r) == pytest.approx(a * r * env, rel=1e-14)
     # n = 2 goes through the Hermite recurrence: H_2 = 4u^2 - 2, H_1 = 2u
     m2 = oscillator.make_mode(sys, 2, amplitude=a)
     u = math.sqrt(sys.alpha) * r
-    assert oscillator.radial_field_slope(m2, sys, r) == pytest.approx(
+    assert oscillator.radial_field_slope(m2, r) == pytest.approx(
         a * math.sqrt(sys.alpha) * (8.0 * u - u * (4.0 * u * u - 2.0)) * env, rel=1e-13)
 
 
@@ -114,18 +114,18 @@ def test_radial_field_slope_matches_finite_difference():
     for n, field in ((0, _field), (1, _field), (2, _hermite_2_field)):
         mode = oscillator.make_mode(sys, n, amplitude=1e-10)
         for r in (0.0, 0.4e-10, 0.9e-10):
-            fd = oracle.finite_diff(lambda s: field(mode, sys, s), r, h, order=1)
-            slope = oscillator.radial_field_slope(mode, sys, r)
+            fd = oracle.finite_diff(lambda s: field(mode, s), r, h, order=1)
+            slope = oscillator.radial_field_slope(mode, r)
             assert slope == pytest.approx(fd, rel=1e-5, abs=1e-12 * abs(mode.a_osc))
 
 
 def test_kinetic_field_turning_points_and_domain():
     sys = _system()
     mode = oscillator.make_mode(sys, 1, l=1, m_l=0, amplitude=1e-10)
-    assert oscillator.kinetic_field(mode, sys, sys.cap_l, 0.3) == 0.0
-    assert oscillator.kinetic_field(mode, sys, -sys.cap_l, 0.3) == 0.0
+    assert oscillator.kinetic_field(mode, sys.cap_l, 0.3) == 0.0
+    assert oscillator.kinetic_field(mode, -sys.cap_l, 0.3) == 0.0
     with pytest.raises(ValueError):
-        oscillator.kinetic_field(mode, sys, 1.01 * sys.cap_l, 0.3)
+        oscillator.kinetic_field(mode, 1.01 * sys.cap_l, 0.3)
 
 
 def test_kinetic_field_angular_weight():
@@ -134,9 +134,9 @@ def test_kinetic_field_angular_weight():
     mode = oscillator.make_mode(sys, 1, l=1, m_l=0, amplitude=a)
     # slope at the center is a_osc; S_10 = sqrt(6)/2 cos(theta)
     base = 0.5 * sys.mu * sys.omega0**2 * sys.cap_l**2 * a**2 / (2.0 * math.pi)
-    at_pole = oscillator.kinetic_field(mode, sys, 0.0, 0.0)
+    at_pole = oscillator.kinetic_field(mode, 0.0, 0.0)
     assert at_pole == pytest.approx(base * 6.0 / 4.0, rel=1e-13)
-    at_equator = oscillator.kinetic_field(mode, sys, 0.0, 0.5 * math.pi)
+    at_equator = oscillator.kinetic_field(mode, 0.0, 0.5 * math.pi)
     assert at_equator <= 1e-30 * at_pole
 
 
@@ -147,7 +147,7 @@ def test_trajectory_slope_sq_forms():
     r = 0.5e-10
 
     def slope_sq(n, r_bar):
-        f = oscillator.path_integrand(oscillator.make_mode(sys, n, amplitude=a), sys)
+        f = oscillator.path_integrand(oscillator.make_mode(sys, n, amplitude=a))
         return 4.0 * math.pi * (f(r_bar) ** 2 - 1.0)
 
     assert slope_sq(0, r) == pytest.approx(
@@ -160,7 +160,7 @@ def test_trajectory_slope_sq_forms():
 def test_path_integrand_matches_slope_bit_for_bit(n, alpha):
     sys = _system(cap_l=math.sqrt(101.0 / alpha), alpha=alpha)
     mode = oscillator.make_mode(sys, n)
-    integrand = oscillator.path_integrand(mode, sys)
+    integrand = oscillator.path_integrand(mode)
     grid = [sys.cap_l * (i / 64.0 - 1.0) for i in range(129)]
     assert 0.0 in grid and grid[0] == -sys.cap_l and grid[-1] == sys.cap_l
     for r in grid:
@@ -171,21 +171,21 @@ def test_path_integrand_matches_slope_bit_for_bit(n, alpha):
 def test_path_integrand_rejects_untabulated_level():
     sys = _system()
     with pytest.raises(ValueError):
-        oscillator.path_integrand(oscillator.make_mode(sys, 2, amplitude=1e-10), sys)
+        oscillator.path_integrand(oscillator.make_mode(sys, 2, amplitude=1e-10))
 
 
 def test_trajectory_odd_and_consistent():
     sys = _system()
     mode = oscillator.make_mode(sys, 1, amplitude=1e-10)
     r = 0.8e-10
-    (_, q_two, q, _), (_, q_two_neg, q_neg, _) = oscillator.figure_rows(mode, sys, [r, -r])
+    (_, q_two, q, _), (_, q_two_neg, q_neg, _) = oscillator.figure_rows(mode, [r, -r])
     assert (q_two_neg, q_neg) == (-q_two, -q)
-    assert q == r + oscillator.path_correction(mode, sys, r)
+    assert q == r + oscillator.path_correction(mode, r)
     # the turning point itself is inside the domain
-    oscillator.figure_rows(mode, sys, [sys.cap_l])
-    oscillator.path_correction(mode, sys, sys.cap_l)
+    oscillator.figure_rows(mode, [sys.cap_l])
+    oscillator.path_correction(mode, sys.cap_l)
     with pytest.raises(ValueError):
-        oscillator.path_correction(mode, sys, 1.01 * sys.cap_l)
+        oscillator.path_correction(mode, 1.01 * sys.cap_l)
 
 
 def test_path_correction_resolves_subulp_terms():
@@ -193,10 +193,10 @@ def test_path_correction_resolves_subulp_terms():
     cap = oscillator.classical_threshold(_system(), 50)
     sys = _system(cap_l=cap)
     mode = oscillator.make_mode(sys, 0, amplitude=1e-9)
-    dq = oscillator.path_correction(mode, sys, cap)
+    dq = oscillator.path_correction(mode, cap)
     assert 0.0 < dq < 1e-20 * cap
     # folded into the sum it vanishes entirely
-    [(_, _, q, _)] = oscillator.figure_rows(mode, sys, [cap])
+    [(_, _, q, _)] = oscillator.figure_rows(mode, [cap])
     assert q == cap
 
 
@@ -212,8 +212,8 @@ def test_trajectory_against_oracle(aa_sq, n, dev2_max, dev3_max):
     mode = oscillator.make_mode(sys, n, amplitude=math.sqrt(aa_sq / ALPHA))
     r = 1.0 / math.sqrt(ALPHA)
     scale = math.sqrt(ALPHA)
-    q_oracle = oracle.integrate(oscillator.path_integrand(mode, sys), 0.0, r)
-    [(_, q_two, q_three, _)] = oscillator.figure_rows(mode, sys, [r])
+    q_oracle = oracle.integrate(oscillator.path_integrand(mode), 0.0, r)
+    [(_, q_two, q_three, _)] = oscillator.figure_rows(mode, [r])
     dev2 = abs(q_two - q_oracle) * scale
     dev3 = abs(q_three - q_oracle) * scale
     assert dev2 <= dev2_max
@@ -260,7 +260,7 @@ def test_figure_rows_match_point_functions_bit_for_bit(n, alpha, amplitude, grid
     mode = oscillator.make_mode(sys, n, amplitude=amplitude)
     r_max = 5.0 / math.sqrt(alpha)
     xs = cli._grid(-r_max, r_max, grid)
-    rows = oscillator.figure_rows(mode, sys, xs)
+    rows = oscillator.figure_rows(mode, xs)
     assert len(rows) == grid
     for r_bar, row in zip(xs, rows):
         assert row == (r_bar, ref.osc_path_two_term(mode, sys, r_bar),
@@ -275,11 +275,11 @@ def test_figure_rows_reject_a_grid_beyond_the_turning_points(bad):
     if bad == "beyond":
         bad = math.nextafter(-sys.cap_l, -math.inf)
     with pytest.raises(ValueError, match="grid leaves the classical interval"):
-        oscillator.figure_rows(mode, sys, [0.0, bad])
+        oscillator.figure_rows(mode, [0.0, bad])
 
 
 def test_figure_rows_reject_untabulated_level():
     sys = _system()
     mode = oscillator.make_mode(sys, 2, amplitude=1e-10)
     with pytest.raises(ValueError, match="path series not tabulated for n=2"):
-        oscillator.figure_rows(mode, sys, [0.0])
+        oscillator.figure_rows(mode, [0.0])

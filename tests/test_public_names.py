@@ -19,7 +19,7 @@ _PACKAGE = Path(pfield.__file__).parent
 
 _TEST_REFERENCE = "test reference: tests compare reached code against it"
 _ENERGY_BALANCE = "energy-balance API"
-_PLANNED = "item 2: criterion planned"
+_PLANNED = "item 4: criterion planned"
 
 # Unreached public names -> why each stays.  A new public name needs a
 # caller in the package, an entry here, or deletion.
@@ -116,3 +116,34 @@ def test_reachability_rules(tmp_path):
         "from . import a\nfrom .a import imported\n"
         "a.other_only()\nimported()\nx.read()\n", encoding="utf-8")
     assert _unreached(tmp_path) == {"a.unused", "a.Box", "a.Box.never"}
+
+
+_SYSTEMS = {"BoxSystem", "OscSystem", "HydrogenSystem"}
+_LEVELS = {"BoxMode", "OscMode", "HState"}
+
+
+def _annotation_name(node: ast.expr | None) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def test_no_function_takes_a_level_and_a_system():
+    """A level carries the system it was built for, so a function that
+    takes a level reads the system from it instead of taking both."""
+    pairs = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *(a for a in (args.vararg, args.kwarg) if a is not None)]
+            kinds = {_annotation_name(a.annotation) for a in params}
+            if kinds & _SYSTEMS and kinds & _LEVELS:
+                pairs.append(f"{path.stem}.{node.name}")
+    assert pairs == []

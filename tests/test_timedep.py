@@ -17,14 +17,10 @@ M = ELECTRON_MASS
 A_BOX = 2e-9
 
 
-def _bare_sys() -> boxmode.BoxSystem:
-    return boxmode.BoxSystem(m=M, a=A_BOX, p_particle=HBAR * math.pi / A_BOX)
-
-
 def _beat() -> timedep.Superposition:
     m1 = timedep.bare_eigenmode(M, A_BOX, 1)
     m2 = timedep.bare_eigenmode(M, A_BOX, 2)
-    return timedep.Superposition.from_modes(_bare_sys(), ((m1, 1.0), (m2, 1.0)))
+    return timedep.Superposition.from_modes(((m1, 1.0), (m2, 1.0)))
 
 
 def _beat_period(s: timedep.Superposition) -> float:
@@ -45,13 +41,25 @@ def test_from_modes_normalizes_and_defaults():
     assert sum(abs(c) ** 2 for _, c in s.components) == pytest.approx(1.0, rel=1e-14)
     assert s.energies == (s.components[0][0].e_n, s.components[1][0].e_n)
     with pytest.raises(ValueError):
-        timedep.Superposition.from_modes(_bare_sys(), ())
+        timedep.Superposition.from_modes(())
     mode = timedep.bare_eigenmode(M, A_BOX, 1)
     with pytest.raises(ValueError):
-        timedep.Superposition.from_modes(_bare_sys(), ((mode, 0.0),))
+        timedep.Superposition.from_modes(((mode, 0.0),))
     with pytest.raises(ValueError):
         timedep.Superposition(m=M, a=A_BOX,
                               components=((mode, 1.0 + 0j),), energies=())
+
+
+@pytest.mark.parametrize("m,a", [(M, 3e-9), (2.0 * M, A_BOX)])
+def test_superposition_rejects_a_mode_from_another_box(m, a):
+    here = timedep.bare_eigenmode(M, A_BOX, 1)
+    other = boxmode.level_at_ratio(m, a, 2, 1.5)
+    with pytest.raises(ValueError, match="n=2 belongs to another box"):
+        timedep.Superposition(m=M, a=A_BOX,
+                              components=((here, 1.0 + 0j), (other, 1.0 + 0j)),
+                              energies=(here.e_n, other.e_n))
+    with pytest.raises(ValueError, match="n=2 belongs to another box"):
+        timedep.Superposition.from_modes([(here, 1.0), (other, 1.0)])
 
 
 def test_value_walls_and_domain():
@@ -121,7 +129,7 @@ def test_plane_wave_flux_and_tdse():
 
 def test_stationary_state_carries_no_flux():
     mode = timedep.bare_eigenmode(M, A_BOX, 1)
-    s = timedep.Superposition.from_modes(_bare_sys(), ((mode, 1.0),))
+    s = timedep.Superposition.from_modes(((mode, 1.0),))
     scale = HBAR * mode.k_n / (M * A_BOX)
     _, _, h_x, h_t = timedep.equal_weight_beat(M, A_BOX)
     rows = timedep.flux_rows(s, (0.2 * A_BOX, 0.5 * A_BOX, 0.9 * A_BOX), 1e-15, h_x, h_t)
@@ -165,13 +173,13 @@ def test_norm_is_one_and_conserved():
 
 def test_expectation_p_single_mode_vanishes():
     mode = timedep.bare_eigenmode(M, A_BOX, 1)
-    s = timedep.Superposition.from_modes(_bare_sys(), ((mode, 1.0),))
+    s = timedep.Superposition.from_modes(((mode, 1.0),))
     assert abs(timedep.expectation_p(s, 0.7e-15)) <= 1e-12 * HBAR * mode.k_n
 
 
 def test_expectation_p2_is_coefficient_weighted():
     mode = timedep.bare_eigenmode(M, A_BOX, 1)
-    s = timedep.Superposition.from_modes(_bare_sys(), ((mode, 1.0),))
+    s = timedep.Superposition.from_modes(((mode, 1.0),))
     assert timedep.expectation_p2(s, 0.0) == pytest.approx(
         (HBAR * mode.k_n)**2, rel=1e-10)
     beat = _beat()
@@ -228,11 +236,9 @@ def test_tdse_residual_eigen_vs_detuned():
 
 @pytest.mark.parametrize("a", [A_BOX, 1.8550000000000001e-09, 3.3e-9])
 def test_equal_weight_beat_matches_hand_construction(a):
-    sys = boxmode.BoxSystem(m=M, a=a, p_particle=HBAR * math.pi / a)
     mode1 = timedep.bare_eigenmode(M, a, 1)
     mode2 = timedep.bare_eigenmode(M, a, 2)
-    beat = timedep.Superposition.from_modes(
-        sys, [(mode1, 1.0 + 0j), (mode2, 1.0 + 0j)])
+    beat = timedep.Superposition.from_modes([(mode1, 1.0 + 0j), (mode2, 1.0 + 0j)])
     t0 = 0.1 * 2.0 * math.pi * HBAR / (mode2.e_n - mode1.e_n)
     h_x = a / 1e4
     h_t = h_x * M / (HBAR * mode2.k_n)
@@ -286,7 +292,7 @@ _REFERENCES = {"value": _ref_value, "d_dx": _ref_d_dx,
 def _three_level() -> timedep.Superposition:
     modes = [timedep.bare_eigenmode(M, A_BOX, n) for n in (1, 2, 5)]
     return timedep.Superposition.from_modes(
-        _bare_sys(), list(zip(modes, (0.3 - 0.2j, 1.0, -0.4 + 0.7j))))
+        list(zip(modes, (0.3 - 0.2j, 1.0, -0.4 + 0.7j))))
 
 
 def _matches_reference(s, xs, ts):
@@ -317,9 +323,8 @@ def test_value_matches_reference_at_any_time(t, u):
 
 def _superposition_at(a: float, levels: tuple[int, ...],
                       coefficients: tuple[complex, ...]) -> timedep.Superposition:
-    sys = boxmode.BoxSystem(m=M, a=a, p_particle=HBAR * math.pi / a)
     modes = [timedep.bare_eigenmode(M, a, n) for n in levels]
-    return timedep.Superposition.from_modes(sys, list(zip(modes, coefficients)))
+    return timedep.Superposition.from_modes(list(zip(modes, coefficients)))
 
 
 @pytest.mark.parametrize("a", [2e-9, 2.917e-09, 3.64e-09])
