@@ -94,6 +94,7 @@ def level_at_ratio(m: float, a: float, n: int, ratio: float) -> BoxMode:
     Each figure and check of the paper's box sets the particle momentum
     this way, p_particle = p_n / sqrt(ratio), so b^2 = ratio - 1.
     """
+    require_level(n, 1)
     if not 1.0 <= ratio < 2.0:
         raise ValueError(f"ratio for n={n} must lie in [1, 2), got {ratio}")
     require_finite_positive(a=a)

@@ -10,7 +10,10 @@ with the angular factors of the separable density |Y|^2 = S^2 |T|^2.
 The orbit energy e_mu = -Z e'^2 / 2r and the level energy
 e_n = -(mu/2)(Z e'^2/hbar)^2 / n^2 split the total: the field share
 e_n - e_mu vanishes exactly at r = n^2 a0 / Z, and averaging e_mu over
-the quantum radial density returns e_n for every tabulated state.
+the quantum radial density returns e_n for every tabulated state.  The
+radial closed forms are one table keyed (n, l); make_state checks a
+state's labels against it and the angular table once, and every radial
+function takes the HState.
 
 Orbital sweep drags the field through its angular profile, so composite
 speeds pick up the slope dS/dtheta: s states (dS/dtheta = 0) move at
@@ -95,13 +98,12 @@ def level_energy(sys: HydrogenSystem, n: int) -> float:
 
 def make_state(sys: HydrogenSystem, n: int, l: int, m_l: int = 0,
                a_ha: float = 0.1) -> HState:
-    """Build a stationary state; radial closed forms cover n <= 3."""
-    if not 1 <= n <= 3:
-        raise ValueError("radial profiles tabulated for 1 <= n <= 3")
-    if not 0 <= l < n:
-        raise ValueError("need 0 <= l < n")
-    if abs(m_l) > l:
-        raise ValueError("need |m_l| <= l")
+    """Build a stationary state; only the (n, l) of the radial table and
+    the labels of the angular table are accepted."""
+    require_level(n, 1)
+    if (n, l) not in _RADIAL:
+        raise ValueError(f"radial profile not tabulated for (n, l)=({n!r}, {l!r})")
+    _angular.check_labels(l, m_l)
     require_finite_positive(a_ha=a_ha)
     return HState(sys=sys, n=n, l=l, m_l=m_l, a_ha=a_ha, e_n=level_energy(sys, n))
 
@@ -118,61 +120,55 @@ def field_energy(state: HState, r: float) -> float:
         * (1.0 / r - sys.z / (sys.a0 * state.n**2))
 
 
-def _bare_radial(sys: HydrogenSystem, n: int, l: int, r: float) -> float:
+# (n, l) -> (norm, profile): R_{n,l} = norm(Z/a0) * profile(sigma, r) with
+# sigma = Z r / a0, the profile keeping the r^l factor in meters.
+_RADIAL = {
+    (1, 0): (lambda za: 2.0 * za**1.5,
+             lambda sigma, r: math.exp(-sigma)),
+    (2, 0): (lambda za: za**1.5 / (2.0 * math.sqrt(2.0)),
+             lambda sigma, r: (2.0 - sigma) * math.exp(-0.5 * sigma)),
+    (2, 1): (lambda za: za**2.5 / (2.0 * math.sqrt(6.0)),
+             lambda sigma, r: r * math.exp(-0.5 * sigma)),
+    (3, 0): (lambda za: 2.0 * za**1.5 / (81.0 * math.sqrt(3.0)),
+             lambda sigma, r: (27.0 - 18.0 * sigma + 2.0 * sigma**2) * math.exp(-sigma / 3.0)),
+    (3, 1): (lambda za: 4.0 * za**2.5 / (81.0 * math.sqrt(6.0)),
+             lambda sigma, r: (6.0 - sigma) * r * math.exp(-sigma / 3.0)),
+    (3, 2): (lambda za: 4.0 * za**3.5 / (81.0 * math.sqrt(30.0)),
+             lambda sigma, r: r * r * math.exp(-sigma / 3.0)),
+}
+
+
+def _bare_radial(state: HState, r: float) -> float:
     """Unnormalized radial profile with the r^l factor kept in meters."""
-    sigma = sys.z * r / sys.a0
-    if (n, l) == (1, 0):
-        return math.exp(-sigma)
-    if (n, l) == (2, 0):
-        return (2.0 - sigma) * math.exp(-0.5 * sigma)
-    if (n, l) == (2, 1):
-        return r * math.exp(-0.5 * sigma)
-    if (n, l) == (3, 0):
-        return (27.0 - 18.0 * sigma + 2.0 * sigma**2) * math.exp(-sigma / 3.0)
-    if (n, l) == (3, 1):
-        return (6.0 - sigma) * r * math.exp(-sigma / 3.0)
-    if (n, l) == (3, 2):
-        return r * r * math.exp(-sigma / 3.0)
-    raise ValueError(f"radial profile not tabulated for (n, l)=({n}, {l})")
+    return _RADIAL[state.n, state.l][1](state.sys.z * r / state.sys.a0, r)
 
 
-def normalized_radial(sys: HydrogenSystem, n: int, l: int, r: float) -> float:
+def normalized_radial(state: HState, r: float) -> float:
     """Unit-normalized radial function R_{n,l} (integral R^2 r^2 dr = 1)."""
     if not 0.0 <= r < math.inf:
         raise ValueError(f"r must be finite and non-negative, got {r!r}")
-    za = sys.z / sys.a0
-    bare = _bare_radial(sys, n, l, r)
-    if (n, l) == (1, 0):
-        return 2.0 * za**1.5 * bare
-    if (n, l) == (2, 0):
-        return za**1.5 / (2.0 * math.sqrt(2.0)) * bare
-    if (n, l) == (2, 1):
-        return za**2.5 / (2.0 * math.sqrt(6.0)) * bare
-    if (n, l) == (3, 0):
-        return 2.0 * za**1.5 / (81.0 * math.sqrt(3.0)) * bare
-    if (n, l) == (3, 1):
-        return 4.0 * za**2.5 / (81.0 * math.sqrt(6.0)) * bare
-    return 4.0 * za**3.5 / (81.0 * math.sqrt(30.0)) * bare
+    za = state.sys.z / state.sys.a0
+    return _RADIAL[state.n, state.l][0](za) * _bare_radial(state, r)
 
 
-def mean_inv_r(sys: HydrogenSystem, n: int, l: int) -> float:
+def mean_inv_r(state: HState) -> float:
     """<1/r> over the radial density; equals Z/(a0 n^2) for every state."""
     def f(r: float) -> float:
-        rr = normalized_radial(sys, n, l, r)
+        rr = normalized_radial(state, r)
         return rr * rr * r
 
-    return oracle.integrate(f, 0.0, 30.0 * n * sys.a0 / sys.z)
+    return oracle.integrate(f, 0.0, 30.0 * state.n * state.sys.a0 / state.sys.z)
 
 
-def mean_orbit_energy(sys: HydrogenSystem, n: int, l: int) -> float:
+def mean_orbit_energy(state: HState) -> float:
     """<e_mu> = -(Z e'^2 / 2) <1/r>, which lands on e_n."""
-    return -0.5 * sys.z * GAUSSIAN_CHARGE_SQ * mean_inv_r(sys, n, l)
+    return -0.5 * state.sys.z * GAUSSIAN_CHARGE_SQ * mean_inv_r(state)
 
 
 def _sweep_slope_sq(state: HState, r: float, theta: float) -> float:
     """Squared field slope along the orbital arc, (d chi / r d theta)^2
     with |T|^2 folded: a_ha^2 bare^2 S'^2 / (2 pi r^2)."""
-    bare = _bare_radial(state.sys, state.n, state.l, r)
+    bare = _bare_radial(state, r)
     sp = _angular.theta_factor_slope(state.l, state.m_l, theta)
     return state.a_ha**2 * bare**2 * sp**2 / (2.0 * math.pi * r**2)
 

@@ -75,15 +75,14 @@ class OscMode:
 
 def make_mode(sys: OscSystem, n: int, l: int = 0, m_l: int = 0,
               amplitude: float | None = None) -> OscMode:
-    """Build level n with angular labels (l, m_l).
+    """Build level n with angular labels (l, m_l) of the tabulated l <= 2.
 
     amplitude defaults to amplitude_estimate(sys, n).  e_field may come
     out negative when sys.cap_l exceeds the level threshold; the mode is
     still constructed so that regime can be probed.
     """
     require_level(n, 0)
-    if l < 0 or abs(m_l) > l:
-        raise ValueError("need l >= 0 and |m_l| <= l")
+    _angular.check_labels(l, m_l)
     if amplitude is None:
         amplitude = amplitude_estimate(sys, n)
     require_finite_positive(amplitude=amplitude)

@@ -8,8 +8,10 @@ carry zero flux and zero mean momentum; beats between levels slosh
 probability with <p> oscillating about zero.
 
 Multi-level superpositions use bare eigenmodes (field amplitude zero,
-p_particle saturating each level), built by bare_eigenmode; every
-component must be a level of the superposition's own box.  Each
+p_particle saturating each level), built by bare_eigenmode.  A
+Superposition is only its components, all levels of one box: its m and
+a are those of the first mode's system, each term evolves at its mode's
+e_n, and the constructor rescales the coefficients to unit weight.  Each
 Superposition method checks that its x lies inside the box and builds
 the phase table (c_j sqrt(2/a), k_j, e^(-i E_j t/hbar)) of its time t.
 flux_rows tabulates the flux and the continuity residual over a whole
@@ -30,7 +32,7 @@ from typing import Sequence
 
 from . import oracle
 from .boxmode import BoxMode, BoxSystem, _check_inside, make_mode
-from .core import HBAR, require_finite, require_finite_positive
+from .core import HBAR, require_finite, require_finite_positive, require_level
 
 # (c_j sqrt(2/a), k_j, e^(-i E_j t/hbar)) for each component j at one time t.
 _Terms = tuple[tuple[complex, float, complex], ...]
@@ -39,6 +41,7 @@ _Terms = tuple[tuple[complex, float, complex], ...]
 def bare_eigenmode(m: float, a: float, n: int) -> BoxMode:
     """Level n with p_particle = p_n: zero field amplitude, the bare
     quantum mode of the box."""
+    require_level(n, 1)
     require_finite_positive(a=a)
     p_n = HBAR * (n * math.pi / a)
     return make_mode(BoxSystem(m=m, a=a, p_particle=p_n), n)
@@ -46,37 +49,31 @@ def bare_eigenmode(m: float, a: float, n: int) -> BoxMode:
 
 @dataclass(frozen=True)
 class Superposition:
-    """Linear combination of box eigenmodes with fixed coefficients."""
+    """Linear combination of eigenmodes of one box, at unit total weight."""
 
-    m: float
-    a: float
     components: tuple[tuple[BoxMode, complex], ...]
-    energies: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        require_finite_positive(m=self.m, a=self.a)
-        if not self.components:
-            raise ValueError("need at least one component")
-        if len(self.energies) != len(self.components):
-            raise ValueError("one energy per component required")
-        for mode, _ in self.components:
-            if (mode.sys.m, mode.sys.a) != (self.m, self.a):
-                raise ValueError(f"level n={mode.n} belongs to another box "
-                                 f"(m={mode.sys.m!r}, a={mode.sys.a!r})")
-
-    @classmethod
-    def from_modes(cls, components: Sequence[tuple[BoxMode, complex]]) -> "Superposition":
-        """Assemble a superposition over modes of one box, each at its own
-        e_n, with the coefficients rescaled to unit total weight; m and a
-        are those of the first mode's system."""
-        comps = [(mode, complex(c)) for mode, c in components]
+        comps = [(mode, complex(c)) for mode, c in self.components]
         w = math.sqrt(sum(abs(c) ** 2 for _, c in comps))
         if w == 0.0:
-            raise ValueError("coefficients must not all vanish")
-        sys = comps[0][0].sys
-        return cls(m=sys.m, a=sys.a,
-                   components=tuple((mode, c / w) for mode, c in comps),
-                   energies=tuple(float(mode.e_n) for mode, _ in comps))
+            raise ValueError("need a component with a nonzero coefficient")
+        box = comps[0][0].sys
+        for mode, _ in comps:
+            if (mode.sys.m, mode.sys.a) != (box.m, box.a):
+                raise ValueError(f"level n={mode.n} belongs to another box "
+                                 f"(m={mode.sys.m!r}, a={mode.sys.a!r})")
+        object.__setattr__(self, "components", tuple((mode, c / w) for mode, c in comps))
+
+    @property
+    def m(self) -> float:
+        """Particle mass of the box."""
+        return self.components[0][0].sys.m
+
+    @property
+    def a(self) -> float:
+        """Width of the box."""
+        return self.components[0][0].sys.a
 
     def _terms(self, t: float) -> _Terms:
         """The term table at time t."""
@@ -84,8 +81,8 @@ class Superposition:
         amp = math.sqrt(2.0 / self.a)
         return tuple(
             (c * amp, mode.k_n,
-             complex(math.cos(e * t / HBAR), -math.sin(e * t / HBAR)))
-            for (mode, c), e in zip(self.components, self.energies))
+             complex(math.cos(mode.e_n * t / HBAR), -math.sin(mode.e_n * t / HBAR)))
+            for mode, c in self.components)
 
     def value(self, x: float, t: float) -> complex:
         _check_inside(self.a, x)
@@ -111,8 +108,8 @@ class Superposition:
     def d_dt(self, x: float, t: float) -> complex:
         _check_inside(self.a, x)
         out = 0j
-        for (c_amp, k, phase), e in zip(self._terms(t), self.energies):
-            out += c_amp * math.sin(k * x) * phase * complex(0.0, -e / HBAR)
+        for (c_amp, k, phase), (mode, _) in zip(self._terms(t), self.components):
+            out += c_amp * math.sin(k * x) * phase * complex(0.0, -mode.e_n / HBAR)
         return out
 
 
@@ -123,7 +120,7 @@ def equal_weight_beat(m: float, a: float) -> tuple[Superposition, float, float, 
     """
     mode1 = bare_eigenmode(m, a, 1)
     mode2 = bare_eigenmode(m, a, 2)
-    psi = Superposition.from_modes([(mode1, 1.0 + 0j), (mode2, 1.0 + 0j)])
+    psi = Superposition(((mode1, 1.0 + 0j), (mode2, 1.0 + 0j)))
     t0 = 0.1 * 2.0 * math.pi * HBAR / (mode2.e_n - mode1.e_n)
     h_x = a / 1e4
     h_t = h_x * m / (HBAR * mode2.k_n)

@@ -209,9 +209,9 @@ def criterion_10(perturb: float = 0.0) -> list[ComparisonReport]:
     s = 1.0 + perturb
     reports = []
     for n, l in ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)):
-        mean = hydrogen.mean_orbit_energy(_HYDROGEN, n, l)
-        reports.append(compare(f"<e_mu> vs e_n for (n,l)=({n},{l})", s * mean,
-                               hydrogen.level_energy(_HYDROGEN, n), 1e-8))
+        state = hydrogen.make_state(_HYDROGEN, n, l)
+        reports.append(compare(f"<e_mu> vs e_n for (n,l)=({n},{l})",
+                               s * hydrogen.mean_orbit_energy(state), state.e_n, 1e-8))
     return reports
 
 
@@ -278,8 +278,7 @@ def criterion_12(perturb: float = 0.0) -> list[ComparisonReport]:
                                  3.5, 4.5))
 
     mode1 = beat.components[0][0]
-    single = timedep.Superposition(m=m, a=a, components=((mode1, 1.0 + 0j),),
-                                   energies=(mode1.e_n,))
+    single = timedep.Superposition(((mode1, 1.0 + 0j),))
     peak_flux = max(abs(f) for _, f, _ in timedep.flux_rows(
         single, [a * i / 64.0 for i in range(1, 64)], t0, h_x, h_t))
     flux_scale = HBAR * mode1.k_n / (m * a)

@@ -5,9 +5,12 @@ writer's.
 Each point function is the formula as it stood in the package before the
 row kernels became its only copy, with the products in the same order, so a
 kernel must equal it bit for bit.  A point value in the package is a
-one-element grid of its kernel.  table_text is the CLI's table text as it
-stood before tables were written in row blocks, so the joined chunks must
-equal it byte for byte.  These copies live with the tests so they cannot
+one-element grid of its kernel.  bare_radial, normalized_radial,
+theta_factor and theta_factor_slope are the hydrogen radial and angular
+if-chains as they stood before each became one table keyed by its labels,
+so every table entry must equal its chain bit for bit.  table_text is the
+CLI's table text as it stood before tables were written in row blocks, so
+the joined chunks must equal it byte for byte.  These copies live with the tests so they cannot
 drift along with the package.
 """
 
@@ -87,6 +90,75 @@ def orbit_2p1(sys, a_ha, r, theta):
     env = a_ha**2 * math.exp(-sys.z * r / sys.a0) / (8.0 * math.pi)
     s = math.sin(theta)
     return r * (1.0 + 0.5 * env * (1.0 + s * s))
+
+
+def bare_radial(sys, n, l, r):
+    """Unnormalized hydrogen radial profile, r^l factor kept in meters."""
+    sigma = sys.z * r / sys.a0
+    if (n, l) == (1, 0):
+        return math.exp(-sigma)
+    if (n, l) == (2, 0):
+        return (2.0 - sigma) * math.exp(-0.5 * sigma)
+    if (n, l) == (2, 1):
+        return r * math.exp(-0.5 * sigma)
+    if (n, l) == (3, 0):
+        return (27.0 - 18.0 * sigma + 2.0 * sigma**2) * math.exp(-sigma / 3.0)
+    if (n, l) == (3, 1):
+        return (6.0 - sigma) * r * math.exp(-sigma / 3.0)
+    return r * r * math.exp(-sigma / 3.0)
+
+
+def normalized_radial(sys, n, l, r):
+    """Unit-normalized hydrogen radial function R_{n,l}."""
+    za = sys.z / sys.a0
+    bare = bare_radial(sys, n, l, r)
+    if (n, l) == (1, 0):
+        return 2.0 * za**1.5 * bare
+    if (n, l) == (2, 0):
+        return za**1.5 / (2.0 * math.sqrt(2.0)) * bare
+    if (n, l) == (2, 1):
+        return za**2.5 / (2.0 * math.sqrt(6.0)) * bare
+    if (n, l) == (3, 0):
+        return 2.0 * za**1.5 / (81.0 * math.sqrt(3.0)) * bare
+    if (n, l) == (3, 1):
+        return 4.0 * za**2.5 / (81.0 * math.sqrt(6.0)) * bare
+    return 4.0 * za**3.5 / (81.0 * math.sqrt(30.0)) * bare
+
+
+def theta_factor(l, m_l, theta):
+    """Angular factor S_{l,m}(theta), l <= 2."""
+    am = abs(m_l)
+    c = math.cos(theta)
+    s = math.sin(theta)
+    if l == 0:
+        return 1.0 / math.sqrt(2.0)
+    if l == 1:
+        if am == 0:
+            return math.sqrt(6.0) / 2.0 * c
+        return math.sqrt(3.0) / 2.0 * s
+    if am == 0:
+        return math.sqrt(10.0) / 4.0 * (3.0 * c * c - 1.0)
+    if am == 1:
+        return math.sqrt(15.0) / 2.0 * s * c
+    return math.sqrt(15.0) / 4.0 * s * s
+
+
+def theta_factor_slope(l, m_l, theta):
+    """Slope dS_{l,m}/dtheta, l <= 2."""
+    am = abs(m_l)
+    c = math.cos(theta)
+    s = math.sin(theta)
+    if l == 0:
+        return 0.0
+    if l == 1:
+        if am == 0:
+            return -math.sqrt(6.0) / 2.0 * s
+        return math.sqrt(3.0) / 2.0 * c
+    if am == 0:
+        return -math.sqrt(10.0) / 4.0 * 6.0 * c * s
+    if am == 1:
+        return math.sqrt(15.0) / 2.0 * (c * c - s * s)
+    return math.sqrt(15.0) / 2.0 * s * c
 
 
 def flux(field, x, t):

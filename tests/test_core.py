@@ -28,13 +28,6 @@ def test_constants_consistent():
     assert BOHR_RADIUS == pytest.approx(5.29177210903e-11, rel=1e-9)
 
 
-def _superposition(**fields):
-    mode = timedep.bare_eigenmode(ELECTRON_MASS, 2e-9, 1)
-    return timedep.Superposition(**{"m": ELECTRON_MASS, "a": 2e-9,
-                                    "components": ((mode, 1.0 + 0j),),
-                                    "energies": (mode.e_n,), **fields})
-
-
 _VALIDATED = [
     (lambda **kw: boxmode.BoxSystem(**{"m": ELECTRON_MASS, "a": 2e-9,
                                        "p_particle": 1e-25, **kw}),
@@ -47,7 +40,6 @@ _VALIDATED = [
     (lambda **kw: nonlinear.NonlinearParams(**{"eps": 0.0, "a_tilde": 1e-10, **kw}),
      ("eps", "a_tilde")),
     (lambda **kw: oracle.QuadratureSpec(**kw), ("rel_tol", "abs_tol")),
-    (_superposition, ("m", "a")),
 ]
 
 
@@ -106,7 +98,7 @@ _GUARDS = {
     "hydrogen.cartesian_components_2p0 phi": (
         lambda v: hydrogen.cartesian_components_2p0(_H, 0.1, 1e-10, 0.3, v), 0.2),
     "hydrogen.normalized_radial": (
-        lambda v: hydrogen.normalized_radial(_H, 2, 1, v), 1e-10),
+        lambda v: hydrogen.normalized_radial(_H_STATE, v), 1e-10),
     "nonlinear.omega_ratio k": (lambda v: nonlinear.omega_ratio(_NL, v), 1e9),
     "oscillator.system_at_alpha": (
         lambda v: oscillator.system_at_alpha(v, ELECTRON_MASS), 1e20),
@@ -156,7 +148,11 @@ _GUARDS = {
 # Every function that takes a level index n: name -> (call, lowest level).
 _LEVELS = {
     "boxmode.make_mode": (lambda n: boxmode.make_mode(_BOX_MODE.sys, n), 1),
+    "boxmode.level_at_ratio": (
+        lambda n: boxmode.level_at_ratio(ELECTRON_MASS, 2e-9, n, 1.5), 1),
+    "timedep.bare_eigenmode": (lambda n: timedep.bare_eigenmode(ELECTRON_MASS, 2e-9, n), 1),
     "hydrogen.level_energy": (lambda n: hydrogen.level_energy(_H, n), 1),
+    "hydrogen.make_state": (lambda n: hydrogen.make_state(_H, n, 0), 1),
     "oscillator.make_mode": (lambda n: oscillator.make_mode(_OSC, n), 0),
     "oscillator.classical_threshold": (
         lambda n: oscillator.classical_threshold(_OSC, n), 0),

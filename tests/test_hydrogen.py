@@ -50,6 +50,35 @@ def test_make_state_validation():
             hydrogen.make_state(SYS, n, l, m_l=m)
 
 
+@pytest.mark.parametrize("l,m_l", [(1, math.nan), (0, math.nan), (1, 0.5), (0.5, 0)])
+def test_make_state_rejects_labels_no_table_holds(l, m_l):
+    with pytest.raises(ValueError, match="not tabulated"):
+        hydrogen.make_state(SYS, 2, l, m_l=m_l)
+
+
+_RADII = [SYS.a0 * i / 8.0 for i in range(241)]
+_THETAS = [math.pi * i / 48.0 for i in range(-48, 97)]
+
+
+@pytest.mark.parametrize("z", [1.0, 2.0, 3.7])
+@pytest.mark.parametrize("n,l", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_radial_table_matches_the_frozen_chains(n, l, z):
+    sys = hydrogen.HydrogenSystem(z=z, mu=ELECTRON_MASS)
+    state = hydrogen.make_state(sys, n, l)
+    for r in _RADII:
+        assert hydrogen._bare_radial(state, r) == ref.bare_radial(sys, n, l, r), r
+        assert hydrogen.normalized_radial(state, r) == ref.normalized_radial(sys, n, l, r), r
+
+
+@pytest.mark.parametrize("l,m_l", [(0, 0), (1, -1), (1, 0), (1, 1), (2, -2),
+                                   (2, -1), (2, 0), (2, 1), (2, 2)])
+def test_angular_table_matches_the_frozen_chains(l, m_l):
+    for theta in _THETAS:
+        assert _angular.theta_factor(l, m_l, theta) == ref.theta_factor(l, m_l, theta), theta
+        assert _angular.theta_factor_slope(l, m_l, theta) \
+            == ref.theta_factor_slope(l, m_l, theta), theta
+
+
 def test_field_energy_sign_structure():
     st = hydrogen.make_state(SYS, 2, 0)
     r_zero = 4.0 * SYS.a0          # n^2 a0 / Z
@@ -61,30 +90,34 @@ def test_field_energy_sign_structure():
 def test_radial_field_closed_forms():
     za = SYS.z / SYS.a0
     # 2p: r exp(-Z r / 2 a0) times its normalization
+    p2 = hydrogen.make_state(SYS, 2, 1)
     for r in (0.4 * SYS.a0, 1.3 * SYS.a0, 6.0 * SYS.a0):
-        assert hydrogen.normalized_radial(SYS, 2, 1, r) == pytest.approx(
+        assert hydrogen.normalized_radial(p2, r) == pytest.approx(
             za**2.5 / (2.0 * math.sqrt(6.0)) * r * math.exp(-0.5 * za * r), rel=1e-13)
-    assert hydrogen.normalized_radial(SYS, 1, 0, 0.0) == 2.0 * za**1.5
+    assert hydrogen.normalized_radial(hydrogen.make_state(SYS, 1, 0), 0.0) == 2.0 * za**1.5
     # 3s node near sigma = 1.9
-    assert hydrogen.normalized_radial(SYS, 3, 0, 1.5 * SYS.a0) > 0.0
-    assert hydrogen.normalized_radial(SYS, 3, 0, 2.5 * SYS.a0) < 0.0
+    s3 = hydrogen.make_state(SYS, 3, 0)
+    assert hydrogen.normalized_radial(s3, 1.5 * SYS.a0) > 0.0
+    assert hydrogen.normalized_radial(s3, 2.5 * SYS.a0) < 0.0
 
 
 @pytest.mark.parametrize("n,l", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
 def test_normalized_radial_unit_norm(n, l):
     rmax = 30.0 * n * SYS.a0
+    state = hydrogen.make_state(SYS, n, l)
     val = oracle.integrate(
-        lambda r: hydrogen.normalized_radial(SYS, n, l, r)**2 * r * r, 0.0, rmax)
+        lambda r: hydrogen.normalized_radial(state, r)**2 * r * r, 0.0, rmax)
     assert val == pytest.approx(1.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("n,l", [(1, 0), (2, 1), (3, 2)])
 def test_mean_inv_r_and_energies(n, l):
-    assert hydrogen.mean_inv_r(SYS, n, l) == pytest.approx(
+    state = hydrogen.make_state(SYS, n, l)
+    assert hydrogen.mean_inv_r(state) == pytest.approx(
         1.0 / (SYS.a0 * n * n), rel=1e-9)
     e_n = hydrogen.level_energy(SYS, n)
-    assert hydrogen.mean_orbit_energy(SYS, n, l) == pytest.approx(e_n, rel=1e-8)
-    assert abs(e_n - hydrogen.mean_orbit_energy(SYS, n, l)) <= 1e-10 * abs(e_n)
+    assert hydrogen.mean_orbit_energy(state) == pytest.approx(e_n, rel=1e-8)
+    assert abs(e_n - hydrogen.mean_orbit_energy(state)) <= 1e-10 * abs(e_n)
 
 
 @pytest.mark.parametrize("l,m", [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])

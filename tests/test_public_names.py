@@ -28,7 +28,6 @@ _ALLOWED_UNREACHED = {
     "core.energy_budget_check": _ENERGY_BALANCE,
     "core.classify_region": _ENERGY_BALANCE,
     "hydrogen.circular_orbit": _ENERGY_BALANCE,
-    "hydrogen.make_state": _ENERGY_BALANCE,
     "hydrogen.field_energy": _ENERGY_BALANCE,
     "boxmode.field_slope": _PLANNED,
     "boxmode.velocity": _PLANNED,
