@@ -212,6 +212,12 @@ def eighth_order_path(mode: BoxMode, x: float) -> float:
              - (c3 / (c1 * k)) * math.sin(4.0 * k * x)
 
 
+def harmonic_weight(b_sq: float) -> float:
+    """Weight w = b^2/(2(b^2 + 4)) of the first harmonic of the
+    quadratic-order box path x + (w/k) sin(2kx)."""
+    return b_sq / (2.0 * (b_sq + 4.0))
+
+
 def figure_rows(mode: BoxMode, xs: Sequence[float]) -> list[tuple[float, ...]]:
     """Rows (x, q, q/x, chi, psi^2, x) of the box figure on the grid xs.
 
@@ -224,9 +230,9 @@ def figure_rows(mode: BoxMode, xs: Sequence[float]) -> list[tuple[float, ...]]:
     if not all(0.0 <= x <= a for x in xs):
         raise ValueError(f"grid leaves the box [0, {a}]")
     k = mode.k_n
-    b_ratio = mode.b_sq / (mode.b_sq + 4.0)
-    coeff = b_ratio / (2.0 * k)
-    slope0 = 1.0 + b_ratio
+    w = harmonic_weight(mode.b_sq)
+    coeff = w / k
+    slope0 = 1.0 + 2.0 * w
     a_n = mode.a_n
     amp = math.sqrt(2.0 / a)
     n_pi = mode.n * math.pi

@@ -18,23 +18,26 @@ writes them as one set and prints the path of each.  The message of an
 exit 3 names the subcommand and each option that differs from its
 default.
 
-Every subcommand takes --out and --config; the table subcommands take
---format, and the four sampled tables (all but spectrum) take --grid.
-Output location: --out flag, else the OUTPUT_DIR environment variable,
-else the working directory.  CSV files carry `# key=value` caption
-lines followed by a single `name:unit` header row; JSON files carry the
-same content as {"meta": ..., "columns": ..., "rows": ...}.  Both formats
-stream their rows to the file in blocks of _CHUNK_ROWS through one row
-formatter, which writes each cell's repr and differs between the formats
-only in its separators; a non-finite cell or meta value is a numeric
-error (3) and leaves no file.  The argument parser is built once per
-process.
+A subcommand's options are its runner's keyword parameters, with their
+defaults: the table subcommands take --format, and the four sampled ones
+(all but spectrum) --grid.  _CONVERTERS names the converter of each
+option that is not a finite float.  Every subcommand also takes --out
+and --config.  Output location: --out flag, else the OUTPUT_DIR
+environment variable, else the working directory.  CSV files carry
+`# key=value` caption lines followed by a single `name:unit` header row;
+JSON files carry the same content as {"meta": ..., "columns": ...,
+"rows": ...}.  Both formats stream their rows to the file in blocks of
+_CHUNK_ROWS through one row formatter, which writes each cell's repr and
+differs between the formats only in its separators; a non-finite cell or
+meta value is a numeric error (3) and leaves no file.  The argument
+parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import os
@@ -49,6 +52,7 @@ _FORMATS = ("csv", "json")
 _Table = Mapping[str, tuple[Callable[[str], object], object]]
 # (name, text chunks) of each file of a set.
 _Files = Iterable[tuple[str, Iterable[str]]]
+_Runner = Callable[..., tuple[_Files, int]]
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -80,7 +84,7 @@ def _merge_options(args: argparse.Namespace, table: _Table,
         parser.error(f"unknown config keys: {', '.join(unknown)}")
     merged: dict[str, object] = {}
     for key, (conv, default) in table.items():
-        flag_value = getattr(args, key.replace("-", "_"), None)
+        flag_value = getattr(args, key)
         if flag_value is not None:
             merged[key] = flag_value
         elif key in config:
@@ -139,12 +143,6 @@ def output_format(text: str) -> str:
     return text
 
 
-def _fmt(value: object) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write(out: str, files: _Files) -> list[Path]:
     """Write each (name, chunks) to out/name as one set.
 
@@ -181,7 +179,7 @@ _CHUNK_ROWS = 1024
 # (row open, cell separator, row close, row separator, tail) of each format.
 # A CSV row is its bare cells and a JSON row the indented list that
 # json.dumps(indent=2) writes; a cell is its repr in both, which is what
-# _fmt and json.dumps write for a finite float or an int.
+# str and json.dumps write for a finite float or an int.
 _ROW_SYNTAX = {
     "csv": ("", ",", "", "\n", "\n"),
     "json": ("    [\n      ", ",\n      ", "\n    ]", ",\n", "\n  ]\n}\n"),
@@ -204,7 +202,7 @@ def _table(fmt: str, stem: str, meta: Mapping[str, object], columns: Sequence[st
         if bad:
             raise ValueError(f"{name}: non-finite meta value {', '.join(bad)}")
         if fmt == "csv":
-            yield "\n".join([*(f"# {key}={_fmt(value)}" for key, value in meta.items()),
+            yield "\n".join([*(f"# {key}={value}" for key, value in meta.items()),
                              ",".join(columns)])
         else:
             # rows is the last key in sorted order: cut the "]\n}\n" that
@@ -241,13 +239,13 @@ def _box_grid(lo: float, hi: float, n: int) -> list[float]:
 
 # ---------------------------------------------------------------- box-figure
 
-def _cmd_box_figure(merged: Mapping[str, object]) -> tuple[_Files, int]:
-    a = merged["a"]
-    mass = merged["mass"]
+def _cmd_box_figure(*, grid: int = 1000, format: str = "csv", a: float = 2e-9,
+                    mass: float = ELECTRON_MASS,
+                    ratios: tuple[float, ...] = (1.5, 1.45, 1.40)) -> tuple[_Files, int]:
     # Every ratio is checked and every mode built before the first file.
     levels = [(n, ratio, boxmode.level_at_ratio(mass, a, n, ratio))
-              for n, ratio in enumerate(merged["ratios"], start=1)]
-    xs = _box_grid(0.0, a, merged["grid"])
+              for n, ratio in enumerate(ratios, start=1)]
+    xs = _box_grid(0.0, a, grid)
     columns = ("x:m", "q:m", "q_over_x:1", "chi:m", "psi_density:1/m", "x_ref:m")
 
     def tables() -> Iterator[tuple[str, Iterator[str]]]:
@@ -258,7 +256,7 @@ def _cmd_box_figure(merged: Mapping[str, object]) -> tuple[_Files, int]:
                 "b_sq": mode.b_sq, "g": mode.g_npf, "a_n": mode.a_n,
                 "inflection_points_m": "[" + ", ".join(repr(v) for v in inflections) + "]",
             }
-            yield _table(merged["format"], f"box_figure_n{n}", meta, columns,
+            yield _table(format, f"box_figure_n{n}", meta, columns,
                          boxmode.figure_rows(mode, xs))
 
     return tables(), 0
@@ -266,14 +264,13 @@ def _cmd_box_figure(merged: Mapping[str, object]) -> tuple[_Files, int]:
 
 # ------------------------------------------------------------ osc-trajectory
 
-def _cmd_osc_trajectory(merged: Mapping[str, object]) -> tuple[_Files, int]:
-    alpha = merged["alpha"]
-    n = merged["n"]
-    mu = merged["mu"]
+def _cmd_osc_trajectory(*, grid: int = 1000, format: str = "csv", alpha: float = 1e20,
+                        n: int = 1, mu: float = ELECTRON_MASS,
+                        amplitude: float | None = None) -> tuple[_Files, int]:
     sys = oscillator.system_at_alpha(alpha, mu)
-    mode = oscillator.make_mode(sys, n, amplitude=merged["amplitude"])
+    mode = oscillator.make_mode(sys, n, amplitude=amplitude)
     r_max = min(sys.cap_l, 5.0 / math.sqrt(alpha))
-    xs = _grid(-r_max, r_max, merged["grid"])
+    xs = _grid(-r_max, r_max, grid)
 
     running = oracle.cumulative_integrate(oscillator.path_integrand(mode), xs)
     rows = [(r_bar, q_two, q_three, acc, chi) for (r_bar, q_two, q_three, chi), acc
@@ -281,33 +278,29 @@ def _cmd_osc_trajectory(merged: Mapping[str, object]) -> tuple[_Files, int]:
     meta = {"alpha": alpha, "mu": mu, "omega0": sys.omega0, "n": n,
             "amplitude": mode.a_osc, "cap_l": sys.cap_l}
     columns = ("r_bar:m", "q_two:m", "q_three:m", "q_oracle:m", "chi:m")
-    return [_table(merged["format"], "osc_trajectory", meta, columns, rows)], 0
+    return [_table(format, "osc_trajectory", meta, columns, rows)], 0
 
 
 # ----------------------------------------------------------- hydrogen-figure
 
-def _cmd_hydrogen_figure(merged: Mapping[str, object]) -> tuple[_Files, int]:
-    z = merged["z"]
-    mu = merged["mu"]
-    a_ha = merged["a_ha"]
+def _cmd_hydrogen_figure(*, grid: int = 1000, format: str = "csv", z: float = 1.0,
+                         mu: float = ELECTRON_MASS, a_ha: float = 0.1,
+                         r: float | None = None) -> tuple[_Files, int]:
     sys = hydrogen.HydrogenSystem(z=z, mu=mu)
-    r = merged["r"] if merged["r"] is not None else sys.a0
-    rows = hydrogen.figure_rows(sys, a_ha, r, _grid(0.0, 2.0 * math.pi, merged["grid"]))
+    r = sys.a0 if r is None else r
+    rows = hydrogen.figure_rows(sys, a_ha, r, _grid(0.0, 2.0 * math.pi, grid))
     meta = {"z": z, "mu": mu, "r": r, "a_ha": a_ha}
     for (which, plane), q_over_r in hydrogen.cross_sections_2p(sys, a_ha, r).items():
         meta[f"{which}_{plane}_diameter"] = q_over_r
     columns = ("theta:rad", "q_over_r_p0:1", "q_over_r_pm1:1")
-    return [_table(merged["format"], "hydrogen_figure", meta, columns, rows)], 0
+    return [_table(format, "hydrogen_figure", meta, columns, rows)], 0
 
 
 # ------------------------------------------------------------------ spectrum
 
-def _cmd_spectrum(merged: Mapping[str, object]) -> tuple[_Files, int]:
-    a = merged["a"]
-    mass = merged["mass"]
-    eps = merged["eps"]
-    ratio = merged["ratio"]
-    levels = merged["levels"]
+def _cmd_spectrum(*, format: str = "csv", a: float = 2e-9, mass: float = ELECTRON_MASS,
+                  eps: float = 0.0, ratio: float = 1.5,
+                  levels: int = 5) -> tuple[_Files, int]:
     if not 1.0 < ratio < 2.0:
         raise ValueError(
             f"spectrum needs --ratio in (1, 2), got {ratio!r}: at ratio 1 the "
@@ -318,19 +311,17 @@ def _cmd_spectrum(merged: Mapping[str, object]) -> tuple[_Files, int]:
         params = nonlinear.NonlinearParams(eps=eps, a_tilde=mode.a_n)
         e_nl = nonlinear.energy_levels(params, mode)
         rows.append((n, mode.e_n, e_nl, e_nl - mode.e_n))
-    meta = {"a": a, "mass": mass, "eps": eps, "ratio": ratio,
-            "levels": levels}
+    meta = {"a": a, "mass": mass, "eps": eps, "ratio": ratio, "levels": levels}
     columns = ("n:1", "e_linear:J", "e_nonlinear:J", "shift:J")
-    return [_table(merged["format"], "spectrum", meta, columns, rows)], 0
+    return [_table(format, "spectrum", meta, columns, rows)], 0
 
 
 # ---------------------------------------------------------------- flux-check
 
-def _cmd_flux_check(merged: Mapping[str, object]) -> tuple[_Files, int]:
-    a = merged["a"]
-    mass = merged["mass"]
+def _cmd_flux_check(*, grid: int = 1000, format: str = "csv", a: float = 2e-9,
+                    mass: float = ELECTRON_MASS) -> tuple[_Files, int]:
     beat, t0, h_x, h_t = timedep.equal_weight_beat(mass, a)
-    rows = timedep.flux_rows(beat, _box_grid(h_x, a - h_x, merged["grid"]), t0, h_x, h_t)
+    rows = timedep.flux_rows(beat, _box_grid(h_x, a - h_x, grid), t0, h_x, h_t)
     max_residual = 0.0
     for _, _, res in rows:
         max_residual = max(max_residual, abs(res))
@@ -342,61 +333,39 @@ def _cmd_flux_check(merged: Mapping[str, object]) -> tuple[_Files, int]:
         "norm": timedep.norm(beat, t0),
     }
     columns = ("x:m", "flux:1/s", "continuity_residual:1/(m*s)")
-    return [_table(merged["format"], "flux_check", meta, columns, rows)], 0
+    return [_table(format, "flux_check", meta, columns, rows)], 0
 
 
 # -------------------------------------------------------------------- verify
 
-def _cmd_verify(merged: Mapping[str, object]) -> tuple[_Files, int]:
-    report = verification.run_acceptance_suite(merged["inject_error"])
+def _cmd_verify(*, inject_error: bool = False) -> tuple[_Files, int]:
+    report = verification.run_acceptance_suite(inject_error)
     for criterion in report["criteria"]:
         tag = "PASS" if criterion["passed"] else "FAIL"
         print(f"{tag} {criterion['ident']}: {criterion['description']}")
     return [("verify_report.json", [_json(report)])], 0 if report["passed"] else 1
 
 
-_FORMAT: _Table = {"format": (output_format, "csv")}
-_SAMPLED: _Table = {"grid": (grid_points, 1000), **_FORMAT}
-
-_COMMANDS: dict[str, tuple[Callable[[Mapping[str, object]], tuple[_Files, int]],
-                           _Table]] = {
-    "box-figure": (_cmd_box_figure, {
-        **_SAMPLED,
-        "a": (finite_float, 2e-9),
-        "mass": (finite_float, ELECTRON_MASS),
-        "ratios": (ratio_list, (1.5, 1.45, 1.40)),
-    }),
-    "osc-trajectory": (_cmd_osc_trajectory, {
-        **_SAMPLED,
-        "alpha": (finite_float, 1e20),
-        "n": (int, 1),
-        "mu": (finite_float, ELECTRON_MASS),
-        "amplitude": (finite_float, None),
-    }),
-    "hydrogen-figure": (_cmd_hydrogen_figure, {
-        **_SAMPLED,
-        "z": (finite_float, 1.0),
-        "mu": (finite_float, ELECTRON_MASS),
-        "a_ha": (finite_float, 0.1),
-        "r": (finite_float, None),
-    }),
-    "spectrum": (_cmd_spectrum, {
-        **_FORMAT,
-        "a": (finite_float, 2e-9),
-        "mass": (finite_float, ELECTRON_MASS),
-        "eps": (finite_float, 0.0),
-        "ratio": (finite_float, 1.5),
-        "levels": (level_count, 5),
-    }),
-    "flux-check": (_cmd_flux_check, {
-        **_SAMPLED,
-        "a": (finite_float, 2e-9),
-        "mass": (finite_float, ELECTRON_MASS),
-    }),
-    "verify": (_cmd_verify, {
-        "inject_error": (boolean, False),
-    }),
+_COMMANDS: dict[str, _Runner] = {
+    "box-figure": _cmd_box_figure,
+    "osc-trajectory": _cmd_osc_trajectory,
+    "hydrogen-figure": _cmd_hydrogen_figure,
+    "spectrum": _cmd_spectrum,
+    "flux-check": _cmd_flux_check,
+    "verify": _cmd_verify,
 }
+
+# Converter of each option that is not a finite float.  An option has the
+# same converter in every subcommand that takes it.
+_CONVERTERS: dict[str, Callable[[str], object]] = {
+    "ratios": ratio_list, "grid": grid_points, "format": output_format,
+    "n": int, "levels": level_count, "inject_error": boolean}
+
+
+def _options(runner: _Runner) -> _Table:
+    """{key: (converter, default)} of a runner's keyword parameters, in order."""
+    return {key: (_CONVERTERS.get(key, finite_float), param.default)
+            for key, param in inspect.signature(runner).parameters.items()}
 
 
 @functools.cache
@@ -405,12 +374,12 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="pfield",
         description="Particle-field composite data sets and verification.")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (_, table) in _COMMANDS.items():
+    for name, runner in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=f"run the {name} command")
         sub.add_argument("--config", help="flat key=value option file")
         sub.add_argument("--out", help="output directory (default: "
                                        "$OUTPUT_DIR or the working directory)")
-        for key, (conv, _default) in table.items():
+        for key, (conv, default) in _options(runner).items():
             flag = "--" + key.replace("_", "-")
             if key == "inject_error":
                 sub.add_argument(flag, action="store_true", default=None,
@@ -418,29 +387,30 @@ def _build_parser() -> argparse.ArgumentParser:
                                       "control; the run must then fail")
             else:
                 sub.add_argument(flag, type=conv,
-                                 help=f"{key} (default {_default})")
+                                 help=f"{key} (default {default})")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    runner, table = _COMMANDS[args.command]
-    merged = _merge_options(args, {"out": (str, None), **table}, parser)
-    if merged["out"] is None:
-        merged["out"] = os.environ.get("OUTPUT_DIR", ".")
+    runner = _COMMANDS[args.command]
+    table = _options(runner)
+    options = _merge_options(args, {"out": (str, os.environ.get("OUTPUT_DIR", ".")),
+                                    **table}, parser)
+    out = options.pop("out")
     try:
-        files, code = runner(merged)
-        for path in _write(merged["out"], files):
+        files, code = runner(**options)
+        for path in _write(out, files):
             print(path)
         return code
     except OSError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
     except (ValueError, ArithmeticError, oracle.QuadratureError) as exc:
-        options = "".join(f" {key}={_fmt(merged[key])}"
-                          for key, (_, default) in table.items() if merged[key] != default)
-        print(f"error: {args.command}{options}: {exc}", file=_sys.stderr)
+        changed = "".join(f" {key}={value}" for key, value in options.items()
+                          if value != table[key][1])
+        print(f"error: {args.command}{changed}: {exc}", file=_sys.stderr)
         return 3
 
 

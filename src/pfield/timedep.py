@@ -9,11 +9,12 @@ probability with <p> oscillating about zero.
 
 Multi-level superpositions use bare eigenmodes (field amplitude zero,
 p_particle saturating each level), built by bare_eigenmode.  A
-Superposition is only its components, all levels of one box: its m and
-a are those of the first mode's system, each term evolves at its mode's
-e_n, and the constructor rescales the coefficients to unit weight.  Each
-Superposition method checks that its x lies inside the box and builds
-the phase table (c_j sqrt(2/a), k_j, e^(-i E_j t/hbar)) of its time t.
+Superposition is only its components, distinct levels of one box: its m
+and a are those of the first mode's system, each term evolves at its
+mode's e_n, and the constructor rejects a non-finite coefficient and
+rescales the coefficients to unit weight.  Each Superposition method
+checks that its x lies inside the box and builds the phase table
+(c_j sqrt(2/a), k_j, e^(-i E_j t/hbar)) of its time t.
 flux_rows tabulates the flux and the continuity residual over a whole
 grid in one kernel: it reads each of its three phase tables (t and
 t +/- h_t) once per call, so every point of the grid shares the cos and
@@ -56,13 +57,17 @@ class Superposition:
     def __post_init__(self) -> None:
         comps = [(mode, complex(c)) for mode, c in self.components]
         w = math.sqrt(sum(abs(c) ** 2 for _, c in comps))
-        if w == 0.0:
-            raise ValueError("need a component with a nonzero coefficient")
+        if not 0.0 < w < math.inf:
+            raise ValueError("need finite coefficients, one of them nonzero")
         box = comps[0][0].sys
+        seen = set()
         for mode, _ in comps:
             if (mode.sys.m, mode.sys.a) != (box.m, box.a):
                 raise ValueError(f"level n={mode.n} belongs to another box "
                                  f"(m={mode.sys.m!r}, a={mode.sys.a!r})")
+            if mode.n in seen:
+                raise ValueError(f"level n={mode.n} appears twice")
+            seen.add(mode.n)
         object.__setattr__(self, "components", tuple((mode, c / w) for mode, c in comps))
 
     @property

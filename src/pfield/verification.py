@@ -87,13 +87,13 @@ def criterion_02(perturb: float = 0.0) -> list[ComparisonReport]:
 def criterion_03(perturb: float = 0.0) -> list[ComparisonReport]:
     """Quadratic vs eighth-order first-harmonic weight at b^2 = 0.5.
 
-    The quadratic path carries b^2/(2(b^2+4)) ~ 0.0556 per wavenumber;
-    the eighth-order one c2/c1 ~ 0.0502.  Their gap is a real series
-    effect and must sit in [4e-3, 7e-3].
+    The quadratic path of box-figure carries boxmode.harmonic_weight,
+    b^2/(2(b^2+4)) ~ 0.0556; the eighth-order one c2/c1 ~ 0.0502.  Their
+    gap is a real series effect and must sit in [4e-3, 7e-3].
     """
     s = 1.0 + perturb
     b_sq = 0.5
-    quad = s * b_sq / (2.0 * (b_sq + 4.0))
+    quad = s * boxmode.harmonic_weight(b_sq)
     c1, c2, _ = boxmode.path_series_coefficients(b_sq)
     eighth = c2 / c1
     reports = [compare("quadratic harmonic weight", quad, 0.0556, 2e-4,

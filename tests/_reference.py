@@ -1,6 +1,6 @@
 """Point forms of the tabulated closed forms, frozen as the row kernels'
-references, and the whole-text table builder, frozen as the streaming
-writer's.
+references, the whole-text table builder, frozen as the streaming
+writer's, and the CLI's option tables.
 
 Each point function is the formula as it stood in the package before the
 row kernels became its only copy, with the products in the same order, so a
@@ -10,7 +10,10 @@ theta_factor and theta_factor_slope are the hydrogen radial and angular
 if-chains as they stood before each became one table keyed by its labels,
 so every table entry must equal its chain bit for bit.  table_text is the
 CLI's table text as it stood before tables were written in row blocks, so
-the joined chunks must equal it byte for byte.  These copies live with the tests so they cannot
+the joined chunks must equal it byte for byte.  CLI_OPTIONS is each
+subcommand's option table as it stood before the runners' keyword
+parameters became the only copy: the keys in order, with the name of each
+converter and each default.  These copies live with the tests so they cannot
 drift along with the package.
 """
 
@@ -192,3 +195,26 @@ def table_text(fmt, meta, columns, rows):
     return json.dumps({"meta": dict(meta), "columns": list(columns),
                        "rows": [list(row) for row in rows]},
                       indent=2, sort_keys=True) + "\n"
+
+
+_ELECTRON_MASS = 9.1093837015e-31
+
+# subcommand -> ((key, converter name, default), ...) in --help order.
+CLI_OPTIONS = {
+    "box-figure": (("grid", "grid_points", 1000), ("format", "output_format", "csv"),
+                   ("a", "finite_float", 2e-9), ("mass", "finite_float", _ELECTRON_MASS),
+                   ("ratios", "ratio_list", (1.5, 1.45, 1.40))),
+    "osc-trajectory": (("grid", "grid_points", 1000), ("format", "output_format", "csv"),
+                       ("alpha", "finite_float", 1e20), ("n", "int", 1),
+                       ("mu", "finite_float", _ELECTRON_MASS),
+                       ("amplitude", "finite_float", None)),
+    "hydrogen-figure": (("grid", "grid_points", 1000), ("format", "output_format", "csv"),
+                        ("z", "finite_float", 1.0), ("mu", "finite_float", _ELECTRON_MASS),
+                        ("a_ha", "finite_float", 0.1), ("r", "finite_float", None)),
+    "spectrum": (("format", "output_format", "csv"), ("a", "finite_float", 2e-9),
+                 ("mass", "finite_float", _ELECTRON_MASS), ("eps", "finite_float", 0.0),
+                 ("ratio", "finite_float", 1.5), ("levels", "level_count", 5)),
+    "flux-check": (("grid", "grid_points", 1000), ("format", "output_format", "csv"),
+                   ("a", "finite_float", 2e-9), ("mass", "finite_float", _ELECTRON_MASS)),
+    "verify": (("inject_error", "boolean", False),),
+}

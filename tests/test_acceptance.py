@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from pfield import hydrogen, verification
+from pfield import boxmode, hydrogen, verification
 
 
 @pytest.fixture(scope="module")
@@ -72,3 +72,11 @@ def test_criterion_09_catches_a_one_percent_error_in_the_2p_term(monkeypatch):
     monkeypatch.setattr(hydrogen, "_envelope_2p", lambda *args: 1.01 * envelope(*args))
     reports = verification.criterion_09()
     assert not any(r.passed for r in reports)
+
+
+def test_criterion_03_catches_a_one_percent_error_in_the_harmonic_weight(monkeypatch):
+    """Criterion 03 reads the weight box-figure writes, so a 1% error in it
+    (about 5.6e-4) leaves the absolute 2e-4 band."""
+    weight = boxmode.harmonic_weight
+    monkeypatch.setattr(boxmode, "harmonic_weight", lambda b_sq: 1.01 * weight(b_sq))
+    assert not all(r.passed for r in verification.criterion_03())

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import dataclasses
 import errno
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import _reference as ref
 from pfield import cli, timedep, verification
 from pfield.core import HBAR
 
@@ -249,7 +252,7 @@ def test_failed_write_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command", [c for c in cli._COMMANDS if c != "verify"])
 def test_table_command_prints_each_written_path_in_write_order(tmp_path, capsys,
                                                                monkeypatch, command):
-    grid = ("--grid", "16") if "grid" in cli._COMMANDS[command][1] else ()
+    grid = ("--grid", "16") if "grid" in cli._options(cli._COMMANDS[command]) else ()
     written = []
     path_open = Path.open
 
@@ -319,8 +322,8 @@ def test_non_finite_cell_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatc
 # Every float option of every subcommand, except the coupling eps, whose
 # zero is the linear limit and whose sign is free.
 _POSITIVE_FLOATS = [
-    (command, key) for command, (_, table) in cli._COMMANDS.items()
-    for key, (conv, _) in table.items()
+    (command, key) for command, runner in cli._COMMANDS.items()
+    for key, (conv, _) in cli._options(runner).items()
     if conv in (cli.finite_float, cli.ratio_list) and key != "eps"]
 
 
@@ -329,7 +332,7 @@ _POSITIVE_FLOATS = [
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_non_positive_float_option_exits_cleanly(tmp_path, capsys, command, key,
                                                  value):
-    grid = ("--grid", "16") if "grid" in cli._COMMANDS[command][1] else ()
+    grid = ("--grid", "16") if "grid" in cli._options(cli._COMMANDS[command]) else ()
     flag = "--" + key.replace("_", "-")
     rc = cli.main([command, f"{flag}={value}", *grid, "--out", str(tmp_path)])
     assert rc in (2, 3)
@@ -342,7 +345,7 @@ def test_non_positive_float_option_exits_cleanly(tmp_path, capsys, command, key,
 @pytest.mark.parametrize("value", ["1e-300", "1e300"])
 def test_extreme_float_option_exits_cleanly(tmp_path, capsys, command, key, value):
     # Overflow and division by zero are numeric errors (3), not tracebacks.
-    grid = ("--grid", "16") if "grid" in cli._COMMANDS[command][1] else ()
+    grid = ("--grid", "16") if "grid" in cli._options(cli._COMMANDS[command]) else ()
     flag = "--" + key.replace("_", "-")
     rc = cli.main([command, f"{flag}={value}", *grid, "--out", str(tmp_path)])
     assert rc in (0, 3)
@@ -356,6 +359,29 @@ def test_extreme_float_option_exits_cleanly(tmp_path, capsys, command, key, valu
 
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("command", ref.CLI_OPTIONS)
+def test_options_match_the_frozen_tables(command):
+    """Flags, config keys, converters, defaults and their order (which
+    --help and the exit-3 message follow) are those of the frozen tables."""
+    assert list(cli._COMMANDS) == list(ref.CLI_OPTIONS)
+    runner = cli._COMMANDS[command]
+    params = inspect.signature(runner).parameters.values()
+    assert all(param.kind is param.KEYWORD_ONLY for param in params)
+    assert [(key, conv.__name__, default)
+            for key, (conv, default) in cli._options(runner).items()] \
+        == list(ref.CLI_OPTIONS[command])
+
+
+@pytest.mark.parametrize("command", cli._COMMANDS)
+def test_every_option_is_read_by_its_runner(command):
+    """No flag does nothing: the runner's body reads each keyword parameter."""
+    runner = cli._COMMANDS[command]
+    (func,) = ast.parse(inspect.getsource(runner)).body
+    read = {node.id for stmt in func.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert set(cli._options(runner)) <= read
 
 
 def test_cached_parser_keeps_no_option_between_calls(tmp_path, capsys):

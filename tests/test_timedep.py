@@ -57,6 +57,25 @@ def test_superposition_rejects_a_mode_from_another_box(m, a):
         timedep.Superposition(((here, 1.0), (other, 1.0)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(0.0, math.nan), complex(math.inf, 1.0)])
+def test_superposition_rejects_a_non_finite_coefficient(bad):
+    m1 = timedep.bare_eigenmode(M, A_BOX, 1)
+    m2 = timedep.bare_eigenmode(M, A_BOX, 2)
+    with pytest.raises(ValueError, match="finite"):
+        timedep.Superposition(((m1, 1.0), (m2, bad)))
+
+
+def test_superposition_rejects_a_repeated_level():
+    """Twice the same level is one term at the summed coefficient, so its
+    weight and its moments would not be those of its components."""
+    m1 = timedep.bare_eigenmode(M, A_BOX, 1)
+    m2 = timedep.bare_eigenmode(M, A_BOX, 2)
+    again = timedep.bare_eigenmode(M, A_BOX, 1)
+    with pytest.raises(ValueError, match="n=1 appears twice"):
+        timedep.Superposition(((m1, 1.0), (m2, 1.0), (again, 1.0)))
+
+
 def test_value_walls_and_domain():
     s = _beat()
     t = 1e-15
