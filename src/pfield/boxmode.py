@@ -143,17 +143,8 @@ def field_slope(mode: BoxMode, x: float) -> float:
     return mode.a_n * mode.k_n * math.cos(mode.k_n * x)
 
 
-def integrand_exact(b_sq: float, kx: float) -> float:
-    """Path integrand sqrt(1 + b^2 cos^2(kx)) at phase kx."""
-    require_finite(b_sq=b_sq, kx=kx)
-    return math.sqrt(1.0 + b_sq * math.cos(kx)**2)
-
-
 def path_integrand(mode: BoxMode) -> Callable[[float], float]:
-    """Path integrand x -> sqrt(1 + b^2 cos^2(k_n x)) of the mode.
-
-    Equal bit for bit to integrand_exact(mode.b_sq, mode.k_n * x).
-    """
+    """Path integrand x -> sqrt(1 + b^2 cos^2(k_n x)) of the mode."""
     b_sq, k = mode.b_sq, mode.k_n
     cos, sqrt = math.cos, math.sqrt
 
@@ -253,7 +244,7 @@ def velocity(mode: BoxMode, x: float, v_p: float) -> float:
     """
     _check_inside(mode.sys.a, x)
     require_finite(v_p=v_p)
-    return mode.g_npf * v_p * integrand_exact(mode.b_sq, mode.k_n * x)
+    return mode.g_npf * v_p * path_integrand(mode)(x)
 
 
 def pf_acceleration(mode: BoxMode, x: float, v_p: float) -> float:
@@ -267,4 +258,4 @@ def pf_acceleration(mode: BoxMode, x: float, v_p: float) -> float:
     require_finite(v_p=v_p)
     k = mode.k_n
     return (-mode.g_npf * v_p**2 * 0.5 * mode.b_sq * k * math.sin(2.0 * k * x)
-            / integrand_exact(mode.b_sq, k * x))
+            / path_integrand(mode)(x))

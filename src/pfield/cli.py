@@ -269,12 +269,15 @@ def _cmd_osc_trajectory(*, grid: int = 1000, format: str = "csv", alpha: float =
                         amplitude: float | None = None) -> tuple[_Files, int]:
     sys = oscillator.system_at_alpha(alpha, mu)
     mode = oscillator.make_mode(sys, n, amplitude=amplitude)
-    r_max = min(sys.cap_l, 5.0 / math.sqrt(alpha))
+    r_max = 5.0 / math.sqrt(alpha)
     xs = _grid(-r_max, r_max, grid)
 
     running = oracle.cumulative_integrate(oscillator.path_integrand(mode), xs)
-    rows = [(r_bar, q_two, q_three, acc, chi) for (r_bar, q_two, q_three, chi), acc
-            in zip(oscillator.figure_rows(mode, xs), running)]
+    # Each table row replaces its kernel row in place, so the grid never
+    # holds the corrections and the paths at once.
+    rows = oscillator.figure_rows(mode, xs)
+    for i, ((r_bar, dq_two, dq_three, chi), acc) in enumerate(zip(rows, running)):
+        rows[i] = (r_bar, r_bar + dq_two, r_bar + dq_three, acc, chi)
     meta = {"alpha": alpha, "mu": mu, "omega0": sys.omega0, "n": n,
             "amplitude": mode.a_osc, "cap_l": sys.cap_l}
     columns = ("r_bar:m", "q_two:m", "q_three:m", "q_oracle:m", "chi:m")

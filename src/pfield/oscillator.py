@@ -14,11 +14,12 @@ composite bookkeeping of core.classify_region applies).
 
 The composite path q(r_bar) integrates (1 + w/4pi)^(1/2), the integrand
 of path_integrand, where w is the effective squared field slope; its
-two-term expansion resums into closed forms.  figure_rows tabulates both
-truncations and the field over a whole grid in one kernel, sharing the
-envelope between them and checking the grid once; a point value is a
-one-element grid.  An OscMode holds its OscSystem, so no function of a
-level takes the system again.
+two-term expansion resums into closed forms.  figure_rows is their one
+copy: over a whole grid it returns the field and both truncations' path
+corrections q - r_bar, which the table adds to r_bar, sharing the envelope
+between them and checking the grid once; a point value is a one-element
+grid.  An OscMode holds its OscSystem, so no function of a level takes the
+system again.
 """
 
 from __future__ import annotations
@@ -150,8 +151,8 @@ def radial_field_slope(mode: OscMode, r_bar: float) -> float:
 
 
 def _check_turning(sys: OscSystem, r_bar: float) -> None:
-    """The turning points: every r_bar a path or kinetic energy is
-    evaluated at lies in [-cap_l, cap_l]."""
+    """The turning points: every r_bar a kinetic energy is evaluated at
+    lies in [-cap_l, cap_l]."""
     if not abs(r_bar) <= sys.cap_l:
         raise ValueError(
             f"|r_bar|={abs(r_bar):.6e} beyond the turning point "
@@ -201,61 +202,44 @@ def path_integrand(mode: OscMode) -> Callable[[float], float]:
     raise ValueError(f"path slope not tabulated for n={mode.n}")
 
 
-def _path_series(mode: OscMode) -> tuple[float, int, float]:
-    """(c_two, power, c_three) of the field part of the path, n <= 1:
-    q - r_bar = c_two r_bar^power e^(-alpha r_bar^2)
-                [+ c_three r_bar^5 e^(-alpha r_bar^2)]."""
-    alpha = mode.sys.alpha
-    a_sq = mode.a_osc**2
-    if mode.n == 0:
-        return alpha**2 * a_sq / (48.0 * math.pi), 3, alpha**3 * a_sq / (120.0 * math.pi)
-    if mode.n == 1:
-        return alpha * a_sq / (16.0 * math.pi), 1, alpha**3 * a_sq / (80.0 * math.pi)
-    raise ValueError(f"path series not tabulated for n={mode.n}")
-
-
-def path_correction(mode: OscMode, r_bar: float) -> float:
-    """Field part q - r_bar of the three-term composite path, for n <= 1.
-
-    Returned separately because near the turning points it is smaller
-    than one ulp of r_bar and would vanish inside the sum.
-    """
-    _check_turning(mode.sys, r_bar)
-    c_two, power, c_three = _path_series(mode)
-    env = math.exp(-mode.sys.alpha * r_bar * r_bar)
-    return c_two * r_bar**power * env + c_three * r_bar**5 * env
-
-
 def figure_rows(mode: OscMode,
                 xs: Sequence[float]) -> list[tuple[float, float, float, float]]:
-    """Rows (r_bar, q_two, q_three, chi) of the oscillator figure on xs, n <= 1.
+    """Rows (r_bar, dq_two, dq_three, chi) of the oscillator figure on xs, n <= 1.
 
-    q_two and q_three are the composite path q_n(r_bar) to two and three
-    terms:
+    dq_two and dq_three are the field parts q - r_bar of the composite
+    path to two and three terms, which the table adds to r_bar:
 
-    n = 0: r_bar + (alpha^2 a^2/48pi) r_bar^3 e^(-alpha r_bar^2)
-                 [+ (alpha^3 a^2/120pi) r_bar^5 e^(-alpha r_bar^2)]
-    n = 1: r_bar + (alpha a^2/16pi) r_bar e^(-alpha r_bar^2)
-                 [+ (alpha^3 a^2/80pi) r_bar^5 e^(-alpha r_bar^2)]
+    n = 0: (alpha^2 a^2/48pi) r_bar^3 e^(-alpha r_bar^2)
+           [+ (alpha^3 a^2/120pi) r_bar^5 e^(-alpha r_bar^2)]
+    n = 1: (alpha a^2/16pi) r_bar e^(-alpha r_bar^2)
+           [+ (alpha^3 a^2/80pi) r_bar^5 e^(-alpha r_bar^2)]
 
-    with the bracketed term in q_three only; chi is the field.  The
-    envelope and the two-term correction are shared by both paths, and the
-    turning points are checked once per grid.
+    with the bracketed term in dq_three only; chi is the field.  Near the
+    turning points a correction is below one ulp of r_bar, so it is kept
+    apart from r_bar.  The envelope and the two-term correction are shared
+    by both paths, and the turning points are checked once per grid.
     """
-    sys = mode.sys
-    c_two, power, c_three = _path_series(mode)
+    sys, a_osc, n = mode.sys, mode.a_osc, mode.n
+    alpha, a_sq = sys.alpha, a_osc**2
+    if n == 0:
+        c_two, power, c_three = (alpha**2 * a_sq / (48.0 * math.pi), 3,
+                                 alpha**3 * a_sq / (120.0 * math.pi))
+    elif n == 1:
+        c_two, power, c_three = (alpha * a_sq / (16.0 * math.pi), 1,
+                                 alpha**3 * a_sq / (80.0 * math.pi))
+    else:
+        raise ValueError(f"path series not tabulated for n={n}")
     cap_l = sys.cap_l
     if not all(abs(r) <= cap_l for r in xs):
         raise ValueError(f"grid leaves the classical interval |r_bar| <= cap_l={cap_l:.6e}")
-    neg_alpha = -sys.alpha
-    neg_half_alpha = -0.5 * sys.alpha
-    a_osc, n = mode.a_osc, mode.n
+    neg_alpha = -alpha
+    neg_half_alpha = -0.5 * alpha
     exp = math.exp
     rows = []
     for r in xs:
         env = exp(neg_alpha * r * r)
         dq = c_two * r**power * env
-        rows.append((r, r + dq, r + (dq + c_three * r**5 * env),
+        rows.append((r, dq, dq + c_three * r**5 * env,
                      a_osc * r**n * exp(neg_half_alpha * r * r)))
     return rows
 

@@ -56,7 +56,7 @@ class Superposition:
 
     def __post_init__(self) -> None:
         comps = [(mode, complex(c)) for mode, c in self.components]
-        w = math.sqrt(sum(abs(c) ** 2 for _, c in comps))
+        w = math.hypot(*(abs(c) for _, c in comps))
         if not 0.0 < w < math.inf:
             raise ValueError("need finite coefficients, one of them nonzero")
         box = comps[0][0].sys

@@ -9,10 +9,11 @@ closed form, the criterion samples the same row kernel (figure_rows,
 flux_rows), so verify checks the code that writes the table.
 
 The `perturb` argument scales the package-side value of every
-comparison by (1 + perturb).  `run_acceptance_suite(inject_error=True)`
-runs the negative control, a one-percent perturbation: it must flip the
-tight comparisons to FAIL, showing the suite actually constrains the
-numbers it prints.
+comparison by (1 + perturb) except seven, which are unscaled: the four
+wall pins of criterion 04 and the three monotonicity flags of criterion
+13.  `run_acceptance_suite(inject_error=True)` runs the negative control,
+a one-percent perturbation: it must flip the tight comparisons to FAIL,
+showing the suite actually constrains the numbers it prints.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def criterion_02(perturb: float = 0.0) -> list[ComparisonReport]:
     """Truncated vs exact path integrand at the deepest point cos^2 = 1."""
     s = 1.0 + perturb
     series = boxmode.integrand_series(0.5, 0.0)
-    exact = boxmode.integrand_exact(0.5, 0.0)
+    exact = math.sqrt(1.0 + 0.5)
     return [compare("integrand at cos^2=1, b^2=0.5", s * series, exact,
                     1.1e-3, use_rel=False)]
 
@@ -173,8 +174,9 @@ def criterion_07(perturb: float = 0.0) -> list[ComparisonReport]:
     """
     s = 1.0 + perturb
     mode = oscillator.make_mode(_OSC, 1, amplitude=1e-10)
-    [(_, _, q_env, _)] = oscillator.figure_rows(mode, [1.0 / math.sqrt(_OSC.alpha)])
-    dq_cap = oscillator.path_correction(mode, _OSC.cap_l)
+    (r_env, _, dq_env, _), (_, _, dq_cap, _) = oscillator.figure_rows(
+        mode, [1.0 / math.sqrt(_OSC.alpha), _OSC.cap_l])
+    q_env = r_env + dq_env
     return [
         compare("sqrt(alpha) q_1(1/sqrt(alpha))",
                 s * q_env * math.sqrt(_OSC.alpha), 1.0088, 2e-3, use_rel=False),

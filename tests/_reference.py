@@ -5,7 +5,9 @@ writer's, and the CLI's option tables.
 Each point function is the formula as it stood in the package before the
 row kernels became its only copy, with the products in the same order, so a
 kernel must equal it bit for bit.  A point value in the package is a
-one-element grid of its kernel.  bare_radial, normalized_radial,
+one-element grid of its kernel; box_integrand's kernel is
+boxmode.path_integrand, and the oscillator kernel returns the path
+corrections that the table adds to r_bar.  bare_radial, normalized_radial,
 theta_factor and theta_factor_slope are the hydrogen radial and angular
 if-chains as they stood before each became one table keyed by its labels,
 so every table entry must equal its chain bit for bit.  table_text is the
@@ -30,6 +32,11 @@ def box_path_quadratic(mode, x):
     k = mode.k_n
     coeff = mode.b_sq / (mode.b_sq + 4.0) / (2.0 * k)
     return x + coeff * math.sin(2.0 * k * x)
+
+
+def box_integrand(b_sq, kx):
+    """Box path integrand sqrt(1 + b^2 cos^2(kx)) at phase kx."""
+    return math.sqrt(1.0 + b_sq * math.cos(kx)**2)
 
 
 def box_field(mode, x):
@@ -79,6 +86,13 @@ def osc_path_three_term(mode, sys, r_bar):
     c_two, power, c_three = _osc_series(mode, sys)
     env = math.exp(-sys.alpha * r_bar * r_bar)
     return r_bar + (c_two * r_bar**power * env + c_three * r_bar**5 * env)
+
+
+def osc_path_correction(mode, sys, r_bar):
+    """Field part q - r_bar of the three-term oscillator path."""
+    c_two, power, c_three = _osc_series(mode, sys)
+    env = math.exp(-sys.alpha * r_bar * r_bar)
+    return c_two * r_bar**power * env + c_three * r_bar**5 * env
 
 
 def orbit_2p0(sys, a_ha, r, theta):

@@ -108,13 +108,13 @@ def test_wavefunction_normalized():
 def test_integrand_series_vs_exact():
     # worst case at cos^2 = 1: truncation after the eighth order in b
     series = boxmode.integrand_series(0.5, 0.0)
-    exact = boxmode.integrand_exact(0.5, 0.0)
+    exact = ref.box_integrand(0.5, 0.0)
     assert series == 1.22412109375        # dyadic sum, exact float
     assert abs(series - exact) == pytest.approx(6.2378e-4, rel=1e-3)
     # at the antinode both sides are exactly 1
     half_pi = 0.5 * math.pi
     assert boxmode.integrand_series(0.5, half_pi) == pytest.approx(1.0, abs=1e-16)
-    assert boxmode.integrand_exact(0.5, half_pi) == pytest.approx(1.0, abs=1e-16)
+    assert ref.box_integrand(0.5, half_pi) == pytest.approx(1.0, abs=1e-16)
     with pytest.raises(ValueError):
         boxmode.integrand_series(1.0, 0.0)
 
@@ -221,17 +221,17 @@ def test_series_curvature_misses_arclength_factor():
         return _column(mode, [s], 1)[0]
 
     fd = v_p**2 * oracle.finite_diff(q, x, A_BOX / 2000.0, order=2)
-    factor = boxmode.integrand_exact(mode.b_sq, mode.k_n * x)
+    factor = ref.box_integrand(mode.b_sq, mode.k_n * x)
     assert fd / acc == pytest.approx(factor, rel=1e-3)
 
 
 @pytest.mark.parametrize("n,ratio", [(1, 1.5), (2, 1.05), (3, 1.95)])
-def test_path_integrand_matches_integrand_exact_bit_for_bit(n, ratio):
+def test_path_integrand_matches_frozen_integrand_bit_for_bit(n, ratio):
     mode = _fixture(n, ratio)
     integrand = boxmode.path_integrand(mode)
     for i in range(257):
         x = A_BOX * i / 256.0
-        assert integrand(x) == boxmode.integrand_exact(mode.b_sq, mode.k_n * x)
+        assert integrand(x) == ref.box_integrand(mode.b_sq, mode.k_n * x)
 
 
 @pytest.mark.parametrize("a", [2e-9, 2.917e-09, 3.6400000000000003e-09])

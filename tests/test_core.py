@@ -110,16 +110,14 @@ _GUARDS = {
         lambda v: oscillator.classical_motion(_OSC, 1e-10, v, 0.0), 0.3),
     "oscillator.classical_motion t": (
         lambda v: oscillator.classical_motion(_OSC, 1e-10, 0.0, v), 1e-16),
-    "oscillator.path_correction": (
-        lambda v: oscillator.path_correction(_OSC_MODE, v), 1e-10),
+    "oscillator.figure_rows r_bar": (
+        lambda v: oscillator.figure_rows(_OSC_MODE, [v]), 1e-10),
     "oscillator.kinetic_field": (
         lambda v: oscillator.kinetic_field(_OSC_MODE, v, 0.3), 1e-10),
     "oscillator.kinetic_field theta": (
         lambda v: oscillator.kinetic_field(_OSC_MODE, 1e-10, v), 0.3),
     "oracle.finite_diff": (lambda v: oracle.finite_diff(math.sin, 0.0, v, 1), 1e-3),
     "oracle.finite_diff x": (lambda v: oracle.finite_diff(math.sin, v, 1e-3, 1), 0.0),
-    "boxmode.integrand_exact b_sq": (lambda v: boxmode.integrand_exact(v, 0.3), 0.5),
-    "boxmode.integrand_exact kx": (lambda v: boxmode.integrand_exact(0.5, v), 0.3),
     "boxmode.integrand_series kx": (lambda v: boxmode.integrand_series(0.5, v), 0.3),
     "nonlinear.duffing_solution x": (lambda v: nonlinear.duffing_solution(_NL, 1e9, v), 1e-9),
     "nonlinear.duffing_second_derivative x": (
@@ -177,7 +175,8 @@ _SETUPS = ("boxmode.level_at_ratio a", "timedep.bare_eigenmode a",
 def test_guards_reject_non_finite(name, bad):
     call, valid = _GUARDS[name]
     call(valid)
-    with pytest.raises(ValueError, match=r"finite|turning point|\[1, 2\)"):
+    with pytest.raises(ValueError,
+                       match=r"finite|turning point|classical interval|\[1, 2\)"):
         call(bad)
 
 

@@ -184,26 +184,43 @@ def test_trajectory_odd_and_consistent():
     sys = _system()
     mode = oscillator.make_mode(sys, 1, amplitude=1e-10)
     r = 0.8e-10
-    (_, q_two, q, _), (_, q_two_neg, q_neg, _) = oscillator.figure_rows(mode, [r, -r])
-    assert (q_two_neg, q_neg) == (-q_two, -q)
-    assert q == r + oscillator.path_correction(mode, r)
+    (_, dq_two, dq, _), (_, dq_two_neg, dq_neg, _) = oscillator.figure_rows(mode, [r, -r])
+    assert (dq_two_neg, dq_neg) == (-dq_two, -dq)
+    assert (-r + dq_two_neg, -r + dq_neg) == (-(r + dq_two), -(r + dq))
+    assert dq == ref.osc_path_correction(mode, sys, r)
     # the turning point itself is inside the domain
-    oscillator.figure_rows(mode, [sys.cap_l])
-    oscillator.path_correction(mode, sys.cap_l)
+    [(_, _, dq_cap, _)] = oscillator.figure_rows(mode, [sys.cap_l])
+    assert dq_cap == ref.osc_path_correction(mode, sys, sys.cap_l)
     with pytest.raises(ValueError):
-        oscillator.path_correction(mode, 1.01 * sys.cap_l)
+        oscillator.figure_rows(mode, [1.01 * sys.cap_l])
 
 
 def test_path_correction_resolves_subulp_terms():
     """Near the envelope tail the correction is far below one ulp of r."""
     cap = oscillator.classical_threshold(_system(), 50)
     sys = _system(cap_l=cap)
-    mode = oscillator.make_mode(sys, 0, amplitude=1e-9)
-    dq = oscillator.path_correction(mode, cap)
-    assert 0.0 < dq < 1e-20 * cap
-    # folded into the sum it vanishes entirely
-    [(_, _, q, _)] = oscillator.figure_rows(mode, [cap])
-    assert q == cap
+    for n in (0, 1):
+        mode = oscillator.make_mode(sys, n, amplitude=1e-9)
+        [(r, _, dq, _)] = oscillator.figure_rows(mode, [cap])
+        assert 0.0 < dq < 1e-20 * cap
+        # folded into the sum it vanishes entirely
+        assert r + dq == cap
+
+
+@pytest.mark.parametrize("n", [0, pytest.param(1, marks=pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 8: for n = 1 the path integrates a field "
+                        "sqrt(alpha) times the chi column"))])
+def test_path_integrates_the_tabulated_field_slope(n):
+    """The path integrand sqrt(1 + chi'^2/8pi) carries the slope of the
+    field that the chi column writes."""
+    sys = oscillator.system_at_alpha(ALPHA, ELECTRON_MASS)
+    mode = oscillator.make_mode(sys, n)
+    r, h = 0.3 / math.sqrt(ALPHA), 1e-4 / math.sqrt(ALPHA)
+    chi_slope = (_field(mode, r + h) - _field(mode, r - h)) / (2.0 * h)
+    assert chi_slope == pytest.approx(oscillator.radial_field_slope(mode, r), rel=1e-6)
+    f = oscillator.path_integrand(mode)(r)
+    path_slope = math.sqrt(8.0 * math.pi * (f * f - 1.0))
+    assert path_slope == pytest.approx(abs(chi_slope), rel=1e-6)
 
 
 @pytest.mark.parametrize("aa_sq,n,dev2_max,dev3_max", [
@@ -219,9 +236,9 @@ def test_trajectory_against_oracle(aa_sq, n, dev2_max, dev3_max):
     r = 1.0 / math.sqrt(ALPHA)
     scale = math.sqrt(ALPHA)
     q_oracle = oracle.integrate(oscillator.path_integrand(mode), 0.0, r)
-    [(_, q_two, q_three, _)] = oscillator.figure_rows(mode, [r])
-    dev2 = abs(q_two - q_oracle) * scale
-    dev3 = abs(q_three - q_oracle) * scale
+    [(r_bar, dq_two, dq_three, _)] = oscillator.figure_rows(mode, [r])
+    dev2 = abs(r_bar + dq_two - q_oracle) * scale
+    dev3 = abs(r_bar + dq_three - q_oracle) * scale
     assert dev2 <= dev2_max
     assert dev3 <= dev3_max
     assert dev3 < dev2
@@ -268,10 +285,11 @@ def test_figure_rows_match_point_functions_bit_for_bit(n, alpha, amplitude, grid
     xs = cli._grid(-r_max, r_max, grid)
     rows = oscillator.figure_rows(mode, xs)
     assert len(rows) == grid
-    for r_bar, row in zip(xs, rows):
-        assert row == (r_bar, ref.osc_path_two_term(mode, sys, r_bar),
-                       ref.osc_path_three_term(mode, sys, r_bar),
-                       ref.osc_field(mode, sys, r_bar))
+    for r_bar, (r, dq_two, dq_three, chi) in zip(xs, rows):
+        assert (r, r + dq_two, r + dq_three, chi) == (
+            r_bar, ref.osc_path_two_term(mode, sys, r_bar),
+            ref.osc_path_three_term(mode, sys, r_bar), ref.osc_field(mode, sys, r_bar))
+        assert dq_three == ref.osc_path_correction(mode, sys, r_bar)
 
 
 @pytest.mark.parametrize("bad", ["beyond", -math.inf, math.nan])

@@ -66,6 +66,17 @@ def test_superposition_rejects_a_non_finite_coefficient(bad):
         timedep.Superposition(((m1, 1.0), (m2, bad)))
 
 
+@pytest.mark.parametrize("c", [1e200, 1e308, 1e-200, complex(1e200, -1e200)])
+def test_superposition_rescales_coefficients_at_the_float_range_edges(c):
+    """The weight is scaled, not squared, so neither overflow nor underflow
+    turns an equal-weight state into an error."""
+    m1 = timedep.bare_eigenmode(M, A_BOX, 1)
+    m2 = timedep.bare_eigenmode(M, A_BOX, 2)
+    s = timedep.Superposition(((m1, c), (m2, c)))
+    for _, coeff in s.components:
+        assert abs(coeff) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
+
+
 def test_superposition_rejects_a_repeated_level():
     """Twice the same level is one term at the summed coefficient, so its
     weight and its moments would not be those of its components."""
