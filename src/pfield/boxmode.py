@@ -25,28 +25,25 @@ is a one-element grid.  Each function of one x checks it is in the box.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (HBAR, EnergyBudget, require_finite, require_finite_positive,
                    require_level)
 
 
-@dataclass(frozen=True)
-class BoxSystem:
+class BoxSystem(collections.namedtuple("BoxSystem", "m a p_particle")):
     """Box width, particle mass, and the particle's momentum share (SI)."""
 
-    m: float
-    a: float
-    p_particle: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_finite_positive(m=self.m, a=self.a, p_particle=self.p_particle)
+    def __new__(cls, m: float, a: float, p_particle: float) -> BoxSystem:
+        require_finite_positive(m=m, a=a, p_particle=p_particle)
+        return super().__new__(cls, m, a, p_particle)
 
 
-@dataclass(frozen=True)
-class BoxMode:
+class BoxMode(NamedTuple):
     """One bound level of the box."""
 
     n: int

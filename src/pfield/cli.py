@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import math
 import os
@@ -367,8 +366,8 @@ _CONVERTERS: dict[str, Callable[[str], object]] = {
 
 def _options(runner: _Runner) -> _Table:
     """{key: (converter, default)} of a runner's keyword parameters, in order."""
-    return {key: (_CONVERTERS.get(key, finite_float), param.default)
-            for key, param in inspect.signature(runner).parameters.items()}
+    return {key: (_CONVERTERS.get(key, finite_float), default)
+            for key, default in runner.__kwdefaults__.items()}
 
 
 @functools.cache

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 PLANCK_H = 6.62607015e-34        # J s (exact)
 HBAR = PLANCK_H / (2.0 * math.pi)
@@ -57,8 +57,7 @@ def require_level(n: float, lowest: int) -> None:
         raise ValueError(f"n must be a finite integer >= {lowest}, got {n!r}")
 
 
-@dataclass(frozen=True)
-class EnergyBudget:
+class EnergyBudget(NamedTuple):
     """Additive split of the total energy between particle and field."""
 
     e_total: float

@@ -25,26 +25,25 @@ and checking the parameters once; a point value is a one-element grid.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import _angular, oracle
 from .core import (GAUSSIAN_CHARGE_SQ, HBAR, require_finite, require_finite_positive,
                    require_level)
 
 
-@dataclass(frozen=True)
-class HydrogenSystem:
+class HydrogenSystem(collections.namedtuple("HydrogenSystem", "z mu")):
     """Nuclear charge number and reduced mass."""
 
-    z: float
-    mu: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1.0 <= self.z < math.inf:
-            raise ValueError(f"z must be finite and at least 1, got {self.z!r}")
-        require_finite_positive(mu=self.mu)
+    def __new__(cls, z: float, mu: float) -> HydrogenSystem:
+        if not 1.0 <= z < math.inf:
+            raise ValueError(f"z must be finite and at least 1, got {z!r}")
+        require_finite_positive(mu=mu)
+        return super().__new__(cls, z, mu)
 
     @property
     def a0(self) -> float:
@@ -52,8 +51,7 @@ class HydrogenSystem:
         return HBAR * HBAR / (self.mu * GAUSSIAN_CHARGE_SQ)
 
 
-@dataclass(frozen=True)
-class HydrogenOrbit:
+class HydrogenOrbit(NamedTuple):
     """Classical circular orbit: radius, sweep rate, speed, angular
     momentum and orbit energy."""
 
@@ -64,8 +62,7 @@ class HydrogenOrbit:
     e_mu: float
 
 
-@dataclass(frozen=True)
-class HState:
+class HState(NamedTuple):
     """Stationary state labels of the system sys with the field amplitude a_ha.
 
     a_ha carries dimension m^(1-l) so that the l = 1 profile is

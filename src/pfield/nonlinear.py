@@ -20,8 +20,8 @@ order formulas are trusted only while |eps| A^2 / k^2 <= 0.1.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
 
 from .boxmode import BoxMode
 from .core import HBAR, require_finite, require_finite_positive
@@ -29,19 +29,18 @@ from .core import HBAR, require_finite, require_finite_positive
 VALIDITY_LIMIT = 0.1
 
 
-@dataclass(frozen=True)
-class NonlinearParams:
+class NonlinearParams(collections.namedtuple("NonlinearParams", "eps a_tilde")):
     """Field-equation coefficient eps and field amplitude a_tilde.
 
     A quartic energy density (eps'/4) chi^4 gives eps = eps' / (m v_P^2).
     """
 
-    eps: float
-    a_tilde: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_finite(eps=self.eps)
-        require_finite_positive(a_tilde=self.a_tilde)
+    def __new__(cls, eps: float, a_tilde: float) -> NonlinearParams:
+        require_finite(eps=eps)
+        require_finite_positive(a_tilde=a_tilde)
+        return super().__new__(cls, eps, a_tilde)
 
 
 def _check_validity(params: NonlinearParams, k: float) -> None:

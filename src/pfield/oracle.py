@@ -14,8 +14,8 @@ interval tree, so results are bit-reproducible.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .core import require_finite, require_finite_positive
@@ -50,18 +50,17 @@ _WG = (
 )
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(collections.namedtuple("QuadratureSpec", "rel_tol abs_tol max_depth")):
     """Tolerances and recursion limit for the adaptive integrator."""
 
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_depth: int = 50
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_finite_positive(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
-        if self.max_depth < 10:
+    def __new__(cls, rel_tol: float = 1e-10, abs_tol: float = 1e-14,
+                max_depth: int = 50) -> QuadratureSpec:
+        require_finite_positive(rel_tol=rel_tol, abs_tol=abs_tol)
+        if max_depth < 10:
             raise ValueError("max_depth must be at least 10")
+        return super().__new__(cls, rel_tol, abs_tol, max_depth)
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()

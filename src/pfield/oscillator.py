@@ -24,29 +24,26 @@ system again.
 
 from __future__ import annotations
 
-import functools
+import collections
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import _angular
 from .core import HBAR, require_finite, require_finite_positive, require_level
 
 
-@dataclass(frozen=True)
-class OscSystem:
+class OscSystem(collections.namedtuple("OscSystem", "mu omega0 cap_l")):
     """Oscillator parameters: reduced mass, angular frequency and classical
     amplitude cap_l (r_bar is the displacement from equilibrium along the
     radial line)."""
 
-    mu: float
-    omega0: float
-    cap_l: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_finite_positive(mu=self.mu, omega0=self.omega0, cap_l=self.cap_l)
+    def __new__(cls, mu: float, omega0: float, cap_l: float) -> OscSystem:
+        require_finite_positive(mu=mu, omega0=omega0, cap_l=cap_l)
+        return super().__new__(cls, mu, omega0, cap_l)
 
-    @functools.cached_property
+    @property
     def alpha(self) -> float:
         """Gaussian envelope parameter mu omega0 / hbar."""
         return self.mu * self.omega0 / HBAR
@@ -60,8 +57,7 @@ def system_at_alpha(alpha: float, mu: float) -> OscSystem:
                      cap_l=math.sqrt(101.0 / alpha))
 
 
-@dataclass(frozen=True)
-class OscMode:
+class OscMode(NamedTuple):
     """One level of the system sys dressed with a field of amplitude a_osc."""
 
     sys: OscSystem

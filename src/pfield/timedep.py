@@ -26,9 +26,9 @@ distinct node and read by both.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import oracle
@@ -48,14 +48,14 @@ def bare_eigenmode(m: float, a: float, n: int) -> BoxMode:
     return make_mode(BoxSystem(m=m, a=a, p_particle=p_n), n)
 
 
-@dataclass(frozen=True)
-class Superposition:
-    """Linear combination of eigenmodes of one box, at unit total weight."""
+class Superposition(collections.namedtuple("Superposition", "components")):
+    """Linear combination of eigenmodes of one box, at unit total weight:
+    components is a tuple of (BoxMode, complex) pairs."""
 
-    components: tuple[tuple[BoxMode, complex], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        comps = [(mode, complex(c)) for mode, c in self.components]
+    def __new__(cls, components: tuple[tuple[BoxMode, complex], ...]) -> Superposition:
+        comps = [(mode, complex(c)) for mode, c in components]
         w = math.hypot(*(abs(c) for _, c in comps))
         if not 0.0 < w < math.inf:
             raise ValueError("need finite coefficients, one of them nonzero")
@@ -68,7 +68,12 @@ class Superposition:
             if mode.n in seen:
                 raise ValueError(f"level n={mode.n} appears twice")
             seen.add(mode.n)
-        object.__setattr__(self, "components", tuple((mode, c / w) for mode, c in comps))
+        return super().__new__(cls, tuple((mode, c / w) for mode, c in comps))
+
+    def __reduce__(self) -> tuple[object, ...]:
+        # A copy or an unpickled record keeps the coefficients as they are;
+        # rescaling them a second time could move their last bits.
+        return tuple.__new__, (type(self), tuple(self))
 
     @property
     def m(self) -> float:

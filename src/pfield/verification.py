@@ -19,7 +19,7 @@ showing the suite actually constrains the numbers it prints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import boxmode, hydrogen, nonlinear, oracle, oscillator, timedep
 from .core import ELECTRON_MASS, HBAR
@@ -31,8 +31,7 @@ _OSC = oscillator.system_at_alpha(1e20, ELECTRON_MASS)
 _HYDROGEN = hydrogen.HydrogenSystem(z=1.0, mu=ELECTRON_MASS)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """One check of a criterion; its fields are the keys of a check in
     the verify report."""
 
@@ -353,7 +352,7 @@ def run_acceptance_suite(inject_error: bool = False) -> dict[str, object]:
     perturb = 0.01 if inject_error else 0.0
     criteria = []
     for ident, func in _CRITERIA:
-        checks = [vars(r) for r in func(perturb)]
+        checks = [r._asdict() for r in func(perturb)]
         criteria.append({"ident": ident,
                          "description": (func.__doc__ or ident).strip().splitlines()[0],
                          "passed": all(c["passed"] for c in checks), "checks": checks})

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import ast
 import csv
-import dataclasses
 import errno
 import hashlib
 import inspect
@@ -515,6 +514,18 @@ def test_verify_without_docstrings_describes_each_criterion_by_its_ident(tmp_pat
     assert lines == [f"PASS {ident}: {ident}" for ident, _ in verification._CRITERIA]
 
 
+def test_import_leaves_out_dataclasses_and_inspect():
+    """Every run pays for `import pfield.cli`; the records and the option
+    tables are built without the dataclasses and inspect machinery."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import pfield.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    r = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 def test_verify_inject_error_fails(tmp_path):
     r = _run("verify", "--inject-error", "--out", str(tmp_path))
     assert r.returncode == 1
@@ -554,7 +565,7 @@ def test_check_record_fields_are_the_report_keys(tmp_path, capsys):
     report = json.loads((tmp_path / "verify_report.json").read_text(encoding="utf-8"))
     keys = {frozenset(check) for criterion in report["criteria"]
             for check in criterion["checks"]}
-    fields = [f.name for f in dataclasses.fields(verification.ComparisonReport)]
+    fields = list(verification.ComparisonReport._fields)
     assert fields == ["label", "value", "reference", "abs_dev", "rel_dev",
                       "tolerance", "passed"]
     assert keys == {frozenset(fields)}

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -251,7 +251,7 @@ def test_tdse_residual_eigen_vs_detuned():
     assert abs(timedep.tdse_residual(s, x, t)) <= 1e-12 * e1 * abs(s.value(x, t))
     # an energy offset leaves a residual delta_e * |psi|
     mode = timedep.bare_eigenmode(M, A_BOX, 1)
-    bad = timedep.Superposition(((replace(mode, e_n=1.01 * mode.e_n), 1.0 + 0j),))
+    bad = timedep.Superposition(((mode._replace(e_n=1.01 * mode.e_n), 1.0 + 0j),))
     res = abs(timedep.tdse_residual(bad, x, 0.0))
     assert res == pytest.approx(0.01 * mode.e_n * abs(bad.value(x, 0.0)),
                                 rel=1e-10)
