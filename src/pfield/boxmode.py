@@ -13,14 +13,15 @@ the path expansions to converge (p_n^2/p_P^2 < 2).
 
 The composite path is q_n(x) = g integral sqrt(1 + chi_n'^2) dx.  Two
 closed forms are provided: the quadratic-order form with
-g = 4 p_P^2 / (p_n^2 + 3 p_P^2), tabulated by figure_rows, and
+g = 4 p_P^2 / (p_n^2 + 3 p_P^2), tabulated by figure_columns, and
 eighth_order_path, the two-harmonic form normalized by its own secular
 coefficient.  Both pin q(0) = 0, q(a) = a.
 
 A BoxMode holds the BoxSystem it was built for, so a function of a level
-takes no system.  figure_rows tabulates the quadratic path, the field and
-the bare density over a whole grid, checking the wall once; a point value
-is a one-element grid.  Each function of one x checks it is in the box.
+takes no system.  figure_columns tabulates the quadratic path, the field
+and the bare density over a whole grid, a column each, checking the wall
+once; a point value is a one-element grid.  Each function of one x checks
+it is in the box.
 """
 
 from __future__ import annotations
@@ -206,8 +207,8 @@ def harmonic_weight(b_sq: float) -> float:
     return b_sq / (2.0 * (b_sq + 4.0))
 
 
-def figure_rows(mode: BoxMode, xs: Sequence[float]) -> list[tuple[float, ...]]:
-    """Rows (x, q, q/x, chi, psi^2, x) of the box figure on the grid xs.
+def figure_columns(mode: BoxMode, xs: Sequence[float]) -> tuple[list[float], ...]:
+    """Columns (q, q/x, chi, psi^2) of the box figure on the grid xs.
 
     q is the quadratic-order path x + [b^2/(b^2 + 4)] sin(2kx)/(2k), with
     q/x at x = 0 its limit 1 + b^2/(b^2 + 4); chi = A_n sin(k_n x) is the
@@ -225,12 +226,9 @@ def figure_rows(mode: BoxMode, xs: Sequence[float]) -> list[tuple[float, ...]]:
     amp = math.sqrt(2.0 / a)
     n_pi = mode.n * math.pi
     sin = math.sin
-    rows = []
-    for x in xs:
-        q = x + coeff * sin(2.0 * k * x)
-        rows.append((x, q, q / x if x > 0.0 else slope0, a_n * sin(k * x),
-                     (amp * sin(n_pi * x / a)) ** 2, x))
-    return rows
+    q = [x + coeff * sin(2.0 * k * x) for x in xs]
+    return (q, [q_x / x if x > 0.0 else slope0 for q_x, x in zip(q, xs)],
+            [a_n * sin(k * x) for x in xs], [(amp * sin(n_pi * x / a)) ** 2 for x in xs])
 
 
 def velocity(mode: BoxMode, x: float, v_p: float) -> float:

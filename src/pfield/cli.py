@@ -26,10 +26,11 @@ and --config.  Output location: --out flag, else the OUTPUT_DIR
 environment variable, else the working directory.  CSV files carry
 `# key=value` caption lines followed by a single `name:unit` header row;
 JSON files carry the same content as {"meta": ..., "columns": ...,
-"rows": ...}.  Both formats stream their rows to the file in blocks of
-_CHUNK_ROWS through one row formatter, which writes each cell's repr and
-differs between the formats only in its separators; a non-finite cell or
-meta value is a numeric error (3) and leaves no file.  The argument
+"rows": ...}.  Each subcommand declares its table once, as one mapping of
+`name:unit` headers to the columns its kernels return.  Both formats
+stream it to the file in blocks of _CHUNK_ROWS rows, each cell its repr,
+and differ only in their separators; unequal columns, a non-finite cell
+or meta value are a numeric error (3) and leave no file.  The argument
 parser is built once per process.
 """
 
@@ -55,7 +56,7 @@ _Runner = Callable[..., tuple[_Files, int]]
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
-    """Flat key=value lines; # starts a comment, blanks ignored."""
+    """Flat key=value lines, each key once; # starts a comment, blanks ignored."""
     values: dict[str, str] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -64,8 +65,10 @@ def _parse_config_file(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: key {key} given twice")
+        values[key] = value
     return values
 
 
@@ -185,13 +188,14 @@ _ROW_SYNTAX = {
 }
 
 
-def _table(fmt: str, stem: str, meta: Mapping[str, object], columns: Sequence[str],
-           rows: Sequence[Sequence[object]]) -> tuple[str, Iterator[str]]:
+def _table(fmt: str, stem: str, meta: Mapping[str, object],
+           table: Mapping[str, Sequence[object]]) -> tuple[str, Iterator[str]]:
     """File name and text chunks of a table in the chosen format.
 
-    rows is not empty and holds only floats and ints.  A non-finite meta
-    value or cell raises ValueError as its chunk is made: repr would spell
-    it nan or inf, and json.dumps NaN or Infinity.
+    table maps each `name:unit` header to its column: the columns are of
+    one nonzero length and hold only floats and ints.  Unequal columns, a
+    non-finite meta value or a non-finite cell raise ValueError as the
+    chunk is made: repr would spell nan or inf, json.dumps NaN or Infinity.
     """
     name = f"{stem}.{fmt}"
 
@@ -200,19 +204,22 @@ def _table(fmt: str, stem: str, meta: Mapping[str, object], columns: Sequence[st
                if isinstance(value, float) and not math.isfinite(value)]
         if bad:
             raise ValueError(f"{name}: non-finite meta value {', '.join(bad)}")
+        lengths = {len(column) for column in table.values()}
+        if len(lengths) != 1:
+            raise ValueError(f"{name}: columns of unequal lengths {sorted(lengths)}")
         if fmt == "csv":
             yield "\n".join([*(f"# {key}={value}" for key, value in meta.items()),
-                             ",".join(columns)])
+                             ",".join(table)])
         else:
             # rows is the last key in sorted order: cut the "]\n}\n" that
             # closes its empty list, and the rows follow the "[".
-            yield _json({"meta": dict(meta), "columns": list(columns), "rows": []})[:-4]
+            yield _json({"meta": dict(meta), "columns": list(table), "rows": []})[:-4]
         row_open, cell_sep, row_close, row_sep, tail = _ROW_SYNTAX[fmt]
         between = row_close + row_sep + row_open
         lead = "\n"
-        for start in range(0, len(rows), _CHUNK_ROWS):
-            text = between.join([cell_sep.join(map(repr, row))
-                                 for row in rows[start:start + _CHUNK_ROWS]])
+        for start in range(0, lengths.pop(), _CHUNK_ROWS):
+            cells = (map(repr, column[start:start + _CHUNK_ROWS]) for column in table.values())
+            text = between.join([cell_sep.join(row) for row in zip(*cells, strict=True)])
             # A letter n marks a non-finite cell, which repr spells nan or
             # inf: no digit, exponent or separator holds one.
             if "n" in text:
@@ -245,20 +252,18 @@ def _cmd_box_figure(*, grid: int = 1000, format: str = "csv", a: float = 2e-9,
     levels = [(n, ratio, boxmode.level_at_ratio(mass, a, n, ratio))
               for n, ratio in enumerate(ratios, start=1)]
     xs = _box_grid(0.0, a, grid)
-    columns = ("x:m", "q:m", "q_over_x:1", "chi:m", "psi_density:1/m", "x_ref:m")
 
-    def tables() -> Iterator[tuple[str, Iterator[str]]]:
-        for n, ratio, mode in levels:
-            inflections = [j * a / (2 * n) for j in range(1, 2 * n)]
-            meta = {
-                "a": a, "mass": mass, "n": n, "ratio": ratio,
-                "b_sq": mode.b_sq, "g": mode.g_npf, "a_n": mode.a_n,
-                "inflection_points_m": "[" + ", ".join(repr(v) for v in inflections) + "]",
-            }
-            yield _table(format, f"box_figure_n{n}", meta, columns,
-                         boxmode.figure_rows(mode, xs))
+    def table(n: int, ratio: float, mode: boxmode.BoxMode) -> tuple[str, Iterator[str]]:
+        # One call per file, so no frame holds two files' columns at once.
+        meta = {"a": a, "mass": mass, "n": n, "ratio": ratio, "b_sq": mode.b_sq,
+                "g": mode.g_npf, "a_n": mode.a_n,
+                "inflection_points_m": repr([j * a / (2 * n) for j in range(1, 2 * n)])}
+        q, q_over_x, chi, psi_density = boxmode.figure_columns(mode, xs)
+        return _table(format, f"box_figure_n{n}", meta, {
+            "x:m": xs, "q:m": q, "q_over_x:1": q_over_x, "chi:m": chi,
+            "psi_density:1/m": psi_density, "x_ref:m": xs})
 
-    return tables(), 0
+    return (table(*level) for level in levels), 0
 
 
 # ------------------------------------------------------------ osc-trajectory
@@ -271,16 +276,17 @@ def _cmd_osc_trajectory(*, grid: int = 1000, format: str = "csv", alpha: float =
     r_max = 5.0 / math.sqrt(alpha)
     xs = _grid(-r_max, r_max, grid)
 
-    running = oracle.cumulative_integrate(oscillator.path_integrand(mode), xs)
-    # Each table row replaces its kernel row in place, so the grid never
-    # holds the corrections and the paths at once.
-    rows = oscillator.figure_rows(mode, xs)
-    for i, ((r_bar, dq_two, dq_three, chi), acc) in enumerate(zip(rows, running)):
-        rows[i] = (r_bar, r_bar + dq_two, r_bar + dq_three, acc, chi)
+    integrand = oscillator.path_integrand(mode)
+    # The corrections become the paths in place, so the grid never holds both.
+    q_two, q_three, chi = oscillator.figure_columns(mode, xs)
+    for i, r_bar in enumerate(xs):
+        q_two[i] += r_bar
+        q_three[i] += r_bar
     meta = {"alpha": alpha, "mu": mu, "omega0": sys.omega0, "n": n,
             "amplitude": mode.a_osc, "cap_l": sys.cap_l}
-    columns = ("r_bar:m", "q_two:m", "q_three:m", "q_oracle:m", "chi:m")
-    return [_table(format, "osc_trajectory", meta, columns, rows)], 0
+    return [_table(format, "osc_trajectory", meta, {
+        "r_bar:m": xs, "q_two:m": q_two, "q_three:m": q_three,
+        "q_oracle:m": list(oracle.cumulative_integrate(integrand, xs)), "chi:m": chi})], 0
 
 
 # ----------------------------------------------------------- hydrogen-figure
@@ -290,12 +296,13 @@ def _cmd_hydrogen_figure(*, grid: int = 1000, format: str = "csv", z: float = 1.
                          r: float | None = None) -> tuple[_Files, int]:
     sys = hydrogen.HydrogenSystem(z=z, mu=mu)
     r = sys.a0 if r is None else r
-    rows = hydrogen.figure_rows(sys, a_ha, r, _grid(0.0, 2.0 * math.pi, grid))
+    thetas = _grid(0.0, 2.0 * math.pi, grid)
+    p0, pm1 = hydrogen.figure_columns(sys, a_ha, r, thetas)
     meta = {"z": z, "mu": mu, "r": r, "a_ha": a_ha}
     for (which, plane), q_over_r in hydrogen.cross_sections_2p(sys, a_ha, r).items():
         meta[f"{which}_{plane}_diameter"] = q_over_r
-    columns = ("theta:rad", "q_over_r_p0:1", "q_over_r_pm1:1")
-    return [_table(format, "hydrogen_figure", meta, columns, rows)], 0
+    return [_table(format, "hydrogen_figure", meta, {
+        "theta:rad": thetas, "q_over_r_p0:1": p0, "q_over_r_pm1:1": pm1})], 0
 
 
 # ------------------------------------------------------------------ spectrum
@@ -307,15 +314,17 @@ def _cmd_spectrum(*, format: str = "csv", a: float = 2e-9, mass: float = ELECTRO
         raise ValueError(
             f"spectrum needs --ratio in (1, 2), got {ratio!r}: at ratio 1 the "
             "level is bare and has no field for the quartic term to act on")
-    rows = []
-    for n in range(1, levels + 1):
+    ns = range(1, levels + 1)
+    e_linear, e_nonlinear = [], []
+    for n in ns:
         mode = boxmode.level_at_ratio(mass, a, n, ratio)
         params = nonlinear.NonlinearParams(eps=eps, a_tilde=mode.a_n)
-        e_nl = nonlinear.energy_levels(params, mode)
-        rows.append((n, mode.e_n, e_nl, e_nl - mode.e_n))
+        e_linear.append(mode.e_n)
+        e_nonlinear.append(nonlinear.energy_levels(params, mode))
     meta = {"a": a, "mass": mass, "eps": eps, "ratio": ratio, "levels": levels}
-    columns = ("n:1", "e_linear:J", "e_nonlinear:J", "shift:J")
-    return [_table(format, "spectrum", meta, columns, rows)], 0
+    return [_table(format, "spectrum", meta, {
+        "n:1": ns, "e_linear:J": e_linear, "e_nonlinear:J": e_nonlinear,
+        "shift:J": [e_nl - e_n for e_nl, e_n in zip(e_nonlinear, e_linear)]})], 0
 
 
 # ---------------------------------------------------------------- flux-check
@@ -323,19 +332,18 @@ def _cmd_spectrum(*, format: str = "csv", a: float = 2e-9, mass: float = ELECTRO
 def _cmd_flux_check(*, grid: int = 1000, format: str = "csv", a: float = 2e-9,
                     mass: float = ELECTRON_MASS) -> tuple[_Files, int]:
     beat, t0, h_x, h_t = timedep.equal_weight_beat(mass, a)
-    rows = timedep.flux_rows(beat, _box_grid(h_x, a - h_x, grid), t0, h_x, h_t)
-    max_residual = 0.0
-    for _, _, res in rows:
-        max_residual = max(max_residual, abs(res))
+    xs = _box_grid(h_x, a - h_x, grid)
+    flux, residual = timedep.flux_columns(beat, xs, t0, h_x, h_t)
     meta = {
         "a": a, "mass": mass, "t": t0, "h_x": h_x, "h_t": h_t,
-        "max_abs_residual": max_residual,
+        # A nan residual is skipped here and caught as a cell.
+        "max_abs_residual": max(0.0, *map(abs, residual)),
         "p_mean": timedep.expectation_p(beat, t0),
         "p_sq_mean": timedep.expectation_p2(beat, t0),
         "norm": timedep.norm(beat, t0),
     }
-    columns = ("x:m", "flux:1/s", "continuity_residual:1/(m*s)")
-    return [_table(format, "flux_check", meta, columns, rows)], 0
+    return [_table(format, "flux_check", meta, {
+        "x:m": xs, "flux:1/s": flux, "continuity_residual:1/(m*s)": residual})], 0
 
 
 # -------------------------------------------------------------------- verify

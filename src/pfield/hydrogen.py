@@ -18,9 +18,10 @@ function takes the HState.
 Orbital sweep drags the field through its angular profile, so composite
 speeds pick up the slope dS/dtheta: s states (dS/dtheta = 0) move at
 exactly r theta_dot, while 2p states gain the orientation-dependent
-corrections served by pf_velocity.  figure_rows tabulates both 2p orbit
-shapes over a whole grid of angles in one kernel, computing the envelope
-and checking the parameters once; a point value is a one-element grid.
+corrections served by pf_velocity.  figure_columns tabulates both 2p orbit
+shapes over a whole grid of angles in one kernel, as one column each,
+computing the envelope and checking the parameters once; a point value is
+a one-element grid.
 """
 
 from __future__ import annotations
@@ -203,9 +204,6 @@ def approximation_gap(a_ha: float) -> float:
     return (1.0 + 0.5 * u) - math.sqrt(1.0 + u)
 
 
-_ORBIT_2P_WHICH = ("p0", "pPlusMinus1")
-
-
 def _envelope_2p(sys: HydrogenSystem, a_ha: float, r: float) -> float:
     """Scale (a_ha^2 / 8 pi) e^(-Z r / a0) of the 2p orbit corrections,
     after checking a_ha and r."""
@@ -213,9 +211,9 @@ def _envelope_2p(sys: HydrogenSystem, a_ha: float, r: float) -> float:
     return a_ha**2 * math.exp(-sys.z * r / sys.a0) / (8.0 * math.pi)
 
 
-def figure_rows(sys: HydrogenSystem, a_ha: float, r: float,
-                thetas: Sequence[float]) -> list[tuple[float, float, float]]:
-    """Rows (theta, q_p0/r, q_pm1/r) of the hydrogen figure on the grid thetas.
+def figure_columns(sys: HydrogenSystem, a_ha: float, r: float,
+                   thetas: Sequence[float]) -> tuple[list[float], list[float]]:
+    """Columns (q_p0/r, q_pm1/r) of the hydrogen figure on the grid thetas.
 
     p0:           q = r [1 + (a^2/8pi)  e^(-Zr/a0) (1 + cos^2 theta)]
     pPlusMinus1:  q = r [1 + (a^2/16pi) e^(-Zr/a0) (1 + sin^2 theta)]
@@ -228,25 +226,19 @@ def figure_rows(sys: HydrogenSystem, a_ha: float, r: float,
     if not all(math.isfinite(theta) for theta in thetas):
         raise ValueError("grid of angles must be finite")
     half_env = 0.5 * env
-    cos, sin = math.cos, math.sin
-    rows = []
-    for theta in thetas:
-        c = cos(theta)
-        s = sin(theta)
-        rows.append((theta, r * (1.0 + env * (1.0 + c * c)) / r,
-                     r * (1.0 + half_env * (1.0 + s * s)) / r))
-    return rows
+    return ([r * (1.0 + env * (1.0 + c * c)) / r for c in map(math.cos, thetas)],
+            [r * (1.0 + half_env * (1.0 + s * s)) / r for s in map(math.sin, thetas)])
 
 
 def cross_sections_2p(sys: HydrogenSystem, a_ha: float,
                       r: float) -> dict[tuple[str, str], float]:
     """q/r of both 2p orbits at the pole (theta = 0) and on the equator
     (theta = pi/2), keyed (which, "polar" or "equatorial"); read from the
-    figure_rows kernel that writes the hydrogen figure."""
-    rows = figure_rows(sys, a_ha, r, (0.0, 0.5 * math.pi))
-    return {(which, plane): row[column]
-            for column, which in enumerate(_ORBIT_2P_WHICH, start=1)
-            for plane, row in zip(("polar", "equatorial"), rows)}
+    figure_columns kernel that writes the hydrogen figure."""
+    columns = figure_columns(sys, a_ha, r, (0.0, 0.5 * math.pi))
+    return {(which, plane): q_over_r
+            for which, column in zip(("p0", "pPlusMinus1"), columns)
+            for plane, q_over_r in zip(("polar", "equatorial"), column)}
 
 
 def cartesian_components_2p0(sys: HydrogenSystem, a_ha: float, r: float,
@@ -256,7 +248,7 @@ def cartesian_components_2p0(sys: HydrogenSystem, a_ha: float, r: float,
     With beta = (a^2/8pi) e^(-Zr/a0):
         qx = x (1 + beta sin^2 theta), qy likewise,
         qz = z (1 + beta (2 + sin^2 theta));
-    their norm reproduces the p0 orbit radius of figure_rows to fourth
+    their norm reproduces the p0 orbit radius of figure_columns to fourth
     order in a_ha.
     """
     beta = _envelope_2p(sys, a_ha, r)

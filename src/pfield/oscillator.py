@@ -14,12 +14,12 @@ composite bookkeeping of core.classify_region applies).
 
 The composite path q(r_bar) integrates (1 + w/4pi)^(1/2), the integrand
 of path_integrand, where w is the effective squared field slope; its
-two-term expansion resums into closed forms.  figure_rows is their one
-copy: over a whole grid it returns the field and both truncations' path
-corrections q - r_bar, which the table adds to r_bar, sharing the envelope
-between them and checking the grid once; a point value is a one-element
-grid.  An OscMode holds its OscSystem, so no function of a level takes the
-system again.
+two-term expansion resums into closed forms.  figure_columns is their one
+copy: over a whole grid it returns both truncations' path corrections
+q - r_bar, which the table adds to r_bar, and the field, a column each,
+sharing the envelope and checking the grid once; a point value is a
+one-element grid.  An OscMode holds its OscSystem, so no function of a
+level takes the system again.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def path_integrand(mode: OscMode) -> Callable[[float], float]:
 
     w = (1/2) [d/dr_bar (a_osc h_n(sqrt(alpha) r_bar) e^(-alpha r_bar^2/2))]^2
     with h_0 = 1 and h_1(u) = u: the weight and argument that make the
-    two-term expansion integrate to the paths of figure_rows.
+    two-term expansion integrate to the paths of figure_columns.
     """
     alpha = mode.sys.alpha
     four_pi = 4.0 * math.pi
@@ -198,9 +198,9 @@ def path_integrand(mode: OscMode) -> Callable[[float], float]:
     raise ValueError(f"path slope not tabulated for n={mode.n}")
 
 
-def figure_rows(mode: OscMode,
-                xs: Sequence[float]) -> list[tuple[float, float, float, float]]:
-    """Rows (r_bar, dq_two, dq_three, chi) of the oscillator figure on xs, n <= 1.
+def figure_columns(mode: OscMode,
+                   xs: Sequence[float]) -> tuple[list[float], list[float], list[float]]:
+    """Columns (dq_two, dq_three, chi) of the oscillator figure on xs, n <= 1.
 
     dq_two and dq_three are the field parts q - r_bar of the composite
     path to two and three terms, which the table adds to r_bar:
@@ -231,13 +231,10 @@ def figure_rows(mode: OscMode,
     neg_alpha = -alpha
     neg_half_alpha = -0.5 * alpha
     exp = math.exp
-    rows = []
-    for r in xs:
-        env = exp(neg_alpha * r * r)
-        dq = c_two * r**power * env
-        rows.append((r, dq, dq + c_three * r**5 * env,
-                     a_osc * r**n * exp(neg_half_alpha * r * r)))
-    return rows
+    envs = [exp(neg_alpha * r * r) for r in xs]
+    dq_two = [c_two * r**power * env for r, env in zip(xs, envs)]
+    return (dq_two, [dq + c_three * r**5 * env for r, dq, env in zip(xs, dq_two, envs)],
+            [a_osc * r**n * exp(neg_half_alpha * r * r) for r in xs])
 
 
 def amplitude_estimate(sys: OscSystem, n: int) -> float:

@@ -15,11 +15,11 @@ mode's e_n, and the constructor rejects a non-finite coefficient and
 rescales the coefficients to unit weight.  Each Superposition method
 checks that its x lies inside the box and builds the phase table
 (c_j sqrt(2/a), k_j, e^(-i E_j t/hbar)) of its time t.
-flux_rows tabulates the flux and the continuity residual over a whole
-grid in one kernel: it reads each of its three phase tables (t and
-t +/- h_t) once per call, so every point of the grid shares the cos and
-sin of each phase, and it checks the grid once; a point value is a
-one-element grid.  The real and imaginary quadratures of a momentum
+flux_columns tabulates the flux and the continuity residual over a whole
+grid in one kernel, one column each: it reads each of its three phase
+tables (t and t +/- h_t) once per call, so every point of the grid shares
+the cos and sin of each phase, and it checks the grid once; a point value
+is a one-element grid.  The real and imaginary quadratures of a momentum
 moment share their node values: Psi* d^j Psi/dx^j is evaluated once per
 distinct node and read by both.
 """
@@ -142,9 +142,9 @@ def density(field, x: float, t: float) -> float:
     return abs(field.value(x, t)) ** 2
 
 
-def flux_rows(s: Superposition, xs: Sequence[float], t: float,
-              h_x: float, h_t: float) -> list[tuple[float, float, float]]:
-    """Rows (x, j, residual) of the flux check on the grid xs.
+def flux_columns(s: Superposition, xs: Sequence[float], t: float,
+                 h_x: float, h_t: float) -> tuple[list[float], list[float]]:
+    """Columns (j, residual) of the flux check on the grid xs.
 
     j is the probability flux (hbar/m) Im(Psi* dPsi/dx) at (x, t), and
     residual the central-difference continuity residual d rho/dt + dj/dx
@@ -166,7 +166,7 @@ def flux_rows(s: Superposition, xs: Sequence[float], t: float,
     two_h_x = 2.0 * h_x
     two_h_t = 2.0 * h_t
     sin, cos = math.sin, math.cos
-    rows = []
+    flux, residual = [], []
     for x in xs:
         x_l = x - h_x
         x_r = x + h_x
@@ -184,8 +184,9 @@ def flux_rows(s: Superposition, xs: Sequence[float], t: float,
         drho_dt = (abs(psi_p) ** 2 - abs(psi_m) ** 2) / two_h_t
         dj_dx = (hbar_m * (psi_r.conjugate() * d_psi_r).imag
                  - hbar_m * (psi_l.conjugate() * d_psi_l).imag) / two_h_x
-        rows.append((x, hbar_m * (psi.conjugate() * d_psi).imag, drho_dt + dj_dx))
-    return rows
+        flux.append(hbar_m * (psi.conjugate() * d_psi).imag)
+        residual.append(drho_dt + dj_dx)
+    return flux, residual
 
 
 def norm(s: Superposition, t: float) -> float:

@@ -5,8 +5,8 @@ worked numeric value, a quadrature oracle, or an exact identity.  This
 module owns the criteria, their check record (built by `compare`) and
 the verify report that `run_acceptance_suite` returns and the CLI
 `verify` subcommand writes unchanged.  Where a table subcommand writes a
-closed form, the criterion samples the same row kernel (figure_rows,
-flux_rows), so verify checks the code that writes the table.
+closed form, the criterion reads the same column kernel (figure_columns,
+flux_columns), so verify checks the code that writes the table.
 
 The `perturb` argument scales the package-side value of every
 comparison by (1 + perturb) except seven, which are unscaled: the four
@@ -124,7 +124,8 @@ def criterion_04(perturb: float = 0.0) -> list[ComparisonReport]:
 
     reports = [compare("sup |series - oracle| / a", sup_dev / _BOX_A, 0.0,
                        1e-3, use_rel=False)]
-    pins = {"quadratic": [q for _, q, *_ in boxmode.figure_rows(mode, [0.0, _BOX_A])],
+    q, q_over_x, chi, psi_density = boxmode.figure_columns(mode, [0.0, _BOX_A])
+    pins = {"quadratic": q,
             "eighth_order": [boxmode.eighth_order_path(mode, x) for x in (0.0, _BOX_A)]}
     for label, (q0, qa) in pins.items():
         reports.append(compare(f"wall pin q(0) [{label}]",
@@ -173,8 +174,8 @@ def criterion_07(perturb: float = 0.0) -> list[ComparisonReport]:
     """
     s = 1.0 + perturb
     mode = oscillator.make_mode(_OSC, 1, amplitude=1e-10)
-    (r_env, _, dq_env, _), (_, _, dq_cap, _) = oscillator.figure_rows(
-        mode, [1.0 / math.sqrt(_OSC.alpha), _OSC.cap_l])
+    r_env = 1.0 / math.sqrt(_OSC.alpha)
+    dq_two, (dq_env, dq_cap), chi = oscillator.figure_columns(mode, [r_env, _OSC.cap_l])
     q_env = r_env + dq_env
     return [
         compare("sqrt(alpha) q_1(1/sqrt(alpha))",
@@ -267,24 +268,25 @@ def criterion_12(perturb: float = 0.0) -> list[ComparisonReport]:
     beat, t0, h_x, h_t = timedep.equal_weight_beat(m, a)
 
     xs = [a * i / 400 for i in range(1, 400)]
-    worst_res = max(abs(res) for _, _, res in timedep.flux_rows(beat, xs, t0, h_x, h_t))
+    flux, residual = timedep.flux_columns(beat, xs, t0, h_x, h_t)
     worst_rate = max(abs(2.0 * (beat.value(x, t0).conjugate() * beat.d_dt(x, t0)).real)
                      for x in xs)
     reports = [compare("continuity residual / max|drho/dt|",
-                       s * worst_res / worst_rate, 0.0, 1e-6, use_rel=False)]
+                       s * max(map(abs, residual)) / worst_rate, 0.0, 1e-6,
+                       use_rel=False)]
 
-    [(_, _, r_h)] = timedep.flux_rows(beat, [0.3 * a], t0, h_x, h_t)
-    [(_, _, r_h2)] = timedep.flux_rows(beat, [0.3 * a], t0, 0.5 * h_x, 0.5 * h_t)
+    flux, [r_h] = timedep.flux_columns(beat, [0.3 * a], t0, h_x, h_t)
+    flux, [r_h2] = timedep.flux_columns(beat, [0.3 * a], t0, 0.5 * h_x, 0.5 * h_t)
     reports.append(_range_report("residual refinement ratio", s * r_h / r_h2,
                                  3.5, 4.5))
 
     mode1 = beat.components[0][0]
     single = timedep.Superposition(((mode1, 1.0 + 0j),))
-    peak_flux = max(abs(f) for _, f, _ in timedep.flux_rows(
-        single, [a * i / 64.0 for i in range(1, 64)], t0, h_x, h_t))
+    flux, residual = timedep.flux_columns(
+        single, [a * i / 64.0 for i in range(1, 64)], t0, h_x, h_t)
     flux_scale = HBAR * mode1.k_n / (m * a)
     reports.append(compare("stationary flux / (hbar k / m a)",
-                           s * peak_flux / flux_scale, 0.0, 1e-15,
+                           s * max(map(abs, flux)) / flux_scale, 0.0, 1e-15,
                            use_rel=False))
     p_mean = timedep.expectation_p(single, t0)
     reports.append(compare("stationary <p> / (hbar k_1)",
@@ -309,8 +311,8 @@ def criterion_13(perturb: float = 0.0) -> list[ComparisonReport]:
         mode = boxmode.level_at_ratio(_BOX_M, _BOX_A, 1, ratio)
         amps.append(mode.a_n)
         gs.append(mode.g_npf)
-        sup = max(abs(q - x) for x, q, *_ in boxmode.figure_rows(mode, xs))
-        sups.append(sup / _BOX_A)
+        q, q_over_x, chi, psi_density = boxmode.figure_columns(mode, xs)
+        sups.append(max(abs(q_x - x) for x, q_x in zip(xs, q)) / _BOX_A)
     amp_mono = all(x > y for x, y in zip(amps, amps[1:]))
     g_mono = all(x < y for x, y in zip(gs, gs[1:]))
     sup_mono = all(x > y for x, y in zip(sups, sups[1:]))

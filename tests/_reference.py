@@ -1,4 +1,4 @@
-"""Point forms of the tabulated closed forms, frozen as the row kernels'
+"""Point forms of the tabulated closed forms, frozen as the column kernels'
 references, the whole-text table builder, frozen as the streaming
 writer's, and the CLI's option tables.
 

@@ -84,13 +84,14 @@ def test_field_energy_budget():
 
 
 def _column(mode, xs, index):
-    """One column of the box-figure kernel on the grid xs."""
-    return [row[index] for row in boxmode.figure_rows(mode, xs)]
+    """One column of the box-figure kernel on the grid xs: 0 for q, 1 for
+    q/x, 2 for chi, 3 for psi^2."""
+    return boxmode.figure_columns(mode, xs)[index]
 
 
 def test_field_profile():
     mode = _fixture()
-    at_wall0, at_antinode, at_wall = _column(mode, [0.0, 0.5 * A_BOX, A_BOX], 3)
+    at_wall0, at_antinode, at_wall = _column(mode, [0.0, 0.5 * A_BOX, A_BOX], 2)
     assert at_wall0 == 0.0
     assert abs(at_wall) <= 1e-12 * mode.a_n
     assert at_antinode == pytest.approx(mode.a_n, rel=1e-14)
@@ -101,7 +102,7 @@ def test_field_profile():
 
 def test_wavefunction_normalized():
     mode = _fixture(n=2, ratio=1.4)
-    val = oracle.integrate(lambda x: _column(mode, [x], 4)[0], 0.0, A_BOX)
+    val = oracle.integrate(lambda x: _column(mode, [x], 3)[0], 0.0, A_BOX)
     assert val == pytest.approx(1.0, rel=1e-9)
 
 
@@ -133,7 +134,7 @@ def test_path_series_coefficients_at_half():
 
 def _both_paths(mode, xs):
     """The quadratic path of the box-figure kernel and the eighth-order path on xs."""
-    return _column(mode, xs, 1), [boxmode.eighth_order_path(mode, x) for x in xs]
+    return _column(mode, xs, 0), [boxmode.eighth_order_path(mode, x) for x in xs]
 
 
 def test_trajectory_series_wall_pins():
@@ -146,7 +147,7 @@ def test_trajectory_series_wall_pins():
 def test_trajectory_series_quadratic_peak():
     mode = _fixture()
     x = 0.25 * A_BOX                       # sin(2kx) = 1
-    excess = _column(mode, [x], 1)[0] - x
+    excess = _column(mode, [x], 0)[0] - x
     target = mode.b_sq / (mode.b_sq + 4.0) / (2.0 * mode.k_n)
     assert excess == pytest.approx(target, rel=1e-12)
 
@@ -218,7 +219,7 @@ def test_series_curvature_misses_arclength_factor():
     acc = boxmode.pf_acceleration(mode, x, v_p)
 
     def q(s: float) -> float:
-        return _column(mode, [s], 1)[0]
+        return _column(mode, [s], 0)[0]
 
     fd = v_p**2 * oracle.finite_diff(q, x, A_BOX / 2000.0, order=2)
     factor = ref.box_integrand(mode.b_sq, mode.k_n * x)
@@ -307,7 +308,7 @@ def test_mode_wall_is_the_system_width():
     a = 2.917e-09
     mode = boxmode.level_at_ratio(M, a, 1, 1.5)
     assert mode.n * math.pi / mode.k_n < a
-    assert _column(mode, [a], 1)[0] == pytest.approx(a, rel=1e-12)
+    assert _column(mode, [a], 0)[0] == pytest.approx(a, rel=1e-12)
     with pytest.raises(ValueError, match="outside the box"):
         boxmode.field_slope(mode, math.nextafter(a, 1.0))
 
@@ -319,12 +320,12 @@ def test_figure_rows_match_point_functions_bit_for_bit(a, grid, n, ratio):
     mode = boxmode.level_at_ratio(M, a, n, ratio)
     xs = cli._box_grid(0.0, a, grid)
     slope0 = 1.0 + mode.b_sq / (mode.b_sq + 4.0)
-    rows = boxmode.figure_rows(mode, xs)
-    assert len(rows) == grid
-    for x, row in zip(xs, rows):
+    columns = boxmode.figure_columns(mode, xs)
+    assert [len(column) for column in columns] == [grid] * 4
+    for x, row in zip(xs, zip(*columns)):
         q = ref.box_path_quadratic(mode, x)
-        assert row == (x, q, q / x if x > 0.0 else slope0, ref.box_field(mode, x),
-                       ref.box_wavefunction(mode, mode.sys, x) ** 2, x)
+        assert row == (q, q / x if x > 0.0 else slope0, ref.box_field(mode, x),
+                       ref.box_wavefunction(mode, mode.sys, x) ** 2)
 
 
 @pytest.mark.parametrize("bad", [-1e-30, "above", math.nan])
@@ -334,7 +335,7 @@ def test_figure_rows_reject_a_grid_outside_the_box(bad):
         bad = math.nextafter(A_BOX, 1.0)
     xs = [0.0, 0.5 * A_BOX, bad, A_BOX]
     with pytest.raises(ValueError, match="grid leaves the box"):
-        boxmode.figure_rows(mode, xs)
+        boxmode.figure_columns(mode, xs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -346,6 +347,6 @@ def test_figure_rows_pin_the_walls(b_sq, a, n):
     p_n = HBAR * (n * math.pi / a)
     sys = boxmode.BoxSystem(m=M, a=a, p_particle=p_n / math.sqrt(1.0 + b_sq))
     mode = boxmode.make_mode(sys, n)
-    first, last = boxmode.figure_rows(mode, [0.0, a])
-    assert first[:2] == (0.0, 0.0)
-    assert abs(last[1] - a) <= 1e-12 * a
+    q_first, q_last = _column(mode, [0.0, a], 0)
+    assert q_first == 0.0
+    assert abs(q_last - a) <= 1e-12 * a

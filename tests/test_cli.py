@@ -3,21 +3,26 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import csv
 import errno
 import hashlib
 import inspect
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _reference as ref
-from pfield import cli, timedep, verification
+from pfield import cli, hydrogen, timedep, verification
 from pfield.core import HBAR
 
 
@@ -303,18 +308,39 @@ def test_box_figure_failed_write_leaves_no_file_of_the_set(tmp_path, capsys,
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_cell_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch,
                                                     fmt, bad):
-    flux_rows = timedep.flux_rows
+    flux_columns = timedep.flux_columns
 
     def one_bad_cell(*args):
-        rows = flux_rows(*args)
+        flux, residual = flux_columns(*args)
         # The first block is written before the second, which holds the cell.
-        rows[cli._CHUNK_ROWS] = (rows[cli._CHUNK_ROWS][0], bad, 1.0)
-        return rows
+        flux[cli._CHUNK_ROWS] = bad
+        return flux, residual
 
-    monkeypatch.setattr(timedep, "flux_rows", one_bad_cell)
+    monkeypatch.setattr(timedep, "flux_columns", one_bad_cell)
     assert cli.main(["flux-check", "--grid", str(cli._CHUNK_ROWS + 2),
                      "--format", fmt, "--out", str(tmp_path)]) == 3
     assert "non-finite cell" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", cli._FORMATS)
+@pytest.mark.parametrize("short", [0, 1])
+def test_ragged_table_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                 fmt, short):
+    # One kernel column a row short, its last row alone in the third block:
+    # zip alone would drop that row from every column.
+    figure_columns = hydrogen.figure_columns
+
+    def one_row_short(*args):
+        columns = list(figure_columns(*args))
+        columns[short] = columns[short][:-1]
+        return tuple(columns)
+
+    monkeypatch.setattr(hydrogen, "figure_columns", one_row_short)
+    assert cli.main(["hydrogen-figure", "--grid", str(2 * cli._CHUNK_ROWS + 1),
+                     "--format", fmt, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"hydrogen_figure.{fmt}: columns of unequal lengths" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -354,6 +380,54 @@ def test_extreme_float_option_exits_cleanly(tmp_path, capsys, command, key, valu
         assert err.startswith(f"error: {command} ")
         assert f" {key}=" in err
         assert list(tmp_path.iterdir()) == []
+
+
+# A float option: 0, the smallest subnormal or the largest float (about
+# 1.8e308), or a log-uniform magnitude, each with a random sign.
+_EXTREME_FLOAT = st.builds(
+    lambda negative, magnitude: -magnitude if negative else magnitude,
+    st.booleans(),
+    st.one_of(st.sampled_from([0.0, 5e-324, sys.float_info.max]),
+              st.floats(-323.0, 308.0).map(lambda exponent: 10.0 ** exponent)))
+_RATIO = st.one_of(st.floats(1.0, 2.0, exclude_max=True), _EXTREME_FLOAT)
+_OPTION_VALUES = {
+    "grid": st.integers(2, 40).map(str),
+    "format": st.sampled_from(cli._FORMATS),
+    "n": st.integers(-1, 2).map(str),
+    "levels": st.integers(1, 8).map(str),
+    "ratios": st.lists(_RATIO.map(repr), min_size=1, max_size=4).map(",".join),
+}
+_TABLE_COMMANDS = [command for command in cli._COMMANDS if command != "verify"]
+
+
+@st.composite
+def _table_argv(draw):
+    """A table subcommand with each of its options left out or drawn."""
+    command = draw(st.sampled_from(_TABLE_COMMANDS))
+    argv = [command]
+    for key in cli._options(cli._COMMANDS[command]):
+        value = draw(st.one_of(st.none(), _OPTION_VALUES.get(key, _EXTREME_FLOAT.map(repr))))
+        if value is not None:
+            argv.append(f"--{key.replace('_', '-')}={value}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_table_argv())
+def test_random_extreme_options_keep_the_exit_contract(argv):
+    """Every run exits 0, 2 or 3 without an exception escaping, and a run
+    that fails leaves no file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main([*argv, "--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 3)
+        if code:
+            assert not out.exists() or not any(out.iterdir())
 
 
 def test_parser_is_built_once():
@@ -439,6 +513,17 @@ def test_config_file_merging(tmp_path):
              "--out", str(tmp_path))
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "hydrogen_figure.csv").exists()
+
+
+def test_repeated_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("grid=10\n# the same key again\n grid = 20\n", encoding="utf-8")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["box-figure", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"{cfg}:3: key grid given twice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_output_dir_from_environment(tmp_path):
@@ -665,3 +750,56 @@ def test_json_outputs_match_golden_digests(tmp_path, capsys, args):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
     assert digests == _GOLDEN_JSON[args]
+
+
+# SHA-256 of each table at grid 2049, which fills two blocks of _CHUNK_ROWS
+# rows and puts one row in a third, in both formats; recorded before the
+# kernels returned columns, so rendering columns block by block must keep
+# every row whole across a block edge.
+_GOLDEN_2049 = {
+    ("box-figure",): {
+        "box_figure_n1.csv":
+            "59a2758eed653942f962bea64434306a8914083c2b73744593c5e749af961853",
+        "box_figure_n2.csv":
+            "9d9e5ebc559f824f81fa64189b24d0c5da5eaddb65b3557ffcb4b312bd402a73",
+        "box_figure_n3.csv":
+            "03afbd180e1b95e9d686a4966ab2532435ae538be2970c2375c0fba2a257a543",
+        "box_figure_n1.json":
+            "f9eeff4f50a7a840d5f83b7e69f5a30b9a67bb92eee85b8b2d3ff907b75f57a4",
+        "box_figure_n2.json":
+            "baf5623b6fc827b84b08a9c76c8044b661ca54f136585139bdb1ac517cfbdd18",
+        "box_figure_n3.json":
+            "747a0ca698aa4792fee608bd73a1317044dfde108c2cd9c8df2c19b7b1483eff"},
+    ("osc-trajectory", "--n", "0"): {
+        "osc_trajectory.csv":
+            "b4cb208614b1b2a47c0e5e16f201d24077ffc1f3da4c7bf95b36fdd0f1d44ae7",
+        "osc_trajectory.json":
+            "6ac21c89e2075a0b9611c4af49b3d080b2def68cdafbf0c6cc08ce19bcbeab50"},
+    ("osc-trajectory", "--n", "1"): {
+        "osc_trajectory.csv":
+            "abe457d313899071cf7e0224b5afa5cd73d2601ff8e908887655e6dfb587a21b",
+        "osc_trajectory.json":
+            "9ab06e751649bb304283fb98c8d4397dd28bf1aae56dedd3ff353e46b2708afc"},
+    ("hydrogen-figure",): {
+        "hydrogen_figure.csv":
+            "a7dcefa12f246301fccbc788ccd2d349e436c0bfa03483ba7be0bfe95fad8b18",
+        "hydrogen_figure.json":
+            "f50d2774f6c523ca53fdf466a820337c844418115b6a6a1cea66c8612242a304"},
+    ("flux-check",): {
+        "flux_check.csv":
+            "9e82ccf658b86b58ffb9750bf81a9b9bc74edc3dab9d91ce9e347ebf0db6b77a",
+        "flux_check.json":
+            "1fb6dd85af70e5e1d56124be9838d44c41420dcba326f80d3d233a6c20a718f8"},
+}
+
+
+@pytest.mark.parametrize("fmt", cli._FORMATS)
+@pytest.mark.parametrize("args", list(_GOLDEN_2049), ids=" ".join)
+def test_outputs_across_block_edges_match_golden_digests(tmp_path, capsys, args, fmt):
+    assert 2 * cli._CHUNK_ROWS + 1 == 2049
+    assert cli.main([*args, "--grid", "2049", "--format", fmt,
+                     "--out", str(tmp_path)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert digests == {name: digest for name, digest in _GOLDEN_2049[args].items()
+                       if name.endswith(f".{fmt}")}

@@ -87,10 +87,10 @@ _GUARDS = {
     "hydrogen.approximation_gap": (hydrogen.approximation_gap, 0.1),
     "hydrogen.cartesian_components_2p0": (
         lambda v: hydrogen.cartesian_components_2p0(_H, 0.1, v, 0.3, 0.2), 1e-10),
-    "hydrogen.figure_rows r": (lambda v: hydrogen.figure_rows(_H, 0.1, v, [0.3]), 1e-10),
-    "hydrogen.figure_rows a_ha": (lambda v: hydrogen.figure_rows(_H, v, 1e-10, [0.3]), 0.1),
+    "hydrogen.figure_rows r": (lambda v: hydrogen.figure_columns(_H, 0.1, v, [0.3]), 1e-10),
+    "hydrogen.figure_rows a_ha": (lambda v: hydrogen.figure_columns(_H, v, 1e-10, [0.3]), 0.1),
     "hydrogen.figure_rows theta": (
-        lambda v: hydrogen.figure_rows(_H, 0.1, 1e-10, [v]), 0.3),
+        lambda v: hydrogen.figure_columns(_H, 0.1, 1e-10, [v]), 0.3),
     "hydrogen.cartesian_components_2p0 a_ha": (
         lambda v: hydrogen.cartesian_components_2p0(_H, v, 1e-10, 0.3, 0.2), 0.1),
     "hydrogen.cartesian_components_2p0 theta": (
@@ -111,7 +111,7 @@ _GUARDS = {
     "oscillator.classical_motion t": (
         lambda v: oscillator.classical_motion(_OSC, 1e-10, 0.0, v), 1e-16),
     "oscillator.figure_rows r_bar": (
-        lambda v: oscillator.figure_rows(_OSC_MODE, [v]), 1e-10),
+        lambda v: oscillator.figure_columns(_OSC_MODE, [v]), 1e-10),
     "oscillator.kinetic_field": (
         lambda v: oscillator.kinetic_field(_OSC_MODE, v, 0.3), 1e-10),
     "oscillator.kinetic_field theta": (
@@ -127,12 +127,12 @@ _GUARDS = {
     "oscillator.radial_field_slope r_bar": (
         lambda v: oscillator.radial_field_slope(_OSC_MODE, v), 1e-10),
     "timedep.flux_rows h_x": (
-        lambda v: timedep.flux_rows(_BEAT, [1e-9], _T0, v, _H_T), _H_X),
+        lambda v: timedep.flux_columns(_BEAT, [1e-9], _T0, v, _H_T), _H_X),
     "timedep.flux_rows h_t": (
-        lambda v: timedep.flux_rows(_BEAT, [1e-9], _T0, _H_X, v), _H_T),
+        lambda v: timedep.flux_columns(_BEAT, [1e-9], _T0, _H_X, v), _H_T),
     "timedep.Superposition.value t": (lambda v: _BEAT.value(1e-9, v), _T0),
     "timedep.flux_rows t": (
-        lambda v: timedep.flux_rows(_BEAT, [1e-9], v, _H_X, _H_T), _T0),
+        lambda v: timedep.flux_columns(_BEAT, [1e-9], v, _H_X, _H_T), _T0),
     "boxmode.level_at_ratio a": (
         lambda v: boxmode.level_at_ratio(ELECTRON_MASS, v, 1, 1.5), 2e-9),
     "timedep.bare_eigenmode a": (
@@ -246,7 +246,7 @@ def _sine_mode():
 
 def _chi(mode, x):
     """The field chi_n(x), read from the box-figure kernel."""
-    [(_, _, _, chi, _, _)] = boxmode.figure_rows(mode, [x])
+    q, q_over_x, [chi], psi_density = boxmode.figure_columns(mode, [x])
     return chi
 
 
@@ -258,7 +258,8 @@ def test_field_force_reduces_to_stationary_form():
     f_p = 3.1e-12
     worst = 0.0
     xs = [0.5 * sys.a * i / 40.0 for i in range(1, 40)]     # cos(kx) > 0 throughout
-    for x, _, _, chi, _, _ in boxmode.figure_rows(mode, xs):
+    q, q_over_x, chis, psi_density = boxmode.figure_columns(mode, xs)
+    for x, chi in zip(xs, chis):
         chi_p = boxmode.field_slope(mode, x)
         d_abs = -mode.a_n * mode.k_n**2 * math.sin(mode.k_n * x)
         lhs = field_force_1d(sys.m, v_p, chi_p, d_abs, f_p)

@@ -179,14 +179,14 @@ def test_approximation_gap_quartic():
 
 def _p0_radius(a_ha, r, theta):
     """The p0 orbit radius q = r (q_p0/r) from the hydrogen-figure kernel."""
-    [(_, p0, _)] = hydrogen.figure_rows(SYS, a_ha, r, [theta])
+    [p0], [pm1] = hydrogen.figure_columns(SYS, a_ha, r, [theta])
     return r * p0
 
 
 def test_orbit_2p_cross_sections():
     a_ha = 0.1
     r = SYS.a0
-    (_, p0_pole, p1_pole), (_, p0_eq, p1_eq) = hydrogen.figure_rows(
+    (p0_pole, p0_eq), (p1_pole, p1_eq) = hydrogen.figure_columns(
         SYS, a_ha, r, [0.0, 0.5 * math.pi])
     assert p0_pole == pytest.approx(1.0002927491576217, rel=1e-12)
     assert p0_eq == pytest.approx(1.0001463745788108, rel=1e-12)
@@ -196,7 +196,7 @@ def test_orbit_2p_cross_sections():
     assert p0_pole > p0_eq
     assert p1_pole < p1_eq
     # mirror symmetry across the equator
-    (_, p0_north, p1_north), (_, p0_south, p1_south) = hydrogen.figure_rows(
+    (p0_north, p0_south), (p1_north, p1_south) = hydrogen.figure_columns(
         SYS, a_ha, r, [0.4, math.pi - 0.4])
     assert p0_north == pytest.approx(p0_south, rel=1e-13)
     assert p1_north == pytest.approx(p1_south, rel=1e-13)
@@ -224,7 +224,7 @@ def test_cartesian_components_match_orbit():
 
 # nan and inf are covered with the other guards in test_core.
 @pytest.mark.parametrize("call", [
-    lambda v: hydrogen.figure_rows(SYS, v, SYS.a0, [0.3]),
+    lambda v: hydrogen.figure_columns(SYS, v, SYS.a0, [0.3]),
     lambda v: hydrogen.cartesian_components_2p0(SYS, v, SYS.a0, 0.3, 0.2),
 ], ids=["figure_rows", "cartesian_components_2p0"])
 @pytest.mark.parametrize("bad", [0.0, -0.1])
@@ -251,10 +251,10 @@ def test_cross_sections_2p_match_hand_construction(a_ha, r):
 def test_figure_rows_match_point_functions_bit_for_bit(z, a_ha, r, grid):
     sys = hydrogen.HydrogenSystem(z=z, mu=ELECTRON_MASS)
     thetas = cli._grid(0.0, 2.0 * math.pi, grid)
-    rows = hydrogen.figure_rows(sys, a_ha, r, thetas)
-    assert len(rows) == grid
-    for theta, row in zip(thetas, rows):
-        assert row == (theta, ref.orbit_2p0(sys, a_ha, r, theta) / r,
+    p0, pm1 = hydrogen.figure_columns(sys, a_ha, r, thetas)
+    assert len(p0) == len(pm1) == grid
+    for theta, row in zip(thetas, zip(p0, pm1)):
+        assert row == (ref.orbit_2p0(sys, a_ha, r, theta) / r,
                        ref.orbit_2p1(sys, a_ha, r, theta) / r)
 
 
@@ -268,4 +268,4 @@ def test_figure_rows_match_point_functions_bit_for_bit(z, a_ha, r, grid):
 ])
 def test_figure_rows_reject_bad_parameters_and_angles(a_ha, r, theta, match):
     with pytest.raises(ValueError, match=match):
-        hydrogen.figure_rows(SYS, a_ha, r, [0.0, theta])
+        hydrogen.figure_columns(SYS, a_ha, r, [0.0, theta])

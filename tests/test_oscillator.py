@@ -88,7 +88,7 @@ def test_classical_motion_conserves_energy():
 
 def _field(mode, r_bar):
     """The field column chi of the osc-trajectory kernel at one r_bar."""
-    [(_, _, _, chi)] = oscillator.figure_rows(mode, [r_bar])
+    dq_two, dq_three, [chi] = oscillator.figure_columns(mode, [r_bar])
     return chi
 
 
@@ -184,15 +184,15 @@ def test_trajectory_odd_and_consistent():
     sys = _system()
     mode = oscillator.make_mode(sys, 1, amplitude=1e-10)
     r = 0.8e-10
-    (_, dq_two, dq, _), (_, dq_two_neg, dq_neg, _) = oscillator.figure_rows(mode, [r, -r])
+    (dq_two, dq_two_neg), (dq, dq_neg), chi = oscillator.figure_columns(mode, [r, -r])
     assert (dq_two_neg, dq_neg) == (-dq_two, -dq)
     assert (-r + dq_two_neg, -r + dq_neg) == (-(r + dq_two), -(r + dq))
     assert dq == ref.osc_path_correction(mode, sys, r)
     # the turning point itself is inside the domain
-    [(_, _, dq_cap, _)] = oscillator.figure_rows(mode, [sys.cap_l])
+    dq_two, [dq_cap], chi = oscillator.figure_columns(mode, [sys.cap_l])
     assert dq_cap == ref.osc_path_correction(mode, sys, sys.cap_l)
     with pytest.raises(ValueError):
-        oscillator.figure_rows(mode, [1.01 * sys.cap_l])
+        oscillator.figure_columns(mode, [1.01 * sys.cap_l])
 
 
 def test_path_correction_resolves_subulp_terms():
@@ -201,10 +201,10 @@ def test_path_correction_resolves_subulp_terms():
     sys = _system(cap_l=cap)
     for n in (0, 1):
         mode = oscillator.make_mode(sys, n, amplitude=1e-9)
-        [(r, _, dq, _)] = oscillator.figure_rows(mode, [cap])
+        dq_two, [dq], chi = oscillator.figure_columns(mode, [cap])
         assert 0.0 < dq < 1e-20 * cap
         # folded into the sum it vanishes entirely
-        assert r + dq == cap
+        assert cap + dq == cap
 
 
 @pytest.mark.parametrize("n", [0, pytest.param(1, marks=pytest.mark.xfail(
@@ -236,9 +236,9 @@ def test_trajectory_against_oracle(aa_sq, n, dev2_max, dev3_max):
     r = 1.0 / math.sqrt(ALPHA)
     scale = math.sqrt(ALPHA)
     q_oracle = oracle.integrate(oscillator.path_integrand(mode), 0.0, r)
-    [(r_bar, dq_two, dq_three, _)] = oscillator.figure_rows(mode, [r])
-    dev2 = abs(r_bar + dq_two - q_oracle) * scale
-    dev3 = abs(r_bar + dq_three - q_oracle) * scale
+    [dq_two], [dq_three], chi = oscillator.figure_columns(mode, [r])
+    dev2 = abs(r + dq_two - q_oracle) * scale
+    dev3 = abs(r + dq_three - q_oracle) * scale
     assert dev2 <= dev2_max
     assert dev3 <= dev3_max
     assert dev3 < dev2
@@ -283,11 +283,11 @@ def test_figure_rows_match_point_functions_bit_for_bit(n, alpha, amplitude, grid
     mode = oscillator.make_mode(sys, n, amplitude=amplitude)
     r_max = 5.0 / math.sqrt(alpha)
     xs = cli._grid(-r_max, r_max, grid)
-    rows = oscillator.figure_rows(mode, xs)
-    assert len(rows) == grid
-    for r_bar, (r, dq_two, dq_three, chi) in zip(xs, rows):
-        assert (r, r + dq_two, r + dq_three, chi) == (
-            r_bar, ref.osc_path_two_term(mode, sys, r_bar),
+    columns = oscillator.figure_columns(mode, xs)
+    assert [len(column) for column in columns] == [grid] * 3
+    for r_bar, (dq_two, dq_three, chi) in zip(xs, zip(*columns)):
+        assert (r_bar + dq_two, r_bar + dq_three, chi) == (
+            ref.osc_path_two_term(mode, sys, r_bar),
             ref.osc_path_three_term(mode, sys, r_bar), ref.osc_field(mode, sys, r_bar))
         assert dq_three == ref.osc_path_correction(mode, sys, r_bar)
 
@@ -299,11 +299,11 @@ def test_figure_rows_reject_a_grid_beyond_the_turning_points(bad):
     if bad == "beyond":
         bad = math.nextafter(-sys.cap_l, -math.inf)
     with pytest.raises(ValueError, match="grid leaves the classical interval"):
-        oscillator.figure_rows(mode, [0.0, bad])
+        oscillator.figure_columns(mode, [0.0, bad])
 
 
 def test_figure_rows_reject_untabulated_level():
     sys = _system()
     mode = oscillator.make_mode(sys, 2, amplitude=1e-10)
     with pytest.raises(ValueError, match="path series not tabulated for n=2"):
-        oscillator.figure_rows(mode, [0.0])
+        oscillator.figure_columns(mode, [0.0])

@@ -42,7 +42,7 @@ _ALLOWED_UNREACHED = {
     # r -> 0 tends to approximation_gap(a_ha)
     "hydrogen.pf_velocity": _PLANNED,
     # with criterion 09: the norm of the components matches r times the
-    # q_p0/r column of hydrogen.figure_rows to O(a_ha^4)
+    # q_p0/r column of hydrogen.figure_columns to O(a_ha^4)
     "hydrogen.cartesian_components_2p0": _PLANNED,
 }
 

@@ -1,4 +1,7 @@
-"""The streamed table writer against the whole-text builder it replaced."""
+"""The streamed table writer against the whole-text builder it replaced.
+
+The writer takes a table as columns and the builder took it as rows, so
+each test's rows are transposed for the writer."""
 
 from __future__ import annotations
 
@@ -17,8 +20,13 @@ _META = {"a": 2e-09, "n": 3, "ratio": 1.5, "label": "[0.5, 1.0]"}
 _C = cli._CHUNK_ROWS
 
 
+def _table(fmt, meta, columns, rows):
+    """cli._table of the rows, transposed into one column per header."""
+    return cli._table(fmt, "table", meta, dict(zip(columns, map(list, zip(*rows)))))
+
+
 def _text(fmt, meta, columns, rows):
-    name, chunks = cli._table(fmt, "table", meta, columns, rows)
+    name, chunks = _table(fmt, meta, columns, rows)
     assert name == f"table.{fmt}"
     return "".join(chunks)
 
@@ -36,7 +44,7 @@ def test_chunks_join_to_the_whole_text_at_every_block_edge(fmt, count):
 
 @pytest.mark.parametrize("fmt", cli._FORMATS)
 def test_chunks_cover_at_most_one_block_of_rows_each(fmt):
-    _, chunks = cli._table(fmt, "table", _META, _COLUMNS, _rows(2 * _C + 1))
+    _, chunks = _table(fmt, _META, _COLUMNS, _rows(2 * _C + 1))
     # head, three row blocks, tail
     assert len(list(chunks)) == 5
 
@@ -62,8 +70,7 @@ def test_meta_strings_with_quotes_and_non_ascii_text(fmt):
 
 @pytest.mark.parametrize("fmt", cli._FORMATS)
 def test_non_finite_meta_value_raises(fmt):
-    _, chunks = cli._table(fmt, "table", {**_META, "ratio": math.nan},
-                           _COLUMNS, _rows(2))
+    _, chunks = _table(fmt, {**_META, "ratio": math.nan}, _COLUMNS, _rows(2))
     with pytest.raises(ValueError, match="non-finite meta value ratio"):
         next(chunks)
 
