@@ -14,14 +14,14 @@ the path expansions to converge (p_n^2/p_P^2 < 2).
 The composite path is q_n(x) = g integral sqrt(1 + chi_n'^2) dx.  Two
 closed forms are provided: the quadratic-order form with
 g = 4 p_P^2 / (p_n^2 + 3 p_P^2), tabulated by figure_columns, and
-eighth_order_path, the two-harmonic form normalized by its own secular
-coefficient.  Both pin q(0) = 0, q(a) = a.
+eighth_order_path, the sixth-order path of the eighth-order integrand,
+normalized by its own secular coefficient.  Both pin q(0) = 0, q(a) = a.
 
 A BoxMode holds the BoxSystem it was built for, so a function of a level
-takes no system.  figure_columns tabulates the quadratic path, the field
-and the bare density over a whole grid, a column each, checking the wall
-once; a point value is a one-element grid.  Each function of one x checks
-it is in the box.
+takes no system.  figure_columns (the quadratic path, the field and the
+bare density) and eighth_order_path evaluate a whole grid, a column each,
+checking the wall once; a point value is a one-element grid.  Each
+function of one x checks it is in the box.
 """
 
 from __future__ import annotations
@@ -174,7 +174,8 @@ def path_series_coefficients(b_sq: float) -> tuple[float, float, float]:
         c2 = b^2/8 - b^4/32 + 15 b^6/1024 - 35 b^8/4096
         c3 = b^4/256 - 3 b^6/1024 + 35 b^8/16384
 
-    (sixth and eighth harmonics dropped).  Valid for 0 <= b^2 < 1.
+    (sixth and eighth harmonics dropped: an eighth-order integrand gives a
+    sixth-order path, with an O(b^6) error).  Valid for 0 <= b^2 < 1.
     """
     if not 0.0 <= b_sq < 1.0:
         raise ValueError("b_sq must lie in [0, 1)")
@@ -188,17 +189,20 @@ def path_series_coefficients(b_sq: float) -> tuple[float, float, float]:
     return c1, c2, c3
 
 
-def eighth_order_path(mode: BoxMode, x: float) -> float:
-    """Eighth-order composite path q_n(x), pinned to q(0) = 0 and q(a) = a.
+def eighth_order_path(mode: BoxMode, xs: Sequence[float]) -> list[float]:
+    """Composite path q_n of the eighth-order integrand on the grid xs,
+    pinned to q(0) = 0 and q(a) = a, with one wall check.
 
     q = x + (c2/c1 k) sin(2kx) - (c3/c1 k) sin(4kx) with the coefficients
-    of path_series_coefficients, so g = 1/c1.
+    of path_series_coefficients, so g = 1/c1.  The path is sixth order in b.
     """
-    _check_inside(mode.sys.a, x)
+    a = mode.sys.a
+    if not all(0.0 <= x <= a for x in xs):
+        raise ValueError(f"grid leaves the box [0, {a}]")
     k = mode.k_n
     c1, c2, c3 = path_series_coefficients(mode.b_sq)
-    return x + (c2 / (c1 * k)) * math.sin(2.0 * k * x) \
-             - (c3 / (c1 * k)) * math.sin(4.0 * k * x)
+    w2, w4 = c2 / (c1 * k), c3 / (c1 * k)
+    return [x + w2 * math.sin(2.0 * k * x) - w4 * math.sin(4.0 * k * x) for x in xs]
 
 
 def harmonic_weight(b_sq: float) -> float:

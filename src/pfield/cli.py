@@ -56,16 +56,16 @@ _Runner = Callable[..., tuple[_Files, int]]
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
-    """Flat key=value lines, each key once; # starts a comment, blanks ignored."""
+    """Flat key=value lines, each key non-empty and once; # comments, blanks ignored."""
     values: dict[str, str] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, equals, value = (part.strip() for part in line.partition("="))
+        if not (key and equals):
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
         if key in values:
             raise ValueError(f"{path}:{lineno}: key {key} given twice")
         values[key] = value

@@ -15,13 +15,15 @@ solves exactly to
     k_n = (n pi / 2a) [1 + sqrt(1 + 3 eps A^2 a^2 / (2 n^2 pi^2))],
 
 which collapses bitwise onto the linear levels as eps -> 0.  All first
-order formulas are trusted only while |eps| A^2 / k^2 <= 0.1.
+order formulas, such as duffing_columns' chi, chi'' and residual over a
+grid, are trusted only while |eps| A^2 / k^2 <= 0.1.
 """
 
 from __future__ import annotations
 
 import collections
 import math
+from typing import Sequence
 
 from .boxmode import BoxMode
 from .core import HBAR, require_finite, require_finite_positive
@@ -58,39 +60,30 @@ def omega_ratio(params: NonlinearParams, k: float) -> float:
     return 1.0 - 3.0 * params.eps * params.a_tilde**2 / (8.0 * k**2)
 
 
-def duffing_solution(params: NonlinearParams, k: float, x: float) -> float:
-    """First-order bounded solution at position x, with B = -pi/2:
-    a sin(w k x) + (eps a^3/32 k^2) sin(3 w k x).
+def duffing_columns(params: NonlinearParams, k: float,
+                    xs: Sequence[float]) -> tuple[list[float], list[float], list[float]]:
+    """Columns (chi, chi'', residual) of the first-order solution on the grid xs.
 
-    That phase puts a node on the wall at x = 0, and the sine form makes
-    the eps -> 0 limit reproduce the linear mode bit for bit.
+    chi = a sin(w k x) + (eps a^3/32 k^2) sin(3 w k x), the bounded solution
+    with B = -pi/2: that phase puts a node on the wall at x = 0, and the
+    sine form makes the eps -> 0 limit reproduce the linear mode bit for
+    bit.  chi'' is its analytic second derivative, and the residual
+    chi'' + k^2 chi - eps chi^3 scales as eps^2 a^5 / k^2: quadratic in eps
+    at fixed amplitude.
     """
-    require_finite(x=x)
+    if not all(math.isfinite(x) for x in xs):
+        raise ValueError("grid must be finite")
     w = omega_ratio(params, k)
-    a = params.a_tilde
-    third = params.eps * a**3 / (32.0 * k**2)
-    return a * math.sin(w * k * x) + third * math.sin(3.0 * w * k * x)
-
-
-def duffing_second_derivative(params: NonlinearParams, k: float, x: float) -> float:
-    """Analytic chi'' of duffing_solution."""
-    require_finite(x=x)
-    w = omega_ratio(params, k)
-    a = params.a_tilde
-    third = params.eps * a**3 / (32.0 * k**2)
+    a, eps = params.a_tilde, params.eps
+    third = eps * a**3 / (32.0 * k**2)
     wk = w * k
-    return -a * wk**2 * math.sin(wk * x) \
-        - third * (3.0 * wk)**2 * math.sin(3.0 * wk * x)
-
-
-def duffing_residual(params: NonlinearParams, k: float, x: float) -> float:
-    """chi'' + k^2 chi - eps chi^3 for the first-order solution.
-
-    Scales as eps^2 a^5 / k^2: quadratic in eps at fixed amplitude.
-    """
-    chi = duffing_solution(params, k, x)
-    d2 = duffing_second_derivative(params, k, x)
-    return d2 + k**2 * chi - params.eps * chi**3
+    k_sq = k**2
+    sin = math.sin
+    # 3.0 * w * k * x (in chi) and 3.0 * wk * x (in chi'') round differently; both stay.
+    chi = [a * sin(wk * x) + third * sin(3.0 * w * k * x) for x in xs]
+    chi_xx = [-a * wk**2 * sin(wk * x) - third * (3.0 * wk)**2 * sin(3.0 * wk * x)
+              for x in xs]
+    return chi, chi_xx, [d2 + k_sq * c - eps * c**3 for c, d2 in zip(chi, chi_xx)]
 
 
 def quantized_k(params: NonlinearParams, mode: BoxMode) -> float:

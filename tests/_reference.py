@@ -7,7 +7,11 @@ row kernels became its only copy, with the products in the same order, so a
 kernel must equal it bit for bit.  A point value in the package is a
 one-element grid of its kernel; box_integrand's kernel is
 boxmode.path_integrand, and the oscillator kernel returns the path
-corrections that the table adds to r_bar.  bare_radial, normalized_radial,
+corrections that the table adds to r_bar.  box_path_eighth and the three
+duffing_* functions are boxmode.eighth_order_path and the nonlinear point
+forms as they stood before boxmode.eighth_order_path and
+nonlinear.duffing_columns took whole grids; they still read the package's
+path_series_coefficients and omega_ratio.  bare_radial, normalized_radial,
 theta_factor and theta_factor_slope are the hydrogen radial and angular
 if-chains as they stood before each became one table keyed by its labels,
 so every table entry must equal its chain bit for bit.  table_text is the
@@ -24,7 +28,9 @@ from __future__ import annotations
 import json
 import math
 
+from pfield.boxmode import path_series_coefficients
 from pfield.core import HBAR
+from pfield.nonlinear import omega_ratio
 
 
 def box_path_quadratic(mode, x):
@@ -32,6 +38,39 @@ def box_path_quadratic(mode, x):
     k = mode.k_n
     coeff = mode.b_sq / (mode.b_sq + 4.0) / (2.0 * k)
     return x + coeff * math.sin(2.0 * k * x)
+
+
+def box_path_eighth(mode, x):
+    """Eighth-order box path x + (c2/c1 k) sin(2kx) - (c3/c1 k) sin(4kx)."""
+    k = mode.k_n
+    c1, c2, c3 = path_series_coefficients(mode.b_sq)
+    return x + (c2 / (c1 * k)) * math.sin(2.0 * k * x) \
+             - (c3 / (c1 * k)) * math.sin(4.0 * k * x)
+
+
+def duffing_solution(params, k, x):
+    """First-order Duffing solution a sin(w k x) + (eps a^3/32 k^2) sin(3 w k x)."""
+    w = omega_ratio(params, k)
+    a = params.a_tilde
+    third = params.eps * a**3 / (32.0 * k**2)
+    return a * math.sin(w * k * x) + third * math.sin(3.0 * w * k * x)
+
+
+def duffing_second_derivative(params, k, x):
+    """Analytic chi'' of duffing_solution."""
+    w = omega_ratio(params, k)
+    a = params.a_tilde
+    third = params.eps * a**3 / (32.0 * k**2)
+    wk = w * k
+    return -a * wk**2 * math.sin(wk * x) \
+        - third * (3.0 * wk)**2 * math.sin(3.0 * wk * x)
+
+
+def duffing_residual(params, k, x):
+    """chi'' + k^2 chi - eps chi^3 for the first-order solution."""
+    chi = duffing_solution(params, k, x)
+    d2 = duffing_second_derivative(params, k, x)
+    return d2 + k**2 * chi - params.eps * chi**3
 
 
 def box_integrand(b_sq, kx):

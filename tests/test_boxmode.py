@@ -134,7 +134,7 @@ def test_path_series_coefficients_at_half():
 
 def _both_paths(mode, xs):
     """The quadratic path of the box-figure kernel and the eighth-order path on xs."""
-    return _column(mode, xs, 0), [boxmode.eighth_order_path(mode, x) for x in xs]
+    return _column(mode, xs, 0), boxmode.eighth_order_path(mode, xs)
 
 
 def test_trajectory_series_wall_pins():
@@ -164,7 +164,7 @@ def test_trajectory_matches_oracle():
     worst = 0.0
     for i in range(1, 32):
         x = i * A_BOX / 32.0
-        q_series = boxmode.eighth_order_path(mode, x)
+        [q_series] = boxmode.eighth_order_path(mode, [x])
         q_oracle = (1.0 / c1) * oracle.integrate(boxmode.path_integrand(mode), 0.0, x)
         worst = max(worst, abs(q_series - q_oracle) / A_BOX)
     assert worst <= 2e-4                   # measured 1.41e-4 over the fine grid
@@ -328,6 +328,26 @@ def test_figure_rows_match_point_functions_bit_for_bit(a, grid, n, ratio):
                        ref.box_wavefunction(mode, mode.sys, x) ** 2)
 
 
+@pytest.mark.parametrize("a", [2.917e-09, 3.64e-09])
+@pytest.mark.parametrize("grid", [2, 257])
+@pytest.mark.parametrize("n,ratio", [(1, 1.0), (1, 1.5), (2, 1.05), (3, 1.95)])
+def test_eighth_order_path_matches_point_form_bit_for_bit(a, grid, n, ratio):
+    mode = boxmode.level_at_ratio(M, a, n, ratio)
+    xs = cli._box_grid(0.0, a, grid)
+    assert boxmode.eighth_order_path(mode, xs) == [ref.box_path_eighth(mode, x) for x in xs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ratio=st.floats(1.0, 2.0, exclude_max=True), n=st.integers(1, 3),
+       fracs=st.lists(st.floats(0.0, 1.0), max_size=50))
+def test_eighth_order_path_matches_point_form_on_drawn_points(ratio, n, fracs):
+    mode = boxmode.level_at_ratio(M, A_BOX, n, ratio)
+    xs = [0.0, *(frac * A_BOX for frac in fracs), A_BOX]
+    expected = [ref.box_path_eighth(mode, x) for x in xs]
+    assert boxmode.eighth_order_path(mode, xs) == expected
+    assert [boxmode.eighth_order_path(mode, [x])[0] for x in xs] == expected
+
+
 @pytest.mark.parametrize("bad", [-1e-30, "above", math.nan])
 def test_figure_rows_reject_a_grid_outside_the_box(bad):
     mode = _fixture()
@@ -336,6 +356,8 @@ def test_figure_rows_reject_a_grid_outside_the_box(bad):
     xs = [0.0, 0.5 * A_BOX, bad, A_BOX]
     with pytest.raises(ValueError, match="grid leaves the box"):
         boxmode.figure_columns(mode, xs)
+    with pytest.raises(ValueError, match="grid leaves the box"):
+        boxmode.eighth_order_path(mode, xs)
 
 
 @settings(max_examples=200, deadline=None)

@@ -526,6 +526,17 @@ def test_repeated_config_key_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_empty_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("levels=3\n=5\n", encoding="utf-8")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"{cfg}:2: expected key=value, got '=5'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_output_dir_from_environment(tmp_path):
     r = _run("spectrum", env={"OUTPUT_DIR": str(tmp_path)})
     assert r.returncode == 0, r.stderr

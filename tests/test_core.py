@@ -119,11 +119,13 @@ _GUARDS = {
     "oracle.finite_diff": (lambda v: oracle.finite_diff(math.sin, 0.0, v, 1), 1e-3),
     "oracle.finite_diff x": (lambda v: oracle.finite_diff(math.sin, v, 1e-3, 1), 0.0),
     "boxmode.integrand_series kx": (lambda v: boxmode.integrand_series(0.5, v), 0.3),
-    "nonlinear.duffing_solution x": (lambda v: nonlinear.duffing_solution(_NL, 1e9, v), 1e-9),
+    # The three columns of nonlinear.duffing_columns, each on a one-element grid.
+    "nonlinear.duffing_solution x": (
+        lambda v: nonlinear.duffing_columns(_NL, 1e9, [v])[0], 1e-9),
     "nonlinear.duffing_second_derivative x": (
-        lambda v: nonlinear.duffing_second_derivative(_NL, 1e9, v), 1e-9),
+        lambda v: nonlinear.duffing_columns(_NL, 1e9, [v])[1], 1e-9),
     "nonlinear.duffing_residual x": (
-        lambda v: nonlinear.duffing_residual(_NL, 1e9, v), 1e-9),
+        lambda v: nonlinear.duffing_columns(_NL, 1e9, [v])[2], 1e-9),
     "oscillator.radial_field_slope r_bar": (
         lambda v: oscillator.radial_field_slope(_OSC_MODE, v), 1e-10),
     "timedep.flux_rows h_x": (

@@ -5,7 +5,10 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _reference as ref
 from pfield import boxmode, nonlinear
 from pfield.core import ELECTRON_MASS
 
@@ -46,7 +49,7 @@ def test_duffing_solution_linear_limit_is_bitwise():
     a = 1e-10
     p0 = nonlinear.NonlinearParams(eps=0.0, a_tilde=a)
     for x in (0.0, 0.3 * A_BOX, 0.77 * A_BOX):
-        assert nonlinear.duffing_solution(p0, K1, x) == a * math.sin(K1 * x)
+        assert nonlinear.duffing_columns(p0, K1, [x])[0] == [a * math.sin(K1 * x)]
 
 
 def test_duffing_residual_vanishes_at_eps_zero():
@@ -54,18 +57,48 @@ def test_duffing_residual_vanishes_at_eps_zero():
     p0 = nonlinear.NonlinearParams(eps=0.0, a_tilde=a)
     scale = K1**2 * a
     for x in (0.1 * A_BOX, 0.45 * A_BOX):
-        assert abs(nonlinear.duffing_residual(p0, K1, x)) <= 1e-14 * scale
+        [residual] = nonlinear.duffing_columns(p0, K1, [x])[2]
+        assert abs(residual) <= 1e-14 * scale
 
 
 def test_duffing_residual_is_second_order():
     a = 1e-10
     x = 0.23 * A_BOX
     eps1 = 1e-4 * K1**2 / a**2
-    r1 = nonlinear.duffing_residual(
-        nonlinear.NonlinearParams(eps=eps1, a_tilde=a), K1, x)
-    r2 = nonlinear.duffing_residual(
-        nonlinear.NonlinearParams(eps=2.0 * eps1, a_tilde=a), K1, x)
+    [r1] = nonlinear.duffing_columns(
+        nonlinear.NonlinearParams(eps=eps1, a_tilde=a), K1, [x])[2]
+    [r2] = nonlinear.duffing_columns(
+        nonlinear.NonlinearParams(eps=2.0 * eps1, a_tilde=a), K1, [x])[2]
     assert 3.9 <= r2 / r1 <= 4.1
+
+
+def _duffing_point_forms(params, k, xs):
+    return ([ref.duffing_solution(params, k, x) for x in xs],
+            [ref.duffing_second_derivative(params, k, x) for x in xs],
+            [ref.duffing_residual(params, k, x) for x in xs])
+
+
+@pytest.mark.parametrize("strength", [-0.1, -1e-3, 0.0, 1e-6, 1e-3, 0.05, 0.1])
+@pytest.mark.parametrize("k_scale", [1.0, 2.0, 3.7])
+def test_duffing_columns_match_point_forms_bit_for_bit(strength, k_scale):
+    a = 1e-10
+    k = k_scale * K1
+    params = nonlinear.NonlinearParams(eps=strength * k**2 / a**2, a_tilde=a)
+    xs = [A_BOX * j / 256.0 for j in range(257)]
+    assert nonlinear.duffing_columns(params, k, xs) == _duffing_point_forms(params, k, xs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(strength=st.floats(-0.1, 0.1), k_scale=st.floats(0.5, 4.0),
+       xs=st.lists(st.floats(-2.0 * A_BOX, 2.0 * A_BOX), min_size=1, max_size=50))
+def test_duffing_columns_match_point_forms_on_drawn_points(strength, k_scale, xs):
+    a = 1e-10
+    k = k_scale * K1
+    params = nonlinear.NonlinearParams(eps=strength * k**2 / a**2, a_tilde=a)
+    expected = _duffing_point_forms(params, k, xs)
+    assert nonlinear.duffing_columns(params, k, xs) == expected
+    for x, chi, chi_xx, residual in zip(xs, *expected):
+        assert nonlinear.duffing_columns(params, k, [x]) == ([chi], [chi_xx], [residual])
 
 
 def test_quantized_k_linear_limit_bitwise():

@@ -5,7 +5,9 @@ A public function or class counts as reached when another module refers
 to it, as ``module.name`` or through ``from .module import name``, or
 when its own module refers to it by name.  A public method counts as
 reached when any module reads an attribute of that name.  Only code
-counts: docstrings, ``__all__`` strings and the tests do not.
+counts: docstrings, ``__all__`` strings and the tests do not.  No module
+imports a name that it never uses; there, ``__init__``'s ``__all__``
+strings count as uses of its re-exports.
 """
 
 from __future__ import annotations
@@ -115,6 +117,44 @@ def test_reachability_rules(tmp_path):
         "from . import a\nfrom .a import imported\n"
         "a.other_only()\nimported()\nx.read()\n", encoding="utf-8")
     assert _unreached(tmp_path) == {"a.unused", "a.Box", "a.Box.never"}
+
+
+def _unused_imports(package: Path) -> list[str]:
+    """module.name for each name a module imports and never refers to; the
+    strings of a module's __all__ count as references."""
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = []
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.stem}.{name}" for name in imported if name not in used]
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert _unused_imports(_PACKAGE) == []
+
+
+def test_unused_import_rules(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from __future__ import annotations\n"
+        "from .a import exported, dropped\n__all__ = ['exported']\n", encoding="utf-8")
+    (tmp_path / "a.py").write_text(
+        "import math\nimport os.path\nimport json as js\n"
+        "from typing import Sequence, Callable\n"
+        "def f(xs: Sequence[float]) -> float:\n    return math.fsum(xs)\n"
+        "os.path.join('a')\n", encoding="utf-8")
+    assert _unused_imports(tmp_path) == ["__init__.dropped", "a.js", "a.Callable"]
 
 
 _SYSTEMS = {"BoxSystem", "OscSystem", "HydrogenSystem"}
