@@ -28,10 +28,12 @@ environment variable, else the working directory.  CSV files carry
 JSON files carry the same content as {"meta": ..., "columns": ...,
 "rows": ...}.  Each subcommand declares its table once, as one mapping of
 `name:unit` headers to the columns its kernels return.  Both formats
-stream it to the file in blocks of _CHUNK_ROWS rows, each cell its repr,
+stream it to the file in blocks of BLOCK_ROWS rows, each cell its repr,
 and differ only in their separators; unequal columns, a non-finite cell
-or meta value are a numeric error (3) and leave no file.  The argument
-parser is built once per process.
+or meta value are a numeric error (3) and leave no file.  A table longer
+than one block is rendered in one process per usable CPU
+(core.run_shares), and its bytes do not depend on that; `taskset -c 0`
+gives one process.  The argument parser is built once per process.
 """
 
 from __future__ import annotations
@@ -43,15 +45,17 @@ import math
 import os
 import sys as _sys
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import boxmode, hydrogen, nonlinear, oracle, oscillator, timedep, verification
-from .core import ELECTRON_MASS
+from .core import BLOCK_ROWS, ELECTRON_MASS, run_shares
 
 _FORMATS = ("csv", "json")
 _Table = Mapping[str, tuple[Callable[[str], object], object]]
-# (name, text chunks) of each file of a set.
-_Files = Iterable[tuple[str, Iterable[str]]]
+# (name, head, block, blocks, tail) of a file: its text is head, then the
+# bytes of block(0), ..., block(blocks - 1), then tail.
+_File = tuple[str, str, Callable[[int], bytes] | None, int, str]
+_Files = Iterable[_File]
 _Runner = Callable[..., tuple[_Files, int]]
 
 
@@ -146,22 +150,26 @@ def output_format(text: str) -> str:
 
 
 def _write(out: str, files: _Files) -> list[Path]:
-    """Write each (name, chunks) to out/name as one set.
+    """Write each file to out/name as one set.
 
-    Every file goes to a temporary name first, its chunks through one open
-    handle, and all are renamed once the last is written, so a failed write
-    leaves none of them.  files and each chunks may be generators, so no
-    file's text need be held whole.
+    Every file goes to a temporary name first, through one open handle,
+    and all are renamed once the last is written, so a failed write leaves
+    none of them.  files may be a generator, and a file's blocks go to its
+    handle one at a time, so no file's text need be held whole.
     """
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     staged: list[tuple[Path, Path]] = []
     try:
-        for name, chunks in files:
+        for name, head, block, blocks, tail in files:
             tmp = out_dir / f".{name}.tmp"
             staged.append((tmp, out_dir / name))
-            with tmp.open("w", encoding="utf-8") as fh:
-                fh.writelines(chunks)
+            with tmp.open("wb") as fh:
+                fh.write(head.encode())
+                run_shares(block, blocks, fh)
+                fh.write(tail.encode())
+            # Let this file's columns go before the next file's are made.
+            del block
         for tmp, path in staged:
             os.replace(tmp, path)
     finally:
@@ -174,10 +182,6 @@ def _json(payload: object) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-# Rows per chunk of a table: its text is built and written this many rows
-# at a time.
-_CHUNK_ROWS = 1024
-
 # (row open, cell separator, row close, row separator, tail) of each format.
 # A CSV row is its bare cells and a JSON row the indented list that
 # json.dumps(indent=2) writes; a cell is its repr in both, which is what
@@ -189,46 +193,45 @@ _ROW_SYNTAX = {
 
 
 def _table(fmt: str, stem: str, meta: Mapping[str, object],
-           table: Mapping[str, Sequence[object]]) -> tuple[str, Iterator[str]]:
-    """File name and text chunks of a table in the chosen format.
+           table: Mapping[str, Sequence[object]]) -> _File:
+    """A table as a file in the chosen format.
 
     table maps each `name:unit` header to its column: the columns are of
-    one nonzero length and hold only floats and ints.  Unequal columns, a
-    non-finite meta value or a non-finite cell raise ValueError as the
-    chunk is made: repr would spell nan or inf, json.dumps NaN or Infinity.
+    one nonzero length and hold only floats and ints.  Unequal columns or a
+    non-finite meta value raise ValueError here, and a non-finite cell as
+    its block is made: repr would spell nan or inf, json.dumps NaN or
+    Infinity.  Each block is BLOCK_ROWS rows with the separator that leads
+    them, and depends on nothing but its index.
     """
     name = f"{stem}.{fmt}"
+    bad = [key for key, value in meta.items()
+           if isinstance(value, float) and not math.isfinite(value)]
+    if bad:
+        raise ValueError(f"{name}: non-finite meta value {', '.join(bad)}")
+    lengths = {len(column) for column in table.values()}
+    if len(lengths) != 1:
+        raise ValueError(f"{name}: columns of unequal lengths {sorted(lengths)}")
+    if fmt == "csv":
+        head = "\n".join([*(f"# {key}={value}" for key, value in meta.items()),
+                          ",".join(table)])
+    else:
+        # rows is the last key in sorted order: cut the "]\n}\n" that
+        # closes its empty list, and the rows follow the "[".
+        head = _json({"meta": dict(meta), "columns": list(table), "rows": []})[:-4]
+    row_open, cell_sep, row_close, row_sep, tail = _ROW_SYNTAX[fmt]
+    between = row_close + row_sep + row_open
 
-    def chunks() -> Iterator[str]:
-        bad = [key for key, value in meta.items()
-               if isinstance(value, float) and not math.isfinite(value)]
-        if bad:
-            raise ValueError(f"{name}: non-finite meta value {', '.join(bad)}")
-        lengths = {len(column) for column in table.values()}
-        if len(lengths) != 1:
-            raise ValueError(f"{name}: columns of unequal lengths {sorted(lengths)}")
-        if fmt == "csv":
-            yield "\n".join([*(f"# {key}={value}" for key, value in meta.items()),
-                             ",".join(table)])
-        else:
-            # rows is the last key in sorted order: cut the "]\n}\n" that
-            # closes its empty list, and the rows follow the "[".
-            yield _json({"meta": dict(meta), "columns": list(table), "rows": []})[:-4]
-        row_open, cell_sep, row_close, row_sep, tail = _ROW_SYNTAX[fmt]
-        between = row_close + row_sep + row_open
-        lead = "\n"
-        for start in range(0, lengths.pop(), _CHUNK_ROWS):
-            cells = (map(repr, column[start:start + _CHUNK_ROWS]) for column in table.values())
-            text = between.join([cell_sep.join(row) for row in zip(*cells, strict=True)])
-            # A letter n marks a non-finite cell, which repr spells nan or
-            # inf: no digit, exponent or separator holds one.
-            if "n" in text:
-                raise ValueError(f"{name}: non-finite cell in the rows from {start + 1}")
-            yield lead + row_open + text + row_close
-            lead = row_sep
-        yield tail
+    def block(b: int) -> bytes:
+        start = b * BLOCK_ROWS
+        cells = (map(repr, column[start:start + BLOCK_ROWS]) for column in table.values())
+        text = between.join([cell_sep.join(row) for row in zip(*cells, strict=True)])
+        # A letter n marks a non-finite cell, which repr spells nan or
+        # inf: no digit, exponent or separator holds one.
+        if "n" in text:
+            raise ValueError(f"{name}: non-finite cell in the rows from {start + 1}")
+        return ((row_sep if b else "\n") + row_open + text + row_close).encode()
 
-    return name, chunks()
+    return name, head, block, -(-lengths.pop() // BLOCK_ROWS), tail
 
 
 def _grid(lo: float, hi: float, n: int) -> list[float]:
@@ -253,7 +256,7 @@ def _cmd_box_figure(*, grid: int = 1000, format: str = "csv", a: float = 2e-9,
               for n, ratio in enumerate(ratios, start=1)]
     xs = _box_grid(0.0, a, grid)
 
-    def table(n: int, ratio: float, mode: boxmode.BoxMode) -> tuple[str, Iterator[str]]:
+    def table(n: int, ratio: float, mode: boxmode.BoxMode) -> _File:
         # One call per file, so no frame holds two files' columns at once.
         meta = {"a": a, "mass": mass, "n": n, "ratio": ratio, "b_sq": mode.b_sq,
                 "g": mode.g_npf, "a_n": mode.a_n,
@@ -286,7 +289,7 @@ def _cmd_osc_trajectory(*, grid: int = 1000, format: str = "csv", alpha: float =
             "amplitude": mode.a_osc, "cap_l": sys.cap_l}
     return [_table(format, "osc_trajectory", meta, {
         "r_bar:m": xs, "q_two:m": q_two, "q_three:m": q_three,
-        "q_oracle:m": list(oracle.cumulative_integrate(integrand, xs)), "chi:m": chi})], 0
+        "q_oracle:m": oracle.cumulative_integrate(integrand, xs), "chi:m": chi})], 0
 
 
 # ----------------------------------------------------------- hydrogen-figure
@@ -353,7 +356,7 @@ def _cmd_verify(*, inject_error: bool = False) -> tuple[_Files, int]:
     for criterion in report["criteria"]:
         tag = "PASS" if criterion["passed"] else "FAIL"
         print(f"{tag} {criterion['ident']}: {criterion['description']}")
-    return [("verify_report.json", [_json(report)])], 0 if report["passed"] else 1
+    return [("verify_report.json", _json(report), None, 0, "")], 0 if report["passed"] else 1
 
 
 _COMMANDS: dict[str, _Runner] = {

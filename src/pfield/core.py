@@ -18,13 +18,19 @@ Composite (particle-field) kinematics along the curved path q(x):
 
 with g a dimensionless path-normalization constant (g = 1 unless a bound
 geometry fixes it otherwise).  All quantities are SI.
+
+run_shares is the package's one route to more than one CPU.  Work longer
+than one block of BLOCK_ROWS rows (a table's rows, a running integral's
+steps) is split across one process per usable CPU, and the bytes it
+writes do not depend on that split; `taskset -c 0` gives one process.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import NamedTuple
+import os
+from typing import BinaryIO, Callable, NamedTuple
 
 PLANCK_H = 6.62607015e-34        # J s (exact)
 HBAR = PLANCK_H / (2.0 * math.pi)
@@ -141,3 +147,89 @@ def pf_force_stationary(g: float, f_p: float, chi_prime: float,
     require_finite(g=g, f_p=f_p, chi_prime=chi_prime, chi_second=chi_second, m=m, v=v)
     root = math.sqrt(1.0 + chi_prime**2)
     return g * (f_p * root + m * v**2 * chi_prime * chi_second / root)
+
+
+# Rows of a table, or steps of a running integral, per block of work.
+BLOCK_ROWS = 1024
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, as nproc counts them; 1 where the
+    platform cannot tell."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _fork(work: Callable[[int], bytes], share: range, spool: BinaryIO) -> int | None:
+    """Pid of a child that writes work(b) for each b of share to spool and
+    exits 0, or exits 1 at the first error; None if the fork fails."""
+    try:
+        pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            for b in share:
+                spool.write(work(b))
+            spool.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
+
+
+def run_shares(work: Callable[[int], bytes], blocks: int, out: BinaryIO) -> None:
+    """Write work(0), work(1), ..., work(blocks - 1) to out, in that order.
+
+    range(blocks) is cut into contiguous shares, one per usable CPU and
+    never more than blocks.  Each share after the first runs in a forked
+    child that writes to a temporary file of its own; the first runs here,
+    straight into out, and then each child's file is copied after it in
+    order.  The bytes are those of the serial loop for any number of
+    shares.  A share whose child fails, or whose fork fails, is redone
+    here, so an error raised by work surfaces with the serial type and
+    message, and a transient failure of a child heals.  There is one share,
+    and no fork, with one usable CPU, one block, no os.fork, or a second
+    thread running.  No child outlives the call.
+    """
+    count = min(blocks, _usable_cpus())
+    if count > 1:
+        # Imported here, not at the top: only a call with more than one
+        # share uses them, and import pfield stays as cheap as before.
+        import shutil
+        import signal
+        import tempfile
+        import threading
+        if not hasattr(os, "fork") or threading.active_count() > 1:
+            count = 1
+    count = max(count, 1)
+    bounds = [blocks * k // count for k in range(count + 1)]
+    shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    children: list[tuple[range, BinaryIO, int | None]] = []
+    running: list[int] = []
+    try:
+        for share in shares[1:]:
+            spool = tempfile.TemporaryFile()
+            pid = _fork(work, share, spool)
+            children.append((share, spool, pid))
+            if pid is not None:
+                running.append(pid)
+        for b in shares[0]:
+            out.write(work(b))
+        for share, spool, pid in children:
+            if pid is not None:
+                _, status = os.waitpid(pid, 0)
+                running.remove(pid)
+                if status == 0:
+                    spool.seek(0)
+                    shutil.copyfileobj(spool, out)
+                    continue
+            for b in share:
+                out.write(work(b))
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for _, spool, _ in children:
+            spool.close()

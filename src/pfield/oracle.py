@@ -9,16 +9,20 @@ only core, and no special-function identities are used anywhere in it.
 
 The quadrature is an adaptive Gauss-Kronrod (G7, K15) bisection scheme with
 an embedded error estimate; identical inputs always traverse the same
-interval tree, so results are bit-reproducible.
+interval tree, so results are bit-reproducible.  A running integral longer
+than one block of BLOCK_ROWS steps takes its steps in one process per
+usable CPU (core.run_shares) and sums them here, left to right, so its
+values do not depend on that split; `taskset -c 0` gives one process.
 """
 
 from __future__ import annotations
 
 import collections
 import math
-from typing import Callable, Iterable, Iterator
+import types
+from typing import Callable, Sequence
 
-from .core import require_finite, require_finite_positive
+from .core import BLOCK_ROWS, require_finite, require_finite_positive, run_shares
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (positive half).
 _XK = (
@@ -141,19 +145,37 @@ def _adapt(f: Callable[[float], float], lo: float, hi: float, abs_budget: float,
             + _adapt(f, mid, hi, abs_budget, depth, spec, sign))
 
 
-def cumulative_integrate(f: Callable[[float], float],
-                         xs: Iterable[float]) -> Iterator[float]:
+def cumulative_integrate(f: Callable[[float], float], xs: Sequence[float]) -> list[float]:
     """Running integral of f from 0 to each x of xs, in order.
 
     One integrate call per step, from the previous point (0 for the first)
-    to x; the steps are summed left to right.
+    to x.  The steps are taken in blocks of BLOCK_ROWS, in one process per
+    usable CPU, and summed left to right here.
     """
-    acc = 0.0
-    prev = 0.0
-    for x in xs:
-        acc += integrate(f, prev, x)
-        prev = x
-        yield acc
+    from array import array  # loaded on first use: import pfield skips it
+
+    def steps(b: int) -> bytes:
+        lo = b * BLOCK_ROWS
+        prev = xs[lo - 1] if lo else 0.0
+        values = array("d")
+        for x in xs[lo:lo + BLOCK_ROWS]:
+            values.append(integrate(f, prev, x))
+            prev = x
+        return values.tobytes()
+
+    running: list[float] = []
+
+    def add(data: bytes) -> None:
+        # run_shares writes whole blocks, in order, and copies a child's
+        # file in reads of shutil.COPY_BUFSIZE (64 KiB), so each write holds
+        # whole steps; a part of one would make cast raise.
+        acc = running[-1] if running else 0.0
+        for step in memoryview(data).cast("d"):
+            acc += step
+            running.append(acc)
+
+    run_shares(steps, -(-len(xs) // BLOCK_ROWS), types.SimpleNamespace(write=add))
+    return running
 
 
 def finite_diff(f: Callable[[float], float], x: float, h: float, order: int) -> float:

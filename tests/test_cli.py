@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference as ref
-from pfield import cli, hydrogen, timedep, verification
+from pfield import cli, core, hydrogen, oracle, timedep, verification
 from pfield.core import HBAR
 
 
@@ -223,7 +223,7 @@ def test_hydrogen_figure_rejects_non_positive_amplitude(tmp_path, capsys, a_ha):
 
 
 class _FullDisk:
-    """An open text file that takes ten characters, then fails with ENOSPC."""
+    """An open file that takes ten bytes, then fails with ENOSPC."""
 
     def __init__(self, fh):
         self._fh = fh
@@ -234,8 +234,8 @@ class _FullDisk:
     def __exit__(self, *exc_info):
         self._fh.close()
 
-    def writelines(self, chunks):
-        self._fh.write(next(iter(chunks))[:10])
+    def write(self, data):
+        self._fh.write(data[:10])
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), self._fh.name)
 
 
@@ -287,7 +287,9 @@ def test_verify_failed_write_prints_its_verdicts_and_no_path(tmp_path, capsys,
 
 
 def test_box_figure_failed_write_leaves_no_file_of_the_set(tmp_path, capsys,
-                                                           monkeypatch):
+                                                           monkeypatch, no_child_left):
+    # The first file is written in two shares, one of them a child's.
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
     path_open = Path.open
     written = []
 
@@ -298,7 +300,8 @@ def test_box_figure_failed_write_leaves_no_file_of_the_set(tmp_path, capsys,
         return path_open(path, *args, **kwargs)
 
     monkeypatch.setattr(Path, "open", fail_on_second_file)
-    assert cli.main(["box-figure", "--grid", "16", "--out", str(tmp_path)]) == 2
+    assert cli.main(["box-figure", "--grid", str(2 * cli.BLOCK_ROWS + 1),
+                     "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert written == [".box_figure_n1.csv.tmp", ".box_figure_n2.csv.tmp"]
     assert list(tmp_path.iterdir()) == []
@@ -313,13 +316,34 @@ def test_non_finite_cell_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatc
     def one_bad_cell(*args):
         flux, residual = flux_columns(*args)
         # The first block is written before the second, which holds the cell.
-        flux[cli._CHUNK_ROWS] = bad
+        flux[cli.BLOCK_ROWS] = bad
         return flux, residual
 
     monkeypatch.setattr(timedep, "flux_columns", one_bad_cell)
-    assert cli.main(["flux-check", "--grid", str(cli._CHUNK_ROWS + 2),
+    assert cli.main(["flux-check", "--grid", str(cli.BLOCK_ROWS + 2),
                      "--format", fmt, "--out", str(tmp_path)]) == 3
     assert "non-finite cell" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("fmt", cli._FORMATS)
+def test_non_finite_cell_in_the_last_share_exits_3_and_writes_nothing(
+        tmp_path, capsys, monkeypatch, no_child_left, fmt, cpus):
+    flux_columns = timedep.flux_columns
+
+    def last_cell_bad(*args):
+        flux, residual = flux_columns(*args)
+        flux[-1] = math.nan
+        return flux, residual
+
+    monkeypatch.setattr(timedep, "flux_columns", last_cell_bad)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+    # Three blocks: the bad cell is alone in the third, a child's share.
+    assert cli.main(["flux-check", "--grid", str(2 * cli.BLOCK_ROWS + 1),
+                     "--format", fmt, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.endswith(
+        f"flux_check.{fmt}: non-finite cell in the rows from {2 * cli.BLOCK_ROWS + 1}\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -337,7 +361,7 @@ def test_ragged_table_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch,
         return tuple(columns)
 
     monkeypatch.setattr(hydrogen, "figure_columns", one_row_short)
-    assert cli.main(["hydrogen-figure", "--grid", str(2 * cli._CHUNK_ROWS + 1),
+    assert cli.main(["hydrogen-figure", "--grid", str(2 * cli.BLOCK_ROWS + 1),
                      "--format", fmt, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert f"hydrogen_figure.{fmt}: columns of unequal lengths" in err
@@ -763,7 +787,7 @@ def test_json_outputs_match_golden_digests(tmp_path, capsys, args):
     assert digests == _GOLDEN_JSON[args]
 
 
-# SHA-256 of each table at grid 2049, which fills two blocks of _CHUNK_ROWS
+# SHA-256 of each table at grid 2049, which fills two blocks of BLOCK_ROWS
 # rows and puts one row in a third, in both formats; recorded before the
 # kernels returned columns, so rendering columns block by block must keep
 # every row whole across a block edge.
@@ -807,10 +831,57 @@ _GOLDEN_2049 = {
 @pytest.mark.parametrize("fmt", cli._FORMATS)
 @pytest.mark.parametrize("args", list(_GOLDEN_2049), ids=" ".join)
 def test_outputs_across_block_edges_match_golden_digests(tmp_path, capsys, args, fmt):
-    assert 2 * cli._CHUNK_ROWS + 1 == 2049
+    assert 2 * cli.BLOCK_ROWS + 1 == 2049
     assert cli.main([*args, "--grid", "2049", "--format", fmt,
                      "--out", str(tmp_path)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
     assert digests == {name: digest for name, digest in _GOLDEN_2049[args].items()
                        if name.endswith(f".{fmt}")}
+
+
+_SHARED = [("box-figure",), ("osc-trajectory", "--n", "0"), ("osc-trajectory", "--n", "1"),
+           ("flux-check",), ("hydrogen-figure",)]
+
+
+@pytest.mark.parametrize("fmt", cli._FORMATS)
+@pytest.mark.parametrize("grid", [2 * cli.BLOCK_ROWS + 1, 5 * cli.BLOCK_ROWS + 3])
+@pytest.mark.parametrize("args", _SHARED, ids=" ".join)
+def test_bytes_do_not_depend_on_the_share_count(tmp_path, capsys, monkeypatch, no_child_left,
+                                                args, grid, fmt):
+    digests = {}
+    for cpus in (1, 2, 3, 5):
+        monkeypatch.setattr(core, "_usable_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / str(cpus)
+        assert cli.main([*args, "--grid", str(grid), "--format", fmt,
+                         "--out", str(out)]) == 0
+        digests[cpus] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                         for p in out.iterdir()}
+    assert digests[2] == digests[3] == digests[5] == digests[1]
+    if grid == 2049:
+        assert digests[1] == {name: digest for name, digest in _GOLDEN_2049[args].items()
+                              if name.endswith(f".{fmt}")}
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("args", _SHARED[:2], ids=" ".join)
+def test_a_child_that_dies_before_writing_leaves_the_golden_bytes(tmp_path, capsys,
+                                                                  monkeypatch, no_child_left,
+                                                                  args, cpus):
+    parent = os.getpid()
+    run_shares = core.run_shares
+
+    def children_that_die(work, blocks, out):
+        def work_or_die(b):
+            if os.getpid() != parent:
+                os._exit(1)
+            return work(b)
+        run_shares(work_or_die, blocks, out)
+
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "run_shares", children_that_die)
+    monkeypatch.setattr(oracle, "run_shares", children_that_die)
+    assert cli.main([*args, "--grid", "2049", "--out", str(tmp_path)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == {name: digest for name, digest in _GOLDEN_2049[args].items()
+                       if name.endswith(".csv")}

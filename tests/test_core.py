@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import errno
 import inspect
+import io
 import math
+import os
+import signal
+import threading
+import time
 
 import pytest
 
-from pfield import boxmode, hydrogen, nonlinear, oracle, oscillator, timedep
+from pfield import boxmode, core, hydrogen, nonlinear, oracle, oscillator, timedep
 from pfield.core import (
     BOHR_RADIUS,
     ELECTRON_MASS,
@@ -310,3 +316,118 @@ def test_pf_force_tracks_oracle_path_curvature():
         devs.append(abs(fd - f) / abs(f))
     assert devs[1] <= 1e-5          # measured 4.99e-6 at h = a/800
     assert 3.5 <= devs[0] / devs[1] <= 4.5
+
+
+def _block(b):
+    """A block of uneven length that names its index."""
+    return f"<{b}:{'x' * (b % 7)}>".encode()
+
+
+def _serial(work, blocks):
+    return b"".join(map(work, range(blocks)))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+@pytest.mark.parametrize("blocks", range(8))
+def test_run_shares_writes_the_serial_bytes_for_any_share_count(monkeypatch, no_child_left,
+                                                                cpus, blocks):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+    out = io.BytesIO()
+    core.run_shares(_block, blocks, out)
+    assert out.getvalue() == _serial(_block, blocks)
+
+
+@pytest.mark.parametrize("cpus,blocks,forks", [(1, 8, 0), (2, 8, 1), (5, 8, 4), (5, 3, 2),
+                                               (5, 1, 0), (5, 0, 0)])
+def test_run_shares_forks_one_child_per_share_after_the_first(monkeypatch, no_child_left,
+                                                              cpus, blocks, forks):
+    fork, pids = os.fork, []
+
+    def recording_fork():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    core.run_shares(_block, blocks, io.BytesIO())
+    assert len(pids) == forks
+
+
+def test_run_shares_does_not_fork_beside_a_running_thread(monkeypatch, no_child_left):
+    def no_fork():
+        raise AssertionError("forked beside a running thread")
+
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        out = io.BytesIO()
+        core.run_shares(_block, 8, out)
+    finally:
+        release.set()
+        thread.join()
+    assert out.getvalue() == _serial(_block, 8)
+
+
+def test_run_shares_redoes_a_share_whose_fork_fails(monkeypatch, no_child_left):
+    def failed_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(os, "fork", failed_fork)
+    out = io.BytesIO()
+    core.run_shares(_block, 7, out)
+    assert out.getvalue() == _serial(_block, 7)
+
+
+@pytest.mark.parametrize("death", ["exit", "kill"])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_run_shares_redoes_the_share_of_a_child_that_dies(monkeypatch, no_child_left,
+                                                          death, cpus):
+    parent = os.getpid()
+
+    def work(b):
+        if os.getpid() != parent:
+            if death == "exit":
+                os._exit(1)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return _block(b)
+
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+    out = io.BytesIO()
+    core.run_shares(work, 7, out)
+    assert out.getvalue() == _serial(_block, 7)
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 5])
+def test_run_shares_raises_the_serial_error_of_the_last_share(monkeypatch, no_child_left,
+                                                              cpus):
+    def work(b):
+        if b == 5:
+            raise OverflowError(f"block {b} overflows")
+        return _block(b)
+
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+    out = io.BytesIO()
+    with pytest.raises(OverflowError, match="^block 5 overflows$"):
+        core.run_shares(work, 6, out)
+    # The serial loop, too, writes every block before the failing one.
+    assert out.getvalue() == _serial(_block, 5)
+
+
+def test_run_shares_kills_its_children_when_its_own_share_fails(monkeypatch, no_child_left):
+    parent = os.getpid()
+
+    def work(b):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise ValueError("the first share fails")
+
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 3)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="the first share fails"):
+        core.run_shares(work, 3, io.BytesIO())
+    assert time.monotonic() - start < 30

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import ast
+import functools
 import math
 from pathlib import Path
 
 import pytest
 
-from pfield import boxmode, oracle, oscillator
+from pfield import boxmode, core, oracle, oscillator
 from pfield.core import ELECTRON_MASS, HBAR
 
 
@@ -223,12 +224,66 @@ def test_cumulative_integrate_matches_box_loop():
         _running_box_loop(f, sys.a, 200)
 
 
-def test_cumulative_integrate_is_lazy_and_starts_at_zero():
-    running = oracle.cumulative_integrate(math.cos, iter([1.0, 2.0]))
-    assert next(running) == oracle.integrate(math.cos, 0.0, 1.0)
-    assert next(running) == oracle.integrate(math.cos, 0.0, 1.0) \
-        + oracle.integrate(math.cos, 1.0, 2.0)
-    assert list(running) == []
+def test_cumulative_integrate_starts_at_zero_and_sums_left_to_right():
+    running = oracle.cumulative_integrate(math.cos, [1.0, 2.0])
+    assert running == [oracle.integrate(math.cos, 0.0, 1.0),
+                       oracle.integrate(math.cos, 0.0, 1.0)
+                       + oracle.integrate(math.cos, 1.0, 2.0)]
+    assert oracle.cumulative_integrate(math.cos, []) == []
+
+
+_SIZES = [core.BLOCK_ROWS - 1, core.BLOCK_ROWS, core.BLOCK_ROWS + 1, 2 * core.BLOCK_ROWS + 1]
+
+
+@functools.cache
+def _osc_case(n, points):
+    alpha = 1e20
+    sys = oscillator.OscSystem(mu=ELECTRON_MASS, omega0=alpha * HBAR / ELECTRON_MASS,
+                               cap_l=math.sqrt(101.0 / alpha))
+    f = oscillator.path_integrand(oscillator.make_mode(sys, n))
+    r_max = 5.0 / math.sqrt(alpha)
+    xs = [-r_max + 2.0 * r_max * i / (points - 1) for i in range(points)]
+    return f, xs, _running_osc_loop(f, xs)
+
+
+@functools.cache
+def _box_case(points):
+    sys, mode = _box_mode()
+    f = boxmode.path_integrand(mode)
+    return f, [sys.a * i / points for i in range(1, points + 1)], \
+        _running_box_loop(f, sys.a, points)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+@pytest.mark.parametrize("points", _SIZES)
+@pytest.mark.parametrize("case", ["osc0", "osc1", "box"])
+def test_cumulative_integrate_matches_the_loops_for_any_share_count(monkeypatch, no_child_left,
+                                                                     cpus, points, case):
+    f, xs, expected = _box_case(points) if case == "box" else _osc_case(int(case[-1]), points)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+    assert oracle.cumulative_integrate(f, xs) == expected
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_quadrature_error_in_the_last_share_is_the_serial_error(monkeypatch, no_child_left,
+                                                                cpus):
+    """An integrand that turns nan past a point fails the last step only."""
+    xs = [i / 1000.0 for i in range(1, 2 * core.BLOCK_ROWS + 2)]
+
+    def f(x):
+        return math.nan if x > xs[-2] else math.cos(x)
+
+    errors = []
+    for count in (1, cpus):
+        monkeypatch.setattr(core, "_usable_cpus", lambda count=count: count)
+        with pytest.raises(oracle.QuadratureError) as exc:
+            oracle.cumulative_integrate(f, xs)
+        errors.append(exc.value)
+    serial, shared = errors
+    assert str(shared) == str(serial)
+    assert "failed to converge" in str(shared)
+    assert repr(shared.best_estimate) == repr(serial.best_estimate) == "nan"
+    assert repr(shared.error_bound) == repr(serial.error_bound)
 
 
 def _integrate_closure(f, a, b, spec=oracle.DEFAULT_QUADRATURE):

@@ -1,7 +1,8 @@
-"""The streamed table writer against the whole-text builder it replaced.
+"""The block table writer against the whole-text builder it replaced.
 
 The writer takes a table as columns and the builder took it as rows, so
-each test's rows are transposed for the writer."""
+each test's rows are transposed for the writer.  A table's text is its
+head, its blocks in index order and its tail."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from pfield import cli
 
 _COLUMNS = ("x:m", "n:1", "y:1/s")
 _META = {"a": 2e-09, "n": 3, "ratio": 1.5, "label": "[0.5, 1.0]"}
-_C = cli._CHUNK_ROWS
+_C = cli.BLOCK_ROWS
 
 
 def _table(fmt, meta, columns, rows):
@@ -26,9 +27,9 @@ def _table(fmt, meta, columns, rows):
 
 
 def _text(fmt, meta, columns, rows):
-    name, chunks = _table(fmt, meta, columns, rows)
+    name, head, block, blocks, tail = _table(fmt, meta, columns, rows)
     assert name == f"table.{fmt}"
-    return "".join(chunks)
+    return head + b"".join(map(block, range(blocks))).decode() + tail
 
 
 def _rows(count):
@@ -44,9 +45,13 @@ def test_chunks_join_to_the_whole_text_at_every_block_edge(fmt, count):
 
 @pytest.mark.parametrize("fmt", cli._FORMATS)
 def test_chunks_cover_at_most_one_block_of_rows_each(fmt):
-    _, chunks = _table(fmt, _META, _COLUMNS, _rows(2 * _C + 1))
-    # head, three row blocks, tail
-    assert len(list(chunks)) == 5
+    _, _, block, blocks, _ = _table(fmt, _META, _COLUMNS, _rows(2 * _C + 1))
+    # Each row starts on a new line: bare in CSV, at its "[" in JSON.
+    opener = "\n" if fmt == "csv" else "\n    ["
+    assert [block(b).decode().count(opener) for b in range(blocks)] == [_C, _C, 1]
+    # A block depends on nothing but its index, not on the blocks made before.
+    assert [block(b) for b in reversed(range(blocks))] == \
+        [block(b) for b in range(blocks)][::-1]
 
 
 _EDGE_CELLS = [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e22,
@@ -70,9 +75,8 @@ def test_meta_strings_with_quotes_and_non_ascii_text(fmt):
 
 @pytest.mark.parametrize("fmt", cli._FORMATS)
 def test_non_finite_meta_value_raises(fmt):
-    _, chunks = _table(fmt, {**_META, "ratio": math.nan}, _COLUMNS, _rows(2))
     with pytest.raises(ValueError, match="non-finite meta value ratio"):
-        next(chunks)
+        _table(fmt, {**_META, "ratio": math.nan}, _COLUMNS, _rows(2))
 
 
 _CELL = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
@@ -85,5 +89,5 @@ _CELL = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
            lambda width: st.lists(st.tuples(*[_CELL] * width), min_size=1, max_size=12)))
 def test_random_finite_rows_are_written_as_before(fmt, chunk_rows, rows):
     columns = tuple(f"c{i}:1" for i in range(len(rows[0])))
-    with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(cli, "BLOCK_ROWS", chunk_rows):
         assert _text(fmt, _META, columns, rows) == ref.table_text(fmt, _META, columns, rows)
