@@ -28,12 +28,12 @@ environment variable, else the working directory.  CSV files carry
 JSON files carry the same content as {"meta": ..., "columns": ...,
 "rows": ...}.  Each subcommand declares its table once, as one mapping of
 `name:unit` headers to the columns its kernels return.  Both formats
-stream it to the file in blocks of BLOCK_ROWS rows, each cell its repr,
-and differ only in their separators; unequal columns, a non-finite cell
-or meta value are a numeric error (3) and leave no file.  A table longer
-than one block is rendered in one process per usable CPU
-(core.run_shares), and its bytes do not depend on that; `taskset -c 0`
-gives one process.  The argument parser is built once per process.
+stream it to the file in the row spans that core.run_shares hands out, in
+one process per usable CPU, each cell its repr, and differ only in their
+separators; the bytes do not depend on the process count (`taskset -c 0`
+gives one).  Unequal columns, a non-finite cell or meta value are a
+numeric error (3) and leave no file.  The argument parser is built once
+per process.
 """
 
 from __future__ import annotations
@@ -48,13 +48,13 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import boxmode, hydrogen, nonlinear, oracle, oscillator, timedep, verification
-from .core import BLOCK_ROWS, ELECTRON_MASS, run_shares
+from .core import ELECTRON_MASS, run_shares
 
 _FORMATS = ("csv", "json")
 _Table = Mapping[str, tuple[Callable[[str], object], object]]
-# (name, head, block, blocks, tail) of a file: its text is head, then the
-# bytes of block(0), ..., block(blocks - 1), then tail.
-_File = tuple[str, str, Callable[[int], bytes] | None, int, str]
+# (name, head, block, rows, tail) of a file: its text is head, then
+# block(start, stop) for each span run_shares cuts from range(rows), then tail.
+_File = tuple[str, str, Callable[[int, int], bytes] | None, int, str]
 _Files = Iterable[_File]
 _Runner = Callable[..., tuple[_Files, int]]
 
@@ -161,12 +161,12 @@ def _write(out: str, files: _Files) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     staged: list[tuple[Path, Path]] = []
     try:
-        for name, head, block, blocks, tail in files:
+        for name, head, block, rows, tail in files:
             tmp = out_dir / f".{name}.tmp"
             staged.append((tmp, out_dir / name))
             with tmp.open("wb") as fh:
                 fh.write(head.encode())
-                run_shares(block, blocks, fh)
+                run_shares(block, rows, fh)
                 fh.write(tail.encode())
             # Let this file's columns go before the next file's are made.
             del block
@@ -200,8 +200,8 @@ def _table(fmt: str, stem: str, meta: Mapping[str, object],
     one nonzero length and hold only floats and ints.  Unequal columns or a
     non-finite meta value raise ValueError here, and a non-finite cell as
     its block is made: repr would spell nan or inf, json.dumps NaN or
-    Infinity.  Each block is BLOCK_ROWS rows with the separator that leads
-    them, and depends on nothing but its index.
+    Infinity.  block(start, stop) is the rows of that span with the
+    separator that leads them, and depends on nothing but the span.
     """
     name = f"{stem}.{fmt}"
     bad = [key for key, value in meta.items()
@@ -221,17 +221,16 @@ def _table(fmt: str, stem: str, meta: Mapping[str, object],
     row_open, cell_sep, row_close, row_sep, tail = _ROW_SYNTAX[fmt]
     between = row_close + row_sep + row_open
 
-    def block(b: int) -> bytes:
-        start = b * BLOCK_ROWS
-        cells = (map(repr, column[start:start + BLOCK_ROWS]) for column in table.values())
+    def block(start: int, stop: int) -> bytes:
+        cells = (map(repr, column[start:stop]) for column in table.values())
         text = between.join([cell_sep.join(row) for row in zip(*cells, strict=True)])
         # A letter n marks a non-finite cell, which repr spells nan or
         # inf: no digit, exponent or separator holds one.
         if "n" in text:
             raise ValueError(f"{name}: non-finite cell in the rows from {start + 1}")
-        return ((row_sep if b else "\n") + row_open + text + row_close).encode()
+        return ((row_sep if start else "\n") + row_open + text + row_close).encode()
 
-    return name, head, block, -(-lengths.pop() // BLOCK_ROWS), tail
+    return name, head, block, lengths.pop(), tail
 
 
 def _grid(lo: float, hi: float, n: int) -> list[float]:

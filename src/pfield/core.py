@@ -19,10 +19,10 @@ Composite (particle-field) kinematics along the curved path q(x):
 with g a dimensionless path-normalization constant (g = 1 unless a bound
 geometry fixes it otherwise).  All quantities are SI.
 
-run_shares is the package's one route to more than one CPU.  Work longer
-than one block of BLOCK_ROWS rows (a table's rows, a running integral's
-steps) is split across one process per usable CPU, and the bytes it
-writes do not depend on that split; `taskset -c 0` gives one process.
+run_shares is the package's one route to more than one CPU and the one
+owner of the block size: it hands a run of items (a table's rows, a running
+integral's steps) to work in spans of BLOCK_ROWS, one process per usable
+CPU, and the bytes do not depend on that split; `taskset -c 0` gives one.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def pf_force_stationary(g: float, f_p: float, chi_prime: float,
     return g * (f_p * root + m * v**2 * chi_prime * chi_second / root)
 
 
-# Rows of a table, or steps of a running integral, per block of work.
+# Rows of a table, or steps of a running integral, per span of work.
 BLOCK_ROWS = 1024
 
 
@@ -160,9 +160,12 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else 1
 
 
-def _fork(work: Callable[[int], bytes], share: range, spool: BinaryIO) -> int | None:
-    """Pid of a child that writes work(b) for each b of share to spool and
-    exits 0, or exits 1 at the first error; None if the fork fails."""
+_Spans = list[tuple[int, int]]
+
+
+def _fork(work: Callable[[int, int], bytes], share: _Spans, spool: BinaryIO) -> int | None:
+    """Pid of a child that writes work(*span) for each span of share to
+    spool and exits 0, or exits 1 at the first error; None if fork fails."""
     try:
         pid = os.fork()
     except OSError:
@@ -170,8 +173,8 @@ def _fork(work: Callable[[int], bytes], share: range, spool: BinaryIO) -> int | 
     if pid == 0:
         code = 1
         try:
-            for b in share:
-                spool.write(work(b))
+            for start, stop in share:
+                spool.write(work(start, stop))
             spool.flush()
             code = 0
         finally:
@@ -179,21 +182,24 @@ def _fork(work: Callable[[int], bytes], share: range, spool: BinaryIO) -> int | 
     return pid
 
 
-def run_shares(work: Callable[[int], bytes], blocks: int, out: BinaryIO) -> None:
-    """Write work(0), work(1), ..., work(blocks - 1) to out, in that order.
+def run_shares(work: Callable[[int, int], bytes], items: int, out: BinaryIO) -> None:
+    """Write work(start, stop) to out for each span of range(items), in order.
 
-    range(blocks) is cut into contiguous shares, one per usable CPU and
-    never more than blocks.  Each share after the first runs in a forked
-    child that writes to a temporary file of its own; the first runs here,
-    straight into out, and then each child's file is copied after it in
-    order.  The bytes are those of the serial loop for any number of
-    shares.  A share whose child fails, or whose fork fails, is redone
-    here, so an error raised by work surfaces with the serial type and
-    message, and a transient failure of a child heals.  There is one share,
-    and no fork, with one usable CPU, one block, no os.fork, or a second
-    thread running.  No child outlives the call.
+    range(items) is cut into spans of BLOCK_ROWS items, the last one
+    stopping at items, and the spans into contiguous shares, one per
+    usable CPU and never more than spans.  Each share after the first
+    runs in a forked child that writes to a temporary file of its own; the
+    first runs here, straight into out, and then each child's file is
+    copied after it in order.  The bytes are those of the serial loop for
+    any number of shares.  A share whose child fails, or whose fork fails,
+    is redone here, so an error raised by work surfaces with the serial
+    type and message, and a transient failure of a child heals.  There is
+    one share, and no fork, with one usable CPU, one span, no os.fork, or
+    a second thread running.  No child outlives the call.
     """
-    count = min(blocks, _usable_cpus())
+    spans = [(start, min(start + BLOCK_ROWS, items))
+             for start in range(0, items, BLOCK_ROWS)]
+    count = min(len(spans), _usable_cpus())
     if count > 1:
         # Imported here, not at the top: only a call with more than one
         # share uses them, and import pfield stays as cheap as before.
@@ -204,9 +210,9 @@ def run_shares(work: Callable[[int], bytes], blocks: int, out: BinaryIO) -> None
         if not hasattr(os, "fork") or threading.active_count() > 1:
             count = 1
     count = max(count, 1)
-    bounds = [blocks * k // count for k in range(count + 1)]
-    shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    children: list[tuple[range, BinaryIO, int | None]] = []
+    bounds = [len(spans) * k // count for k in range(count + 1)]
+    shares = [spans[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    children: list[tuple[_Spans, BinaryIO, int | None]] = []
     running: list[int] = []
     try:
         for share in shares[1:]:
@@ -215,8 +221,8 @@ def run_shares(work: Callable[[int], bytes], blocks: int, out: BinaryIO) -> None
             children.append((share, spool, pid))
             if pid is not None:
                 running.append(pid)
-        for b in shares[0]:
-            out.write(work(b))
+        for start, stop in shares[0]:
+            out.write(work(start, stop))
         for share, spool, pid in children:
             if pid is not None:
                 _, status = os.waitpid(pid, 0)
@@ -225,8 +231,8 @@ def run_shares(work: Callable[[int], bytes], blocks: int, out: BinaryIO) -> None
                     spool.seek(0)
                     shutil.copyfileobj(spool, out)
                     continue
-            for b in share:
-                out.write(work(b))
+            for start, stop in share:
+                out.write(work(start, stop))
     finally:
         for pid in running:
             os.kill(pid, signal.SIGKILL)

@@ -9,20 +9,21 @@ only core, and no special-function identities are used anywhere in it.
 
 The quadrature is an adaptive Gauss-Kronrod (G7, K15) bisection scheme with
 an embedded error estimate; identical inputs always traverse the same
-interval tree, so results are bit-reproducible.  A running integral longer
-than one block of BLOCK_ROWS steps takes its steps in one process per
-usable CPU (core.run_shares) and sums them here, left to right, so its
-values do not depend on that split; `taskset -c 0` gives one process.
+interval tree, so results are bit-reproducible.  A running integral takes
+its steps through core.run_shares, in one process per usable CPU, and is
+then one fold of those steps, left to right from 0.0, so its values do not
+depend on that split; `taskset -c 0` gives one process.
 """
 
 from __future__ import annotations
 
 import collections
+import io
 import math
-import types
+from itertools import accumulate
 from typing import Callable, Sequence
 
-from .core import BLOCK_ROWS, require_finite, require_finite_positive, run_shares
+from .core import require_finite, require_finite_positive, run_shares
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (positive half).
 _XK = (
@@ -145,36 +146,28 @@ def _adapt(f: Callable[[float], float], lo: float, hi: float, abs_budget: float,
             + _adapt(f, mid, hi, abs_budget, depth, spec, sign))
 
 
-def cumulative_integrate(f: Callable[[float], float], xs: Sequence[float]) -> list[float]:
-    """Running integral of f from 0 to each x of xs, in order.
+def cumulative_integrate(f: Callable[[float], float], xs: Sequence[float]) -> Sequence[float]:
+    """Running integral of f from 0 to each x of xs, in order, as an array('d').
 
     One integrate call per step, from the previous point (0 for the first)
-    to x.  The steps are taken in blocks of BLOCK_ROWS, in one process per
-    usable CPU, and summed left to right here.
+    to x.  The steps are taken through core.run_shares, in one process per
+    usable CPU, into one buffer, and then folded once: summed left to
+    right from 0.0, so the values do not depend on that split.
     """
     from array import array  # loaded on first use: import pfield skips it
 
-    def steps(b: int) -> bytes:
-        lo = b * BLOCK_ROWS
-        prev = xs[lo - 1] if lo else 0.0
+    def steps(start: int, stop: int) -> bytes:
+        prev = xs[start - 1] if start else 0.0
         values = array("d")
-        for x in xs[lo:lo + BLOCK_ROWS]:
+        for x in xs[start:stop]:
             values.append(integrate(f, prev, x))
             prev = x
         return values.tobytes()
 
-    running: list[float] = []
-
-    def add(data: bytes) -> None:
-        # run_shares writes whole blocks, in order, and copies a child's
-        # file in reads of shutil.COPY_BUFSIZE (64 KiB), so each write holds
-        # whole steps; a part of one would make cast raise.
-        acc = running[-1] if running else 0.0
-        for step in memoryview(data).cast("d"):
-            acc += step
-            running.append(acc)
-
-    run_shares(steps, -(-len(xs) // BLOCK_ROWS), types.SimpleNamespace(write=add))
+    buffer = io.BytesIO()
+    run_shares(steps, len(xs), buffer)
+    running = array("d", accumulate(buffer.getbuffer().cast("d"), initial=0.0))
+    del running[0]
     return running
 
 

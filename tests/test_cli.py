@@ -300,7 +300,7 @@ def test_box_figure_failed_write_leaves_no_file_of_the_set(tmp_path, capsys,
         return path_open(path, *args, **kwargs)
 
     monkeypatch.setattr(Path, "open", fail_on_second_file)
-    assert cli.main(["box-figure", "--grid", str(2 * cli.BLOCK_ROWS + 1),
+    assert cli.main(["box-figure", "--grid", str(2 * core.BLOCK_ROWS + 1),
                      "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert written == [".box_figure_n1.csv.tmp", ".box_figure_n2.csv.tmp"]
@@ -316,11 +316,11 @@ def test_non_finite_cell_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatc
     def one_bad_cell(*args):
         flux, residual = flux_columns(*args)
         # The first block is written before the second, which holds the cell.
-        flux[cli.BLOCK_ROWS] = bad
+        flux[core.BLOCK_ROWS] = bad
         return flux, residual
 
     monkeypatch.setattr(timedep, "flux_columns", one_bad_cell)
-    assert cli.main(["flux-check", "--grid", str(cli.BLOCK_ROWS + 2),
+    assert cli.main(["flux-check", "--grid", str(core.BLOCK_ROWS + 2),
                      "--format", fmt, "--out", str(tmp_path)]) == 3
     assert "non-finite cell" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
@@ -340,10 +340,10 @@ def test_non_finite_cell_in_the_last_share_exits_3_and_writes_nothing(
     monkeypatch.setattr(timedep, "flux_columns", last_cell_bad)
     monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
     # Three blocks: the bad cell is alone in the third, a child's share.
-    assert cli.main(["flux-check", "--grid", str(2 * cli.BLOCK_ROWS + 1),
+    assert cli.main(["flux-check", "--grid", str(2 * core.BLOCK_ROWS + 1),
                      "--format", fmt, "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.endswith(
-        f"flux_check.{fmt}: non-finite cell in the rows from {2 * cli.BLOCK_ROWS + 1}\n")
+        f"flux_check.{fmt}: non-finite cell in the rows from {2 * core.BLOCK_ROWS + 1}\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -361,7 +361,7 @@ def test_ragged_table_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch,
         return tuple(columns)
 
     monkeypatch.setattr(hydrogen, "figure_columns", one_row_short)
-    assert cli.main(["hydrogen-figure", "--grid", str(2 * cli.BLOCK_ROWS + 1),
+    assert cli.main(["hydrogen-figure", "--grid", str(2 * core.BLOCK_ROWS + 1),
                      "--format", fmt, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert f"hydrogen_figure.{fmt}: columns of unequal lengths" in err
@@ -636,10 +636,13 @@ def test_verify_without_docstrings_describes_each_criterion_by_its_ident(tmp_pat
 
 def test_import_leaves_out_dataclasses_and_inspect():
     """Every run pays for `import pfield.cli`; the records and the option
-    tables are built without the dataclasses and inspect machinery."""
+    tables are built without the dataclasses and inspect machinery, and
+    the modules that only forked shares or the running integral use are
+    loaded on first use."""
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import pfield.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'shutil', 'tempfile', 'signal', "
+            "'threading', 'array'} & set(sys.modules)))")
     r = subprocess.run([sys.executable, "-I", "-S", "-c", code],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
@@ -831,7 +834,7 @@ _GOLDEN_2049 = {
 @pytest.mark.parametrize("fmt", cli._FORMATS)
 @pytest.mark.parametrize("args", list(_GOLDEN_2049), ids=" ".join)
 def test_outputs_across_block_edges_match_golden_digests(tmp_path, capsys, args, fmt):
-    assert 2 * cli.BLOCK_ROWS + 1 == 2049
+    assert 2 * core.BLOCK_ROWS + 1 == 2049
     assert cli.main([*args, "--grid", "2049", "--format", fmt,
                      "--out", str(tmp_path)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -845,7 +848,7 @@ _SHARED = [("box-figure",), ("osc-trajectory", "--n", "0"), ("osc-trajectory", "
 
 
 @pytest.mark.parametrize("fmt", cli._FORMATS)
-@pytest.mark.parametrize("grid", [2 * cli.BLOCK_ROWS + 1, 5 * cli.BLOCK_ROWS + 3])
+@pytest.mark.parametrize("grid", [2 * core.BLOCK_ROWS + 1, 5 * core.BLOCK_ROWS + 3])
 @pytest.mark.parametrize("args", _SHARED, ids=" ".join)
 def test_bytes_do_not_depend_on_the_share_count(tmp_path, capsys, monkeypatch, no_child_left,
                                                 args, grid, fmt):
@@ -871,12 +874,12 @@ def test_a_child_that_dies_before_writing_leaves_the_golden_bytes(tmp_path, caps
     parent = os.getpid()
     run_shares = core.run_shares
 
-    def children_that_die(work, blocks, out):
-        def work_or_die(b):
+    def children_that_die(work, items, out):
+        def work_or_die(start, stop):
             if os.getpid() != parent:
                 os._exit(1)
-            return work(b)
-        run_shares(work_or_die, blocks, out)
+            return work(start, stop)
+        run_shares(work_or_die, items, out)
 
     monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(cli, "run_shares", children_that_die)

@@ -318,13 +318,21 @@ def test_pf_force_tracks_oracle_path_curvature():
     assert 3.5 <= devs[0] / devs[1] <= 4.5
 
 
-def _block(b):
-    """A block of uneven length that names its index."""
-    return f"<{b}:{'x' * (b % 7)}>".encode()
+_C = core.BLOCK_ROWS
 
 
-def _serial(work, blocks):
-    return b"".join(map(work, range(blocks)))
+def _block(start, stop):
+    """A block of uneven length that names its span."""
+    return f"<{start}-{stop}:{'x' * (start // _C % 7)}>".encode()
+
+
+def _items(blocks):
+    """Item count whose last span is short, filling the given number of blocks."""
+    return max(0, blocks * _C - 5)
+
+
+def _serial(work, items):
+    return b"".join(work(start, min(start + _C, items)) for start in range(0, items, _C))
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
@@ -333,8 +341,20 @@ def test_run_shares_writes_the_serial_bytes_for_any_share_count(monkeypatch, no_
                                                                 cpus, blocks):
     monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
     out = io.BytesIO()
-    core.run_shares(_block, blocks, out)
-    assert out.getvalue() == _serial(_block, blocks)
+    core.run_shares(_block, _items(blocks), out)
+    assert out.getvalue() == _serial(_block, _items(blocks))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+@pytest.mark.parametrize("items", [0, 1, _C - 1, _C, _C + 1, 2 * _C + 1])
+def test_run_shares_spans_cover_the_items_once_in_order(monkeypatch, no_child_left,
+                                                        cpus, items):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+    out = io.BytesIO()
+    core.run_shares(lambda start, stop: f"{start} {stop}\n".encode(), items, out)
+    spans = [tuple(map(int, line.split())) for line in out.getvalue().decode().splitlines()]
+    assert [i for start, stop in spans for i in range(start, stop)] == list(range(items))
+    assert all(0 < stop - start <= _C and stop <= items for start, stop in spans)
 
 
 @pytest.mark.parametrize("cpus,blocks,forks", [(1, 8, 0), (2, 8, 1), (5, 8, 4), (5, 3, 2),
@@ -350,7 +370,7 @@ def test_run_shares_forks_one_child_per_share_after_the_first(monkeypatch, no_ch
 
     monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(os, "fork", recording_fork)
-    core.run_shares(_block, blocks, io.BytesIO())
+    core.run_shares(_block, _items(blocks), io.BytesIO())
     assert len(pids) == forks
 
 
@@ -365,11 +385,11 @@ def test_run_shares_does_not_fork_beside_a_running_thread(monkeypatch, no_child_
     thread.start()
     try:
         out = io.BytesIO()
-        core.run_shares(_block, 8, out)
+        core.run_shares(_block, _items(8), out)
     finally:
         release.set()
         thread.join()
-    assert out.getvalue() == _serial(_block, 8)
+    assert out.getvalue() == _serial(_block, _items(8))
 
 
 def test_run_shares_redoes_a_share_whose_fork_fails(monkeypatch, no_child_left):
@@ -379,8 +399,8 @@ def test_run_shares_redoes_a_share_whose_fork_fails(monkeypatch, no_child_left):
     monkeypatch.setattr(core, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(os, "fork", failed_fork)
     out = io.BytesIO()
-    core.run_shares(_block, 7, out)
-    assert out.getvalue() == _serial(_block, 7)
+    core.run_shares(_block, _items(7), out)
+    assert out.getvalue() == _serial(_block, _items(7))
 
 
 @pytest.mark.parametrize("death", ["exit", "kill"])
@@ -389,39 +409,39 @@ def test_run_shares_redoes_the_share_of_a_child_that_dies(monkeypatch, no_child_
                                                           death, cpus):
     parent = os.getpid()
 
-    def work(b):
+    def work(start, stop):
         if os.getpid() != parent:
             if death == "exit":
                 os._exit(1)
             os.kill(os.getpid(), signal.SIGKILL)
-        return _block(b)
+        return _block(start, stop)
 
     monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
     out = io.BytesIO()
-    core.run_shares(work, 7, out)
-    assert out.getvalue() == _serial(_block, 7)
+    core.run_shares(work, _items(7), out)
+    assert out.getvalue() == _serial(_block, _items(7))
 
 
 @pytest.mark.parametrize("cpus", [2, 3, 5])
 def test_run_shares_raises_the_serial_error_of_the_last_share(monkeypatch, no_child_left,
                                                               cpus):
-    def work(b):
-        if b == 5:
-            raise OverflowError(f"block {b} overflows")
-        return _block(b)
+    def work(start, stop):
+        if start == 5 * _C:
+            raise OverflowError(f"block from {start} overflows")
+        return _block(start, stop)
 
     monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
     out = io.BytesIO()
-    with pytest.raises(OverflowError, match="^block 5 overflows$"):
-        core.run_shares(work, 6, out)
+    with pytest.raises(OverflowError, match=f"^block from {5 * _C} overflows$"):
+        core.run_shares(work, _items(6), out)
     # The serial loop, too, writes every block before the failing one.
-    assert out.getvalue() == _serial(_block, 5)
+    assert out.getvalue() == _serial(_block, 5 * _C)
 
 
 def test_run_shares_kills_its_children_when_its_own_share_fails(monkeypatch, no_child_left):
     parent = os.getpid()
 
-    def work(b):
+    def work(start, stop):
         if os.getpid() != parent:
             time.sleep(60)
         raise ValueError("the first share fails")
@@ -429,5 +449,5 @@ def test_run_shares_kills_its_children_when_its_own_share_fails(monkeypatch, no_
     monkeypatch.setattr(core, "_usable_cpus", lambda: 3)
     start = time.monotonic()
     with pytest.raises(ValueError, match="the first share fails"):
-        core.run_shares(work, 3, io.BytesIO())
+        core.run_shares(work, _items(3), io.BytesIO())
     assert time.monotonic() - start < 30

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import functools
 import math
+import shutil
 from pathlib import Path
 
 import pytest
@@ -226,10 +227,11 @@ def test_cumulative_integrate_matches_box_loop():
 
 def test_cumulative_integrate_starts_at_zero_and_sums_left_to_right():
     running = oracle.cumulative_integrate(math.cos, [1.0, 2.0])
-    assert running == [oracle.integrate(math.cos, 0.0, 1.0),
-                       oracle.integrate(math.cos, 0.0, 1.0)
-                       + oracle.integrate(math.cos, 1.0, 2.0)]
-    assert oracle.cumulative_integrate(math.cos, []) == []
+    assert running.typecode == "d"
+    assert list(running) == [oracle.integrate(math.cos, 0.0, 1.0),
+                             oracle.integrate(math.cos, 0.0, 1.0)
+                             + oracle.integrate(math.cos, 1.0, 2.0)]
+    assert list(oracle.cumulative_integrate(math.cos, [])) == []
 
 
 _SIZES = [core.BLOCK_ROWS - 1, core.BLOCK_ROWS, core.BLOCK_ROWS + 1, 2 * core.BLOCK_ROWS + 1]
@@ -261,7 +263,18 @@ def test_cumulative_integrate_matches_the_loops_for_any_share_count(monkeypatch,
                                                                      cpus, points, case):
     f, xs, expected = _box_case(points) if case == "box" else _osc_case(int(case[-1]), points)
     monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
-    assert oracle.cumulative_integrate(f, xs) == expected
+    assert list(oracle.cumulative_integrate(f, xs)) == expected
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_cumulative_integrate_does_not_depend_on_copy_chunking(monkeypatch, no_child_left,
+                                                               cpus):
+    """A child's steps are copied in reads of shutil.COPY_BUFSIZE bytes; a
+    read that ends inside a step must not change the running integral."""
+    f, xs, expected = _osc_case(1, 2 * core.BLOCK_ROWS + 1)
+    monkeypatch.setattr(shutil, "COPY_BUFSIZE", 1001)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+    assert list(oracle.cumulative_integrate(f, xs)) == expected
 
 
 @pytest.mark.parametrize("cpus", [2, 3])

@@ -2,10 +2,12 @@
 
 The writer takes a table as columns and the builder took it as rows, so
 each test's rows are transposed for the writer.  A table's text is its
-head, its blocks in index order and its tail."""
+head, the blocks of the row spans core.run_shares hands out, in order, and
+its tail."""
 
 from __future__ import annotations
 
+import io
 import math
 from unittest import mock
 
@@ -14,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference as ref
-from pfield import cli
+from pfield import cli, core
 
 _COLUMNS = ("x:m", "n:1", "y:1/s")
 _META = {"a": 2e-09, "n": 3, "ratio": 1.5, "label": "[0.5, 1.0]"}
-_C = cli.BLOCK_ROWS
+_C = core.BLOCK_ROWS
 
 
 def _table(fmt, meta, columns, rows):
@@ -27,9 +29,11 @@ def _table(fmt, meta, columns, rows):
 
 
 def _text(fmt, meta, columns, rows):
-    name, head, block, blocks, tail = _table(fmt, meta, columns, rows)
-    assert name == f"table.{fmt}"
-    return head + b"".join(map(block, range(blocks))).decode() + tail
+    name, head, block, count, tail = _table(fmt, meta, columns, rows)
+    assert name == f"table.{fmt}" and count == len(rows)
+    out = io.BytesIO()
+    core.run_shares(block, count, out)
+    return head + out.getvalue().decode() + tail
 
 
 def _rows(count):
@@ -45,13 +49,14 @@ def test_chunks_join_to_the_whole_text_at_every_block_edge(fmt, count):
 
 @pytest.mark.parametrize("fmt", cli._FORMATS)
 def test_chunks_cover_at_most_one_block_of_rows_each(fmt):
-    _, _, block, blocks, _ = _table(fmt, _META, _COLUMNS, _rows(2 * _C + 1))
+    _, _, block, count, _ = _table(fmt, _META, _COLUMNS, _rows(2 * _C + 1))
+    spans = [(0, _C), (_C, 2 * _C), (2 * _C, count)]
     # Each row starts on a new line: bare in CSV, at its "[" in JSON.
     opener = "\n" if fmt == "csv" else "\n    ["
-    assert [block(b).decode().count(opener) for b in range(blocks)] == [_C, _C, 1]
-    # A block depends on nothing but its index, not on the blocks made before.
-    assert [block(b) for b in reversed(range(blocks))] == \
-        [block(b) for b in range(blocks)][::-1]
+    assert [block(*span).decode().count(opener) for span in spans] == [_C, _C, 1]
+    # A block depends on nothing but its span, not on the blocks made before.
+    assert [block(*span) for span in reversed(spans)] == \
+        [block(*span) for span in spans][::-1]
 
 
 _EDGE_CELLS = [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e22,
@@ -89,5 +94,5 @@ _CELL = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
            lambda width: st.lists(st.tuples(*[_CELL] * width), min_size=1, max_size=12)))
 def test_random_finite_rows_are_written_as_before(fmt, chunk_rows, rows):
     columns = tuple(f"c{i}:1" for i in range(len(rows[0])))
-    with mock.patch.object(cli, "BLOCK_ROWS", chunk_rows):
+    with mock.patch.object(core, "BLOCK_ROWS", chunk_rows):
         assert _text(fmt, _META, columns, rows) == ref.table_text(fmt, _META, columns, rows)
