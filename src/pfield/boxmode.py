@@ -30,7 +30,7 @@ import collections
 import math
 from typing import Callable, NamedTuple, Sequence
 
-from .core import (HBAR, EnergyBudget, require_finite, require_finite_positive,
+from .core import (HBAR, EnergyBudget, column, require_finite, require_finite_positive,
                    require_level)
 
 
@@ -189,7 +189,7 @@ def path_series_coefficients(b_sq: float) -> tuple[float, float, float]:
     return c1, c2, c3
 
 
-def eighth_order_path(mode: BoxMode, xs: Sequence[float]) -> list[float]:
+def eighth_order_path(mode: BoxMode, xs: Sequence[float]) -> Sequence[float]:
     """Composite path q_n of the eighth-order integrand on the grid xs,
     pinned to q(0) = 0 and q(a) = a, with one wall check.
 
@@ -202,7 +202,7 @@ def eighth_order_path(mode: BoxMode, xs: Sequence[float]) -> list[float]:
     k = mode.k_n
     c1, c2, c3 = path_series_coefficients(mode.b_sq)
     w2, w4 = c2 / (c1 * k), c3 / (c1 * k)
-    return [x + w2 * math.sin(2.0 * k * x) - w4 * math.sin(4.0 * k * x) for x in xs]
+    return column(x + w2 * math.sin(2.0 * k * x) - w4 * math.sin(4.0 * k * x) for x in xs)
 
 
 def harmonic_weight(b_sq: float) -> float:
@@ -211,7 +211,7 @@ def harmonic_weight(b_sq: float) -> float:
     return b_sq / (2.0 * (b_sq + 4.0))
 
 
-def figure_columns(mode: BoxMode, xs: Sequence[float]) -> tuple[list[float], ...]:
+def figure_columns(mode: BoxMode, xs: Sequence[float]) -> tuple[Sequence[float], ...]:
     """Columns (q, q/x, chi, psi^2) of the box figure on the grid xs.
 
     q is the quadratic-order path x + [b^2/(b^2 + 4)] sin(2kx)/(2k), with
@@ -230,9 +230,10 @@ def figure_columns(mode: BoxMode, xs: Sequence[float]) -> tuple[list[float], ...
     amp = math.sqrt(2.0 / a)
     n_pi = mode.n * math.pi
     sin = math.sin
-    q = [x + coeff * sin(2.0 * k * x) for x in xs]
-    return (q, [q_x / x if x > 0.0 else slope0 for q_x, x in zip(q, xs)],
-            [a_n * sin(k * x) for x in xs], [(amp * sin(n_pi * x / a)) ** 2 for x in xs])
+    q = column(x + coeff * sin(2.0 * k * x) for x in xs)
+    return (q, column(q_x / x if x > 0.0 else slope0 for q_x, x in zip(q, xs)),
+            column(a_n * sin(k * x) for x in xs),
+            column((amp * sin(n_pi * x / a)) ** 2 for x in xs))
 
 
 def velocity(mode: BoxMode, x: float, v_p: float) -> float:

@@ -27,8 +27,10 @@ environment variable, else the working directory.  CSV files carry
 `# key=value` caption lines followed by a single `name:unit` header row;
 JSON files carry the same content as {"meta": ..., "columns": ...,
 "rows": ...}.  Each subcommand declares its table once, as one mapping of
-`name:unit` headers to the columns its kernels return.  Both formats
-stream it to the file in the row spans that core.run_shares hands out, in
+`name:unit` headers to the columns its kernels return.  The grid and every
+kernel column is an array('d') (core.column), 8 bytes a value; only
+spectrum's few short columns stay a range and lists.  Both formats stream
+a table to the file in the row spans that core.run_shares hands out, in
 one process per usable CPU, each cell its repr, and differ only in their
 separators; the bytes do not depend on the process count (`taskset -c 0`
 gives one).  Unequal columns, a non-finite cell or meta value are a
@@ -44,11 +46,12 @@ import json
 import math
 import os
 import sys as _sys
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import boxmode, hydrogen, nonlinear, oracle, oscillator, timedep, verification
-from .core import ELECTRON_MASS, run_shares
+from .core import ELECTRON_MASS, column, run_shares
 
 _FORMATS = ("csv", "json")
 _Table = Mapping[str, tuple[Callable[[str], object], object]]
@@ -233,12 +236,12 @@ def _table(fmt: str, stem: str, meta: Mapping[str, object],
     return name, head, block, lengths.pop(), tail
 
 
-def _grid(lo: float, hi: float, n: int) -> list[float]:
+def _grid(lo: float, hi: float, n: int) -> Sequence[float]:
     step = (hi - lo) / (n - 1)
-    return [lo + step * i for i in range(n)]
+    return column(lo + step * i for i in range(n))
 
 
-def _box_grid(lo: float, hi: float, n: int) -> list[float]:
+def _box_grid(lo: float, hi: float, n: int) -> Sequence[float]:
     """_grid with its last point clamped to hi, which rounding can overshoot."""
     xs = _grid(lo, hi, n)
     xs[-1] = min(xs[-1], hi)
@@ -339,7 +342,7 @@ def _cmd_flux_check(*, grid: int = 1000, format: str = "csv", a: float = 2e-9,
     meta = {
         "a": a, "mass": mass, "t": t0, "h_x": h_x, "h_t": h_t,
         # A nan residual is skipped here and caught as a cell.
-        "max_abs_residual": max(0.0, *map(abs, residual)),
+        "max_abs_residual": max(chain((0.0,), map(abs, residual))),
         "p_mean": timedep.expectation_p(beat, t0),
         "p_sq_mean": timedep.expectation_p2(beat, t0),
         "norm": timedep.norm(beat, t0),

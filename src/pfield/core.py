@@ -19,6 +19,9 @@ Composite (particle-field) kinematics along the curved path q(x):
 with g a dimensionless path-normalization constant (g = 1 unless a bound
 geometry fixes it otherwise).  All quantities are SI.
 
+column is the package's one column type: an array('d') of the values, 8
+bytes each where a list of floats holds 32.
+
 run_shares is the package's one route to more than one CPU and the one
 owner of the block size: it hands a run of items (a table's rows, a running
 integral's steps) to work in spans of BLOCK_ROWS, one process per usable
@@ -30,7 +33,10 @@ from __future__ import annotations
 import enum
 import math
 import os
-from typing import BinaryIO, Callable, NamedTuple
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, NamedTuple
+
+if TYPE_CHECKING:
+    from array import array
 
 PLANCK_H = 6.62607015e-34        # J s (exact)
 HBAR = PLANCK_H / (2.0 * math.pi)
@@ -147,6 +153,13 @@ def pf_force_stationary(g: float, f_p: float, chi_prime: float,
     require_finite(g=g, f_p=f_p, chi_prime=chi_prime, chi_second=chi_second, m=m, v=v)
     root = math.sqrt(1.0 + chi_prime**2)
     return g * (f_p * root + m * v**2 * chi_prime * chi_second / root)
+
+
+def column(values: Iterable[float]) -> array[float]:
+    """values as an array('d'), taken one at a time, so no list of them is
+    made first."""
+    from array import array  # loaded on first call: import pfield skips it
+    return array("d", values)
 
 
 # Rows of a table, or steps of a running integral, per span of work.

@@ -31,8 +31,8 @@ import math
 from typing import NamedTuple, Sequence
 
 from . import _angular, oracle
-from .core import (GAUSSIAN_CHARGE_SQ, HBAR, require_finite, require_finite_positive,
-                   require_level)
+from .core import (GAUSSIAN_CHARGE_SQ, HBAR, column, require_finite,
+                   require_finite_positive, require_level)
 
 
 class HydrogenSystem(collections.namedtuple("HydrogenSystem", "z mu")):
@@ -212,7 +212,7 @@ def _envelope_2p(sys: HydrogenSystem, a_ha: float, r: float) -> float:
 
 
 def figure_columns(sys: HydrogenSystem, a_ha: float, r: float,
-                   thetas: Sequence[float]) -> tuple[list[float], list[float]]:
+                   thetas: Sequence[float]) -> tuple[Sequence[float], Sequence[float]]:
     """Columns (q_p0/r, q_pm1/r) of the hydrogen figure on the grid thetas.
 
     p0:           q = r [1 + (a^2/8pi)  e^(-Zr/a0) (1 + cos^2 theta)]
@@ -226,8 +226,8 @@ def figure_columns(sys: HydrogenSystem, a_ha: float, r: float,
     if not all(math.isfinite(theta) for theta in thetas):
         raise ValueError("grid of angles must be finite")
     half_env = 0.5 * env
-    return ([r * (1.0 + env * (1.0 + c * c)) / r for c in map(math.cos, thetas)],
-            [r * (1.0 + half_env * (1.0 + s * s)) / r for s in map(math.sin, thetas)])
+    return (column(r * (1.0 + env * (1.0 + c * c)) / r for c in map(math.cos, thetas)),
+            column(r * (1.0 + half_env * (1.0 + s * s)) / r for s in map(math.sin, thetas)))
 
 
 def cross_sections_2p(sys: HydrogenSystem, a_ha: float,

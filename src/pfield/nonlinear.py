@@ -26,7 +26,7 @@ import math
 from typing import Sequence
 
 from .boxmode import BoxMode
-from .core import HBAR, require_finite, require_finite_positive
+from .core import HBAR, column, require_finite, require_finite_positive
 
 VALIDITY_LIMIT = 0.1
 
@@ -61,7 +61,7 @@ def omega_ratio(params: NonlinearParams, k: float) -> float:
 
 
 def duffing_columns(params: NonlinearParams, k: float,
-                    xs: Sequence[float]) -> tuple[list[float], list[float], list[float]]:
+                    xs: Sequence[float]) -> tuple[Sequence[float], ...]:
     """Columns (chi, chi'', residual) of the first-order solution on the grid xs.
 
     chi = a sin(w k x) + (eps a^3/32 k^2) sin(3 w k x), the bounded solution
@@ -80,10 +80,10 @@ def duffing_columns(params: NonlinearParams, k: float,
     k_sq = k**2
     sin = math.sin
     # 3.0 * w * k * x (in chi) and 3.0 * wk * x (in chi'') round differently; both stay.
-    chi = [a * sin(wk * x) + third * sin(3.0 * w * k * x) for x in xs]
-    chi_xx = [-a * wk**2 * sin(wk * x) - third * (3.0 * wk)**2 * sin(3.0 * wk * x)
-              for x in xs]
-    return chi, chi_xx, [d2 + k_sq * c - eps * c**3 for c, d2 in zip(chi, chi_xx)]
+    chi = column(a * sin(wk * x) + third * sin(3.0 * w * k * x) for x in xs)
+    chi_xx = column(-a * wk**2 * sin(wk * x) - third * (3.0 * wk)**2 * sin(3.0 * wk * x)
+                    for x in xs)
+    return chi, chi_xx, column(d2 + k_sq * c - eps * c**3 for c, d2 in zip(chi, chi_xx))
 
 
 def quantized_k(params: NonlinearParams, mode: BoxMode) -> float:

@@ -23,7 +23,7 @@ import math
 from itertools import accumulate
 from typing import Callable, Sequence
 
-from .core import require_finite, require_finite_positive, run_shares
+from .core import column, require_finite, require_finite_positive, run_shares
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (positive half).
 _XK = (
@@ -154,11 +154,10 @@ def cumulative_integrate(f: Callable[[float], float], xs: Sequence[float]) -> Se
     usable CPU, into one buffer, and then folded once: summed left to
     right from 0.0, so the values do not depend on that split.
     """
-    from array import array  # loaded on first use: import pfield skips it
 
     def steps(start: int, stop: int) -> bytes:
         prev = xs[start - 1] if start else 0.0
-        values = array("d")
+        values = column(())
         for x in xs[start:stop]:
             values.append(integrate(f, prev, x))
             prev = x
@@ -166,7 +165,7 @@ def cumulative_integrate(f: Callable[[float], float], xs: Sequence[float]) -> Se
 
     buffer = io.BytesIO()
     run_shares(steps, len(xs), buffer)
-    running = array("d", accumulate(buffer.getbuffer().cast("d"), initial=0.0))
+    running = column(accumulate(buffer.getbuffer().cast("d"), initial=0.0))
     del running[0]
     return running
 

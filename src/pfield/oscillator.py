@@ -29,7 +29,7 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 from . import _angular
-from .core import HBAR, require_finite, require_finite_positive, require_level
+from .core import HBAR, column, require_finite, require_finite_positive, require_level
 
 
 class OscSystem(collections.namedtuple("OscSystem", "mu omega0 cap_l")):
@@ -198,8 +198,7 @@ def path_integrand(mode: OscMode) -> Callable[[float], float]:
     raise ValueError(f"path slope not tabulated for n={mode.n}")
 
 
-def figure_columns(mode: OscMode,
-                   xs: Sequence[float]) -> tuple[list[float], list[float], list[float]]:
+def figure_columns(mode: OscMode, xs: Sequence[float]) -> tuple[Sequence[float], ...]:
     """Columns (dq_two, dq_three, chi) of the oscillator figure on xs, n <= 1.
 
     dq_two and dq_three are the field parts q - r_bar of the composite
@@ -231,10 +230,10 @@ def figure_columns(mode: OscMode,
     neg_alpha = -alpha
     neg_half_alpha = -0.5 * alpha
     exp = math.exp
-    envs = [exp(neg_alpha * r * r) for r in xs]
-    dq_two = [c_two * r**power * env for r, env in zip(xs, envs)]
-    return (dq_two, [dq + c_three * r**5 * env for r, dq, env in zip(xs, dq_two, envs)],
-            [a_osc * r**n * exp(neg_half_alpha * r * r) for r in xs])
+    envs = column(exp(neg_alpha * r * r) for r in xs)
+    dq_two = column(c_two * r**power * env for r, env in zip(xs, envs))
+    return (dq_two, column(dq + c_three * r**5 * env for r, dq, env in zip(xs, dq_two, envs)),
+            column(a_osc * r**n * exp(neg_half_alpha * r * r) for r in xs))
 
 
 def amplitude_estimate(sys: OscSystem, n: int) -> float:

@@ -33,7 +33,7 @@ from typing import Sequence
 
 from . import oracle
 from .boxmode import BoxMode, BoxSystem, _check_inside, make_mode
-from .core import HBAR, require_finite, require_finite_positive, require_level
+from .core import HBAR, column, require_finite, require_finite_positive, require_level
 
 # (c_j sqrt(2/a), k_j, e^(-i E_j t/hbar)) for each component j at one time t.
 _Terms = tuple[tuple[complex, float, complex], ...]
@@ -143,7 +143,7 @@ def density(field, x: float, t: float) -> float:
 
 
 def flux_columns(s: Superposition, xs: Sequence[float], t: float,
-                 h_x: float, h_t: float) -> tuple[list[float], list[float]]:
+                 h_x: float, h_t: float) -> tuple[Sequence[float], Sequence[float]]:
     """Columns (j, residual) of the flux check on the grid xs.
 
     j is the probability flux (hbar/m) Im(Psi* dPsi/dx) at (x, t), and
@@ -166,7 +166,7 @@ def flux_columns(s: Superposition, xs: Sequence[float], t: float,
     two_h_x = 2.0 * h_x
     two_h_t = 2.0 * h_t
     sin, cos = math.sin, math.cos
-    flux, residual = [], []
+    flux, residual = column(()), column(())
     for x in xs:
         x_l = x - h_x
         x_r = x + h_x

@@ -334,7 +334,8 @@ def test_figure_rows_match_point_functions_bit_for_bit(a, grid, n, ratio):
 def test_eighth_order_path_matches_point_form_bit_for_bit(a, grid, n, ratio):
     mode = boxmode.level_at_ratio(M, a, n, ratio)
     xs = cli._box_grid(0.0, a, grid)
-    assert boxmode.eighth_order_path(mode, xs) == [ref.box_path_eighth(mode, x) for x in xs]
+    assert list(boxmode.eighth_order_path(mode, xs)) == [ref.box_path_eighth(mode, x)
+                                                         for x in xs]
 
 
 @settings(max_examples=300, deadline=None)
@@ -344,7 +345,7 @@ def test_eighth_order_path_matches_point_form_on_drawn_points(ratio, n, fracs):
     mode = boxmode.level_at_ratio(M, A_BOX, n, ratio)
     xs = [0.0, *(frac * A_BOX for frac in fracs), A_BOX]
     expected = [ref.box_path_eighth(mode, x) for x in xs]
-    assert boxmode.eighth_order_path(mode, xs) == expected
+    assert list(boxmode.eighth_order_path(mode, xs)) == expected
     assert [boxmode.eighth_order_path(mode, [x])[0] for x in xs] == expected
 
 

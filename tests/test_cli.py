@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from array import array
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference as ref
-from pfield import cli, core, hydrogen, oracle, timedep, verification
+from pfield import (boxmode, cli, core, hydrogen, nonlinear, oracle, oscillator, timedep,
+                    verification)
 from pfield.core import HBAR
 
 
@@ -345,6 +347,60 @@ def test_non_finite_cell_in_the_last_share_exits_3_and_writes_nothing(
     assert capsys.readouterr().err.endswith(
         f"flux_check.{fmt}: non-finite cell in the rows from {2 * core.BLOCK_ROWS + 1}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("place", [0, -1])
+def test_non_finite_residual_is_a_cell_not_a_meta_value(tmp_path, capsys, monkeypatch,
+                                                        place):
+    # max_abs_residual skips a nan residual wherever it sits, even first,
+    # and the table then refuses it as a cell.
+    flux_columns = timedep.flux_columns
+
+    def bad_residual(*args):
+        flux, residual = flux_columns(*args)
+        residual[place] = math.nan
+        return flux, residual
+
+    monkeypatch.setattr(timedep, "flux_columns", bad_residual)
+    assert cli.main(["flux-check", "--grid", "16", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "flux_check.csv: non-finite cell in the rows from 1" in err
+    assert "meta" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _flux_columns():
+    beat, t0, h_x, h_t = timedep.equal_weight_beat(core.ELECTRON_MASS, 2e-9)
+    return timedep.flux_columns(beat, [1e-9], t0, h_x, h_t)
+
+
+_BOX_MODE = (core.ELECTRON_MASS, 2e-9, 1, 1.5)
+# Each function that makes a table column, with small arguments, as a
+# list of the columns it returns.
+_COLUMN_MAKERS = {
+    "cli._grid": lambda: [cli._grid(0.0, 1.0, 5)],
+    "cli._box_grid": lambda: [cli._box_grid(0.0, 1.0, 5)],
+    "boxmode.figure_columns": lambda: boxmode.figure_columns(
+        boxmode.level_at_ratio(*_BOX_MODE), [0.0, 1e-9]),
+    "boxmode.eighth_order_path": lambda: [boxmode.eighth_order_path(
+        boxmode.level_at_ratio(*_BOX_MODE), [0.0, 1e-9])],
+    "oscillator.figure_columns": lambda: oscillator.figure_columns(oscillator.make_mode(
+        oscillator.system_at_alpha(1e20, core.ELECTRON_MASS), 1), [0.0, 1e-10]),
+    "hydrogen.figure_columns": lambda: hydrogen.figure_columns(
+        hydrogen.HydrogenSystem(z=1.0, mu=core.ELECTRON_MASS), 0.1, 5e-11, [0.0, 1.0]),
+    "timedep.flux_columns": _flux_columns,
+    "nonlinear.duffing_columns": lambda: nonlinear.duffing_columns(
+        nonlinear.NonlinearParams(eps=0.0, a_tilde=1e-10), 1e9, [0.0, 1e-9]),
+    "oracle.cumulative_integrate": lambda: [oracle.cumulative_integrate(math.cos, [1.0])],
+}
+
+
+@pytest.mark.parametrize("maker", _COLUMN_MAKERS)
+def test_columns_are_double_arrays(maker):
+    columns = _COLUMN_MAKERS[maker]()
+    assert columns
+    for column in columns:
+        assert isinstance(column, array) and column.typecode == "d"
 
 
 @pytest.mark.parametrize("fmt", cli._FORMATS)
