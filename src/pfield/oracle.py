@@ -53,19 +53,18 @@ _WG = (
     0.381830050505119,
     0.417959183673469,
 )
+# Deepest bisection level: a panel that still fails there raises.
+_MAX_DEPTH = 50
 
 
-class QuadratureSpec(collections.namedtuple("QuadratureSpec", "rel_tol abs_tol max_depth")):
-    """Tolerances and recursion limit for the adaptive integrator."""
+class QuadratureSpec(collections.namedtuple("QuadratureSpec", "rel_tol abs_tol")):
+    """Tolerances for the adaptive integrator."""
 
     __slots__ = ()
 
-    def __new__(cls, rel_tol: float = 1e-10, abs_tol: float = 1e-14,
-                max_depth: int = 50) -> QuadratureSpec:
+    def __new__(cls, rel_tol: float = 1e-10, abs_tol: float = 1e-14) -> QuadratureSpec:
         require_finite_positive(rel_tol=rel_tol, abs_tol=abs_tol)
-        if max_depth < 10:
-            raise ValueError("max_depth must be at least 10")
-        return super().__new__(cls, rel_tol, abs_tol, max_depth)
+        return super().__new__(cls, rel_tol, abs_tol)
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -114,7 +113,7 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     budget being split evenly on bisection; the scheme is therefore
     additive over subintervals of the same tree.  Raises ValueError for a
     non-finite bound or width, and QuadratureError (best estimate
-    attached) if max_depth is reached anywhere.
+    attached) if a panel still fails at depth _MAX_DEPTH.
     """
     if not math.isfinite(b - a):
         raise ValueError(f"integration interval must be finite, got [{a}, {b}]")
@@ -134,7 +133,7 @@ def _adapt(f: Callable[[float], float], lo: float, hi: float, abs_budget: float,
     value, err = _gk15(f, lo, hi)
     if err <= max(abs_budget, spec.rel_tol * abs(value)):
         return value
-    if depth >= spec.max_depth:
+    if depth >= _MAX_DEPTH:
         raise QuadratureError(
             f"quadrature failed to converge on [{lo}, {hi}] "
             f"at depth {depth} (error estimate {err:.3e})",

@@ -29,7 +29,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import oracle
 from .boxmode import BoxMode, BoxSystem, _check_inside, make_mode
@@ -94,33 +94,28 @@ class Superposition(collections.namedtuple("Superposition", "components")):
              complex(math.cos(mode.e_n * t / HBAR), -math.sin(mode.e_n * t / HBAR)))
             for mode, c in self.components)
 
-    def value(self, x: float, t: float) -> complex:
-        _check_inside(self.a, x)
-        psi = 0j
-        for c_amp, k, phase in self._terms(t):
-            psi += c_amp * math.sin(k * x) * phase
-        return psi
-
-    def d_dx(self, x: float, t: float) -> complex:
-        _check_inside(self.a, x)
-        out = 0j
-        for c_amp, k, phase in self._terms(t):
-            out += c_amp * k * math.cos(k * x) * phase
-        return out
-
-    def d2_dx2(self, x: float, t: float) -> complex:
-        _check_inside(self.a, x)
-        out = 0j
-        for c_amp, k, phase in self._terms(t):
-            out -= c_amp * k**2 * math.sin(k * x) * phase
-        return out
-
-    def d_dt(self, x: float, t: float) -> complex:
+    def _sum(self, x: float, t: float, term: Callable[..., complex]) -> complex:
+        """Sum over the components of term(c_j sqrt(2/a), k_j, k_j x,
+        e^(-i E_j t/hbar), E_j), once x is checked to lie inside the box."""
         _check_inside(self.a, x)
         out = 0j
         for (c_amp, k, phase), (mode, _) in zip(self._terms(t), self.components):
-            out += c_amp * math.sin(k * x) * phase * complex(0.0, -mode.e_n / HBAR)
+            out += term(c_amp, k, k * x, phase, mode.e_n)
         return out
+
+    def value(self, x: float, t: float) -> complex:
+        return self._sum(x, t, lambda c, k, kx, phase, e: c * math.sin(kx) * phase)
+
+    def d_dx(self, x: float, t: float) -> complex:
+        return self._sum(x, t, lambda c, k, kx, phase, e: c * k * math.cos(kx) * phase)
+
+    def d2_dx2(self, x: float, t: float) -> complex:
+        return self._sum(x, t, lambda c, k, kx, phase, e:
+                         -(c * k**2 * math.sin(kx) * phase))
+
+    def d_dt(self, x: float, t: float) -> complex:
+        return self._sum(x, t, lambda c, k, kx, phase, e:
+                         c * math.sin(kx) * phase * complex(0.0, -e / HBAR))
 
 
 def equal_weight_beat(m: float, a: float) -> tuple[Superposition, float, float, float]:
@@ -203,9 +198,7 @@ def _moment_spec(s: Superposition, k_power: int) -> oracle.QuadratureSpec:
     """
     c_sum = sum(abs(c) for _, c in s.components)
     k_sum = sum(abs(c) * mode.k_n**k_power for mode, c in s.components)
-    return oracle.QuadratureSpec(rel_tol=1e-11,
-                                 abs_tol=2e-14 * c_sum * k_sum,
-                                 max_depth=50)
+    return oracle.QuadratureSpec(rel_tol=1e-11, abs_tol=2e-14 * c_sum * k_sum)
 
 
 def _moment(s: Superposition, t: float, order: int, prefactor: complex,

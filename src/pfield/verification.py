@@ -8,12 +8,12 @@ the verify report that `run_acceptance_suite` returns and the CLI
 closed form, the criterion reads the same column kernel (figure_columns,
 flux_columns), so verify checks the code that writes the table.
 
-The `perturb` argument scales the package-side value of every
-comparison by (1 + perturb) except seven, which are unscaled: the four
-wall pins of criterion 04 and the three monotonicity flags of criterion
-13.  `run_acceptance_suite(inject_error=True)` runs the negative control,
-a one-percent perturbation: it must flip the tight comparisons to FAIL,
-showing the suite actually constrains the numbers it prints.
+Each criterion scales the package-side value of every comparison by its
+`s`, 1.0 by default, except seven: the four wall pins of criterion 04 and
+the three monotonicity flags of criterion 13.  `run_acceptance_suite`
+passes every criterion s = 1 + perturb; with inject_error=True perturb is
+0.01, the negative control, which must flip the tight comparisons to
+FAIL, showing the suite actually constrains the numbers it prints.
 """
 
 from __future__ import annotations
@@ -64,9 +64,8 @@ def _range_report(label: str, value: float, lo: float, hi: float) -> ComparisonR
                    passed=lo <= value <= hi)
 
 
-def criterion_01(perturb: float = 0.0) -> list[ComparisonReport]:
+def criterion_01(s: float = 1.0) -> list[ComparisonReport]:
     """Eighth-order path coefficients at b^2 = 0.5 against worked values."""
-    s = 1.0 + perturb
     c1, c2, c3 = boxmode.path_series_coefficients(0.5)
     return [
         compare("c1(b^2=0.5)", s * c1, 1.1151, 5e-4, use_rel=False),
@@ -75,23 +74,21 @@ def criterion_01(perturb: float = 0.0) -> list[ComparisonReport]:
     ]
 
 
-def criterion_02(perturb: float = 0.0) -> list[ComparisonReport]:
+def criterion_02(s: float = 1.0) -> list[ComparisonReport]:
     """Truncated vs exact path integrand at the deepest point cos^2 = 1."""
-    s = 1.0 + perturb
     series = boxmode.integrand_series(0.5, 0.0)
     exact = math.sqrt(1.0 + 0.5)
     return [compare("integrand at cos^2=1, b^2=0.5", s * series, exact,
                     1.1e-3, use_rel=False)]
 
 
-def criterion_03(perturb: float = 0.0) -> list[ComparisonReport]:
+def criterion_03(s: float = 1.0) -> list[ComparisonReport]:
     """Quadratic vs eighth-order first-harmonic weight at b^2 = 0.5.
 
     The quadratic path of box-figure carries boxmode.harmonic_weight,
     b^2/(2(b^2+4)) ~ 0.0556; the eighth-order one c2/c1 ~ 0.0502.  Their
     gap is a real series effect and must sit in [4e-3, 7e-3].
     """
-    s = 1.0 + perturb
     b_sq = 0.5
     quad = s * boxmode.harmonic_weight(b_sq)
     c1, c2, _ = boxmode.path_series_coefficients(b_sq)
@@ -103,7 +100,7 @@ def criterion_03(perturb: float = 0.0) -> list[ComparisonReport]:
     return reports
 
 
-def criterion_04(perturb: float = 0.0) -> list[ComparisonReport]:
+def criterion_04(s: float = 1.0) -> list[ComparisonReport]:
     """Eighth-order path vs quadrature oracle along the whole box.
 
     Same normalization g = 1/c1 on both sides, b^2 = 0.5, n = 1: one
@@ -113,7 +110,6 @@ def criterion_04(perturb: float = 0.0) -> list[ComparisonReport]:
     width, and both closed-form variants must pin the walls to 1e-12
     relative.
     """
-    s = 1.0 + perturb
     mode = boxmode.level_at_ratio(_BOX_M, _BOX_A, 1, 1.5)
     c1, _, _ = boxmode.path_series_coefficients(mode.b_sq)
     g = 1.0 / c1
@@ -136,13 +132,12 @@ def criterion_04(perturb: float = 0.0) -> list[ComparisonReport]:
     return reports
 
 
-def criterion_05(perturb: float = 0.0) -> list[ComparisonReport]:
+def criterion_05(s: float = 1.0) -> list[ComparisonReport]:
     """Energy identity e_n (1 - p_P^2 a_n^2 / hbar^2) = e_particle.
 
     Checked for n = 1..10 across four momentum ratios; the identity is
     algebraic so the worst relative deviation must be below 1e-12.
     """
-    s = 1.0 + perturb
     worst = 0.0
     for n in range(1, 11):
         for ratio in (1.1, 1.4, 1.5, 1.9):
@@ -154,9 +149,8 @@ def criterion_05(perturb: float = 0.0) -> list[ComparisonReport]:
                     0.0, 1e-12, use_rel=False)]
 
 
-def criterion_06(perturb: float = 0.0) -> list[ComparisonReport]:
+def criterion_06(s: float = 1.0) -> list[ComparisonReport]:
     """Classical threshold scale: alpha = 1e20, n = 50."""
-    s = 1.0 + perturb
     cap_l = oscillator.classical_threshold(_OSC, 50)
     supp = oscillator.threshold_suppression(50)
     return [
@@ -166,14 +160,13 @@ def criterion_06(perturb: float = 0.0) -> list[ComparisonReport]:
     ]
 
 
-def criterion_07(perturb: float = 0.0) -> list[ComparisonReport]:
+def criterion_07(s: float = 1.0) -> list[ComparisonReport]:
     """First-level path bump at the envelope scale and its extinction.
 
     alpha = 1e20, amplitude 1e-10: sqrt(alpha) q(1/sqrt(alpha)) must hit
     1.0088 within 2e-3, and at the n = 50 threshold amplitude the path
     correction has died to below 1e-20 relative.
     """
-    s = 1.0 + perturb
     mode = oscillator.make_mode(_OSC, 1, amplitude=1e-10)
     r_env = 1.0 / math.sqrt(_OSC.alpha)
     dq_two, (dq_env, dq_cap), chi = oscillator.figure_columns(mode, [r_env, _OSC.cap_l])
@@ -186,30 +179,27 @@ def criterion_07(perturb: float = 0.0) -> list[ComparisonReport]:
     ]
 
 
-def criterion_08(perturb: float = 0.0) -> list[ComparisonReport]:
+def criterion_08(s: float = 1.0) -> list[ComparisonReport]:
     """Linearized-vs-exact speed gap for a 2p0 amplitude of 0.1."""
-    s = 1.0 + perturb
     gap = hydrogen.approximation_gap(0.1)
     return [compare("speed linearization gap at a_ha=0.1", s * gap,
                     7.1e-7, 1e-8, use_rel=False)]
 
 
-def criterion_09(perturb: float = 0.0) -> list[ComparisonReport]:
+def criterion_09(s: float = 1.0) -> list[ComparisonReport]:
     """2p orbit cross-sections at r = a0, Z = 1, amplitude 0.1.
 
     The field term q/r - 1 is about 3e-4 here, so it is compared to 1e-4
     relative: a 1% error in it must fail.
     """
-    s = 1.0 + perturb
     sections = hydrogen.cross_sections_2p(_HYDROGEN, 0.1, _HYDROGEN.a0)
     refs = (2.9276e-4, 1.4638e-4, 7.319e-5, 1.4638e-4)
     return [compare(f"{which} {plane} q/r - 1", s * (q_over_r - 1.0), ref, 1e-4)
             for ((which, plane), q_over_r), ref in zip(sections.items(), refs)]
 
 
-def criterion_10(perturb: float = 0.0) -> list[ComparisonReport]:
+def criterion_10(s: float = 1.0) -> list[ComparisonReport]:
     """<e_mu> over the radial density must return e_n, state by state."""
-    s = 1.0 + perturb
     reports = []
     for n, l in ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)):
         state = hydrogen.make_state(_HYDROGEN, n, l)
@@ -218,9 +208,8 @@ def criterion_10(perturb: float = 0.0) -> list[ComparisonReport]:
     return reports
 
 
-def criterion_11(perturb: float = 0.0) -> list[ComparisonReport]:
+def criterion_11(s: float = 1.0) -> list[ComparisonReport]:
     """Quartic-term spectrum: linear limit, residual order, level pinning."""
-    s = 1.0 + perturb
     modes = [timedep.bare_eigenmode(_BOX_M, _BOX_A, n) for n in (1, 2, 3)]
     reports = []
 
@@ -262,9 +251,8 @@ def criterion_11(perturb: float = 0.0) -> list[ComparisonReport]:
     return reports
 
 
-def criterion_12(perturb: float = 0.0) -> list[ComparisonReport]:
+def criterion_12(s: float = 1.0) -> list[ComparisonReport]:
     """Probability bookkeeping of a two-level beat and of pure modes."""
-    s = 1.0 + perturb
     m, a = _BOX_M, _BOX_A
     beat, t0, h_x, h_t = timedep.equal_weight_beat(m, a)
 
@@ -299,10 +287,9 @@ def criterion_12(perturb: float = 0.0) -> list[ComparisonReport]:
     return reports
 
 
-def criterion_13(perturb: float = 0.0) -> list[ComparisonReport]:
+def criterion_13(s: float = 1.0) -> list[ComparisonReport]:
     """Classical limit: amplitude, normalization and path all flatten
     monotonically as the particle momentum approaches the level."""
-    s = 1.0 + perturb
     ratios = (1.9, 1.6, 1.3, 1.1, 1.01, 1.0001)
     amps = []
     gs = []
@@ -353,9 +340,10 @@ def run_acceptance_suite(inject_error: bool = False) -> dict[str, object]:
     negative control.  A criterion's description is its docstring's
     first line, or its ident where docstrings are stripped (python -OO)."""
     perturb = 0.01 if inject_error else 0.0
+    s = 1.0 + perturb
     criteria = []
     for ident, func in _CRITERIA:
-        checks = [r._asdict() for r in func(perturb)]
+        checks = [r._asdict() for r in func(s)]
         criteria.append({"ident": ident,
                          "description": (func.__doc__ or ident).strip().splitlines()[0],
                          "passed": all(c["passed"] for c in checks), "checks": checks})

@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from pfield import boxmode, hydrogen, verification
+from pfield import boxmode, hydrogen, oscillator, verification
 
 
 @pytest.fixture(scope="module")
@@ -99,4 +99,24 @@ def test_suite_catches_a_one_percent_error_in_a_path_coefficient(monkeypatch, in
         return tuple(cs)
 
     monkeypatch.setattr(boxmode, "path_series_coefficients", scaled)
+    assert not verification.run_acceptance_suite()["passed"]
+
+
+_OSC_PATH_GAP = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 8: no criterion compares the osc-trajectory path "
+                        "columns with the oracle, so a 1% error in c_two passes")
+
+
+@pytest.mark.parametrize("n", [pytest.param(n, marks=_OSC_PATH_GAP) for n in (0, 1)])
+def test_suite_catches_a_one_percent_error_in_the_oscillator_c_two(monkeypatch, n):
+    columns = oscillator.figure_columns
+
+    def scaled(mode, xs):
+        dq_two, dq_three, chi = columns(mode, xs)
+        if mode.n != n:
+            return dq_two, dq_three, chi
+        return ([1.01 * dq for dq in dq_two],
+                [dq3 + 0.01 * dq for dq3, dq in zip(dq_three, dq_two)], chi)
+
+    monkeypatch.setattr(oscillator, "figure_columns", scaled)
     assert not verification.run_acceptance_suite()["passed"]

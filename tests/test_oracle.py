@@ -40,8 +40,27 @@ def test_integrate_deterministic():
     assert oracle.integrate(f, 0.0, 2.0) == oracle.integrate(f, 0.0, 2.0)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the GK15 nodes and weights carry "
+                                       "15 digits, so a constant integrates to 1 - 2.9e-15")
+def test_integrate_a_constant_exactly():
+    assert oracle.integrate(lambda x: 1.0, 0.0, 1.0) == 1.0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 2 and 13: abs_tol=1e-14 is an absolute "
+                                       "floor in metres, and the GK15 constants carry 15 digits")
+@pytest.mark.parametrize("x_sqrt_alpha", [0.5, 3.0, 5.0])
+def test_gaussian_integral_at_the_nm_scale_to_a_few_ulps(x_sqrt_alpha):
+    """int_0^x e^(-alpha r^2) dr = sqrt(pi)/(2 sqrt(alpha)) erf(sqrt(alpha) x)
+    at alpha = 1e20, the oscillator's scale."""
+    alpha = 1e20
+    x = x_sqrt_alpha / math.sqrt(alpha)
+    ref = math.sqrt(math.pi) / (2.0 * math.sqrt(alpha)) * math.erf(math.sqrt(alpha) * x)
+    value = oracle.integrate(lambda r: math.exp(-alpha * r * r), 0.0, x)
+    assert abs(value - ref) <= 8 * math.ulp(ref)
+
+
 def test_integrate_raises_with_best_estimate():
-    spec = oracle.QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_depth=10)
+    spec = oracle.QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
     with pytest.raises(oracle.QuadratureError) as exc:
         oracle.integrate(lambda x: x**-0.9, 1e-12, 1.0, spec)
     assert math.isfinite(exc.value.best_estimate)
@@ -69,8 +88,6 @@ def test_quadrature_spec_validation():
         oracle.QuadratureSpec(rel_tol=0.0)
     with pytest.raises(ValueError):
         oracle.QuadratureSpec(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        oracle.QuadratureSpec(max_depth=5)
 
 
 def test_finite_diff_first_and_second_order():
@@ -315,7 +332,7 @@ def _integrate_closure(f, a, b, spec=oracle.DEFAULT_QUADRATURE):
         value, err = oracle._gk15(f, lo, hi)
         if err <= max(abs_budget, spec.rel_tol * abs(value)):
             return value, err
-        if depth >= spec.max_depth:
+        if depth >= oracle._MAX_DEPTH:
             raise oracle.QuadratureError(
                 f"quadrature failed to converge on [{lo}, {hi}] "
                 f"at depth {depth} (error estimate {err:.3e})",
@@ -356,7 +373,7 @@ def test_integrate_matches_closure_reference_bit_for_bit(f, a, b, spec, flip):
 
 @pytest.mark.parametrize("flip", [False, True], ids=["forward", "reversed"])
 def test_integrate_failure_matches_closure_reference(flip):
-    spec = oracle.QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_depth=10)
+    spec = oracle.QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
     f = lambda x: x**-0.9
     a, b = (1.0, 1e-12) if flip else (1e-12, 1.0)
     with pytest.raises(oracle.QuadratureError) as exc:

@@ -29,7 +29,7 @@ _SAMPLES = {
     oscillator.OscMode: dict(sys=_OSC, n=1, l=0, m_l=0, a_osc=1e-10, e_n=1e-18,
                              e_mu=4e-19, e_field=6e-19),
     nonlinear.NonlinearParams: dict(eps=0.0, a_tilde=1e-10),
-    oracle.QuadratureSpec: dict(rel_tol=1e-9, abs_tol=1e-13, max_depth=40),
+    oracle.QuadratureSpec: dict(rel_tol=1e-9, abs_tol=1e-13),
     verification.ComparisonReport: dict(label="c1", value=1.0, reference=1.0, abs_dev=0.0,
                                         rel_dev=0.0, tolerance=1e-12, passed=True),
     # One component at unit weight, so the rescaling keeps the coefficient.
@@ -93,4 +93,5 @@ def test_copied_superposition_keeps_its_coefficient_bits():
 
 def test_quadrature_spec_defaults():
     spec = oracle.QuadratureSpec()
-    assert (spec.rel_tol, spec.abs_tol, spec.max_depth) == (1e-10, 1e-14, 50)
+    assert (spec.rel_tol, spec.abs_tol) == (1e-10, 1e-14)
+    assert oracle._MAX_DEPTH == 50
