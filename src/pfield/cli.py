@@ -26,16 +26,18 @@ and --config.  Output location: --out flag, else the OUTPUT_DIR
 environment variable, else the working directory.  CSV files carry
 `# key=value` caption lines followed by a single `name:unit` header row;
 JSON files carry the same content as {"meta": ..., "columns": ...,
-"rows": ...}.  Each subcommand declares its table once, as one mapping of
-`name:unit` headers to the columns its kernels return.  The grid and every
-kernel column is an array('d') (core.column), 8 bytes a value; only
-spectrum's few short columns stay a range and lists.  Both formats stream
-a table to the file in the row spans that core.run_shares hands out, in
-one process per usable CPU, each cell its repr, and differ only in their
-separators; the bytes do not depend on the process count (`taskset -c 0`
-gives one).  Unequal columns, a non-finite cell or meta value are a
-numeric error (3) and leave no file.  The argument parser is built once
-per process.
+"rows": ...}.  Each subcommand declares its table once, as its `name:unit`
+headers and a function of a row span that returns that span's columns.
+The grid and every kernel column is an array('d') (core.column), 8 bytes a
+value; only spectrum's few short columns stay a range and lists.  Both
+formats stream a table to the file in the row spans that core.run_shares
+hands out, in one process per usable CPU, each cell its repr, and differ
+only in their separators; the bytes do not depend on the process count
+(`taskset -c 0` gives one).  The kernels run per span, inside the share
+that renders it; flux-check alone gathers its columns first, through
+core.gather, since its max_abs_residual caption precedes the rows.
+Unequal columns, a non-finite cell or meta value are a numeric error (3)
+and leave no file.  The argument parser is built once per process.
 """
 
 from __future__ import annotations
@@ -47,11 +49,12 @@ import math
 import os
 import sys as _sys
 from itertools import chain
+from operator import add
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import boxmode, hydrogen, nonlinear, oracle, oscillator, timedep, verification
-from .core import ELECTRON_MASS, column, run_shares
+from .core import ELECTRON_MASS, column, gather, run_shares
 
 _FORMATS = ("csv", "json")
 _Table = Mapping[str, tuple[Callable[[str], object], object]]
@@ -59,6 +62,8 @@ _Table = Mapping[str, tuple[Callable[[str], object], object]]
 # block(start, stop) for each span run_shares cuts from range(rows), then tail.
 _File = tuple[str, str, Callable[[int, int], bytes] | None, int, str]
 _Files = Iterable[_File]
+# columns(start, stop) of a table: that row span's columns, in header order.
+_Columns = Callable[[int, int], Sequence[Sequence[object]]]
 _Runner = Callable[..., tuple[_Files, int]]
 
 
@@ -157,8 +162,8 @@ def _write(out: str, files: _Files) -> list[Path]:
 
     Every file goes to a temporary name first, through one open handle,
     and all are renamed once the last is written, so a failed write leaves
-    none of them.  files may be a generator, and a file's blocks go to its
-    handle one at a time, so no file's text need be held whole.
+    none of them.  A file's blocks go to its handle one at a time, so no
+    file's text need be held whole.
     """
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -171,8 +176,6 @@ def _write(out: str, files: _Files) -> list[Path]:
                 fh.write(head.encode())
                 run_shares(block, rows, fh)
                 fh.write(tail.encode())
-            # Let this file's columns go before the next file's are made.
-            del block
         for tmp, path in staged:
             os.replace(tmp, path)
     finally:
@@ -195,45 +198,57 @@ _ROW_SYNTAX = {
 }
 
 
-def _table(fmt: str, stem: str, meta: Mapping[str, object],
-           table: Mapping[str, Sequence[object]]) -> _File:
-    """A table as a file in the chosen format.
+def _table(fmt: str, stem: str, meta: Mapping[str, object], headers: Sequence[str],
+           rows: int, columns: _Columns) -> _File:
+    """A table of rows rows as a file in the chosen format.
 
-    table maps each `name:unit` header to its column: the columns are of
-    one nonzero length and hold only floats and ints.  Unequal columns or a
-    non-finite meta value raise ValueError here, and a non-finite cell as
-    its block is made: repr would spell nan or inf, json.dumps NaN or
-    Infinity.  block(start, stop) is the rows of that span with the
-    separator that leads them, and depends on nothing but the span.
+    headers are the `name:unit` column headers, and columns(start, stop)
+    returns the columns of that row span in their order, floats and ints
+    only, so the kernels behind them run in the share that renders the
+    span.  A non-finite meta value raises ValueError here; a span whose
+    columns are not all stop - start long, or that holds a non-finite
+    cell, raises as its block is made: repr would spell nan or inf,
+    json.dumps NaN or Infinity.  A column that appears twice in a span, as
+    one object, is rendered once.  block(start, stop) is the rows of that
+    span with the separator that leads them, and depends on nothing but
+    the span.
     """
     name = f"{stem}.{fmt}"
     bad = [key for key, value in meta.items()
            if isinstance(value, float) and not math.isfinite(value)]
     if bad:
         raise ValueError(f"{name}: non-finite meta value {', '.join(bad)}")
-    lengths = {len(column) for column in table.values()}
-    if len(lengths) != 1:
-        raise ValueError(f"{name}: columns of unequal lengths {sorted(lengths)}")
     if fmt == "csv":
         head = "\n".join([*(f"# {key}={value}" for key, value in meta.items()),
-                          ",".join(table)])
+                          ",".join(headers)])
     else:
         # rows is the last key in sorted order: cut the "]\n}\n" that
         # closes its empty list, and the rows follow the "[".
-        head = _json({"meta": dict(meta), "columns": list(table), "rows": []})[:-4]
+        head = _json({"meta": dict(meta), "columns": list(headers), "rows": []})[:-4]
     row_open, cell_sep, row_close, row_sep, tail = _ROW_SYNTAX[fmt]
     between = row_close + row_sep + row_open
 
     def block(start: int, stop: int) -> bytes:
-        cells = (map(repr, column[start:stop]) for column in table.values())
-        text = between.join([cell_sep.join(row) for row in zip(*cells, strict=True)])
+        span = columns(start, stop)
+        lengths = {stop - start, *map(len, span)}
+        if len(lengths) != 1:
+            raise ValueError(f"{name}: columns of unequal lengths {sorted(lengths)}")
+        distinct = {id(column): column for column in span}
+        cells = {key: list(map(repr, column)) for key, column in distinct.items()}
+        text = between.join([cell_sep.join(row)
+                             for row in zip(*[cells[id(column)] for column in span])])
         # A letter n marks a non-finite cell, which repr spells nan or
         # inf: no digit, exponent or separator holds one.
         if "n" in text:
             raise ValueError(f"{name}: non-finite cell in the rows from {start + 1}")
         return ((row_sep if start else "\n") + row_open + text + row_close).encode()
 
-    return name, head, block, lengths.pop(), tail
+    return name, head, block, rows, tail
+
+
+def _spans(*whole: Sequence[object]) -> _Columns:
+    """columns(start, stop) of a table whose columns are made whole first."""
+    return lambda start, stop: [column[start:stop] for column in whole]
 
 
 def _grid(lo: float, hi: float, n: int) -> Sequence[float]:
@@ -259,16 +274,19 @@ def _cmd_box_figure(*, grid: int = 1000, format: str = "csv", a: float = 2e-9,
     xs = _box_grid(0.0, a, grid)
 
     def table(n: int, ratio: float, mode: boxmode.BoxMode) -> _File:
-        # One call per file, so no frame holds two files' columns at once.
         meta = {"a": a, "mass": mass, "n": n, "ratio": ratio, "b_sq": mode.b_sq,
                 "g": mode.g_npf, "a_n": mode.a_n,
                 "inflection_points_m": repr([j * a / (2 * n) for j in range(1, 2 * n)])}
-        q, q_over_x, chi, psi_density = boxmode.figure_columns(mode, xs)
-        return _table(format, f"box_figure_n{n}", meta, {
-            "x:m": xs, "q:m": q, "q_over_x:1": q_over_x, "chi:m": chi,
-            "psi_density:1/m": psi_density, "x_ref:m": xs})
 
-    return (table(*level) for level in levels), 0
+        def columns(start: int, stop: int) -> Sequence[Sequence[float]]:
+            x = xs[start:stop]
+            return (x, *boxmode.figure_columns(mode, x), x)
+
+        return _table(format, f"box_figure_n{n}", meta,
+                      ("x:m", "q:m", "q_over_x:1", "chi:m", "psi_density:1/m", "x_ref:m"),
+                      grid, columns)
+
+    return [table(*level) for level in levels], 0
 
 
 # ------------------------------------------------------------ osc-trajectory
@@ -281,17 +299,19 @@ def _cmd_osc_trajectory(*, grid: int = 1000, format: str = "csv", alpha: float =
     r_max = 5.0 / math.sqrt(alpha)
     xs = _grid(-r_max, r_max, grid)
 
-    integrand = oscillator.path_integrand(mode)
-    # The corrections become the paths in place, so the grid never holds both.
-    q_two, q_three, chi = oscillator.figure_columns(mode, xs)
-    for i, r_bar in enumerate(xs):
-        q_two[i] += r_bar
-        q_three[i] += r_bar
+    q_oracle = oracle.cumulative_integrate(oscillator.path_integrand(mode), xs)
+
+    def columns(start: int, stop: int) -> Sequence[Sequence[float]]:
+        r_bar = xs[start:stop]
+        dq_two, dq_three, chi = oscillator.figure_columns(mode, r_bar)
+        return (r_bar, column(map(add, r_bar, dq_two)), column(map(add, r_bar, dq_three)),
+                q_oracle[start:stop], chi)
+
     meta = {"alpha": alpha, "mu": mu, "omega0": sys.omega0, "n": n,
             "amplitude": mode.a_osc, "cap_l": sys.cap_l}
-    return [_table(format, "osc_trajectory", meta, {
-        "r_bar:m": xs, "q_two:m": q_two, "q_three:m": q_three,
-        "q_oracle:m": oracle.cumulative_integrate(integrand, xs), "chi:m": chi})], 0
+    return [_table(format, "osc_trajectory", meta,
+                   ("r_bar:m", "q_two:m", "q_three:m", "q_oracle:m", "chi:m"),
+                   grid, columns)], 0
 
 
 # ----------------------------------------------------------- hydrogen-figure
@@ -302,12 +322,16 @@ def _cmd_hydrogen_figure(*, grid: int = 1000, format: str = "csv", z: float = 1.
     sys = hydrogen.HydrogenSystem(z=z, mu=mu)
     r = sys.a0 if r is None else r
     thetas = _grid(0.0, 2.0 * math.pi, grid)
-    p0, pm1 = hydrogen.figure_columns(sys, a_ha, r, thetas)
+
+    def columns(start: int, stop: int) -> Sequence[Sequence[float]]:
+        theta = thetas[start:stop]
+        return (theta, *hydrogen.figure_columns(sys, a_ha, r, theta))
+
     meta = {"z": z, "mu": mu, "r": r, "a_ha": a_ha}
     for (which, plane), q_over_r in hydrogen.cross_sections_2p(sys, a_ha, r).items():
         meta[f"{which}_{plane}_diameter"] = q_over_r
-    return [_table(format, "hydrogen_figure", meta, {
-        "theta:rad": thetas, "q_over_r_p0:1": p0, "q_over_r_pm1:1": pm1})], 0
+    return [_table(format, "hydrogen_figure", meta,
+                   ("theta:rad", "q_over_r_p0:1", "q_over_r_pm1:1"), grid, columns)], 0
 
 
 # ------------------------------------------------------------------ spectrum
@@ -327,9 +351,9 @@ def _cmd_spectrum(*, format: str = "csv", a: float = 2e-9, mass: float = ELECTRO
         e_linear.append(mode.e_n)
         e_nonlinear.append(nonlinear.energy_levels(params, mode))
     meta = {"a": a, "mass": mass, "eps": eps, "ratio": ratio, "levels": levels}
-    return [_table(format, "spectrum", meta, {
-        "n:1": ns, "e_linear:J": e_linear, "e_nonlinear:J": e_nonlinear,
-        "shift:J": [e_nl - e_n for e_nl, e_n in zip(e_nonlinear, e_linear)]})], 0
+    shift = [e_nl - e_n for e_nl, e_n in zip(e_nonlinear, e_linear)]
+    return [_table(format, "spectrum", meta, ("n:1", "e_linear:J", "e_nonlinear:J", "shift:J"),
+                   levels, _spans(ns, e_linear, e_nonlinear, shift))], 0
 
 
 # ---------------------------------------------------------------- flux-check
@@ -338,7 +362,15 @@ def _cmd_flux_check(*, grid: int = 1000, format: str = "csv", a: float = 2e-9,
                     mass: float = ELECTRON_MASS) -> tuple[_Files, int]:
     beat, t0, h_x, h_t = timedep.equal_weight_beat(mass, a)
     xs = _box_grid(h_x, a - h_x, grid)
-    flux, residual = timedep.flux_columns(beat, xs, t0, h_x, h_t)
+
+    def rows(start: int, stop: int) -> bytes:
+        flux, residual = timedep.flux_columns(beat, xs[start:stop], t0, h_x, h_t)
+        return column(chain.from_iterable(zip(flux, residual))).tobytes()
+
+    # Each row's (flux, residual) pair, in order: the columns are strided
+    # views of the one buffer, not copies.
+    pairs = gather(rows, grid)
+    flux, residual = pairs[0::2], pairs[1::2]
     meta = {
         "a": a, "mass": mass, "t": t0, "h_x": h_x, "h_t": h_t,
         # A nan residual is skipped here and caught as a cell.
@@ -347,8 +379,9 @@ def _cmd_flux_check(*, grid: int = 1000, format: str = "csv", a: float = 2e-9,
         "p_sq_mean": timedep.expectation_p2(beat, t0),
         "norm": timedep.norm(beat, t0),
     }
-    return [_table(format, "flux_check", meta, {
-        "x:m": xs, "flux:1/s": flux, "continuity_residual:1/(m*s)": residual})], 0
+    return [_table(format, "flux_check", meta,
+                   ("x:m", "flux:1/s", "continuity_residual:1/(m*s)"),
+                   grid, _spans(xs, flux, residual))], 0
 
 
 # -------------------------------------------------------------------- verify

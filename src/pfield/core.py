@@ -26,11 +26,15 @@ run_shares is the package's one route to more than one CPU and the one
 owner of the block size: it hands a run of items (a table's rows, a running
 integral's steps) to work in spans of BLOCK_ROWS, one process per usable
 CPU, and the bytes do not depend on that split; `taskset -c 0` gives one.
+A table's kernels run per span inside the share that renders it.  gather
+returns the shares' doubles in memory, for values needed whole before the
+first row is written: a running integral's steps, flux-check's columns.
 """
 
 from __future__ import annotations
 
 import enum
+import io
 import math
 import os
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, NamedTuple
@@ -252,3 +256,14 @@ def run_shares(work: Callable[[int, int], bytes], items: int, out: BinaryIO) -> 
             os.waitpid(pid, 0)
         for _, spool, _ in children:
             spool.close()
+
+
+def gather(work: Callable[[int, int], bytes], items: int) -> memoryview:
+    """The doubles run_shares(work, items, ...) writes, as one 'd' memoryview.
+
+    work(start, stop) returns the native bytes of an array('d') for that
+    span; the values are those of the serial loop for any number of shares.
+    """
+    buffer = io.BytesIO()
+    run_shares(work, items, buffer)
+    return buffer.getbuffer().cast("d")

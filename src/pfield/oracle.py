@@ -10,7 +10,7 @@ only core, and no special-function identities are used anywhere in it.
 The quadrature is an adaptive Gauss-Kronrod (G7, K15) bisection scheme with
 an embedded error estimate; identical inputs always traverse the same
 interval tree, so results are bit-reproducible.  A running integral takes
-its steps through core.run_shares, in one process per usable CPU, and is
+its steps through core.gather, in one process per usable CPU, and is
 then one fold of those steps, left to right from 0.0, so its values do not
 depend on that split; `taskset -c 0` gives one process.
 """
@@ -18,12 +18,11 @@ depend on that split; `taskset -c 0` gives one process.
 from __future__ import annotations
 
 import collections
-import io
 import math
 from itertools import accumulate
 from typing import Callable, Sequence
 
-from .core import column, require_finite, require_finite_positive, run_shares
+from .core import column, gather, require_finite, require_finite_positive
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (positive half).
 _XK = (
@@ -149,9 +148,9 @@ def cumulative_integrate(f: Callable[[float], float], xs: Sequence[float]) -> Se
     """Running integral of f from 0 to each x of xs, in order, as an array('d').
 
     One integrate call per step, from the previous point (0 for the first)
-    to x.  The steps are taken through core.run_shares, in one process per
-    usable CPU, into one buffer, and then folded once: summed left to
-    right from 0.0, so the values do not depend on that split.
+    to x.  The steps are taken through core.gather, in one process per
+    usable CPU, and then folded once: summed left to right from 0.0, so
+    the values do not depend on that split.
     """
 
     def steps(start: int, stop: int) -> bytes:
@@ -162,9 +161,7 @@ def cumulative_integrate(f: Callable[[float], float], xs: Sequence[float]) -> Se
             prev = x
         return values.tobytes()
 
-    buffer = io.BytesIO()
-    run_shares(steps, len(xs), buffer)
-    running = column(accumulate(buffer.getbuffer().cast("d"), initial=0.0))
+    running = column(accumulate(gather(steps, len(xs)), initial=0.0))
     del running[0]
     return running
 

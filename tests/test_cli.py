@@ -309,16 +309,24 @@ def test_box_figure_failed_write_leaves_no_file_of_the_set(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+def _flux_grid(grid):
+    """The x grid of flux-check at its default options."""
+    _, _, h_x, _ = timedep.equal_weight_beat(core.ELECTRON_MASS, 2e-9)
+    return cli._box_grid(h_x, 2e-9 - h_x, grid)
+
+
 @pytest.mark.parametrize("fmt", cli._FORMATS)
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_cell_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch,
                                                     fmt, bad):
     flux_columns = timedep.flux_columns
+    first = _flux_grid(core.BLOCK_ROWS + 2)[core.BLOCK_ROWS]
 
-    def one_bad_cell(*args):
-        flux, residual = flux_columns(*args)
+    def one_bad_cell(s, xs, *args):
+        flux, residual = flux_columns(s, xs, *args)
         # The first block is written before the second, which holds the cell.
-        flux[core.BLOCK_ROWS] = bad
+        if xs[0] == first:
+            flux[0] = bad
         return flux, residual
 
     monkeypatch.setattr(timedep, "flux_columns", one_bad_cell)
@@ -333,10 +341,12 @@ def test_non_finite_cell_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatc
 def test_non_finite_cell_in_the_last_share_exits_3_and_writes_nothing(
         tmp_path, capsys, monkeypatch, no_child_left, fmt, cpus):
     flux_columns = timedep.flux_columns
+    last = _flux_grid(2 * core.BLOCK_ROWS + 1)[-1]
 
-    def last_cell_bad(*args):
-        flux, residual = flux_columns(*args)
-        flux[-1] = math.nan
+    def last_cell_bad(s, xs, *args):
+        flux, residual = flux_columns(s, xs, *args)
+        if xs[-1] == last:
+            flux[-1] = math.nan
         return flux, residual
 
     monkeypatch.setattr(timedep, "flux_columns", last_cell_bad)
@@ -411,9 +421,10 @@ def test_ragged_table_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch,
     # zip alone would drop that row from every column.
     figure_columns = hydrogen.figure_columns
 
-    def one_row_short(*args):
-        columns = list(figure_columns(*args))
-        columns[short] = columns[short][:-1]
+    def one_row_short(sys, a_ha, r, thetas):
+        columns = list(figure_columns(sys, a_ha, r, thetas))
+        if len(thetas) == 1:
+            columns[short] = columns[short][:-1]
         return tuple(columns)
 
     monkeypatch.setattr(hydrogen, "figure_columns", one_row_short)
@@ -923,7 +934,7 @@ def test_bytes_do_not_depend_on_the_share_count(tmp_path, capsys, monkeypatch, n
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
-@pytest.mark.parametrize("args", _SHARED[:2], ids=" ".join)
+@pytest.mark.parametrize("args", [*_SHARED[:2], ("flux-check",)], ids=" ".join)
 def test_a_child_that_dies_before_writing_leaves_the_golden_bytes(tmp_path, capsys,
                                                                   monkeypatch, no_child_left,
                                                                   args, cpus):
@@ -939,8 +950,36 @@ def test_a_child_that_dies_before_writing_leaves_the_golden_bytes(tmp_path, caps
 
     monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(cli, "run_shares", children_that_die)
-    monkeypatch.setattr(oracle, "run_shares", children_that_die)
+    monkeypatch.setattr(core, "run_shares", children_that_die)
     assert cli.main([*args, "--grid", "2049", "--out", str(tmp_path)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert digests == {name: digest for name, digest in _GOLDEN_2049[args].items()
                        if name.endswith(".csv")}
+
+
+# The module of each table kernel, figure_columns, and the number of points
+# of each call: one call per row span at 2 * BLOCK_ROWS + 1 points.
+_SPANS = [core.BLOCK_ROWS, core.BLOCK_ROWS, 1]
+_SPAN_KERNELS = {
+    "box-figure": (boxmode, 3 * _SPANS),
+    "osc-trajectory": (oscillator, _SPANS),
+    # The two angles of the cross sections in the caption come first.
+    "hydrogen-figure": (hydrogen, [2, *_SPANS]),
+}
+
+
+@pytest.mark.parametrize("command", _SPAN_KERNELS)
+def test_table_kernels_run_once_per_row_span(tmp_path, capsys, monkeypatch, command):
+    module, points = _SPAN_KERNELS[command]
+    kernel, calls = module.figure_columns, []
+
+    def recording_kernel(*args):
+        calls.append(len(args[-1]))
+        return kernel(*args)
+
+    # One share, so every call is made in this process.
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(module, "figure_columns", recording_kernel)
+    assert cli.main([command, "--grid", str(2 * core.BLOCK_ROWS + 1),
+                     "--out", str(tmp_path)]) == 0
+    assert calls == points

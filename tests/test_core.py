@@ -7,9 +7,11 @@ import inspect
 import io
 import math
 import os
+import shutil
 import signal
 import threading
 import time
+from array import array
 
 import pytest
 
@@ -451,3 +453,28 @@ def test_run_shares_kills_its_children_when_its_own_share_fails(monkeypatch, no_
     with pytest.raises(ValueError, match="the first share fails"):
         core.run_shares(work, _items(3), io.BytesIO())
     assert time.monotonic() - start < 30
+
+
+def _doubles(start, stop):
+    """The native bytes of a double per item, one that no other item has."""
+    return array("d", (math.sin(i) / 3.0 for i in range(start, stop))).tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+@pytest.mark.parametrize("items", [0, 1, _C - 1, _C, _C + 1, 2 * _C + 1, _items(7)])
+def test_gather_returns_the_serial_doubles_for_any_share_count(monkeypatch, no_child_left,
+                                                               cpus, items):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+    gathered = core.gather(_doubles, items)
+    assert gathered.format == "d" and gathered.tobytes() == _serial(_doubles, items)
+    assert list(gathered) == [math.sin(i) / 3.0 for i in range(items)]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_gather_does_not_depend_on_copy_chunking(monkeypatch, no_child_left, cpus):
+    """A child's doubles are copied in reads of shutil.COPY_BUFSIZE bytes; a
+    read that ends inside a double must not change it."""
+    monkeypatch.setattr(shutil, "COPY_BUFSIZE", 1001)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+    assert list(core.gather(_doubles, 2 * _C + 1)) == \
+        [math.sin(i) / 3.0 for i in range(2 * _C + 1)]

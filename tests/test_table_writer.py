@@ -25,7 +25,8 @@ _C = core.BLOCK_ROWS
 
 def _table(fmt, meta, columns, rows):
     """cli._table of the rows, transposed into one column per header."""
-    return cli._table(fmt, "table", meta, dict(zip(columns, map(list, zip(*rows)))))
+    return cli._table(fmt, "table", meta, columns, len(rows),
+                      cli._spans(*map(list, zip(*rows))))
 
 
 def _text(fmt, meta, columns, rows):
