@@ -38,6 +38,8 @@ that renders it; flux-check alone gathers its columns first, through
 core.gather, since its max_abs_residual caption precedes the rows.
 Unequal columns, a non-finite cell or meta value are a numeric error (3)
 and leave no file.  The argument parser is built once per process.
+`import pfield.cli` loads only core and oracle of the package; each
+subcommand imports only the physics modules it runs, on its first call.
 """
 
 from __future__ import annotations
@@ -53,7 +55,10 @@ from operator import add
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from . import boxmode, hydrogen, nonlinear, oracle, oscillator, timedep, verification
+# Only what every run needs loads here: the tracer of perfbench patches
+# cli.json, and main's exit-3 handler names oracle.QuadratureError.  Each
+# runner imports the physics modules it runs.
+from . import oracle
 from .core import ELECTRON_MASS, column, gather, run_shares
 
 _FORMATS = ("csv", "json")
@@ -268,6 +273,8 @@ def _box_grid(lo: float, hi: float, n: int) -> Sequence[float]:
 def _cmd_box_figure(*, grid: int = 1000, format: str = "csv", a: float = 2e-9,
                     mass: float = ELECTRON_MASS,
                     ratios: tuple[float, ...] = (1.5, 1.45, 1.40)) -> tuple[_Files, int]:
+    from . import boxmode
+
     # Every ratio is checked and every mode built before the first file.
     levels = [(n, ratio, boxmode.level_at_ratio(mass, a, n, ratio))
               for n, ratio in enumerate(ratios, start=1)]
@@ -294,6 +301,8 @@ def _cmd_box_figure(*, grid: int = 1000, format: str = "csv", a: float = 2e-9,
 def _cmd_osc_trajectory(*, grid: int = 1000, format: str = "csv", alpha: float = 1e20,
                         n: int = 1, mu: float = ELECTRON_MASS,
                         amplitude: float | None = None) -> tuple[_Files, int]:
+    from . import oscillator
+
     sys = oscillator.system_at_alpha(alpha, mu)
     mode = oscillator.make_mode(sys, n, amplitude=amplitude)
     r_max = 5.0 / math.sqrt(alpha)
@@ -319,6 +328,8 @@ def _cmd_osc_trajectory(*, grid: int = 1000, format: str = "csv", alpha: float =
 def _cmd_hydrogen_figure(*, grid: int = 1000, format: str = "csv", z: float = 1.0,
                          mu: float = ELECTRON_MASS, a_ha: float = 0.1,
                          r: float | None = None) -> tuple[_Files, int]:
+    from . import hydrogen
+
     sys = hydrogen.HydrogenSystem(z=z, mu=mu)
     r = sys.a0 if r is None else r
     thetas = _grid(0.0, 2.0 * math.pi, grid)
@@ -339,6 +350,8 @@ def _cmd_hydrogen_figure(*, grid: int = 1000, format: str = "csv", z: float = 1.
 def _cmd_spectrum(*, format: str = "csv", a: float = 2e-9, mass: float = ELECTRON_MASS,
                   eps: float = 0.0, ratio: float = 1.5,
                   levels: int = 5) -> tuple[_Files, int]:
+    from . import boxmode, nonlinear
+
     if not 1.0 < ratio < 2.0:
         raise ValueError(
             f"spectrum needs --ratio in (1, 2), got {ratio!r}: at ratio 1 the "
@@ -360,6 +373,8 @@ def _cmd_spectrum(*, format: str = "csv", a: float = 2e-9, mass: float = ELECTRO
 
 def _cmd_flux_check(*, grid: int = 1000, format: str = "csv", a: float = 2e-9,
                     mass: float = ELECTRON_MASS) -> tuple[_Files, int]:
+    from . import timedep
+
     beat, t0, h_x, h_t = timedep.equal_weight_beat(mass, a)
     xs = _box_grid(h_x, a - h_x, grid)
 
@@ -387,6 +402,8 @@ def _cmd_flux_check(*, grid: int = 1000, format: str = "csv", a: float = 2e-9,
 # -------------------------------------------------------------------- verify
 
 def _cmd_verify(*, inject_error: bool = False) -> tuple[_Files, int]:
+    from . import verification
+
     report = verification.run_acceptance_suite(inject_error)
     for criterion in report["criteria"]:
         tag = "PASS" if criterion["passed"] else "FAIL"

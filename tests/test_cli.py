@@ -716,6 +716,38 @@ def test_import_leaves_out_dataclasses_and_inspect():
     assert r.stdout.strip() == "[]"
 
 
+# The pfield modules each subcommand imports beyond cli, core and oracle,
+# which `import pfield.cli` alone loads.
+_PHYSICS = {
+    "box-figure": {"boxmode"},
+    "osc-trajectory": {"oscillator", "_angular"},
+    "hydrogen-figure": {"hydrogen", "_angular"},
+    "spectrum": {"boxmode", "nonlinear"},
+    "flux-check": {"timedep", "boxmode"},
+    "verify": {"boxmode", "hydrogen", "_angular", "nonlinear", "oscillator", "timedep",
+               "verification"},
+}
+
+
+@pytest.mark.parametrize("command", [None, *_PHYSICS], ids=lambda c: c or "import-only")
+def test_each_subcommand_imports_only_the_physics_it_runs(tmp_path, command):
+    """`import pfield.cli` loads core and oracle of the package and no
+    physics module; each runner imports its own."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [] if command is None else [command, "--out", str(tmp_path)]
+    if command not in (None, "spectrum", "verify"):
+        argv += ["--grid", "4"]
+    code = (f"import contextlib, io, sys; sys.path.insert(0, {src!r}); import pfield.cli\n"
+            f"if {argv!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        assert pfield.cli.main({argv!r}) == 0\n"
+            "print(' '.join(sorted(m[7:] for m in sys.modules if m.startswith('pfield.'))))")
+    r = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == sorted({"cli", "core", "oracle", *_PHYSICS.get(command, ())})
+
+
 def test_verify_inject_error_fails(tmp_path):
     r = _run("verify", "--inject-error", "--out", str(tmp_path))
     assert r.returncode == 1
