@@ -114,6 +114,12 @@ def _check_inside(a: float, x: float) -> None:
         raise ValueError(f"x={x} outside the box [0, {a}]")
 
 
+def _check_grid(a: float, xs: Sequence[float]) -> None:
+    """The box wall for a grid, in one pass: every x lies in [0, a]."""
+    if not all(0.0 <= x <= a for x in xs):
+        raise ValueError(f"grid leaves the box [0, {a}]")
+
+
 def field_energy(mode: BoxMode, x: float) -> EnergyBudget:
     """Energy budget of the level, field split evaluated at x.
 
@@ -196,9 +202,7 @@ def eighth_order_path(mode: BoxMode, xs: Sequence[float]) -> Sequence[float]:
     q = x + (c2/c1 k) sin(2kx) - (c3/c1 k) sin(4kx) with the coefficients
     of path_series_coefficients, so g = 1/c1.  The path is sixth order in b.
     """
-    a = mode.sys.a
-    if not all(0.0 <= x <= a for x in xs):
-        raise ValueError(f"grid leaves the box [0, {a}]")
+    _check_grid(mode.sys.a, xs)
     k = mode.k_n
     c1, c2, c3 = path_series_coefficients(mode.b_sq)
     w2, w4 = c2 / (c1 * k), c3 / (c1 * k)
@@ -220,8 +224,7 @@ def figure_columns(mode: BoxMode, xs: Sequence[float]) -> tuple[Sequence[float],
     is checked in one pass over the grid.
     """
     a = mode.sys.a
-    if not all(0.0 <= x <= a for x in xs):
-        raise ValueError(f"grid leaves the box [0, {a}]")
+    _check_grid(a, xs)
     k = mode.k_n
     w = harmonic_weight(mode.b_sq)
     coeff = w / k

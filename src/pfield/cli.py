@@ -11,8 +11,8 @@ overflow or division by zero at an extreme finite option.
 A box-figure ratio outside [1, 2) is caught before any of its files is
 written.  Spectrum needs a ratio in (1, 2): the bare level at ratio 1
 has no field for the quartic term to act on.  A subcommand's files are
-written as one set, whole or not at all.  The box-figure grid ends
-exactly on the wall a and the flux-check grid exactly at a - h_x, so no
+written as one set, whole or not at all.  The box-figure grid ends on
+or just short of the wall a and the flux-check grid of a - h_x, so no
 sample falls outside the box.  Each subcommand returns its files; main
 writes them as one set and prints the path of each.  The message of an
 exit 3 names the subcommand and each option that differs from its
@@ -34,8 +34,8 @@ formats stream a table to the file in the row spans that core.run_shares
 hands out, in one process per usable CPU, each cell its repr, and differ
 only in their separators; the bytes do not depend on the process count
 (`taskset -c 0` gives one).  The kernels run per span, inside the share
-that renders it; flux-check alone gathers its columns first, through
-core.gather, since its max_abs_residual caption precedes the rows.
+that renders it; flux-check alone gathers its columns first, as floats
+through core.gather, since its max_abs_residual caption precedes the rows.
 Unequal columns, a non-finite cell or meta value are a numeric error (3)
 and leave no file.  The argument parser is built once per process.
 `import pfield.cli` loads only core and oracle of the package; each
@@ -378,9 +378,9 @@ def _cmd_flux_check(*, grid: int = 1000, format: str = "csv", a: float = 2e-9,
     beat, t0, h_x, h_t = timedep.equal_weight_beat(mass, a)
     xs = _box_grid(h_x, a - h_x, grid)
 
-    def rows(start: int, stop: int) -> bytes:
+    def rows(start: int, stop: int) -> Iterable[float]:
         flux, residual = timedep.flux_columns(beat, xs[start:stop], t0, h_x, h_t)
-        return column(chain.from_iterable(zip(flux, residual))).tobytes()
+        return chain.from_iterable(zip(flux, residual))
 
     # Each row's (flux, residual) pair, in order: the columns are strided
     # views of the one buffer, not copies.

@@ -24,11 +24,11 @@ bytes each where a list of floats holds 32.
 
 run_shares is the package's one route to more than one CPU and the one
 owner of the block size: it hands a run of items (a table's rows, a running
-integral's steps) to work in spans of BLOCK_ROWS, one process per usable
-CPU, and the bytes do not depend on that split; `taskset -c 0` gives one.
-A table's kernels run per span inside the share that renders it.  gather
-returns the shares' doubles in memory, for values needed whole before the
-first row is written: a running integral's steps, flux-check's columns.
+integral's steps) to work in spans of BLOCK_ROWS, in shares [lo, hi) of
+whole spans, one process per usable CPU; the bytes do not depend on that
+split, and `taskset -c 0` gives one.  gather packs the floats of a span
+kernel as doubles inside the share and returns them in memory: a running
+integral's steps, flux-check's columns, needed whole before the first row.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ class EnergyBudget(NamedTuple):
     v_field: float
 
 
-def energy_budget_check(b: EnergyBudget, rel_tol: float = 1e-12) -> bool:
-    """True iff the three additive identities hold to rel_tol.
+def energy_budget_check(b: EnergyBudget) -> bool:
+    """True iff the three additive identities hold to 1e-12, relative.
 
     e_total = e_particle + e_field, e_particle = k_particle + v_particle,
     e_field = k_field + v_field.  Kinetic terms must be non-negative.
@@ -94,7 +94,7 @@ def energy_budget_check(b: EnergyBudget, rel_tol: float = 1e-12) -> bool:
     scale = max(abs(b.e_total), abs(b.e_particle), abs(b.e_field), 1e-300)
 
     def close(x: float, y: float) -> bool:
-        return math.isclose(x, y, rel_tol=rel_tol, abs_tol=rel_tol * scale)
+        return math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-12 * scale)
     return (close(b.e_total, b.e_particle + b.e_field)
             and close(b.e_particle, b.k_particle + b.v_particle)
             and close(b.e_field, b.k_field + b.v_field)
@@ -177,12 +177,15 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else 1
 
 
-_Spans = list[tuple[int, int]]
+def _run(work: Callable[[int, int], bytes], lo: int, hi: int, out: BinaryIO) -> None:
+    """Write work(start, stop) to out for each BLOCK_ROWS span of [lo, hi)."""
+    for start in range(lo, hi, BLOCK_ROWS):
+        out.write(work(start, min(start + BLOCK_ROWS, hi)))
 
 
-def _fork(work: Callable[[int, int], bytes], share: _Spans, spool: BinaryIO) -> int | None:
-    """Pid of a child that writes work(*span) for each span of share to
-    spool and exits 0, or exits 1 at the first error; None if fork fails."""
+def _fork(work: Callable[[int, int], bytes], lo: int, hi: int, spool: BinaryIO) -> int | None:
+    """Pid of a child that writes the share [lo, hi) to spool and exits 0,
+    or exits 1 at the first error; None if fork fails."""
     try:
         pid = os.fork()
     except OSError:
@@ -190,8 +193,7 @@ def _fork(work: Callable[[int, int], bytes], share: _Spans, spool: BinaryIO) -> 
     if pid == 0:
         code = 1
         try:
-            for start, stop in share:
-                spool.write(work(start, stop))
+            _run(work, lo, hi, spool)
             spool.flush()
             code = 0
         finally:
@@ -203,20 +205,19 @@ def run_shares(work: Callable[[int, int], bytes], items: int, out: BinaryIO) -> 
     """Write work(start, stop) to out for each span of range(items), in order.
 
     range(items) is cut into spans of BLOCK_ROWS items, the last one
-    stopping at items, and the spans into contiguous shares, one per
-    usable CPU and never more than spans.  Each share after the first
-    runs in a forked child that writes to a temporary file of its own; the
-    first runs here, straight into out, and then each child's file is
-    copied after it in order.  The bytes are those of the serial loop for
-    any number of shares.  A share whose child fails, or whose fork fails,
-    is redone here, so an error raised by work surfaces with the serial
-    type and message, and a transient failure of a child heals.  There is
-    one share, and no fork, with one usable CPU, one span, no os.fork, or
-    a second thread running.  No child outlives the call.
+    stopping at items, and into shares, item ranges [lo, hi) of whole
+    spans, one per usable CPU and never more than spans.  Each share after
+    the first runs in a forked child that writes to a temporary file of
+    its own; the first runs here, straight into out, and then each child's
+    file is copied after it in order.  The bytes are those of the serial
+    loop for any number of shares.  A share whose child fails, or whose
+    fork fails, is redone here, so an error raised by work surfaces with
+    the serial type and message, and a transient failure of a child heals.
+    There is one share, and no fork, with one usable CPU, one span, no
+    os.fork, or a second thread running.  No child outlives the call.
     """
-    spans = [(start, min(start + BLOCK_ROWS, items))
-             for start in range(0, items, BLOCK_ROWS)]
-    count = min(len(spans), _usable_cpus())
+    spans = -(-items // BLOCK_ROWS)
+    count = max(min(spans, _usable_cpus()), 1)
     if count > 1:
         # Imported here, not at the top: only a call with more than one
         # share uses them, and import pfield stays as cheap as before.
@@ -226,21 +227,19 @@ def run_shares(work: Callable[[int, int], bytes], items: int, out: BinaryIO) -> 
         import threading
         if not hasattr(os, "fork") or threading.active_count() > 1:
             count = 1
-    count = max(count, 1)
-    bounds = [len(spans) * k // count for k in range(count + 1)]
-    shares = [spans[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    children: list[tuple[_Spans, BinaryIO, int | None]] = []
+    bounds = [min(spans * k // count * BLOCK_ROWS, items) for k in range(count + 1)]
+    shares = list(zip(bounds, bounds[1:]))
+    children: list[tuple[int, int, BinaryIO, int | None]] = []
     running: list[int] = []
     try:
-        for share in shares[1:]:
+        for lo, hi in shares[1:]:
             spool = tempfile.TemporaryFile()
-            pid = _fork(work, share, spool)
-            children.append((share, spool, pid))
+            pid = _fork(work, lo, hi, spool)
+            children.append((lo, hi, spool, pid))
             if pid is not None:
                 running.append(pid)
-        for start, stop in shares[0]:
-            out.write(work(start, stop))
-        for share, spool, pid in children:
+        _run(work, *shares[0], out)
+        for lo, hi, spool, pid in children:
             if pid is not None:
                 _, status = os.waitpid(pid, 0)
                 running.remove(pid)
@@ -248,22 +247,21 @@ def run_shares(work: Callable[[int, int], bytes], items: int, out: BinaryIO) -> 
                     spool.seek(0)
                     shutil.copyfileobj(spool, out)
                     continue
-            for start, stop in share:
-                out.write(work(start, stop))
+            _run(work, lo, hi, out)
     finally:
         for pid in running:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for _, spool, _ in children:
+        for _, _, spool, _ in children:
             spool.close()
 
 
-def gather(work: Callable[[int, int], bytes], items: int) -> memoryview:
-    """The doubles run_shares(work, items, ...) writes, as one 'd' memoryview.
-
-    work(start, stop) returns the native bytes of an array('d') for that
-    span; the values are those of the serial loop for any number of shares.
+def gather(work: Callable[[int, int], Iterable[float]], items: int) -> memoryview:
+    """The floats work(start, stop) returns for each span of range(items),
+    in order, as one 'd' memoryview: each share packs its spans' floats
+    as native doubles, and the values are those of the serial loop for
+    any number of shares.
     """
     buffer = io.BytesIO()
-    run_shares(work, items, buffer)
+    run_shares(lambda start, stop: column(work(start, stop)).tobytes(), items, buffer)
     return buffer.getbuffer().cast("d")

@@ -9,10 +9,10 @@ only core, and no special-function identities are used anywhere in it.
 
 The quadrature is an adaptive Gauss-Kronrod (G7, K15) bisection scheme with
 an embedded error estimate; identical inputs always traverse the same
-interval tree, so results are bit-reproducible.  A running integral takes
-its steps through core.gather, in one process per usable CPU, and is
-then one fold of those steps, left to right from 0.0, so its values do not
-depend on that split; `taskset -c 0` gives one process.
+interval tree, so results are bit-reproducible.  A running integral's
+steps are a generator of step integrals that core.gather runs in one
+process per usable CPU, then one fold of those floats from 0.0, so its
+values do not depend on that split; `taskset -c 0` gives one process.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import collections
 import math
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import column, gather, require_finite, require_finite_positive
 
@@ -148,18 +148,16 @@ def cumulative_integrate(f: Callable[[float], float], xs: Sequence[float]) -> Se
     """Running integral of f from 0 to each x of xs, in order, as an array('d').
 
     One integrate call per step, from the previous point (0 for the first)
-    to x.  The steps are taken through core.gather, in one process per
-    usable CPU, and then folded once: summed left to right from 0.0, so
-    the values do not depend on that split.
+    to x.  steps yields a span's step integrals, which core.gather takes in
+    one process per usable CPU; they are then folded once: summed left to
+    right from 0.0, so the values do not depend on that split.
     """
 
-    def steps(start: int, stop: int) -> bytes:
+    def steps(start: int, stop: int) -> Iterator[float]:
         prev = xs[start - 1] if start else 0.0
-        values = column(())
         for x in xs[start:stop]:
-            values.append(integrate(f, prev, x))
+            yield integrate(f, prev, x)
             prev = x
-        return values.tobytes()
 
     running = column(accumulate(gather(steps, len(xs)), initial=0.0))
     del running[0]

@@ -120,9 +120,7 @@ def classical_motion(sys: OscSystem, cap_l: float, phase: float,
 
 
 def _hermite(n: int, u: float) -> float:
-    """Physicists' Hermite polynomial by upward recurrence."""
-    if n == 0:
-        return 1.0
+    """Physicists' Hermite polynomial H_n, n >= 1, by upward recurrence."""
     h_prev, h = 1.0, 2.0 * u
     for k in range(1, n):
         h_prev, h = h, 2.0 * u * h - 2.0 * k * h_prev

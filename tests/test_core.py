@@ -11,7 +11,6 @@ import shutil
 import signal
 import threading
 import time
-from array import array
 
 import pytest
 
@@ -456,8 +455,8 @@ def test_run_shares_kills_its_children_when_its_own_share_fails(monkeypatch, no_
 
 
 def _doubles(start, stop):
-    """The native bytes of a double per item, one that no other item has."""
-    return array("d", (math.sin(i) / 3.0 for i in range(start, stop))).tobytes()
+    """A float per item, one that no other item has."""
+    return [math.sin(i) / 3.0 for i in range(start, stop)]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
@@ -466,8 +465,17 @@ def test_gather_returns_the_serial_doubles_for_any_share_count(monkeypatch, no_c
                                                                cpus, items):
     monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
     gathered = core.gather(_doubles, items)
-    assert gathered.format == "d" and gathered.tobytes() == _serial(_doubles, items)
-    assert list(gathered) == [math.sin(i) / 3.0 for i in range(items)]
+    assert gathered.format == "d" and list(gathered) == _doubles(0, items)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+def test_gather_packs_the_floats_a_span_generator_yields(monkeypatch, no_child_left, cpus):
+    """A span kernel may be a generator: the share packs what it yields."""
+    def yielded(start, stop):
+        yield from _doubles(start, stop)
+
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+    assert list(core.gather(yielded, _items(7))) == _doubles(0, _items(7))
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
