@@ -141,12 +141,6 @@ def field_energy(mode: BoxMode, x: float) -> EnergyBudget:
                         k_field=e_field * c * c, v_field=e_field * s * s)
 
 
-def field_slope(mode: BoxMode, x: float) -> float:
-    """chi_n'(x) = A_n k_n cos(k_n x); note A_n^2 k_n^2 = b^2."""
-    _check_inside(mode.sys.a, x)
-    return mode.a_n * mode.k_n * math.cos(mode.k_n * x)
-
-
 def path_integrand(mode: BoxMode) -> Callable[[float], float]:
     """Path integrand x -> sqrt(1 + b^2 cos^2(k_n x)) of the mode."""
     b_sq, k = mode.b_sq, mode.k_n
@@ -237,28 +231,3 @@ def figure_columns(mode: BoxMode, xs: Sequence[float]) -> tuple[Sequence[float],
     return (q, column(q_x / x if x > 0.0 else slope0 for q_x, x in zip(q, xs)),
             column(a_n * sin(k * x) for x in xs),
             column((amp * sin(n_pi * x / a)) ** 2 for x in xs))
-
-
-def velocity(mode: BoxMode, x: float, v_p: float) -> float:
-    """Composite speed dq/dt = g v_P sqrt(1 + chi'^2).
-
-    Maximal at the field nodes x = j a / n where the full slope b^2 is
-    felt, minimal (g v_P) at the antinodes.
-    """
-    _check_inside(mode.sys.a, x)
-    require_finite(v_p=v_p)
-    return mode.g_npf * v_p * path_integrand(mode)(x)
-
-
-def pf_acceleration(mode: BoxMode, x: float, v_p: float) -> float:
-    """Composite acceleration d^2q/dt^2 for uniform particle motion.
-
-    q'' = g v_P^2 chi' chi'' / sqrt(1 + chi'^2)
-        = -g v_P^2 (b^2 k / 2) sin(2kx) / sqrt(1 + b^2 cos^2 kx),
-    vanishing exactly at nodes (chi = 0) and antinodes (chi' = 0).
-    """
-    _check_inside(mode.sys.a, x)
-    require_finite(v_p=v_p)
-    k = mode.k_n
-    return (-mode.g_npf * v_p**2 * 0.5 * mode.b_sq * k * math.sin(2.0 * k * x)
-            / path_integrand(mode)(x))

@@ -1,4 +1,4 @@
-"""Shared kinematics for a particle dragging a probability field.
+"""Shared energy bookkeeping for a particle dragging a probability field.
 
 The model couples a point particle (momentum p_P, kinetic energy K_P) to a
 real stationary field chi(x) carrying energy of its own.  The composite obeys
@@ -8,16 +8,7 @@ real stationary field chi(x) carrying energy of its own.  The composite obeys
 
 so the field energy E_F measures how far the bound level sits above the bare
 particle energy.  The classical limit is E_F -> 0; regions where
-E_F + K_P < 0 are forbidden to the composite.
-
-Composite (particle-field) kinematics along the curved path q(x):
-
-    f_F  = m v_P^2 d|chi'|/dx + f_P |chi'|
-    f_PF = g [ f_P sqrt(1 + chi'^2) + m v^2 chi' chi'' / sqrt(1 + chi'^2) ]
-    K_PF = g^2 K_P (1 + chi'^2)
-
-with g a dimensionless path-normalization constant (g = 1 unless a bound
-geometry fixes it otherwise).  All quantities are SI.
+E_F + K_P < 0 are forbidden to the composite.  All quantities are SI.
 
 column is the package's one column type: an array('d') of the values, 8
 bytes each where a list of floats holds 32.
@@ -121,42 +112,6 @@ def classify_region(e_field: float, k_particle: float, eps: float) -> RegionClas
     if abs(e_field) <= eps:
         return RegionClass.CLASSICAL_LIMIT
     return RegionClass.ALLOWED
-
-
-def field_force_1d(m: float, v_p: float, chi_prime: float,
-                   d_abs_chi_prime_dx: float, f_p: float) -> float:
-    """Force the field exerts, f_F = m v_P^2 d|chi'|/dx + f_P |chi'|.
-
-    The caller supplies d|chi'|/dx directly; at extrema of chi' the
-    derivative of the absolute value is taken one-sidedly.  For a real
-    stationary mode (chi'' = -k^2 chi) this reduces, on intervals where
-    chi' > 0, to -m*wbar^2*chi + f_P*chi' with wbar^2 = v_P^2 k^2.
-    """
-    require_finite(m=m, v_p=v_p, chi_prime=chi_prime,
-                   d_abs_chi_prime_dx=d_abs_chi_prime_dx, f_p=f_p)
-    return m * v_p**2 * d_abs_chi_prime_dx + f_p * abs(chi_prime)
-
-
-def kinetic_pf(k_particle: float, chi_prime_sq: float, g: float = 1.0) -> float:
-    """Composite kinetic energy K_PF = g^2 K_P (1 + chi'^2)."""
-    if not 0.0 <= k_particle < math.inf:
-        raise ValueError("k_particle must be finite and non-negative")
-    if not 0.0 <= chi_prime_sq < math.inf:
-        raise ValueError("chi_prime_sq must be finite and non-negative")
-    require_finite(g=g)
-    return g**2 * k_particle * (1.0 + chi_prime_sq)
-
-
-def pf_force_stationary(g: float, f_p: float, chi_prime: float,
-                        chi_second: float, m: float, v: float) -> float:
-    """Composite force along the path for a stationary real field.
-
-    f_PF = g [ f_P sqrt(1 + chi'^2) + m v^2 chi' chi'' / sqrt(1 + chi'^2) ].
-    Equals m d^2 q/dt^2 for uniform particle motion x = v t.
-    """
-    require_finite(g=g, f_p=f_p, chi_prime=chi_prime, chi_second=chi_second, m=m, v=v)
-    root = math.sqrt(1.0 + chi_prime**2)
-    return g * (f_p * root + m * v**2 * chi_prime * chi_second / root)
 
 
 def column(values: Iterable[float]) -> array[float]:

@@ -12,16 +12,16 @@ e_n = -(mu/2)(Z e'^2/hbar)^2 / n^2 split the total: the field share
 e_n - e_mu vanishes exactly at r = n^2 a0 / Z, and averaging e_mu over
 the quantum radial density returns e_n for every tabulated state.  The
 radial closed forms are one table keyed (n, l); make_state checks a
-state's labels against it and the angular table once, and every radial
+state's labels against it and the angular labels once, and every radial
 function takes the HState.
 
 Orbital sweep drags the field through its angular profile, so composite
 speeds pick up the slope dS/dtheta: s states (dS/dtheta = 0) move at
-exactly r theta_dot, while 2p states gain the orientation-dependent
-corrections served by pf_velocity.  figure_columns tabulates both 2p orbit
-shapes over a whole grid of angles in one kernel, as one column each,
-computing the envelope and checking the parameters once; a point value is
-a one-element grid.
+exactly r theta_dot, while 2p states gain orientation-dependent
+corrections; approximation_gap bounds their linearization.  figure_columns
+tabulates both 2p orbit shapes over a whole grid of angles in one kernel,
+as one column each, computing the envelope and checking the parameters
+once; a point value is a one-element grid.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from . import _angular, oracle
-from .core import (GAUSSIAN_CHARGE_SQ, HBAR, column, require_finite,
-                   require_finite_positive, require_level)
+from .core import GAUSSIAN_CHARGE_SQ, HBAR, column, require_finite_positive, require_level
 
 
 class HydrogenSystem(collections.namedtuple("HydrogenSystem", "z mu")):
@@ -97,7 +96,7 @@ def level_energy(sys: HydrogenSystem, n: int) -> float:
 def make_state(sys: HydrogenSystem, n: int, l: int, m_l: int = 0,
                a_ha: float = 0.1) -> HState:
     """Build a stationary state; only the (n, l) of the radial table and
-    the labels of the angular table are accepted."""
+    the tabulated angular labels are accepted."""
     require_level(n, 1)
     if (n, l) not in _RADIAL:
         raise ValueError(f"radial profile not tabulated for (n, l)=({n!r}, {l!r})")
@@ -163,35 +162,6 @@ def mean_orbit_energy(state: HState) -> float:
     return -0.5 * state.sys.z * GAUSSIAN_CHARGE_SQ * mean_inv_r(state)
 
 
-def _sweep_slope_sq(state: HState, r: float, theta: float) -> float:
-    """Squared field slope along the orbital arc, (d chi / r d theta)^2
-    with |T|^2 folded: a_ha^2 bare^2 S'^2 / (2 pi r^2)."""
-    bare = _bare_radial(state, r)
-    sp = _angular.theta_factor_slope(state.l, state.m_l, theta)
-    return state.a_ha**2 * bare**2 * sp**2 / (2.0 * math.pi * r**2)
-
-
-def pf_velocity(state: HState, r: float, theta: float, theta_dot: float,
-                exact: bool = False) -> float:
-    """Composite speed of the orbit dressed with the state's field.
-
-    The sweep drags the field through dS/dtheta, so
-    v = r theta_dot sqrt(1 + u) with u = a_ha^2 bare^2 S'^2 / (2 pi r^2);
-    the default returns the linearized form r theta_dot (1 + u/2).  For
-    s states u = 0 and the speed is exactly r theta_dot.  For 2p0 the
-    linearized correction is (3/8pi) a_ha^2 e^(-Zr/a0) sin^2(theta),
-    minimal on the poles; for 2p+-1 it is (3/16pi) a_ha^2 e^(-Zr/a0)
-    cos^2(theta), minimal on the equator.
-    """
-    require_finite_positive(r=r)
-    require_finite(theta=theta, theta_dot=theta_dot)
-    u = _sweep_slope_sq(state, r, theta)
-    base = r * theta_dot
-    if exact:
-        return base * math.sqrt(1.0 + u)
-    return base * (1.0 + 0.5 * u)
-
-
 def approximation_gap(a_ha: float) -> float:
     """Worst-case linearized-minus-exact speed factor for a 2p0 state.
 
@@ -239,23 +209,3 @@ def cross_sections_2p(sys: HydrogenSystem, a_ha: float,
     return {(which, plane): q_over_r
             for which, column in zip(("p0", "pPlusMinus1"), columns)
             for plane, q_over_r in zip(("polar", "equatorial"), column)}
-
-
-def cartesian_components_2p0(sys: HydrogenSystem, a_ha: float, r: float,
-                             theta: float, phi: float) -> tuple[float, float, float]:
-    """Cartesian composite coordinates for the 2p0 dressing.
-
-    With beta = (a^2/8pi) e^(-Zr/a0):
-        qx = x (1 + beta sin^2 theta), qy likewise,
-        qz = z (1 + beta (2 + sin^2 theta));
-    their norm reproduces the p0 orbit radius of figure_columns to fourth
-    order in a_ha.
-    """
-    beta = _envelope_2p(sys, a_ha, r)
-    require_finite(theta=theta, phi=phi)
-    s = math.sin(theta)
-    x = r * s * math.cos(phi)
-    y = r * s * math.sin(phi)
-    z = r * math.cos(theta)
-    fac_xy = 1.0 + beta * s * s
-    return x * fac_xy, y * fac_xy, z * (1.0 + beta * (2.0 + s * s))

@@ -29,7 +29,7 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 from . import _angular
-from .core import HBAR, column, require_finite, require_finite_positive, require_level
+from .core import HBAR, column, require_finite_positive, require_level
 
 
 class OscSystem(collections.namedtuple("OscSystem", "mu omega0 cap_l")):
@@ -102,72 +102,6 @@ def threshold_suppression(n: int) -> float:
     """
     require_level(n, 0)
     return math.exp(-(2.0 * n + 1.0))
-
-
-def classical_motion(sys: OscSystem, cap_l: float, phase: float,
-                     t: float) -> tuple[float, float]:
-    """Classical displacement and momentum at time t.
-
-    r_bar = cap_l cos(w0 t + phase), p_mu = -mu w0 cap_l sin(w0 t + phase);
-    the energy p_mu^2/2mu + mu w0^2 r_bar^2/2 = mu w0^2 cap_l^2/2 is exact.
-    """
-    require_finite_positive(cap_l=cap_l)
-    require_finite(phase=phase, t=t)
-    arg = sys.omega0 * t + phase
-    r_bar = cap_l * math.cos(arg)
-    p_mu = -sys.mu * sys.omega0 * cap_l * math.sin(arg)
-    return r_bar, p_mu
-
-
-def _hermite(n: int, u: float) -> float:
-    """Physicists' Hermite polynomial H_n, n >= 1, by upward recurrence."""
-    h_prev, h = 1.0, 2.0 * u
-    for k in range(1, n):
-        h_prev, h = h, 2.0 * u * h - 2.0 * k * h_prev
-    return h
-
-
-def radial_field_slope(mode: OscMode, r_bar: float) -> float:
-    """d chi_n / d r_bar of the radial field profile: chi = a_osc r_bar^n
-    e^(-alpha r_bar^2/2) for n <= 1, a_osc H_n(sqrt(alpha) r_bar)
-    e^(-alpha r_bar^2/2) for n >= 2.  Any finite r_bar is permitted."""
-    require_finite(r_bar=r_bar)
-    alpha = mode.sys.alpha
-    env = math.exp(-0.5 * alpha * r_bar * r_bar)
-    if mode.n == 0:
-        return -mode.a_osc * alpha * r_bar * env
-    if mode.n == 1:
-        return mode.a_osc * (1.0 - alpha * r_bar * r_bar) * env
-    u = math.sqrt(alpha) * r_bar
-    h_n = _hermite(mode.n, u)
-    h_prev = _hermite(mode.n - 1, u)
-    return mode.a_osc * math.sqrt(alpha) * (2.0 * mode.n * h_prev - u * h_n) * env
-
-
-def _check_turning(sys: OscSystem, r_bar: float) -> None:
-    """The turning points: every r_bar a kinetic energy is evaluated at
-    lies in [-cap_l, cap_l]."""
-    if not abs(r_bar) <= sys.cap_l:
-        raise ValueError(
-            f"|r_bar|={abs(r_bar):.6e} beyond the turning point "
-            f"cap_l={sys.cap_l:.6e}")
-
-
-def kinetic_field(mode: OscMode, r_bar: float, theta: float) -> float:
-    """Field kinetic energy (mu/2) v_mu^2 chi_n'^2 |Y_{l,m}|^2.
-
-    v_mu^2 = w0^2 (cap_l^2 - r_bar^2) is the classical speed squared, so
-    the value vanishes at the turning points r_bar = +-cap_l and the
-    angular weight uses the orientation density |Y|^2 = S^2/(2 pi), which
-    does not depend on phi.
-    """
-    sys = mode.sys
-    _check_turning(sys, r_bar)
-    require_finite(theta=theta)
-    v_sq = sys.omega0**2 * (sys.cap_l**2 - r_bar**2)
-    slope = radial_field_slope(mode, r_bar)
-    return 0.5 * sys.mu * v_sq * slope * slope \
-        * _angular.angular_density(mode.l, mode.m_l, theta)
 
 
 def path_integrand(mode: OscMode) -> Callable[[float], float]:

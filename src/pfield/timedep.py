@@ -234,13 +234,3 @@ def expectation_p2(s: Superposition, t: float) -> float:
     """<p^2> = -hbar^2 integral Psi* d2Psi/dx2; equals the coefficient-
     weighted sum of (hbar k_j)^2 at all times."""
     return _moment(s, t, 2, -HBAR**2, "<p^2>")
-
-
-def tdse_residual(field, x: float, t: float) -> complex:
-    """i hbar dPsi/dt + (hbar^2/2m) d2Psi/dx2 inside the box (V = 0).
-
-    Identically zero when each component's energy matches hbar^2 k^2/2m;
-    an energy offset delta E leaves a residual proportional to it.
-    """
-    return 1j * HBAR * field.d_dt(x, t) \
-        + HBAR**2 / (2.0 * field.m) * field.d2_dx2(x, t)

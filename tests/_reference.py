@@ -11,10 +11,14 @@ corrections that the table adds to r_bar.  box_path_eighth and the three
 duffing_* functions are boxmode.eighth_order_path and the nonlinear point
 forms as they stood before boxmode.eighth_order_path and
 nonlinear.duffing_columns took whole grids; they still read the package's
-path_series_coefficients and omega_ratio.  bare_radial, normalized_radial,
-theta_factor and theta_factor_slope are the hydrogen radial and angular
-if-chains as they stood before each became one table keyed by its labels,
-so every table entry must equal its chain bit for bit.  table_text is the
+path_series_coefficients and omega_ratio.  bare_radial and
+normalized_radial are the hydrogen radial if-chain as it stood before it
+became one table keyed by (n, l), so every table entry must equal its
+chain bit for bit.  box_acceleration, field_force_1d, pf_force_stationary,
+cartesian_components_2p0 and sweep_speed are the composite kinematics as
+the package stated them before they were deleted as unreached; the tests
+hold the kept path integrand, quadrature path, field columns, hydrogen
+figure columns and approximation_gap to them.  table_text is the
 CLI's table text as it stood before tables were written in row blocks, so
 the joined chunks must equal it byte for byte.  CLI_OPTIONS is each
 subcommand's option table as it stood before the runners' keyword
@@ -76,6 +80,26 @@ def duffing_residual(params, k, x):
 def box_integrand(b_sq, kx):
     """Box path integrand sqrt(1 + b^2 cos^2(kx)) at phase kx."""
     return math.sqrt(1.0 + b_sq * math.cos(kx)**2)
+
+
+def box_acceleration(mode, x, v_p):
+    """Composite acceleration for uniform particle motion,
+    q'' = -g v_P^2 (b^2 k / 2) sin(2kx) / sqrt(1 + b^2 cos^2 kx)."""
+    k = mode.k_n
+    return (-mode.g_npf * v_p**2 * 0.5 * mode.b_sq * k * math.sin(2.0 * k * x)
+            / box_integrand(mode.b_sq, k * x))
+
+
+def field_force_1d(m, v_p, chi_prime, d_abs_chi_prime_dx, f_p):
+    """Force the field exerts, f_F = m v_P^2 d|chi'|/dx + f_P |chi'|."""
+    return m * v_p**2 * d_abs_chi_prime_dx + f_p * abs(chi_prime)
+
+
+def pf_force_stationary(g, f_p, chi_prime, chi_second, m, v):
+    """Composite force along the path of a stationary real field,
+    f_PF = g [f_P sqrt(1 + chi'^2) + m v^2 chi' chi'' / sqrt(1 + chi'^2)]."""
+    root = math.sqrt(1.0 + chi_prime**2)
+    return g * (f_p * root + m * v**2 * chi_prime * chi_second / root)
 
 
 def box_field(mode, x):
@@ -148,6 +172,37 @@ def orbit_2p1(sys, a_ha, r, theta):
     return r * (1.0 + 0.5 * env * (1.0 + s * s))
 
 
+def cartesian_components_2p0(sys, a_ha, r, theta, phi):
+    """Cartesian composite coordinates of the 2p0 dressing, with
+    beta = (a^2/8pi) e^(-Zr/a0): qx = x (1 + beta sin^2 theta), qy likewise,
+    qz = z (1 + beta (2 + sin^2 theta))."""
+    beta = a_ha**2 * math.exp(-sys.z * r / sys.a0) / (8.0 * math.pi)
+    s = math.sin(theta)
+    x = r * s * math.cos(phi)
+    y = r * s * math.sin(phi)
+    z = r * math.cos(theta)
+    fac_xy = 1.0 + beta * s * s
+    return x * fac_xy, y * fac_xy, z * (1.0 + beta * (2.0 + s * s))
+
+
+def sweep_speed(state, r, theta, theta_dot, exact=False):
+    """Composite speed r theta_dot sqrt(1 + u) of an orbit dressed with an
+    l <= 1 state's field, u = a_ha^2 bare^2 S'^2 / (2 pi r^2); the
+    linearized r theta_dot (1 + u/2) unless exact."""
+    if state.l == 0:
+        slope = 0.0
+    elif state.m_l == 0:
+        slope = -math.sqrt(6.0) / 2.0 * math.sin(theta)
+    else:
+        slope = math.sqrt(3.0) / 2.0 * math.cos(theta)
+    bare = bare_radial(state.sys, state.n, state.l, r)
+    u = state.a_ha**2 * bare**2 * slope**2 / (2.0 * math.pi * r**2)
+    base = r * theta_dot
+    if exact:
+        return base * math.sqrt(1.0 + u)
+    return base * (1.0 + 0.5 * u)
+
+
 def bare_radial(sys, n, l, r):
     """Unnormalized hydrogen radial profile, r^l factor kept in meters."""
     sigma = sys.z * r / sys.a0
@@ -179,42 +234,6 @@ def normalized_radial(sys, n, l, r):
     if (n, l) == (3, 1):
         return 4.0 * za**2.5 / (81.0 * math.sqrt(6.0)) * bare
     return 4.0 * za**3.5 / (81.0 * math.sqrt(30.0)) * bare
-
-
-def theta_factor(l, m_l, theta):
-    """Angular factor S_{l,m}(theta), l <= 2."""
-    am = abs(m_l)
-    c = math.cos(theta)
-    s = math.sin(theta)
-    if l == 0:
-        return 1.0 / math.sqrt(2.0)
-    if l == 1:
-        if am == 0:
-            return math.sqrt(6.0) / 2.0 * c
-        return math.sqrt(3.0) / 2.0 * s
-    if am == 0:
-        return math.sqrt(10.0) / 4.0 * (3.0 * c * c - 1.0)
-    if am == 1:
-        return math.sqrt(15.0) / 2.0 * s * c
-    return math.sqrt(15.0) / 4.0 * s * s
-
-
-def theta_factor_slope(l, m_l, theta):
-    """Slope dS_{l,m}/dtheta, l <= 2."""
-    am = abs(m_l)
-    c = math.cos(theta)
-    s = math.sin(theta)
-    if l == 0:
-        return 0.0
-    if l == 1:
-        if am == 0:
-            return -math.sqrt(6.0) / 2.0 * s
-        return math.sqrt(3.0) / 2.0 * c
-    if am == 0:
-        return -math.sqrt(10.0) / 4.0 * 6.0 * c * s
-    if am == 1:
-        return math.sqrt(15.0) / 2.0 * (c * c - s * s)
-    return math.sqrt(15.0) / 2.0 * s * c
 
 
 def flux(field, x, t):

@@ -83,8 +83,9 @@ def test_criterion_03_catches_a_one_percent_error_in_the_harmonic_weight(monkeyp
 
 
 _PATH_ORDER_GAP = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 7: no criterion bounds the sixth-order box path's "
-                        "harmonics tightly enough to see a 1% error in c2 or c3")
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 7: no criterion bounds the sixth-order box path's "
+           "harmonics tightly enough to see a 1% error in c2 or c3")
 
 
 @pytest.mark.parametrize("index", [0, pytest.param(1, marks=_PATH_ORDER_GAP),
@@ -103,8 +104,9 @@ def test_suite_catches_a_one_percent_error_in_a_path_coefficient(monkeypatch, in
 
 
 _OSC_PATH_GAP = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 8: no criterion compares the osc-trajectory path "
-                        "columns with the oracle, so a 1% error in c_two passes")
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 8: no criterion compares the osc-trajectory path "
+           "columns with the oracle, so a 1% error in c_two passes")
 
 
 @pytest.mark.parametrize("n", [pytest.param(n, marks=_OSC_PATH_GAP) for n in (0, 1)])

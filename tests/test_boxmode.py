@@ -1,4 +1,4 @@
-"""Box levels: mode data, energy budget, path series, composite kinematics."""
+"""Box levels: mode data, energy budget, path series and the figure kernels."""
 
 from __future__ import annotations
 
@@ -95,9 +95,6 @@ def test_field_profile():
     assert at_wall0 == 0.0
     assert abs(at_wall) <= 1e-12 * mode.a_n
     assert at_antinode == pytest.approx(mode.a_n, rel=1e-14)
-    assert boxmode.field_slope(mode, 0.0) == mode.a_n * mode.k_n
-    with pytest.raises(ValueError):
-        boxmode.field_slope(mode, 1.1 * A_BOX)
 
 
 def test_wavefunction_normalized():
@@ -171,10 +168,13 @@ def test_trajectory_matches_oracle():
 
 
 def test_velocity_extrema():
+    """The composite speed g v_P sqrt(1 + chi'^2) is the path integrand
+    times g v_P: maximal at the nodes, g v_P at the antinodes."""
     mode = _fixture()
     v_p = mode.sys.p_particle / M
-    at_node = boxmode.velocity(mode, 0.0, v_p)
-    at_antinode = boxmode.velocity(mode, 0.5 * A_BOX, v_p)
+    integrand = boxmode.path_integrand(mode)
+    at_node = mode.g_npf * v_p * integrand(0.0)
+    at_antinode = mode.g_npf * v_p * integrand(0.5 * A_BOX)
     assert at_node == pytest.approx(
         mode.g_npf * v_p * math.sqrt(1.0 + mode.b_sq), rel=1e-14)
     assert at_antinode == pytest.approx(mode.g_npf * v_p, rel=1e-14)
@@ -182,21 +182,30 @@ def test_velocity_extrema():
 
 
 def test_acceleration_zeros_and_sign():
+    """q'' = g v_P^2 times the path integrand's slope, which vanishes at
+    nodes and antinodes."""
     mode = _fixture()
     v_p = mode.sys.p_particle / M
+    integrand = boxmode.path_integrand(mode)
+
+    def acc(x: float) -> float:
+        return mode.g_npf * v_p**2 * oracle.finite_diff(integrand, x, A_BOX / 1e5, order=1)
+
     scale = mode.g_npf * v_p**2 * 0.5 * mode.b_sq * mode.k_n
-    assert boxmode.pf_acceleration(mode, 0.0, v_p) == 0.0
-    assert abs(boxmode.pf_acceleration(mode, 0.5 * A_BOX, v_p)) <= 1e-12 * scale
+    assert acc(0.0) == 0.0
+    assert abs(acc(0.5 * A_BOX)) <= 1e-12 * scale
     # field drags the composite toward the antinode
-    assert boxmode.pf_acceleration(mode, 0.25 * A_BOX, v_p) < 0.0
-    assert boxmode.pf_acceleration(mode, 0.75 * A_BOX, v_p) > 0.0
+    assert acc(0.25 * A_BOX) < 0.0
+    assert acc(0.75 * A_BOX) > 0.0
+    assert acc(0.25 * A_BOX) == pytest.approx(
+        ref.box_acceleration(mode, 0.25 * A_BOX, v_p), rel=1e-9)
 
 
 def test_acceleration_against_oracle_curvature():
     mode = _fixture()
     v_p = mode.sys.p_particle / M
     x = 0.25 * A_BOX
-    acc = boxmode.pf_acceleration(mode, x, v_p)
+    acc = ref.box_acceleration(mode, x, v_p)
 
     def q(s: float) -> float:
         return mode.g_npf * oracle.integrate(boxmode.path_integrand(mode), 0.0, s)
@@ -216,7 +225,7 @@ def test_series_curvature_misses_arclength_factor():
     mode = _fixture()
     v_p = mode.sys.p_particle / M
     x = 0.25 * A_BOX
-    acc = boxmode.pf_acceleration(mode, x, v_p)
+    acc = ref.box_acceleration(mode, x, v_p)
 
     def q(s: float) -> float:
         return _column(mode, [s], 0)[0]
@@ -310,7 +319,7 @@ def test_mode_wall_is_the_system_width():
     assert mode.n * math.pi / mode.k_n < a
     assert _column(mode, [a], 0)[0] == pytest.approx(a, rel=1e-12)
     with pytest.raises(ValueError, match="outside the box"):
-        boxmode.field_slope(mode, math.nextafter(a, 1.0))
+        boxmode.field_energy(mode, math.nextafter(a, 1.0))
 
 
 @pytest.mark.parametrize("a", [2.917e-09, 3.64e-09])

@@ -1,9 +1,9 @@
-"""Shared kinematics: constants, budgets, region tags, composite forces."""
+"""Shared core: constants, validators, budgets, region tags, columns and
+shares, and the composite forces against the box kernels."""
 
 from __future__ import annotations
 
 import errno
-import inspect
 import io
 import math
 import os
@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+import _reference as ref
 from pfield import boxmode, core, hydrogen, nonlinear, oracle, oscillator, timedep
 from pfield.core import (
     BOHR_RADIUS,
@@ -24,9 +25,6 @@ from pfield.core import (
     RegionClass,
     classify_region,
     energy_budget_check,
-    field_force_1d,
-    kinetic_pf,
-    pf_force_stationary,
 )
 
 
@@ -73,37 +71,17 @@ _GUARDS = {
     "classify_region eps": (lambda v: classify_region(1.0, 1.0, eps=v), 1e-6),
     "classify_region e_field": (lambda v: classify_region(v, 1.0, eps=1e-6), 1.0),
     "classify_region k_particle": (lambda v: classify_region(1.0, v, eps=1e-6), 1.0),
-    "kinetic_pf k_particle": (lambda v: kinetic_pf(v, 0.1), 1.0),
-    "kinetic_pf chi_prime_sq": (lambda v: kinetic_pf(1.0, v), 0.1),
-    "kinetic_pf g": (lambda v: kinetic_pf(1.0, 0.1, g=v), 0.9),
-    "boxmode.velocity v_p": (lambda v: boxmode.velocity(_BOX_MODE, 1e-9, v), 1e5),
-    "boxmode.pf_acceleration v_p": (
-        lambda v: boxmode.pf_acceleration(_BOX_MODE, 1e-9, v), 1e5),
     "boxmode.level_at_ratio": (
         lambda v: boxmode.level_at_ratio(ELECTRON_MASS, 2e-9, 1, v), 1.5),
     "hydrogen.circular_orbit": (lambda v: hydrogen.circular_orbit(_H, v), 1e-10),
     "hydrogen.make_state": (lambda v: hydrogen.make_state(_H, 2, 1, a_ha=v), 0.1),
     "hydrogen.field_energy": (
         lambda v: hydrogen.field_energy(_H_STATE, v), 1e-10),
-    "hydrogen.pf_velocity": (
-        lambda v: hydrogen.pf_velocity(_H_STATE, v, 0.3, 1e16), 1e-10),
-    "hydrogen.pf_velocity theta": (
-        lambda v: hydrogen.pf_velocity(_H_STATE, 1e-10, v, 1e16), 0.3),
-    "hydrogen.pf_velocity theta_dot": (
-        lambda v: hydrogen.pf_velocity(_H_STATE, 1e-10, 0.3, v), 1e16),
     "hydrogen.approximation_gap": (hydrogen.approximation_gap, 0.1),
-    "hydrogen.cartesian_components_2p0": (
-        lambda v: hydrogen.cartesian_components_2p0(_H, 0.1, v, 0.3, 0.2), 1e-10),
     "hydrogen.figure_rows r": (lambda v: hydrogen.figure_columns(_H, 0.1, v, [0.3]), 1e-10),
     "hydrogen.figure_rows a_ha": (lambda v: hydrogen.figure_columns(_H, v, 1e-10, [0.3]), 0.1),
     "hydrogen.figure_rows theta": (
         lambda v: hydrogen.figure_columns(_H, 0.1, 1e-10, [v]), 0.3),
-    "hydrogen.cartesian_components_2p0 a_ha": (
-        lambda v: hydrogen.cartesian_components_2p0(_H, v, 1e-10, 0.3, 0.2), 0.1),
-    "hydrogen.cartesian_components_2p0 theta": (
-        lambda v: hydrogen.cartesian_components_2p0(_H, 0.1, 1e-10, v, 0.2), 0.3),
-    "hydrogen.cartesian_components_2p0 phi": (
-        lambda v: hydrogen.cartesian_components_2p0(_H, 0.1, 1e-10, 0.3, v), 0.2),
     "hydrogen.normalized_radial": (
         lambda v: hydrogen.normalized_radial(_H_STATE, v), 1e-10),
     "nonlinear.omega_ratio k": (lambda v: nonlinear.omega_ratio(_NL, v), 1e9),
@@ -111,18 +89,8 @@ _GUARDS = {
         lambda v: oscillator.system_at_alpha(v, ELECTRON_MASS), 1e20),
     "oscillator.make_mode amplitude": (
         lambda v: oscillator.make_mode(_OSC, 1, amplitude=v), 1e-10),
-    "oscillator.classical_motion": (
-        lambda v: oscillator.classical_motion(_OSC, v, 0.0, 0.0), 1e-10),
-    "oscillator.classical_motion phase": (
-        lambda v: oscillator.classical_motion(_OSC, 1e-10, v, 0.0), 0.3),
-    "oscillator.classical_motion t": (
-        lambda v: oscillator.classical_motion(_OSC, 1e-10, 0.0, v), 1e-16),
     "oscillator.figure_rows r_bar": (
         lambda v: oscillator.figure_columns(_OSC_MODE, [v]), 1e-10),
-    "oscillator.kinetic_field": (
-        lambda v: oscillator.kinetic_field(_OSC_MODE, v, 0.3), 1e-10),
-    "oscillator.kinetic_field theta": (
-        lambda v: oscillator.kinetic_field(_OSC_MODE, 1e-10, v), 0.3),
     "oracle.finite_diff": (lambda v: oracle.finite_diff(math.sin, 0.0, v, 1), 1e-3),
     "oracle.finite_diff x": (lambda v: oracle.finite_diff(math.sin, v, 1e-3, 1), 0.0),
     "boxmode.integrand_series kx": (lambda v: boxmode.integrand_series(0.5, v), 0.3),
@@ -133,8 +101,6 @@ _GUARDS = {
         lambda v: nonlinear.duffing_columns(_NL, 1e9, [v])[1], 1e-9),
     "nonlinear.duffing_residual x": (
         lambda v: nonlinear.duffing_columns(_NL, 1e9, [v])[2], 1e-9),
-    "oscillator.radial_field_slope r_bar": (
-        lambda v: oscillator.radial_field_slope(_OSC_MODE, v), 1e-10),
     "timedep.flux_rows h_x": (
         lambda v: timedep.flux_columns(_BEAT, [1e-9], _T0, v, _H_T), _H_X),
     "timedep.flux_rows h_t": (
@@ -167,13 +133,6 @@ _LEVELS = {
 }
 _GUARDS.update({f"{name} n": entry for name, entry in _LEVELS.items()})
 
-# The force formulas take every argument as a plain float: one row each.
-for _force, _valid in ((pf_force_stationary, (0.9, 0.0, 1.0, -1.0, 1.0, 1.0)),
-                       (field_force_1d, (1.0, 1.0, 1.0, -1.0, 0.0))):
-    for _i, _arg in enumerate(inspect.signature(_force).parameters):
-        _GUARDS[f"{_force.__name__} {_arg}"] = (
-            lambda v, f=_force, args=_valid, i=_i: f(*args[:i], v, *args[i + 1:]), _valid[_i])
-
 # The paper-setup constructors that divide by a width or a mass.
 _SETUPS = ("boxmode.level_at_ratio a", "timedep.bare_eigenmode a",
            "timedep.equal_weight_beat a", "oscillator.system_at_alpha mu")
@@ -185,7 +144,7 @@ def test_guards_reject_non_finite(name, bad):
     call, valid = _GUARDS[name]
     call(valid)
     with pytest.raises(ValueError,
-                       match=r"finite|turning point|classical interval|\[1, 2\)"):
+                       match=r"finite|classical interval|\[1, 2\)"):
         call(bad)
 
 
@@ -259,6 +218,11 @@ def _chi(mode, x):
     return chi
 
 
+def _slope(mode, x):
+    """chi_n'(x) = A_n k_n cos(k_n x)."""
+    return mode.a_n * mode.k_n * math.cos(mode.k_n * x)
+
+
 def test_field_force_reduces_to_stationary_form():
     """On intervals of fixed slope sign, f_F = sign(chi') (-m wbar^2 chi + f_P chi')."""
     sys, mode = _sine_mode()
@@ -269,21 +233,12 @@ def test_field_force_reduces_to_stationary_form():
     xs = [0.5 * sys.a * i / 40.0 for i in range(1, 40)]     # cos(kx) > 0 throughout
     q, q_over_x, chis, psi_density = boxmode.figure_columns(mode, xs)
     for x, chi in zip(xs, chis):
-        chi_p = boxmode.field_slope(mode, x)
+        chi_p = _slope(mode, x)
         d_abs = -mode.a_n * mode.k_n**2 * math.sin(mode.k_n * x)
-        lhs = field_force_1d(sys.m, v_p, chi_p, d_abs, f_p)
+        lhs = ref.field_force_1d(sys.m, v_p, chi_p, d_abs, f_p)
         rhs = math.copysign(1.0, chi_p) * (-sys.m * wbar**2 * chi + f_p * chi_p)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
     assert worst <= 5e-15
-
-
-def test_kinetic_pf_value_and_validation():
-    assert kinetic_pf(2.0, 0.25) == 2.5
-    assert kinetic_pf(2.0, 0.25, g=0.5) == 0.25 * 2.5
-    with pytest.raises(ValueError):
-        kinetic_pf(-1.0, 0.0)
-    with pytest.raises(ValueError):
-        kinetic_pf(1.0, -0.1)
 
 
 def test_pf_force_matches_mode_acceleration():
@@ -292,11 +247,10 @@ def test_pf_force_matches_mode_acceleration():
     v_p = sys.p_particle / sys.m
     for frac in (0.1, 0.22, 0.35, 0.43):
         x = frac * sys.a
-        chi_p = boxmode.field_slope(mode, x)
         chi_pp = -mode.k_n**2 * _chi(mode, x)
-        f = pf_force_stationary(mode.g_npf, 0.0, chi_p, chi_pp, sys.m, v_p)
+        f = ref.pf_force_stationary(mode.g_npf, 0.0, _slope(mode, x), chi_pp, sys.m, v_p)
         assert f == pytest.approx(
-            sys.m * boxmode.pf_acceleration(mode, x, v_p), rel=5e-15)
+            sys.m * ref.box_acceleration(mode, x, v_p), rel=5e-15)
 
 
 def test_pf_force_tracks_oracle_path_curvature():
@@ -304,9 +258,8 @@ def test_pf_force_tracks_oracle_path_curvature():
     sys, mode = _sine_mode()
     v_p = sys.p_particle / sys.m
     x = 0.25 * sys.a
-    chi_p = boxmode.field_slope(mode, x)
     chi_pp = -mode.k_n**2 * _chi(mode, x)
-    f = pf_force_stationary(mode.g_npf, 0.0, chi_p, chi_pp, sys.m, v_p)
+    f = ref.pf_force_stationary(mode.g_npf, 0.0, _slope(mode, x), chi_pp, sys.m, v_p)
 
     def q(s: float) -> float:
         return mode.g_npf * oracle.integrate(boxmode.path_integrand(mode), 0.0, s)

