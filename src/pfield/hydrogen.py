@@ -2,26 +2,22 @@
 
 The particle moves on a classical circular orbit of radius r with
 v = sqrt(Z e'^2 / (mu r)) (e'^2 is the Gaussian squared charge e^2/4
-pi eps0), while the field carries the stationary-state profile
+pi eps0), while the field carries the radial profile bare_{n,l}(r) of
+the stationary state.  The orbit energy e_mu = -Z e'^2 / 2r and the
+level energy e_n = -(mu/2)(Z e'^2/hbar)^2 / n^2 split the total: the
+field share e_n - e_mu vanishes exactly at r = n^2 a0 / Z, and averaging
+e_mu over the quantum radial density returns e_n for every tabulated
+state.  The radial closed forms are one table keyed (n, l); make_state
+checks a state's labels against it, and every radial function takes the
+HState.
 
-    chi_{n,l,m}(r, theta, phi) = a_ha * bare_{n,l}(r) S_{l,m}(theta) T_m(phi)
-
-with the angular factors of the separable density |Y|^2 = S^2 |T|^2.
-The orbit energy e_mu = -Z e'^2 / 2r and the level energy
-e_n = -(mu/2)(Z e'^2/hbar)^2 / n^2 split the total: the field share
-e_n - e_mu vanishes exactly at r = n^2 a0 / Z, and averaging e_mu over
-the quantum radial density returns e_n for every tabulated state.  The
-radial closed forms are one table keyed (n, l); make_state checks a
-state's labels against it and the angular labels once, and every radial
-function takes the HState.
-
-Orbital sweep drags the field through its angular profile, so composite
-speeds pick up the slope dS/dtheta: s states (dS/dtheta = 0) move at
-exactly r theta_dot, while 2p states gain orientation-dependent
-corrections; approximation_gap bounds their linearization.  figure_columns
-tabulates both 2p orbit shapes over a whole grid of angles in one kernel,
-as one column each, computing the envelope and checking the parameters
-once; a point value is a one-element grid.
+The 2p functions take the field amplitude a_ha, of dimension m^(1-l),
+so that the l = 1 profile a_ha * r * exp(-Z r / 2 a0) has slope a_ha at
+the origin.  approximation_gap bounds the linearization of the composite
+speed in a_ha.  figure_columns tabulates both 2p orbit shapes over a
+whole grid of angles in one kernel, as one column each, computing the
+envelope and checking the parameters once; a point value is a
+one-element grid.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ import collections
 import math
 from typing import NamedTuple, Sequence
 
-from . import _angular, oracle
+from . import oracle
 from .core import GAUSSIAN_CHARGE_SQ, HBAR, column, require_finite_positive, require_level
 
 
@@ -63,18 +59,11 @@ class HydrogenOrbit(NamedTuple):
 
 
 class HState(NamedTuple):
-    """Stationary state labels of the system sys with the field amplitude a_ha.
-
-    a_ha carries dimension m^(1-l) so that the l = 1 profile is
-    a_ha * r * exp(-Z r / 2 a0) with dimensionless slope a_ha at the
-    origin.
-    """
+    """Stationary state (n, l) of the system sys and its level energy."""
 
     sys: HydrogenSystem
     n: int
     l: int
-    m_l: int
-    a_ha: float
     e_n: float
 
 
@@ -93,16 +82,13 @@ def level_energy(sys: HydrogenSystem, n: int) -> float:
     return -0.5 * sys.mu * (sys.z * GAUSSIAN_CHARGE_SQ / HBAR) ** 2 / n**2
 
 
-def make_state(sys: HydrogenSystem, n: int, l: int, m_l: int = 0,
-               a_ha: float = 0.1) -> HState:
-    """Build a stationary state; only the (n, l) of the radial table and
-    the tabulated angular labels are accepted."""
+def make_state(sys: HydrogenSystem, n: int, l: int) -> HState:
+    """Build a stationary state; only the (n, l) of the radial table are
+    accepted."""
     require_level(n, 1)
     if (n, l) not in _RADIAL:
         raise ValueError(f"radial profile not tabulated for (n, l)=({n!r}, {l!r})")
-    _angular.check_labels(l, m_l)
-    require_finite_positive(a_ha=a_ha)
-    return HState(sys=sys, n=n, l=l, m_l=m_l, a_ha=a_ha, e_n=level_energy(sys, n))
+    return HState(sys=sys, n=n, l=l, e_n=level_energy(sys, n))
 
 
 def field_energy(state: HState, r: float) -> float:

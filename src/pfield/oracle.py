@@ -1,11 +1,11 @@
 """Independent numerical routes backing the closed-form results.
 
-The oracle only integrates: an adaptive quadrature, its running sum and a
-central finite difference, applied by their callers to the exact
-integrands the physics modules supply.  Judging a value against its
-reference belongs to verification.  Everything here is deliberately
-independent of the series expansions it verifies: the module imports
-only core, and no special-function identities are used anywhere in it.
+The oracle only integrates: an adaptive quadrature and its running sum,
+applied by their callers to the exact integrands the physics modules
+supply.  Judging a value against its reference belongs to verification.
+Everything here is deliberately independent of the series expansions it
+verifies: the module imports only core, and no special-function
+identities are used anywhere in it.
 
 The quadrature is an adaptive Gauss-Kronrod (G7, K15) bisection scheme with
 an embedded error estimate; identical inputs always traverse the same
@@ -22,7 +22,7 @@ import math
 from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
-from .core import column, gather, require_finite, require_finite_positive
+from .core import column, gather, require_finite_positive
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (positive half).
 _XK = (
@@ -162,14 +162,3 @@ def cumulative_integrate(f: Callable[[float], float], xs: Sequence[float]) -> Se
     running = column(accumulate(gather(steps, len(xs)), initial=0.0))
     del running[0]
     return running
-
-
-def finite_diff(f: Callable[[float], float], x: float, h: float, order: int) -> float:
-    """Central finite difference, O(h^2): order 1 or 2 only."""
-    require_finite(x=x)
-    require_finite_positive(h=h)
-    if order == 1:
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-    if order == 2:
-        return (f(x + h) - 2.0 * f(x) + f(x - h)) / h**2
-    raise ValueError("order must be 1 or 2")

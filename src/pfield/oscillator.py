@@ -28,7 +28,6 @@ import collections
 import math
 from typing import Callable, NamedTuple, Sequence
 
-from . import _angular
 from .core import HBAR, column, require_finite_positive, require_level
 
 
@@ -62,31 +61,26 @@ class OscMode(NamedTuple):
 
     sys: OscSystem
     n: int
-    l: int
-    m_l: int
     a_osc: float
     e_n: float
     e_mu: float
     e_field: float
 
 
-def make_mode(sys: OscSystem, n: int, l: int = 0, m_l: int = 0,
-              amplitude: float | None = None) -> OscMode:
-    """Build level n with angular labels (l, m_l) of the tabulated l <= 2.
+def make_mode(sys: OscSystem, n: int, amplitude: float | None = None) -> OscMode:
+    """Build level n of the system sys with field amplitude a_osc.
 
     amplitude defaults to amplitude_estimate(sys, n).  e_field may come
     out negative when sys.cap_l exceeds the level threshold; the mode is
     still constructed so that regime can be probed.
     """
     require_level(n, 0)
-    _angular.check_labels(l, m_l)
     if amplitude is None:
         amplitude = amplitude_estimate(sys, n)
     require_finite_positive(amplitude=amplitude)
     e_n = HBAR * sys.omega0 * (n + 0.5)
     e_mu = 0.5 * sys.mu * sys.omega0**2 * sys.cap_l**2
-    return OscMode(sys=sys, n=n, l=l, m_l=m_l, a_osc=amplitude, e_n=e_n, e_mu=e_mu,
-                   e_field=e_n - e_mu)
+    return OscMode(sys=sys, n=n, a_osc=amplitude, e_n=e_n, e_mu=e_mu, e_field=e_n - e_mu)
 
 
 def classical_threshold(sys: OscSystem, n: int) -> float:

@@ -18,7 +18,8 @@ chain bit for bit.  box_acceleration, field_force_1d, pf_force_stationary,
 cartesian_components_2p0 and sweep_speed are the composite kinematics as
 the package stated them before they were deleted as unreached; the tests
 hold the kept path integrand, quadrature path, field columns, hydrogen
-figure columns and approximation_gap to them.  table_text is the
+figure columns and approximation_gap to them.  finite_diff is the central
+difference that stood in oracle while only the tests called it.  table_text is the
 CLI's table text as it stood before tables were written in row blocks, so
 the joined chunks must equal it byte for byte.  CLI_OPTIONS is each
 subcommand's option table as it stood before the runners' keyword
@@ -33,8 +34,19 @@ import json
 import math
 
 from pfield.boxmode import path_series_coefficients
-from pfield.core import HBAR
+from pfield.core import HBAR, require_finite, require_finite_positive
 from pfield.nonlinear import omega_ratio
+
+
+def finite_diff(f, x, h, order):
+    """Central finite difference, O(h^2): order 1 or 2 only."""
+    require_finite(x=x)
+    require_finite_positive(h=h)
+    if order == 1:
+        return (f(x + h) - f(x - h)) / (2.0 * h)
+    if order == 2:
+        return (f(x + h) - 2.0 * f(x) + f(x - h)) / h**2
+    raise ValueError("order must be 1 or 2")
 
 
 def box_path_quadratic(mode, x):
@@ -185,18 +197,19 @@ def cartesian_components_2p0(sys, a_ha, r, theta, phi):
     return x * fac_xy, y * fac_xy, z * (1.0 + beta * (2.0 + s * s))
 
 
-def sweep_speed(state, r, theta, theta_dot, exact=False):
-    """Composite speed r theta_dot sqrt(1 + u) of an orbit dressed with an
-    l <= 1 state's field, u = a_ha^2 bare^2 S'^2 / (2 pi r^2); the
-    linearized r theta_dot (1 + u/2) unless exact."""
-    if state.l == 0:
+def sweep_speed(sys, n, l, m_l, a_ha, r, theta, theta_dot, exact=False):
+    """Composite speed r theta_dot sqrt(1 + u) of an orbit dressed with the
+    field of amplitude a_ha of the l <= 1 state (n, l, m_l),
+    u = a_ha^2 bare^2 S'^2 / (2 pi r^2); the linearized r theta_dot
+    (1 + u/2) unless exact."""
+    if l == 0:
         slope = 0.0
-    elif state.m_l == 0:
+    elif m_l == 0:
         slope = -math.sqrt(6.0) / 2.0 * math.sin(theta)
     else:
         slope = math.sqrt(3.0) / 2.0 * math.cos(theta)
-    bare = bare_radial(state.sys, state.n, state.l, r)
-    u = state.a_ha**2 * bare**2 * slope**2 / (2.0 * math.pi * r**2)
+    bare = bare_radial(sys, n, l, r)
+    u = a_ha**2 * bare**2 * slope**2 / (2.0 * math.pi * r**2)
     base = r * theta_dot
     if exact:
         return base * math.sqrt(1.0 + u)

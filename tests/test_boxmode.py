@@ -189,7 +189,7 @@ def test_acceleration_zeros_and_sign():
     integrand = boxmode.path_integrand(mode)
 
     def acc(x: float) -> float:
-        return mode.g_npf * v_p**2 * oracle.finite_diff(integrand, x, A_BOX / 1e5, order=1)
+        return mode.g_npf * v_p**2 * ref.finite_diff(integrand, x, A_BOX / 1e5, order=1)
 
     scale = mode.g_npf * v_p**2 * 0.5 * mode.b_sq * mode.k_n
     assert acc(0.0) == 0.0
@@ -210,7 +210,7 @@ def test_acceleration_against_oracle_curvature():
     def q(s: float) -> float:
         return mode.g_npf * oracle.integrate(boxmode.path_integrand(mode), 0.0, s)
 
-    devs = [abs(v_p**2 * oracle.finite_diff(q, x, h, order=2) - acc) / abs(acc)
+    devs = [abs(v_p**2 * ref.finite_diff(q, x, h, order=2) - acc) / abs(acc)
             for h in (A_BOX / 400.0, A_BOX / 800.0)]
     assert devs[1] <= 1e-5                 # measured 4.99e-6
     assert 3.5 <= devs[0] / devs[1] <= 4.5
@@ -230,7 +230,7 @@ def test_series_curvature_misses_arclength_factor():
     def q(s: float) -> float:
         return _column(mode, [s], 0)[0]
 
-    fd = v_p**2 * oracle.finite_diff(q, x, A_BOX / 2000.0, order=2)
+    fd = v_p**2 * ref.finite_diff(q, x, A_BOX / 2000.0, order=2)
     factor = ref.box_integrand(mode.b_sq, mode.k_n * x)
     assert fd / acc == pytest.approx(factor, rel=1e-3)
 

@@ -720,12 +720,11 @@ def test_import_leaves_out_dataclasses_and_inspect():
 # which `import pfield.cli` alone loads.
 _PHYSICS = {
     "box-figure": {"boxmode"},
-    "osc-trajectory": {"oscillator", "_angular"},
-    "hydrogen-figure": {"hydrogen", "_angular"},
+    "osc-trajectory": {"oscillator"},
+    "hydrogen-figure": {"hydrogen"},
     "spectrum": {"boxmode", "nonlinear"},
     "flux-check": {"timedep", "boxmode"},
-    "verify": {"boxmode", "hydrogen", "_angular", "nonlinear", "oscillator", "timedep",
-               "verification"},
+    "verify": {"boxmode", "hydrogen", "nonlinear", "oscillator", "timedep", "verification"},
 }
 
 

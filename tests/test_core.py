@@ -74,7 +74,6 @@ _GUARDS = {
     "boxmode.level_at_ratio": (
         lambda v: boxmode.level_at_ratio(ELECTRON_MASS, 2e-9, 1, v), 1.5),
     "hydrogen.circular_orbit": (lambda v: hydrogen.circular_orbit(_H, v), 1e-10),
-    "hydrogen.make_state": (lambda v: hydrogen.make_state(_H, 2, 1, a_ha=v), 0.1),
     "hydrogen.field_energy": (
         lambda v: hydrogen.field_energy(_H_STATE, v), 1e-10),
     "hydrogen.approximation_gap": (hydrogen.approximation_gap, 0.1),
@@ -91,8 +90,6 @@ _GUARDS = {
         lambda v: oscillator.make_mode(_OSC, 1, amplitude=v), 1e-10),
     "oscillator.figure_rows r_bar": (
         lambda v: oscillator.figure_columns(_OSC_MODE, [v]), 1e-10),
-    "oracle.finite_diff": (lambda v: oracle.finite_diff(math.sin, 0.0, v, 1), 1e-3),
-    "oracle.finite_diff x": (lambda v: oracle.finite_diff(math.sin, v, 1e-3, 1), 0.0),
     "boxmode.integrand_series kx": (lambda v: boxmode.integrand_series(0.5, v), 0.3),
     # The three columns of nonlinear.duffing_columns, each on a one-element grid.
     "nonlinear.duffing_solution x": (
@@ -266,7 +263,7 @@ def test_pf_force_tracks_oracle_path_curvature():
 
     devs = []
     for h in (sys.a / 400.0, sys.a / 800.0):
-        fd = sys.m * v_p**2 * oracle.finite_diff(q, x, h, order=2)
+        fd = sys.m * v_p**2 * ref.finite_diff(q, x, h, order=2)
         devs.append(abs(fd - f) / abs(f))
     assert devs[1] <= 1e-5          # measured 4.99e-6 at h = a/800
     assert 3.5 <= devs[0] / devs[1] <= 4.5

@@ -43,17 +43,17 @@ def test_level_energy_scaling():
 
 
 def test_make_state_validation():
-    st = hydrogen.make_state(SYS, 2, 1, m_l=-1)
+    st = hydrogen.make_state(SYS, 2, 1)
     assert st.e_n == hydrogen.level_energy(SYS, 2)
-    for n, l, m in ((0, 0, 0), (4, 0, 0), (2, 2, 0), (2, 1, 2)):
+    for n, l in ((0, 0), (4, 0), (2, 2)):
         with pytest.raises(ValueError):
-            hydrogen.make_state(SYS, n, l, m_l=m)
+            hydrogen.make_state(SYS, n, l)
 
 
-@pytest.mark.parametrize("l,m_l", [(1, math.nan), (0, math.nan), (1, 0.5), (0.5, 0)])
-def test_make_state_rejects_labels_no_table_holds(l, m_l):
-    with pytest.raises(ValueError, match="not tabulated"):
-        hydrogen.make_state(SYS, 2, l, m_l=m_l)
+@pytest.mark.parametrize("l", [0.5, math.nan, 3, -1])
+def test_make_state_rejects_labels_no_table_holds(l):
+    with pytest.raises(ValueError, match="radial profile not tabulated"):
+        hydrogen.make_state(SYS, 2, l)
 
 
 _RADII = [SYS.a0 * i / 8.0 for i in range(241)]
@@ -116,19 +116,19 @@ def test_pf_velocity_2p_corrections():
     a_ha = 0.1
     td = hydrogen.circular_orbit(SYS, SYS.a0).theta_dot
     base = SYS.a0 * td
-    p0 = hydrogen.make_state(SYS, 2, 1, m_l=0, a_ha=a_ha)
+    p0 = (SYS, 2, 1, 0, a_ha)
     # poles carry no sweep for m = 0; equator the full (3/8pi) a^2 e^-sigma
-    assert ref.sweep_speed(p0, SYS.a0, 0.0, td) == base
-    v_eq = ref.sweep_speed(p0, SYS.a0, 0.5 * math.pi, td)
+    assert ref.sweep_speed(*p0, SYS.a0, 0.0, td) == base
+    v_eq = ref.sweep_speed(*p0, SYS.a0, 0.5 * math.pi, td)
     assert v_eq / base - 1.0 == pytest.approx(
         3.0 / (8.0 * math.pi) * a_ha**2 * math.exp(-1.0), rel=1e-10)
-    p1 = hydrogen.make_state(SYS, 2, 1, m_l=1, a_ha=a_ha)
-    assert ref.sweep_speed(p1, SYS.a0, 0.5 * math.pi, td) == base
-    v_pole = ref.sweep_speed(p1, SYS.a0, 0.0, td)
+    p1 = (SYS, 2, 1, 1, a_ha)
+    assert ref.sweep_speed(*p1, SYS.a0, 0.5 * math.pi, td) == base
+    v_pole = ref.sweep_speed(*p1, SYS.a0, 0.0, td)
     assert v_pole / base - 1.0 == pytest.approx(
         3.0 / (16.0 * math.pi) * a_ha**2 * math.exp(-1.0), rel=1e-10)
     # exact speed never exceeds the linearized one
-    v_exact = ref.sweep_speed(p0, SYS.a0, 0.5 * math.pi, td, exact=True)
+    v_exact = ref.sweep_speed(*p0, SYS.a0, 0.5 * math.pi, td, exact=True)
     assert 0.0 < v_eq - v_exact < hydrogen.approximation_gap(a_ha) * base
 
 

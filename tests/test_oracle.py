@@ -1,4 +1,4 @@
-"""Quadrature and finite differences used as the reference side."""
+"""Quadrature used as the reference side, and the tests' central finite difference."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import _reference as ref
 from pfield import boxmode, core, oracle, oscillator
 from pfield.core import ELECTRON_MASS, HBAR
 
@@ -94,24 +95,29 @@ def test_quadrature_spec_validation():
 
 def test_finite_diff_first_and_second_order():
     x = 0.7
-    d1 = oracle.finite_diff(math.sin, x, 1e-5, order=1)
+    d1 = ref.finite_diff(math.sin, x, 1e-5, order=1)
     assert d1 == pytest.approx(math.cos(x), rel=1e-9)
-    d2 = oracle.finite_diff(math.sin, x, 1e-4, order=2)
+    d2 = ref.finite_diff(math.sin, x, 1e-4, order=2)
     assert d2 == pytest.approx(-math.sin(x), rel=1e-7)
 
 
 def test_finite_diff_second_order_convergence():
     x = 0.7
-    errs = [abs(oracle.finite_diff(math.exp, x, h, order=1) - math.exp(x))
+    errs = [abs(ref.finite_diff(math.exp, x, h, order=1) - math.exp(x))
             for h in (1e-3, 5e-4)]
     assert 3.5 <= errs[0] / errs[1] <= 4.5
 
 
 def test_finite_diff_validation():
     with pytest.raises(ValueError):
-        oracle.finite_diff(math.sin, 0.0, -1e-5, order=1)
+        ref.finite_diff(math.sin, 0.0, -1e-5, order=1)
     with pytest.raises(ValueError):
-        oracle.finite_diff(math.sin, 0.0, 1e-5, order=3)
+        ref.finite_diff(math.sin, 0.0, 1e-5, order=3)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="h must be finite"):
+            ref.finite_diff(math.sin, 0.0, bad, order=1)
+        with pytest.raises(ValueError, match="x must be finite"):
+            ref.finite_diff(math.sin, bad, 1e-3, order=1)
 
 
 def _box_mode():

@@ -34,20 +34,6 @@ def test_make_mode_energies():
     assert mode.e_field == pytest.approx(mode.e_n - mode.e_mu, rel=1e-13)
 
 
-def test_make_mode_accepts_the_tabulated_labels_only():
-    for l in (0, 1, 2):
-        for m_l in range(-l, l + 1):
-            assert oscillator.make_mode(_system(), 1, l=l, m_l=m_l).m_l == m_l
-        with pytest.raises(ValueError, match="not tabulated"):
-            oscillator.make_mode(_system(), 1, l=l, m_l=l + 1)
-
-
-@pytest.mark.parametrize("l,m_l", [(math.nan, 0), (0.5, 0), (3, 0), (1, math.nan)])
-def test_make_mode_rejects_labels_no_table_holds(l, m_l):
-    with pytest.raises(ValueError, match="not tabulated"):
-        oscillator.make_mode(_system(), 1, l=l, m_l=m_l)
-
-
 def test_make_mode_allows_negative_field_energy():
     # amplitude beyond the threshold: the classical share exceeds e_n
     big = 2.0 * oscillator.classical_threshold(_system(), 0)

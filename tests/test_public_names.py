@@ -1,10 +1,11 @@
 """Every public name of the package is reached from the package, or is
-on the allow-list below with the reason it is kept.
+on an allow-list below with the reason it is kept.
 
 A public function or class counts as reached when another module refers
 to it, as ``module.name`` or through ``from .module import name``, or
 when its own module refers to it by name.  A public method counts as
-reached when any module reads an attribute of that name.  Only code
+reached when any module reads an attribute of that name, and so does a
+field of a record (a NamedTuple or namedtuple class).  Only code
 counts: docstrings, ``__all__`` strings and the tests do not.  No module
 imports a name that it never uses; there, ``__init__``'s ``__all__``
 strings count as uses of its re-exports.
@@ -19,17 +20,26 @@ import pfield
 
 _PACKAGE = Path(pfield.__file__).parent
 
-_TEST_REFERENCE = "test reference: tests compare reached code against it"
 _ENERGY_BALANCE = "energy-balance API"
+_REPORT_ROW = "verify writes it through ComparisonReport._asdict()"
 
 # Unreached public names -> why each stays.  A new public name needs a
 # caller in the package, an entry here, or deletion.
 _ALLOWED_UNREACHED = {
-    "oracle.finite_diff": _TEST_REFERENCE,
     "core.energy_budget_check": _ENERGY_BALANCE,
     "core.classify_region": _ENERGY_BALANCE,
     "hydrogen.circular_orbit": _ENERGY_BALANCE,
     "hydrogen.field_energy": _ENERGY_BALANCE,
+}
+
+# Unread record fields -> why each stays.  A new field needs a reader in
+# the package, an entry here, or deletion.
+_ALLOWED_UNREAD_FIELDS = {
+    **{f"hydrogen.HydrogenOrbit.{field}": _ENERGY_BALANCE
+       for field in ("r", "theta_dot", "v", "l_c", "e_mu")},
+    "oscillator.OscMode.e_mu": _ENERGY_BALANCE,
+    **{f"verification.ComparisonReport.{field}": _REPORT_ROW
+       for field in ("label", "reference", "abs_dev", "rel_dev", "tolerance", "passed")},
 }
 
 
@@ -71,9 +81,13 @@ def _references(trees: dict[str, ast.Module]) -> tuple[set[str], set[str]]:
     return names, attributes
 
 
+def _parse(package: Path) -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py"))}
+
+
 def _unreached(package: Path) -> set[str]:
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(package.glob("*.py"))}
+    trees = _parse(package)
     names, attributes = _references(trees)
     out = set()
     for qualname in _public_definitions(trees):
@@ -101,6 +115,57 @@ def test_reachability_rules(tmp_path):
         "from . import a\nfrom .a import imported\n"
         "a.other_only()\nimported()\nx.read()\n", encoding="utf-8")
     assert _unreached(tmp_path) == {"a.unused", "a.Box", "a.Box.never"}
+
+
+def _record_fields(cls: ast.ClassDef) -> list[str]:
+    """The fields of a NamedTuple class, or of a class built on
+    collections.namedtuple(name, "a b ...") or namedtuple(name, [...])."""
+    fields = []
+    for base in cls.bases:
+        if isinstance(base, (ast.Name, ast.Attribute)) \
+                and _annotation_name(base) == "NamedTuple":
+            fields += [node.target.id for node in cls.body
+                       if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+        elif isinstance(base, ast.Call) and _annotation_name(base.func) == "namedtuple":
+            spec = ast.literal_eval(base.args[1])
+            fields += spec.replace(",", " ").split() if isinstance(spec, str) else list(spec)
+    return fields
+
+
+def _unread_fields(package: Path) -> set[str]:
+    """module.Class.field for each record field that no module reads as an
+    attribute.  The match is by attribute name alone, as for methods: a
+    read of x.name on any object counts for every field called name, so
+    a field that shares its name with an attribute read elsewhere stays
+    hidden (OscMode.l was, by state.l).  Constructor keywords, _asdict(),
+    tuple unpacking and attribute stores are not reads."""
+    trees = _parse(package)
+    attributes = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return {f"{mod}.{node.name}.{field}"
+            for mod, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for field in _record_fields(node) if field not in attributes}
+
+
+def test_unread_record_fields_are_exactly_the_allow_list():
+    assert _unread_fields(_PACKAGE) == set(_ALLOWED_UNREAD_FIELDS)
+
+
+def test_unread_field_rules(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import collections\nfrom typing import NamedTuple\n"
+        "class Rec(NamedTuple):\n    read: int\n    kept: int\n    unread: float\n"
+        "class Pair(collections.namedtuple('Pair', 'left right')):\n    pass\n"
+        "class Listed(collections.namedtuple('Listed', ['first', 'second'])):\n    pass\n"
+        "class Plain:\n    never: int\n"
+        "def f(rec, pair):\n    return rec.read + pair.left\n"
+        "Rec(read=1, kept=2, unread=3.0)._asdict()\nleft, right = Pair(1, 2)\n",
+        encoding="utf-8")
+    (tmp_path / "b.py").write_text(
+        "def g(listed, other):\n    other.kept = listed.second\n", encoding="utf-8")
+    assert _unread_fields(tmp_path) == {"a.Rec.kept", "a.Rec.unread", "a.Pair.right",
+                                        "a.Listed.first"}
 
 
 def _unused_imports(package: Path) -> list[str]:

@@ -24,10 +24,10 @@ _SAMPLES = {
                           g_npf=0.9),
     hydrogen.HydrogenSystem: dict(z=1.0, mu=ELECTRON_MASS),
     hydrogen.HydrogenOrbit: dict(r=5e-11, theta_dot=4e16, v=2e6, l_c=1e-34, e_mu=-4e-18),
-    hydrogen.HState: dict(sys=_H, n=2, l=1, m_l=0, a_ha=0.1, e_n=-5e-19),
+    hydrogen.HState: dict(sys=_H, n=2, l=1, e_n=-5e-19),
     oscillator.OscSystem: dict(mu=ELECTRON_MASS, omega0=1e16, cap_l=1e-9),
-    oscillator.OscMode: dict(sys=_OSC, n=1, l=0, m_l=0, a_osc=1e-10, e_n=1e-18,
-                             e_mu=4e-19, e_field=6e-19),
+    oscillator.OscMode: dict(sys=_OSC, n=1, a_osc=1e-10, e_n=1e-18, e_mu=4e-19,
+                             e_field=6e-19),
     nonlinear.NonlinearParams: dict(eps=0.0, a_tilde=1e-10),
     oracle.QuadratureSpec: dict(rel_tol=1e-9, abs_tol=1e-13),
     verification.ComparisonReport: dict(label="c1", value=1.0, reference=1.0, abs_dev=0.0,

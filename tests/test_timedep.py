@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference as ref
-from pfield import boxmode, cli, oracle, timedep
+from pfield import boxmode, cli, timedep
 from pfield.core import ELECTRON_MASS, HBAR
 
 M = ELECTRON_MASS
@@ -99,8 +99,8 @@ def test_value_walls_and_domain():
 
 
 def _fd_complex(f, x0: float, h: float, order: int) -> complex:
-    re = oracle.finite_diff(lambda u: f(u).real, x0, h, order)
-    im = oracle.finite_diff(lambda u: f(u).imag, x0, h, order)
+    re = ref.finite_diff(lambda u: f(u).real, x0, h, order)
+    im = ref.finite_diff(lambda u: f(u).imag, x0, h, order)
     return complex(re, im)
 
 
