@@ -38,8 +38,8 @@ that renders it; flux-check alone gathers its columns first, as floats
 through core.gather, since its max_abs_residual caption precedes the rows.
 Unequal columns, a non-finite cell or meta value are a numeric error (3)
 and leave no file.  The argument parser is built once per process.
-`import pfield.cli` loads only core and oracle of the package; each
-subcommand imports only the physics modules it runs, on its first call.
+`import pfield.cli` loads only core of the package; each subcommand
+imports only the physics and oracle modules it runs, on its first call.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ from operator import add
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-# Only what every run needs loads here: the tracer of perfbench patches
-# cli.json, and main's exit-3 handler names oracle.QuadratureError.  Each
-# runner imports the physics modules it runs.
-from . import oracle
 from .core import ELECTRON_MASS, column, gather, run_shares
 
 _FORMATS = ("csv", "json")
@@ -301,7 +297,7 @@ def _cmd_box_figure(*, grid: int = 1000, format: str = "csv", a: float = 2e-9,
 def _cmd_osc_trajectory(*, grid: int = 1000, format: str = "csv", alpha: float = 1e20,
                         n: int = 1, mu: float = ELECTRON_MASS,
                         amplitude: float | None = None) -> tuple[_Files, int]:
-    from . import oscillator
+    from . import oracle, oscillator
 
     sys = oscillator.system_at_alpha(alpha, mu)
     mode = oscillator.make_mode(sys, n, amplitude=amplitude)
@@ -472,7 +468,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, oracle.QuadratureError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         changed = "".join(f" {key}={value}" for key, value in options.items()
                           if value != table[key][1])
         print(f"error: {args.command}{changed}: {exc}", file=_sys.stderr)

@@ -69,13 +69,9 @@ class QuadratureSpec(collections.namedtuple("QuadratureSpec", "rel_tol abs_tol")
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
-class QuadratureError(RuntimeError):
-    """Raised when the interval tree bottoms out; carries the best estimate."""
-
-    def __init__(self, message: str, best_estimate: float, error_bound: float):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-        self.error_bound = error_bound
+class QuadratureError(ArithmeticError):
+    """Raised when the interval tree bottoms out; the message names the
+    failing panel's interval, its depth and its error estimate."""
 
 
 def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -110,38 +106,36 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     Panels are accepted when the embedded estimate satisfies
     err <= max(abs_tol_share, rel_tol * |panel value|), the absolute
     budget being split evenly on bisection; the scheme is therefore
-    additive over subintervals of the same tree.  Raises ValueError for a
-    non-finite bound or width, and QuadratureError (best estimate
-    attached) if a panel still fails at depth _MAX_DEPTH.
+    additive over subintervals of the same tree.  A reversed interval is
+    integrated forward and negated.  Raises ValueError for a non-finite
+    bound or width, and QuadratureError if a panel still fails at depth
+    _MAX_DEPTH.
     """
     if not math.isfinite(b - a):
         raise ValueError(f"integration interval must be finite, got [{a}, {b}]")
     if a == b:
         return 0.0
-    sign = 1.0
     if a > b:
-        a, b = b, a
-        sign = -1.0
-    return sign * _adapt(f, a, b, spec.abs_tol, 0, spec, sign)
+        return -_adapt(f, b, a, spec.abs_tol, spec.rel_tol, 0)
+    return _adapt(f, a, b, spec.abs_tol, spec.rel_tol, 0)
 
 
 def _adapt(f: Callable[[float], float], lo: float, hi: float, abs_budget: float,
-           depth: int, spec: QuadratureSpec, sign: float) -> float:
+           rel_tol: float, depth: int) -> float:
     """Integral over [lo, hi] at this depth: its panel if that passes on
     abs_budget, else the sum of its halves, each on half the budget."""
     value, err = _gk15(f, lo, hi)
-    if err <= max(abs_budget, spec.rel_tol * abs(value)):
+    if err <= max(abs_budget, rel_tol * abs(value)):
         return value
     if depth >= _MAX_DEPTH:
         raise QuadratureError(
             f"quadrature failed to converge on [{lo}, {hi}] "
-            f"at depth {depth} (error estimate {err:.3e})",
-            best_estimate=sign * value, error_bound=err)
+            f"at depth {depth} (error estimate {err:.3e})")
     mid = 0.5 * (lo + hi)
     abs_budget = 0.5 * abs_budget
     depth += 1
-    return (_adapt(f, lo, mid, abs_budget, depth, spec, sign)
-            + _adapt(f, mid, hi, abs_budget, depth, spec, sign))
+    return (_adapt(f, lo, mid, abs_budget, rel_tol, depth)
+            + _adapt(f, mid, hi, abs_budget, rel_tol, depth))
 
 
 def cumulative_integrate(f: Callable[[float], float], xs: Sequence[float]) -> Sequence[float]:

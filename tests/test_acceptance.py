@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from pfield import boxmode, hydrogen, oscillator, verification
+from pfield import boxmode, hydrogen, nonlinear, oscillator, timedep, verification
 
 
 @pytest.fixture(scope="module")
@@ -122,3 +122,64 @@ def test_suite_catches_a_one_percent_error_in_the_oscillator_c_two(monkeypatch, 
 
     monkeypatch.setattr(oscillator, "figure_columns", scaled)
     assert not verification.run_acceptance_suite()["passed"]
+
+
+def _nan_mid_grid(values):
+    values = list(values)
+    values[len(values) // 2] = math.nan
+    return values
+
+
+def _nan_in_box_path(monkeypatch):
+    path = boxmode.eighth_order_path
+    monkeypatch.setattr(boxmode, "eighth_order_path", lambda mode, xs: (
+        _nan_mid_grid(path(mode, xs)) if len(xs) > 2 else path(mode, xs)))
+
+
+def _nan_in_particle_energy_at_n5(monkeypatch):
+    energy = boxmode.field_energy
+    monkeypatch.setattr(boxmode, "field_energy", lambda mode, x: (
+        energy(mode, x)._replace(e_particle=math.nan) if mode.n == 5 else energy(mode, x)))
+
+
+def _nan_in_duffing_residual(monkeypatch):
+    columns = nonlinear.duffing_columns
+
+    def injected(params, k, xs):
+        chi, chi_xx, residual = columns(params, k, xs)
+        return chi, chi_xx, _nan_mid_grid(residual)
+    monkeypatch.setattr(nonlinear, "duffing_columns", injected)
+
+
+def _nan_in_flux_residual(monkeypatch):
+    columns = timedep.flux_columns
+
+    def injected(s, xs, t, h_x, h_t):
+        flux, residual = columns(s, xs, t, h_x, h_t)
+        return flux, _nan_mid_grid(residual) if len(xs) > 1 else residual
+    monkeypatch.setattr(timedep, "flux_columns", injected)
+
+
+def _nan_in_box_figure_q(monkeypatch):
+    columns = boxmode.figure_columns
+
+    def injected(mode, xs):
+        q, *rest = columns(mode, xs)
+        return (_nan_mid_grid(q), *rest)
+    monkeypatch.setattr(boxmode, "figure_columns", injected)
+
+
+@pytest.mark.parametrize("func,inject", [
+    (verification.criterion_04, _nan_in_box_path),
+    (verification.criterion_05, _nan_in_particle_energy_at_n5),
+    (verification.criterion_11, _nan_in_duffing_residual),
+    (verification.criterion_12, _nan_in_flux_residual),
+    (verification.criterion_13, _nan_in_box_figure_q),
+], ids=["path-vs-oracle", "energy-identity", "quartic-spectrum",
+        "probability-bookkeeping", "classical-limit"])
+def test_a_nan_in_a_checked_quantity_fails_its_criterion(monkeypatch, func, inject):
+    """One nan away from the first place of a worst-case reduction must
+    still reach the check, where it fails."""
+    assert all(r.passed for r in func())
+    inject(monkeypatch)
+    assert not all(r.passed for r in func())

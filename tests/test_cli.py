@@ -644,6 +644,43 @@ def test_spectrum_zero_coupling_has_zero_shifts(tmp_path):
         assert row[3] == 0.0
 
 
+def test_negative_exponent_option_is_joined_to_its_flag(tmp_path, capsys):
+    """argparse reads a separate `-1e35` as a flag, since its negative-number
+    pattern has no exponent; joined with `=`, the value is taken."""
+    assert cli.main(["spectrum", "--eps=-1e35", "--levels", "3",
+                     "--out", str(tmp_path / "joined")]) == 0
+    meta, _, rows = _read_table(tmp_path / "joined" / "spectrum.csv")
+    assert meta["eps"] == "-1e+35"
+    assert len(rows) == 3
+    r = _run("spectrum", "--eps", "-1e35", "--out", str(tmp_path / "apart"))
+    assert r.returncode == 2
+    assert "argument --eps: expected one argument" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "apart").exists()
+
+
+def test_quadrature_failure_in_a_forked_share_exits_3(tmp_path, capsys, monkeypatch,
+                                                      no_child_left):
+    """An integrand that turns nan past r = r_max / 2 fails a step of the
+    second share, in a child; the share is redone here and raises the
+    oracle's ArithmeticError, which main reports as a numeric error."""
+    path_integrand = oscillator.path_integrand
+
+    def nan_past_half(mode):
+        f = path_integrand(mode)
+        r_half = 2.5 / math.sqrt(mode.sys.alpha)
+        return lambda r: math.nan if r > r_half else f(r)
+
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(oscillator, "path_integrand", nan_past_half)
+    assert cli.main(["osc-trajectory", "--grid", "2049", "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "error: osc-trajectory grid=2049: quadrature failed to converge on [")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_flux_check_reports_conservation(tmp_path):
     r = _run("flux-check", "--grid", "32", "--out", str(tmp_path))
     assert r.returncode == 0, r.stderr
@@ -716,22 +753,23 @@ def test_import_leaves_out_dataclasses_and_inspect():
     assert r.stdout.strip() == "[]"
 
 
-# The pfield modules each subcommand imports beyond cli, core and oracle,
-# which `import pfield.cli` alone loads.
+# The pfield modules each subcommand imports beyond cli and core, which
+# `import pfield.cli` alone loads.
 _PHYSICS = {
     "box-figure": {"boxmode"},
-    "osc-trajectory": {"oscillator"},
-    "hydrogen-figure": {"hydrogen"},
+    "osc-trajectory": {"oracle", "oscillator"},
+    "hydrogen-figure": {"hydrogen", "oracle"},
     "spectrum": {"boxmode", "nonlinear"},
-    "flux-check": {"timedep", "boxmode"},
-    "verify": {"boxmode", "hydrogen", "nonlinear", "oscillator", "timedep", "verification"},
+    "flux-check": {"timedep", "boxmode", "oracle"},
+    "verify": {"boxmode", "hydrogen", "nonlinear", "oracle", "oscillator", "timedep",
+               "verification"},
 }
 
 
 @pytest.mark.parametrize("command", [None, *_PHYSICS], ids=lambda c: c or "import-only")
 def test_each_subcommand_imports_only_the_physics_it_runs(tmp_path, command):
-    """`import pfield.cli` loads core and oracle of the package and no
-    physics module; each runner imports its own."""
+    """`import pfield.cli` loads core of the package and no physics or
+    oracle module; each runner imports its own."""
     src = str(Path(cli.__file__).resolve().parents[1])
     argv = [] if command is None else [command, "--out", str(tmp_path)]
     if command not in (None, "spectrum", "verify"):
@@ -744,7 +782,7 @@ def test_each_subcommand_imports_only_the_physics_it_runs(tmp_path, command):
     r = subprocess.run([sys.executable, "-I", "-S", "-c", code],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split() == sorted({"cli", "core", "oracle", *_PHYSICS.get(command, ())})
+    assert r.stdout.split() == sorted({"cli", "core", *_PHYSICS.get(command, ())})
 
 
 def test_verify_inject_error_fails(tmp_path):

@@ -62,13 +62,12 @@ def test_gaussian_integral_at_the_nm_scale_to_a_few_ulps(x_sqrt_alpha):
     assert abs(value - ref) <= 8 * math.ulp(ref)
 
 
-def test_integrate_raises_with_best_estimate():
+def test_integrate_raises_an_arithmetic_error():
     spec = oracle.QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300)
     with pytest.raises(oracle.QuadratureError) as exc:
         oracle.integrate(lambda x: x**-0.9, 1e-12, 1.0, spec)
-    assert math.isfinite(exc.value.best_estimate)
-    assert exc.value.error_bound > 0.0
-    assert "depth" in str(exc.value)
+    assert isinstance(exc.value, ArithmeticError)
+    assert "depth 50 (error estimate" in str(exc.value)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -320,8 +319,7 @@ def test_quadrature_error_in_the_last_share_is_the_serial_error(monkeypatch, no_
     serial, shared = errors
     assert str(shared) == str(serial)
     assert "failed to converge" in str(shared)
-    assert repr(shared.best_estimate) == repr(serial.best_estimate) == "nan"
-    assert repr(shared.error_bound) == repr(serial.error_bound)
+    assert isinstance(shared, ArithmeticError)
 
 
 def _integrate_closure(f, a, b, spec=oracle.DEFAULT_QUADRATURE):
@@ -343,8 +341,7 @@ def _integrate_closure(f, a, b, spec=oracle.DEFAULT_QUADRATURE):
         if depth >= oracle._MAX_DEPTH:
             raise oracle.QuadratureError(
                 f"quadrature failed to converge on [{lo}, {hi}] "
-                f"at depth {depth} (error estimate {err:.3e})",
-                best_estimate=sign * value, error_bound=err)
+                f"at depth {depth} (error estimate {err:.3e})")
         mid = 0.5 * (lo + hi)
         vl, el = recurse(lo, mid, 0.5 * abs_budget, depth + 1)
         vr, er = recurse(mid, hi, 0.5 * abs_budget, depth + 1)
@@ -388,8 +385,7 @@ def test_integrate_failure_matches_closure_reference(flip):
         oracle.integrate(f, a, b, spec)
     with pytest.raises(oracle.QuadratureError) as ref:
         _integrate_closure(f, a, b, spec)
-    assert exc.value.best_estimate == ref.value.best_estimate
-    assert exc.value.error_bound == ref.value.error_bound
+    assert isinstance(exc.value, ArithmeticError)
     assert str(exc.value) == str(ref.value)
 
 

@@ -4,19 +4,32 @@ on an allow-list below with the reason it is kept.
 A public function or class counts as reached when another module refers
 to it, as ``module.name`` or through ``from .module import name``, or
 when its own module refers to it by name.  A public method counts as
-reached when any module reads an attribute of that name, and so does a
-field of a record (a NamedTuple or namedtuple class).  Only code
+reached when any module reads an attribute of that name.  Only code
 counts: docstrings, ``__all__`` strings and the tests do not.  No module
 imports a name that it never uses; there, ``__init__``'s ``__all__``
 strings count as uses of its re-exports.
+
+A field of a record (a NamedTuple or namedtuple class) counts as read
+when running every subcommand reads it as an attribute of a record of
+that class: a trace at run time, so a read of a field or method of the
+same name on another class does not count for it.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
+import importlib
+import io
+import pkgutil
+import types
 from pathlib import Path
+from typing import Callable
+
+import pytest
 
 import pfield
+from pfield import cli, core
 
 _PACKAGE = Path(pfield.__file__).parent
 
@@ -37,9 +50,12 @@ _ALLOWED_UNREACHED = {
 _ALLOWED_UNREAD_FIELDS = {
     **{f"hydrogen.HydrogenOrbit.{field}": _ENERGY_BALANCE
        for field in ("r", "theta_dot", "v", "l_c", "e_mu")},
-    "oscillator.OscMode.e_mu": _ENERGY_BALANCE,
+    **{f"oscillator.OscMode.{field}": _ENERGY_BALANCE for field in ("e_n", "e_mu", "e_field")},
+    **{f"core.EnergyBudget.{field}": _ENERGY_BALANCE
+       for field in ("e_total", "e_field", "k_particle", "v_particle", "k_field", "v_field")},
     **{f"verification.ComparisonReport.{field}": _REPORT_ROW
-       for field in ("label", "reference", "abs_dev", "rel_dev", "tolerance", "passed")},
+       for field in ("label", "value", "reference", "abs_dev", "rel_dev", "tolerance",
+                     "passed")},
 }
 
 
@@ -117,55 +133,75 @@ def test_reachability_rules(tmp_path):
     assert _unreached(tmp_path) == {"a.unused", "a.Box", "a.Box.never"}
 
 
-def _record_fields(cls: ast.ClassDef) -> list[str]:
-    """The fields of a NamedTuple class, or of a class built on
-    collections.namedtuple(name, "a b ...") or namedtuple(name, [...])."""
-    fields = []
-    for base in cls.bases:
-        if isinstance(base, (ast.Name, ast.Attribute)) \
-                and _annotation_name(base) == "NamedTuple":
-            fields += [node.target.id for node in cls.body
-                       if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
-        elif isinstance(base, ast.Call) and _annotation_name(base.func) == "namedtuple":
-            spec = ast.literal_eval(base.args[1])
-            fields += spec.replace(",", " ").split() if isinstance(spec, str) else list(spec)
-    return fields
+def _record_classes(modules: list[types.ModuleType]) -> dict[str, type]:
+    """module.Class -> class, for each NamedTuple or namedtuple class that
+    one of modules defines; a class another module imports is not listed
+    again under that module."""
+    return {f"{module.__name__.rpartition('.')[2]}.{name}": obj
+            for module in modules for name, obj in vars(module).items()
+            if isinstance(obj, type) and issubclass(obj, tuple)
+            and hasattr(obj, "_fields") and obj.__module__ == module.__name__}
 
 
-def _unread_fields(package: Path) -> set[str]:
-    """module.Class.field for each record field that no module reads as an
-    attribute.  The match is by attribute name alone, as for methods: a
-    read of x.name on any object counts for every field called name, so
-    a field that shares its name with an attribute read elsewhere stays
-    hidden (OscMode.l was, by state.l).  Constructor keywords, _asdict(),
-    tuple unpacking and attribute stores are not reads."""
-    trees = _parse(package)
-    attributes = {node.attr for tree in trees.values() for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    return {f"{mod}.{node.name}.{field}"
-            for mod, tree in trees.items() for node in tree.body
-            if isinstance(node, ast.ClassDef)
-            for field in _record_fields(node) if field not in attributes}
+def _unread_fields(modules: list[types.ModuleType], run: Callable[[], object]) -> set[str]:
+    """module.Class.field for each field of a record class of modules that
+    run() never reads as an attribute.  Each field is swapped for a
+    property that notes the read, for the length of run(), then restored.
+    Constructor keywords, _asdict(), _replace(), indexing and tuple
+    unpacking are not reads, and neither are reads in a forked child."""
+    read: set[str] = set()
+    fields = set()
+    with pytest.MonkeyPatch.context() as patch:
+        for qualname, cls in _record_classes(modules).items():
+            for index, field in enumerate(cls._fields):
+                name = f"{qualname}.{field}"
+                fields.add(name)
+
+                def traced(self, index=index, name=name):
+                    read.add(name)
+                    return tuple.__getitem__(self, index)
+                patch.setattr(cls, field, property(traced))
+        run()
+    return fields - read
 
 
-def test_unread_record_fields_are_exactly_the_allow_list():
-    assert _unread_fields(_PACKAGE) == set(_ALLOWED_UNREAD_FIELDS)
+def _run_every_subcommand(tmp_path: Path) -> None:
+    """Every subcommand in this process, on one share, in each of its forms."""
+    runs = [["box-figure"], ["box-figure", "--format", "json"],
+            ["osc-trajectory", "--n", "0"], ["osc-trajectory", "--n", "1"],
+            ["hydrogen-figure"], ["spectrum"], ["spectrum", "--eps", "1e35"],
+            ["flux-check"], ["verify"], ["verify", "--inject-error"]]
+    with pytest.MonkeyPatch.context() as patch, \
+            contextlib.redirect_stdout(io.StringIO()):
+        patch.setattr(core, "_usable_cpus", lambda: 1)
+        for number, argv in enumerate(runs):
+            assert cli.main([*argv, "--out", str(tmp_path / str(number))]) \
+                == (argv == ["verify", "--inject-error"])
 
 
-def test_unread_field_rules(tmp_path):
-    (tmp_path / "a.py").write_text(
-        "import collections\nfrom typing import NamedTuple\n"
-        "class Rec(NamedTuple):\n    read: int\n    kept: int\n    unread: float\n"
-        "class Pair(collections.namedtuple('Pair', 'left right')):\n    pass\n"
-        "class Listed(collections.namedtuple('Listed', ['first', 'second'])):\n    pass\n"
-        "class Plain:\n    never: int\n"
-        "def f(rec, pair):\n    return rec.read + pair.left\n"
-        "Rec(read=1, kept=2, unread=3.0)._asdict()\nleft, right = Pair(1, 2)\n",
-        encoding="utf-8")
-    (tmp_path / "b.py").write_text(
-        "def g(listed, other):\n    other.kept = listed.second\n", encoding="utf-8")
-    assert _unread_fields(tmp_path) == {"a.Rec.kept", "a.Rec.unread", "a.Pair.right",
-                                        "a.Listed.first"}
+def test_unread_record_fields_are_exactly_the_allow_list(tmp_path):
+    modules = [importlib.import_module(f"pfield.{info.name}")
+               for info in pkgutil.iter_modules(pfield.__path__)]
+    unread = _unread_fields(modules, lambda: _run_every_subcommand(tmp_path))
+    assert unread == set(_ALLOWED_UNREAD_FIELDS)
+
+
+def test_unread_field_rules():
+    module = types.ModuleType("pkg.a")
+    exec("import collections\nfrom typing import NamedTuple\n"
+         "class Rec(NamedTuple):\n    read: int\n    kept: int\n    unread: float\n"
+         "class Pair(collections.namedtuple('Pair', 'left right')):\n    __slots__ = ()\n"
+         "class Plain:\n    never = 0\n"
+         "def run():\n"
+         "    rec, pair = Rec(read=1, kept=2, unread=3.0), Pair(4, 5)\n"
+         "    left, right = pair\n    rec._replace(kept=6)._asdict()\n"
+         "    return rec.read + pair.left + rec[1] + Plain.never\n",
+         vars(module))
+    assert _unread_fields([module], module.run) == {"a.Rec.kept", "a.Rec.unread",
+                                                    "a.Pair.right"}
+    # Every field reads as before once the trace is over.
+    assert "read" in vars(module.Rec) and "left" not in vars(module.Pair)
+    assert module.Pair(4, 5).left == 4 and module.Rec(1, 2, 3.0).unread == 3.0
 
 
 def _unused_imports(package: Path) -> list[str]:
