@@ -28,8 +28,10 @@ environment variable, else the working directory.  CSV files carry
 JSON files carry the same content as {"meta": ..., "columns": ...,
 "rows": ...}.  Each subcommand declares its table once, as its `name:unit`
 headers and a function of a row span that returns that span's columns.
-The grid and every kernel column is an array('d') (core.column), 8 bytes a
-value; only spectrum's few short columns stay a range and lists.  Both
+Every kernel column is an array('d') (core.column), 8 bytes a value, and
+a grid is its formula (_Grid), whose row span slices are made on demand,
+so no runner holds a whole grid; only spectrum's few short columns stay a
+range and lists.  Both
 formats stream a table to the file in the row spans that core.run_shares
 hands out, in one process per usable CPU, each cell its repr, and differ
 only in their separators; the bytes do not depend on the process count
@@ -50,7 +52,7 @@ import json
 import math
 import os
 import sys as _sys
-from itertools import chain
+from itertools import chain, repeat
 from operator import add
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -252,15 +254,38 @@ def _spans(*whole: Sequence[object]) -> _Columns:
     return lambda start, stop: [column[start:stop] for column in whole]
 
 
-def _grid(lo: float, hi: float, n: int) -> Sequence[float]:
+class _Grid(Sequence[float]):
+    """n points, lo + step * i below n - 1 and then last, made on demand: an
+    int index is one point and a slice an array('d') of its points, so a
+    runner that reads a grid a row span at a time never holds it whole."""
+
+    __slots__ = ("lo", "step", "n", "last")
+
+    def __init__(self, lo: float, step: float, n: int, last: float) -> None:
+        self.lo, self.step, self.n, self.last = lo, step, n, last
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, index: int | slice) -> float | Sequence[float]:
+        points = range(self.n)[index]
+        if isinstance(points, int):
+            return self.last if points == self.n - 1 else self.lo + self.step * points
+        xs = column(map(add, repeat(self.lo), map(self.step.__mul__, points)))
+        if self.n - 1 in points:
+            xs[points.index(self.n - 1)] = self.last
+        return xs
+
+
+def _grid(lo: float, hi: float, n: int) -> _Grid:
     step = (hi - lo) / (n - 1)
-    return column(lo + step * i for i in range(n))
+    return _Grid(lo, step, n, lo + step * (n - 1))
 
 
-def _box_grid(lo: float, hi: float, n: int) -> Sequence[float]:
+def _box_grid(lo: float, hi: float, n: int) -> _Grid:
     """_grid with its last point clamped to hi, which rounding can overshoot."""
     xs = _grid(lo, hi, n)
-    xs[-1] = min(xs[-1], hi)
+    xs.last = min(xs.last, hi)
     return xs
 
 

@@ -10,8 +10,9 @@ so the field energy E_F measures how far the bound level sits above the bare
 particle energy.  The classical limit is E_F -> 0; regions where
 E_F + K_P < 0 are forbidden to the composite.  All quantities are SI.
 
-column is the package's one column type: an array('d') of the values, 8
-bytes each where a list of floats holds 32.
+column makes a kernel's column: an array('d') of the values, 8 bytes each
+where a list of floats holds 32.  What gather returns is a 'd' memoryview
+of doubles packed the same way.
 
 run_shares is the package's one route to more than one CPU and the one
 owner of the block size: it hands a run of items (a table's rows, a running

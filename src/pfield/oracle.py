@@ -11,8 +11,9 @@ The quadrature is an adaptive Gauss-Kronrod (G7, K15) bisection scheme with
 an embedded error estimate; identical inputs always traverse the same
 interval tree, so results are bit-reproducible.  A running integral's
 steps are a generator of step integrals that core.gather runs in one
-process per usable CPU, then one fold of those floats from 0.0, so its
-values do not depend on that split; `taskset -c 0` gives one process.
+process per usable CPU, then one fold of those floats from 0.0, made in
+the buffer gather returns, so its values do not depend on that split;
+`taskset -c 0` gives one process.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
-from .core import column, gather, require_finite_positive
+from .core import BLOCK_ROWS, column, gather, require_finite_positive
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (positive half).
 _XK = (
@@ -138,13 +139,16 @@ def _adapt(f: Callable[[float], float], lo: float, hi: float, abs_budget: float,
             + _adapt(f, mid, hi, abs_budget, rel_tol, depth))
 
 
-def cumulative_integrate(f: Callable[[float], float], xs: Sequence[float]) -> Sequence[float]:
-    """Running integral of f from 0 to each x of xs, in order, as an array('d').
+def cumulative_integrate(f: Callable[[float], float], xs: Sequence[float]) -> memoryview:
+    """Running integral of f from 0 to each x of xs, in order, as a 'd'
+    memoryview.
 
     One integrate call per step, from the previous point (0 for the first)
-    to x.  steps yields a span's step integrals, which core.gather takes in
-    one process per usable CPU; they are then folded once: summed left to
-    right from 0.0, so the values do not depend on that split.
+    to x; xs is read only through len, one index and slices.  steps yields
+    a span's step integrals, which core.gather takes in one process per
+    usable CPU; they are then summed left to right from 0.0, in place in
+    the buffer gather returns, one span at a time, so the values do not
+    depend on that split.
     """
 
     def steps(start: int, stop: int) -> Iterator[float]:
@@ -153,6 +157,12 @@ def cumulative_integrate(f: Callable[[float], float], xs: Sequence[float]) -> Se
             yield integrate(f, prev, x)
             prev = x
 
-    running = column(accumulate(gather(steps, len(xs)), initial=0.0))
-    del running[0]
+    running = gather(steps, len(xs))
+    total = 0.0
+    for start in range(0, len(running), BLOCK_ROWS):
+        span = running[start:start + BLOCK_ROWS]
+        sums = accumulate(span, initial=total)
+        next(sums)  # total itself
+        span[:] = column(sums)
+        total = span[-1]
     return running

@@ -39,7 +39,7 @@ class ComparisonReport(NamedTuple):
     value: float
     reference: float
     abs_dev: float
-    rel_dev: float
+    rel_dev: float | None
     tolerance: float
     passed: bool
 
@@ -47,12 +47,15 @@ class ComparisonReport(NamedTuple):
 def compare(label: str, value: float, reference: float, tolerance: float,
             use_rel: bool = True, passed: bool | None = None) -> ComparisonReport:
     """Check value against reference: passed when the chosen deviation is
-    within tolerance, or as given.  rel_dev is inf at a zero reference."""
+    within tolerance, or as given.  rel_dev is None at a zero reference,
+    null in the report, since JSON has no inf, and a relative check
+    against a zero reference fails."""
     abs_dev = abs(value - reference)
     scale = abs(reference)
-    rel_dev = abs_dev / scale if scale > 0.0 else math.inf
+    rel_dev = abs_dev / scale if scale > 0.0 else None
     if passed is None:
-        passed = (rel_dev if use_rel else abs_dev) <= tolerance
+        deviation = rel_dev if use_rel else abs_dev
+        passed = deviation is not None and deviation <= tolerance
     return ComparisonReport(label=label, value=value, reference=reference,
                             abs_dev=abs_dev, rel_dev=rel_dev,
                             tolerance=tolerance, passed=passed)
@@ -229,7 +232,7 @@ def criterion_11(s: float = 1.0) -> list[ComparisonReport]:
 
     # Residual of the first-order solution scales as eps^2.
     k = math.pi / _BOX_A
-    strengths = (1e-6, 1e-5, 1e-4, 1e-3)
+    strengths = (1e-6, 1e-3)
     xs = [j * _BOX_A / 200.0 for j in range(1, 200)]
     maxima = []
     for strength in strengths:

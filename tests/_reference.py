@@ -21,7 +21,10 @@ hold the kept path integrand, quadrature path, field columns, hydrogen
 figure columns and approximation_gap to them.  finite_diff is the central
 difference that stood in oracle while only the tests called it.  table_text is the
 CLI's table text as it stood before tables were written in row blocks, so
-the joined chunks must equal it byte for byte.  CLI_OPTIONS is each
+the joined chunks must equal it byte for byte.  grid and box_grid are
+cli._grid and cli._box_grid as they stood while a grid was made whole, so
+every point and slice of the grids made on demand must equal them bit for
+bit.  CLI_OPTIONS is each
 subcommand's option table as it stood before the runners' keyword
 parameters became the only copy: the keys in order, with the name of each
 converter and each default.  These copies live with the tests so they cannot
@@ -280,6 +283,19 @@ def table_text(fmt, meta, columns, rows):
     return json.dumps({"meta": dict(meta), "columns": list(columns),
                        "rows": [list(row) for row in rows]},
                       indent=2, sort_keys=True) + "\n"
+
+
+def grid(lo, hi, n):
+    """n points from lo to hi, the last one lo + step * (n - 1)."""
+    step = (hi - lo) / (n - 1)
+    return [lo + step * i for i in range(n)]
+
+
+def box_grid(lo, hi, n):
+    """grid with its last point clamped to hi, which rounding can overshoot."""
+    xs = grid(lo, hi, n)
+    xs[-1] = min(xs[-1], hi)
+    return xs
 
 
 _ELECTRON_MASS = 9.1093837015e-31

@@ -30,7 +30,7 @@ def test_acceptance(descriptions, ident, func):
     print(f"ACCEPTANCE {'PASS' if passed else 'FAIL'} [{ident}] {descriptions[ident]}")
     failing = [
         f"{r.label}: value={r.value!r} reference={r.reference!r} "
-        f"abs_dev={r.abs_dev:.3e} rel_dev={r.rel_dev:.3e} tol={r.tolerance:.3e}"
+        f"abs_dev={r.abs_dev:.3e} rel_dev={r.rel_dev} tol={r.tolerance:.3e}"
         for r in reports if not r.passed
     ]
     assert passed, f"criterion {ident} failed:\n" + "\n".join(failing)
@@ -42,7 +42,11 @@ def test_compare_relative_and_absolute_modes():
     r = verification.compare("x", 1.001, 1.0, tolerance=5e-4)
     assert not r.passed
     r = verification.compare("x", 0.1, 0.0, tolerance=0.2, use_rel=False)
-    assert r.passed and math.isinf(r.rel_dev)
+    assert r.passed and r.rel_dev is None
+    # A relative check against a zero reference has no deviation to pass on.
+    for value in (0.0, 0.1):
+        r = verification.compare("x", value, 0.0, tolerance=0.2)
+        assert not r.passed and r.rel_dev is None
     # A given verdict overrides the tolerance test; the deviations stay.
     for value, inside in ((5e-3, True), (8e-3, False)):  # a range [4e-3, 7e-3]
         r = verification._range_report("gap", value, 4e-3, 7e-3)
@@ -51,7 +55,7 @@ def test_compare_relative_and_absolute_modes():
         assert r.abs_dev == abs(value - r.reference)
     # Structural checks whose verdict contradicts the tolerance test.
     r = verification.compare("monotone", 0.5, 0.0, 0.0, passed=True)
-    assert r.passed is True and r.abs_dev == 0.5 and math.isinf(r.rel_dev)
+    assert r.passed is True and r.abs_dev == 0.5 and r.rel_dev is None
     r = verification.compare("monotone", 1.0, 1.0, 0.0, passed=False)
     assert r.passed is False and r.abs_dev == 0.0 and r.rel_dev == 0.0
 

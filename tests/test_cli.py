@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from array import array
 from pathlib import Path
 
@@ -386,10 +387,10 @@ def _flux_columns():
 
 _BOX_MODE = (core.ELECTRON_MASS, 2e-9, 1, 1.5)
 # Each function that makes a table column, with small arguments, as a
-# list of the columns it returns.
+# list of the columns it returns; a grid's column is a row span's slice.
 _COLUMN_MAKERS = {
-    "cli._grid": lambda: [cli._grid(0.0, 1.0, 5)],
-    "cli._box_grid": lambda: [cli._box_grid(0.0, 1.0, 5)],
+    "cli._grid": lambda: [cli._grid(0.0, 1.0, 5)[1:5]],
+    "cli._box_grid": lambda: [cli._box_grid(0.0, 1.0, 5)[0:3]],
     "boxmode.figure_columns": lambda: boxmode.figure_columns(
         boxmode.level_at_ratio(*_BOX_MODE), [0.0, 1e-9]),
     "boxmode.eighth_order_path": lambda: [boxmode.eighth_order_path(
@@ -403,6 +404,9 @@ _COLUMN_MAKERS = {
         nonlinear.NonlinearParams(eps=0.0, a_tilde=1e-10), 1e9, [0.0, 1e-9]),
     "oracle.cumulative_integrate": lambda: [oracle.cumulative_integrate(math.cos, [1.0])],
 }
+# The running integral is summed in the buffer core.gather packed its steps
+# into; every other column is an array('d').
+_COLUMN_TYPES = {"oracle.cumulative_integrate": memoryview}
 
 
 @pytest.mark.parametrize("maker", _COLUMN_MAKERS)
@@ -410,7 +414,88 @@ def test_columns_are_double_arrays(maker):
     columns = _COLUMN_MAKERS[maker]()
     assert columns
     for column in columns:
-        assert isinstance(column, array) and column.typecode == "d"
+        assert isinstance(column, _COLUMN_TYPES.get(maker, array))
+        assert memoryview(column).format == "d"
+
+
+def _bits(values):
+    return array("d", values).tobytes()
+
+
+# (lo, hi, n) of grids: box-figure's at a = 2 nm, whose last point
+# overshoots the wall at n = 138 and 1097 and ends short of it at 536 and
+# 2063, flux-check's (h_x = 2e-13), overshooting at 136 and short at 2066,
+# osc-trajectory's and hydrogen-figure's, and grids of one, two and three
+# row spans.
+_GRIDS = [
+    (0.0, 1.0, 2), (0.0, 1.0, 50), (0.0, 2.0 * math.pi, 257),
+    (0.0, 2e-9, 138), (0.0, 2e-9, 536), (0.0, 2e-9, 1097), (0.0, 2e-9, 2063),
+    (2e-13, 2e-9 - 2e-13, 136), (2e-13, 2e-9 - 2e-13, 2066),
+    (-5e-10, 5e-10, core.BLOCK_ROWS), (-5e-10, 5e-10, 1032),
+    (-5e-10, 5e-10, 2 * core.BLOCK_ROWS + 1),
+]
+
+
+def test_grid_cases_end_past_and_short_of_hi():
+    ends = [ref.grid(lo, hi, n)[-1] - hi for lo, hi, n in _GRIDS]
+    assert min(ends) < 0.0 < max(ends)
+
+
+@pytest.mark.parametrize("make,reference", [(cli._grid, ref.grid),
+                                            (cli._box_grid, ref.box_grid)],
+                         ids=["grid", "box_grid"])
+@pytest.mark.parametrize("lo,hi,n", _GRIDS)
+def test_grid_equals_the_whole_grid_bit_for_bit(make, reference, lo, hi, n):
+    xs, expected = make(lo, hi, n), reference(lo, hi, n)
+    whole = _bits(expected)
+    assert len(xs) == n
+    assert _bits(xs) == whole
+    assert _bits([xs[i] for i in range(n)]) == whole
+    assert _bits([xs[i] for i in range(-n, 0)]) == whole
+    for past in (n, -n - 1):
+        with pytest.raises(IndexError):
+            xs[past]
+    span_edges = range(core.BLOCK_ROWS, n, core.BLOCK_ROWS)
+    edges = sorted({0, 1, n - 1, n, *(edge + d for edge in span_edges for d in (-1, 0, 1))})
+    for start in edges:
+        for stop in edges:
+            span = xs[start:stop]
+            assert isinstance(span, array) and span.typecode == "d"
+            assert span.tobytes() == _bits(expected[start:stop])
+    for cut in (slice(-3, None), slice(None, -1), slice(None, None, -1)):
+        assert xs[cut].tobytes() == _bits(expected[cut])
+
+
+# Traced bytes per grid point a subcommand may hold at its peak on one
+# share: osc-trajectory its running integral's steps, summed where they
+# lie, and flux-check its two gathered columns, 8 bytes a value each, plus
+# the up to 1/8 that io.BytesIO reserves as core.gather's buffer grows
+# (9.4 and 19.0 bytes at these sizes); no subcommand a whole grid.
+_BYTES_PER_POINT = {
+    ("osc-trajectory", "--n", "1"): 10,
+    ("flux-check",): 20,
+    ("box-figure",): 1,
+    ("hydrogen-figure",): 1,
+}
+
+
+@pytest.mark.parametrize("args", list(_BYTES_PER_POINT), ids=" ".join)
+def test_traced_memory_per_grid_point(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+    # A first run loads the subcommand's modules, so neither size pays that.
+    assert cli.main([*args, "--grid", "2", "--out", str(tmp_path / "first")]) == 0
+    sizes = (10 * core.BLOCK_ROWS, 30 * core.BLOCK_ROWS)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for grid in sizes:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert cli.main([*args, "--grid", str(grid), "--out", str(tmp_path / str(grid))]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+    finally:
+        tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) < _BYTES_PER_POINT[args]
 
 
 @pytest.mark.parametrize("fmt", cli._FORMATS)
@@ -829,10 +914,27 @@ def test_check_record_fields_are_the_report_keys(tmp_path, capsys):
                       "tolerance", "passed"]
     assert keys == {frozenset(fields)}
 
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("args,code", [((), 0), (("--inject-error",), 1)],
+                         ids=["verify", "inject-error"])
+def test_verify_report_is_strict_json(tmp_path, capsys, args, code):
+    assert cli.main(["verify", *args, "--out", str(tmp_path)]) == code
+    report = json.loads((tmp_path / "verify_report.json").read_text(encoding="utf-8"),
+                        parse_constant=_no_constant)
+    checks = [check for criterion in report["criteria"] for check in criterion["checks"]]
+    assert any(check["rel_dev"] is None for check in checks)
+    for check in checks:
+        assert (check["rel_dev"] is None) == (check["reference"] == 0.0)
+
 # SHA-256 of every file written at grid 257 (spectrum and verify take no
 # grid), each recorded before the code that writes it was last rewritten;
 # the files must stay byte-identical.  verify_report.json was re-recorded
-# when criterion 09 began to compare q/r - 1 to a relative tolerance.
+# when criterion 09 began to compare q/r - 1 to a relative tolerance, and
+# when a check against a zero reference began to record rel_dev as null.
 _GOLDEN = {
     ("osc-trajectory", "--n", "0"): {
         "osc_trajectory.csv":
@@ -858,15 +960,16 @@ _GOLDEN = {
             "3741278e1a8cca21649bc30a41236f141a003bffa95933adaad092fc1db02664"},
     ("verify",): {
         "verify_report.json":
-            "7df33d0d7e7747fb4592adf09ea56a01fd7b157a04d513ceca090df1941258d7"},
+            "cc02be976042ca9c36089b1dd11c295792bb5af6c9ab53ecbb103e4ab79a6dc9"},
 }
 
 
 # SHA-256 of verify_report.json under --inject-error, recorded before the
 # check record was shared by the criteria and the report and re-recorded
-# with criterion 09's relative q/r - 1 check: it pins the deviations and
-# verdicts of failing checks, which the golden run never has.
-_GOLDEN_INJECTED = "55ecef915f62de93b106c534fbd0f18d538782422930648098ab644f28f4061e"
+# with criterion 09's relative q/r - 1 check and with the null rel_dev of a
+# zero reference: it pins the deviations and verdicts of failing checks,
+# which the golden run never has.
+_GOLDEN_INJECTED = "9047346378c486b3ac24e11d5eac80611ff1ea4e51c05cc610cf225bf5401afc"
 
 
 def test_injected_verify_report_matches_golden_digest(tmp_path, capsys):

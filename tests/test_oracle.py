@@ -5,7 +5,10 @@ from __future__ import annotations
 import ast
 import functools
 import math
+import random
 import shutil
+from array import array
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -251,7 +254,7 @@ def test_cumulative_integrate_matches_box_loop():
 
 def test_cumulative_integrate_starts_at_zero_and_sums_left_to_right():
     running = oracle.cumulative_integrate(math.cos, [1.0, 2.0])
-    assert running.typecode == "d"
+    assert isinstance(running, memoryview) and running.format == "d"
     assert list(running) == [oracle.integrate(math.cos, 0.0, 1.0),
                              oracle.integrate(math.cos, 0.0, 1.0)
                              + oracle.integrate(math.cos, 1.0, 2.0)]
@@ -288,6 +291,24 @@ def test_cumulative_integrate_matches_the_loops_for_any_share_count(monkeypatch,
     f, xs, expected = _box_case(points) if case == "box" else _osc_case(int(case[-1]), points)
     monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
     assert list(oracle.cumulative_integrate(f, xs)) == expected
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("points", [0, *_SIZES])
+def test_running_sum_in_place_equals_one_fold_bit_for_bit(monkeypatch, no_child_left,
+                                                          cpus, points):
+    """The sums made span by span where the steps lie are the additions of
+    one left-to-right fold from 0.0; a first step of -0.0 gives +0.0."""
+    rng = random.Random(points)
+    steps = [-0.0, *(rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 20)
+                     for _ in range(points - 1))][:points]
+    monkeypatch.setattr(oracle, "integrate", lambda f, prev, x: steps[int(x)])
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+    running = oracle.cumulative_integrate(None, [float(i) for i in range(points)])
+    folded = array("d", accumulate(steps, initial=0.0))[1:]
+    assert running.tobytes() == folded.tobytes()
+    if points:
+        assert math.copysign(1.0, running[0]) == 1.0
 
 
 @pytest.mark.parametrize("cpus", [2, 3])

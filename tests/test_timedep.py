@@ -135,7 +135,7 @@ class PlaneWave:
         return 1j * self.k * self.value(x, t)
 
 
-def test_plane_wave_flux_and_tdse():
+def test_plane_wave_density_and_flux():
     pw = PlaneWave(k=1e9, m=M)
     x, t = 1.3e-10, 2e-16
     assert timedep.density(pw, x, t) == pytest.approx(1.0, rel=1e-14)
