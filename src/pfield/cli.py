@@ -36,8 +36,10 @@ formats stream a table to the file in the row spans that core.run_shares
 hands out, in one process per usable CPU, each cell its repr, and differ
 only in their separators; the bytes do not depend on the process count
 (`taskset -c 0` gives one).  The kernels run per span, inside the share
-that renders it; flux-check alone gathers its columns first, as floats
-through core.gather, since its max_abs_residual caption precedes the rows.
+that renders it.  flux-check's max_abs_residual caption precedes the
+rows it reads, so each of its spans puts its largest |residual| in a slot
+of memory the shares share, and its rows are spooled until its head is
+made from them.
 Unequal columns, a non-finite cell or meta value are a numeric error (3)
 and leave no file.  The argument parser is built once per process.
 `import pfield.cli` loads only core of the package; each subcommand
@@ -57,13 +59,15 @@ from operator import add
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import ELECTRON_MASS, column, gather, run_shares
+from .core import BLOCK_ROWS, ELECTRON_MASS, column, run_shares
 
 _FORMATS = ("csv", "json")
 _Table = Mapping[str, tuple[Callable[[str], object], object]]
 # (name, head, block, rows, tail) of a file: its text is head, then
 # block(start, stop) for each span run_shares cuts from range(rows), then tail.
-_File = tuple[str, str, Callable[[int, int], bytes] | None, int, str]
+# A head that is a function is called once the blocks are made, for a
+# caption that reads them, and its text goes before them.
+_File = tuple[str, str | Callable[[], str], Callable[[int, int], bytes] | None, int, str]
 _Files = Iterable[_File]
 # columns(start, stop) of a table: that row span's columns, in header order.
 _Columns = Callable[[int, int], Sequence[Sequence[object]]]
@@ -166,7 +170,8 @@ def _write(out: str, files: _Files) -> list[Path]:
     Every file goes to a temporary name first, through one open handle,
     and all are renamed once the last is written, so a failed write leaves
     none of them.  A file's blocks go to its handle one at a time, so no
-    file's text need be held whole.
+    file's text need be held whole; those of a file whose head is made
+    after them go to a temporary spool, copied in after the head.
     """
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -176,8 +181,18 @@ def _write(out: str, files: _Files) -> list[Path]:
             tmp = out_dir / f".{name}.tmp"
             staged.append((tmp, out_dir / name))
             with tmp.open("wb") as fh:
-                fh.write(head.encode())
-                run_shares(block, rows, fh)
+                if callable(head):
+                    # Imported here: only a head made after the rows spools.
+                    import shutil
+                    import tempfile
+                    with tempfile.TemporaryFile() as spool:
+                        run_shares(block, rows, spool)
+                        fh.write(head().encode())
+                        spool.seek(0)
+                        shutil.copyfileobj(spool, fh)
+                else:
+                    fh.write(head.encode())
+                    run_shares(block, rows, fh)
                 fh.write(tail.encode())
         for tmp, path in staged:
             os.replace(tmp, path)
@@ -201,15 +216,20 @@ _ROW_SYNTAX = {
 }
 
 
-def _table(fmt: str, stem: str, meta: Mapping[str, object], headers: Sequence[str],
-           rows: int, columns: _Columns) -> _File:
+def _table(fmt: str, stem: str,
+           meta: Mapping[str, object] | Callable[[], Mapping[str, object]],
+           headers: Sequence[str], rows: int, columns: _Columns) -> _File:
     """A table of rows rows as a file in the chosen format.
+
+    meta is the caption, or a function that returns it once the rows are
+    made, for a caption that reads what the columns left behind.
 
     headers are the `name:unit` column headers, and columns(start, stop)
     returns the columns of that row span in their order, floats and ints
     only, so the kernels behind them run in the share that renders the
-    span.  A non-finite meta value raises ValueError here; a span whose
-    columns are not all stop - start long, or that holds a non-finite
+    span.  A non-finite meta value raises ValueError as the head is made:
+    here for a caption given whole, after the rows for a function; a span
+    whose columns are not all stop - start long, or that holds a non-finite
     cell, raises as its block is made: repr would spell nan or inf,
     json.dumps NaN or Infinity.  A column that appears twice in a span, as
     one object, is rendered once.  block(start, stop) is the rows of that
@@ -217,17 +237,20 @@ def _table(fmt: str, stem: str, meta: Mapping[str, object], headers: Sequence[st
     the span.
     """
     name = f"{stem}.{fmt}"
-    bad = [key for key, value in meta.items()
-           if isinstance(value, float) and not math.isfinite(value)]
-    if bad:
-        raise ValueError(f"{name}: non-finite meta value {', '.join(bad)}")
-    if fmt == "csv":
-        head = "\n".join([*(f"# {key}={value}" for key, value in meta.items()),
-                          ",".join(headers)])
-    else:
+
+    def head() -> str:
+        caption = meta() if callable(meta) else meta
+        bad = [key for key, value in caption.items()
+               if isinstance(value, float) and not math.isfinite(value)]
+        if bad:
+            raise ValueError(f"{name}: non-finite meta value {', '.join(bad)}")
+        if fmt == "csv":
+            return "\n".join([*(f"# {key}={value}" for key, value in caption.items()),
+                              ",".join(headers)])
         # rows is the last key in sorted order: cut the "]\n}\n" that
         # closes its empty list, and the rows follow the "[".
-        head = _json({"meta": dict(meta), "columns": list(headers), "rows": []})[:-4]
+        return _json({"meta": dict(caption), "columns": list(headers), "rows": []})[:-4]
+
     row_open, cell_sep, row_close, row_sep, tail = _ROW_SYNTAX[fmt]
     between = row_close + row_sep + row_open
 
@@ -246,7 +269,7 @@ def _table(fmt: str, stem: str, meta: Mapping[str, object], headers: Sequence[st
             raise ValueError(f"{name}: non-finite cell in the rows from {start + 1}")
         return ((row_sep if start else "\n") + row_open + text + row_close).encode()
 
-    return name, head, block, rows, tail
+    return name, head if callable(meta) else head(), block, rows, tail
 
 
 def _spans(*whole: Sequence[object]) -> _Columns:
@@ -394,30 +417,35 @@ def _cmd_spectrum(*, format: str = "csv", a: float = 2e-9, mass: float = ELECTRO
 
 def _cmd_flux_check(*, grid: int = 1000, format: str = "csv", a: float = 2e-9,
                     mass: float = ELECTRON_MASS) -> tuple[_Files, int]:
+    import mmap
+
     from . import timedep
 
     beat, t0, h_x, h_t = timedep.equal_weight_beat(mass, a)
     xs = _box_grid(h_x, a - h_x, grid)
+    # The largest |residual| of each row span, in a slot of its own in
+    # memory the forked shares share; a redone span rewrites its slot.
+    peaks = memoryview(mmap.mmap(-1, 8 * -(-grid // BLOCK_ROWS))).cast("d")
 
-    def rows(start: int, stop: int) -> Iterable[float]:
-        flux, residual = timedep.flux_columns(beat, xs[start:stop], t0, h_x, h_t)
-        return chain.from_iterable(zip(flux, residual))
-
-    # Each row's (flux, residual) pair, in order: the columns are strided
-    # views of the one buffer, not copies.
-    pairs = gather(rows, grid)
-    flux, residual = pairs[0::2], pairs[1::2]
-    meta = {
-        "a": a, "mass": mass, "t": t0, "h_x": h_x, "h_t": h_t,
+    def columns(start: int, stop: int) -> Sequence[Sequence[float]]:
+        x = xs[start:stop]
+        flux, residual = timedep.flux_columns(beat, x, t0, h_x, h_t)
         # A nan residual is skipped here and caught as a cell.
-        "max_abs_residual": max(chain((0.0,), map(abs, residual))),
-        "p_mean": timedep.expectation_p(beat, t0),
-        "p_sq_mean": timedep.expectation_p2(beat, t0),
-        "norm": timedep.norm(beat, t0),
-    }
+        peaks[start // BLOCK_ROWS] = max(chain((0.0,), map(abs, residual)))
+        return x, flux, residual
+
+    def meta() -> Mapping[str, object]:
+        return {
+            "a": a, "mass": mass, "t": t0, "h_x": h_x, "h_t": h_t,
+            "max_abs_residual": max(peaks),
+            "p_mean": timedep.expectation_p(beat, t0),
+            "p_sq_mean": timedep.expectation_p2(beat, t0),
+            "norm": timedep.norm(beat, t0),
+        }
+
     return [_table(format, "flux_check", meta,
                    ("x:m", "flux:1/s", "continuity_residual:1/(m*s)"),
-                   grid, _spans(xs, flux, residual))], 0
+                   grid, columns)], 0
 
 
 # -------------------------------------------------------------------- verify

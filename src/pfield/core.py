@@ -19,14 +19,15 @@ owner of the block size: it hands a run of items (a table's rows, a running
 integral's steps) to work in spans of BLOCK_ROWS, in shares [lo, hi) of
 whole spans, one process per usable CPU; the bytes do not depend on that
 split, and `taskset -c 0` gives one.  gather packs the floats of a span
-kernel as doubles inside the share and returns them in memory: a running
-integral's steps, flux-check's columns, needed whole before the first row.
+kernel as doubles inside the share and returns them in memory, in one
+buffer of a double per item.  Its one caller is the running integral,
+which sums its steps where they lie; no table needs a column whole, as
+each is rendered span by span.
 """
 
 from __future__ import annotations
 
 import enum
-import io
 import math
 import os
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, NamedTuple
@@ -212,12 +213,33 @@ def run_shares(work: Callable[[int, int], bytes], items: int, out: BinaryIO) -> 
             spool.close()
 
 
+class _Filling:
+    """A file whose writes fill buffer in order, never past its end."""
+
+    __slots__ = ("view", "end")
+
+    def __init__(self, buffer: bytearray) -> None:
+        self.view, self.end = memoryview(buffer), 0
+
+    def write(self, data: bytes) -> int:
+        start, self.end = self.end, self.end + len(data)
+        if self.end > len(self.view):
+            raise ValueError(f"gather: more floats than its {len(self.view) // 8} items")
+        self.view[start:self.end] = data
+        return len(data)
+
+
 def gather(work: Callable[[int, int], Iterable[float]], items: int) -> memoryview:
     """The floats work(start, stop) returns for each span of range(items),
     in order, as one 'd' memoryview: each share packs its spans' floats
     as native doubles, and the values are those of the serial loop for
-    any number of shares.
+    any number of shares.  work must return one float per item: the
+    buffer is allocated once, a double per item, and a ValueError is
+    raised unless the spans fill it exactly.
     """
-    buffer = io.BytesIO()
-    run_shares(lambda start, stop: column(work(start, stop)).tobytes(), items, buffer)
-    return buffer.getbuffer().cast("d")
+    buffer = bytearray(8 * items)
+    filling = _Filling(buffer)
+    run_shares(lambda start, stop: column(work(start, stop)).tobytes(), items, filling)
+    if filling.end != len(buffer):
+        raise ValueError(f"gather: {filling.end // 8} floats for {items} items")
+    return memoryview(buffer).cast("d")

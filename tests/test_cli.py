@@ -360,16 +360,18 @@ def test_non_finite_cell_in_the_last_share_exits_3_and_writes_nothing(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("place", [0, -1])
 def test_non_finite_residual_is_a_cell_not_a_meta_value(tmp_path, capsys, monkeypatch,
-                                                        place):
+                                                        place, bad):
     # max_abs_residual skips a nan residual wherever it sits, even first,
-    # and the table then refuses it as a cell.
+    # and the caption is made after the rows, so the table refuses any
+    # non-finite residual as a cell first.
     flux_columns = timedep.flux_columns
 
     def bad_residual(*args):
         flux, residual = flux_columns(*args)
-        residual[place] = math.nan
+        residual[place] = bad
         return flux, residual
 
     monkeypatch.setattr(timedep, "flux_columns", bad_residual)
@@ -467,13 +469,13 @@ def test_grid_equals_the_whole_grid_bit_for_bit(make, reference, lo, hi, n):
 
 
 # Traced bytes per grid point a subcommand may hold at its peak on one
-# share: osc-trajectory its running integral's steps, summed where they
-# lie, and flux-check its two gathered columns, 8 bytes a value each, plus
-# the up to 1/8 that io.BytesIO reserves as core.gather's buffer grows
-# (9.4 and 19.0 bytes at these sizes); no subcommand a whole grid.
+# share: osc-trajectory its running integral's steps, 8 bytes each in the
+# one buffer core.gather allocates and sums them in (8.0 bytes at these
+# sizes); the tables, flux-check's too, nothing per point, and no
+# subcommand a whole grid.
 _BYTES_PER_POINT = {
-    ("osc-trajectory", "--n", "1"): 10,
-    ("flux-check",): 20,
+    ("osc-trajectory", "--n", "1"): 9,
+    ("flux-check",): 1,
     ("box-figure",): 1,
     ("hydrogen-figure",): 1,
 }
@@ -1105,11 +1107,9 @@ def test_bytes_do_not_depend_on_the_share_count(tmp_path, capsys, monkeypatch, n
                               if name.endswith(f".{fmt}")}
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
-@pytest.mark.parametrize("args", [*_SHARED[:2], ("flux-check",)], ids=" ".join)
-def test_a_child_that_dies_before_writing_leaves_the_golden_bytes(tmp_path, capsys,
-                                                                  monkeypatch, no_child_left,
-                                                                  args, cpus):
+def _children_die_before_writing(monkeypatch):
+    """Make every forked share exit 1 before its first span, so that this
+    process redoes it."""
     parent = os.getpid()
     run_shares = core.run_shares
 
@@ -1120,38 +1120,68 @@ def test_a_child_that_dies_before_writing_leaves_the_golden_bytes(tmp_path, caps
             return work(start, stop)
         run_shares(work_or_die, items, out)
 
-    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(cli, "run_shares", children_that_die)
     monkeypatch.setattr(core, "run_shares", children_that_die)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("args", [*_SHARED[:2], ("flux-check",)], ids=" ".join)
+def test_a_child_that_dies_before_writing_leaves_the_golden_bytes(tmp_path, capsys,
+                                                                  monkeypatch, no_child_left,
+                                                                  args, cpus):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+    _children_die_before_writing(monkeypatch)
     assert cli.main([*args, "--grid", "2049", "--out", str(tmp_path)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert digests == {name: digest for name, digest in _GOLDEN_2049[args].items()
                        if name.endswith(".csv")}
 
 
-# The module of each table kernel, figure_columns, and the number of points
-# of each call: one call per row span at 2 * BLOCK_ROWS + 1 points.
+@pytest.mark.parametrize("cpus,dies", [(1, False), (2, False), (3, False),
+                                       (2, True), (3, True)])
+def test_max_abs_residual_is_the_largest_written_residual(tmp_path, capsys, monkeypatch,
+                                                          no_child_left, cpus, dies):
+    # At 2049 points the largest |residual| is in the second of three row
+    # spans, which a child renders on 2 or 3 shares, or this process when
+    # that child dies; the first span's largest is smaller.
+    grid = 2 * core.BLOCK_ROWS + 1
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+    if dies:
+        _children_die_before_writing(monkeypatch)
+    assert cli.main(["flux-check", "--grid", str(grid), "--out", str(tmp_path)]) == 0
+    meta, _, rows = _read_table(tmp_path / "flux_check.csv")
+    residuals = [abs(row[2]) for row in rows]
+    largest = max(residuals)
+    assert core.BLOCK_ROWS <= residuals.index(largest) < 2 * core.BLOCK_ROWS
+    assert max(residuals[:core.BLOCK_ROWS]) < largest
+    assert meta["max_abs_residual"] == repr(largest)
+
+
+# The module of each table kernel, its name, and the number of points of
+# each call: one call per row span at 2 * BLOCK_ROWS + 1 points.
 _SPANS = [core.BLOCK_ROWS, core.BLOCK_ROWS, 1]
 _SPAN_KERNELS = {
-    "box-figure": (boxmode, 3 * _SPANS),
-    "osc-trajectory": (oscillator, _SPANS),
+    "box-figure": (boxmode, "figure_columns", 3 * _SPANS),
+    "osc-trajectory": (oscillator, "figure_columns", _SPANS),
     # The two angles of the cross sections in the caption come first.
-    "hydrogen-figure": (hydrogen, [2, *_SPANS]),
+    "hydrogen-figure": (hydrogen, "figure_columns", [2, *_SPANS]),
+    "flux-check": (timedep, "flux_columns", _SPANS),
 }
 
 
 @pytest.mark.parametrize("command", _SPAN_KERNELS)
 def test_table_kernels_run_once_per_row_span(tmp_path, capsys, monkeypatch, command):
-    module, points = _SPAN_KERNELS[command]
-    kernel, calls = module.figure_columns, []
+    module, name, points = _SPAN_KERNELS[command]
+    kernel, calls = getattr(module, name), []
 
     def recording_kernel(*args):
-        calls.append(len(args[-1]))
-        return kernel(*args)
+        columns = kernel(*args)
+        calls.append(len(columns[0]))
+        return columns
 
     # One share, so every call is made in this process.
     monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(module, "figure_columns", recording_kernel)
+    monkeypatch.setattr(module, name, recording_kernel)
     assert cli.main([command, "--grid", str(2 * core.BLOCK_ROWS + 1),
                      "--out", str(tmp_path)]) == 0
     assert calls == points

@@ -428,6 +428,22 @@ def test_gather_packs_the_floats_a_span_generator_yields(monkeypatch, no_child_l
     assert list(core.gather(yielded, _items(7))) == _doubles(0, _items(7))
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_gather_refuses_spans_that_do_not_fill_a_double_per_item(monkeypatch, no_child_left,
+                                                                 cpus, extra):
+    """The last span, a child's on two shares, gives one float too few or
+    too many."""
+    items = 2 * _C + 1
+
+    def off_by_one(start, stop):
+        return _doubles(start, stop + extra if stop == items else stop)
+
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+    with pytest.raises(ValueError, match="^gather: "):
+        core.gather(off_by_one, items)
+
+
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_gather_does_not_depend_on_copy_chunking(monkeypatch, no_child_left, cpus):
     """A child's doubles are copied in reads of shutil.COPY_BUFSIZE bytes; a
