@@ -38,8 +38,8 @@ only in their separators; the bytes do not depend on the process count
 (`taskset -c 0` gives one).  The kernels run per span, inside the share
 that renders it.  flux-check's max_abs_residual caption precedes the
 rows it reads, so each of its spans puts its largest |residual| in a slot
-of memory the shares share, and its rows are spooled until its head is
-made from them.
+of core.shared_doubles, which the shares write and this process reads,
+and its rows are spooled until its head is made from them.
 Unequal columns, a non-finite cell or meta value are a numeric error (3)
 and leave no file.  The argument parser is built once per process.
 `import pfield.cli` loads only core of the package; each subcommand
@@ -59,7 +59,7 @@ from operator import add
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import BLOCK_ROWS, ELECTRON_MASS, column, run_shares
+from .core import BLOCK_ROWS, ELECTRON_MASS, column, run_shares, shared_doubles
 
 _FORMATS = ("csv", "json")
 _Table = Mapping[str, tuple[Callable[[str], object], object]]
@@ -417,15 +417,13 @@ def _cmd_spectrum(*, format: str = "csv", a: float = 2e-9, mass: float = ELECTRO
 
 def _cmd_flux_check(*, grid: int = 1000, format: str = "csv", a: float = 2e-9,
                     mass: float = ELECTRON_MASS) -> tuple[_Files, int]:
-    import mmap
-
     from . import timedep
 
     beat, t0, h_x, h_t = timedep.equal_weight_beat(mass, a)
     xs = _box_grid(h_x, a - h_x, grid)
-    # The largest |residual| of each row span, in a slot of its own in
-    # memory the forked shares share; a redone span rewrites its slot.
-    peaks = memoryview(mmap.mmap(-1, 8 * -(-grid // BLOCK_ROWS))).cast("d")
+    # The largest |residual| of each row span, in a slot of its own; a
+    # redone span rewrites its slot.
+    peaks = shared_doubles(-(-grid // BLOCK_ROWS))
 
     def columns(start: int, stop: int) -> Sequence[Sequence[float]]:
         x = xs[start:stop]

@@ -11,18 +11,19 @@ particle energy.  The classical limit is E_F -> 0; regions where
 E_F + K_P < 0 are forbidden to the composite.  All quantities are SI.
 
 column makes a kernel's column: an array('d') of the values, 8 bytes each
-where a list of floats holds 32.  What gather returns is a 'd' memoryview
-of doubles packed the same way.
+where a list of floats holds 32.
 
 run_shares is the package's one route to more than one CPU and the one
 owner of the block size: it hands a run of items (a table's rows, a running
 integral's steps) to work in spans of BLOCK_ROWS, in shares [lo, hi) of
 whole spans, one process per usable CPU; the bytes do not depend on that
-split, and `taskset -c 0` gives one.  gather packs the floats of a span
-kernel as doubles inside the share and returns them in memory, in one
-buffer of a double per item.  Its one caller is the running integral,
-which sums its steps where they lie; no table needs a column whole, as
-each is rendered span by span.
+split, and `taskset -c 0` gives one.  shared_doubles is the one memory
+that those shares write and the caller reads, a 'd' memoryview over an
+anonymous shared map: a share stores its floats there by index, so a
+redone share overwrites what its child left.  The running integral keeps
+its steps there and sums them where they lie, and flux-check the largest
+|residual| of each span; no table needs a column whole, as each is
+rendered span by span.
 """
 
 from __future__ import annotations
@@ -213,33 +214,9 @@ def run_shares(work: Callable[[int, int], bytes], items: int, out: BinaryIO) -> 
             spool.close()
 
 
-class _Filling:
-    """A file whose writes fill buffer in order, never past its end."""
-
-    __slots__ = ("view", "end")
-
-    def __init__(self, buffer: bytearray) -> None:
-        self.view, self.end = memoryview(buffer), 0
-
-    def write(self, data: bytes) -> int:
-        start, self.end = self.end, self.end + len(data)
-        if self.end > len(self.view):
-            raise ValueError(f"gather: more floats than its {len(self.view) // 8} items")
-        self.view[start:self.end] = data
-        return len(data)
-
-
-def gather(work: Callable[[int, int], Iterable[float]], items: int) -> memoryview:
-    """The floats work(start, stop) returns for each span of range(items),
-    in order, as one 'd' memoryview: each share packs its spans' floats
-    as native doubles, and the values are those of the serial loop for
-    any number of shares.  work must return one float per item: the
-    buffer is allocated once, a double per item, and a ValueError is
-    raised unless the spans fill it exactly.
-    """
-    buffer = bytearray(8 * items)
-    filling = _Filling(buffer)
-    run_shares(lambda start, stop: column(work(start, stop)).tobytes(), items, filling)
-    if filling.end != len(buffer):
-        raise ValueError(f"gather: {filling.end // 8} floats for {items} items")
-    return memoryview(buffer).cast("d")
+def shared_doubles(count: int) -> memoryview:
+    """A 'd' memoryview of count zeros in memory that forked processes
+    share with this one: what a share stores in it, the caller reads."""
+    import mmap  # loaded on first call: import pfield skips it
+    # An anonymous map of 0 bytes is refused (EINVAL).
+    return memoryview(mmap.mmap(-1, 8 * max(count, 1))).cast("d")[:count]

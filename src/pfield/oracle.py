@@ -10,20 +10,20 @@ identities are used anywhere in it.
 The quadrature is an adaptive Gauss-Kronrod (G7, K15) bisection scheme with
 an embedded error estimate; identical inputs always traverse the same
 interval tree, so results are bit-reproducible.  A running integral's
-steps are a generator of step integrals that core.gather runs in one
-process per usable CPU, then one fold of those floats from 0.0, made in
-the buffer gather returns, so its values do not depend on that split;
-`taskset -c 0` gives one process.
+steps are stored by core.run_shares, in one process per usable CPU, in
+the memory of core.shared_doubles, and then folded there from 0.0, so its
+values do not depend on that split; `taskset -c 0` gives one process.
 """
 
 from __future__ import annotations
 
 import collections
+import io
 import math
 from itertools import accumulate
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
-from .core import BLOCK_ROWS, column, gather, require_finite_positive
+from .core import BLOCK_ROWS, column, require_finite_positive, run_shares, shared_doubles
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (positive half).
 _XK = (
@@ -144,20 +144,22 @@ def cumulative_integrate(f: Callable[[float], float], xs: Sequence[float]) -> me
     memoryview.
 
     One integrate call per step, from the previous point (0 for the first)
-    to x; xs is read only through len, one index and slices.  steps yields
-    a span's step integrals, which core.gather takes in one process per
-    usable CPU; they are then summed left to right from 0.0, in place in
-    the buffer gather returns, one span at a time, so the values do not
-    depend on that split.
+    to x; xs is read only through len, one index and slices.  steps stores
+    a span's step integrals at their items' indices in memory the shares
+    of core.run_shares share, so a redone share overwrites them; they are
+    then summed left to right from 0.0, in place, one span at a time, so
+    the values do not depend on that split.
     """
+    running = shared_doubles(len(xs))
 
-    def steps(start: int, stop: int) -> Iterator[float]:
+    def steps(start: int, stop: int) -> bytes:
         prev = xs[start - 1] if start else 0.0
-        for x in xs[start:stop]:
-            yield integrate(f, prev, x)
+        for i, x in enumerate(xs[start:stop], start):
+            running[i] = integrate(f, prev, x)
             prev = x
+        return b""
 
-    running = gather(steps, len(xs))
+    run_shares(steps, len(xs), io.BytesIO())
     total = 0.0
     for start in range(0, len(running), BLOCK_ROWS):
         span = running[start:start + BLOCK_ROWS]

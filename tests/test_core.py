@@ -7,7 +7,6 @@ import errno
 import io
 import math
 import os
-import shutil
 import signal
 import threading
 import time
@@ -404,51 +403,19 @@ def test_run_shares_kills_its_children_when_its_own_share_fails(monkeypatch, no_
     assert time.monotonic() - start < 30
 
 
-def _doubles(start, stop):
-    """A float per item, one that no other item has."""
-    return [math.sin(i) / 3.0 for i in range(start, stop)]
+def test_shared_doubles_of_no_items_is_an_empty_double_view():
+    view = core.shared_doubles(0)
+    assert view.format == "d" and len(view) == 0 and view.nbytes == 0
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
-@pytest.mark.parametrize("items", [0, 1, _C - 1, _C, _C + 1, 2 * _C + 1, _items(7)])
-def test_gather_returns_the_serial_doubles_for_any_share_count(monkeypatch, no_child_left,
-                                                               cpus, items):
-    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
-    gathered = core.gather(_doubles, items)
-    assert gathered.format == "d" and list(gathered) == _doubles(0, items)
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
-def test_gather_packs_the_floats_a_span_generator_yields(monkeypatch, no_child_left, cpus):
-    """A span kernel may be a generator: the share packs what it yields."""
-    def yielded(start, stop):
-        yield from _doubles(start, stop)
-
-    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
-    assert list(core.gather(yielded, _items(7))) == _doubles(0, _items(7))
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("extra", [-1, 1])
-def test_gather_refuses_spans_that_do_not_fill_a_double_per_item(monkeypatch, no_child_left,
-                                                                 cpus, extra):
-    """The last span, a child's on two shares, gives one float too few or
-    too many."""
-    items = 2 * _C + 1
-
-    def off_by_one(start, stop):
-        return _doubles(start, stop + extra if stop == items else stop)
-
-    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
-    with pytest.raises(ValueError, match="^gather: "):
-        core.gather(off_by_one, items)
-
-
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_gather_does_not_depend_on_copy_chunking(monkeypatch, no_child_left, cpus):
-    """A child's doubles are copied in reads of shutil.COPY_BUFSIZE bytes; a
-    read that ends inside a double must not change it."""
-    monkeypatch.setattr(shutil, "COPY_BUFSIZE", 1001)
-    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
-    assert list(core.gather(_doubles, 2 * _C + 1)) == \
-        [math.sin(i) / 3.0 for i in range(2 * _C + 1)]
+def test_a_double_a_forked_process_stores_reads_back_here(no_child_left):
+    view = core.shared_doubles(3)
+    assert list(view) == [0.0, 0.0, 0.0]
+    pid = os.fork()
+    if pid == 0:
+        try:
+            view[1] = math.pi
+        finally:
+            os._exit(0)
+    assert os.waitpid(pid, 0)[1] == 0
+    assert list(view) == [0.0, math.pi, 0.0]

@@ -6,7 +6,6 @@ import ast
 import functools
 import math
 import random
-import shutil
 from array import array
 from itertools import accumulate
 from pathlib import Path
@@ -309,17 +308,6 @@ def test_running_sum_in_place_equals_one_fold_bit_for_bit(monkeypatch, no_child_
     assert running.tobytes() == folded.tobytes()
     if points:
         assert math.copysign(1.0, running[0]) == 1.0
-
-
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_cumulative_integrate_does_not_depend_on_copy_chunking(monkeypatch, no_child_left,
-                                                               cpus):
-    """A child's steps are copied in reads of shutil.COPY_BUFSIZE bytes; a
-    read that ends inside a step must not change the running integral."""
-    f, xs, expected = _osc_case(1, 2 * core.BLOCK_ROWS + 1)
-    monkeypatch.setattr(shutil, "COPY_BUFSIZE", 1001)
-    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
-    assert list(oracle.cumulative_integrate(f, xs)) == expected
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
