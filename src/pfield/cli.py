@@ -42,36 +42,55 @@ of core.shared_doubles, which the shares write and this process reads,
 and its rows are spooled until its head is made from them.
 Unequal columns, a non-finite cell or meta value are a numeric error (3)
 and leave no file.  The argument parser is built once per process.
-`import pfield.cli` loads only core of the package; each subcommand
-imports only the physics and oracle modules it runs, on its first call.
+`import pfield.cli` loads only core of the package, and no json: only
+JSON output and verify load it, on first use.  Each subcommand imports
+only the physics and oracle modules it runs, on its first call.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys as _sys
 from itertools import chain, repeat
 from operator import add
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import BLOCK_ROWS, ELECTRON_MASS, column, run_shares, shared_doubles
 
+if TYPE_CHECKING:
+    from typing import Callable, Iterable, Mapping
+
+    _Table = Mapping[str, tuple[Callable[[str], object], object]]
+    # (name, head, block, rows, tail) of a file: its text is head, then
+    # block(start, stop) for each span run_shares cuts from range(rows), then
+    # tail.  A head that is a function is called once the blocks are made,
+    # for a caption that reads them, and its text goes before them.
+    _File = tuple[str, str | Callable[[], str], Callable[[int, int], bytes] | None, int, str]
+    _Files = Iterable[_File]
+    # columns(start, stop) of a table: that row span's columns, in header order.
+    _Columns = Callable[[int, int], Sequence[Sequence[object]]]
+    _Runner = Callable[..., tuple[_Files, int]]
+
 _FORMATS = ("csv", "json")
-_Table = Mapping[str, tuple[Callable[[str], object], object]]
-# (name, head, block, rows, tail) of a file: its text is head, then
-# block(start, stop) for each span run_shares cuts from range(rows), then tail.
-# A head that is a function is called once the blocks are made, for a
-# caption that reads them, and its text goes before them.
-_File = tuple[str, str | Callable[[], str], Callable[[int, int], bytes] | None, int, str]
-_Files = Iterable[_File]
-# columns(start, stop) of a table: that row span's columns, in header order.
-_Columns = Callable[[int, int], Sequence[Sequence[object]]]
-_Runner = Callable[..., tuple[_Files, int]]
+
+
+class _Json:
+    """Stands in for the json module, which only JSON output and verify
+    use: the first attribute looked up imports it.  Bound as `json`, so
+    a caller may replace the name and _json calls whatever is there."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str) -> object:
+        import json
+        return getattr(json, name)
+
+
+json = _Json()
 
 
 def _parse_config_file(path: str) -> dict[str, str]:

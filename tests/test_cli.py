@@ -835,12 +835,12 @@ def test_verify_without_docstrings_describes_each_criterion_by_its_ident(tmp_pat
 def test_import_leaves_out_dataclasses_and_inspect():
     """Every run pays for `import pfield.cli`; the records and the option
     tables are built without the dataclasses and inspect machinery, and
-    the modules that only forked shares or the running integral use are
-    loaded on first use."""
+    the modules that only forked shares, the running integral or JSON
+    output use are loaded on first use."""
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import pfield.cli; "
             "print(sorted({'dataclasses', 'inspect', 'shutil', 'tempfile', 'signal', "
-            "'threading', 'array'} & set(sys.modules)))")
+            "'threading', 'array', 'json'} & set(sys.modules)))")
     r = subprocess.run([sys.executable, "-I", "-S", "-c", code],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
@@ -877,6 +877,54 @@ def test_each_subcommand_imports_only_the_physics_it_runs(tmp_path, command):
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == sorted({"cli", "core", *_PHYSICS.get(command, ())})
+
+
+@pytest.mark.parametrize("argv,loads", [
+    pytest.param(argv, loads, id=" ".join(argv)) for argv, loads in [
+        *(((command, "--grid", "4"), False)
+          for command in ("box-figure", "osc-trajectory", "hydrogen-figure", "flux-check")),
+        (("spectrum",), False),
+        (("box-figure", "--grid", "4", "--format", "json"), True),
+        (("verify",), True)]])
+def test_only_json_output_and_verify_load_json(tmp_path, argv, loads):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [*argv[:1], "--out", str(tmp_path), *argv[1:]]
+    code = (f"import contextlib, io, sys; sys.path.insert(0, {src!r}); import pfield.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert pfield.cli.main({argv!r}) == 0\n"
+            "print('json' in sys.modules)")
+    r = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == str(loads)
+
+
+class _RecordingJson:
+    """A json module with dumps alone, which records each payload."""
+
+    def __init__(self):
+        self.payloads = []
+
+    def dumps(self, payload, **kwargs):
+        self.payloads.append(payload)
+        return json.dumps(payload, **kwargs)
+
+
+def test_every_json_text_goes_through_the_module_name_json(tmp_path, capsys, monkeypatch):
+    """A tracer may replace cli.json: every json.dumps call, a JSON table's
+    head and the verify report, goes through that name, and a CSV run
+    makes none."""
+    recorder = _RecordingJson()
+    monkeypatch.setattr(cli, "json", recorder)
+    assert cli.main(["box-figure", "--grid", "4", "--out", str(tmp_path / "csv")]) == 0
+    assert recorder.payloads == []
+    assert cli.main(["box-figure", "--grid", "4", "--format", "json",
+                     "--out", str(tmp_path / "json")]) == 0
+    assert [payload["rows"] for payload in recorder.payloads] == [[], [], []]
+    assert [payload["meta"]["n"] for payload in recorder.payloads] == [1, 2, 3]
+    assert cli.main(["verify", "--out", str(tmp_path / "verify")]) == 0
+    report = json.loads((tmp_path / "verify" / "verify_report.json").read_text(encoding="utf-8"))
+    assert len(recorder.payloads) == 4 and recorder.payloads[3] == report
 
 
 def test_verify_inject_error_fails(tmp_path):
@@ -939,6 +987,50 @@ def test_verify_report_is_strict_json(tmp_path, capsys, args, code):
     for check in checks:
         assert (check["rel_dev"] is None) == (check["reference"] == 0.0)
 
+# sin, cos, exp and x ** 2, each at two arguments where glibc's FMA and
+# generic code paths round apart: 13 to 18 of 20,000 draws in [-10, 10]
+# differ per function.  The digest of the eight results names the libm
+# path that a process runs on, and _GENERIC_LIBM puts one process on the
+# generic path.
+_LIBM_PROBE = """\
+import hashlib, math
+values = [math.sin(x) for x in (0.7227612016480904, 0.3250563735646317)]
+values += [math.cos(x) for x in (7.993565392695622, -4.319051085328816)]
+values += [math.exp(x) for x in (6.751559513251458, 9.067374694029194)]
+values += [x ** 2 for x in (7.2249061795510094, -0.5765017620658792)]
+probe = hashlib.sha256(repr(values).encode()).hexdigest()[:12]
+"""
+_GENERIC_LIBM = {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F"}
+# The probe of each path, and of the one every golden digest was recorded on.
+_LIBM_PATHS = {"4d917b75f85c": "glibc FMA", "bfea4e3ecf1f": "glibc generic"}
+_GOLDEN_LIBM = "4d917b75f85c"
+
+
+def _libm_probe(env: dict[str, str] | None = None) -> str:
+    """The probe of this process, or of a fresh interpreter with env added."""
+    if env is None:
+        namespace = {}
+        exec(_LIBM_PROBE, namespace)
+        return namespace["probe"]
+    r = subprocess.run([sys.executable, "-c", _LIBM_PROBE + "print(probe)"],
+                       capture_output=True, text=True, check=True, env={**os.environ, **env})
+    return r.stdout.strip()
+
+
+def _libm_note() -> str:
+    """What a failed digest comparison prints: the libm path of this run
+    and the one the digests were recorded on."""
+    running = _libm_probe()
+    return (f"libm probe {running} ({_LIBM_PATHS.get(running, 'an unrecorded path')}); "
+            f"the digests were recorded at {_GOLDEN_LIBM} ({_LIBM_PATHS[_GOLDEN_LIBM]})")
+
+
+def test_libm_probe_tells_the_glibc_paths_apart():
+    """On a host without FMA, or with another libm, this fails along with
+    the golden digests, and names why."""
+    assert {_libm_probe({}), _libm_probe(_GENERIC_LIBM)} == set(_LIBM_PATHS), _libm_note()
+
+
 # SHA-256 of every file written at grid 257 (spectrum and verify take no
 # grid), each recorded before the code that writes it was last rewritten;
 # the files must stay byte-identical.  verify_report.json was re-recorded
@@ -985,7 +1077,7 @@ def test_injected_verify_report_matches_golden_digest(tmp_path, capsys):
     assert cli.main(["verify", "--inject-error", "--out", str(tmp_path)]) == 1
     assert [p.name for p in tmp_path.iterdir()] == ["verify_report.json"]
     digest = hashlib.sha256((tmp_path / "verify_report.json").read_bytes())
-    assert digest.hexdigest() == _GOLDEN_INJECTED
+    assert digest.hexdigest() == _GOLDEN_INJECTED, _libm_note()
 
 
 @pytest.mark.parametrize("args", list(_GOLDEN), ids=" ".join)
@@ -994,7 +1086,7 @@ def test_outputs_match_golden_digests(tmp_path, capsys, args):
     assert cli.main([*args, *grid, "--out", str(tmp_path)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
-    assert digests == _GOLDEN[args]
+    assert digests == _GOLDEN[args], _libm_note()
 
 
 # SHA-256 of the JSON tables at grid 257 (spectrum takes no grid), recorded
@@ -1035,7 +1127,7 @@ def test_json_outputs_match_golden_digests(tmp_path, capsys, args):
                      "--out", str(tmp_path)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
-    assert digests == _GOLDEN_JSON[args]
+    assert digests == _GOLDEN_JSON[args], _libm_note()
 
 
 # SHA-256 of each table at grid 2049, which fills two blocks of BLOCK_ROWS
@@ -1088,7 +1180,7 @@ def test_outputs_across_block_edges_match_golden_digests(tmp_path, capsys, args,
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
     assert digests == {name: digest for name, digest in _GOLDEN_2049[args].items()
-                       if name.endswith(f".{fmt}")}
+                       if name.endswith(f".{fmt}")}, _libm_note()
 
 
 _SHARED = [("box-figure",), ("osc-trajectory", "--n", "0"), ("osc-trajectory", "--n", "1"),
@@ -1111,7 +1203,7 @@ def test_bytes_do_not_depend_on_the_share_count(tmp_path, capsys, monkeypatch, n
     assert digests[2] == digests[3] == digests[5] == digests[1]
     if grid == 2049:
         assert digests[1] == {name: digest for name, digest in _GOLDEN_2049[args].items()
-                              if name.endswith(f".{fmt}")}
+                              if name.endswith(f".{fmt}")}, _libm_note()
 
 
 # The run_shares calls of each subcommand at 2049 points: one per file,
@@ -1153,7 +1245,7 @@ def _check_redone_golden_bytes(tmp_path, args, calls):
     assert all(max(starts) >= core.BLOCK_ROWS for starts in calls)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert digests == {name: digest for name, digest in _GOLDEN_2049[args].items()
-                       if name.endswith(".csv")}
+                       if name.endswith(".csv")}, _libm_note()
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
