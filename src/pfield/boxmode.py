@@ -20,8 +20,8 @@ normalized by its own secular coefficient.  Both pin q(0) = 0, q(a) = a.
 A BoxMode holds the BoxSystem it was built for, so a function of a level
 takes no system.  figure_columns (the quadratic path, the field and the
 bare density) and eighth_order_path evaluate a whole grid, a column each,
-checking the wall once; a point value is a one-element grid.  Each
-function of one x checks it is in the box.
+checking the wall once; a point value is a one-element grid.  The wall
+is one check, _check_grid, which field_energy and timedep pass (x,).
 """
 
 from __future__ import annotations
@@ -108,16 +108,12 @@ def level_at_ratio(m: float, a: float, n: int, ratio: float) -> BoxMode:
     return make_mode(BoxSystem(m=m, a=a, p_particle=p_particle), n)
 
 
-def _check_inside(a: float, x: float) -> None:
-    """The box wall: every x a box field is evaluated at lies in [0, a]."""
-    if not 0.0 <= x <= a:
-        raise ValueError(f"x={x} outside the box [0, {a}]")
-
-
 def _check_grid(a: float, xs: Sequence[float]) -> None:
-    """The box wall for a grid, in one pass: every x lies in [0, a]."""
-    if not all(0.0 <= x <= a for x in xs):
-        raise ValueError(f"grid leaves the box [0, {a}]")
+    """The box wall: every x a box field is evaluated at lies in [0, a].
+    Raises at the first x outside, nan included."""
+    for x in xs:
+        if not 0.0 <= x <= a:
+            raise ValueError(f"x={x} outside the box [0, {a}]")
 
 
 def field_energy(mode: BoxMode, x: float) -> EnergyBudget:
@@ -129,7 +125,7 @@ def field_energy(mode: BoxMode, x: float) -> EnergyBudget:
     sin^2(k_n x).  The particle share is purely kinetic inside the box.
     """
     sys = mode.sys
-    _check_inside(sys.a, x)
+    _check_grid(sys.a, (x,))
     e_particle = sys.p_particle**2 / (2.0 * sys.m)
     wbar = mode.k_n * sys.p_particle / sys.m
     e_field = 0.5 * sys.m * wbar**2 * mode.a_n**2

@@ -54,7 +54,7 @@ import functools
 import math
 import os
 import sys as _sys
-from itertools import chain, repeat
+from itertools import chain
 from operator import add
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -313,7 +313,7 @@ class _Grid(Sequence[float]):
         points = range(self.n)[index]
         if isinstance(points, int):
             return self.last if points == self.n - 1 else self.lo + self.step * points
-        xs = column(map(add, repeat(self.lo), map(self.step.__mul__, points)))
+        xs = column(self.lo + self.step * i for i in points)
         if self.n - 1 in points:
             xs[points.index(self.n - 1)] = self.last
         return xs
@@ -423,6 +423,9 @@ def _cmd_spectrum(*, format: str = "csv", a: float = 2e-9, mass: float = ELECTRO
     e_linear, e_nonlinear = [], []
     for n in ns:
         mode = boxmode.level_at_ratio(mass, a, n, ratio)
+        if mode.a_n == 0.0:
+            raise ValueError(f"--ratio {ratio!r} gives the bare level n={n}: its "
+                             "square root rounds to 1, leaving no field amplitude")
         params = nonlinear.NonlinearParams(eps=eps, a_tilde=mode.a_n)
         e_linear.append(mode.e_n)
         e_nonlinear.append(nonlinear.energy_levels(params, mode))

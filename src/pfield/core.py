@@ -13,17 +13,17 @@ E_F + K_P < 0 are forbidden to the composite.  All quantities are SI.
 column makes a kernel's column: an array('d') of the values, 8 bytes each
 where a list of floats holds 32.
 
-run_shares is the package's one route to more than one CPU and the one
-owner of the block size: it hands a run of items (a table's rows, a running
-integral's steps) to work in spans of BLOCK_ROWS, in shares [lo, hi) of
-whole spans, one process per usable CPU; the bytes do not depend on that
-split, and `taskset -c 0` gives one.  shared_doubles is the one memory
-that those shares write and the caller reads, a 'd' memoryview over an
-anonymous shared map: a share stores its floats there by index, so a
-redone share overwrites what its child left.  The running integral keeps
-its steps there and sums them where they lie, and flux-check the largest
-|residual| of each span; no table needs a column whole, as each is
-rendered span by span.
+run_shares is the package's one route to more than one CPU: it hands a
+run of items (a table's rows, a running integral's steps) to work in spans
+of BLOCK_ROWS, in shares [lo, hi) of whole spans, one process per usable
+CPU; the bytes do not depend on that split, and `taskset -c 0` gives one.
+Outside core only flux-check's per-span slots read BLOCK_ROWS.
+shared_doubles is the one memory that those shares write and the caller
+reads, a 'd' memoryview over an anonymous shared map: a share stores its
+floats there by index, so a redone share overwrites what its child left.
+The running integral keeps its steps there and sums them where they lie,
+and flux-check the largest |residual| of each span; no table needs a
+column whole, as each is rendered span by span.
 """
 
 from __future__ import annotations

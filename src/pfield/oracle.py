@@ -20,10 +20,9 @@ from __future__ import annotations
 import collections
 import io
 import math
-from itertools import accumulate
 from typing import Callable, Sequence
 
-from .core import BLOCK_ROWS, column, require_finite_positive, run_shares, shared_doubles
+from .core import require_finite_positive, run_shares, shared_doubles
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (positive half).
 _XK = (
@@ -147,8 +146,8 @@ def cumulative_integrate(f: Callable[[float], float], xs: Sequence[float]) -> me
     to x; xs is read only through len, one index and slices.  steps stores
     a span's step integrals at their items' indices in memory the shares
     of core.run_shares share, so a redone share overwrites them; they are
-    then summed left to right from 0.0, in place, one span at a time, so
-    the values do not depend on that split.
+    then summed left to right from 0.0 in one pass, in place, so the
+    values do not depend on that split.
     """
     running = shared_doubles(len(xs))
 
@@ -161,10 +160,7 @@ def cumulative_integrate(f: Callable[[float], float], xs: Sequence[float]) -> me
 
     run_shares(steps, len(xs), io.BytesIO())
     total = 0.0
-    for start in range(0, len(running), BLOCK_ROWS):
-        span = running[start:start + BLOCK_ROWS]
-        sums = accumulate(span, initial=total)
-        next(sums)  # total itself
-        span[:] = column(sums)
-        total = span[-1]
+    for i, step in enumerate(running):
+        total += step
+        running[i] = total
     return running

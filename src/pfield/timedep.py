@@ -32,7 +32,7 @@ import math
 from typing import Callable, Sequence
 
 from . import oracle
-from .boxmode import BoxMode, BoxSystem, _check_inside, make_mode
+from .boxmode import BoxMode, BoxSystem, _check_grid, make_mode
 from .core import HBAR, column, require_finite, require_finite_positive, require_level
 
 # (c_j sqrt(2/a), k_j, e^(-i E_j t/hbar)) for each component j at one time t.
@@ -97,7 +97,7 @@ class Superposition(collections.namedtuple("Superposition", "components")):
     def _sum(self, x: float, t: float, term: Callable[..., complex]) -> complex:
         """Sum over the components of term(c_j sqrt(2/a), k_j, k_j x,
         e^(-i E_j t/hbar), E_j), once x is checked to lie inside the box."""
-        _check_inside(self.a, x)
+        _check_grid(self.a, (x,))
         out = 0j
         for (c_amp, k, phase), (mode, _) in zip(self._terms(t), self.components):
             out += term(c_amp, k, k * x, phase, mode.e_n)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference as ref
-from pfield import boxmode, cli, oracle
+from pfield import boxmode, cli, oracle, timedep
 from pfield.core import ELECTRON_MASS, HBAR, energy_budget_check
 
 A_BOX = 2e-9
@@ -364,10 +365,35 @@ def test_figure_rows_reject_a_grid_outside_the_box(bad):
     if bad == "above":
         bad = math.nextafter(A_BOX, 1.0)
     xs = [0.0, 0.5 * A_BOX, bad, A_BOX]
-    with pytest.raises(ValueError, match="grid leaves the box"):
+    with pytest.raises(ValueError, match=re.escape(f"x={bad} outside the box")):
         boxmode.figure_columns(mode, xs)
-    with pytest.raises(ValueError, match="grid leaves the box"):
+    with pytest.raises(ValueError, match=re.escape(f"x={bad} outside the box")):
         boxmode.eighth_order_path(mode, xs)
+
+
+@pytest.mark.parametrize("bad", [-1e-30, "above", math.nan])
+def test_the_wall_names_the_first_x_outside(bad):
+    mode = _fixture()
+    if bad == "above":
+        bad = math.nextafter(A_BOX, 1.0)
+    wall = re.escape(f"x={bad} outside the box [0, {A_BOX}]")
+    with pytest.raises(ValueError, match=wall):
+        boxmode.field_energy(mode, bad)
+    with pytest.raises(ValueError, match=wall):
+        timedep.Superposition(((mode, 1.0),)).value(bad, 0.0)
+    with pytest.raises(ValueError, match=wall):
+        boxmode.figure_columns(mode, [0.0, bad, -A_BOX, 2.0 * A_BOX, A_BOX])
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(1e-9, 4e-9), n=st.integers(1, 3),
+       ratio=st.floats(1.0, 2.0, exclude_max=True), frac=st.floats(0.0, 1.0))
+def test_energy_budget_holds_everywhere_in_the_box(a, n, ratio, frac):
+    mode = boxmode.level_at_ratio(M, a, n, ratio)
+    assert energy_budget_check(boxmode.field_energy(mode, frac * a))
+    for outside in (-math.ulp(0.0), math.nextafter(a, math.inf)):
+        with pytest.raises(ValueError, match="outside the box"):
+            boxmode.field_energy(mode, outside)
 
 
 @settings(max_examples=200, deadline=None)

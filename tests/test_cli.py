@@ -121,6 +121,14 @@ def test_spectrum_rejects_the_bare_ratio(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_spectrum_rejects_a_ratio_whose_root_rounds_to_one(tmp_path):
+    # inside (1, 2), yet sqrt rounds it to 1 and level_at_ratio builds a_n = 0
+    r = _run("spectrum", "--ratio", "1.0000000000000002", "--out", str(tmp_path))
+    assert r.returncode == 3
+    assert "--ratio" in r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command,flag", [("spectrum", "--a"),
                                           ("hydrogen-figure", "--a-ha"),
                                           ("osc-trajectory", "--alpha")])
