@@ -22,8 +22,10 @@ A subcommand's options are its runner's keyword parameters, with their
 defaults: the table subcommands take --format, and the four sampled ones
 (all but spectrum) --grid.  _CONVERTERS names the converter of each
 option that is not a finite float.  Every subcommand also takes --out
-and --config.  Output location: --out flag, else the OUTPUT_DIR
-environment variable, else the working directory.  CSV files carry
+and --config.  A flag is read by its exact name only, with its value
+joined by = or as the next token, which may start with -; the boolean
+option's flag takes no value.  Output location: --out flag, else the
+OUTPUT_DIR environment variable, else the working directory.  CSV files carry
 `# key=value` caption lines followed by a single `name:unit` header row;
 JSON files carry the same content as {"meta": ..., "columns": ...,
 "rows": ...}.  Each subcommand declares its table once, as its `name:unit`
@@ -41,16 +43,14 @@ rows it reads, so each of its spans puts its largest |residual| in a slot
 of core.shared_doubles, which the shares write and this process reads,
 and its rows are spooled until its head is made from them.
 Unequal columns, a non-finite cell or meta value are a numeric error (3)
-and leave no file.  The argument parser is built once per process.
-`import pfield.cli` loads only core of the package, and no json: only
-JSON output and verify load it, on first use.  Each subcommand imports
+and leave no file.  `import pfield.cli` loads only core of the package,
+no argparse and no json: _parse reads the command line, and only JSON
+output and verify load json, on first use.  Each subcommand imports
 only the physics and oracle modules it runs, on its first call.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import os
 import sys as _sys
@@ -62,7 +62,7 @@ from typing import TYPE_CHECKING, Sequence
 from .core import BLOCK_ROWS, ELECTRON_MASS, column, run_shares, shared_doubles
 
 if TYPE_CHECKING:
-    from typing import Callable, Iterable, Mapping
+    from typing import Callable, Iterable, Mapping, NoReturn
 
     _Table = Mapping[str, tuple[Callable[[str], object], object]]
     # (name, head, block, rows, tail) of a file: its text is head, then
@@ -110,28 +110,27 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _merge_options(args: argparse.Namespace, table: _Table,
-                   parser: argparse.ArgumentParser) -> dict[str, object]:
+def _merge_options(command: str, given: Mapping[str, object],
+                   table: _Table) -> dict[str, object]:
     """Resolve each option: flag beats config file beats default."""
     config: dict[str, str] = {}
-    if args.config:
+    if given.get("config"):
         try:
-            config = _parse_config_file(args.config)
+            config = _parse_config_file(given["config"])
         except (OSError, ValueError) as exc:
-            parser.error(str(exc))
+            _usage_error(command, str(exc))
     unknown = sorted(set(config) - set(table))
     if unknown:
-        parser.error(f"unknown config keys: {', '.join(unknown)}")
+        _usage_error(command, f"unknown config keys: {', '.join(unknown)}")
     merged: dict[str, object] = {}
     for key, (conv, default) in table.items():
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            merged[key] = flag_value
+        if key in given:
+            merged[key] = given[key]
         elif key in config:
             try:
                 merged[key] = conv(config[key])
             except ValueError as exc:
-                parser.error(f"config key {key}: {exc}")
+                _usage_error(command, f"config key {key}: {exc}")
         else:
             merged[key] = default
     return merged
@@ -502,36 +501,104 @@ def _options(runner: _Runner) -> _Table:
             for key, default in runner.__kwdefaults__.items()}
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pfield",
-        description="Particle-field composite data sets and verification.")
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, runner in _COMMANDS.items():
-        sub = subparsers.add_parser(name, help=f"run the {name} command")
-        sub.add_argument("--config", help="flat key=value option file")
-        sub.add_argument("--out", help="output directory (default: "
-                                       "$OUTPUT_DIR or the working directory)")
-        for key, (conv, default) in _options(runner).items():
-            flag = "--" + key.replace("_", "-")
-            if key == "inject_error":
-                sub.add_argument(flag, action="store_true", default=None,
-                                 help="scale outputs by 1%% as a negative "
-                                      "control; the run must then fail")
-            else:
-                sub.add_argument(flag, type=conv,
-                                 help=f"{key} (default {default})")
-    return parser
+# A flag's --help text, where it is not "key (default value)".
+_HELP_TEXTS = {
+    "config": "flat key=value option file",
+    "out": "output directory (default: $OUTPUT_DIR or the working directory)",
+    "inject_error": "scale outputs by 1% as a negative control; the run must then fail"}
+
+
+def _flags(command: str) -> dict[str, tuple[str, Callable[[str], object], str]]:
+    """{flag: (key, converter, help)} of a subcommand, in --help order:
+    --config, --out and its options, each key with - for _."""
+    table = {"config": (str, None), "out": (str, None), **_options(_COMMANDS[command])}
+    return {"--" + key.replace("_", "-"):
+            (key, conv, _HELP_TEXTS.get(key, f"{key} (default {default})"))
+            for key, (conv, default) in table.items()}
+
+
+def _specs(command: str) -> list[tuple[str, str]]:
+    """(flag with its value's name, help) of each flag of a subcommand."""
+    return [(flag if conv is boolean else f"{flag} {key.upper()}", text)
+            for flag, (key, conv, text) in _flags(command).items()]
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: pfield [-h] {{{','.join(_COMMANDS)}}} ..."
+    return " ".join([f"usage: pfield {command} [-h]",
+                     *(f"[{spec}]" for spec, _ in _specs(command))])
+
+
+def _usage_error(command: str | None, message: str) -> NoReturn:
+    """Print the usage line and the message to stderr and exit 2."""
+    prog = "pfield" if command is None else f"pfield {command}"
+    print(_usage(command), f"{prog}: error: {message}", sep="\n", file=_sys.stderr)
+    raise SystemExit(2)
+
+
+def _help(command: str | None) -> NoReturn:
+    """Print the subcommands, or a subcommand's flags with their defaults, and exit 0."""
+    if command is None:
+        lines = ["Particle-field composite data sets and verification.", "", "commands:",
+                 *(f"  {name:<18}run the {name} command" for name in _COMMANDS)]
+    else:
+        rows = [("-h, --help", "show this help message and exit"), *_specs(command)]
+        lines = ["options:", *(f"  {spec:<18}{text}" for spec, text in rows)]
+    print(_usage(command), "", *lines, sep="\n")
+    raise SystemExit(0)
+
+
+def _parse(argv: Sequence[str]) -> tuple[str, dict[str, object]]:
+    """(command, {key: converted value}) of a command line.
+
+    A flag is read by its exact name only, its value given as --flag=value
+    or as the token after it, whatever that token holds; a boolean option's
+    flag takes no value and gives True.  A flag given twice keeps its last
+    value.  -h or --help prints help and exits 0.
+    """
+    command = argv[0] if argv else ""
+    if command in ("-h", "--help"):
+        _help(None)
+    if command not in _COMMANDS:
+        _usage_error(None, f"expected a command, one of {', '.join(_COMMANDS)}; "
+                           f"got {command!r}")
+    flags = _flags(command)
+    given: dict[str, object] = {}
+    unknown: list[str] = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _help(command)
+        flag, equals, text = token.partition("=")
+        if flag not in flags:
+            unknown.append(token)
+            continue
+        key, conv, _ = flags[flag]
+        if conv is boolean:
+            if equals:
+                _usage_error(command, f"argument {flag}: ignored explicit argument {text!r}")
+            given[key] = True
+            continue
+        if not equals:
+            text = next(tokens, None)
+            if text is None:
+                _usage_error(command, f"argument {flag}: expected one argument")
+        try:
+            given[key] = conv(text)
+        except ValueError:
+            _usage_error(command, f"argument {flag}: invalid {conv.__name__} value: {text!r}")
+    if unknown:
+        _usage_error(command, f"unrecognized arguments: {' '.join(unknown)}")
+    return command, given
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    runner = _COMMANDS[args.command]
+    command, given = _parse(_sys.argv[1:] if argv is None else argv)
+    runner = _COMMANDS[command]
     table = _options(runner)
-    options = _merge_options(args, {"out": (str, os.environ.get("OUTPUT_DIR", ".")),
-                                    **table}, parser)
+    options = _merge_options(command, given,
+                             {"out": (str, os.environ.get("OUTPUT_DIR", ".")), **table})
     out = options.pop("out")
     try:
         files, code = runner(**options)
@@ -544,7 +611,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         changed = "".join(f" {key}={value}" for key, value in options.items()
                           if value != table[key][1])
-        print(f"error: {args.command}{changed}: {exc}", file=_sys.stderr)
+        print(f"error: {command}{changed}: {exc}", file=_sys.stderr)
         return 3
 
 

@@ -152,12 +152,13 @@ def approximation_gap(a_ha: float) -> float:
     """Worst-case linearized-minus-exact speed factor for a 2p0 state.
 
     The sweep slope peaks at u = 3 a_ha^2 / 4 pi (equator, origin limit
-    of the envelope), giving (1 + 3 a^2/8pi) - sqrt(1 + 3 a^2/4pi);
-    quartic in a_ha for small amplitude.
+    of the envelope), giving (1 + u/2) - sqrt(1 + u); quartic in a_ha for
+    small amplitude.  It is computed as (u^2/4) / ((1 + u/2) + sqrt(1 + u)),
+    which cancels no digits.
     """
     require_finite_positive(a_ha=a_ha)
     u = 3.0 * a_ha**2 / (4.0 * math.pi)
-    return (1.0 + 0.5 * u) - math.sqrt(1.0 + u)
+    return 0.25 * u * u / ((1.0 + 0.5 * u) + math.sqrt(1.0 + u))
 
 
 def _envelope_2p(sys: HydrogenSystem, a_ha: float, r: float) -> float:

@@ -27,15 +27,19 @@ every point and slice of the grids made on demand must equal them bit for
 bit.  CLI_OPTIONS is each
 subcommand's option table as it stood before the runners' keyword
 parameters became the only copy: the keys in order, with the name of each
-converter and each default.  These copies live with the tests so they cannot
-drift along with the package.
+converter and each default.  cli_parser is the argparse parser that read
+the command line before cli read it itself, built from the same
+cli._COMMANDS and cli._options, with abbreviated flags turned off.  These
+copies live with the tests so they cannot drift along with the package.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 
+from pfield import cli
 from pfield.boxmode import path_series_coefficients
 from pfield.core import HBAR, require_finite, require_finite_positive
 from pfield.nonlinear import omega_ratio
@@ -319,3 +323,25 @@ CLI_OPTIONS = {
                    ("a", "finite_float", 2e-9), ("mass", "finite_float", _ELECTRON_MASS)),
     "verify": (("inject_error", "boolean", False),),
 }
+
+
+def cli_parser():
+    parser = argparse.ArgumentParser(
+        prog="pfield", allow_abbrev=False,
+        description="Particle-field composite data sets and verification.")
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, runner in cli._COMMANDS.items():
+        sub = subparsers.add_parser(name, help=f"run the {name} command", allow_abbrev=False)
+        sub.add_argument("--config", help="flat key=value option file")
+        sub.add_argument("--out", help="output directory (default: "
+                                       "$OUTPUT_DIR or the working directory)")
+        for key, (conv, default) in cli._options(runner).items():
+            flag = "--" + key.replace("_", "-")
+            if key == "inject_error":
+                sub.add_argument(flag, action="store_true", default=None,
+                                 help="scale outputs by 1%% as a negative "
+                                      "control; the run must then fail")
+            else:
+                sub.add_argument(flag, type=conv,
+                                 help=f"{key} (default {default})")
+    return parser

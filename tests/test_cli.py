@@ -13,6 +13,7 @@ import json
 import math
 import mmap
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -161,6 +162,9 @@ def test_malformed_ratios_exit_2(tmp_path, ratios):
     (("verify",), "grid=3\n"),
     (("verify",), "format=json\n"),
     (("spectrum",), "grid=8\n"),
+    # A flag is read by its exact name, never by a prefix of another.
+    (("hydrogen-figure", "--a", "0.15"), None),
+    (("spectrum", "--lev", "2"), None),
 ])
 def test_unread_options_exit_2(tmp_path, args, config):
     out = tmp_path / "out"
@@ -171,7 +175,10 @@ def test_unread_options_exit_2(tmp_path, args, config):
         extra = ("--config", str(cfg))
     r = _run(*args, *extra, "--out", str(out))
     assert r.returncode == 2, r.stderr
-    assert "unrecognized arguments" in r.stderr or "unknown config keys" in r.stderr
+    if config is None:
+        assert f"unrecognized arguments: {' '.join(args[1:])}" in r.stderr
+    else:
+        assert "unknown config keys" in r.stderr
     assert not out.exists()
 
 
@@ -623,8 +630,88 @@ def test_random_extreme_options_keep_the_exit_contract(argv):
             assert not out.exists() or not any(out.iterdir())
 
 
-def test_parser_is_built_once():
-    assert cli._build_parser() is cli._build_parser()
+# The negative numbers argparse reads as a value written apart from its
+# flag; any other token that starts with - it reads as a flag.
+_ARGPARSE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
+@st.composite
+def _any_argv(draw):
+    """A subcommand and its flags, each key drawn any number of times in
+    any order, each value written --k=v or apart, or a flag cut short."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    argv = [command]
+    keys = ["out", *cli._options(cli._COMMANDS[command])]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=8)):
+        flag = "--" + key.replace("_", "-")
+        if draw(st.integers(0, 9)) == 0:
+            flag = flag[:draw(st.integers(3, len(flag)))]
+        if key == "inject_error":
+            argv.append(flag)
+            continue
+        if draw(st.integers(0, 4)) == 0:
+            value = draw(st.sampled_from(["0", "1", "-1", "nan", "x", ""]))
+        else:
+            value = draw(_OPTION_VALUES.get(key, _EXTREME_FLOAT.map(repr)))
+        apart = value[:1] != "-" or _ARGPARSE_NUMBER.fullmatch(value)
+        if apart and draw(st.booleans()):
+            argv += [flag, value]
+        else:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+_REFERENCE_PARSER = ref.cli_parser()
+
+
+def _resolved(parse, argv):
+    """The options that parse and cli._merge_options resolve, or the exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            command, given = parse(argv)
+            table = {"out": (str, "."), **cli._options(cli._COMMANDS[command])}
+            return command, cli._merge_options(command, given, table)
+        except SystemExit as exc:
+            return exc.code
+
+
+def _reference_parse(argv):
+    args = vars(_REFERENCE_PARSER.parse_args(argv))
+    command = args.pop("command")
+    return command, {key: value for key, value in args.items() if value is not None}
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_any_argv())
+def test_parser_resolves_what_argparse_resolves(argv):
+    """Wherever argparse, with abbreviated flags turned off, reads a value
+    as a value, _parse reads the same options, or both exit 2."""
+    assert _resolved(cli._parse, argv) == _resolved(_reference_parse, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, id=" ".join(argv) or "import-only") for argv in [
+        (), ("box-figure", "--grid", "4"), ("osc-trajectory", "--grid", "4"),
+        ("hydrogen-figure", "--grid", "4"), ("spectrum",), ("flux-check", "--grid", "4"),
+        ("verify",), ("box-figure", "--help"), ("spectrum", "--levels", "0")]])
+def test_cli_loads_no_argparse_or_gettext(tmp_path, argv):
+    """`import pfield.cli`, a run of each subcommand, --help and a usage
+    error load neither argparse nor the gettext it imports."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [*argv[:1], "--out", str(tmp_path), *argv[1:]] if argv else []
+    code = (f"import contextlib, io, sys; sys.path.insert(0, {src!r}); import pfield.cli\n"
+            f"if {argv!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "        try:\n"
+            f"            pfield.cli.main({argv!r})\n"
+            "        except SystemExit:\n"
+            "            pass\n"
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    r = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("command", ref.CLI_OPTIONS)
@@ -746,19 +833,19 @@ def test_spectrum_zero_coupling_has_zero_shifts(tmp_path):
         assert row[3] == 0.0
 
 
-def test_negative_exponent_option_is_joined_to_its_flag(tmp_path, capsys):
-    """argparse reads a separate `-1e35` as a flag, since its negative-number
-    pattern has no exponent; joined with `=`, the value is taken."""
+def test_negative_exponent_option_apart_or_joined_writes_the_same_bytes(tmp_path,
+                                                                        capsys):
+    """The token after a flag is its value, as written, so `--eps -1e35`
+    is `--eps=-1e35`."""
     assert cli.main(["spectrum", "--eps=-1e35", "--levels", "3",
                      "--out", str(tmp_path / "joined")]) == 0
     meta, _, rows = _read_table(tmp_path / "joined" / "spectrum.csv")
     assert meta["eps"] == "-1e+35"
     assert len(rows) == 3
-    r = _run("spectrum", "--eps", "-1e35", "--out", str(tmp_path / "apart"))
-    assert r.returncode == 2
-    assert "argument --eps: expected one argument" in r.stderr
-    assert "Traceback" not in r.stderr
-    assert not (tmp_path / "apart").exists()
+    r = _run("spectrum", "--eps", "-1e35", "--levels", "3", "--out", str(tmp_path / "apart"))
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "apart" / "spectrum.csv").read_bytes() \
+        == (tmp_path / "joined" / "spectrum.csv").read_bytes()
 
 
 def test_quadrature_failure_in_a_forked_share_exits_3(tmp_path, capsys, monkeypatch,
@@ -1015,13 +1102,16 @@ _GOLDEN_LIBM = "4d917b75f85c"
 
 
 def _libm_probe(env: dict[str, str] | None = None) -> str:
-    """The probe of this process, or of a fresh interpreter with env added."""
+    """The probe of this process, or of a fresh interpreter with env added
+    to this one's environment less GLIBC_TUNABLES, so that {} is the
+    default path even in a process that runs on another."""
     if env is None:
         namespace = {}
         exec(_LIBM_PROBE, namespace)
         return namespace["probe"]
+    base = {key: value for key, value in os.environ.items() if key != "GLIBC_TUNABLES"}
     r = subprocess.run([sys.executable, "-c", _LIBM_PROBE + "print(probe)"],
-                       capture_output=True, text=True, check=True, env={**os.environ, **env})
+                       capture_output=True, text=True, check=True, env={**base, **env})
     return r.stdout.strip()
 
 
@@ -1042,8 +1132,9 @@ def test_libm_probe_tells_the_glibc_paths_apart():
 # SHA-256 of every file written at grid 257 (spectrum and verify take no
 # grid), each recorded before the code that writes it was last rewritten;
 # the files must stay byte-identical.  verify_report.json was re-recorded
-# when criterion 09 began to compare q/r - 1 to a relative tolerance, and
-# when a check against a zero reference began to record rel_dev as null.
+# when criterion 09 began to compare q/r - 1 to a relative tolerance, when
+# a check against a zero reference began to record rel_dev as null, and when
+# approximation_gap (criterion 08) stopped cancelling its digits.
 _GOLDEN = {
     ("osc-trajectory", "--n", "0"): {
         "osc_trajectory.csv":
@@ -1069,16 +1160,16 @@ _GOLDEN = {
             "3741278e1a8cca21649bc30a41236f141a003bffa95933adaad092fc1db02664"},
     ("verify",): {
         "verify_report.json":
-            "cc02be976042ca9c36089b1dd11c295792bb5af6c9ab53ecbb103e4ab79a6dc9"},
+            "edc440e26d872dbd9121c2a77442395b6c960fd98989ec0d6608c375c2c1f212"},
 }
 
 
 # SHA-256 of verify_report.json under --inject-error, recorded before the
 # check record was shared by the criteria and the report and re-recorded
-# with criterion 09's relative q/r - 1 check and with the null rel_dev of a
-# zero reference: it pins the deviations and verdicts of failing checks,
+# with criterion 09's relative q/r - 1 check, with the null rel_dev of a
+# zero reference and with approximation_gap's uncancelled form: it pins the deviations and verdicts of failing checks,
 # which the golden run never has.
-_GOLDEN_INJECTED = "9047346378c486b3ac24e11d5eac80611ff1ea4e51c05cc610cf225bf5401afc"
+_GOLDEN_INJECTED = "d58f6f5a0ee02333d14615a66cb209a1bb78828d29f116d86f3dd6f8d9d4bbc9"
 
 
 def test_injected_verify_report_matches_golden_digest(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -139,6 +140,21 @@ def test_approximation_gap_quartic():
     assert 15.5 <= ratio <= 16.05
     with pytest.raises(ValueError):
         hydrogen.approximation_gap(0.0)
+
+
+@pytest.mark.parametrize("a_ha", [0.3, 0.1, 0.03, 0.01, 1e-3, 1e-4])
+def test_approximation_gap_is_its_binomial_series_to_a_few_ulps(a_ha):
+    """(1 + u/2) - sqrt(1 + u) is u^2/8 - u^3/16 + 5u^4/128 - ..., the
+    binomial series of sqrt(1 + u) past its linear term, summed here with
+    fsum to u^20: the subtraction form loses up to all of its digits to
+    cancellation (7.3e-11 relative at 0.1, 0.0 at 1e-4)."""
+    u = 3.0 * a_ha**2 / (4.0 * math.pi)
+    coefficient, terms = Fraction(1, 2), []
+    for k in range(2, 21):
+        coefficient *= (Fraction(1, 2) - (k - 1)) / k
+        terms.append(-float(coefficient) * u**k)
+    series = math.fsum(terms)
+    assert abs(hydrogen.approximation_gap(a_ha) - series) <= 4 * math.ulp(series)
 
 
 def _p0_radius(a_ha, r, theta):
