@@ -96,7 +96,8 @@ json = _Json()
 def _parse_config_file(path: str) -> dict[str, str]:
     """Flat key=value lines, each key non-empty and once; # comments, blanks ignored."""
     values: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:  # Path("") would read the directory "."
+        text = fh.read()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -114,11 +115,11 @@ def _merge_options(command: str, given: Mapping[str, object],
                    table: _Table) -> dict[str, object]:
     """Resolve each option: flag beats config file beats default."""
     config: dict[str, str] = {}
-    if given.get("config"):
+    if "config" in given:
         try:
             config = _parse_config_file(given["config"])
         except (OSError, ValueError) as exc:
-            _usage_error(command, str(exc))
+            _usage_error(command, f"argument --config: {exc}")
     unknown = sorted(set(config) - set(table))
     if unknown:
         _usage_error(command, f"unknown config keys: {', '.join(unknown)}")

@@ -189,27 +189,22 @@ def norm(s: Superposition, t: float) -> float:
     return oracle.integrate(lambda x: density(s, x, t), 0.0, s.a)
 
 
-def _moment_spec(s: Superposition, k_power: int) -> oracle.QuadratureSpec:
-    """Quadrature tolerances scaled to the moment integrand.
-
-    Parts of Psi* d^j Psi/dx^j are exact zeros polluted by rounding
-    noise of order eps |Psi| |d^j Psi|; the absolute floor must sit
-    above that noise or the adaptive refinement chases it forever.
-    """
-    c_sum = sum(abs(c) for _, c in s.components)
-    k_sum = sum(abs(c) * mode.k_n**k_power for mode, c in s.components)
-    return oracle.QuadratureSpec(rel_tol=1e-11, abs_tol=2e-14 * c_sum * k_sum)
-
-
 def _moment(s: Superposition, t: float, order: int, prefactor: complex,
             label: str) -> float:
     """Real part of prefactor * integral Psi* d^order Psi/dx^order.
 
-    The imaginary part is a boundary term that must vanish; it is
-    checked against 1e-12 relative before being dropped.
+    The integral is bounded by c_sum k_sum, the sum of the |c| times the
+    sum of the |c| k^order.  Parts of the integrand are exact zeros
+    polluted by rounding noise of order eps |Psi| |d^order Psi|; the
+    quadrature's absolute floor must sit above that noise or the adaptive
+    refinement chases it forever.  The imaginary part is a boundary term
+    that must vanish; it is checked against 1e-12 of the real part plus
+    the moment's bound before being dropped.
     """
     deriv = s.d_dx if order == 1 else s.d2_dx2
-    spec = _moment_spec(s, order)
+    c_sum = sum(abs(c) for _, c in s.components)
+    k_sum = sum(abs(c) * mode.k_n**order for mode, c in s.components)
+    spec = oracle.QuadratureSpec(rel_tol=1e-11, abs_tol=2e-14 * c_sum * k_sum)
 
     @functools.cache
     def integrand(x: float) -> complex:
@@ -218,7 +213,7 @@ def _moment(s: Superposition, t: float, order: int, prefactor: complex,
     re = oracle.integrate(lambda x: integrand(x).real, 0.0, s.a, spec)
     im = oracle.integrate(lambda x: integrand(x).imag, 0.0, s.a, spec)
     val = prefactor * complex(re, im)
-    if abs(val.imag) > 1e-12 * abs(val.real) + 1e-20:
+    if abs(val.imag) > 1e-12 * (abs(val.real) + abs(prefactor) * c_sum * k_sum):
         raise ValueError(
             f"{label} picked up imaginary part {val.imag:.3e}; "
             "superposition is inconsistent")

@@ -1,12 +1,13 @@
 """End-to-end verification suite over every closed form in the package.
 
 Each criterion pits package output against an independent reference: a
-worked numeric value, a quadrature oracle, or an exact identity.  This
-module owns the criteria, their check record (built by `compare`) and
-the verify report that `run_acceptance_suite` returns and the CLI
-`verify` subcommand writes unchanged.  Where a table subcommand writes a
-closed form, the criterion reads the same column kernel (figure_columns,
-flux_columns), so verify checks the code that writes the table.
+worked numeric value, a series, a quadrature oracle, or an exact
+identity.  This module owns the criteria, their check record (built by
+`compare`) and the verify report that `run_acceptance_suite` returns and
+the CLI `verify` subcommand writes unchanged.  Where a table subcommand
+writes a closed form, the criterion reads the same column kernel
+(figure_columns, flux_columns), so verify checks the code that writes
+the table.
 
 Each criterion scales the package-side value of every comparison by its
 `s`, 1.0 by default, except seven: the four wall pins of criterion 04 and
@@ -188,11 +189,31 @@ def criterion_07(s: float = 1.0) -> list[ComparisonReport]:
     ]
 
 
+def _binomial_gap(a_ha: float) -> float:
+    """(1 + u/2) - sqrt(1 + u), u = 3 a_ha^2 / 4 pi, as the binomial series
+    u^2/8 - u^3/16 + 5u^4/128 - ..., to u^12, summed with math.fsum."""
+    u = 3.0 * a_ha**2 / (4.0 * math.pi)
+    terms, term = [], 0.5 * u
+    for k in range(1, 12):
+        term *= (0.5 - k) / (k + 1) * u
+        terms.append(-term)
+    return math.fsum(terms)
+
+
 def criterion_08(s: float = 1.0) -> list[ComparisonReport]:
-    """Linearized-vs-exact speed gap for a 2p0 amplitude of 0.1."""
-    gap = hydrogen.approximation_gap(0.1)
-    return [compare("speed linearization gap at a_ha=0.1", s * gap,
-                    7.1e-7, 1e-8, use_rel=False)]
+    """Linearized-vs-exact speed gap for a 2p0 amplitude of 0.1.
+
+    The worked value holds to 1e-8; at amplitudes 0.1 and 0.01 the gap
+    must equal its binomial series to 1e-13 relative, which a form that
+    cancels its digits fails.
+    """
+    reports = [compare("speed linearization gap at a_ha=0.1",
+                       s * hydrogen.approximation_gap(0.1), 7.1e-7, 1e-8, use_rel=False)]
+    for a_ha in (0.1, 0.01):
+        reports.append(compare(f"gap vs binomial series at a_ha={a_ha}",
+                               s * hydrogen.approximation_gap(a_ha), _binomial_gap(a_ha),
+                               1e-13))
+    return reports
 
 
 def criterion_09(s: float = 1.0) -> list[ComparisonReport]:

@@ -78,6 +78,25 @@ def test_criterion_09_catches_a_one_percent_error_in_the_2p_term(monkeypatch):
     assert not any(r.passed for r in reports)
 
 
+_APPROXIMATION_GAP = hydrogen.approximation_gap
+
+
+def _cancelling_gap(a_ha):
+    """approximation_gap's old form, (1 + u/2) - sqrt(1 + u), which cancels its digits."""
+    u = 3.0 * a_ha**2 / (4.0 * math.pi)
+    return (1.0 + 0.5 * u) - math.sqrt(1.0 + u)
+
+
+@pytest.mark.parametrize("gap", [lambda a_ha: 1.01 * _APPROXIMATION_GAP(a_ha), _cancelling_gap],
+                         ids=["scaled", "cancelling"])
+def test_criterion_08_catches_a_one_percent_error_in_the_gap(monkeypatch, gap):
+    """A 1% error in the gap, 7e-9 at a_ha = 0.1, lies inside the worked
+    value's absolute 1e-8 band, and the cancelling form is off by 7.3e-11
+    there; the binomial series sees both."""
+    monkeypatch.setattr(hydrogen, "approximation_gap", gap)
+    assert not all(r.passed for r in verification.criterion_08())
+
+
 def test_criterion_03_catches_a_one_percent_error_in_the_harmonic_weight(monkeypatch):
     """Criterion 03 reads the weight box-figure writes, so a 1% error in it
     (about 5.6e-4) leaves the absolute 2e-4 band."""

@@ -817,6 +817,17 @@ def test_empty_config_key_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["--config="], ["--config", ""]], ids=["joined", "apart"])
+def test_empty_config_name_exits_2(tmp_path, capsys, argv):
+    """An empty name reads no file: a usage error, not the defaults."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", *argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "spectrum: error: argument --config: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_output_dir_from_environment(tmp_path):
     r = _run("spectrum", env={"OUTPUT_DIR": str(tmp_path)})
     assert r.returncode == 0, r.stderr
@@ -1096,9 +1107,11 @@ values += [x ** 2 for x in (7.2249061795510094, -0.5765017620658792)]
 probe = hashlib.sha256(repr(values).encode()).hexdigest()[:12]
 """
 _GENERIC_LIBM = {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F"}
-# The probe of each path, and of the one every golden digest was recorded on.
-_LIBM_PATHS = {"4d917b75f85c": "glibc FMA", "bfea4e3ecf1f": "glibc generic"}
-_GOLDEN_LIBM = "4d917b75f85c"
+# SHA-256 of every file each golden run writes: one set per libm probe,
+# each with the name of its path.  A case is the run's argv less --out:
+# the subcommand and its args, then --grid where it takes one, then
+# --format where it takes one.  The files must stay byte-identical.
+_GOLDENS = json.loads(Path(__file__).with_name("goldens.json").read_text(encoding="utf-8"))
 
 
 def _libm_probe(env: dict[str, str] | None = None) -> str:
@@ -1115,175 +1128,79 @@ def _libm_probe(env: dict[str, str] | None = None) -> str:
     return r.stdout.strip()
 
 
-def _libm_note() -> str:
-    """What a failed digest comparison prints: the libm path of this run
-    and the one the digests were recorded on."""
+def _libm_note(*probes: str) -> str:
+    """What a failed golden check prints: the libm probes it ran under and
+    the ones with a recorded set."""
+    def named(probe):
+        return f"{probe} ({_GOLDENS.get(probe, {}).get('path', 'no recorded set')})"
+    return (f"libm probe {', '.join(map(named, probes))}; "
+            f"sets are recorded for {', '.join(map(named, _GOLDENS))}")
+
+
+def _golden_case(args: tuple[str, ...], fmt: str = "csv", grid: int = 257) -> str:
+    """The goldens.json case of a run of args at grid points in format fmt."""
+    options = cli._options(cli._COMMANDS[args[0]])
+    return " ".join([*args, *(("--grid", str(grid)) if "grid" in options else ()),
+                     *(("--format", fmt) if "format" in options else ())])
+
+
+def _assert_golden(out_dir: Path, case: str) -> None:
+    """The files in out_dir are those recorded for case on this process's
+    libm path, byte for byte; a path with no recorded set fails."""
     running = _libm_probe()
-    return (f"libm probe {running} ({_LIBM_PATHS.get(running, 'an unrecorded path')}); "
-            f"the digests were recorded at {_GOLDEN_LIBM} ({_LIBM_PATHS[_GOLDEN_LIBM]})")
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+    recorded = _GOLDENS.get(running, {"cases": {}})["cases"]
+    assert digests == recorded.get(case), f"{case}: {_libm_note(running)}"
 
 
 def test_libm_probe_tells_the_glibc_paths_apart():
-    """On a host without FMA, or with another libm, this fails along with
-    the golden digests, and names why."""
-    assert {_libm_probe({}), _libm_probe(_GENERIC_LIBM)} == set(_LIBM_PATHS), _libm_note()
+    """The default and the generic path read two probes, each with a
+    recorded set.  On a host without FMA they read one, and on another
+    libm neither is recorded; either way this fails and names them."""
+    default, generic = _libm_probe({}), _libm_probe(_GENERIC_LIBM)
+    assert default != generic and {default, generic} <= _GOLDENS.keys(), \
+        _libm_note(default, generic)
 
 
-# SHA-256 of every file written at grid 257 (spectrum and verify take no
-# grid), each recorded before the code that writes it was last rewritten;
-# the files must stay byte-identical.  verify_report.json was re-recorded
-# when criterion 09 began to compare q/r - 1 to a relative tolerance, when
-# a check against a zero reference began to record rel_dev as null, and when
-# approximation_gap (criterion 08) stopped cancelling its digits.
-_GOLDEN = {
-    ("osc-trajectory", "--n", "0"): {
-        "osc_trajectory.csv":
-            "5a59217de34c1391814c93bc8f61620c8eb45fd0f96fa53f40f8eb86750b2419"},
-    ("osc-trajectory", "--n", "1"): {
-        "osc_trajectory.csv":
-            "a23594304264b96f9e074c632303fe4228e81f2455b9102401dde471970772a9"},
-    ("box-figure",): {
-        "box_figure_n1.csv":
-            "69ea4c1952bc9abe3bd842c96fcca36f52b550e179e3819f38fe497809bc8bef",
-        "box_figure_n2.csv":
-            "d0ec901c8cbce3ee15c5ae4a5dba191eac2742fa6be4d9c8147d52c4ffa42094",
-        "box_figure_n3.csv":
-            "20d7f1ca24b693f03e3cf21c6f2b99b1e55d1f38493e806e91aa083ae0832034"},
-    ("flux-check",): {
-        "flux_check.csv":
-            "c8a1a6421e42c4855987453b1ab0d3c03f7bf3d39da9a5dabe9ef4626a281ff9"},
-    ("hydrogen-figure",): {
-        "hydrogen_figure.csv":
-            "a72fb31ad251b33c119135ce2ca002c65467c90f3f380647cc46614e752dbe2b"},
-    ("spectrum",): {
-        "spectrum.csv":
-            "3741278e1a8cca21649bc30a41236f141a003bffa95933adaad092fc1db02664"},
-    ("verify",): {
-        "verify_report.json":
-            "edc440e26d872dbd9121c2a77442395b6c960fd98989ec0d6608c375c2c1f212"},
-}
-
-
-# SHA-256 of verify_report.json under --inject-error, recorded before the
-# check record was shared by the criteria and the report and re-recorded
-# with criterion 09's relative q/r - 1 check, with the null rel_dev of a
-# zero reference and with approximation_gap's uncancelled form: it pins the deviations and verdicts of failing checks,
-# which the golden run never has.
-_GOLDEN_INJECTED = "d58f6f5a0ee02333d14615a66cb209a1bb78828d29f116d86f3dd6f8d9d4bbc9"
+# The table runs that fork shares at 2049 points, each with its args.
+_SHARED = [("box-figure",), ("osc-trajectory", "--n", "0"), ("osc-trajectory", "--n", "1"),
+           ("flux-check",), ("hydrogen-figure",)]
 
 
 def test_injected_verify_report_matches_golden_digest(tmp_path, capsys):
+    """The report pins the deviations and verdicts of failing checks,
+    which the golden run never has."""
     assert cli.main(["verify", "--inject-error", "--out", str(tmp_path)]) == 1
-    assert [p.name for p in tmp_path.iterdir()] == ["verify_report.json"]
-    digest = hashlib.sha256((tmp_path / "verify_report.json").read_bytes())
-    assert digest.hexdigest() == _GOLDEN_INJECTED, _libm_note()
+    _assert_golden(tmp_path, "verify --inject-error")
 
 
-@pytest.mark.parametrize("args", list(_GOLDEN), ids=" ".join)
+@pytest.mark.parametrize("args", [*_SHARED, ("spectrum",), ("verify",)], ids=" ".join)
 def test_outputs_match_golden_digests(tmp_path, capsys, args):
     grid = () if args[0] in ("spectrum", "verify") else ("--grid", "257")
     assert cli.main([*args, *grid, "--out", str(tmp_path)]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in tmp_path.iterdir()}
-    assert digests == _GOLDEN[args], _libm_note()
+    _assert_golden(tmp_path, _golden_case(args))
 
 
-# SHA-256 of the JSON tables at grid 257 (spectrum takes no grid), recorded
-# before their rows were built by one kernel per table (box-figure and
-# spectrum before tables were written in row blocks): a kernel or writer
-# that reorders or reformats rows must not pass because only the CSV files
-# are pinned, and spectrum pins an int column.
-_GOLDEN_JSON = {
-    ("box-figure",): {
-        "box_figure_n1.json":
-            "9a60a8dd019d8e4fa3ad2d1dc4e8dc4316ae7828210e5b545bfd7151a220d6f2",
-        "box_figure_n2.json":
-            "ab1c899888ce3859c7b76e04659af9a5ff9e1e12f5ed39d969cee9725505e5c2",
-        "box_figure_n3.json":
-            "9be5ffe03634cd675aea1d18356404a23cd215961457c1175554a0f14bdcf1da"},
-    ("spectrum",): {
-        "spectrum.json":
-            "beda12fdfdee3c40494e495651bbbcfffafd7cbe6d2e4328b4d39e3e91135716"},
-    ("flux-check",): {
-        "flux_check.json":
-            "0b42f3845ae78212c66bac2ef1f5cba788f6a4a132a0b19cc02caea371adf0cf"},
-    ("hydrogen-figure",): {
-        "hydrogen_figure.json":
-            "f497ff05283f6af31a078add295a0ababedb4bfae3509dfc97bd626099175c61"},
-    ("osc-trajectory", "--n", "0"): {
-        "osc_trajectory.json":
-            "8049109bedc746d6c070a1fbbb1585da8c1e5e78f12990e2992ee145e7d60ad0"},
-    ("osc-trajectory", "--n", "1"): {
-        "osc_trajectory.json":
-            "caac9c58507280ac89a7e60f92f5cee82c598f2c553b34548b5c844aeda0b717"},
-}
-
-
-@pytest.mark.parametrize("args", list(_GOLDEN_JSON), ids=" ".join)
+@pytest.mark.parametrize("args", [*_SHARED, ("spectrum",)], ids=" ".join)
 def test_json_outputs_match_golden_digests(tmp_path, capsys, args):
+    """A kernel or writer that reorders or reformats rows must not pass
+    because only the CSV files are pinned, and spectrum pins an int column."""
     grid = () if args[0] == "spectrum" else ("--grid", "257")
     assert cli.main([*args, *grid, "--format", "json",
                      "--out", str(tmp_path)]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in tmp_path.iterdir()}
-    assert digests == _GOLDEN_JSON[args], _libm_note()
-
-
-# SHA-256 of each table at grid 2049, which fills two blocks of BLOCK_ROWS
-# rows and puts one row in a third, in both formats; recorded before the
-# kernels returned columns, so rendering columns block by block must keep
-# every row whole across a block edge.
-_GOLDEN_2049 = {
-    ("box-figure",): {
-        "box_figure_n1.csv":
-            "59a2758eed653942f962bea64434306a8914083c2b73744593c5e749af961853",
-        "box_figure_n2.csv":
-            "9d9e5ebc559f824f81fa64189b24d0c5da5eaddb65b3557ffcb4b312bd402a73",
-        "box_figure_n3.csv":
-            "03afbd180e1b95e9d686a4966ab2532435ae538be2970c2375c0fba2a257a543",
-        "box_figure_n1.json":
-            "f9eeff4f50a7a840d5f83b7e69f5a30b9a67bb92eee85b8b2d3ff907b75f57a4",
-        "box_figure_n2.json":
-            "baf5623b6fc827b84b08a9c76c8044b661ca54f136585139bdb1ac517cfbdd18",
-        "box_figure_n3.json":
-            "747a0ca698aa4792fee608bd73a1317044dfde108c2cd9c8df2c19b7b1483eff"},
-    ("osc-trajectory", "--n", "0"): {
-        "osc_trajectory.csv":
-            "b4cb208614b1b2a47c0e5e16f201d24077ffc1f3da4c7bf95b36fdd0f1d44ae7",
-        "osc_trajectory.json":
-            "6ac21c89e2075a0b9611c4af49b3d080b2def68cdafbf0c6cc08ce19bcbeab50"},
-    ("osc-trajectory", "--n", "1"): {
-        "osc_trajectory.csv":
-            "abe457d313899071cf7e0224b5afa5cd73d2601ff8e908887655e6dfb587a21b",
-        "osc_trajectory.json":
-            "9ab06e751649bb304283fb98c8d4397dd28bf1aae56dedd3ff353e46b2708afc"},
-    ("hydrogen-figure",): {
-        "hydrogen_figure.csv":
-            "a7dcefa12f246301fccbc788ccd2d349e436c0bfa03483ba7be0bfe95fad8b18",
-        "hydrogen_figure.json":
-            "f50d2774f6c523ca53fdf466a820337c844418115b6a6a1cea66c8612242a304"},
-    ("flux-check",): {
-        "flux_check.csv":
-            "9e82ccf658b86b58ffb9750bf81a9b9bc74edc3dab9d91ce9e347ebf0db6b77a",
-        "flux_check.json":
-            "1fb6dd85af70e5e1d56124be9838d44c41420dcba326f80d3d233a6c20a718f8"},
-}
+    _assert_golden(tmp_path, _golden_case(args, "json"))
 
 
 @pytest.mark.parametrize("fmt", cli._FORMATS)
-@pytest.mark.parametrize("args", list(_GOLDEN_2049), ids=" ".join)
+@pytest.mark.parametrize("args", _SHARED, ids=" ".join)
 def test_outputs_across_block_edges_match_golden_digests(tmp_path, capsys, args, fmt):
+    """2049 rows fill two blocks of BLOCK_ROWS rows and put one row in a
+    third, so rendering columns block by block must keep every row whole
+    across a block edge."""
     assert 2 * core.BLOCK_ROWS + 1 == 2049
     assert cli.main([*args, "--grid", "2049", "--format", fmt,
                      "--out", str(tmp_path)]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in tmp_path.iterdir()}
-    assert digests == {name: digest for name, digest in _GOLDEN_2049[args].items()
-                       if name.endswith(f".{fmt}")}, _libm_note()
-
-
-_SHARED = [("box-figure",), ("osc-trajectory", "--n", "0"), ("osc-trajectory", "--n", "1"),
-           ("flux-check",), ("hydrogen-figure",)]
+    _assert_golden(tmp_path, _golden_case(args, fmt, 2049))
 
 
 @pytest.mark.parametrize("fmt", cli._FORMATS)
@@ -1301,8 +1218,7 @@ def test_bytes_do_not_depend_on_the_share_count(tmp_path, capsys, monkeypatch, n
                          for p in out.iterdir()}
     assert digests[2] == digests[3] == digests[5] == digests[1]
     if grid == 2049:
-        assert digests[1] == {name: digest for name, digest in _GOLDEN_2049[args].items()
-                              if name.endswith(f".{fmt}")}, _libm_note()
+        _assert_golden(tmp_path / "1", _golden_case(args, fmt, 2049))
 
 
 # The run_shares calls of each subcommand at 2049 points: one per file,
@@ -1342,9 +1258,7 @@ def _check_redone_golden_bytes(tmp_path, args, calls):
     # Every share that forked was redone here, after its child died.
     assert len(calls) == _RUN_SHARES_CALLS[args[0]]
     assert all(max(starts) >= core.BLOCK_ROWS for starts in calls)
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
-    assert digests == {name: digest for name, digest in _GOLDEN_2049[args].items()
-                       if name.endswith(".csv")}, _libm_note()
+    _assert_golden(tmp_path, _golden_case(args, "csv", 2049))
 
 
 @pytest.mark.parametrize("cpus", [2, 3])

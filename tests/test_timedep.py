@@ -223,6 +223,18 @@ def test_moment_evaluates_each_node_once(monkeypatch, moment):
     assert nodes and len(nodes) == len(set(nodes))
 
 
+def test_moment_with_a_boundary_term_raises(monkeypatch):
+    """Psi = sqrt(2/a) x/a does not vanish at the wall, so <p> picks up an
+    imaginary boundary term of hbar/a, about a tenth of the beat's bound
+    hbar c_sum k_sum."""
+    beat, t0, _, _ = timedep.equal_weight_beat(M, A_BOX)
+    slope = math.sqrt(2.0 / A_BOX) / A_BOX
+    monkeypatch.setattr(timedep.Superposition, "value", lambda self, x, t: complex(slope * x))
+    monkeypatch.setattr(timedep.Superposition, "d_dx", lambda self, x, t: complex(slope))
+    with pytest.raises(ValueError, match="<p> picked up imaginary part"):
+        timedep.expectation_p(beat, t0)
+
+
 def test_expectation_p_beat_oscillation():
     """<p>(t) = (8/3a) hbar sin(dE t / hbar) for the equal-weight 1+2 beat."""
     s = _beat()
