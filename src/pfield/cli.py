@@ -12,8 +12,8 @@ A box-figure ratio outside [1, 2) is caught before any of its files is
 written.  Spectrum needs a ratio in (1, 2): the bare level at ratio 1
 has no field for the quartic term to act on.  A subcommand's files are
 written as one set, whole or not at all.  The box-figure grid ends on
-or just short of the wall a and the flux-check grid of a - h_x, so no
-sample falls outside the box.  Each subcommand returns its files; main
+the wall a and the flux-check grid on a - h_x, so no sample falls
+outside the box.  Each subcommand returns its files; main
 writes them as one set and prints the path of each.  The message of an
 exit 3 names the subcommand and each option that differs from its
 default.
@@ -325,9 +325,10 @@ def _grid(lo: float, hi: float, n: int) -> _Grid:
 
 
 def _box_grid(lo: float, hi: float, n: int) -> _Grid:
-    """_grid with its last point clamped to hi, which rounding can overshoot."""
+    """_grid ending on hi itself, which lo + step * (n - 1) can round past
+    or short of."""
     xs = _grid(lo, hi, n)
-    xs.last = min(xs.last, hi)
+    xs.last = hi
     return xs
 
 

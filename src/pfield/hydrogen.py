@@ -183,8 +183,8 @@ def figure_columns(sys: HydrogenSystem, a_ha: float, r: float,
     if not all(math.isfinite(theta) for theta in thetas):
         raise ValueError("grid of angles must be finite")
     half_env = 0.5 * env
-    return (column(r * (1.0 + env * (1.0 + c * c)) / r for c in map(math.cos, thetas)),
-            column(r * (1.0 + half_env * (1.0 + s * s)) / r for s in map(math.sin, thetas)))
+    return (column(1.0 + env * (1.0 + c * c) for c in map(math.cos, thetas)),
+            column(1.0 + half_env * (1.0 + s * s) for s in map(math.sin, thetas)))
 
 
 def cross_sections_2p(sys: HydrogenSystem, a_ha: float,

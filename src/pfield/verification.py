@@ -20,7 +20,7 @@ FAIL, showing the suite actually constrains the numbers it prints.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from . import boxmode, hydrogen, nonlinear, oracle, oscillator, timedep
 from .core import ELECTRON_MASS, HBAR
@@ -74,14 +74,43 @@ def _range_report(label: str, value: float, lo: float, hi: float) -> ComparisonR
                    passed=lo <= value <= hi)
 
 
+def _order_report(label: str, params: Sequence[float], errors: Sequence[float],
+                  order: float, tol: float, s: float) -> ComparisonReport:
+    """Observed order of accuracy (Roache, J. Fluids Eng. 124 (2002) 4):
+    the log-log slope of |errors| against params, first pair to last,
+    scaled by s and checked within tol of order.  A nan error gives a nan
+    slope, which fails."""
+    slope = (math.log(abs(errors[-1])) - math.log(abs(errors[0]))) \
+        / (math.log(params[-1]) - math.log(params[0]))
+    return compare(label, s * slope, order, tol, use_rel=False)
+
+
 def criterion_01(s: float = 1.0) -> list[ComparisonReport]:
-    """Eighth-order path coefficients at b^2 = 0.5 against worked values."""
-    c1, c2, c3 = boxmode.path_series_coefficients(0.5)
-    return [
+    """Eighth-order path coefficients at b^2 = 0.5: worked values and quadrature.
+
+    The worked values hold in their bands.  The Fourier cosine moments of
+    the eighth-order integrand f over [0, pi] give each coefficient
+    independently, c1 = (1/pi) int f, c2 = (1/pi) int f cos 2t and
+    c3 = -(1/2pi) int f cos 4t, and must match to 1e-12 relative.
+    """
+    b_sq = 0.5
+    c1, c2, c3 = boxmode.path_series_coefficients(b_sq)
+    spec = oracle.QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300)
+
+    def moment(harmonic: int) -> float:
+        return oracle.integrate(
+            lambda t: boxmode.integrand_series(b_sq, t) * math.cos(harmonic * t),
+            0.0, math.pi, spec) / math.pi
+
+    reports = [
         compare("c1(b^2=0.5)", s * c1, 1.1151, 5e-4, use_rel=False),
         compare("c2(b^2=0.5)", s * c2, 0.0561, 5e-4, use_rel=False),
         compare("c3(b^2=0.5)", s * c3, 7.44e-4, 1e-5, use_rel=False),
     ]
+    for label, c, route in (("c1", c1, moment(0)), ("c2", c2, moment(2)),
+                            ("c3", c3, -0.5 * moment(4))):
+        reports.append(compare(f"{label}(b^2=0.5) vs Fourier quadrature", s * c, route, 1e-12))
+    return reports
 
 
 def criterion_02(s: float = 1.0) -> list[ComparisonReport]:
@@ -160,13 +189,36 @@ def criterion_05(s: float = 1.0) -> list[ComparisonReport]:
 
 
 def criterion_06(s: float = 1.0) -> list[ComparisonReport]:
-    """Classical threshold scale: alpha = 1e20, n = 50."""
+    """Classical threshold at alpha = 1e20, n = 50: worked scale and the root of e_field.
+
+    The threshold amplitude L_50 must hold its worked value in its band
+    and equal, to 1e-15 relative, the amplitude at which the field's share
+    e_field of the level changes sign, found by bisection from the
+    system's own amplitude; there the classical share e_mu takes the
+    whole level e_n.
+    """
     cap_l = oscillator.classical_threshold(_OSC, 50)
     supp = oscillator.threshold_suppression(50)
+
+    def level(amplitude: float) -> oscillator.OscMode:
+        sys = oscillator.OscSystem(_OSC.mu, _OSC.omega0, amplitude)
+        return oscillator.make_mode(sys, 50, amplitude=1e-10)
+
+    # Halve until the midpoint rounds to an end: hi is the least amplitude
+    # found whose level leaves the field no energy.
+    lo, hi = 0.5 * _OSC.cap_l, 2.0 * _OSC.cap_l
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if level(mid).e_field > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    root = level(hi)
     return [
         compare("threshold amplitude L_50", s * cap_l, 1.005e-9, 5e-3),
         _range_report("envelope suppression exp(-101)", s * supp,
                       0.5e-44, 2e-44),
+        compare("L_50 vs root of e_field", s * cap_l, root.sys.cap_l, 1e-15),
+        compare("e_mu vs e_n at the root", s * root.e_mu, root.e_n, 1e-15),
     ]
 
 
@@ -261,10 +313,8 @@ def criterion_11(s: float = 1.0) -> list[ComparisonReport]:
                                            a_tilde=a_tilde)
         chi, chi_xx, residual = nonlinear.duffing_columns(params, k, xs)
         maxima.append(_worst(map(abs, residual)))
-    slope = (math.log(maxima[-1]) - math.log(maxima[0])) \
-        / (math.log(strengths[-1]) - math.log(strengths[0]))
-    reports.append(compare("residual log-log slope in eps", s * slope,
-                           2.0, 0.1, use_rel=False))
+    reports.append(_order_report("residual log-log slope in eps", strengths, maxima,
+                                 2.0, 0.1, s))
 
     # The shifted wavenumber satisfies the wall condition exactly.
     params = nonlinear.NonlinearParams(eps=0.05 * k**2 / a_tilde**2,
@@ -292,10 +342,11 @@ def criterion_12(s: float = 1.0) -> list[ComparisonReport]:
                        s * _worst(map(abs, residual)) / worst_rate, 0.0, 1e-6,
                        use_rel=False)]
 
-    flux, [r_h] = timedep.flux_columns(beat, [0.3 * a], t0, h_x, h_t)
-    flux, [r_h2] = timedep.flux_columns(beat, [0.3 * a], t0, 0.5 * h_x, 0.5 * h_t)
-    reports.append(_range_report("residual refinement ratio", s * r_h / r_h2,
-                                 3.5, 4.5))
+    steps = (1.0, 0.5)
+    residuals = [timedep.flux_columns(beat, [0.3 * a], t0, f * h_x, f * h_t)[1][0]
+                 for f in steps]
+    reports.append(_order_report("residual order in the step factor at x = 0.3a",
+                                 steps, residuals, 2.0, 0.1, s))
 
     mode1 = beat.components[0][0]
     single = timedep.Superposition(((mode1, 1.0 + 0j),))

@@ -22,9 +22,9 @@ figure columns and approximation_gap to them.  finite_diff is the central
 difference that stood in oracle while only the tests called it.  table_text is the
 CLI's table text as it stood before tables were written in row blocks, so
 the joined chunks must equal it byte for byte.  grid and box_grid are
-cli._grid and cli._box_grid as they stood while a grid was made whole, so
-every point and slice of the grids made on demand must equal them bit for
-bit.  CLI_OPTIONS is each
+cli._grid and cli._box_grid as they stood while a grid was made whole,
+box_grid with its last point since pinned on hi, so every point and slice
+of the grids made on demand must equal them bit for bit.  CLI_OPTIONS is each
 subcommand's option table as it stood before the runners' keyword
 parameters became the only copy: the keys in order, with the name of each
 converter and each default.  cli_parser is the argparse parser that read
@@ -296,9 +296,10 @@ def grid(lo, hi, n):
 
 
 def box_grid(lo, hi, n):
-    """grid with its last point clamped to hi, which rounding can overshoot."""
+    """grid with its last point hi itself, which rounding can overshoot or
+    fall short of."""
     xs = grid(lo, hi, n)
-    xs[-1] = min(xs[-1], hi)
+    xs[-1] = hi
     return xs
 
 

@@ -196,14 +196,18 @@ def test_zero_levels_exit_2(tmp_path):
 
 
 # Widths whose last grid point used to land past the box wall (exit 3): the
-# mode's own n pi / k_n falls short of a, or the grid rounding overshoots a.
-@pytest.mark.parametrize("a", ["2.917e-09", "3.6400000000000003e-09"])
-def test_box_figure_last_row_sits_on_the_wall(tmp_path, capsys, a):
-    assert cli.main(["box-figure", "--a", a, "--grid", "1000",
+# mode's own n pi / k_n falls short of a, or the grid rounding overshoots a;
+# and a grid whose rounding ends 4.1e-25 m short of a.
+@pytest.mark.parametrize("a,grid", [pytest.param("2.917e-09", 1000, id="2.917e-09"),
+                                    pytest.param("3.6400000000000003e-09", 1000,
+                                                 id="3.6400000000000003e-09"),
+                                    pytest.param("2e-09", 536, id="2e-09-536")])
+def test_box_figure_last_row_sits_on_the_wall(tmp_path, capsys, a, grid):
+    assert cli.main(["box-figure", "--a", a, "--grid", str(grid),
                      "--out", str(tmp_path)]) == 0
     for n in (1, 2, 3):
         meta, _, rows = _read_table(tmp_path / f"box_figure_n{n}.csv")
-        assert len(rows) == 1000
+        assert len(rows) == grid
         assert rows[0][:2] == [0.0, 0.0]
         assert rows[-1][0] == float(a) == float(meta["a"])
         assert rows[-1][1] == pytest.approx(float(a), rel=1e-12)
@@ -211,15 +215,18 @@ def test_box_figure_last_row_sits_on_the_wall(tmp_path, capsys, a):
 
 
 def test_flux_check_grid_stays_h_x_inside(tmp_path, capsys):
-    a = "1.8550000000000001e-09"
-    assert cli.main(["flux-check", "--a", a, "--grid", "1000",
-                     "--out", str(tmp_path)]) == 0
-    meta, _, rows = _read_table(tmp_path / "flux_check.csv")
-    h_x = float(meta["h_x"])
-    assert len(rows) == 1000
-    assert rows[0][0] == h_x
-    assert rows[-1][0] == float(a) - h_x
-    assert all(x[0] < y[0] for x, y in zip(rows, rows[1:]))
+    """At the first width the grid rounding overshoots a - h_x; at 2 nm its
+    2066 points end short of it."""
+    for a, grid in (("1.8550000000000001e-09", 1000), ("2e-09", 2066)):
+        out = tmp_path / str(grid)
+        assert cli.main(["flux-check", "--a", a, "--grid", str(grid),
+                         "--out", str(out)]) == 0
+        meta, _, rows = _read_table(out / "flux_check.csv")
+        h_x = float(meta["h_x"])
+        assert len(rows) == grid
+        assert rows[0][0] == h_x
+        assert rows[-1][0] == float(a) - h_x
+        assert all(x[0] < y[0] for x, y in zip(rows, rows[1:]))
 
 
 def test_non_finite_config_key_exits_2(tmp_path):

@@ -50,7 +50,6 @@ _ALLOWED_UNREACHED = {
 _ALLOWED_UNREAD_FIELDS = {
     **{f"hydrogen.HydrogenOrbit.{field}": _ENERGY_BALANCE
        for field in ("r", "theta_dot", "v", "l_c", "e_mu")},
-    **{f"oscillator.OscMode.{field}": _ENERGY_BALANCE for field in ("e_n", "e_mu", "e_field")},
     **{f"core.EnergyBudget.{field}": _ENERGY_BALANCE
        for field in ("e_total", "e_field", "k_particle", "v_particle", "k_field", "v_field")},
     **{f"verification.ComparisonReport.{field}": _REPORT_ROW
