@@ -31,15 +31,6 @@ from pfield import (boxmode, cli, core, hydrogen, nonlinear, oracle, oscillator,
 from pfield.core import HBAR
 
 
-def _run(*args: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
-    merged_env = None
-    if env is not None:
-        merged_env = dict(os.environ)
-        merged_env.update(env)
-    return subprocess.run([sys.executable, "-m", "pfield.cli", *args],
-                          capture_output=True, text=True, env=merged_env)
-
-
 def _read_table(path: Path) -> tuple[dict[str, str], list[str], list[list[float]]]:
     meta: dict[str, str] = {}
     rows: list[list[float]] = []
@@ -57,22 +48,20 @@ def _read_table(path: Path) -> tuple[dict[str, str], list[str], list[list[float]
     return meta, header, rows
 
 
-def test_box_figure_outputs_and_determinism(tmp_path):
+def test_box_figure_outputs_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "one"
     out2 = tmp_path / "two"
     for out in (out1, out2):
         out.mkdir()
-        r = _run("box-figure", "--out", str(out), "--grid", "64")
-        assert r.returncode == 0, r.stderr
+        assert cli.main(["box-figure", "--out", str(out), "--grid", "64"]) == 0
     names = sorted(p.name for p in out1.iterdir())
     assert names == ["box_figure_n1.csv", "box_figure_n2.csv", "box_figure_n3.csv"]
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_box_figure_table_content(tmp_path):
-    r = _run("box-figure", "--out", str(tmp_path), "--grid", "64")
-    assert r.returncode == 0, r.stderr
+def test_box_figure_table_content(tmp_path, capsys):
+    assert cli.main(["box-figure", "--out", str(tmp_path), "--grid", "64"]) == 0
     meta, header, rows = _read_table(tmp_path / "box_figure_n1.csv")
     assert header == ["x:m", "q:m", "q_over_x:1", "chi:m", "psi_density:1/m",
                       "x_ref:m"]
@@ -91,108 +80,111 @@ def test_box_figure_table_content(tmp_path):
     assert points == pytest.approx([a / 2.0], rel=1e-12)
 
 
-def test_box_figure_rejects_bad_ratio(tmp_path):
-    # the bad third ratio must stop the run before the first two files
-    r = _run("box-figure", "--ratios", "1.5,1.4,2.5", "--out", str(tmp_path))
-    assert r.returncode == 3
-    assert "ratio for n=3" in r.stderr
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_box_figure_accepts_the_bare_limit_at_every_width(tmp_path):
+def test_box_figure_accepts_the_bare_limit_at_every_width(tmp_path, capsys):
     # make_mode's p_n rounds an ulp below HBAR*3*pi/a at this width
-    r = _run("box-figure", "--ratios", "1.0,1.0,1.0",
-             "--a", "2.8041268172117018e-09", "--out", str(tmp_path))
-    assert r.returncode == 0, r.stderr
+    assert cli.main(["box-figure", "--ratios", "1.0,1.0,1.0",
+                     "--a", "2.8041268172117018e-09", "--out", str(tmp_path)]) == 0
     assert len(list(tmp_path.iterdir())) == 3
 
 
-def test_box_figure_accepts_a_ratio_just_below_two(tmp_path):
+def test_box_figure_accepts_a_ratio_just_below_two(tmp_path, capsys):
     # (p_n/p_particle)**2 rounds back up to 2.0 here unless p_particle is nudged
-    r = _run("box-figure", "--ratios", "1.9999999999999996,1.5,1.5",
-             "--a", "2.2633223641900492e-09", "--out", str(tmp_path))
-    assert r.returncode == 0, r.stderr
+    assert cli.main(["box-figure", "--ratios", "1.9999999999999996,1.5,1.5",
+                     "--a", "2.2633223641900492e-09", "--out", str(tmp_path)]) == 0
     assert len(list(tmp_path.iterdir())) == 3
 
 
-def test_spectrum_rejects_the_bare_ratio(tmp_path):
-    r = _run("spectrum", "--ratio", "1.0", "--out", str(tmp_path))
-    assert r.returncode == 3
-    assert "--ratio" in r.stderr
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_spectrum_rejects_a_ratio_whose_root_rounds_to_one(tmp_path):
-    # inside (1, 2), yet sqrt rounds it to 1 and level_at_ratio builds a_n = 0
-    r = _run("spectrum", "--ratio", "1.0000000000000002", "--out", str(tmp_path))
-    assert r.returncode == 3
-    assert "--ratio" in r.stderr
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("command,flag", [("spectrum", "--a"),
-                                          ("hydrogen-figure", "--a-ha"),
-                                          ("osc-trajectory", "--alpha")])
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_non_finite_flag_exits_2(tmp_path, command, flag, value):
-    r = _run(command, f"{flag}={value}", "--out", str(tmp_path))
-    assert r.returncode == 2
-    assert "finite" in r.stderr
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("ratios", ["1.5,abc", "1.5,nan", "", ","])
-def test_malformed_ratios_exit_2(tmp_path, ratios):
-    out = tmp_path / "out"
-    r = _run("box-figure", "--ratios", ratios, "--out", str(out))
-    assert r.returncode == 2, r.stderr
-    assert "--ratios" in r.stderr
-    cfg = tmp_path / "ratios.conf"
-    cfg.write_text(f"ratios={ratios}\n", encoding="utf-8")
-    r = _run("box-figure", "--config", str(cfg), "--out", str(out))
-    assert r.returncode == 2, r.stderr
-    assert "config key ratios" in r.stderr
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("args,config", [
-    (("verify", "--grid", "3"), None),
-    (("verify", "--format", "json"), None),
-    (("spectrum", "--grid", "8"), None),
-    (("verify",), "grid=3\n"),
-    (("verify",), "format=json\n"),
-    (("spectrum",), "grid=8\n"),
+_RATIO_LISTS = ("1.5,abc", "1.5,nan", "", ",")
+# (argv, the text of a config file or None, exit code, a fragment of
+# stderr) of each bad command line, keyed by how a user writes it.  The
+# run gets --out {tmp}/out after the subcommand and --config with the
+# file at the end; {tmp} is a directory that holds one empty file,
+# `file`, and {config} is the config file's path.
+_BAD_INPUT = {
+    # The bad third ratio stops the run before the first two files.
+    "box-figure --ratios 1.5,1.4,2.5": (("box-figure", "--ratios", "1.5,1.4,2.5"), None, 3,
+                                        "ratio for n=3"),
+    "spectrum --ratio 1.0": (("spectrum", "--ratio", "1.0"), None, 3, "--ratio"),
+    # Inside (1, 2), yet sqrt rounds it to 1 and level_at_ratio builds a_n = 0.
+    "spectrum --ratio 1.0000000000000002": (("spectrum", "--ratio", "1.0000000000000002"),
+                                            None, 3, "--ratio"),
+    **{f"hydrogen-figure --a-ha {a_ha}": (("hydrogen-figure", "--a-ha", a_ha), None, 3,
+                                          "a_ha must be finite and positive")
+       for a_ha in ("-0.1", "0")},
+    # The message names the subcommand and each option off its default.
+    "flux-check --a 0": (("flux-check", "--a", "0"), None, 3,
+                         "error: flux-check a=0.0: a must be finite and positive"),
+    "osc-trajectory --alpha=1e300": (("osc-trajectory", "--alpha=1e300"), None, 3,
+                                     "error: osc-trajectory alpha=1e+300: "),
+    "box-figure --grid 16 --a=1e300": (("box-figure", "--grid", "16", "--a=1e300"), None, 3,
+                                       "error: box-figure grid=16 a=1e+300: "),
+    **{f"{command} {flag}={value}": ((command, f"{flag}={value}"), None, 2, "finite")
+       for command, flag in (("spectrum", "--a"), ("hydrogen-figure", "--a-ha"),
+                             ("osc-trajectory", "--alpha"))
+       for value in ("nan", "inf", "-inf")},
+    "hydrogen-figure config a_ha=nan": (("hydrogen-figure",), "a_ha=nan\n", 2,
+                                        "config key a_ha: must be finite"),
+    **{f"box-figure --ratios {ratios or repr(ratios)}": (("box-figure", "--ratios", ratios),
+                                                         None, 2, "argument --ratios")
+       for ratios in _RATIO_LISTS},
+    **{f"box-figure config ratios={ratios}": (("box-figure",), f"ratios={ratios}\n", 2,
+                                              "config key ratios")
+       for ratios in _RATIO_LISTS},
+    "spectrum --levels 0": (("spectrum", "--levels", "0"), None, 2, "argument --levels"),
+    "spectrum config levels=0": (("spectrum",), "levels=0\n", 2,
+                                 "config key levels: must be at least 1"),
+    "box-figure --grid 1": (("box-figure", "--grid", "1"), None, 2, "argument --grid"),
     # A flag is read by its exact name, never by a prefix of another.
-    (("hydrogen-figure", "--a", "0.15"), None),
-    (("spectrum", "--lev", "2"), None),
-])
-def test_unread_options_exit_2(tmp_path, args, config):
-    out = tmp_path / "out"
-    extra = ()
+    **{" ".join(argv): (argv, None, 2, f"unrecognized arguments: {' '.join(argv[1:])}")
+       for argv in (("verify", "--grid", "3"), ("verify", "--format", "json"),
+                    ("spectrum", "--grid", "8"), ("hydrogen-figure", "--a", "0.15"),
+                    ("spectrum", "--lev", "2"))},
+    **{f"{command} config {key}={value}": ((command,), f"{key}={value}\n", 2,
+                                           f"unknown config keys: {key}")
+       for command, key, value in (("verify", "grid", "3"), ("verify", "format", "json"),
+                                   ("spectrum", "grid", "8"),
+                                   ("box-figure", "unknown_key", "1"))},
+    "box-figure config grid twice": (("box-figure",),
+                                     "grid=10\n# the same key again\n grid = 20\n", 2,
+                                     "{config}:3: key grid given twice"),
+    "spectrum config =5": (("spectrum",), "levels=3\n=5\n", 2,
+                           "{config}:2: expected key=value, got '=5'"),
+    # An empty name reads no file: a usage error, not the defaults.
+    **{f"spectrum {key}": (("spectrum", *argv), None, 2, "spectrum: error: argument --config: ")
+       for key, argv in (("--config=", ("--config=",)), ("--config ''", ("--config", "")))},
+    **{f"verify config inject_error={value}": (("verify",), f"inject_error={value}\n", 2,
+                                               "config key inject_error")
+       for value in ("ture", "", "y")},
+    "--nonsense": (("--nonsense",), None, 2, "expected a command"),
+    **{f"{command} --out file/x": ((command, "--out", "{tmp}/file/x"), None, 2,
+                                   "{tmp}/file/x")
+       for command in ("spectrum", "verify")},
+}
+
+
+@pytest.mark.parametrize("row", _BAD_INPUT)
+def test_bad_input_exit_code(tmp_path, capsys, row):
+    """A usage error raises SystemExit and prints the usage line first; any
+    other error returns its code and prints `error: ` first.  No escaped
+    exception, and no file or directory made."""
+    argv, config, code, fragment = _BAD_INPUT[row]
+    (tmp_path / "file").touch()
+    cfg = tmp_path / "run.conf"
     if config is not None:
-        cfg = tmp_path / "run.conf"
         cfg.write_text(config, encoding="utf-8")
-        extra = ("--config", str(cfg))
-    r = _run(*args, *extra, "--out", str(out))
-    assert r.returncode == 2, r.stderr
-    if config is None:
-        assert f"unrecognized arguments: {' '.join(args[1:])}" in r.stderr
-    else:
-        assert "unknown config keys" in r.stderr
-    assert not out.exists()
-
-
-def test_zero_levels_exit_2(tmp_path):
-    out = tmp_path / "out"
-    r = _run("spectrum", "--levels", "0", "--out", str(out))
-    assert r.returncode == 2, r.stderr
-    assert "argument --levels" in r.stderr
-    cfg = tmp_path / "levels.conf"
-    cfg.write_text("levels=0\n", encoding="utf-8")
-    r = _run("spectrum", "--config", str(cfg), "--out", str(out))
-    assert r.returncode == 2, r.stderr
-    assert "config key levels" in r.stderr and "at least 1" in r.stderr
-    assert not out.exists()
+    before = sorted(tmp_path.rglob("*"))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    argv = [*argv[:1], "--out", str(tmp_path / "out"), *argv[1:],
+            *(("--config", str(cfg)) if config is not None else ())]
+    try:
+        rc, usage = cli.main(argv), False
+    except SystemExit as exc:
+        rc, usage = exc.code, True
+    err = capsys.readouterr().err
+    assert rc == code
+    assert err.startswith("usage: pfield" if usage else "error: ")
+    assert fragment.format(tmp=tmp_path, config=cfg) in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # Widths whose last grid point used to land past the box wall (exit 3): the
@@ -227,25 +219,6 @@ def test_flux_check_grid_stays_h_x_inside(tmp_path, capsys):
         assert rows[0][0] == h_x
         assert rows[-1][0] == float(a) - h_x
         assert all(x[0] < y[0] for x, y in zip(rows, rows[1:]))
-
-
-def test_non_finite_config_key_exits_2(tmp_path):
-    cfg = tmp_path / "nan.conf"
-    cfg.write_text("a_ha=nan\n", encoding="utf-8")
-    out = tmp_path / "out"
-    r = _run("hydrogen-figure", "--config", str(cfg), "--out", str(out))
-    assert r.returncode == 2
-    assert "config key a_ha" in r.stderr and "finite" in r.stderr
-    assert not out.exists()
-
-
-
-@pytest.mark.parametrize("a_ha", ["-0.1", "0"])
-def test_hydrogen_figure_rejects_non_positive_amplitude(tmp_path, capsys, a_ha):
-    assert cli.main(["hydrogen-figure", "--a-ha", a_ha,
-                     "--out", str(tmp_path)]) == 3
-    assert "a_ha must be finite and positive" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
 
 
 class _FullDisk:
@@ -696,29 +669,100 @@ def test_parser_resolves_what_argparse_resolves(argv):
     assert _resolved(cli._parse, argv) == _resolved(_reference_parse, argv)
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(argv, id=" ".join(argv) or "import-only") for argv in [
-        (), ("box-figure", "--grid", "4"), ("osc-trajectory", "--grid", "4"),
-        ("hydrogen-figure", "--grid", "4"), ("spectrum",), ("flux-check", "--grid", "4"),
-        ("verify",), ("box-figure", "--help"), ("spectrum", "--levels", "0")]])
-def test_cli_loads_no_argparse_or_gettext(tmp_path, argv):
-    """`import pfield.cli`, a run of each subcommand, --help and a usage
-    error load neither argparse nor the gettext it imports."""
+# Of each argv run in a fresh `python -I -S`: its exit code (None for the
+# import alone), the pfield modules it loads beyond cli and core, which
+# `import pfield.cli` alone loads, and whether it loads json, which only
+# JSON output and verify use.  Each runner imports its own physics.
+_FOOTPRINTS = {
+    (): (None, set(), False),
+    ("box-figure", "--grid", "4"): (0, {"boxmode"}, False),
+    ("box-figure", "--grid", "4", "--format", "json"): (0, {"boxmode"}, True),
+    ("osc-trajectory", "--grid", "4"): (0, {"oracle", "oscillator"}, False),
+    ("hydrogen-figure", "--grid", "4"): (0, {"hydrogen", "oracle"}, False),
+    ("spectrum",): (0, {"boxmode", "nonlinear"}, False),
+    ("flux-check", "--grid", "4"): (0, {"timedep", "boxmode", "oracle"}, False),
+    ("verify",): (0, {"boxmode", "hydrogen", "nonlinear", "oracle", "oscillator", "timedep",
+                      "verification"}, True),
+    ("box-figure", "--help"): (0, set(), False),
+    ("spectrum", "--levels", "0"): (2, set(), False),
+}
+# No run loads these: _parse reads the command line without argparse and
+# the gettext it imports, and the records and option tables are built
+# without the dataclasses and inspect machinery.
+_NEVER_LOADED = {"argparse", "gettext", "dataclasses", "inspect"}
+# Loaded on first use by forked shares, a spooled table, a column or
+# JSON output, so `import pfield.cli` alone loads none of them.
+_LOADED_ON_USE = {"shutil", "tempfile", "signal", "threading", "array", "json"}
+_FOOTPRINT = """\
+import io, sys
+sys.path.insert(0, sys.argv[1])
+import pfield.cli
+code = None
+if sys.argv[2:]:
+    sys.stdout = sys.stderr = io.StringIO()
+    try:
+        code = pfield.cli.main(sys.argv[2:])
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+print(repr((code, sorted(sys.modules))))
+"""
+
+
+@pytest.fixture(scope="module")
+def footprint(tmp_path_factory):
+    """The exit code and loaded modules of each argv of _FOOTPRINTS, run
+    once per module in a fresh `python -I -S` however many tests read it."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    argv = [*argv[:1], "--out", str(tmp_path), *argv[1:]] if argv else []
-    code = (f"import contextlib, io, sys; sys.path.insert(0, {src!r}); import pfield.cli\n"
-            f"if {argv!r}:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()), "
-            "contextlib.redirect_stderr(io.StringIO()):\n"
-            "        try:\n"
-            f"            pfield.cli.main({argv!r})\n"
-            "        except SystemExit:\n"
-            "            pass\n"
-            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
-    r = subprocess.run([sys.executable, "-I", "-S", "-c", code],
-                       capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    runs = {}
+
+    def run(argv):
+        if argv not in runs:
+            out = str(tmp_path_factory.mktemp("footprint"))
+            args = [argv[0], "--out", out, *argv[1:]] if argv else []
+            r = subprocess.run([sys.executable, "-I", "-S", "-c", _FOOTPRINT, src, *args],
+                               capture_output=True, text=True)
+            assert r.returncode == 0, r.stderr
+            rc, modules = ast.literal_eval(r.stdout)
+            assert rc == _FOOTPRINTS[argv][0]
+            runs[argv] = set(modules)
+        return runs[argv]
+    return run
+
+
+def _footprint_id(argv):
+    return " ".join(argv) or "import-only"
+
+
+@pytest.mark.parametrize("argv", _FOOTPRINTS, ids=_footprint_id)
+def test_cli_loads_no_argparse_or_gettext(footprint, argv):
+    """`import pfield.cli`, a run of each subcommand, --help and a usage
+    error exit as they should and load none of _NEVER_LOADED."""
+    assert not _NEVER_LOADED & footprint(argv)
+
+
+def test_import_leaves_out_dataclasses_and_inspect(footprint):
+    """Every run pays for `import pfield.cli`; it loads none of
+    _NEVER_LOADED and none of the modules loaded on first use."""
+    assert not (_NEVER_LOADED | _LOADED_ON_USE) & footprint(())
+
+
+@pytest.mark.parametrize("command", sorted({argv[:1] for argv in _FOOTPRINTS}),
+                         ids=lambda command: _footprint_id(command[:1]))
+def test_each_subcommand_imports_only_the_physics_it_runs(footprint, command):
+    """`import pfield.cli` loads cli and core of the package and no physics
+    or oracle module; each run of a subcommand imports its own."""
+    for argv, (_, physics, _) in _FOOTPRINTS.items():
+        if argv[:1] == command:
+            modules = footprint(argv)
+            assert {m[len("pfield."):] for m in modules if m.startswith("pfield.")} \
+                == {"cli", "core", *physics}, argv
+
+
+@pytest.mark.parametrize("argv", [argv for argv in _FOOTPRINTS if argv], ids=_footprint_id)
+def test_only_json_output_and_verify_load_json(footprint, argv):
+    assert ("json" in footprint(argv)) == _FOOTPRINTS[argv][2]
 
 
 @pytest.mark.parametrize("command", ref.CLI_OPTIONS)
@@ -744,6 +788,27 @@ def test_every_option_is_read_by_its_runner(command):
     assert set(cli._options(runner)) <= read
 
 
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS], ids=lambda c: c or "pfield")
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_lists_every_subcommand_or_flag(tmp_path, capsys, monkeypatch, command, flag):
+    """Top-level help lists every subcommand; a subcommand's help lists
+    each of its flags with its help text."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("OUTPUT_DIR", str(tmp_path / "out"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([flag] if command is None else [command, flag])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    if command is None:
+        assert all(any(line.split()[:1] == [name] for line in lines) for name in cli._COMMANDS)
+    else:
+        for name, (_, _, text) in cli._flags(command).items():
+            assert any(line.split()[:1] == [name] and line.endswith(text) for line in lines), name
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cached_parser_keeps_no_option_between_calls(tmp_path, capsys):
     one, two = tmp_path / "one", tmp_path / "two"
     assert cli.main(["hydrogen-figure", "--grid", "16", "--a-ha", "0.2",
@@ -762,31 +827,10 @@ def test_valid_call_after_a_usage_error(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["spectrum.csv"]
 
 
-def test_unwritable_out_exits_2(tmp_path):
-    blocker = tmp_path / "file"
-    blocker.write_text("", encoding="utf-8")
-    for command in ("spectrum", "verify"):
-        r = _run(command, "--out", str(blocker / "x"))
-        assert r.returncode == 2, r.stderr
-        assert r.stderr.startswith("error: ")
-        assert "Traceback" not in r.stderr
-
-
-def test_usage_errors_exit_2(tmp_path):
-    assert _run("--nonsense").returncode == 2
-    assert _run("box-figure", "--grid", "1", "--out", str(tmp_path)).returncode == 2
-    cfg = tmp_path / "bad.conf"
-    cfg.write_text("unknown_key=1\n", encoding="utf-8")
-    r = _run("box-figure", "--config", str(cfg), "--out", str(tmp_path))
-    assert r.returncode == 2
-    assert "unknown config keys" in r.stderr
-
-
-def test_config_file_merging(tmp_path):
+def test_config_file_merging(tmp_path, capsys):
     cfg = tmp_path / "run.conf"
     cfg.write_text("grid=16\nformat=json\n# comment line\n", encoding="utf-8")
-    r = _run("hydrogen-figure", "--config", str(cfg), "--out", str(tmp_path))
-    assert r.returncode == 0, r.stderr
+    assert cli.main(["hydrogen-figure", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     data = json.loads((tmp_path / "hydrogen_figure.json").read_text(encoding="utf-8"))
     assert data["columns"] == ["theta:rad", "q_over_r_p0:1", "q_over_r_pm1:1"]
     assert len(data["rows"]) == 16
@@ -796,54 +840,19 @@ def test_config_file_merging(tmp_path):
     assert data["meta"]["pPlusMinus1_polar_diameter"] < \
         data["meta"]["pPlusMinus1_equatorial_diameter"]
     # a flag still beats the config file
-    r = _run("hydrogen-figure", "--config", str(cfg), "--format", "csv",
-             "--out", str(tmp_path))
-    assert r.returncode == 0, r.stderr
+    assert cli.main(["hydrogen-figure", "--config", str(cfg), "--format", "csv",
+                     "--out", str(tmp_path)]) == 0
     assert (tmp_path / "hydrogen_figure.csv").exists()
 
 
-def test_repeated_config_key_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "run.conf"
-    cfg.write_text("grid=10\n# the same key again\n grid = 20\n", encoding="utf-8")
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["box-figure", "--config", str(cfg), "--out", str(out)])
-    assert exc.value.code == 2
-    assert f"{cfg}:3: key grid given twice" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_empty_config_key_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "run.conf"
-    cfg.write_text("levels=3\n=5\n", encoding="utf-8")
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["spectrum", "--config", str(cfg), "--out", str(out)])
-    assert exc.value.code == 2
-    assert f"{cfg}:2: expected key=value, got '=5'" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv", [["--config="], ["--config", ""]], ids=["joined", "apart"])
-def test_empty_config_name_exits_2(tmp_path, capsys, argv):
-    """An empty name reads no file: a usage error, not the defaults."""
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["spectrum", *argv, "--out", str(out)])
-    assert exc.value.code == 2
-    assert "spectrum: error: argument --config: " in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_output_dir_from_environment(tmp_path):
-    r = _run("spectrum", env={"OUTPUT_DIR": str(tmp_path)})
-    assert r.returncode == 0, r.stderr
+def test_output_dir_from_environment(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OUTPUT_DIR", str(tmp_path))
+    assert cli.main(["spectrum"]) == 0
     assert (tmp_path / "spectrum.csv").exists()
 
 
-def test_spectrum_zero_coupling_has_zero_shifts(tmp_path):
-    r = _run("spectrum", "--eps", "0", "--out", str(tmp_path))
-    assert r.returncode == 0, r.stderr
+def test_spectrum_zero_coupling_has_zero_shifts(tmp_path, capsys):
+    assert cli.main(["spectrum", "--eps", "0", "--out", str(tmp_path)]) == 0
     meta, header, rows = _read_table(tmp_path / "spectrum.csv")
     assert header == ["n:1", "e_linear:J", "e_nonlinear:J", "shift:J"]
     assert rows
@@ -860,8 +869,8 @@ def test_negative_exponent_option_apart_or_joined_writes_the_same_bytes(tmp_path
     meta, _, rows = _read_table(tmp_path / "joined" / "spectrum.csv")
     assert meta["eps"] == "-1e+35"
     assert len(rows) == 3
-    r = _run("spectrum", "--eps", "-1e35", "--levels", "3", "--out", str(tmp_path / "apart"))
-    assert r.returncode == 0, r.stderr
+    assert cli.main(["spectrum", "--eps", "-1e35", "--levels", "3",
+                     "--out", str(tmp_path / "apart")]) == 0
     assert (tmp_path / "apart" / "spectrum.csv").read_bytes() \
         == (tmp_path / "joined" / "spectrum.csv").read_bytes()
 
@@ -888,9 +897,8 @@ def test_quadrature_failure_in_a_forked_share_exits_3(tmp_path, capsys, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
-def test_flux_check_reports_conservation(tmp_path):
-    r = _run("flux-check", "--grid", "32", "--out", str(tmp_path))
-    assert r.returncode == 0, r.stderr
+def test_flux_check_reports_conservation(tmp_path, capsys):
+    assert cli.main(["flux-check", "--grid", "32", "--out", str(tmp_path)]) == 0
     meta, header, rows = _read_table(tmp_path / "flux_check.csv")
     assert header == ["x:m", "flux:1/s", "continuity_residual:1/(m*s)"]
     assert len(rows) == 32
@@ -903,9 +911,8 @@ def test_flux_check_reports_conservation(tmp_path):
     assert float(meta["p_sq_mean"]) > 0.0
 
 
-def test_osc_trajectory_runs(tmp_path):
-    r = _run("osc-trajectory", "--grid", "32", "--out", str(tmp_path))
-    assert r.returncode == 0, r.stderr
+def test_osc_trajectory_runs(tmp_path, capsys):
+    assert cli.main(["osc-trajectory", "--grid", "32", "--out", str(tmp_path)]) == 0
     meta, header, rows = _read_table(tmp_path / "osc_trajectory.csv")
     assert header == ["r_bar:m", "q_two:m", "q_three:m", "q_oracle:m", "chi:m"]
     assert len(rows) == 32
@@ -914,12 +921,11 @@ def test_osc_trajectory_runs(tmp_path):
     assert math.isfinite(mid[3])
 
 
-def test_verify_passes_and_writes_report(tmp_path):
-    r = _run("verify", "--out", str(tmp_path))
-    assert r.returncode == 0, r.stdout + r.stderr
+def test_verify_passes_and_writes_report(tmp_path, capsys):
+    assert cli.main(["verify", "--out", str(tmp_path)]) == 0
     # one verdict per criterion, then the path of the report
     n = len(verification._CRITERIA)
-    lines = r.stdout.splitlines()
+    lines = capsys.readouterr().out.splitlines()
     assert len(lines) == n + 1
     assert all(ln.startswith("PASS ") for ln in lines[:n])
     assert lines[n] == str(tmp_path / "verify_report.json")
@@ -943,73 +949,6 @@ def test_verify_without_docstrings_describes_each_criterion_by_its_ident(tmp_pat
     assert r.returncode == 0, r.stdout + r.stderr
     lines = r.stdout.splitlines()[:-1]
     assert lines == [f"PASS {ident}: {ident}" for ident, _ in verification._CRITERIA]
-
-
-def test_import_leaves_out_dataclasses_and_inspect():
-    """Every run pays for `import pfield.cli`; the records and the option
-    tables are built without the dataclasses and inspect machinery, and
-    the modules that only forked shares, the running integral or JSON
-    output use are loaded on first use."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import pfield.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'shutil', 'tempfile', 'signal', "
-            "'threading', 'array', 'json'} & set(sys.modules)))")
-    r = subprocess.run([sys.executable, "-I", "-S", "-c", code],
-                       capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
-
-
-# The pfield modules each subcommand imports beyond cli and core, which
-# `import pfield.cli` alone loads.
-_PHYSICS = {
-    "box-figure": {"boxmode"},
-    "osc-trajectory": {"oracle", "oscillator"},
-    "hydrogen-figure": {"hydrogen", "oracle"},
-    "spectrum": {"boxmode", "nonlinear"},
-    "flux-check": {"timedep", "boxmode", "oracle"},
-    "verify": {"boxmode", "hydrogen", "nonlinear", "oracle", "oscillator", "timedep",
-               "verification"},
-}
-
-
-@pytest.mark.parametrize("command", [None, *_PHYSICS], ids=lambda c: c or "import-only")
-def test_each_subcommand_imports_only_the_physics_it_runs(tmp_path, command):
-    """`import pfield.cli` loads core of the package and no physics or
-    oracle module; each runner imports its own."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    argv = [] if command is None else [command, "--out", str(tmp_path)]
-    if command not in (None, "spectrum", "verify"):
-        argv += ["--grid", "4"]
-    code = (f"import contextlib, io, sys; sys.path.insert(0, {src!r}); import pfield.cli\n"
-            f"if {argv!r}:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"        assert pfield.cli.main({argv!r}) == 0\n"
-            "print(' '.join(sorted(m[7:] for m in sys.modules if m.startswith('pfield.'))))")
-    r = subprocess.run([sys.executable, "-I", "-S", "-c", code],
-                       capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.split() == sorted({"cli", "core", *_PHYSICS.get(command, ())})
-
-
-@pytest.mark.parametrize("argv,loads", [
-    pytest.param(argv, loads, id=" ".join(argv)) for argv, loads in [
-        *(((command, "--grid", "4"), False)
-          for command in ("box-figure", "osc-trajectory", "hydrogen-figure", "flux-check")),
-        (("spectrum",), False),
-        (("box-figure", "--grid", "4", "--format", "json"), True),
-        (("verify",), True)]])
-def test_only_json_output_and_verify_load_json(tmp_path, argv, loads):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    argv = [*argv[:1], "--out", str(tmp_path), *argv[1:]]
-    code = (f"import contextlib, io, sys; sys.path.insert(0, {src!r}); import pfield.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert pfield.cli.main({argv!r}) == 0\n"
-            "print('json' in sys.modules)")
-    r = subprocess.run([sys.executable, "-I", "-S", "-c", code],
-                       capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == str(loads)
 
 
 class _RecordingJson:
@@ -1040,10 +979,9 @@ def test_every_json_text_goes_through_the_module_name_json(tmp_path, capsys, mon
     assert len(recorder.payloads) == 4 and recorder.payloads[3] == report
 
 
-def test_verify_inject_error_fails(tmp_path):
-    r = _run("verify", "--inject-error", "--out", str(tmp_path))
-    assert r.returncode == 1
-    assert any(ln.startswith("FAIL ") for ln in r.stdout.splitlines())
+def test_verify_inject_error_fails(tmp_path, capsys):
+    assert cli.main(["verify", "--inject-error", "--out", str(tmp_path)]) == 1
+    assert any(ln.startswith("FAIL ") for ln in capsys.readouterr().out.splitlines())
     report = json.loads((tmp_path / "verify_report.json").read_text(encoding="utf-8"))
     assert report["passed"] is False
     assert any(not c["passed"] for c in report["criteria"])
@@ -1060,18 +998,6 @@ def test_inject_error_config_value(tmp_path, capsys, value, passed):
     assert rc == (0 if passed else 1)
     report = json.loads((out / "verify_report.json").read_text(encoding="utf-8"))
     assert report["perturb"] == (0.0 if passed else 0.01)
-
-
-@pytest.mark.parametrize("value", ["ture", "", "y"])
-def test_malformed_inject_error_config_value_exits_2(tmp_path, capsys, value):
-    cfg = tmp_path / "verify.conf"
-    cfg.write_text(f"inject_error={value}\n", encoding="utf-8")
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--config", str(cfg), "--out", str(out)])
-    assert exc.value.code == 2
-    assert "config key inject_error" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_check_record_fields_are_the_report_keys(tmp_path, capsys):

@@ -249,6 +249,19 @@ def test_continuity_residual_scales_where_pow_rounds_a_square_apart():
     assert not off, f"{len(off)} cells off, the first {off[:3]}"
 
 
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 10: shift:J subtracts two nearly equal level energies, "
+                        "so an ulp that pow rounds apart in either is magnified: at this "
+                        "draw of the property the level-5 shift is 1.5e-10 of itself off")
+def test_spectrum_shift_scales_where_its_subtraction_cancels():
+    args = ("spectrum", "--ratio", "1.3610546552925324", "--levels", "5")
+    options = {"a": 1.2606729815525507e-08, "mass": 3.3633622823011994e-31,
+               "eps": 6.830933102454951e+30}
+    base = _written(args, options, 1.0, 1.0, 2)
+    off = _cells_off(base, _written(args, options, 0.25, 64.0, 2), 0.25, 64.0, ulps=2)
+    assert not off, f"{len(off)} cells off, the first {off[:3]}"
+
+
 def _log_uniform(lo: float, hi: float) -> st.SearchStrategy[float]:
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
 
@@ -293,9 +306,10 @@ def _scaled_runs(draw):
 
 # Left out of the property, each held by a strict xfail above: q_oracle,
 # whose bisection depends on the lengths themselves (at L = 4 for some
-# bases, as at L = 16 for the default one), and the continuity residual
-# with its largest value, where pow's slip is magnified.
-_PROPERTY_SKIPS = frozenset({"q_oracle", "continuity_residual", "max_abs_residual"})
+# bases, as at L = 16 for the default one), the continuity residual
+# with its largest value, where pow's slip is magnified, and spectrum's
+# shift, which cancels.
+_PROPERTY_SKIPS = frozenset({"q_oracle", "continuity_residual", "max_abs_residual", "shift"})
 
 
 @settings(max_examples=60, deadline=None)
